@@ -17,7 +17,7 @@
 // Usage:
 //
 //	nmsim [-n keys] [-cores n] [-sp MiB] [-seed s] [-dma]
-//	      [-fault-seed s] [-fault-rate r] [-max-events n] [-par n] [-shards n]
+//	      [-fault-seed s] [-fault-rate r] [-max-events n] [-par n]
 //	      [-telemetry-out f.trace.json] [-telemetry-csv f.csv] [-telemetry-epoch dur]
 //	nmsim -server http://127.0.0.1:8080 [-job-timeout dur]
 package main
@@ -67,7 +67,6 @@ type options struct {
 	faultRate float64
 	maxEvents uint64
 	par       int
-	shards    int
 
 	telemetryOut   string
 	telemetryCSV   string
@@ -97,7 +96,6 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "far-memory bit error rate per read, in [0, 1] (0 disables injection)")
 	fs.Uint64Var(&o.maxEvents, "max-events", 0, "per-replay event budget (0 = generous default)")
 	fs.IntVar(&o.par, "par", 0, "replay worker count; output is byte-identical at any value (0 = GOMAXPROCS, 1 = sequential)")
-	fs.IntVar(&o.shards, "shards", 0, "intra-replay event-queue shards; output is byte-identical at any value (0 = sequential engine, -1 = auto)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.telemetryOut, "telemetry-out", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) of the NMsort replay to this file")
@@ -126,8 +124,6 @@ func (o options) validate() error {
 		return fmt.Errorf("-fault-rate %v must be in [0, 1]", o.faultRate)
 	case o.par < 0:
 		return fmt.Errorf("-par %d is negative (0 means GOMAXPROCS)", o.par)
-	case o.shards < -1:
-		return fmt.Errorf("-shards %d is invalid (0 = sequential engine, -1 = auto)", o.shards)
 	case o.jobTimeout < 0:
 		return fmt.Errorf("-job-timeout %v is negative", o.jobTimeout)
 	case o.jobTimeout > 0 && o.server == "":
@@ -200,7 +196,6 @@ func runRemote(ctx context.Context, o options, w io.Writer) (int, error) {
 		FaultRate: o.faultRate,
 		MaxEvents: o.maxEvents,
 		Par:       o.par,
-		Shards:    o.shards,
 	})
 	if err != nil {
 		return 0, err
@@ -235,7 +230,6 @@ func run(ctx context.Context, o options, w io.Writer) (int, error) {
 		Dist:      d,
 		MaxEvents: o.maxEvents,
 		Par:       o.par,
-		Shards:    o.shards,
 		Sup:       sup,
 	}
 	t, err := harness.Table1Faults(wl, o.dma, o.faultConfig())

@@ -106,7 +106,6 @@ type options struct {
 	faultRates string
 	epoch      string
 	par        int
-	shards     int
 	cpuProfile string
 	memProfile string
 
@@ -137,7 +136,6 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.StringVar(&o.faultRates, "fault-rates", "", "comma-separated bit error rates for -exp=faults (empty = default axis)")
 	fs.StringVar(&o.epoch, "epoch", "10us", "telemetry sampling epoch for -exp=timeline (e.g. 500ns, 10us)")
 	fs.IntVar(&o.par, "par", 0, "replay worker count; output is byte-identical at any value (0 = GOMAXPROCS, 1 = sequential)")
-	fs.IntVar(&o.shards, "shards", 0, "intra-replay event-queue shards; output is byte-identical at any value (0 = sequential engine, -1 = auto)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.manifest, "manifest", "", "checkpoint completed sweep cells to this JSON file (written atomically after each cell)")
@@ -172,8 +170,6 @@ func (o options) validate() error {
 		return fmt.Errorf("-sp %d MiB must be positive", o.spMiB)
 	case o.par < 0:
 		return fmt.Errorf("-par %d is negative (0 means GOMAXPROCS)", o.par)
-	case o.shards < -1:
-		return fmt.Errorf("-shards %d is invalid (0 = sequential engine, -1 = auto)", o.shards)
 	case o.retries < 0:
 		return fmt.Errorf("-retries %d is negative", o.retries)
 	case o.timeout < 0:
@@ -324,7 +320,6 @@ func runRemote(ctx context.Context, o options, out io.Writer) (int, error) {
 		FaultRates: p.FaultRates,
 		EpochPS:    int64(p.Epoch),
 		Par:        o.par,
-		Shards:     o.shards,
 		Retries:    o.retries,
 		RetrySeed:  o.retrySeed,
 		Slice:      o.slice,
@@ -357,7 +352,6 @@ func run(ctx context.Context, o options, out io.Writer) (int, error) {
 		Threads: o.cores,
 		SP:      units.Bytes(o.spMiB) * units.MiB,
 		Par:     o.par,
-		Shards:  o.shards,
 		Sup:     sup,
 	}
 	e, _ := harness.FindExperiment(o.exp)

@@ -49,14 +49,6 @@ func DDR1066(channels int) Config {
 }
 
 // TotalBandwidth returns the aggregate peak bandwidth across channels.
-// MinService returns the smallest time any single access can occupy the
-// device: a row-hit column access plus one line's bus transfer. Every
-// Access/BulkAcquire completion lands at least this far after its issue,
-// which makes it a safe lookahead component for the sharded engine.
-func (c Config) MinService() units.Time {
-	return c.TCas + c.ChannelBW.TransferTime(c.LineSize)
-}
-
 func (c Config) TotalBandwidth() units.BytesPerSecond {
 	return c.ChannelBW * units.BytesPerSecond(c.Channels)
 }

@@ -116,12 +116,6 @@ type Sim struct {
 	lastAt   units.Time // timestamp of the most recently executed event
 	watchers []watcher  // components registered with the stall detector
 
-	// sh, when non-nil, switches the simulator into sharded mode (see
-	// shard.go): events live in per-shard queues and RunBudget executes
-	// them through the conservative horizon loop. Nil costs the sequential
-	// hot path one pointer check per schedule.
-	sh *shardState
-
 	// Epoch sampler (telemetry hook). The engine stays decoupled from the
 	// telemetry package: it only promises to call sampler at every multiple
 	// of epoch that event execution crosses. Disabled cost is one nil check
@@ -148,14 +142,8 @@ func NewWithCap(capacity int) *Sim {
 
 // Reserve grows the event queue's capacity to hold at least n pending
 // events without reallocating. A no-op when the queue is already that
-// large; never shrinks. On a sharded simulator the capacity is divided
-// evenly across the shard queues (any shard can still grow past its
-// share on demand).
+// large; never shrinks.
 func (s *Sim) Reserve(n int) {
-	if s.sh != nil {
-		s.sh.reserve(n)
-		return
-	}
 	if n <= cap(s.events.a) {
 		return
 	}
@@ -176,43 +164,8 @@ func (s *Sim) At(t units.Time, fn Event) {
 		panic(fmt.Sprintf("engine: scheduling at %v, before now %v", t, s.now))
 	}
 	s.seq++
-	if s.sh != nil {
-		// Sharded routing: the event belongs to the shard whose event is
-		// currently executing (cross-shard handoffs go through AtShard).
-		//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
-		s.sh.schedule(item{at: t, seq: s.seq, fn: fn}, s.sh.cur)
-		return
-	}
 	//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
 	s.events.push(item{at: t, seq: s.seq, fn: fn})
-}
-
-// AtShard schedules fn at absolute time t on the given shard of a sharded
-// simulator — the cross-shard mailbox entry of the conservative engine.
-// Callers use it when the scheduling event executes on behalf of a
-// component homed on a different shard (a barrier release waking another
-// shard's core, a DMA completion landing on the issuing core). On an
-// unsharded simulator the shard is ignored and AtShard is exactly At, so
-// machine code can route unconditionally. Shard assignment affects only
-// which queue carries the event — never execution order, which is globally
-// merged by (time, seq) — so a wrong shard is a load-balance bug, not a
-// correctness bug.
-//
-//nmlint:hotpath
-func (s *Sim) AtShard(shard int, t units.Time, fn Event) {
-	if s.sh == nil {
-		s.At(t, fn)
-		return
-	}
-	if shard < 0 || shard >= s.sh.n {
-		panic(fmt.Sprintf("engine: AtShard(%d) outside [0, %d)", shard, s.sh.n))
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("engine: scheduling at %v, before now %v", t, s.now))
-	}
-	s.seq++
-	//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
-	s.sh.schedule(item{at: t, seq: s.seq, fn: fn}, shard)
 }
 
 // After schedules fn to run d after the current time. A negative delay
@@ -264,9 +217,7 @@ func (s *Sim) SetSampler(epoch units.Time, fn func(units.Time)) {
 }
 
 // fire executes one already-dequeued event: sampler boundary crossings,
-// then the clock/accounting update, then the event body. Both the
-// sequential step cycle and the sharded window merge funnel through here,
-// which is what keeps their observable behavior identical.
+// then the clock/accounting update, then the event body.
 //
 //nmlint:hotpath
 func (s *Sim) fire(it item) {
@@ -284,25 +235,16 @@ func (s *Sim) fire(it item) {
 
 // step pops and executes the next event unconditionally; callers check the
 // queue first. This is the schedule/pop cycle of the replay kernel: every
-// sequential simulated event funnels through here.
+// simulated event funnels through here.
 //
 //nmlint:hotpath
 func (s *Sim) step() {
 	s.fire(s.events.pop())
 }
 
-// checkUnsharded guards the sequential-only entry points: the sharded
-// engine runs in conservative windows and supports only RunBudget.
-func (s *Sim) checkUnsharded(op string) {
-	if s.sh != nil {
-		panic("engine: " + op + " on a sharded simulator; use RunBudget")
-	}
-}
-
 // Run executes events until the queue drains, returning the final time.
 // RunBudget adds a runaway guard and the watchdog cross-check.
 func (s *Sim) Run() units.Time {
-	s.checkUnsharded("Run")
 	for s.events.len() > 0 {
 		s.step()
 	}
@@ -323,7 +265,6 @@ func (s *Sim) Run() units.Time {
 // stop at the deadline can consult Stalled() for components caught mid-
 // request.
 func (s *Sim) RunUntil(deadline units.Time) bool {
-	s.checkUnsharded("RunUntil")
 	for {
 		head, ok := s.events.peek()
 		if !ok {
@@ -338,7 +279,6 @@ func (s *Sim) RunUntil(deadline units.Time) bool {
 
 // Step executes exactly one event; it reports false when none remain.
 func (s *Sim) Step() bool {
-	s.checkUnsharded("Step")
 	if s.events.len() == 0 {
 		return false
 	}
@@ -347,12 +287,7 @@ func (s *Sim) Step() bool {
 }
 
 // Pending returns the number of scheduled events not yet executed.
-func (s *Sim) Pending() int {
-	if s.sh != nil {
-		return s.sh.nq
-	}
-	return s.events.len()
-}
+func (s *Sim) Pending() int { return s.events.len() }
 
 // Executed returns the total number of events run, a cheap progress and
 // complexity metric for simulations.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/units"
@@ -97,4 +98,44 @@ func TestSetSamplerPanics(t *testing.T) {
 	mustPanic("zero epoch", func() { New().SetSampler(0, func(units.Time) {}) })
 	mustPanic("negative epoch", func() { New().SetSampler(-1, func(units.Time) {}) })
 	mustPanic("nil fn", func() { New().SetSampler(10, nil) })
+}
+
+// TestSamplerMidRunInstall: installing the sampler after time has advanced
+// starts at the next boundary >= Now() (the SetSampler regression), not at
+// boundary zero.
+func TestSamplerMidRunInstall(t *testing.T) {
+	s := New()
+	s.At(250, func() {})
+	if _, err := s.RunBudget(10); err != nil {
+		t.Fatal(err)
+	}
+	var got []units.Time
+	s.SetSampler(100, func(b units.Time) { got = append(got, b) })
+	s.At(460, func() {})
+	if _, err := s.RunBudget(10); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint([]units.Time{300, 400})
+	if fmt.Sprint(got) != want {
+		t.Fatalf("mid-run sampler boundaries %v, want %v", got, want)
+	}
+}
+
+// TestSamplerInstallOnBoundary: a mid-run install with Now() exactly on a
+// boundary must still sample that boundary (state at it is still current).
+func TestSamplerInstallOnBoundary(t *testing.T) {
+	s := New()
+	s.At(200, func() {})
+	if _, err := s.RunBudget(10); err != nil {
+		t.Fatal(err)
+	}
+	var got []units.Time
+	s.SetSampler(100, func(b units.Time) { got = append(got, b) })
+	s.At(210, func() {})
+	if _, err := s.RunBudget(10); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint([]units.Time{200}) {
+		t.Fatalf("boundaries %v, want [200]", got)
+	}
 }

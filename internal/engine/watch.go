@@ -111,9 +111,6 @@ func (e *BudgetError) Error() string {
 // drain. The returned time is valid in either case; the error says whether
 // to trust it.
 func (s *Sim) RunBudget(maxEvents uint64) (units.Time, error) {
-	if s.sh != nil {
-		return s.runSharded(maxEvents)
-	}
 	var ran uint64
 	for s.events.len() > 0 {
 		if ran >= maxEvents {

@@ -46,7 +46,6 @@ func RunFaultSweep(w Workload, nearChannels int, seed uint64, rates []float64) (
 		for _, rate := range axis {
 			cfg := NodeFor(w.Threads, nearChannels, w.SP)
 			cfg.MaxEvents = w.MaxEvents
-			cfg.Shards = w.Shards
 			if rate > 0 {
 				cfg.Fault = fault.Profile(seed, rate)
 			}

@@ -67,14 +67,6 @@ type Workload struct {
 	// 0 means GOMAXPROCS; 1 forces sequential replay.
 	Par int
 
-	// Shards selects the intra-replay parallel engine for every replay the
-	// workload drives (machine.Config.Shards): 0 keeps the sequential
-	// engine, a positive count shards each replay's event queue, negative
-	// picks min(groups, GOMAXPROCS). Orthogonal to Par — Par spreads sweep
-	// points across replays, Shards parallelizes inside each one — and,
-	// like Par, byte-neutral: results are identical at any value.
-	Shards int
-
 	// Sup, when non-nil, runs every replay under the supervised runtime:
 	// sliced event budgets with cancellation polling, panic containment
 	// (failed cells become marked report rows instead of aborting the
@@ -101,12 +93,11 @@ type RecordResult struct {
 
 // RecordKey normalizes a workload for Record memoization: only the fields
 // that shape the recorded trace remain. Replay-only knobs (MaxEvents, Par,
-// Shards, the supervisor pointer) are zeroed — they change how a trace is
+// the supervisor pointer) are zeroed — they change how a trace is
 // replayed, never what gets recorded.
 func RecordKey(w Workload) Workload {
 	w.MaxEvents = 0
 	w.Par = 0
-	w.Shards = 0
 	w.Sup = nil
 	return w
 }
@@ -265,7 +256,6 @@ func Table1Faults(w Workload, dma bool, fc fault.Config) (Table, error) {
 		cfg := NodeFor(w.Threads, ch, w.SP)
 		cfg.Fault = fc
 		cfg.MaxEvents = w.MaxEvents
-		cfg.Shards = w.Shards
 		jobs[i] = replayJob{cfg: cfg, tr: traces[i], label: labels[i]}
 	}
 	outs := runReplays(w.Sup, replayPar(w.Par, len(jobs)), jobs)

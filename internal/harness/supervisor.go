@@ -180,8 +180,8 @@ func (sup *Supervisor) interrupted() error {
 // ConfigDigest fingerprints a machine configuration for cell keying —
 // the one keying function shared by the checkpoint manifest and the
 // serving layer's result cache, so the two can never drift. Shards is
-// zeroed because sharding is result-neutral by construction (a manifest
-// written at -shards 4 must resume a -shards 0 run), and Telemetry is
+// zeroed because the field is inert (see machine.Config.Shards): whatever
+// a caller leaves in it must not split the key space. Telemetry is
 // zeroed because a recorder pointer has no stable rendering (telemetry
 // cells are excluded from cache use anyway). The retry policy is folded
 // in because it changes fault outcomes.

@@ -58,8 +58,7 @@ func TestSupervisedMatchesUnsupervised(t *testing.T) {
 // killed at seeded slice boundaries via the Interrupt hook, resumed from
 // the on-disk manifest (reloaded through OpenManifest each round, as a
 // fresh process would), and the final resumed report must be byte-identical
-// to an uninterrupted golden run — across worker counts and across engine
-// sharding (the manifest key deliberately ignores Shards).
+// to an uninterrupted golden run — across worker counts.
 func TestChaosInterruptResume(t *testing.T) {
 	w := tinyWorkload()
 	golden, err := BandwidthSweep(w)
@@ -96,7 +95,6 @@ func TestChaosInterruptResume(t *testing.T) {
 				chaos := errors.New("chaos kill")
 				sw := w
 				sw.Par = par
-				sw.Shards = []int{0, 2}[round%2] // resume must cross -shards values
 				sw.Sup = &Supervisor{
 					Slice:    1 << 12,
 					Manifest: man,
@@ -376,8 +374,8 @@ func TestManifestCorruption(t *testing.T) {
 }
 
 // TestCellKeyStability: the key is content-addressed — equal traces and
-// configs agree across processes and shard settings, different content
-// disagrees.
+// configs agree across processes and whatever the inert Shards field
+// holds, different content disagrees.
 func TestCellKeyStability(t *testing.T) {
 	w := tinyWorkload()
 	rec, err := Record(AlgGNUSort, w)

@@ -206,7 +206,6 @@ func BandwidthSweep(w Workload) (Sweep, error) {
 		}{{"gnusort", gnu.Trace}, {"nmsort", nm.Trace}} {
 			cfg := NodeFor(w.Threads, ch, w.SP)
 			cfg.MaxEvents = w.MaxEvents
-			cfg.Shards = w.Shards
 			jobs = append(jobs, replayJob{cfg: cfg, tr: a.tr})
 			points = append(points, SweepPoint{
 				Label: fmt.Sprintf("%s@%dX", a.name, ch/4), Cores: w.Threads,
@@ -268,7 +267,6 @@ func CoreSweep(w Workload, coreCounts []int) (Sweep, error) {
 		}{{"gnusort", gnu.Trace}, {"nmsort", nm.Trace}} {
 			cfg := NodeFor(cores, 32, w.SP)
 			cfg.MaxEvents = w.MaxEvents
-			cfg.Shards = w.Shards
 			jobs = append(jobs, replayJob{cfg: cfg, tr: a.tr})
 			points = append(points, SweepPoint{Label: a.name, Cores: cores, Rho: 8})
 		}
@@ -311,7 +309,6 @@ func (s Sweep) ablate(w Workload, nearChannels int, algs ...Algorithm) (Sweep, e
 		}
 		cfg := NodeFor(w.Threads, nearChannels, w.SP)
 		cfg.MaxEvents = w.MaxEvents
-		cfg.Shards = w.Shards
 		jobs = append(jobs, replayJob{cfg: cfg, tr: r.Trace})
 		points = append(points, SweepPoint{
 			Label: string(alg), Cores: w.Threads, Rho: float64(nearChannels) / 4,

@@ -24,7 +24,6 @@ func RunTimeline(alg Algorithm, w Workload, nearChannels int, epoch units.Time, 
 	tel := telemetry.New(epoch)
 	cfg := NodeFor(w.Threads, nearChannels, w.SP)
 	cfg.MaxEvents = w.MaxEvents
-	cfg.Shards = w.Shards
 	cfg.Fault = fc
 	cfg.Telemetry = tel
 	// One-job pool: with w.Sup set this replay is supervised like any
@@ -53,7 +52,6 @@ func TimelineSweep(w Workload, nearChannels int, epoch units.Time) (Sweep, error
 		}
 		cfg := NodeFor(w.Threads, nearChannels, w.SP)
 		cfg.MaxEvents = w.MaxEvents
-		cfg.Shards = w.Shards
 		// Each point owns a private recorder (they are single-use, like
 		// machines), so telemetry-instrumented replays pool like any other.
 		cfg.Telemetry = telemetry.New(epoch)

@@ -107,15 +107,15 @@ func runSimPure(u *Unit, report ReportFunc) {
 		if !ok || !c.isSchedule(call) {
 			return true
 		}
-		// The callback is the last argument on every schedule method:
-		// At(t, fn), After(d, fn), AtShard(shard, t, fn).
+		// The callback is the last argument on both schedule methods:
+		// At(t, fn), After(d, fn).
 		c.checkCallback(call.Args[len(call.Args)-1])
 		return true
 	})
 }
 
-// isSchedule reports whether call invokes (*engine.Sim).At, .After, or
-// .AtShard with its expected argument count.
+// isSchedule reports whether call invokes (*engine.Sim).At or .After
+// with its expected argument count.
 func (c *simpureChecker) isSchedule(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -128,10 +128,6 @@ func (c *simpureChecker) isSchedule(call *ast.CallExpr) bool {
 	switch fn.Name() {
 	case "At", "After":
 		if len(call.Args) != 2 {
-			return false
-		}
-	case "AtShard":
-		if len(call.Args) != 3 {
 			return false
 		}
 	default:

@@ -52,16 +52,6 @@ func badOpaque(sim *engine.Sim, f func()) {
 	sim.At(0, f) // want
 }
 
-// badAtShard: the sharded-engine schedule entry point is analyzed exactly
-// like At/After — its callback is the last argument.
-func badAtShard(sim *engine.Sim, f func()) {
-	sim.AtShard(1, 0, f) // want
-	n := 0
-	sim.AtShard(0, 0, func() {
-		n++ // want
-	})
-}
-
 // badFieldCall: calls through func-typed fields are equally opaque.
 type hooks struct {
 	fn func()

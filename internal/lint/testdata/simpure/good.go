@@ -34,16 +34,6 @@ func (g *node) schedule() {
 	})
 }
 
-// shardedSchedule: AtShard is a schedule entry point like At/After; its
-// callback (the last argument) gets the same treatment, and the leading
-// shard index is ignored.
-func (g *node) shardedSchedule() {
-	g.sim.AtShard(1, 0, g.tick)
-	g.sim.AtShard(0, g.sim.Now(), func() {
-		g.seen = append(g.seen, g.sim.Now())
-	})
-}
-
 // sortedDrain: ordinary pure stdlib helpers (sort, append to locals) are
 // fine inside callbacks.
 func sortedDrain(sim *engine.Sim, g *node) {

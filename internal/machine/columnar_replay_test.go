@@ -12,8 +12,7 @@ import (
 // TestReplayColumnarEqualsDecoded pins the tentpole replay contract: running
 // the machine against a columnar v3 file (decoding each op from mapped
 // column bytes inside the event loop) produces a Result deep-equal to
-// running it against the decoded *Trace — on both the sequential and the
-// sharded engine.
+// running it against the decoded *Trace.
 func TestReplayColumnarEqualsDecoded(t *testing.T) {
 	tr := record(4, func(tid int, tp *trace.TP) {
 		for i := 0; i < 400; i++ {
@@ -40,20 +39,16 @@ func TestReplayColumnarEqualsDecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, shards := range []int{0, 2} {
-		cfg := TinyConfig(4, units.MiB)
-		cfg.Shards = shards
-		want, err := Run(cfg, tr)
-		if err != nil {
-			t.Fatalf("shards=%d decoded: %v", shards, err)
-		}
-		got, err := Run(cfg, col)
-		if err != nil {
-			t.Fatalf("shards=%d columnar: %v", shards, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: columnar replay result differs from decoded replay:\n got %+v\nwant %+v",
-				shards, got, want)
-		}
+	cfg := TinyConfig(4, units.MiB)
+	want, err := Run(cfg, tr)
+	if err != nil {
+		t.Fatalf("decoded: %v", err)
+	}
+	got, err := Run(cfg, col)
+	if err != nil {
+		t.Fatalf("columnar: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("columnar replay result differs from decoded replay:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -18,7 +18,6 @@ type core struct {
 	m     *Machine
 	id    int
 	group int
-	shard int // home shard on the sharded engine (0 when sequential)
 
 	// cur streams the thread's ops. For a decoded *Trace it walks the op
 	// slice; for an mmapped v3 trace it decodes each op on the fly from the
@@ -231,10 +230,7 @@ func (b *barrierCtl) arrive(c *core) {
 		}
 	}
 	for _, w := range released {
-		// A release is a cross-shard handoff: the wake executes on behalf
-		// of the released core, so route it to that core's home shard
-		// rather than letting every wake pile onto the last arriver's.
-		c.m.sim.AtShard(w.shard, now, w.runEv)
+		c.m.sim.At(now, w.runEv)
 	}
 	// Recycle the buffers for the next cycle: every release is fully walked
 	// above (only the scheduled runEv values outlive this call), so the next

@@ -12,7 +12,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/addr"
 	"repro/internal/cachesim"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/noc"
-	"repro/internal/par"
 	"repro/internal/spmem"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -60,13 +58,13 @@ type Config struct {
 	// runaway-schedule guard. Zero means DefaultEventBudget.
 	MaxEvents uint64
 
-	// Shards selects the intra-replay parallel engine: 0 (the default)
-	// replays on the sequential engine, a positive count partitions the
-	// machine into that many shards (cores binned by home channel group,
-	// clamped to the group count), and any negative value picks
-	// min(groups, GOMAXPROCS) automatically. Results are byte-identical
-	// across every value — sharding only changes where event-queue work
-	// happens, never event order.
+	// Shards is inert: nothing reads it. It selected the intra-replay
+	// sharded engine that DESIGN.md §10 records as deleted. The field stays
+	// declared for two reasons: bench/_layers/probes.go assigns it (and
+	// bench/ changes only in benchmark PRs), and ConfigDigest hashes the
+	// %+v rendering of this struct, so keeping the field keeps every
+	// manifest key and served config_key byte-identical. Follow-up: the
+	// next benchmark PR drops machine.shards_over_seq, then this field.
 	Shards int
 
 	// Telemetry, when non-nil, attaches a time-series recorder: every
@@ -216,38 +214,6 @@ type Machine struct {
 	postFree []*postOp
 }
 
-// shardLookahead derives the conservative window from the machine's
-// minimum cross-component latencies: no memory request completes sooner
-// than one NoC transit plus the faster device's minimum service time after
-// it is issued, so that sum is a natural batching granularity for the
-// sharded engine's horizon windows. (Correctness never depends on it —
-// the engine merges globally — but windows much smaller than the real
-// event spacing would degenerate to one event per dispatch.)
-func (c Config) shardLookahead() units.Time {
-	min := c.Far.MinService()
-	if n := c.Near.MinService(); n < min {
-		min = n
-	}
-	return c.NoC.MinTransit() + min
-}
-
-// resolveShards turns Config.Shards into a concrete shard count for a
-// machine with the given group count: 0 stays 0 (sequential engine),
-// negative means min(groups, GOMAXPROCS), and explicit counts clamp to
-// the groups so no shard is structurally empty.
-func resolveShards(shards, groups int) int {
-	if shards == 0 {
-		return 0
-	}
-	if shards < 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > groups {
-		shards = groups
-	}
-	return shards
-}
-
 // New builds a machine from cfg.
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
@@ -255,10 +221,6 @@ func New(cfg Config) *Machine {
 	}
 	sim := engine.New()
 	groups := cfg.Cores / cfg.CoresPerGroup
-	shards := resolveShards(cfg.Shards, groups)
-	if shards > 0 {
-		sim.Shard(shards, cfg.shardLookahead())
-	}
 	m := &Machine{
 		cfg:   cfg,
 		sim:   sim,
@@ -365,30 +327,16 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 	}
 	m.sim.Reserve(pending)
 	period := m.cfg.CoreHz.Period()
-	nshards := m.sim.Shards()
 	for i := 0; i < threads; i++ {
 		c := &core{m: m, id: i, group: i / m.cfg.CoresPerGroup, cur: src.CursorAt(i), period: period}
 		c.eos = !c.cur.Next() // prime the first op
-		if nshards > 0 {
-			// Bin cores by home channel group: group g lives on shard
-			// g mod shards, so each shard carries a contiguous-ish slice
-			// of the machine's traffic.
-			c.shard = c.group % nshards
-		}
 		c.runEv = c.run
 		c.fillDoneEv = c.fillDone
 		c.dmaDoneEv = c.dmaDone
 		m.cores[i] = c
-		m.sim.AtShard(c.shard, 0, c.runEv)
+		m.sim.At(0, c.runEv)
 	}
 	m.watch()
-	if nshards > 1 {
-		// The pool lives for exactly one replay; without it the sharded
-		// engine runs its windows inline (same bytes, no parallelism).
-		pool := par.NewPool(nshards)
-		defer pool.Close()
-		m.sim.SetShardRunner(pool)
-	}
 	budget := m.cfg.MaxEvents
 	if budget == 0 {
 		budget = DefaultEventBudget

@@ -34,15 +34,6 @@ func Paper(groups int) Config {
 	}
 }
 
-// MinTransit returns the smallest latency any message can add crossing
-// the network: one hop plus the per-message router overhead, before any
-// bandwidth occupancy or contention. The sharded engine uses it as a
-// conservative lookahead component — an event on one shard cannot affect
-// another shard's components any sooner than this.
-func (c Config) MinTransit() units.Time {
-	return c.HopLat + c.HeaderLat
-}
-
 // Network is an instantiated NoC.
 type Network struct {
 	cfg   Config

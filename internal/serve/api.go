@@ -42,7 +42,6 @@ type JobRequest struct {
 	FaultSeed    uint64  `json:"fault_seed,omitempty"` // 0 disables injection
 	FaultRate    float64 `json:"fault_rate,omitempty"` // far-memory bit error rate in [0, 1]
 	MaxEvents    uint64  `json:"max_events,omitempty"` // per-job event budget (0 = server default)
-	Shards       int     `json:"shards,omitempty"`     // intra-replay engine shards (byte-neutral)
 	Retries      int     `json:"retries,omitempty"`    // deterministic MemFault retries
 	RetrySeed    uint64  `json:"retry_seed,omitempty"`
 	Label        string  `json:"label,omitempty"` // report label for failure messages
@@ -87,7 +86,6 @@ type SweepRequest struct {
 	EpochPS    int64     `json:"epoch_ps,omitempty"`    // -exp=timeline epoch
 
 	Par       int    `json:"par,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
 	RetrySeed uint64 `json:"retry_seed,omitempty"`
 	Slice     uint64 `json:"slice,omitempty"`

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -312,5 +314,66 @@ func TestJobValidation(t *testing.T) {
 	miss := tinyJob("0000000000000001")
 	if _, _, _, err := c.SubmitJob(ctx, miss); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown digest error = %v, want 404", err)
+	}
+}
+
+// postRaw posts a hand-written JSON body — what a client built against an
+// older wire format sends — and returns the status and response body.
+func postRaw(t *testing.T, c *serve.Client, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := c.HTTP.Post(c.BaseURL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: reading response: %v", path, err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestLegacyShardsFieldIgnored is the wire-compatibility edge of removing
+// the sharded engine: job and sweep bodies that still carry "shards" are
+// accepted and answered byte-identically (config_key included) to the same
+// request without it. Sharding was byte-neutral, so ignoring the key is
+// the compatible behaviour.
+func TestLegacyShardsFieldIgnored(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	info := recordAndUpload(t, c)
+	job := fmt.Sprintf(`{"trace_digest":%q,"cores":16,"near_channels":16,"sp_mib":1`, info.Digest)
+	sweep := `{"exp":"dma","n":8192,"seed":7,"cores":16,"sp_mib":1`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", job},
+		{"/v1/sweeps", sweep},
+	} {
+		status, want := postRaw(t, c, tc.path, tc.body+"}")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, status, want)
+		}
+		status, got := postRaw(t, c, tc.path, tc.body+`,"shards":4}`)
+		if status != http.StatusOK {
+			t.Fatalf("%s with shards: status %d: %s", tc.path, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: body with \"shards\": 4 differs:\n%s\nwant:\n%s", tc.path, got, want)
+		}
+	}
+}
+
+// TestOversizedJSONBodyRejected: a JSON body past the 1 MiB cap is refused
+// with a 4xx on every JSON endpoint, and the daemon keeps serving.
+func TestOversizedJSONBodyRejected(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	huge := `{"label":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/sweeps", "/v1/traces/record"} {
+		status, body := postRaw(t, c, path, huge)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got status %d (%.80s), want 413", path, status, body)
+		}
+	}
+	info := recordAndUpload(t, c)
+	if _, _, _, err := c.SubmitJob(context.Background(), tinyJob(info.Digest)); err != nil {
+		t.Fatalf("job after oversized bodies: %v", err)
 	}
 }

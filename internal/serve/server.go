@@ -117,6 +117,28 @@ func fail(w http.ResponseWriter, err error, status int) {
 	json.NewEncoder(w).Encode(errorBody{Error: err.Error(), Kind: kind})
 }
 
+// maxJSONBody bounds the JSON request bodies of /v1/jobs, /v1/sweeps and
+// /v1/traces/record. The largest legitimate one is a sweep request of a
+// few hundred bytes; without a cap one client could make the daemon buffer
+// an arbitrarily long token (only trace uploads were bounded before).
+const maxJSONBody = 1 << 20
+
+// decodeBody decodes a size-capped JSON request body into v, answering 413
+// for an oversized body and 400 for a malformed one. It reports whether
+// the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	fail(w, fmt.Errorf("serve: decoding %s request: %w", what, err), status)
+	return false
+}
+
 // writeJSON writes one JSON response body. json.Marshal is deterministic
 // for struct types (field order is declaration order), so equal payloads
 // are byte-identical — the property the cache-hit cmp test rides on.
@@ -194,8 +216,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // the record memo makes repeats free.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var req RecordRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, fmt.Errorf("serve: decoding record request: %w", err), http.StatusBadRequest)
+	if !decodeBody(w, r, "record", &req) {
 		return
 	}
 	dist, err := parseDist(req.Dist)
@@ -269,7 +290,6 @@ func (s *Server) jobConfig(req JobRequest) machine.Config {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = s.cfg.MaxEvents
 	}
-	cfg.Shards = req.Shards
 	return cfg
 }
 
@@ -286,8 +306,6 @@ func validateJob(req JobRequest) error {
 		return fmt.Errorf("serve: fault_rate %v must be in [0, 1]", req.FaultRate)
 	case req.Retries < 0:
 		return fmt.Errorf("serve: retries %d is negative", req.Retries)
-	case req.Shards < -1:
-		return fmt.Errorf("serve: shards %d is invalid", req.Shards)
 	case req.EpochPS < 0:
 		return fmt.Errorf("serve: epoch_ps %d is negative", req.EpochPS)
 	}
@@ -299,8 +317,7 @@ func validateJob(req JobRequest) error {
 // JSON result. Stream requests answer in NDJSON instead.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, fmt.Errorf("serve: decoding job request: %w", err), http.StatusBadRequest)
+	if !decodeBody(w, r, "job", &req) {
 		return
 	}
 	if err := validateJob(req); err != nil {
@@ -454,8 +471,7 @@ func normalizeSweep(req SweepRequest) SweepRequest {
 // exit-code contract.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, fmt.Errorf("serve: decoding sweep request: %w", err), http.StatusBadRequest)
+	if !decodeBody(w, r, "sweep", &req) {
 		return
 	}
 	req = normalizeSweep(req)
@@ -498,7 +514,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	wl := harness.Workload{
 		N: req.N, Seed: req.Seed, Threads: req.Cores,
 		SP: units.Bytes(req.SPMiB) * units.MiB, Dist: dist,
-		MaxEvents: req.MaxEvents, Par: req.Par, Shards: req.Shards,
+		MaxEvents: req.MaxEvents, Par: req.Par,
 		Sup: sup,
 	}
 

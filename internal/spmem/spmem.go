@@ -39,14 +39,6 @@ func Paper(channels int, capacity units.Bytes) Config {
 	}
 }
 
-// MinService returns the smallest time any single access can occupy the
-// device: the constant access latency plus one line's channel transfer.
-// Like dram.Config.MinService, it lower-bounds every completion's distance
-// from its issue and so feeds the sharded engine's lookahead.
-func (c Config) MinService() units.Time {
-	return c.Latency + c.ChannelBW.TransferTime(c.LineSize)
-}
-
 // TotalBandwidth returns the aggregate bandwidth across channels.
 func (c Config) TotalBandwidth() units.BytesPerSecond {
 	return c.ChannelBW * units.BytesPerSecond(c.Channels)

@@ -8,7 +8,6 @@ package repro_test
 // -par 1, -par 8, and whatever GOMAXPROCS resolves to.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
@@ -16,7 +15,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/harness"
-	"repro/internal/units"
 )
 
 // digest hashes a rendered report for compact comparison failures.
@@ -74,82 +72,6 @@ func TestBandwidthSweepParByteIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	if got := render(0); got != want {
 		t.Errorf("GOMAXPROCS=%d: bandwidth sweep differs from sequential output", alt)
-	}
-}
-
-// shardVariants is the intra-replay shard axis every sharded-engine
-// byte-identity test runs over: single shard (sharded machinery, sequential
-// width), two and four explicit shards, and auto (min(groups, GOMAXPROCS)).
-// 0 — the sequential engine — is the reference the others are held to.
-var shardVariants = []int{1, 2, 4, -1}
-
-// TestTable1ShardByteIdentity pins Table I to the golden digest at every
-// shard count under both a single-CPU and a multi-CPU scheduler: the
-// conservative parallel engine may not move a single output byte.
-func TestTable1ShardByteIdentity(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range shardVariants {
-			w := goldenWorkload()
-			w.Shards = shards
-			tb, err := harness.Table1Faults(w, false, fault.Config{})
-			if err != nil {
-				t.Fatalf("Shards=%d GOMAXPROCS=%d: %v", shards, procs, err)
-			}
-			if got := digest(tb.String()); got != goldenTable1 {
-				t.Errorf("Shards=%d GOMAXPROCS=%d: Table1 digest = %s, want golden %s",
-					shards, procs, got, goldenTable1)
-			}
-		}
-	}
-}
-
-// TestTable1FaultShardByteIdentity extends the shard identity to fault
-// injection: the injected environment (ECC corrections, retries, degraded
-// channels) must render the same bytes whether events drain through one
-// queue or several.
-func TestTable1FaultShardByteIdentity(t *testing.T) {
-	render := func(shards int) string {
-		w := goldenWorkload()
-		w.Shards = shards
-		tb, err := harness.Table1Faults(w, false, fault.Profile(99, 1e-3))
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
-		}
-		return tb.String()
-	}
-	want := render(0)
-	for _, shards := range shardVariants {
-		if got := render(shards); got != want {
-			t.Errorf("Shards=%d: fault-injected Table1 differs from sequential engine", shards)
-		}
-	}
-}
-
-// TestTimelineShardByteIdentity replays the telemetry run on the sharded
-// engine and requires the Perfetto (Chrome trace-event) export — epoch
-// samples included — to be byte-identical to the sequential engine's.
-func TestTimelineShardByteIdentity(t *testing.T) {
-	render := func(shards int) string {
-		w := goldenWorkload()
-		w.Shards = shards
-		_, tel, err := harness.RunTimeline(harness.AlgNMSort, w, 16, 5*units.Microsecond, fault.Config{})
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
-		}
-		var b bytes.Buffer
-		if err := tel.ExportChrome(&b); err != nil {
-			t.Fatalf("Shards=%d: ExportChrome: %v", shards, err)
-		}
-		return b.String()
-	}
-	want := render(0)
-	for _, shards := range shardVariants {
-		if got := render(shards); got != want {
-			t.Errorf("Shards=%d: Perfetto export differs from sequential engine", shards)
-		}
 	}
 }
 

@@ -5,9 +5,8 @@
 # trajectories next to the repo root:
 #
 #   BenchmarkReplay*      (root)             -> BENCH_replay.json
-#       baseline replay, telemetry idle, telemetry actively sampling, and
-#       the intra-replay sharded engine at 1 and 4 shards; the per-event
-#       cost of the simulation kernel itself.
+#       baseline replay, telemetry idle, and telemetry actively sampling;
+#       the per-event cost of the simulation kernel itself.
 #   BenchmarkSweepTable1* (internal/harness) -> BENCH_sweep.json
 #       the Table I replay batch through the sweep worker pool at one
 #       worker and at GOMAXPROCS; the wall-clock win of -par.
@@ -27,12 +26,11 @@
 #   - columnar open speedup below MIN_OPEN_SPEEDUP (5x) or columnar file
 #     size above MAX_SIZE_RATIO (0.8) of the v2 stream — both are
 #     host-independent properties of the serialization itself
-# The Par1/ParMax sweep ratio and the Shards1/Shards4 intra-replay ratio
-# are report-only: they depend on host core count, which is not a property
-# of the code under test. Each entry records gomaxprocs and the host cpu
-# count so a 1.0x "speedup" measured on a single-proc run is legible as
-# such; GOMAXPROCS=1 also prints a warning that the ParMax and Shards4
-# points degenerate.
+# The Par1/ParMax sweep ratio is report-only: it depends on host core
+# count, which is not a property of the code under test. Each entry records
+# gomaxprocs and the host cpu count so a 1.0x "speedup" measured on a
+# single-proc run is legible as such; GOMAXPROCS=1 also prints a warning
+# that the ParMax point degenerates.
 #
 # Usage:  scripts/bench.sh [benchtime]     (default 10x)
 #         BENCH_LABEL=pr5 scripts/bench.sh 20x
@@ -88,7 +86,7 @@ append() {
 
 # --- parse the replay family ---------------------------------------------
 # "BenchmarkReplayX-N  iters  T ns/op  ...  V ns/event ...  A allocs/op"
-read -r BASE_NSOP BASE_NSEV BASE_EPS BASE_ALLOCS IDLE_NSOP IDLE_NSEV ACTIVE_NSEV SH1_NSOP SH4_NSOP REPLAY_PROCS < <(awk '
+read -r BASE_NSOP BASE_NSEV BASE_EPS BASE_ALLOCS IDLE_NSOP IDLE_NSEV ACTIVE_NSEV REPLAY_PROCS < <(awk '
 /^BenchmarkReplay/ {
 	name = $1
 	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
@@ -102,10 +100,8 @@ read -r BASE_NSOP BASE_NSEV BASE_EPS BASE_ALLOCS IDLE_NSOP IDLE_NSEV ACTIVE_NSEV
 }
 END {
 	b = "BenchmarkReplayBaseline"; i = "BenchmarkReplayTelemetryIdle"; a = "BenchmarkReplayTelemetryActive"
-	s1 = "BenchmarkReplayShards1"; s4 = "BenchmarkReplayShards4"
 	if (!(b in nsev)) { print "bench.sh: no baseline result" > "/dev/stderr"; exit 1 }
-	if (!(s1 in nsop) || !(s4 in nsop)) { print "bench.sh: missing shard results" > "/dev/stderr"; exit 1 }
-	print nsop[b], nsev[b], eps[b], allocs[b], nsop[i], nsev[i], nsev[a], nsop[s1], nsop[s4], procs+0
+	print nsop[b], nsev[b], eps[b], allocs[b], nsop[i], nsev[i], nsev[a], procs+0
 }' "$RAW_REPLAY")
 
 # --- parse the sweep family ----------------------------------------------
@@ -169,15 +165,6 @@ awk -v minsp="$MIN_OPEN_SPEEDUP" -v maxratio="$MAX_SIZE_RATIO" \
 	if (ratio > maxratio) { print "bench.sh: columnar file size above budget" > "/dev/stderr"; exit 1 }
 }'
 
-# --- report-only: intra-replay shard speedup ------------------------------
-awk -v s1="$SH1_NSOP" -v s4="$SH4_NSOP" -v procs="$REPLAY_PROCS" 'BEGIN {
-	printf "== intra-replay shards: shards1 %.0f ns/op, shards4 %.0f ns/op, speedup %.2fx at GOMAXPROCS=%d (report-only) ==\n", \
-		s1, s4, s1 / s4, procs
-}'
-if [ "$REPLAY_PROCS" -le 1 ]; then
-	echo "== warning: GOMAXPROCS=1 — the Shards4 point runs its windows sequentially and the recorded shard speedup is meaningless; rerun with GOMAXPROCS>1 for a real multi-proc entry =="
-fi
-
 # --- report-only: sweep pool speedup --------------------------------------
 awk -v p1="$PAR1_NSOP" -v pm="$PARMAX_NSOP" -v procs="$GOMAXPROCS" 'BEGIN {
 	printf "== sweep pool: par1 %.0f ns/op, parmax %.0f ns/op, speedup %.2fx at GOMAXPROCS=%d (report-only) ==\n", \
@@ -188,10 +175,8 @@ if [ "$GOMAXPROCS" -le 1 ]; then
 fi
 
 # --- extend both trajectories ---------------------------------------------
-append "$REPLAY_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "baseline_ns_per_event": %s, "baseline_events_per_sec": %s, "baseline_allocs_per_op": %s, "idle_ns_per_event": %s, "active_ns_per_event": %s, "shards1_ns_per_op": %s, "shards4_ns_per_op": %s, "shard_speedup": %s, "open_v2_ns_per_op": %s, "open_v3_ns_per_op": %s, "open_speedup": %s, "v2_file_bytes": %s, "v3_file_bytes": %s, "gomaxprocs": %s, "cpus": %s}' \
+append "$REPLAY_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "baseline_ns_per_event": %s, "baseline_events_per_sec": %s, "baseline_allocs_per_op": %s, "idle_ns_per_event": %s, "active_ns_per_event": %s, "open_v2_ns_per_op": %s, "open_v3_ns_per_op": %s, "open_speedup": %s, "v2_file_bytes": %s, "v3_file_bytes": %s, "gomaxprocs": %s, "cpus": %s}' \
 	"$LABEL" "$STAMP" "$BENCHTIME" "$BASE_NSEV" "$BASE_EPS" "$BASE_ALLOCS" "${IDLE_NSEV:-0}" "${ACTIVE_NSEV:-0}" \
-	"$SH1_NSOP" "$SH4_NSOP" \
-	"$(awk -v s1="$SH1_NSOP" -v s4="$SH4_NSOP" 'BEGIN { printf "%.3f", s1 / s4 }')" \
 	"$OPEN_V2_NSOP" "$OPEN_V3_NSOP" \
 	"$(awk -v v2="$OPEN_V2_NSOP" -v v3="$OPEN_V3_NSOP" 'BEGIN { printf "%.1f", v2 / v3 }')" \
 	"$V2_BYTES" "$V3_BYTES" \

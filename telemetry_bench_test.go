@@ -70,27 +70,3 @@ func BenchmarkReplayTelemetryActive(b *testing.B) {
 		return cfg
 	})
 }
-
-// BenchmarkReplayShards1 runs the conservative sharded engine at a single
-// shard: all the window/mailbox/batch-merge machinery with no parallelism,
-// isolating its bookkeeping cost over the sequential engine (the Baseline
-// benchmark above).
-func BenchmarkReplayShards1(b *testing.B) {
-	benchReplay(b, func(w harness.Workload) machine.Config {
-		cfg := harness.NodeFor(w.Threads, 16, w.SP)
-		cfg.Shards = 1
-		return cfg
-	})
-}
-
-// BenchmarkReplayShards4 shards the replay four ways with a live worker
-// pool — the intra-replay speedup (or honest lack of it) scripts/bench.sh
-// records in BENCH_replay.json. Run with GOMAXPROCS >= 4 for a meaningful
-// number.
-func BenchmarkReplayShards4(b *testing.B) {
-	benchReplay(b, func(w harness.Workload) machine.Config {
-		cfg := harness.NodeFor(w.Threads, 16, w.SP)
-		cfg.Shards = 4
-		return cfg
-	})
-}

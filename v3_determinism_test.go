@@ -3,7 +3,7 @@ package repro_test
 // Byte-identity of Table I when every recorded trace is round-tripped
 // through the columnar v3 serialization: a sweep whose recordings are
 // served from converted .nmt3 files must render the golden digest at
-// every worker count, shard count, and GOMAXPROCS — the on-disk format
+// every worker count and GOMAXPROCS — the on-disk format
 // may not move a single output byte.
 
 import (
@@ -15,8 +15,8 @@ import (
 )
 
 // TestTable1FromConvertedV3ByteIdentity populates a disk cache of columnar
-// v3 traces, then re-renders Table I from those files across the -par and
-// -shards axes under two schedulers, pinning each render to goldenTable1.
+// v3 traces, then re-renders Table I from those files across the -par
+// axis under two schedulers, pinning each render to goldenTable1.
 func TestTable1FromConvertedV3ByteIdentity(t *testing.T) {
 	rc, err := harness.NewDiskRecordCache(t.TempDir())
 	if err != nil {
@@ -39,19 +39,16 @@ func TestTable1FromConvertedV3ByteIdentity(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, par := range []int{1, 8, 0} {
-			for _, shards := range []int{0, 4} {
-				w := goldenWorkload()
-				w.Par = par
-				w.Shards = shards
-				w.Sup = &harness.Supervisor{Records: rc}
-				tb, err := harness.Table1Faults(w, false, fault.Config{})
-				if err != nil {
-					t.Fatalf("par=%d shards=%d procs=%d: %v", par, shards, procs, err)
-				}
-				if got := digest(tb.String()); got != goldenTable1 {
-					t.Errorf("par=%d shards=%d procs=%d: v3-served Table1 digest = %s, want golden %s",
-						par, shards, procs, got, goldenTable1)
-				}
+			w := goldenWorkload()
+			w.Par = par
+			w.Sup = &harness.Supervisor{Records: rc}
+			tb, err := harness.Table1Faults(w, false, fault.Config{})
+			if err != nil {
+				t.Fatalf("par=%d procs=%d: %v", par, procs, err)
+			}
+			if got := digest(tb.String()); got != goldenTable1 {
+				t.Errorf("par=%d procs=%d: v3-served Table1 digest = %s, want golden %s",
+					par, procs, got, goldenTable1)
 			}
 		}
 	}
