@@ -64,8 +64,8 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.IntVar(&o.queue, "queue", 64, "jobs waiting beyond -workers before 429")
 	fs.IntVar(&o.storeMB, "store-mb", 256, "trace store budget in MiB (pinned in-flight traces may exceed it)")
 	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "result cache capacity in completed cells")
-	fs.Uint64Var(&o.slice, "slice", 0, "events per supervised replay slice; cancellation and streaming happen between slices (0 = default)")
-	fs.Uint64Var(&o.maxEvents, "max-events", 0, "default per-job event budget when requests set none (0 = generous default)")
+	fs.Uint64Var(&o.slice, "slice", 0, "executed events per supervised replay slice; cancellation and streaming happen between slices (0 = default); a replay executes about half the events it did before event elision")
+	fs.Uint64Var(&o.maxEvents, "max-events", 0, "default per-job budget of executed events when requests set none (0 = generous default); elided events are not counted")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "grace period for in-flight jobs on shutdown (0 = wait forever)")
 	err := fs.Parse(args)
 	return o, fs, err

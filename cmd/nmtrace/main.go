@@ -289,7 +289,7 @@ func replay(args []string) {
 	fmt.Printf("L2: %.1f%% miss rate; utilization far %.1f%% near %.1f%% noc %.1f%%\n",
 		100*res.L2.MissRate(), 100*res.FarUtilization,
 		100*res.NearUtilization, 100*res.NoCUtilization)
-	fmt.Printf("events: %d, barriers: %d\n", res.Events, len(res.BarrierTimes))
+	fmt.Printf("events: %d (+%d elided), barriers: %d\n", res.Events, res.Elided, len(res.BarrierTimes))
 
 	if *phases > 0 && len(res.BarrierTimes) > 0 {
 		type span struct {

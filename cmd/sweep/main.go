@@ -140,7 +140,7 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.manifest, "manifest", "", "checkpoint completed sweep cells to this JSON file (written atomically after each cell)")
 	fs.BoolVar(&o.resume, "resume", false, "load -manifest and skip cells it already holds; the final report is byte-identical to an uninterrupted run")
-	fs.Uint64Var(&o.slice, "slice", 0, "events per supervised replay slice; cancellation is polled between slices (0 = default)")
+	fs.Uint64Var(&o.slice, "slice", 0, "executed events per supervised replay slice; cancellation is polled between slices (0 = default); a replay executes about half the events it did before event elision")
 	fs.IntVar(&o.retries, "retries", 0, "deterministic re-replays of cells ending in a transient MemFault outcome")
 	fs.Uint64Var(&o.retrySeed, "retry-seed", 1, "seed for the deterministic retry reseeding chain")
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock bound on the whole sweep (0 = none); on expiry the partial report and manifest are flushed")

@@ -111,9 +111,11 @@ func (q *queue) peek() (item, bool) {
 type Sim struct {
 	now      units.Time
 	seq      uint64
+	cur      uint64 // seq of the executing (or last executed) event
 	events   queue
 	nRun     uint64
 	lastAt   units.Time // timestamp of the most recently executed event
+	horizon  units.Time // drain horizon: latest Extend time (see Extend)
 	watchers []watcher  // components registered with the stall detector
 
 	// Epoch sampler (telemetry hook). The engine stays decoupled from the
@@ -166,6 +168,77 @@ func (s *Sim) At(t units.Time, fn Event) {
 	s.seq++
 	//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
 	s.events.push(item{at: t, seq: s.seq, fn: fn})
+}
+
+// Seq returns the schedule-order sequence number of the executing event (or
+// of the most recently executed one between events; zero before the first).
+// Together with Now it is the executing position in the queue's total
+// (at, seq) order: every event ordered before (Now, Seq) has already run.
+func (s *Sim) Seq() uint64 { return s.cur }
+
+// Ticket consumes and returns the next schedule-order sequence number
+// without scheduling anything: the place in line an At issued at this
+// program point would have taken. A component that knows when something
+// completes, but not yet whether anyone will need waking for it, takes a
+// ticket instead of paying for an event; if a wake turns out to be needed,
+// AtTicket redeems the ticket at exactly the position the never-scheduled
+// event would have held. A ticket may be redeemed at most once.
+//
+//nmlint:hotpath
+func (s *Sim) Ticket() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// AtTicket schedules fn at time t with a sequence number previously drawn
+// by Ticket, so the event ties with same-timestamp events exactly as an At
+// issued at Ticket time would have. Scheduling before the executing
+// (Now, Seq) position panics like At into the past — that position has
+// already been passed — and so does a ticket Ticket never issued.
+//
+//nmlint:hotpath
+func (s *Sim) AtTicket(t units.Time, ticket uint64, fn Event) {
+	if t < s.now || (t == s.now && ticket < s.cur) {
+		panic(fmt.Sprintf("engine: scheduling at (%v, #%d), before the executing (%v, #%d)", t, ticket, s.now, s.cur))
+	}
+	if ticket == 0 || ticket > s.seq {
+		panic(fmt.Sprintf("engine: ticket #%d was never issued (last is #%d)", ticket, s.seq))
+	}
+	//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
+	s.events.push(item{at: t, seq: ticket, fn: fn})
+}
+
+// Extend pushes the drain horizon out to t: the simulation is not over
+// before t even if no event is scheduled there. It replaces a no-op
+// "keep the loop alive" event for work nothing waits on (a posted write
+// still occupying a bus): when the queue drains, Run and RunBudget settle
+// the clock to the horizon, visiting every sampler boundary on the way, so
+// the final time, utilizations, and telemetry series are those the no-op
+// event would have produced. An Extend at or before Now is a no-op.
+//
+//nmlint:hotpath
+func (s *Sim) Extend(t units.Time) {
+	if t > s.horizon {
+		s.horizon = t
+	}
+}
+
+// settle moves the clock to the drain horizon once the queue has drained:
+// sampler boundaries in (last event, horizon] are visited once each, in
+// order, then now/lastAt take the horizon — before Stalled or any
+// Utilization reads the clock.
+func (s *Sim) settle() {
+	if s.horizon <= s.now {
+		return
+	}
+	if s.sampler != nil {
+		for s.nextSample <= s.horizon {
+			s.sampler(s.nextSample)
+			s.nextSample += s.epoch
+		}
+	}
+	s.now = s.horizon
+	s.lastAt = s.horizon
 }
 
 // After schedules fn to run d after the current time. A negative delay
@@ -228,6 +301,7 @@ func (s *Sim) fire(it item) {
 		}
 	}
 	s.now = it.at
+	s.cur = it.seq
 	s.lastAt = it.at
 	s.nRun++
 	it.fn()
@@ -242,12 +316,14 @@ func (s *Sim) step() {
 	s.fire(s.events.pop())
 }
 
-// Run executes events until the queue drains, returning the final time.
-// RunBudget adds a runaway guard and the watchdog cross-check.
+// Run executes events until the queue drains, settles the clock to the
+// drain horizon (see Extend), and returns the final time. RunBudget adds a
+// runaway guard and the watchdog cross-check.
 func (s *Sim) Run() units.Time {
 	for s.events.len() > 0 {
 		s.step()
 	}
+	s.settle()
 	return s.now
 }
 
@@ -264,6 +340,10 @@ func (s *Sim) Run() units.Time {
 // event's time, or is unchanged when no event ran at all. Callers that
 // stop at the deadline can consult Stalled() for components caught mid-
 // request.
+//
+// RunUntil never settles to the drain horizon, drained or not: it stops at
+// a deadline, not at the end of the simulation. Finish with Run or
+// RunBudget when the final time matters.
 func (s *Sim) RunUntil(deadline units.Time) bool {
 	for {
 		head, ok := s.events.peek()
@@ -277,7 +357,8 @@ func (s *Sim) RunUntil(deadline units.Time) bool {
 	}
 }
 
-// Step executes exactly one event; it reports false when none remain.
+// Step executes exactly one event; it reports false when none remain. Like
+// RunUntil it never settles to the drain horizon.
 func (s *Sim) Step() bool {
 	if s.events.len() == 0 {
 		return false
@@ -288,6 +369,10 @@ func (s *Sim) Step() bool {
 
 // Pending returns the number of scheduled events not yet executed.
 func (s *Sim) Pending() int { return s.events.len() }
+
+// Cap returns the event queue's current capacity: what Reserve asked for,
+// or more if the queue has since had to grow.
+func (s *Sim) Cap() int { return cap(s.events.a) }
 
 // Executed returns the total number of events run, a cheap progress and
 // complexity metric for simulations.

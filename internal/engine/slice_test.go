@@ -20,7 +20,9 @@ type stormLog struct {
 // scheduleStorm drives s through a seed-determined cascade: n root events,
 // each of which schedules a few children at pseudo-random offsets — some
 // zero-delay (FIFO tie-break stress), some tens of nanoseconds out, some
-// scheduled with At and some with After. The cascade is a pure function of
+// scheduled with At and some with After — and every third event holds the
+// drain horizon out with Extend, so a slice boundary can fall between an
+// Extend and the drain that settles it. The cascade is a pure function of
 // the seed and the engine's execution order, so two runs that execute in
 // the same order produce equal logs.
 func scheduleStorm(s *Sim, seed uint64, n int) *stormLog {
@@ -33,6 +35,9 @@ func scheduleStorm(s *Sim, seed uint64, n int) *stormLog {
 				return
 			}
 			r := xrand.New(seed + uint64(id))
+			if id%3 == 0 {
+				s.Extend(s.Now() + units.Time(r.Uint64n(400)))
+			}
 			kids := int(r.Uint64n(3))
 			for c := 0; c < kids; c++ {
 				kid := id*7 + c + 1

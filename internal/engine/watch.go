@@ -109,7 +109,10 @@ func (e *BudgetError) Error() string {
 // queue drains, aborting with a BudgetError once more than maxEvents have
 // been executed by this call, and cross-checking the watched components on
 // drain. The returned time is valid in either case; the error says whether
-// to trust it.
+// to trust it. Only a drain settles the clock to the drain horizon (before
+// the cross-check, so Stalled compares busy horizons against the settled
+// clock); a budget abort leaves it at the last event, which is what makes a
+// later resume byte-identical to an uninterrupted run.
 func (s *Sim) RunBudget(maxEvents uint64) (units.Time, error) {
 	var ran uint64
 	for s.events.len() > 0 {
@@ -119,6 +122,7 @@ func (s *Sim) RunBudget(maxEvents uint64) (units.Time, error) {
 		s.step()
 		ran++
 	}
+	s.settle()
 	if st := s.Stalled(); st != nil {
 		return s.now, st
 	}

@@ -336,6 +336,30 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// preElisionManifest is a one-cell manifest exactly as the commit before
+// machine.Result gained Elided wrote it (whitespace aside, which the
+// checksum does not cover).
+const preElisionManifest = `{"version":1,"cells":[{"trace":"00000000000000ab","config":"00000000000000cd","cell":{"attempts":1,"result":{"SimTime":1234,"FarAccesses":5,"NearAccesses":0,"FarStats":{"Reads":0,"Writes":0,"RowHits":0,"RowMisses":0,"RowConflicts":0},"NearStats":{"Reads":0,"Writes":0},"L2":{"Hits":0,"Misses":0,"Writebacks":0},"FarUtilization":0,"NearUtilization":0,"NoCUtilization":0,"DMACopies":0,"DMABytes":0,"Events":64,"Phases":null,"Faults":{"FarBitErrors":0,"FarCorrected":0,"FarUncorrectable":0,"FarRetries":0,"MemFaults":0,"NearDegraded":0,"NoCRetransmits":0,"Faults":null},"BarrierTimes":null}}}],"crc64":"5b6bdcfad00dbc2b"}`
+
+// TestManifestFromBeforeElidedStillOpens: the manifest checksum covers the
+// re-marshaled cells, so a field added to machine.Result must vanish from
+// JSON at its zero value or every older manifest reads as corrupt and
+// -resume of an interrupted sweep across the upgrade is refused.
+func TestManifestFromBeforeElidedStillOpens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := os.WriteFile(path, []byte(preElisionManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenManifest(path)
+	if err != nil {
+		t.Fatalf("a pre-elision manifest no longer verifies: %v", err)
+	}
+	got, ok := m.Lookup(CellKey{Trace: 0xAB, Config: 0xCD})
+	if !ok || got.Result.SimTime != 1234 || got.Result.Events != 64 || got.Result.Elided != 0 {
+		t.Fatalf("pre-elision cell read back as %+v (found %v)", got, ok)
+	}
+}
+
 // TestManifestCorruption: every tampered form of the file is rejected with
 // ErrManifestCorrupt; a missing file is an empty manifest, not an error.
 func TestManifestCorruption(t *testing.T) {

@@ -18,7 +18,7 @@
 //     internal/par; all parallelism goes through the p-thread abstraction.
 //   - unitslit: no bare untyped integer literals passed where units.Time or
 //     units.Bytes parameters are expected (literal 0 is unit-safe).
-//   - simpure: every callback scheduled on engine.Sim.At/After — and every
+//   - simpure: every callback scheduled on engine.Sim.At/After/AtTicket — and every
 //     module-internal helper it calls, transitively — touches only
 //     simulator-owned state: no host I/O, wall clock, channel/sync
 //     operations, or writes to captured variables outside the component

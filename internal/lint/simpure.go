@@ -11,7 +11,7 @@ import (
 	"repro/internal/lint/callgraph"
 )
 
-// SimPure verifies that every callback scheduled on engine.Sim.At/After —
+// SimPure verifies that every callback scheduled on engine.Sim.At/After/AtTicket —
 // and every module-internal helper such a callback calls, transitively —
 // touches only simulator-owned state. Event callbacks execute inside the
 // deterministic event loop: one fmt.Println, wall-clock read, channel
@@ -107,15 +107,15 @@ func runSimPure(u *Unit, report ReportFunc) {
 		if !ok || !c.isSchedule(call) {
 			return true
 		}
-		// The callback is the last argument on both schedule methods:
-		// At(t, fn), After(d, fn).
+		// The callback is the last argument on every schedule method:
+		// At(t, fn), After(d, fn), AtTicket(t, ticket, fn).
 		c.checkCallback(call.Args[len(call.Args)-1])
 		return true
 	})
 }
 
-// isSchedule reports whether call invokes (*engine.Sim).At or .After
-// with its expected argument count.
+// isSchedule reports whether call invokes (*engine.Sim).At, .After or
+// .AtTicket with its expected argument count.
 func (c *simpureChecker) isSchedule(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -128,6 +128,10 @@ func (c *simpureChecker) isSchedule(call *ast.CallExpr) bool {
 	switch fn.Name() {
 	case "At", "After":
 		if len(call.Args) != 2 {
+			return false
+		}
+	case "AtTicket":
+		if len(call.Args) != 3 {
 			return false
 		}
 	default:

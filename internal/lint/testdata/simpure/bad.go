@@ -52,6 +52,18 @@ func badOpaque(sim *engine.Sim, f func()) {
 	sim.At(0, f) // want
 }
 
+// badTicket: a wake redeemed with AtTicket runs inside the event loop like
+// any other callback, so it is held to the same rules — impure bodies,
+// opaque function values, and poisoned event fields are all flagged.
+func badTicket(sim *engine.Sim, f func(), b *badPool) {
+	sim.AtTicket(0, sim.Ticket(), func() {
+		hits++              // want
+		fmt.Println("wake") // want
+	})
+	sim.AtTicket(0, sim.Ticket(), f) // want
+	sim.AtTicket(0, sim.Ticket(), b.ev)
+}
+
 // badFieldCall: calls through func-typed fields are equally opaque.
 type hooks struct {
 	fn func()

@@ -75,6 +75,17 @@ func (p *pooled) schedule() {
 	p.sim.After(units.Nanosecond, p.alt)
 }
 
+// ticketed shows the ticket idiom: draw a place in line when the completion
+// time is known, redeem it for a wake only if one turns out to be needed.
+// AtTicket is a scheduling site like At: its callback — a pre-bound field, a
+// method value, or a literal — is verified the same way.
+func (p *pooled) ticketed(g *node) {
+	tk := p.sim.Ticket()
+	p.sim.AtTicket(units.Nanosecond, tk, p.ev)
+	p.sim.AtTicket(units.Nanosecond, p.sim.Ticket(), g.tick)
+	p.sim.AtTicket(units.Nanosecond, p.sim.Ticket(), func() { g.tab["w"]++ })
+}
+
 // suppressed: a real violation (bare captured counter) silenced with an
 // ignore directive and a reason — the escape hatch the analyzer honors.
 func suppressed(sim *engine.Sim) {

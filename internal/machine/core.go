@@ -14,6 +14,12 @@ import (
 // without blocking until MaxOutstanding are in flight, writebacks post,
 // barriers and atomics drain outstanding misses first, DMA descriptors hand
 // off to the background engine.
+//
+// The core schedules an event only where it touches shared state or must
+// wake (DESIGN.md §8, "Event elision"). A fill's completion touches nothing
+// shared, so it gets a slot and a ticket instead of an event; the slot is
+// retired lazily, and only a core that has to block redeems a ticket for a
+// wake.
 type core struct {
 	m     *Machine
 	id    int
@@ -33,19 +39,36 @@ type core struct {
 	// Pre-bound method-value events, created once per replay. Evaluating a
 	// method value (c.run) allocates a bound-method closure every time, so
 	// the hot scheduling sites below schedule these fields instead — the
-	// three dominant per-op schedules (gap resume, fill completion, DMA
-	// completion) then allocate nothing.
-	runEv      engine.Event // c.run
-	fillDoneEv engine.Event // c.fillDone
-	dmaDoneEv  engine.Event // c.dmaDone
+	// dominant per-op schedules (gap resume, fill wake, DMA completion) then
+	// allocate nothing.
+	runEv     engine.Event // c.run
+	dmaDoneEv engine.Event // c.dmaDone
 
-	gapDone   bool // the current op's leading gap has been consumed
-	inflight  int  // outstanding line fills
-	stallFull bool // stalled because all MSHR slots are busy
-	draining  bool // stalled until inflight drains to zero
-	dmaOut    int  // outstanding DMA copies issued by this core
-	dmaWait   bool
-	done      bool
+	// fills[:nfill] are the line fills not yet retired: MaxOutstanding fixed
+	// slots, carved out of one per-replay slab at setup. A slot stays here
+	// past its completion time until the next run retires it, so nfill is
+	// the in-flight count only right after retire.
+	fills []fillSlot
+	nfill int
+
+	gapDone bool // the current op's leading gap has been consumed
+	dmaOut  int  // outstanding DMA copies issued by this core
+	dmaWait bool
+	done    bool
+}
+
+// fillSlot is one outstanding line fill: when the line arrives, and the
+// schedule-order ticket its completion event would have carried. The pair
+// is the fill's position in the engine's (at, seq) order.
+type fillSlot struct {
+	done   units.Time
+	ticket uint64
+}
+
+// before is the engine's event order applied to fills: time first, then
+// schedule order.
+func (a fillSlot) before(b fillSlot) bool {
+	return a.done < b.done || (a.done == b.done && a.ticket < b.ticket)
 }
 
 // run advances the core from the current simulated time. It either
@@ -54,13 +77,25 @@ type core struct {
 //
 //nmlint:hotpath
 func (c *core) run() {
+	if c.nfill > 0 {
+		c.retire()
+	}
 	for !c.eos {
 		op := c.cur.Cur
 
 		// Consume the op's leading compute gap exactly once.
 		if !c.gapDone && op.Gap > 0 {
 			c.gapDone = true
-			c.m.sim.After(units.Time(op.Gap)*c.period, c.runEv)
+			gap := units.Time(op.Gap) * c.period
+			if f, ok := c.blockedPast(op, gap); ok {
+				// Stall-fused gap: the op would come out of its gap only to
+				// find the fill it must wait for still out, so skip the gap
+				// event and park on that fill directly.
+				c.m.elided++
+				c.park(f)
+				return
+			}
+			c.m.sim.After(gap, c.runEv)
 			return
 		}
 
@@ -77,13 +112,16 @@ func (c *core) run() {
 				c.next()
 				continue
 			}
-			if c.inflight >= c.m.cfg.MaxOutstanding {
-				c.stallFull = true
-				return // fillDone resumes us without advancing the cursor
+			if c.nfill == len(c.fills) {
+				c.park(c.earliest())
+				return // the wake resumes us without advancing the cursor
 			}
+			// The ticket must be drawn after fill, which may itself post a
+			// victim write: it is the sequence number a completion event
+			// scheduled at this point would carry.
 			done := c.m.fill(c.group, addr.Addr(op.Addr))
-			c.inflight++
-			c.m.sim.At(done, c.fillDoneEv)
+			c.fills[c.nfill] = fillSlot{done: done, ticket: c.m.sim.Ticket()}
+			c.nfill++
 			c.next()
 
 		case trace.OpAtomic:
@@ -144,43 +182,123 @@ func (c *core) run() {
 }
 
 // outstanding counts the work this core has issued or still owes: line
-// fills in flight, unfinished DMA copies, and the op stream itself until
-// OpEnd retires. The engine's watchdog flags any nonzero count once the
-// event queue drains.
+// fills that land after the current time, unfinished DMA copies, and the
+// op stream itself until OpEnd retires. The engine's watchdog flags any
+// nonzero count once the event queue drains: a parked core whose wake was
+// never pushed still owes its stream, and a fill past the drained clock is
+// one nobody waited for.
 func (c *core) outstanding() int {
-	n := c.inflight + c.dmaOut
+	n := c.dmaOut
+	now := c.m.sim.Now()
+	for _, f := range c.fills[:c.nfill] {
+		if f.done > now {
+			n++
+		}
+	}
 	if !c.done {
 		n++
 	}
 	return n
 }
 
-// drained reports whether all outstanding fills have landed, arranging to
-// resume at the drain point if not. Ordering points (atomics, barriers,
-// stream end) call this before proceeding.
-func (c *core) drained() bool {
-	if c.inflight == 0 {
-		return true
-	}
-	c.draining = true
-	return false
-}
-
-// fillDone retires one outstanding fill and wakes the core if it was
-// stalled on a full MSHR or draining.
+// retire drops every fill at or before the executing event's (now, seq)
+// position — exactly the fills whose completion events would have run by
+// now. The one fill that sits *at* that position is the wake executing
+// right now (tickets are unique), which is scheduled, not elided.
 //
 //nmlint:hotpath
-func (c *core) fillDone() {
-	c.inflight--
-	if c.stallFull {
-		c.stallFull = false
-		c.run()
-		return
+func (c *core) retire() {
+	pos := fillSlot{done: c.m.sim.Now(), ticket: c.m.sim.Seq()}
+	n := 0
+	for _, f := range c.fills[:c.nfill] {
+		switch {
+		case pos.before(f):
+			c.fills[n] = f
+			n++
+		case f.ticket != pos.ticket:
+			c.m.elided++
+		}
 	}
-	if c.draining && c.inflight == 0 {
-		c.draining = false
-		c.run()
+	c.nfill = n
+}
+
+// earliest returns the outstanding fill first in (done, ticket) order: the
+// one whose completion frees an MSHR slot. The core must have one.
+//
+//nmlint:hotpath
+func (c *core) earliest() fillSlot {
+	min := c.fills[0]
+	for _, f := range c.fills[1:c.nfill] {
+		if f.before(min) {
+			min = f
+		}
 	}
+	return min
+}
+
+// latest returns the outstanding fill last in (done, ticket) order: the one
+// whose completion finishes a drain. The core must have one.
+//
+//nmlint:hotpath
+func (c *core) latest() fillSlot {
+	max := c.fills[0]
+	for _, f := range c.fills[1:c.nfill] {
+		if max.before(f) {
+			max = f
+		}
+	}
+	return max
+}
+
+// park blocks the core until f lands: one wake at f's own (done, ticket),
+// the exact position in the global event order its completion event held.
+//
+//nmlint:hotpath
+func (c *core) park(f fillSlot) {
+	c.m.sim.AtTicket(f.done, f.ticket, c.runEv)
+}
+
+// blockedPast reports whether op, once its leading gap has elapsed, would
+// find the fill it has to wait for still outstanding — and which fill that
+// is. A read waits for the earliest fill when every slot is taken; an
+// ordering point waits for the latest. The comparison is strict: a fill
+// landing exactly when the gap ends has the smaller sequence number (it was
+// issued before the gap began), so its completion precedes the gap's end
+// and the op would not block. Ops that reach the L2 port are never fused —
+// the shared L2 and its bus must be touched in timestamp order.
+//
+//nmlint:hotpath
+func (c *core) blockedPast(op trace.Op, gap units.Time) (fillSlot, bool) {
+	if c.nfill == 0 {
+		return fillSlot{}, false
+	}
+	var f fillSlot
+	switch op.Kind {
+	case trace.OpAccess:
+		if op.Write || c.nfill < len(c.fills) {
+			return fillSlot{}, false
+		}
+		f = c.earliest()
+	case trace.OpAtomic, trace.OpBarrier, trace.OpEnd:
+		f = c.latest()
+	default:
+		return fillSlot{}, false
+	}
+	// done-now rather than now+gap: no overflow for any gap.
+	return f, f.done-c.m.sim.Now() > gap
+}
+
+// drained reports whether all outstanding fills have landed, parking the
+// core until the last one does if not. Ordering points (atomics, barriers,
+// stream end) call this before proceeding.
+//
+//nmlint:hotpath
+func (c *core) drained() bool {
+	if c.nfill == 0 {
+		return true
+	}
+	c.park(c.latest())
+	return false
 }
 
 // dmaDone retires one background copy issued by this core and wakes it if

@@ -169,6 +169,16 @@ type Result struct {
 
 	Events uint64 // discrete events executed (simulation effort)
 
+	// Elided counts events the one-event-per-completion model would have
+	// executed and this one did not: fill completions retired without an
+	// event, gaps fused into the stall behind them, and drain markers folded
+	// into the engine's horizon. Events+Elided is that model's event count.
+	// Like Events it is a diagnostic, never rendered in a report. It is
+	// omitted from JSON when zero so that a checkpoint manifest written
+	// before the field existed still re-marshals to the bytes its checksum
+	// covers, and resumes.
+	Elided uint64 `json:"elided,omitempty"`
+
 	// Phases attributes memory traffic to the algorithm phases the trace
 	// marked (trace.OpPhase): one entry per marker, in order, covering
 	// [marker, next marker), plus an "(init)" head segment when the first
@@ -206,6 +216,7 @@ type Machine struct {
 	coreTracks []string            // per-core span track names (telemetry only)
 	phaseNames []string            // the replayed trace's phase-name table
 	phaseSnaps []phaseSnap         // device-counter snapshot per OpPhase marker
+	elided     uint64              // Result.Elided, counted at the elision sites
 
 	// postFree is the LIFO free list of posted-write carriers. Replay is
 	// single-threaded inside one engine, so a plain slice is deterministic;
@@ -315,24 +326,16 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 			m.coreTracks[i] = fmt.Sprintf("core%d", i)
 		}
 	}
-	// Pre-size the event queue for this trace's steady state: per core one
-	// resume event, MaxOutstanding fill completions, and headroom for
-	// posted-write and DMA drains. Small traces never reach the bound, so
-	// cap it by the total op count; either way it is only a hint. (The op
-	// count is Validate-verified above, so a hostile header cannot inflate
-	// the reservation.)
-	pending := threads*(m.cfg.MaxOutstanding+4) + 64
-	if total := src.Ops(); total < pending {
-		pending = total + 16
-	}
-	m.sim.Reserve(pending)
+	mshrs := m.cfg.MaxOutstanding
+	m.sim.Reserve(queueReservation(threads, mshrs, src.Ops()))
 	period := m.cfg.CoreHz.Period()
+	slots := make([]fillSlot, threads*mshrs)
 	for i := 0; i < threads; i++ {
 		c := &core{m: m, id: i, group: i / m.cfg.CoresPerGroup, cur: src.CursorAt(i), period: period}
 		c.eos = !c.cur.Next() // prime the first op
 		c.runEv = c.run
-		c.fillDoneEv = c.fillDone
 		c.dmaDoneEv = c.dmaDone
+		c.fills = slots[i*mshrs : (i+1)*mshrs : (i+1)*mshrs]
 		m.cores[i] = c
 		m.sim.At(0, c.runEv)
 	}
@@ -378,7 +381,41 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 			}
 		}
 	}
+	res := m.collect(end)
+	if runErr != nil {
+		// A stalled or runaway replay: the result is returned for diagnosis
+		// but its SimTime is not a completion time.
+		return res, runErr
+	}
+	if res.Faults.MemFaults > 0 {
+		// The replay ran to completion, but some reads returned uncorrected
+		// data: surface the machine-level fault outcome while keeping the
+		// full result (fault sweeps treat this as data, not failure).
+		return res, &fault.MemFaultError{Count: res.Faults.MemFaults, First: res.Faults.Faults[0]}
+	}
+	return res, nil
+}
 
+// queueReservation sizes the event queue for a replay's steady state. A
+// core has at most one event of its own pending (gap resume, fill wake, or
+// barrier release). Each outstanding fill can have one posted victim write
+// pending — it is due at the L2 port, before the fill lands — and one more
+// event per core is headroom for writeback victims and DMA completions;
+// the Table I replays peak at 5.0 pending events per core with
+// MaxOutstanding 4. Small traces never reach the bound, so it is capped by
+// the total op count; either way it is only a hint. (The op count is
+// Validate-verified, so a hostile header cannot inflate the reservation.)
+func queueReservation(threads, maxOutstanding, ops int) int {
+	pending := threads*(maxOutstanding+2) + 64
+	if ops < pending {
+		pending = ops + 16
+	}
+	return pending
+}
+
+// collect assembles the Result of a replay that stopped at simulated time
+// end and closes the telemetry recorder there.
+func (m *Machine) collect(end units.Time) Result {
 	var res Result
 	res.SimTime = end
 	res.FarStats = m.far.Stats()
@@ -397,6 +434,7 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 	res.DMACopies = m.dma.issued
 	res.DMABytes = m.dma.bytes
 	res.Events = m.sim.Executed()
+	res.Elided = m.elided
 	res.BarrierTimes = m.barrier.releases
 	res.Faults = m.inj.Stats()
 	res.Phases = m.phaseUsages(end)
@@ -406,18 +444,7 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 		}
 		m.tel.Finish(end)
 	}
-	if runErr != nil {
-		// A stalled or runaway replay: the result is returned for diagnosis
-		// but its SimTime is not a completion time.
-		return res, runErr
-	}
-	if res.Faults.MemFaults > 0 {
-		// The replay ran to completion, but some reads returned uncorrected
-		// data: surface the machine-level fault outcome while keeping the
-		// full result (fault sweeps treat this as data, not failure).
-		return res, &fault.MemFaultError{Count: res.Faults.MemFaults, First: res.Faults.Faults[0]}
-	}
-	return res, nil
+	return res
 }
 
 // watch registers every component whose pending work the engine's
@@ -479,11 +506,11 @@ func (m *Machine) writeback(g int, a addr.Addr) units.Time {
 	if r.HasWB {
 		m.postToMemory(t, g, addr.Addr(r.Writeback))
 	} else {
-		// Nothing downstream waits on a posted write, so keep the event
-		// loop alive until the L2 port drains; otherwise a replay ending
+		// Nothing downstream waits on a posted write, so hold the drain
+		// horizon out until the L2 port drains; otherwise a replay ending
 		// in writebacks reports a SimTime inside the port's busy period.
-		//nmlint:ignore escape-check capture-free literal; codegen uses one static closure (see TestReplayAllocsPerEvent)
-		m.sim.At(t, func() {})
+		m.sim.Extend(t)
+		m.elided++
 	}
 	return t
 }
@@ -509,8 +536,7 @@ type postOp struct {
 const postFreeCap = 256
 
 // run drains the posted write: route it over the NoC to its device, then
-// keep the event loop alive until the write finishes with a no-op
-// completion event (see postToMemory).
+// hold the drain horizon out until the write finishes (see postToMemory).
 //
 //nmlint:hotpath
 func (p *postOp) run() {
@@ -521,16 +547,16 @@ func (p *postOp) run() {
 		m.postFree = append(m.postFree, p)
 	}
 	arr := m.nw.Send(m.sim.Now(), g, m.cfg.LineSize)
-	done := m.deviceAccess(arr, a, true)
-	//nmlint:ignore escape-check capture-free literal; codegen uses one static closure (see TestReplayAllocsPerEvent)
-	m.sim.At(done, func() {})
+	m.sim.Extend(m.deviceAccess(arr, a, true))
+	m.elided++
 }
 
 // postToMemory sends a dirty line toward its device without anything
-// waiting for it (posted write). A no-op completion event marks the time
-// the write finishes draining: without it Run() can return while the NoC
-// and device buses are still busy, making SimTime undershoot the real end
-// of traffic and pushing Utilization past 1 on writeback-heavy replays.
+// waiting for it (posted write). The carrier extends the engine's drain
+// horizon to the time the write finishes: without it Run() can return while
+// the NoC and device buses are still busy, making SimTime undershoot the
+// real end of traffic and pushing Utilization past 1 on writeback-heavy
+// replays.
 func (m *Machine) postToMemory(at units.Time, g int, a addr.Addr) {
 	var p *postOp
 	if n := len(m.postFree); n > 0 {

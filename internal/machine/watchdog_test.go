@@ -13,46 +13,70 @@ import (
 )
 
 // TestWatchdogCatchesDroppedCompletion is the acceptance test for the
-// stall detector: a core with a fill in flight whose completion event was
-// never scheduled (the bug class the watchdog exists for) must surface as
-// a StallError naming that core, not as a silently short SimTime.
+// stall detector under ticketed fill retirement. No completion event exists
+// to drop any more; the bug class is now a core that blocks on a fill
+// without redeeming its ticket, or one that finishes its stream with a fill
+// nobody waited for. Either must surface as a StallError naming that core,
+// not as a silently short SimTime.
 func TestWatchdogCatchesDroppedCompletion(t *testing.T) {
-	m := New(TinyConfig(8, units.MiB))
-	tr := record(1, func(tid int, tp *trace.TP) {
-		tp.Load(addr.FarBase, 8)
-	})
-	m.barrier = &barrierCtl{need: 1}
-	c := &core{m: m, id: 5, group: 1, cur: tr.CursorAt(0), period: m.cfg.CoreHz.Period()}
-	c.eos = !c.cur.Next()
-	m.cores = []*core{c}
-	m.watch()
+	for _, tc := range []struct {
+		name string
+		// bug runs inside the event that issued the fill, in place of the
+		// correct park/drain.
+		bug func(c *core)
+	}{
+		{"parked core whose wake was never pushed", func(c *core) {
+			// Bug under test: no c.park(c.earliest()) here. The clock is held
+			// out past the fill, so the only thing still owed is the stream
+			// that nothing will ever resume.
+			c.m.sim.Extend(c.fills[0].done)
+		}},
+		{"fill past the drained clock", func(c *core) {
+			// Bug under test: the stream retires without draining, so the
+			// queue empties at t=0 with the fill still due.
+			c.done = true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(TinyConfig(8, units.MiB))
+			tr := record(1, func(tid int, tp *trace.TP) {
+				tp.Load(addr.FarBase, 8)
+			})
+			m.barrier = &barrierCtl{need: 1}
+			c := &core{m: m, id: 5, group: 1, cur: tr.CursorAt(0), period: m.cfg.CoreHz.Period(),
+				fills: make([]fillSlot, m.cfg.MaxOutstanding)}
+			c.eos = !c.cur.Next()
+			m.cores = []*core{c}
+			m.watch()
 
-	// Issue the fill by hand exactly as core.run does — except the
-	// completion event (fillDone) is deliberately dropped.
-	m.sim.At(0, func() {
-		m.fill(c.group, addr.FarBase)
-		c.inflight++
-		// Bug under test: no m.sim.At(done, c.fillDone) here.
-	})
-	_, err := m.sim.RunBudget(DefaultEventBudget)
-	var st *engine.StallError
-	if !errors.As(err, &st) {
-		t.Fatalf("RunBudget = %v, want StallError", err)
-	}
-	var hit bool
-	for _, s := range st.Stalls {
-		if s.Component == "core[5]" {
-			hit = true
-			if s.Outstanding < 1 {
-				t.Errorf("core[5] stall reports %d outstanding, want >= 1", s.Outstanding)
+			// Issue the fill by hand exactly as core.run does, then misbehave.
+			m.sim.At(0, func() {
+				done := m.fill(c.group, addr.FarBase)
+				c.fills[0] = fillSlot{done: done, ticket: m.sim.Ticket()}
+				c.nfill = 1
+				tc.bug(c)
+			})
+			_, err := m.sim.RunBudget(DefaultEventBudget)
+			var st *engine.StallError
+			if !errors.As(err, &st) {
+				t.Fatalf("RunBudget = %v, want StallError", err)
 			}
-		}
-	}
-	if !hit {
-		t.Fatalf("StallError does not name the stalled core: %v", st)
-	}
-	if !strings.Contains(st.Error(), "core[5]") {
-		t.Fatalf("Error() = %q, want core[5] named", st.Error())
+			var hit bool
+			for _, s := range st.Stalls {
+				if s.Component == "core[5]" {
+					hit = true
+					if s.Outstanding != 1 {
+						t.Errorf("core[5] stall reports %d outstanding, want exactly the one thing owed", s.Outstanding)
+					}
+				}
+			}
+			if !hit {
+				t.Fatalf("StallError does not name the stalled core: %v", st)
+			}
+			if !strings.Contains(st.Error(), "core[5]") {
+				t.Fatalf("Error() = %q, want core[5] named", st.Error())
+			}
+		})
 	}
 }
 
@@ -75,7 +99,9 @@ func TestWatchdogQuietOnCleanReplay(t *testing.T) {
 }
 
 // TestReplayBudgetError confirms Config.MaxEvents aborts a replay with a
-// BudgetError carrying the budget, and that the default budget passes.
+// BudgetError carrying the budget, that the default budget passes, and that
+// the budget counts executed events only: a replay fits in exactly
+// Result.Events, however many more it elided.
 func TestReplayBudgetError(t *testing.T) {
 	tr := record(2, func(tid int, tp *trace.TP) {
 		for i := 0; i < 256; i++ {
@@ -94,8 +120,20 @@ func TestReplayBudgetError(t *testing.T) {
 	}
 
 	cfg.MaxEvents = 0 // DefaultEventBudget
-	if _, err := Run(cfg, tr); err != nil {
+	res, err := Run(cfg, tr)
+	if err != nil {
 		t.Fatalf("Run with default budget: %v", err)
+	}
+	if res.Elided == 0 {
+		t.Fatal("512 fills elided nothing; the exact-budget check below would prove nothing")
+	}
+	cfg.MaxEvents = res.Events
+	if _, err := Run(cfg, tr); err != nil {
+		t.Fatalf("Run with a budget of exactly its %d events (+%d elided): %v", res.Events, res.Elided, err)
+	}
+	cfg.MaxEvents = res.Events - 1
+	if _, err := Run(cfg, tr); !errors.As(err, &be) {
+		t.Fatalf("Run one event short of its %d = %v, want BudgetError", res.Events, err)
 	}
 }
 

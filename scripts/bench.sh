@@ -21,8 +21,13 @@
 #
 # Gates (non-zero exit):
 #   - idle-telemetry overhead vs. the bare replay >= MAX_OVERHEAD_PCT (5%)
-#   - baseline ns/event more than MAX_REGRESSION_PCT (10%) above the last
-#     committed BENCH_replay.json entry
+#   - baseline ns/trace-op (replay wall time over the ops of the replayed
+#     trace) more than MAX_REGRESSION_PCT (10%) above the last committed
+#     BENCH_replay.json entry, when that entry has the field; the first
+#     entry to carry it only records. ns/event is still reported and
+#     recorded but no longer gated: it divides by a count the kernel is
+#     free to shrink (event elision raised it ~45% while making replay
+#     ~27% faster)
 #   - columnar open speedup below MIN_OPEN_SPEEDUP (5x) or columnar file
 #     size above MAX_SIZE_RATIO (0.8) of the v2 stream — both are
 #     host-independent properties of the serialization itself
@@ -53,8 +58,13 @@ RAW_SWEEP="$(mktemp)"
 RAW_OPEN="$(mktemp)"
 trap 'rm -f "$RAW_REPLAY" "$RAW_SWEEP" "$RAW_OPEN"' EXIT
 
-echo "== go test -bench BenchmarkReplay -benchtime $BENCHTIME =="
-go test -run '^$' -bench '^BenchmarkReplay' -benchtime "$BENCHTIME" -benchmem . | tee "$RAW_REPLAY"
+# The replay family runs three times and each benchmark keeps its fastest
+# run: the idle-overhead gate compares two ~150 ms replays to within 5%,
+# which is inside this family's run-to-run noise on a shared host (the
+# faster the kernel, the larger the same jitter looms), and the minimum is
+# the estimate least disturbed by it.
+echo "== go test -bench BenchmarkReplay -benchtime $BENCHTIME -count 3 =="
+go test -run '^$' -bench '^BenchmarkReplay' -benchtime "$BENCHTIME" -count 3 -benchmem . | tee "$RAW_REPLAY"
 
 echo "== go test -bench BenchmarkSweepTable1 -benchtime $BENCHTIME ./internal/harness =="
 go test -run '^$' -bench '^BenchmarkSweepTable1' -benchtime "$BENCHTIME" ./internal/harness | tee "$RAW_SWEEP"
@@ -62,10 +72,11 @@ go test -run '^$' -bench '^BenchmarkSweepTable1' -benchtime "$BENCHTIME" ./inter
 echo "== go test -bench BenchmarkTraceOpen -benchtime $BENCHTIME ./internal/trace =="
 go test -run '^$' -bench '^BenchmarkTraceOpen' -benchtime "$BENCHTIME" ./internal/trace | tee "$RAW_OPEN"
 
-# last_value FILE KEY: the KEY of the most recent trajectory entry, or ""
+# last_value FILE KEY: the KEY of the last trajectory entry, or "" when the
+# file is absent or that entry predates the key.
 last_value() {
 	[ -f "$1" ] || return 0
-	grep -o "\"$2\": [0-9.eE+-]*" "$1" | tail -1 | awk '{print $2}'
+	grep '^ *{' "$1" | tail -1 | { grep -o "\"$2\": [0-9.eE+-]*" || true; } | awk '{print $2}'
 }
 
 # append FILE ENTRY: append one entry line to a JSON-array trajectory,
@@ -85,23 +96,25 @@ append() {
 }
 
 # --- parse the replay family ---------------------------------------------
-# "BenchmarkReplayX-N  iters  T ns/op  ...  V ns/event ...  A allocs/op"
-read -r BASE_NSOP BASE_NSEV BASE_EPS BASE_ALLOCS IDLE_NSOP IDLE_NSEV ACTIVE_NSEV REPLAY_PROCS < <(awk '
+# "BenchmarkReplayX-N  iters  T ns/op  ...  V ns/event ...  W ns/trace-op ...  A allocs/op"
+read -r BASE_NSOP BASE_NSEV BASE_NSTOP BASE_EPS BASE_ALLOCS IDLE_NSOP IDLE_NSEV ACTIVE_NSEV REPLAY_PROCS < <(awk '
 /^BenchmarkReplay/ {
 	name = $1
 	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
 	sub(/-[0-9]+$/, "", name)
+	if ((name in nsop) && $3 + 0 >= nsop[name] + 0) next # keep the fastest of the -count runs
 	for (i = 2; i < NF; i++) {
-		if ($(i+1) == "ns/op")      nsop[name] = $i
-		if ($(i+1) == "ns/event")   nsev[name] = $i
-		if ($(i+1) == "events/sec") eps[name] = $i
-		if ($(i+1) == "allocs/op")  allocs[name] = $i
+		if ($(i+1) == "ns/op")       nsop[name] = $i
+		if ($(i+1) == "ns/event")    nsev[name] = $i
+		if ($(i+1) == "ns/trace-op") nstop[name] = $i
+		if ($(i+1) == "events/sec")  eps[name] = $i
+		if ($(i+1) == "allocs/op")   allocs[name] = $i
 	}
 }
 END {
 	b = "BenchmarkReplayBaseline"; i = "BenchmarkReplayTelemetryIdle"; a = "BenchmarkReplayTelemetryActive"
-	if (!(b in nsev)) { print "bench.sh: no baseline result" > "/dev/stderr"; exit 1 }
-	print nsop[b], nsev[b], eps[b], allocs[b], nsop[i], nsev[i], nsev[a], procs+0
+	if (!(b in nsev) || !(b in nstop)) { print "bench.sh: no baseline result" > "/dev/stderr"; exit 1 }
+	print nsop[b], nsev[b], nstop[b], eps[b], allocs[b], nsop[i], nsev[i], nsev[a], procs+0
 }' "$RAW_REPLAY")
 
 # --- parse the sweep family ----------------------------------------------
@@ -142,17 +155,18 @@ awk -v max="$MAX_OVERHEAD_PCT" -v base="$BASE_NSOP" -v idle="$IDLE_NSOP" 'BEGIN 
 	if (pct >= max) { print "bench.sh: idle telemetry overhead exceeds budget" > "/dev/stderr"; exit 1 }
 }'
 
-# --- gate 2: baseline ns/event vs. the committed trajectory ---------------
-PREV_NSEV="$(last_value "$REPLAY_OUT" baseline_ns_per_event)"
-if [ -n "$PREV_NSEV" ]; then
-	awk -v max="$MAX_REGRESSION_PCT" -v prev="$PREV_NSEV" -v cur="$BASE_NSEV" 'BEGIN {
+# --- gate 2: baseline ns/trace-op vs. the committed trajectory ------------
+PREV_NSTOP="$(last_value "$REPLAY_OUT" baseline_ns_per_trace_op)"
+if [ -n "$PREV_NSTOP" ]; then
+	awk -v max="$MAX_REGRESSION_PCT" -v prev="$PREV_NSTOP" -v cur="$BASE_NSTOP" 'BEGIN {
 		pct = (cur - prev) * 100 / prev
-		printf "== baseline ns/event: %.1f vs committed %.1f (%+.2f%%, fail at +%s%%) ==\n", cur, prev, pct, max
-		if (pct > max) { print "bench.sh: replay ns/event regressed past budget" > "/dev/stderr"; exit 1 }
+		printf "== baseline ns/trace-op: %.1f vs committed %.1f (%+.2f%%, fail at +%s%%) ==\n", cur, prev, pct, max
+		if (pct > max) { print "bench.sh: replay ns/trace-op regressed past budget" > "/dev/stderr"; exit 1 }
 	}'
 else
-	echo "== no committed baseline in $REPLAY_OUT; recording first entry =="
+	echo "== last $REPLAY_OUT entry has no baseline_ns_per_trace_op; recording the first one =="
 fi
+echo "== baseline ns/event: $BASE_NSEV (report-only) =="
 
 # --- gate 3: columnar open speedup and file size --------------------------
 awk -v minsp="$MIN_OPEN_SPEEDUP" -v maxratio="$MAX_SIZE_RATIO" \
@@ -175,8 +189,8 @@ if [ "$GOMAXPROCS" -le 1 ]; then
 fi
 
 # --- extend both trajectories ---------------------------------------------
-append "$REPLAY_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "baseline_ns_per_event": %s, "baseline_events_per_sec": %s, "baseline_allocs_per_op": %s, "idle_ns_per_event": %s, "active_ns_per_event": %s, "open_v2_ns_per_op": %s, "open_v3_ns_per_op": %s, "open_speedup": %s, "v2_file_bytes": %s, "v3_file_bytes": %s, "gomaxprocs": %s, "cpus": %s}' \
-	"$LABEL" "$STAMP" "$BENCHTIME" "$BASE_NSEV" "$BASE_EPS" "$BASE_ALLOCS" "${IDLE_NSEV:-0}" "${ACTIVE_NSEV:-0}" \
+append "$REPLAY_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "baseline_ns_per_trace_op": %s, "baseline_ns_per_event": %s, "baseline_events_per_sec": %s, "baseline_allocs_per_op": %s, "idle_ns_per_event": %s, "active_ns_per_event": %s, "open_v2_ns_per_op": %s, "open_v3_ns_per_op": %s, "open_speedup": %s, "v2_file_bytes": %s, "v3_file_bytes": %s, "gomaxprocs": %s, "cpus": %s}' \
+	"$LABEL" "$STAMP" "$BENCHTIME" "$BASE_NSTOP" "$BASE_NSEV" "$BASE_EPS" "$BASE_ALLOCS" "${IDLE_NSEV:-0}" "${ACTIVE_NSEV:-0}" \
 	"$OPEN_V2_NSOP" "$OPEN_V3_NSOP" \
 	"$(awk -v v2="$OPEN_V2_NSOP" -v v3="$OPEN_V3_NSOP" 'BEGIN { printf "%.1f", v2 / v3 }')" \
 	"$V2_BYTES" "$V3_BYTES" \

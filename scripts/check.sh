@@ -18,7 +18,10 @@
 #   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder)
 #                                     and FuzzOpenColumnar (v3 open/cursor
 #                                     path): no panics on hostile bytes,
-#                                     every failure a *DecodeError
+#                                     every failure a *DecodeError; and 10s
+#                                     of FuzzReplayMatchesReference (semantic
+#                                     traces: the replay kernel against the
+#                                     naive reference replay)
 #   9. serve smoke                    boot nmsimd, run the golden sweep
 #                                     locally + remotely cold + remotely
 #                                     cached, cmp all three byte-identical,
@@ -44,6 +47,7 @@ step go test -race -short ./...
 step go test -run='^TestChaosInterruptResume$' -short -count=1 ./internal/harness
 step go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzOpenColumnar$' -fuzztime=10s ./internal/trace
+step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./internal/machine
 step ./scripts/serve_smoke.sh
 
 echo "== all checks passed =="

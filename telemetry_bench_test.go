@@ -17,8 +17,10 @@ import (
 
 // benchReplay replays a pre-recorded NMsort trace once per iteration,
 // building the machine config via mkcfg so variants can attach telemetry.
-// It reports events/sec and ns/event, the replay-throughput metrics
-// scripts/bench.sh extracts into BENCH_replay.json.
+// It reports ns/trace-op — host time per replayed trace op, the unit
+// scripts/bench.sh gates on: the work a replay is asked to do, which no
+// kernel change can redefine — plus events/sec and ns/event, which move
+// whenever the kernel elides more or fewer events for the same ops.
 func benchReplay(b *testing.B, mkcfg func(w harness.Workload) machine.Config) {
 	w := benchWorkload()
 	rec, err := harness.Record(harness.AlgNMSort, w)
@@ -34,8 +36,9 @@ func benchReplay(b *testing.B, mkcfg func(w harness.Workload) machine.Config) {
 		}
 	}
 	b.StopTimer()
+	perIter := b.Elapsed().Seconds() / float64(b.N)
+	b.ReportMetric(perIter*1e9/float64(rec.Trace.Ops()), "ns/trace-op")
 	if res.Events > 0 {
-		perIter := b.Elapsed().Seconds() / float64(b.N)
 		b.ReportMetric(float64(res.Events)/perIter, "events/sec")
 		b.ReportMetric(perIter*1e9/float64(res.Events), "ns/event")
 	}
