@@ -14,6 +14,7 @@ package repro_test
 // for the full-size experiments recorded in EXPERIMENTS.md.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +67,41 @@ func BenchmarkTable1GNUSort(b *testing.B)  { benchTable1(b, harness.AlgGNUSort, 
 func BenchmarkTable1NMSort2X(b *testing.B) { benchTable1(b, harness.AlgNMSort, 8) }
 func BenchmarkTable1NMSort4X(b *testing.B) { benchTable1(b, harness.AlgNMSort, 16) }
 func BenchmarkTable1NMSort8X(b *testing.B) { benchTable1(b, harness.AlgNMSort, 32) }
+
+// --- R1: the recorder (ROADMAP item 1: "record ns/op, B/op per algorithm") -
+
+// benchRecord records one Table I sort per iteration at the reference CLI
+// size (what nmsim and bench/ run) and reports what the instrumented sort
+// costs per op it records: host time, and bytes allocated — the figure
+// scripts/bench.sh gates (ops-weighted over both sorts, like the benchmark
+// ledger's trace.record_alloc_bytes_per_op), because a recorder that grew
+// 32-byte op slices by doubling allocated 128 B per op where born-columnar
+// chunks allocate ~15. Both include the native sort itself, as every
+// recording does: 4 B/op of GNU sort's and 8 B/op of NMsort's are the
+// sorts' own buffers.
+func benchRecord(b *testing.B, alg harness.Algorithm) {
+	w := harness.Workload{N: 1 << 20, Seed: 2015, Threads: 256, SP: 2 * units.MiB}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ops := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := harness.Record(alg, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = res.Trace.Ops()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perOp := 1 / float64(b.N) / float64(ops)
+	b.ReportMetric(b.Elapsed().Seconds()*1e9*perOp, "ns/recorded-op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)*perOp, "B/recorded-op")
+	b.ReportMetric(float64(ops), "recorded-ops")
+}
+
+func BenchmarkRecordTable1GNUSort(b *testing.B) { benchRecord(b, harness.AlgGNUSort) }
+func BenchmarkRecordTable1NMSort(b *testing.B)  { benchRecord(b, harness.AlgNMSort) }
 
 // --- C1: bandwidth scaling (the ρ sweep behind "linear reduction") -------
 

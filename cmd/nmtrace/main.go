@@ -79,28 +79,42 @@ func record(args []string) {
 
 	w := harness.Workload{N: *n, Seed: *seed, Threads: *cores,
 		SP: units.Bytes(*spMiB) * units.MiB}
-	res, err := harness.Record(harness.Algorithm(*alg), w)
+	res, nBytes, err := recordFile(harness.Algorithm(*alg), w, *out)
 	if err != nil {
-		log.Fatalf("nmtrace record: %v", err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatalf("nmtrace record: %v", err)
-	}
-	defer f.Close()
-	nBytes, err := res.Trace.WriteTo(f)
-	if err != nil {
-		log.Fatalf("nmtrace record: writing trace: %v", err)
-	}
-	if err := f.Close(); err != nil {
 		log.Fatalf("nmtrace record: %v", err)
 	}
 	fmt.Printf("recorded %s: %d threads, %d ops, %d bytes (%.1f bits/op)\n",
-		*alg, len(res.Trace.Streams), res.Trace.Ops(), nBytes,
+		*alg, res.Trace.Threads(), res.Trace.Ops(), nBytes,
 		8*float64(nBytes)/float64(res.Trace.Ops()))
 	c := res.Counts
 	fmt.Printf("L1-filtered lines: far %d (r %d / w %d), near %d (r %d / w %d), atomics %d\n",
 		c.Far(), c.FarReads, c.FarWrites, c.Near(), c.NearReads, c.NearWrites, c.Atomics)
+}
+
+// recordFile records alg on w and writes the trace at out: a .nmt3 output
+// is the recording's own sealed image, anything else the canonical v2
+// stream, written through the columns' cursors.
+func recordFile(alg harness.Algorithm, w harness.Workload, out string) (harness.RecordResult, int64, error) {
+	res, err := harness.Record(alg, w)
+	if err != nil {
+		return res, 0, err
+	}
+	var image io.WriterTo = res.Trace
+	if strings.HasSuffix(out, ".nmt3") {
+		image = res.Trace.Columns()
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return res, 0, err
+	}
+	n, err := image.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return res, n, fmt.Errorf("writing trace: %w", err)
+	}
+	return res, n, nil
 }
 
 // load opens a trace file in either serialization (sniffed by magic).
@@ -110,24 +124,6 @@ func load(path string) trace.Source {
 		log.Fatalf("nmtrace: %v", err)
 	}
 	return src
-}
-
-// materialize decodes a source into a *Trace (columnar files decode on
-// demand; v2 files already arrive decoded).
-func materialize(src trace.Source) *trace.Trace {
-	switch s := src.(type) {
-	case *trace.Trace:
-		return s
-	case *trace.Columnar:
-		tr, err := s.Decode()
-		if err != nil {
-			log.Fatalf("nmtrace: decoding columnar trace: %v", err)
-		}
-		return tr
-	default:
-		log.Fatalf("nmtrace: unknown trace source %T", src)
-		return nil
-	}
 }
 
 func convert(args []string) {
@@ -170,13 +166,7 @@ func convertFile(in, out, to string) error {
 		}
 	case "v2":
 		var buf bytes.Buffer
-		tr, ok := src.(*trace.Trace)
-		if !ok {
-			if tr, err = src.(*trace.Columnar).Decode(); err != nil {
-				return err
-			}
-		}
-		if _, err = tr.WriteTo(&buf); err != nil {
+		if _, err = trace.WriteV2(&buf, src); err != nil {
 			return err
 		}
 		data = buf.Bytes()
@@ -240,7 +230,7 @@ func statFile(w io.Writer, path string) error {
 		byCol[s.Column] += s.Bytes
 	}
 	fmt.Fprintf(w, "column bytes (all threads):\n")
-	for _, s := range col.Sections()[:minInt(5, len(col.Sections()))] {
+	for _, s := range col.Sections()[:min(5, len(col.Sections()))] {
 		fmt.Fprintf(w, "  %-6s %12d\n", s.Column, byCol[s.Column])
 	}
 	fmt.Fprintf(w, "sections:\n")
@@ -249,13 +239,6 @@ func statFile(w io.Writer, path string) error {
 			s.Thread, s.Column, s.Offset, s.Bytes, col.Shift(s.Thread))
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func replay(args []string) {
@@ -321,37 +304,43 @@ func info(args []string) {
 	if *in == "" {
 		log.Fatal("nmtrace info: -i is required")
 	}
-	tr := materialize(load(*in))
+	tr := load(*in)
 	if err := tr.Validate(); err != nil {
 		log.Fatalf("nmtrace info: invalid trace: %v", err)
 	}
 
 	var kinds [8]uint64
-	var gaps uint64
+	var gaps, far, near uint64
 	minOps, maxOps := int(^uint(0)>>1), 0
-	for _, s := range tr.Streams {
-		if len(s) < minOps {
-			minOps = len(s)
+	for tid := 0; tid < tr.Threads(); tid++ {
+		n := tr.ThreadOps(tid)
+		minOps, maxOps = min(minOps, n), max(maxOps, n)
+		cur := tr.CursorAt(tid)
+		for cur.Next() {
+			kinds[cur.Cur.Kind]++
+			gaps += uint64(cur.Cur.Gap)
+			if cur.Cur.Kind == trace.OpAccess { // routable: Validate passed
+				if addr.LevelOf(addr.Addr(cur.Cur.Addr)) == addr.Near {
+					near++
+				} else {
+					far++
+				}
+			}
 		}
-		if len(s) > maxOps {
-			maxOps = len(s)
-		}
-		for _, op := range s {
-			kinds[op.Kind]++
-			gaps += uint64(op.Gap)
+		if err := cur.Err(); err != nil {
+			log.Fatalf("nmtrace info: %v", err)
 		}
 	}
-	c := tr.Count()
-	fmt.Printf("threads:      %d (ops per thread %d..%d)\n", len(tr.Streams), minOps, maxOps)
+	l1, costs := tr.Geometry(), tr.CostModel()
+	fmt.Printf("threads:      %d (ops per thread %d..%d)\n", tr.Threads(), minOps, maxOps)
 	fmt.Printf("total ops:    %d\n", tr.Ops())
-	fmt.Printf("  accesses:   %d (far %d, near %d)\n", kinds[trace.OpAccess], c.Far(), c.Near())
+	fmt.Printf("  accesses:   %d (far %d, near %d)\n", kinds[trace.OpAccess], far, near)
 	fmt.Printf("  atomics:    %d\n", kinds[trace.OpAtomic])
 	fmt.Printf("  barriers:   %d (%d per thread)\n", kinds[trace.OpBarrier],
-		kinds[trace.OpBarrier]/uint64(len(tr.Streams)))
+		kinds[trace.OpBarrier]/uint64(tr.Threads()))
 	fmt.Printf("  dma:        %d (+%d waits)\n", kinds[trace.OpDMA], kinds[trace.OpDMAWait])
 	fmt.Printf("compute:      %d core cycles total\n", gaps)
-	fmt.Printf("L1 geometry:  %v %d-way, %vB lines\n", tr.L1.Capacity, tr.L1.Ways, int64(tr.L1.LineSize))
+	fmt.Printf("L1 geometry:  %v %d-way, %vB lines\n", l1.Capacity, l1.Ways, int64(l1.LineSize))
 	fmt.Printf("costs:        issue %d, L1 hit %d, compare %d, atomic %d cycles\n",
-		tr.Costs.IssueCycles, tr.Costs.L1HitCycles, tr.Costs.CompareCycles, tr.Costs.AtomicCycles)
-	_ = addr.FarBase
+		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles)
 }

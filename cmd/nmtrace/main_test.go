@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/harness"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // testTrace records a small but representative trace: both windows,
@@ -113,6 +115,45 @@ func TestConvertRoundTrip(t *testing.T) {
 	for _, d := range digests[1:] {
 		if d != digests[0] {
 			t.Fatalf("digest mismatch across conversions: %x", digests)
+		}
+	}
+}
+
+// TestRecordWritesEitherSerialization: record -o x.nmt3 writes the
+// recording's sealed image directly, record -o x.nmt the canonical v2 stream
+// through its cursors, and the two files are each other's conversions byte
+// for byte — a recorder-born image is the image convert encodes.
+func TestRecordWritesEitherSerialization(t *testing.T) {
+	dir := t.TempDir()
+	w := harness.Workload{N: 1 << 11, Seed: 2015, Threads: 8, SP: 64 * units.KiB}
+	for _, alg := range []harness.Algorithm{harness.AlgGNUSort, harness.AlgNMSort, harness.AlgNMSortDM, harness.AlgNMScatter} {
+		v2, v3 := filepath.Join(dir, string(alg)+".nmt"), filepath.Join(dir, string(alg)+".nmt3")
+		for _, out := range []string{v2, v3} {
+			res, n, err := recordFile(alg, w, out)
+			if err != nil {
+				t.Fatalf("record %s -> %s: %v", alg, out, err)
+			}
+			if st, err := os.Stat(out); err != nil || st.Size() != n || res.Trace.Ops() == 0 {
+				t.Fatalf("record %s -> %s: reported %d bytes, file: %v (%v)", alg, out, n, st, err)
+			}
+		}
+		for _, c := range []struct{ in, want, ext string }{{v2, v3, ".conv.nmt3"}, {v3, v2, ".conv.nmt"}} {
+			out := filepath.Join(dir, string(alg)+c.ext)
+			if err := convertFile(c.in, out, ""); err != nil {
+				t.Fatalf("convert %s: %v", c.in, err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(c.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: converting %s gives %d bytes that differ from the recorded %s (%d bytes)",
+					alg, filepath.Base(c.in), len(got), filepath.Base(c.want), len(want))
+			}
 		}
 	}
 }

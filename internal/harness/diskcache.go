@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -47,7 +48,10 @@ func (c *DiskRecordCache) path(alg Algorithm, w Workload) string {
 
 // LookupRecord implements RecordCache: it tries the key's .nmt3 (columnar)
 // then .nmt (v2) file. A missing, unreadable, or invalid file is a miss —
-// the caller re-records and overwrites.
+// the caller re-records and overwrites. A .nmt3 hit is replayed from its
+// mapping, never decoded; the one validation walk also yields its counts.
+// The mapping lives as long as anything can reach the returned trace (a
+// cursor included) and is released by trace.Open's finalizer after that.
 func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult, bool) {
 	base := c.path(alg, w)
 	for _, ext := range []string{".nmt3", ".nmt"} {
@@ -55,44 +59,32 @@ func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult,
 		if err != nil {
 			continue
 		}
-		tr, err := materialize(src)
-		if err != nil {
-			continue
+		var tr *trace.Trace
+		switch s := src.(type) {
+		case *trace.Columnar:
+			if err := s.ValidatePar(par.Each); err != nil {
+				s.Close()
+				continue
+			}
+			tr = s.AsTrace()
+		case *trace.Trace:
+			if err := s.Validate(); err != nil {
+				continue
+			}
+			tr = s
 		}
 		return RecordResult{Trace: tr, Sorted: true, Counts: tr.Count()}, true
 	}
 	return RecordResult{}, false
 }
 
-// materialize decodes a loaded Source into a validated *Trace.
-func materialize(src trace.Source) (*trace.Trace, error) {
-	var tr *trace.Trace
-	switch s := src.(type) {
-	case *trace.Trace:
-		tr = s
-	case *trace.Columnar:
-		defer s.Close()
-		t, err := s.Decode()
-		if err != nil {
-			return nil, err
-		}
-		tr = t
-	default:
-		return nil, fmt.Errorf("harness: unknown trace source %T", src)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // CompleteRecord implements RecordCache: it writes the trace as a columnar
-// v3 file via an atomic temp-file rename. Persistence is best-effort — a
-// failed write only costs a future re-recording, so errors are swallowed
-// (the RecordCache interface has no error channel by design: the record
-// itself succeeded).
+// v3 file via an atomic temp-file rename — a recording's own sealed image,
+// not a re-encoding of it. Persistence is best-effort — a failed write only
+// costs a future re-recording, so errors are swallowed (the RecordCache
+// interface has no error channel by design: the record itself succeeded).
 func (c *DiskRecordCache) CompleteRecord(alg Algorithm, w Workload, res RecordResult) {
-	data, err := trace.EncodeColumnar(res.Trace)
+	col, err := trace.Seal(res.Trace)
 	if err != nil {
 		return
 	}
@@ -101,13 +93,12 @@ func (c *DiskRecordCache) CompleteRecord(alg Algorithm, w Workload, res RecordRe
 	if err != nil {
 		return
 	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), dst)
-		}
-	} else {
-		tmp.Close()
+	_, err = col.WriteTo(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
 	}
 	if err != nil {
 		os.Remove(tmp.Name())

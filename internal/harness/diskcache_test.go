@@ -1,11 +1,18 @@
 package harness
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/machine"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -124,5 +131,147 @@ func TestRecordUsesDiskCache(t *testing.T) {
 	}
 	if d1 != d2 {
 		t.Fatalf("disk-cached recording digest %016x != fresh %016x", d2, d1)
+	}
+}
+
+// TestDiskRecordCacheInvalidIsMissAndOverwritten: a .nmt3 whose framing
+// opens but whose streams fail Validate (here: threads disagreeing on their
+// barrier count) is a miss, its mapping is released on the spot, and the
+// re-recording that follows overwrites it with a file that hits.
+func TestDiskRecordCacheInvalidIsMissAndOverwritten(t *testing.T) {
+	rc, err := NewDiskRecordCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{N: 1 << 9, Seed: 5, Threads: 2, SP: 64 * units.KiB, Sup: &Supervisor{Records: rc}}
+	bad, err := trace.EncodeColumnar(&trace.Trace{
+		L1: ScaledL1, Costs: trace.DefaultCosts(),
+		Streams: [][]trace.Op{
+			{{Kind: trace.OpBarrier}, {Kind: trace.OpEnd}},
+			{{Kind: trace.OpEnd}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := rc.path(AlgNMSort, RecordKey(w)) + ".nmt3"
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := trace.MappedBytes()
+	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
+		t.Fatal("a cache file that fails Validate reported a hit")
+	}
+	if got := trace.MappedBytes(); got != before {
+		t.Fatalf("the rejected file is still mapped: %d bytes, were %d", got, before)
+	}
+	fresh, err := Record(AlgNMSort, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rc.LookupRecord(AlgNMSort, RecordKey(w))
+	if !ok {
+		t.Fatal("the re-recording did not overwrite the invalid file")
+	}
+	if got.Counts != fresh.Counts || got.Trace.Ops() != fresh.Trace.Ops() {
+		t.Fatalf("overwritten entry: %+v / %d ops, recorded %+v / %d ops",
+			got.Counts, got.Trace.Ops(), fresh.Counts, fresh.Trace.Ops())
+	}
+}
+
+// TestTruncatedCacheFileFailsOneCell: a cache hit is replayed in place from
+// a MAP_SHARED mapping, so a file truncated under a running sweep faults the
+// cursor that reads it. Under a supervisor that is one failed cell of kind
+// "panic" — not a dead process — and the cells replaying other traces are
+// untouched.
+func TestTruncatedCacheFileFailsOneCell(t *testing.T) {
+	rc, err := NewDiskRecordCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{N: 1 << 12, Seed: 9, Threads: 8, SP: 256 * units.KiB, Sup: &Supervisor{Records: rc}}
+	for _, alg := range []Algorithm{AlgGNUSort, AlgNMSort} {
+		if _, err := Record(alg, w); err != nil { // populates the cache
+			t.Fatal(err)
+		}
+	}
+	gnu, ok1 := rc.LookupRecord(AlgGNUSort, RecordKey(w))
+	nm, ok2 := rc.LookupRecord(AlgNMSort, RecordKey(w))
+	if !ok1 || !ok2 {
+		t.Fatal("the populated cache missed")
+	}
+	if !nm.Trace.Columns().Mapped() {
+		t.Skip("this platform reads cache files instead of mapping them")
+	}
+	cfg := NodeFor(w.Threads, 8, w.SP)
+	want, err := machine.Run(cfg, gnu.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Truncate(rc.path(AlgNMSort, RecordKey(w))+".nmt3", 0); err != nil {
+		t.Fatal(err)
+	}
+	outs := runReplays(&Supervisor{}, 2, []replayJob{
+		{cfg: cfg, tr: gnu.Trace, label: "gnu-a"},
+		{cfg: cfg, tr: nm.Trace, label: "nm"},
+		{cfg: cfg, tr: gnu.Trace, label: "gnu-b"},
+	})
+	var pe *ReplayPanicError
+	if !errors.As(outs[1].err, &pe) || FailKind(outs[1].err) != "panic" || pe.Label != "nm" {
+		t.Fatalf("the truncated trace's cell: err = %v, want a ReplayPanicError for cell nm", outs[1].err)
+	}
+	for _, i := range []int{0, 2} {
+		if outs[i].err != nil {
+			t.Fatalf("sibling cell %d failed: %v", i, outs[i].err)
+		}
+		if outs[i].res.SimTime != want.SimTime || outs[i].res.FarAccesses != want.FarAccesses {
+			t.Fatalf("sibling cell %d: %v / %d far accesses, want %v / %d", i,
+				outs[i].res.SimTime, outs[i].res.FarAccesses, want.SimTime, want.FarAccesses)
+		}
+	}
+	// The fault handler is scoped to the attempt: this goroutine is back to
+	// the default, where a fault is fatal rather than a panic.
+	if was := debug.SetPanicOnFault(false); was {
+		t.Fatal("SetPanicOnFault leaked out of Supervisor.attempt")
+	}
+}
+
+// TestDiskCacheMappingsReleased: LookupRecord hands out traces backed by
+// mappings it never closes — they must outlive every cursor — so dropping
+// the results is what releases them. After a cached sweep nothing may stay
+// mapped.
+func TestDiskCacheMappingsReleased(t *testing.T) {
+	rc, err := NewDiskRecordCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{N: 1 << 12, Seed: 11, Threads: 8, SP: 256 * units.KiB, Sup: &Supervisor{Records: rc}}
+	cold, err := BandwidthSweep(w) // records both sorts, writes the cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, ok := rc.LookupRecord(AlgNMSort, RecordKey(w))
+	if !ok {
+		t.Fatal("the sweep did not populate the cache")
+	}
+	if hit.Trace.Columns().Mapped() && trace.MappedBytes() < hit.Trace.Columns().Size() {
+		t.Fatalf("a mapped hit is live but MappedBytes() = %d", trace.MappedBytes())
+	}
+	hit = RecordResult{}
+	warm, err := BandwidthSweep(w) // replays both from their mappings
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(warm.Points) != fmt.Sprint(cold.Points) {
+		t.Fatal("the sweep replayed from mapped cache files differs from the one that recorded them")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for trace.MappedBytes() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes still mapped after the sweep's traces were dropped", trace.MappedBytes())
+		}
+		runtime.GC() // finalizers run on their own goroutine, some time after the cycle that queued them
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/noc"
+	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -83,7 +84,10 @@ func DefaultWorkload() Workload {
 	return Workload{N: 1 << 21, Seed: 2015, Threads: 256, SP: 8 * units.MiB}
 }
 
-// RecordResult is one recorded algorithm run.
+// RecordResult is one recorded algorithm run. Trace is sealed v3 columns —
+// fresh from the recorder's builder or mapped from a cache file — and
+// replays in place; its static type stays *trace.Trace because
+// bench/_layers names it.
 type RecordResult struct {
 	Trace   *trace.Trace
 	Sorted  bool
@@ -119,16 +123,7 @@ func Record(alg Algorithm, w Workload) (RecordResult, error) {
 			return res, nil
 		}
 	}
-	// Pre-size each per-thread op buffer: a sort touches every key a small
-	// constant number of times post-L1-filter, so ~3 ops per owned key plus
-	// slack for phase markers and barriers absorbs nearly all growth
-	// reallocations during recording without overshooting small workloads.
-	rec := trace.NewRecorderCfg(trace.RecorderConfig{
-		Threads:  w.Threads,
-		L1:       ScaledL1,
-		Costs:    trace.DefaultCosts(),
-		SizeHint: 3*w.N/w.Threads + 64,
-	})
+	rec := trace.NewRecorder(w.Threads, ScaledL1, trace.DefaultCosts())
 	env := core.NewEnv(w.Threads, w.SP, rec, w.Seed)
 	a := env.AllocFar(w.N)
 	dist := w.Dist
@@ -160,8 +155,12 @@ func Record(alg Algorithm, w Workload) (RecordResult, error) {
 	if !res.Sorted {
 		return res, fmt.Errorf("harness: %s corrupted its input", alg)
 	}
-	res.Trace = rec.Finish()
-	if err := res.Trace.Validate(); err != nil {
+	// Seal and validate on every host CPU: both are per-thread walks, and
+	// together they are the only O(ops) work left between the sort and the
+	// first replay (the counts were tallied as the ops were emitted; the
+	// digest waits for whoever first asks for it).
+	res.Trace = rec.FinishPar(par.Each)
+	if err := res.Trace.Columns().ValidatePar(par.Each); err != nil {
 		return res, fmt.Errorf("harness: invalid trace: %w", err)
 	}
 	res.Counts = res.Trace.Count()

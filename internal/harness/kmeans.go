@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kmeans"
+	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -55,8 +56,8 @@ func RecordKMeans(w KMeansWorkload, scratch bool) (*trace.Trace, kmeans.Result, 
 	} else {
 		res = kmeans.Far(env, pts, cfg)
 	}
-	tr := rec.Finish()
-	if err := tr.Validate(); err != nil {
+	tr := rec.FinishPar(par.Each)
+	if err := tr.Columns().ValidatePar(par.Each); err != nil {
 		return nil, res, fmt.Errorf("harness: kmeans trace invalid: %w", err)
 	}
 	return tr, res, nil

@@ -275,7 +275,10 @@ func (sup *Supervisor) runCell(j replayJob, key CellKey) replayOut {
 // attempt runs one sliced replay with panic containment. The machine is
 // built inside the recover scope, so a config that fails validation (New
 // panics) becomes a ReplayPanicError for its cell instead of killing the
-// sweep.
+// sweep. So does a memory fault: a trace replayed in place from a cache
+// file is a MAP_SHARED mapping held for the whole replay, and another
+// process truncating that file turns a cursor's next read into SIGBUS —
+// fatal by default, a panic on this goroutine while SetPanicOnFault is on.
 func (sup *Supervisor) attempt(j replayJob, key CellKey) (out replayOut) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -284,6 +287,7 @@ func (sup *Supervisor) attempt(j replayJob, key CellKey) (out replayOut) {
 			}}
 		}
 	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	slice := sup.Slice
 	if slice == 0 {
 		slice = DefaultSlice

@@ -87,8 +87,13 @@ func TestReplayPropertyInvariants(t *testing.T) {
 		// DMA copy adds its line count on both the source (reads) and the
 		// destination (writes) device.
 		c := tr.Count()
+		dec, err := tr.Decoded()
+		if err != nil {
+			t.Logf("decode error: %v", err)
+			return false
+		}
 		var dmaLines uint64
-		for _, s := range tr.Streams {
+		for _, s := range dec.Streams {
 			for _, op := range s {
 				if op.Kind == trace.OpDMA {
 					dmaLines += uint64(op.Size+63) / 64
@@ -127,7 +132,7 @@ func TestReplayPropertyInvariants(t *testing.T) {
 		}
 		// (6) Every recorded barrier must have released.
 		wantBarriers := 0
-		for _, op := range tr.Streams[0] {
+		for _, op := range dec.Streams[0] {
 			if op.Kind == trace.OpBarrier {
 				wantBarriers++
 			}

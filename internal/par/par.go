@@ -94,6 +94,13 @@ func Run(p int, rec *trace.Recorder, body func(tid int, tp *trace.TP)) {
 	RunPoison(p, rec, nil, body)
 }
 
+// Each forks n goroutines executing body(i) and joins them: Run without
+// probes, in the shape trace.ForkJoin takes (trace cannot import this
+// package, so its per-thread seal and validation walks are handed this).
+func Each(n int, body func(i int)) {
+	Run(n, nil, func(i int, _ *trace.TP) { body(i) })
+}
+
 // RunPoison is Run with barrier-poisoning: if any thread panics, bar (when
 // non-nil) is poisoned so siblings blocked on it fail fast instead of
 // deadlocking the join.

@@ -16,11 +16,13 @@ import (
 // whole run. The budget is therefore soft under load: pinned bytes can
 // exceed it, and the store converges back under it as pins release.
 //
-// Entries are trace.Sources: decoded *Trace uploads charge heap bytes,
-// columnar (v3) traces charge their raw file size — split into heap bytes
-// (OpenBytes over an upload body) and mapped bytes (Open over a local
-// file), because a mapped trace holds address space and page cache, not Go
-// heap. Both spend the same budget; Stats reports the split. Eviction only
+// Entries are trace.Sources: decoded *Trace uploads (v2 bodies) charge heap
+// bytes per op, columnar traces charge their image size — a recording's
+// sealed image or an uploaded v3 body as heap bytes, a locally opened file
+// as mapped bytes, because a mapped trace holds address space and page
+// cache, not Go heap. Both spend the same budget; Stats reports the split.
+// A recording costs ~3.3 B/op sealed where its decoded form cost 32, so a
+// budget holds about ten times as many recordings as uploads of v2 files. Eviction only
 // drops the store's reference: a pinned Source stays valid for its
 // borrower, and a mapped Columnar's pages are released by the finalizer
 // trace.Open installs once the last reference (store, pin, or cursor)
@@ -30,33 +32,25 @@ import (
 // hold; callers re-upload or re-record.
 var ErrTraceNotFound = errors.New("serve: trace not found")
 
-// opBytes is the in-memory footprint charged per recorded op: the Op
-// struct is 26 bytes padded to 32 in a slice.
+// opBytes is the in-memory footprint charged per op of a decoded trace:
+// the Op struct is 26 bytes padded to 32 in a slice.
 const opBytes = 32
 
-// traceBytes estimates a decoded trace's resident footprint from its
-// stream lengths — the accounting unit for the store budget.
-func traceBytes(tr *trace.Trace) int64 {
-	var n int64
-	for _, s := range tr.Streams {
-		n += int64(len(s)) * opBytes
-	}
-	return n
-}
-
 // sourceBytes splits a source's resident footprint into heap and mapped
-// bytes.
+// bytes: the image size for anything backed by columns, opBytes per op for
+// decoded streams.
 func sourceBytes(src trace.Source) (heap, mapped int64) {
-	switch s := src.(type) {
-	case *trace.Trace:
-		return traceBytes(s), 0
-	case *trace.Columnar:
-		if s.Mapped() {
-			return 0, s.Size()
-		}
-		return s.Size(), 0
-	default:
+	col, _ := src.(*trace.Columnar)
+	if tr, ok := src.(*trace.Trace); ok {
+		col = tr.Columns()
+	}
+	switch {
+	case col == nil:
 		return int64(src.Ops()) * opBytes, 0
+	case col.Mapped():
+		return 0, col.Size()
+	default:
+		return col.Size(), 0
 	}
 }
 

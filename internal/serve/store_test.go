@@ -11,8 +11,8 @@ import (
 )
 
 // storeTrace records a distinct small trace: 64 far loads at addresses
-// offset by stamp, so each stamp yields a different digest but the same
-// footprint (64 ops ≈ 2 KiB at 32 bytes/op).
+// offset by stamp, so each stamp yields a different digest but (within a
+// varint byte or two) the same footprint — its sealed image, see traceSize.
 func storeTrace(t *testing.T, stamp int) *trace.Trace {
 	t.Helper()
 	rec := trace.NewRecorder(1, trace.DefaultL1(), trace.DefaultCosts())
@@ -24,11 +24,25 @@ func storeTrace(t *testing.T, stamp int) *trace.Trace {
 	return rec.Finish()
 }
 
+// traceSize is what the store charges one storeTrace: a recording is sealed
+// columns, charged its image size, not 32 bytes per op.
+func traceSize(t *testing.T) int64 {
+	t.Helper()
+	s := serve.NewStore(1 << 30)
+	if _, err := s.Put(storeTrace(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Bytes() == 0 {
+		t.Fatal("a sealed recording was charged 0 bytes: it could never be evicted")
+	}
+	return s.Bytes()
+}
+
 // TestStoreLRUEviction fills a tiny store past its budget and checks the
 // oldest unpinned trace is evicted while newer ones survive.
 func TestStoreLRUEviction(t *testing.T) {
-	// Each trace is ~(64+stamp+1) ops * 32 bytes ≈ 2 KiB; budget two.
-	s := serve.NewStore(2 * 70 * 32)
+	size := traceSize(t)
+	s := serve.NewStore(2*size + size/2) // room for two
 	var digests []uint64
 	for i := 0; i < 3; i++ {
 		d, err := s.Put(storeTrace(t, i))
@@ -51,7 +65,8 @@ func TestStoreLRUEviction(t *testing.T) {
 // TestStorePinBlocksEviction pins a trace, overflows the budget, and
 // checks the pinned trace survives until release.
 func TestStorePinBlocksEviction(t *testing.T) {
-	s := serve.NewStore(70 * 32) // room for ~one trace
+	size := traceSize(t)
+	s := serve.NewStore(size + size/2) // room for one trace
 	d0, err := s.Put(storeTrace(t, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +84,7 @@ func TestStorePinBlocksEviction(t *testing.T) {
 	release()
 	// Releasing converges the store back under budget: the unpinned LRU
 	// entry (d0, refreshed by Get above... insert a newer touch first).
-	if s.Bytes() > 2*70*32 {
+	if s.Bytes() > 2*(size+size/2) {
 		t.Fatalf("store did not converge after release: %d bytes", s.Bytes())
 	}
 	// Double release is a no-op.

@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math/bits"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/addr"
 	"repro/internal/units"
@@ -102,12 +101,22 @@ type colThread struct {
 	end   [numCols]int64
 }
 
-// Columnar is an opened v3 trace: a read-only view over the raw file bytes
-// (mmap-backed when the platform allows) that implements Source without
-// materializing []Op. It is immutable and safe for concurrent cursors.
+// Columnar is a v3 trace image: the column builder's sealed output on the
+// heap, or an opened file's raw bytes (mmap-backed when the platform
+// allows). It implements Source without materializing []Op, is immutable
+// and safe for concurrent cursors.
 type Columnar struct {
 	data   []byte
 	mapped bool
+
+	// sealed marks an image this process's column builder produced: it is
+	// canonical, its level counts were tallied as the ops were put, and its
+	// footer — digest included — is filled on the first Digest call, not
+	// at seal (see finishFooter).
+	sealed     bool
+	counts     LevelCounts
+	digestOnce sync.Once
+	digestErr  error
 
 	costs      Costs
 	l1         L1Geometry
@@ -119,246 +128,19 @@ type Columnar struct {
 	tableOff   int64
 
 	// validateOnce memoizes Validate: the walk is O(ops) and the daemon
-	// validates once per upload, then replays many times.
+	// validates once per upload, then replays many times. For an opened
+	// file the same walk yields counts.
 	validateOnce sync.Once
 	validateErr  error
 }
 
-// EncodeColumnar serializes src into the v3 columnar format.
-func EncodeColumnar(src Source) ([]byte, error) {
-	threads := src.Threads()
-	if threads == 0 {
-		return nil, fmt.Errorf("trace: refusing to serialize a trace with no threads")
-	}
-	if threads > maxThreads {
-		return nil, fmt.Errorf("trace: refusing to serialize %d threads (max %d)", threads, maxThreads)
-	}
-	names := src.PhaseTable()
-	if len(names) > maxPhaseNames {
-		return nil, fmt.Errorf("trace: refusing to serialize %d phase names (max %d)", len(names), maxPhaseNames)
-	}
-	digest, err := src.Digest()
-	if err != nil {
-		return nil, err
-	}
+// mappedBytes is the process's live mmap total: Open adds, Close (or the
+// finalizer standing in for it) subtracts.
+var mappedBytes atomic.Int64
 
-	var out bytes.Buffer
-	out.WriteString(columnarMagic)
-	costs, l1 := src.CostModel(), src.Geometry()
-	hdr := []int64{
-		columnarVersion,
-		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
-		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
-		int64(threads),
-	}
-	if err := binary.Write(&out, binary.LittleEndian, hdr); err != nil {
-		return nil, err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	if err := binary.Write(&out, binary.LittleEndian, int64(len(names))); err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		out.Write(vbuf[:binary.PutUvarint(vbuf[:], uint64(len(name)))])
-		out.WriteString(name)
-	}
-
-	align := func() {
-		for out.Len()%columnarAlign != 0 {
-			out.WriteByte(0)
-		}
-	}
-
-	table := make([]colThread, threads)
-	totalOps := int64(0)
-	for t := 0; t < threads; t++ {
-		// Pass 1: the thread's address shift is the trailing-zero count
-		// shared by every access/atomic address (line alignment makes this
-		// at least log2(line size) in practice).
-		var orAddr uint64
-		cur := src.CursorAt(t)
-		n := int64(0)
-		for cur.Next() {
-			if k := cur.Cur.Kind; k == OpAccess || k == OpAtomic {
-				orAddr |= cur.Cur.Addr
-			}
-			n++
-		}
-		if err := cur.Err(); err != nil {
-			return nil, err
-		}
-		shift := uint(0)
-		if orAddr != 0 {
-			shift = uint(bits.TrailingZeros64(orAddr))
-		}
-		table[t].ops = n
-		table[t].shift = shift
-		totalOps += n
-
-		// Pass 2: encode the five columns. Tags and gaps buffer their raw
-		// streams first — block and dictionary encoding both need to see
-		// the whole thread.
-		var cols [numCols][]byte
-		putU := func(col int, v uint64) {
-			cols[col] = append(cols[col], vbuf[:binary.PutUvarint(vbuf[:], v)]...)
-		}
-		putV := func(col int, v int64) {
-			cols[col] = append(cols[col], vbuf[:binary.PutVarint(vbuf[:], v)]...)
-		}
-		tags := make([]byte, 0, n)
-		gaps := make([]uint32, 0, n)
-		var prev uint64
-		cur = src.CursorAt(t)
-		for cur.Next() {
-			op := cur.Cur
-			tag := byte(op.Kind) & tagKindMask
-			if op.Write {
-				tag |= tagWrite
-			}
-			if op.Gap != 0 {
-				tag |= tagHasGap
-				gaps = append(gaps, op.Gap)
-			}
-			tags = append(tags, tag)
-			switch op.Kind {
-			case OpAccess, OpAtomic:
-				sa := op.Addr >> shift
-				putV(colAddrs, int64(sa-prev))
-				prev = sa
-			case OpDMA:
-				putU(colDMAs, op.Addr)
-				putU(colDMAs, op.Addr2)
-				putU(colDMAs, uint64(op.Size))
-			case OpPhase:
-				putU(colPhases, op.Addr)
-			}
-		}
-		if err := cur.Err(); err != nil {
-			return nil, err
-		}
-		cols[colTags] = encodeTagBlocks(tags)
-		cols[colGaps] = encodeGapDict(gaps)
-		for col := range cols {
-			align()
-			table[t].off[col] = int64(out.Len())
-			out.Write(cols[col])
-			table[t].end[col] = int64(out.Len())
-		}
-	}
-
-	align()
-	tableOff := out.Len()
-	for t := range table {
-		ent := []int64{table[t].ops, int64(table[t].shift)}
-		for col := 0; col < numCols; col++ {
-			ent = append(ent, table[t].off[col], table[t].end[col]-table[t].off[col])
-		}
-		if err := binary.Write(&out, binary.LittleEndian, ent); err != nil {
-			return nil, err
-		}
-	}
-
-	var ftr [footerSize]byte
-	le := binary.LittleEndian
-	le.PutUint64(ftr[0:], uint64(tableOff))
-	le.PutUint64(ftr[8:], uint64(threads*tableEntrySize))
-	le.PutUint64(ftr[16:], uint64(threads))
-	le.PutUint64(ftr[24:], uint64(totalOps))
-	le.PutUint64(ftr[32:], digest)
-	le.PutUint64(ftr[40:], crc64.Checksum(out.Bytes(), crcTable))
-	le.PutUint64(ftr[48:], crc64.Checksum(ftr[:48], crcTable))
-	copy(ftr[56:], columnarFooterMagic)
-	out.Write(ftr[:])
-	return out.Bytes(), nil
-}
-
-// encodeTagBlocks block-encodes a thread's raw tag stream: greedy runs of
-// minTagRun or more become run blocks, everything between them one literal
-// block. Deterministic, so re-encoding a decoded trace is byte-identical.
-func encodeTagBlocks(tags []byte) []byte {
-	var vbuf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, len(tags)+len(tags)/64+1)
-	for i := 0; i < len(tags); {
-		j := i
-		for j < len(tags) && tags[j] == tags[i] {
-			j++
-		}
-		if j-i >= minTagRun {
-			out = append(out, vbuf[:binary.PutUvarint(vbuf[:], uint64(j-i-minTagRun)<<1|1)]...)
-			out = append(out, tags[i])
-			i = j
-			continue
-		}
-		// Literal: extend across short runs until a compressible run starts.
-		k := i
-		for k < len(tags) {
-			j = k
-			for j < len(tags) && tags[j] == tags[k] {
-				j++
-			}
-			if j-k >= minTagRun {
-				break
-			}
-			k = j
-		}
-		out = append(out, vbuf[:binary.PutUvarint(vbuf[:], uint64(k-i-1)<<1)]...)
-		out = append(out, tags[i:k]...)
-		i = k
-	}
-	return out
-}
-
-// encodeGapDict dictionary-encodes a thread's gap values: the distinct
-// values sorted by frequency (ties by value, for determinism) as
-// fixed-width u32 entries, then each gap as a uvarint index. The hottest
-// values land in the 1-byte index range.
-func encodeGapDict(gaps []uint32) []byte {
-	sorted := append([]uint32(nil), gaps...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	type valCount struct {
-		v uint32
-		c int
-	}
-	var vals []valCount
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		vals = append(vals, valCount{sorted[i], j - i})
-		i = j
-	}
-	sort.Slice(vals, func(a, b int) bool {
-		if vals[a].c != vals[b].c {
-			return vals[a].c > vals[b].c
-		}
-		return vals[a].v < vals[b].v
-	})
-	// rank, sorted by value for binary-search lookup during the index pass.
-	type valRank struct {
-		v uint32
-		r uint64
-	}
-	lookup := make([]valRank, len(vals))
-	for r, e := range vals {
-		lookup[r] = valRank{e.v, uint64(r)}
-	}
-	sort.Slice(lookup, func(a, b int) bool { return lookup[a].v < lookup[b].v })
-
-	var vbuf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 1+4*len(vals)+len(gaps))
-	out = append(out, vbuf[:binary.PutUvarint(vbuf[:], uint64(len(vals)))]...)
-	for _, e := range vals {
-		var b4 [4]byte
-		binary.LittleEndian.PutUint32(b4[:], e.v)
-		out = append(out, b4[:]...)
-	}
-	for _, g := range gaps {
-		i := sort.Search(len(lookup), func(k int) bool { return lookup[k].v >= g })
-		out = append(out, vbuf[:binary.PutUvarint(vbuf[:], lookup[i].r)]...)
-	}
-	return out
-}
+// MappedBytes returns the bytes of trace files this process currently has
+// mapped — the leak check for code that opens traces and drops them.
+func MappedBytes() int64 { return mappedBytes.Load() }
 
 // IsColumnar reports whether data begins with the v3 magic — the sniff the
 // upload handler and Load use to pick a decoder.
@@ -530,6 +312,7 @@ func openBytes(data []byte, mapped bool) (*Columnar, error) {
 		return nil, decodeErrf("footer", fOff+24, "total op count %d != section table sum %d", totalOps, sumOps)
 	}
 	if mapped {
+		mappedBytes.Add(int64(len(data)))
 		runtime.SetFinalizer(c, (*Columnar).Close)
 	}
 	return c, nil
@@ -547,6 +330,7 @@ func (c *Columnar) Close() error {
 	runtime.SetFinalizer(c, nil)
 	data := c.data
 	c.data = nil
+	mappedBytes.Add(-int64(len(data)))
 	return unmapFile(data)
 }
 
@@ -574,10 +358,59 @@ func (c *Columnar) Geometry() L1Geometry { return c.l1 }
 // CostModel returns the record-time cycle charges.
 func (c *Columnar) CostModel() Costs { return c.costs }
 
-// Digest returns the content digest stored in the footer — the canonical
-// digest every encoding of this trace shares. Open trusts the stored value
-// so the call is O(1); Verify recomputes it from the decoded ops.
-func (c *Columnar) Digest() (uint64, error) { return c.digest, nil }
+// Digest returns the content digest — the canonical digest every encoding
+// of this trace shares. An opened file's is the footer's stored value,
+// trusted, so the call is O(1); Verify recomputes it from the decoded ops.
+// A sealed recording computes its own on the first call, as a decoded
+// Trace does, and completes its footer with it: sealing stays off the
+// record path's clock, and a recording that is only replayed never pays
+// for a digest at all.
+func (c *Columnar) Digest() (uint64, error) {
+	c.digestOnce.Do(func() {
+		if !c.sealed {
+			return
+		}
+		var digest uint64
+		if _, digest, c.digestErr = writePayload(io.Discard, c); c.digestErr == nil {
+			c.finishFooter(digest)
+		}
+	})
+	return c.digest, c.digestErr
+}
+
+// finishFooter writes a sealed image's footer. Only Digest's once calls it,
+// and nothing reads footer bytes except through Digest, so cursors — which
+// read column bytes only — may run concurrently.
+func (c *Columnar) finishFooter(digest uint64) {
+	le := binary.LittleEndian
+	payload := c.data[:len(c.data)-footerSize]
+	ftr := c.data[len(payload):]
+	c.digest, c.payloadCRC = digest, crc64.Checksum(payload, crcTable)
+	le.PutUint64(ftr[0:], uint64(c.tableOff))
+	le.PutUint64(ftr[8:], uint64(len(c.threads)*tableEntrySize))
+	le.PutUint64(ftr[16:], uint64(len(c.threads)))
+	le.PutUint64(ftr[24:], uint64(c.totalOps))
+	le.PutUint64(ftr[32:], c.digest)
+	le.PutUint64(ftr[40:], c.payloadCRC)
+	le.PutUint64(ftr[48:], crc64.Checksum(ftr[:48], crcTable))
+	copy(ftr[56:], columnarFooterMagic)
+}
+
+// Count returns the line transfers per memory level: tallied as the ops
+// were put for a sealed recording, by the validation walk for an opened
+// file (zero if that walk rejects it).
+func (c *Columnar) Count() LevelCounts {
+	if !c.sealed {
+		c.Validate()
+	}
+	return c.counts
+}
+
+// AsTrace wraps the columns as a *Trace that replays them in place. It
+// decodes nothing; validate an untrusted file before handing the trace on.
+func (c *Columnar) AsTrace() *Trace {
+	return &Trace{L1: c.l1, Costs: c.costs, PhaseNames: c.phaseNames, cols: c}
+}
 
 // Shift returns thread tid's address shift (for nmtrace stat).
 func (c *Columnar) Shift(tid int) uint { return c.threads[tid].shift }
@@ -645,70 +478,100 @@ func (c *Columnar) CursorAt(tid int) Cursor {
 // the claimed op count decodes exactly and consumes every column byte. It
 // allocates no op slices, so a hostile header cannot turn validation into
 // an allocation amplifier. The result is memoized.
-func (c *Columnar) Validate() error {
-	c.validateOnce.Do(func() { c.validateErr = c.validate() })
+func (c *Columnar) Validate() error { return c.ValidatePar(nil) }
+
+// ValidatePar is Validate with the per-thread walks run under fj. The
+// verdict is the one the sequential walk reaches: errors are reported in
+// thread order.
+func (c *Columnar) ValidatePar(fj ForkJoin) error {
+	c.validateOnce.Do(func() {
+		var counts LevelCounts
+		if counts, c.validateErr = c.validate(fj); !c.sealed && c.validateErr == nil {
+			c.counts = counts
+		}
+	})
 	return c.validateErr
 }
 
-func (c *Columnar) validate() error {
-	barriers := -1
-	for t := range c.threads {
-		cur := c.CursorAt(t)
-		b := 0
-		n := int64(0)
-		endSeen := false
-		for cur.Next() {
-			if endSeen {
-				return fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
+// validate walks every thread once; the walk that checks a stream also
+// tallies it, so a loaded file is never walked a second time for Count.
+func (c *Columnar) validate(fj ForkJoin) (LevelCounts, error) {
+	type verdict struct {
+		counts   LevelCounts
+		barriers int
+		err      error
+	}
+	verdicts := make([]verdict, len(c.threads))
+	fj.run(len(c.threads), func(t int) {
+		v := &verdicts[t]
+		v.barriers, v.err = c.validateThread(t, &v.counts)
+	})
+	var total LevelCounts
+	for t, v := range verdicts {
+		if v.err != nil {
+			return LevelCounts{}, v.err
+		}
+		if v.barriers != verdicts[0].barriers {
+			return LevelCounts{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
+				t, v.barriers, verdicts[0].barriers)
+		}
+		total.add(v.counts)
+	}
+	return total, nil
+}
+
+// validateThread checks thread t's stream and framing, returning its
+// barrier count and adding its line transfers to counts.
+func (c *Columnar) validateThread(t int, counts *LevelCounts) (barriers int, err error) {
+	cur := c.CursorAt(t)
+	n := int64(0)
+	endSeen := false
+	for cur.Next() {
+		if endSeen {
+			return 0, fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
+		}
+		n++
+		op := cur.Cur
+		switch op.Kind {
+		case OpEnd:
+			endSeen = true
+		case OpBarrier:
+			barriers++
+		case OpAccess, OpAtomic:
+			if err := levelCheck(op.Addr); err != nil {
+				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
 			}
-			n++
-			op := cur.Cur
-			switch op.Kind {
-			case OpEnd:
-				endSeen = true
-			case OpBarrier:
-				b++
-			case OpAccess, OpAtomic:
-				if err := levelCheck(op.Addr); err != nil {
-					return fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-				}
-			case OpDMA:
-				if err := levelCheck(op.Addr); err != nil {
-					return fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-				}
-				if err := levelCheck(op.Addr2); err != nil {
-					return fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-				}
-			case OpPhase:
-				if op.Addr >= uint64(len(c.phaseNames)) {
-					return fmt.Errorf("trace: thread %d op %d names phase %d of %d",
-						t, n-1, op.Addr, len(c.phaseNames))
-				}
+			counts.tally(op)
+		case OpDMA:
+			if err := levelCheck(op.Addr); err != nil {
+				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
 			}
-		}
-		if err := cur.Err(); err != nil {
-			return err
-		}
-		if n != c.threads[t].ops {
-			return decodeErrf("section table", int(c.tableOff)+t*tableEntrySize,
-				"thread %d decoded %d ops, table claims %d", t, n, c.threads[t].ops)
-		}
-		if !endSeen {
-			return fmt.Errorf("trace: thread %d stream not terminated", t)
-		}
-		if col := cur.remaining(); col >= 0 {
-			return decodeErrf(cur.colSection(col), int(cur.colOffset(col)),
-				"%d trailing bytes past the claimed %d ops",
-				cur.ends[col]-cur.colOffset(col), c.threads[t].ops)
-		}
-		if barriers == -1 {
-			barriers = b
-		} else if b != barriers {
-			return fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
-				t, b, barriers)
+			if err := levelCheck(op.Addr2); err != nil {
+				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
+			}
+		case OpPhase:
+			if op.Addr >= uint64(len(c.phaseNames)) {
+				return 0, fmt.Errorf("trace: thread %d op %d names phase %d of %d",
+					t, n-1, op.Addr, len(c.phaseNames))
+			}
 		}
 	}
-	return nil
+	if err := cur.Err(); err != nil {
+		return 0, err
+	}
+	if n != c.threads[t].ops {
+		return 0, decodeErrf("section table", int(c.tableOff)+t*tableEntrySize,
+			"thread %d decoded %d ops, table claims %d", t, n, c.threads[t].ops)
+	}
+	if !endSeen {
+		return 0, fmt.Errorf("trace: thread %d stream not terminated", t)
+	}
+	if col := cur.remaining(); col >= 0 {
+		return 0, decodeErrf(cur.colSection(col), int(cur.colOffset(col)),
+			"%d trailing bytes past the claimed %d ops",
+			cur.ends[col]-cur.colOffset(col), c.threads[t].ops)
+	}
+	return barriers, nil
 }
 
 // Verify recomputes both footer checksums: the whole-payload CRC (torn or
@@ -718,6 +581,9 @@ func (c *Columnar) validate() error {
 // deliberately skips it; callers that ingest untrusted files (uploads,
 // nmtrace convert) run it explicitly.
 func (c *Columnar) Verify() error {
+	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
+		return err
+	}
 	payload := c.data[:len(c.data)-footerSize]
 	if got := crc64.Checksum(payload, crcTable); got != c.payloadCRC {
 		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
@@ -733,7 +599,8 @@ func (c *Columnar) Verify() error {
 	return nil
 }
 
-// Decode materializes the legacy in-memory representation. It validates
+// Decode materializes the decoded representation, for tests and
+// conversion; replay never needs it. It validates
 // first, so the per-thread allocations are exactly sized by verified
 // counts — a hostile header cannot inflate them.
 func (c *Columnar) Decode() (*Trace, error) {
@@ -763,6 +630,9 @@ func (c *Columnar) Decode() (*Trace, error) {
 // WriteTo copies the raw v3 bytes — what the daemon's fetch handler
 // streams back for a stored columnar trace.
 func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
+	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
+		return 0, err
+	}
 	n, err := w.Write(c.data)
 	return int64(n), err
 }

@@ -84,9 +84,9 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if err := col.Validate(); err != nil {
 			t.Fatalf("Validate: %v", err)
 		}
-		if col.Threads() != len(tr.Streams) || col.Ops() != tr.Ops() {
+		if col.Threads() != tr.Threads() || col.Ops() != tr.Ops() {
 			t.Fatalf("shape: %d/%d threads, %d/%d ops",
-				col.Threads(), len(tr.Streams), col.Ops(), tr.Ops())
+				col.Threads(), tr.Threads(), col.Ops(), tr.Ops())
 		}
 		wantD, err := tr.Digest()
 		if err != nil {
@@ -96,14 +96,15 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if gotD != wantD {
 			t.Fatalf("digest %016x != v2 digest %016x", gotD, wantD)
 		}
-		for tid := range tr.Streams {
+		want := decoded(t, tr)
+		for tid := range want.Streams {
 			got := cursorOps(t, col.CursorAt(tid))
-			if len(got) != len(tr.Streams[tid]) {
-				t.Fatalf("thread %d: %d ops, want %d", tid, len(got), len(tr.Streams[tid]))
+			if len(got) != len(want.Streams[tid]) {
+				t.Fatalf("thread %d: %d ops, want %d", tid, len(got), len(want.Streams[tid]))
 			}
 			for i := range got {
-				if got[i] != tr.Streams[tid][i] {
-					t.Fatalf("thread %d op %d: %+v != %+v", tid, i, got[i], tr.Streams[tid][i])
+				if got[i] != want.Streams[tid][i] {
+					t.Fatalf("thread %d op %d: %+v != %+v", tid, i, got[i], want.Streams[tid][i])
 				}
 			}
 		}
@@ -140,13 +141,8 @@ func TestColumnarOpenFile(t *testing.T) {
 	if col.Size() != int64(len(data)) {
 		t.Fatalf("Size %d != %d", col.Size(), len(data))
 	}
-	for tid := range tr.Streams {
-		got := cursorOps(t, col.CursorAt(tid))
-		for i := range got {
-			if got[i] != tr.Streams[tid][i] {
-				t.Fatalf("thread %d op %d mismatch", tid, i)
-			}
-		}
+	if err := sameOps(t, col.AsTrace(), tr); err != nil {
+		t.Fatal(err)
 	}
 	if err := col.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

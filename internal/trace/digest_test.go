@@ -89,7 +89,7 @@ func TestDigestErrorMemoized(t *testing.T) {
 // of the stream. Each iteration uses a fresh Trace header sharing the same
 // recorded streams, so only the memo is cold.
 func BenchmarkTraceDigestFirst(b *testing.B) {
-	tr := digestTrace(8, 4096)
+	tr := decoded(b, digestTrace(8, 4096))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fresh := &Trace{Streams: tr.Streams, L1: tr.L1, Costs: tr.Costs, PhaseNames: tr.PhaseNames}

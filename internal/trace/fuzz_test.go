@@ -94,14 +94,8 @@ func FuzzReadTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round-trip of accepted trace failed: %v", err)
 		}
-		if len(tr2.Streams) != len(tr.Streams) {
-			t.Fatalf("round-trip changed thread count: %d != %d",
-				len(tr2.Streams), len(tr.Streams))
-		}
-		for i := range tr.Streams {
-			if len(tr2.Streams[i]) != len(tr.Streams[i]) {
-				t.Fatalf("round-trip changed stream %d length", i)
-			}
+		if err := sameOps(t, tr2, tr); err != nil {
+			t.Fatalf("round-trip changed the trace: %v", err)
 		}
 	})
 }

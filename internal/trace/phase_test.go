@@ -37,7 +37,7 @@ func TestPhaseInterning(t *testing.T) {
 		t.Fatalf("PhaseNames = %v", tr.PhaseNames)
 	}
 	var ids []uint64
-	for _, op := range tr.Streams[0] {
+	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpPhase {
 			ids = append(ids, op.Addr)
 		}
@@ -52,7 +52,7 @@ func TestPhaseInterning(t *testing.T) {
 		}
 	}
 	// Thread 1 marked nothing.
-	for _, op := range tr.Streams[1] {
+	for _, op := range stream(t, tr, 1) {
 		if op.Kind == OpPhase {
 			t.Fatal("thread 1 has a phase marker")
 		}
@@ -74,7 +74,7 @@ func TestPhaseGapCarried(t *testing.T) {
 		return rec.Finish()
 	}
 	gaps := func(tr *Trace) (total uint64, phase uint64) {
-		for _, op := range tr.Streams[0] {
+		for _, op := range stream(t, tr, 0) {
 			total += uint64(op.Gap)
 			if op.Kind == OpPhase {
 				phase = uint64(op.Gap)
@@ -103,15 +103,8 @@ func TestPhaseRoundTrip(t *testing.T) {
 			t.Fatalf("PhaseNames: %v vs %v", got.PhaseNames, tr.PhaseNames)
 		}
 	}
-	for tid := range tr.Streams {
-		if len(got.Streams[tid]) != len(tr.Streams[tid]) {
-			t.Fatalf("thread %d: %d ops vs %d", tid, len(got.Streams[tid]), len(tr.Streams[tid]))
-		}
-		for i := range tr.Streams[tid] {
-			if got.Streams[tid][i] != tr.Streams[tid][i] {
-				t.Fatalf("thread %d op %d: %+v vs %+v", tid, i, got.Streams[tid][i], tr.Streams[tid][i])
-			}
-		}
+	if err := sameOps(t, got, tr); err != nil {
+		t.Fatal(err)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
@@ -124,6 +117,7 @@ func TestValidateRejectsBadPhaseID(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point a marker past the name table.
+	tr = decoded(t, tr)
 	for i, op := range tr.Streams[0] {
 		if op.Kind == OpPhase {
 			tr.Streams[0][i].Addr = uint64(len(tr.PhaseNames))

@@ -65,13 +65,13 @@ const (
 // serializing one would only manufacture an unreadable file whose failure
 // surfaces at the far end of the pipeline instead of at the writer.
 func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
-	return writeV2(w, tr)
+	return WriteV2(w, tr)
 }
 
-// writeV2 serializes any Source in the canonical v2 format — the encoding
+// WriteV2 serializes any Source in the canonical v2 format — the encoding
 // Digest is defined over. nmtrace convert uses it to turn an opened v3
 // file back into v2 bytes without materializing a *Trace first.
-func writeV2(w io.Writer, src Source) (int64, error) {
+func WriteV2(w io.Writer, src Source) (int64, error) {
 	n, sum, err := writePayload(w, src)
 	if err != nil {
 		return n, err
@@ -84,7 +84,7 @@ func writeV2(w io.Writer, src Source) (int64, error) {
 }
 
 // writePayload writes everything before the trailing checksum and returns
-// the bytes written plus the payload's CRC64 — shared between writeV2
+// the bytes written plus the payload's CRC64 — shared between WriteV2
 // (which appends the CRC as the checksum) and Digest (which returns it).
 // It iterates src through cursors, so a columnar trace serializes — and
 // digests — without ever allocating op slices; for a *Trace the cursor
@@ -195,6 +195,9 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // mutates a Trace after digesting it gets the stale fingerprint, which is
 // why nothing in this module mutates a finished trace.
 func (tr *Trace) Digest() (uint64, error) {
+	if tr.cols != nil {
+		return tr.cols.Digest()
+	}
 	tr.digestOnce.Do(func() {
 		_, tr.digestVal, tr.digestErr = writePayload(io.Discard, tr)
 	})

@@ -51,19 +51,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
 	got := roundTrip(t, tr)
 
-	if len(got.Streams) != len(tr.Streams) {
-		t.Fatalf("streams: %d vs %d", len(got.Streams), len(tr.Streams))
-	}
-	for tid := range tr.Streams {
-		if len(got.Streams[tid]) != len(tr.Streams[tid]) {
-			t.Fatalf("thread %d: %d ops vs %d", tid, len(got.Streams[tid]), len(tr.Streams[tid]))
-		}
-		for i := range tr.Streams[tid] {
-			if got.Streams[tid][i] != tr.Streams[tid][i] {
-				t.Fatalf("thread %d op %d: %+v vs %+v", tid, i,
-					got.Streams[tid][i], tr.Streams[tid][i])
-			}
-		}
+	if err := sameOps(t, got, tr); err != nil {
+		t.Fatal(err)
 	}
 	if got.Costs != tr.Costs || got.L1 != tr.L1 {
 		t.Errorf("metadata mismatch: %+v/%+v vs %+v/%+v", got.Costs, got.L1, tr.Costs, tr.L1)
@@ -211,14 +200,7 @@ func TestSerializePropertyRandomWorkloads(t *testing.T) {
 		if got.Ops() != tr.Ops() || got.Count() != tr.Count() {
 			return false
 		}
-		for tid := range tr.Streams {
-			for i := range tr.Streams[tid] {
-				if got.Streams[tid][i] != tr.Streams[tid][i] {
-					return false
-				}
-			}
-		}
-		return true
+		return sameOps(t, got, tr) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -268,10 +250,8 @@ func TestRoundTripThreadBoundary(t *testing.T) {
 	if len(got.Streams) != 1 {
 		t.Fatalf("round-tripped %d streams, want 1", len(got.Streams))
 	}
-	for i := range tr.Streams[0] {
-		if got.Streams[0][i] != tr.Streams[0][i] {
-			t.Fatalf("op %d: %+v vs %+v", i, got.Streams[0][i], tr.Streams[0][i])
-		}
+	if err := sameOps(t, got, tr); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -401,8 +381,8 @@ func TestDecodeErrorSections(t *testing.T) {
 // TestDigestStability: Digest is a pure function of the serialized bytes —
 // stable across calls, sensitive to any op change. Since the digest is
 // memoized on the (immutable-by-contract) Trace, sensitivity is asserted
-// through a fresh Trace header over the mutated streams; the original
-// keeps returning its memoized fingerprint.
+// through a fresh Trace header over the mutated decoded streams; the
+// original keeps returning its memoized fingerprint.
 func TestDigestStability(t *testing.T) {
 	tr := sampleTrace(t)
 	d1, err := tr.Digest()
@@ -416,8 +396,9 @@ func TestDigestStability(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("digest not stable: %#x != %#x", d1, d2)
 	}
-	tr.Streams[0][0].Gap++
-	mutated := &Trace{Streams: tr.Streams, L1: tr.L1, Costs: tr.Costs, PhaseNames: tr.PhaseNames}
+	dec := decoded(t, tr)
+	dec.Streams[0][0].Gap++
+	mutated := &Trace{Streams: dec.Streams, L1: tr.L1, Costs: tr.Costs, PhaseNames: tr.PhaseNames}
 	d3, err := mutated.Digest()
 	if err != nil {
 		t.Fatal(err)

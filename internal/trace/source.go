@@ -1,10 +1,10 @@
 package trace
 
 // Source is a replayable trace, whatever its in-memory representation: the
-// fully decoded *Trace the recorder produces, or the mmap-backed *Columnar
-// view of a v3 file that decodes ops lazily through cursors. The machine,
-// the harness, and the serving layer all accept a Source, so a daemon can
-// replay straight from a mapped file without ever materializing []Op.
+// sealed columns a recorder produces, the mmap-backed *Columnar view of a v3
+// file — both decode ops lazily through cursors — or a *Trace decoded from
+// a v2 stream. The machine, the harness, and the serving layer all accept a
+// Source, so nothing above this package ever materializes []Op to replay.
 //
 // A Source is immutable and safe for concurrent use: CursorAt hands every
 // replay its own iteration state over the shared backing data.
@@ -39,10 +39,20 @@ var (
 )
 
 // Threads returns the number of per-thread op streams.
-func (tr *Trace) Threads() int { return len(tr.Streams) }
+func (tr *Trace) Threads() int {
+	if tr.cols != nil {
+		return tr.cols.Threads()
+	}
+	return len(tr.Streams)
+}
 
 // ThreadOps returns the number of ops in thread tid's stream.
-func (tr *Trace) ThreadOps(tid int) int { return len(tr.Streams[tid]) }
+func (tr *Trace) ThreadOps(tid int) int {
+	if tr.cols != nil {
+		return tr.cols.ThreadOps(tid)
+	}
+	return len(tr.Streams[tid])
+}
 
 // PhaseTable returns the phase-name table.
 func (tr *Trace) PhaseTable() []string { return tr.PhaseNames }
@@ -53,7 +63,11 @@ func (tr *Trace) Geometry() L1Geometry { return tr.L1 }
 // CostModel returns the record-time cycle charges.
 func (tr *Trace) CostModel() Costs { return tr.Costs }
 
-// CursorAt returns a cursor over thread tid's decoded op slice.
+// CursorAt returns a cursor over thread tid's columns, or over its decoded
+// op slice.
 func (tr *Trace) CursorAt(tid int) Cursor {
+	if tr.cols != nil {
+		return tr.cols.CursorAt(tid)
+	}
 	return Cursor{ops: tr.Streams[tid], tid: tid}
 }

@@ -85,8 +85,8 @@ type TP struct {
 	line  uint64
 	pend  int64 // compute cycles since last recorded op
 	costs Costs
-	ops   []Op
-	rec   *Recorder // owning recorder, for phase-name interning
+	cols  colBuilder // the thread's columns: emit puts every op here
+	rec   *Recorder  // owning recorder, for phase-name interning
 }
 
 // Tid returns the probe's thread id.
@@ -115,13 +115,13 @@ func (t *TP) emit(op Op) {
 	if t.pend > 0 {
 		const max = int64(^uint32(0))
 		for t.pend > max {
-			t.ops = append(t.ops, Op{Kind: OpGap, Gap: uint32(max)})
+			t.cols.put(Op{Kind: OpGap, Gap: uint32(max)})
 			t.pend -= max
 		}
 		op.Gap = uint32(t.pend)
 		t.pend = 0
 	}
-	t.ops = append(t.ops, op)
+	t.cols.put(op)
 }
 
 // Load records a read of size bytes at address a.
@@ -240,43 +240,19 @@ type Recorder struct {
 	phaseIDs   map[string]int // lookup only (never ranged): name -> index
 }
 
-// RecorderConfig parameterizes NewRecorderCfg. Threads, L1, and Costs are
-// required; SizeHint is optional.
-type RecorderConfig struct {
-	Threads int
-	L1      L1Geometry
-	Costs   Costs
-
-	// SizeHint, when positive, is the expected number of ops per thread
-	// stream: each probe's op buffer is pre-sized to it, so recording a
-	// workload of known scale appends without growth reallocations. Purely
-	// a capacity hint — streams grow past it on demand and shorter streams
-	// waste only the slack.
-	SizeHint int
-}
-
 // NewRecorder creates probes for p threads.
 func NewRecorder(p int, l1 L1Geometry, costs Costs) *Recorder {
-	return NewRecorderCfg(RecorderConfig{Threads: p, L1: l1, Costs: costs})
-}
-
-// NewRecorderCfg creates probes for cfg.Threads threads, pre-sizing each
-// op buffer to cfg.SizeHint.
-func NewRecorderCfg(cfg RecorderConfig) *Recorder {
-	if cfg.Threads <= 0 {
+	if p <= 0 {
 		panic("trace: need at least one thread")
 	}
-	if cfg.SizeHint < 0 {
-		panic("trace: negative recorder size hint")
-	}
-	r := &Recorder{costs: cfg.Costs, l1: cfg.L1, threads: make([]*TP, cfg.Threads), phaseIDs: map[string]int{}}
+	r := &Recorder{costs: costs, l1: l1, threads: make([]*TP, p), phaseIDs: map[string]int{}}
 	for i := range r.threads {
 		r.threads[i] = &TP{
 			tid:   i,
-			l1:    cachesim.New(cfg.L1.Capacity, cfg.L1.LineSize, cfg.L1.Ways),
-			line:  uint64(cfg.L1.LineSize),
-			costs: cfg.Costs,
-			ops:   make([]Op, 0, cfg.SizeHint),
+			l1:    cachesim.New(l1.Capacity, l1.LineSize, l1.Ways),
+			line:  uint64(l1.LineSize),
+			costs: costs,
+			cols:  colBuilder{shift: provisionalShift(l1)},
 			rec:   r,
 		}
 	}
@@ -307,26 +283,34 @@ func (r *Recorder) Thread(i int) *TP {
 // Threads returns the number of recorded threads.
 func (r *Recorder) Threads() int { return len(r.threads) }
 
-// Finish seals the recording: dirty L1 lines become trailing writebacks and
-// every stream gets an end marker. It returns the completed trace. Calling
-// Finish twice panics.
-func (r *Recorder) Finish() *Trace {
+// Finish seals the recording: dirty L1 lines become trailing writebacks,
+// every stream gets an end marker, and the per-thread columns are sealed
+// into one canonical v3 image (see builder.go). It returns the completed
+// trace, which replays those columns in place. Calling Finish twice panics.
+func (r *Recorder) Finish() *Trace { return r.FinishPar(nil) }
+
+// FinishPar is Finish with the per-thread flush and seal run under fj.
+func (r *Recorder) FinishPar(fj ForkJoin) *Trace {
 	if r.finished {
 		panic("trace: Recorder.Finish called twice")
 	}
 	r.finished = true
-	tr := &Trace{Streams: make([][]Op, len(r.threads)), L1: r.l1, Costs: r.costs,
-		PhaseNames: r.phaseNames}
+	builders := make([]*colBuilder, len(r.threads))
 	for i, t := range r.threads {
-		t.flushEnd()
-		tr.Streams[i] = t.ops
+		builders[i] = &t.cols
 	}
-	return tr
+	fj.run(len(r.threads), func(i int) { r.threads[i].flushEnd() })
+	return sealImage(r.costs, r.l1, r.phaseNames, builders, fj).AsTrace()
 }
 
 // Trace is a completed recording: one op stream per thread. Traces are
 // immutable once finished (or deserialized): replay, sweeps, and the
 // serving layer all share one *Trace read-only across concurrent replays.
+//
+// A trace has one of two backings. A recording, or a cache file opened by
+// the harness, is sealed v3 columns: Streams is nil and every method
+// delegates to Columns(). A v2 file read by ReadTrace, or a trace a test
+// builds by hand, is decoded: Streams holds the ops.
 type Trace struct {
 	Streams [][]Op
 	L1      L1Geometry
@@ -336,18 +320,37 @@ type Trace struct {
 	// this table. Empty for traces recorded without phase markers.
 	PhaseNames []string
 
-	// digestOnce memoizes Digest(): the fingerprint serializes the whole
-	// stream, so computing it per cell key would make keying O(trace) on
-	// every sweep and every served job. Immutability makes the memo
-	// invalidation-free; the Once makes concurrent digest requests (many
-	// clients keying jobs against one stored trace) safe.
+	// cols backs a trace whose Streams is nil.
+	cols *Columnar
+
+	// digestOnce memoizes a decoded trace's Digest(): the fingerprint
+	// serializes the whole stream, so computing it per cell key would make
+	// keying O(trace) on every sweep and every served job. Immutability
+	// makes the memo invalidation-free; the Once makes concurrent digest
+	// requests (many clients keying jobs against one stored trace) safe.
 	digestOnce sync.Once
 	digestVal  uint64
 	digestErr  error
 }
 
+// Columns returns the sealed columns backing the trace, or nil for a
+// decoded one.
+func (tr *Trace) Columns() *Columnar { return tr.cols }
+
+// Decoded returns the trace in decoded form, Streams populated — itself if
+// it already is. A test and conversion helper: replay never needs it.
+func (tr *Trace) Decoded() (*Trace, error) {
+	if tr.cols == nil {
+		return tr, nil
+	}
+	return tr.cols.Decode()
+}
+
 // Ops returns the total number of recorded operations.
 func (tr *Trace) Ops() int {
+	if tr.cols != nil {
+		return tr.cols.Ops()
+	}
 	n := 0
 	for _, s := range tr.Streams {
 		n += len(s)
@@ -359,6 +362,9 @@ func (tr *Trace) Ops() int {
 // one OpEnd, barrier counts agree across all threads (replay would deadlock
 // otherwise), and every access address routes to a memory level.
 func (tr *Trace) Validate() error {
+	if tr.cols != nil {
+		return tr.cols.Validate()
+	}
 	barriers := -1
 	for tid, s := range tr.Streams {
 		if len(s) == 0 || s[len(s)-1].Kind != OpEnd {
@@ -412,31 +418,47 @@ func (c LevelCounts) Far() uint64 { return c.FarReads + c.FarWrites }
 // Near returns total near-memory line transfers.
 func (c LevelCounts) Near() uint64 { return c.NearReads + c.NearWrites }
 
+// tally adds one OpAccess or OpAtomic. An address outside both windows
+// tallies nowhere: rejecting it is Validate's job.
+func (c *LevelCounts) tally(op Op) {
+	switch a := addr.Addr(op.Addr); {
+	case op.Kind == OpAtomic:
+		c.Atomics++
+	case a >= addr.NearBase:
+		if op.Write {
+			c.NearWrites++
+		} else {
+			c.NearReads++
+		}
+	case a >= addr.FarBase:
+		if op.Write {
+			c.FarWrites++
+		} else {
+			c.FarReads++
+		}
+	}
+}
+
+func (c *LevelCounts) add(o LevelCounts) {
+	c.FarReads += o.FarReads
+	c.FarWrites += o.FarWrites
+	c.NearReads += o.NearReads
+	c.NearWrites += o.NearWrites
+	c.Atomics += o.Atomics
+}
+
 // Count tallies the trace's line transfers per level. Note these are the
 // L1-filtered counts; the replay-time shared L2 filters them further before
 // they reach the memory devices.
 func (tr *Trace) Count() LevelCounts {
+	if tr.cols != nil {
+		return tr.cols.Count()
+	}
 	var c LevelCounts
 	for _, s := range tr.Streams {
 		for _, op := range s {
-			switch op.Kind {
-			case OpAccess:
-				switch addr.LevelOf(addr.Addr(op.Addr)) {
-				case addr.Far:
-					if op.Write {
-						c.FarWrites++
-					} else {
-						c.FarReads++
-					}
-				case addr.Near:
-					if op.Write {
-						c.NearWrites++
-					} else {
-						c.NearReads++
-					}
-				}
-			case OpAtomic:
-				c.Atomics++
+			if op.Kind == OpAccess || op.Kind == OpAtomic {
+				c.tally(op)
 			}
 		}
 	}

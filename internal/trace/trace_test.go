@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -9,6 +10,43 @@ import (
 
 func tinyL1() L1Geometry {
 	return L1Geometry{Capacity: 256, LineSize: 64, Ways: 2} // 4 lines
+}
+
+// decoded returns tr with Streams populated: a recording is sealed columns,
+// and tests that inspect ops by index read them through this.
+func decoded(t testing.TB, tr *Trace) *Trace {
+	t.Helper()
+	dec, err := tr.Decoded()
+	if err != nil {
+		t.Fatalf("Decoded: %v", err)
+	}
+	return dec
+}
+
+// stream returns thread tid's ops.
+func stream(t testing.TB, tr *Trace, tid int) []Op {
+	t.Helper()
+	return decoded(t, tr).Streams[tid]
+}
+
+// sameOps reports the first difference between two traces' op streams.
+func sameOps(t testing.TB, got, want *Trace) error {
+	t.Helper()
+	got, want = decoded(t, got), decoded(t, want)
+	if len(got.Streams) != len(want.Streams) {
+		return fmt.Errorf("streams: %d vs %d", len(got.Streams), len(want.Streams))
+	}
+	for tid := range want.Streams {
+		if len(got.Streams[tid]) != len(want.Streams[tid]) {
+			return fmt.Errorf("thread %d: %d ops vs %d", tid, len(got.Streams[tid]), len(want.Streams[tid]))
+		}
+		for i := range want.Streams[tid] {
+			if got.Streams[tid][i] != want.Streams[tid][i] {
+				return fmt.Errorf("thread %d op %d: %+v vs %+v", tid, i, got.Streams[tid][i], want.Streams[tid][i])
+			}
+		}
+	}
+	return nil
 }
 
 func TestNilProbeIsNoop(t *testing.T) {
@@ -35,7 +73,7 @@ func TestL1FilterHitsProduceNoOps(t *testing.T) {
 	tp.Load(addr.FarBase+16, 8)
 	tr := r.Finish()
 	var fills int
-	for _, op := range tr.Streams[0] {
+	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpAccess && !op.Write {
 			fills++
 		}
@@ -52,7 +90,7 @@ func TestGapAccounting(t *testing.T) {
 	tp.Compute(100)
 	tp.Load(addr.FarBase, 8) // miss
 	tr := r.Finish()
-	op := tr.Streams[0][0]
+	op := stream(t, tr, 0)[0]
 	if op.Kind != OpAccess || op.Write {
 		t.Fatalf("first op = %+v", op)
 	}
@@ -69,7 +107,7 @@ func TestHitLatencyFoldsIntoGap(t *testing.T) {
 	tp.Load(addr.FarBase+8, 8) // hit: issue+hit cycles pend
 	tp.Load(addr.FarBase+64, 8)
 	tr := r.Finish()
-	second := tr.Streams[0][1]
+	second := stream(t, tr, 0)[1]
 	if want := uint32(c.IssueCycles + c.L1HitCycles + c.IssueCycles); second.Gap != want {
 		t.Errorf("gap = %d, want %d", second.Gap, want)
 	}
@@ -84,7 +122,7 @@ func TestDirtyEvictionEmitsWriteback(t *testing.T) {
 	tp.Load(addr.FarBase+256, 8) // evicts the dirty line
 	tr := r.Finish()
 	var wbs int
-	for _, op := range tr.Streams[0] {
+	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpAccess && op.Write && op.Addr == uint64(addr.FarBase) {
 			wbs++
 		}
@@ -103,7 +141,7 @@ func TestFinishFlushesDirtyLines(t *testing.T) {
 	if c.NearWrites != 1 {
 		t.Errorf("NearWrites = %d, want 1 (final flush)", c.NearWrites)
 	}
-	last := tr.Streams[0][len(tr.Streams[0])-1]
+	last := stream(t, tr, 0)[len(stream(t, tr, 0))-1]
 	if last.Kind != OpEnd {
 		t.Errorf("stream must end with OpEnd, got %+v", last)
 	}
@@ -126,7 +164,7 @@ func TestMultiLineAccess(t *testing.T) {
 	tp.Load(addr.FarBase+60, 16) // straddles two lines
 	tr := r.Finish()
 	var fills int
-	for _, op := range tr.Streams[0] {
+	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpAccess && !op.Write {
 			fills++
 		}
@@ -203,8 +241,8 @@ func TestDMARecorded(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tr.Streams[0][0].Kind != OpDMA || tr.Streams[0][1].Kind != OpDMAWait {
-		t.Errorf("stream = %+v", tr.Streams[0][:2])
+	if stream(t, tr, 0)[0].Kind != OpDMA || stream(t, tr, 0)[1].Kind != OpDMAWait {
+		t.Errorf("stream = %+v", stream(t, tr, 0)[:2])
 	}
 }
 
@@ -276,14 +314,14 @@ func TestGapOverflowSplits(t *testing.T) {
 	tp.Load(addr.FarBase, 8)
 	tr := r.Finish()
 	var total uint64
-	for _, op := range tr.Streams[0] {
+	for _, op := range stream(t, tr, 0) {
 		total += uint64(op.Gap)
 	}
 	if want := uint64(5_000_000_000 + 1); total != want {
 		t.Errorf("total gap = %d, want %d", total, want)
 	}
-	if tr.Streams[0][0].Kind != OpGap {
-		t.Errorf("expected leading OpGap, got %+v", tr.Streams[0][0])
+	if stream(t, tr, 0)[0].Kind != OpGap {
+		t.Errorf("expected leading OpGap, got %+v", stream(t, tr, 0)[0])
 	}
 }
 

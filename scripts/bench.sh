@@ -14,6 +14,9 @@
 #       time-to-ready for a trace file in each serialization: v2 reads
 #       and decodes the whole stream, v3 maps the file and checks its
 #       footer. Each point also reports the on-disk file size.
+#   BenchmarkRecordTable1* (root)            -> BENCH_replay.json
+#       the two Table I sorts recorded at the reference CLI size: host ns
+#       and allocated bytes per recorded op (the native sort included).
 #
 # Each trajectory is a JSON array with one flat object per run (one line
 # per entry, so awk/grep can read it without a JSON parser). A run appends
@@ -31,6 +34,11 @@
 #   - columnar open speedup below MIN_OPEN_SPEEDUP (5x) or columnar file
 #     size above MAX_SIZE_RATIO (0.8) of the v2 stream — both are
 #     host-independent properties of the serialization itself
+#   - recorder allocation above MAX_RECORD_BYTES_PER_OP (16) bytes per
+#     recorded op, ops-weighted over both sorts — the definition of the
+#     benchmark ledger's trace.record_alloc_bytes_per_op, which read 127.7
+#     when recordings were 32-byte op slices grown by doubling. Allocation
+#     counts are a property of the code, not of the host
 # The Par1/ParMax sweep ratio is report-only: it depends on host core
 # count, which is not a property of the code under test. Each entry records
 # gomaxprocs and the host cpu count so a 1.0x "speedup" measured on a
@@ -48,6 +56,7 @@ MAX_OVERHEAD_PCT="${MAX_OVERHEAD_PCT:-5}"
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-10}"
 MIN_OPEN_SPEEDUP="${MIN_OPEN_SPEEDUP:-5}"
 MAX_SIZE_RATIO="${MAX_SIZE_RATIO:-0.8}"
+MAX_RECORD_BYTES_PER_OP="${MAX_RECORD_BYTES_PER_OP:-16}"
 LABEL="${BENCH_LABEL:-local}"
 STAMP="$(date -u +%Y-%m-%d)"
 CPUS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
@@ -56,7 +65,8 @@ SWEEP_OUT="BENCH_sweep.json"
 RAW_REPLAY="$(mktemp)"
 RAW_SWEEP="$(mktemp)"
 RAW_OPEN="$(mktemp)"
-trap 'rm -f "$RAW_REPLAY" "$RAW_SWEEP" "$RAW_OPEN"' EXIT
+RAW_RECORD="$(mktemp)"
+trap 'rm -f "$RAW_REPLAY" "$RAW_SWEEP" "$RAW_OPEN" "$RAW_RECORD"' EXIT
 
 # The replay family runs three times and each benchmark keeps its fastest
 # run: the idle-overhead gate compares two ~150 ms replays to within 5%,
@@ -71,6 +81,11 @@ go test -run '^$' -bench '^BenchmarkSweepTable1' -benchtime "$BENCHTIME" ./inter
 
 echo "== go test -bench BenchmarkTraceOpen -benchtime $BENCHTIME ./internal/trace =="
 go test -run '^$' -bench '^BenchmarkTraceOpen' -benchtime "$BENCHTIME" ./internal/trace | tee "$RAW_OPEN"
+
+# One iteration records 5-9 M ops in about half a second, and the gated
+# figure is an allocation count: three iterations are plenty.
+echo "== go test -bench BenchmarkRecordTable1 -benchtime 3x =="
+go test -run '^$' -bench '^BenchmarkRecordTable1' -benchtime 3x . | tee "$RAW_RECORD"
 
 # last_value FILE KEY: the KEY of the last trajectory entry, or "" when the
 # file is absent or that entry predates the key.
@@ -147,6 +162,23 @@ END {
 	print nsop[v2], nsop[v3], bytes[v2], bytes[v3]
 }' "$RAW_OPEN")
 
+# --- parse the record family -----------------------------------------------
+read -r REC_GNU_NS REC_GNU_B REC_NM_NS REC_NM_B REC_B < <(awk '
+/^BenchmarkRecordTable1/ {
+	name = $1
+	sub(/-[0-9]+$/, "", name)
+	for (i = 2; i < NF; i++) {
+		if ($(i+1) == "ns/recorded-op") ns[name] = $i
+		if ($(i+1) == "B/recorded-op")  bytes[name] = $i
+		if ($(i+1) == "recorded-ops")   ops[name] = $i
+	}
+}
+END {
+	g = "BenchmarkRecordTable1GNUSort"; n = "BenchmarkRecordTable1NMSort"
+	if (!(g in bytes) || !(n in bytes) || ops[g] + ops[n] == 0) { print "bench.sh: missing record results" > "/dev/stderr"; exit 1 }
+	printf "%s %s %s %s %.2f\n", ns[g], bytes[g], ns[n], bytes[n], (bytes[g] * ops[g] + bytes[n] * ops[n]) / (ops[g] + ops[n])
+}' "$RAW_RECORD")
+
 # --- gate 1: idle-telemetry overhead --------------------------------------
 awk -v max="$MAX_OVERHEAD_PCT" -v base="$BASE_NSOP" -v idle="$IDLE_NSOP" 'BEGIN {
 	if (base+0 == 0 || idle+0 == 0) { print "bench.sh: missing baseline or idle result" > "/dev/stderr"; exit 1 }
@@ -179,6 +211,13 @@ awk -v minsp="$MIN_OPEN_SPEEDUP" -v maxratio="$MAX_SIZE_RATIO" \
 	if (ratio > maxratio) { print "bench.sh: columnar file size above budget" > "/dev/stderr"; exit 1 }
 }'
 
+# --- gate 4: recorder allocation per recorded op ---------------------------
+awk -v max="$MAX_RECORD_BYTES_PER_OP" -v b="$REC_B" -v gb="$REC_GNU_B" -v nb="$REC_NM_B" -v gn="$REC_GNU_NS" -v nn="$REC_NM_NS" 'BEGIN {
+	printf "== record: gnusort %.1f ns / %.2f B, nmsort %.1f ns / %.2f B per recorded op; %.2f B/recorded-op over both (fail over %s) ==\n", \
+		gn, gb, nn, nb, b, max
+	if (b > max) { print "bench.sh: recorder allocation per op above budget" > "/dev/stderr"; exit 1 }
+}'
+
 # --- report-only: sweep pool speedup --------------------------------------
 awk -v p1="$PAR1_NSOP" -v pm="$PARMAX_NSOP" -v procs="$GOMAXPROCS" 'BEGIN {
 	printf "== sweep pool: par1 %.0f ns/op, parmax %.0f ns/op, speedup %.2fx at GOMAXPROCS=%d (report-only) ==\n", \
@@ -189,11 +228,12 @@ if [ "$GOMAXPROCS" -le 1 ]; then
 fi
 
 # --- extend both trajectories ---------------------------------------------
-append "$REPLAY_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "baseline_ns_per_trace_op": %s, "baseline_ns_per_event": %s, "baseline_events_per_sec": %s, "baseline_allocs_per_op": %s, "idle_ns_per_event": %s, "active_ns_per_event": %s, "open_v2_ns_per_op": %s, "open_v3_ns_per_op": %s, "open_speedup": %s, "v2_file_bytes": %s, "v3_file_bytes": %s, "gomaxprocs": %s, "cpus": %s}' \
+append "$REPLAY_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "baseline_ns_per_trace_op": %s, "baseline_ns_per_event": %s, "baseline_events_per_sec": %s, "baseline_allocs_per_op": %s, "idle_ns_per_event": %s, "active_ns_per_event": %s, "open_v2_ns_per_op": %s, "open_v3_ns_per_op": %s, "open_speedup": %s, "v2_file_bytes": %s, "v3_file_bytes": %s, "record_gnusort_ns_per_op": %s, "record_nmsort_ns_per_op": %s, "record_gnusort_bytes_per_op": %s, "record_nmsort_bytes_per_op": %s, "record_bytes_per_op": %s, "gomaxprocs": %s, "cpus": %s}' \
 	"$LABEL" "$STAMP" "$BENCHTIME" "$BASE_NSTOP" "$BASE_NSEV" "$BASE_EPS" "$BASE_ALLOCS" "${IDLE_NSEV:-0}" "${ACTIVE_NSEV:-0}" \
 	"$OPEN_V2_NSOP" "$OPEN_V3_NSOP" \
 	"$(awk -v v2="$OPEN_V2_NSOP" -v v3="$OPEN_V3_NSOP" 'BEGIN { printf "%.1f", v2 / v3 }')" \
 	"$V2_BYTES" "$V3_BYTES" \
+	"$REC_GNU_NS" "$REC_NM_NS" "$REC_GNU_B" "$REC_NM_B" "$REC_B" \
 	"$REPLAY_PROCS" "$CPUS")"
 append "$SWEEP_OUT" "$(printf '{"label": "%s", "date": "%s", "benchtime": "%s", "gomaxprocs": %s, "cpus": %s, "par1_ns_per_op": %s, "parmax_ns_per_op": %s, "speedup": %s}' \
 	"$LABEL" "$STAMP" "$BENCHTIME" "$GOMAXPROCS" "$CPUS" "$PAR1_NSOP" "$PARMAX_NSOP" \

@@ -18,8 +18,12 @@
 #   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder)
 #                                     and FuzzOpenColumnar (v3 open/cursor
 #                                     path): no panics on hostile bytes,
-#                                     every failure a *DecodeError; and 10s
-#                                     of FuzzReplayMatchesReference (semantic
+#                                     every failure a *DecodeError; 10s of
+#                                     FuzzBuilderMatchesReference (generated
+#                                     op mixes: the v3 column builder against
+#                                     the old two-pass encoder, byte for
+#                                     byte); and 10s of
+#                                     FuzzReplayMatchesReference (semantic
 #                                     traces: the replay kernel against the
 #                                     naive reference replay)
 #   9. serve smoke                    boot nmsimd, run the golden sweep
@@ -47,6 +51,7 @@ step go test -race -short ./...
 step go test -run='^TestChaosInterruptResume$' -short -count=1 ./internal/harness
 step go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzOpenColumnar$' -fuzztime=10s ./internal/trace
+step go test -run='^$' -fuzz='^FuzzBuilderMatchesReference$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./internal/machine
 step ./scripts/serve_smoke.sh
 
