@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/kmeans"
@@ -102,6 +103,67 @@ func benchRecord(b *testing.B, alg harness.Algorithm) {
 
 func BenchmarkRecordTable1GNUSort(b *testing.B) { benchRecord(b, harness.AlgGNUSort) }
 func BenchmarkRecordTable1NMSort(b *testing.B)  { benchRecord(b, harness.AlgNMSort) }
+
+// --- L2: the shared L2 as a replay meets it -------------------------------
+
+// BenchmarkL2AccessInSitu prices cachesim.Access the way a Table I replay
+// pays for it: the recorded NMsort access stream at the reference CLI size,
+// the 256 threads taken round-robin, each access sent to its quad-core
+// group's L2 — 64 caches whose sets take turns in the host's caches.
+// cachesim's own BenchmarkAccess walks one warm 2-way cache and reads 4-6x
+// cheaper than the same code costs here. The stream is flattened before the
+// timer starts, so cursor decode is not in the figure.
+func BenchmarkL2AccessInSitu(b *testing.B) {
+	w := harness.Workload{N: 1 << 20, Seed: 2015, Threads: 256, SP: 2 * units.MiB}
+	rec, err := harness.Record(harness.AlgNMSort, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := harness.NodeFor(w.Threads, 8, w.SP)
+	cursors := make([]trace.Cursor, w.Threads)
+	for tid := range cursors {
+		cursors[tid] = rec.Trace.CursorAt(tid)
+	}
+	var addrs []uint64
+	var route []uint8 // group<<1 | write
+	for live := true; live; {
+		live = false
+		for tid := range cursors {
+			if cur := &cursors[tid]; cur.Next() {
+				live = true
+				if cur.Cur.Kind == trace.OpAccess {
+					r := uint8(tid/cfg.CoresPerGroup) << 1
+					if cur.Cur.Write {
+						r |= 1
+					}
+					addrs = append(addrs, cur.Cur.Addr)
+					route = append(route, r)
+				}
+			}
+		}
+	}
+	caches := make([]*cachesim.Cache, w.Threads/cfg.CoresPerGroup)
+	var stats cachesim.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for g := range caches {
+			caches[g] = cachesim.New(cfg.L2Capacity, cfg.LineSize, cfg.L2Ways)
+		}
+		for k, a := range addrs {
+			caches[route[k]>>1].Access(a, route[k]&1 != 0)
+		}
+		stats = cachesim.Stats{}
+		for _, c := range caches {
+			s := c.Stats()
+			stats.Hits += s.Hits
+			stats.Misses += s.Misses
+			stats.Writebacks += s.Writebacks
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(len(addrs)), "ns/access")
+	b.ReportMetric(stats.MissRate(), "miss-rate")
+	b.ReportMetric(float64(len(addrs)), "accesses")
+}
 
 // --- C1: bandwidth scaling (the ρ sweep behind "linear reduction") -------
 

@@ -16,6 +16,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -43,63 +44,120 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-type way struct {
-	tag   uint64 // line address; valid bit folded in via valid flag
-	valid bool
-	dirty bool
-	used  uint64 // global LRU clock value at last touch
+// maxWays is the widest associativity the model supports: a set's LRU order
+// is a permutation of way indices packed four bits apiece into one word.
+const maxWays = 16
+
+// CheckGeometry reports why a cache of the given capacity, line size and
+// associativity cannot be built, or nil when it can. It is the one home of
+// the geometry rules: New panics with its text, and the configuration types
+// that carry a geometry (machine.Config, trace.L1Geometry) return it wrapped
+// with the name of the offending field.
+func CheckGeometry(capacity, lineSize units.Bytes, ways int) error {
+	if capacity <= 0 || lineSize <= 0 || ways <= 0 {
+		return fmt.Errorf("cachesim: non-positive geometry (capacity %d, line %d, %d ways)",
+			int64(capacity), int64(lineSize), ways)
+	}
+	if ways > maxWays {
+		return fmt.Errorf("cachesim: %d ways, at most %d supported", ways, maxWays)
+	}
+	if uint64(lineSize)&(uint64(lineSize)-1) != 0 {
+		return fmt.Errorf("cachesim: line size %d must be a power of two", int64(lineSize))
+	}
+	sets := int64(capacity) / int64(lineSize) / int64(ways)
+	if sets <= 0 || sets*int64(ways)*int64(lineSize) != int64(capacity) {
+		return fmt.Errorf("cachesim: capacity %v not divisible into %d-way sets of %v lines",
+			capacity, ways, lineSize)
+	}
+	if uint64(sets)&(uint64(sets)-1) != 0 {
+		return fmt.Errorf("cachesim: set count %d must be a power of two", sets)
+	}
+	return nil
+}
+
+// setState is everything about one set except its tags: 16 bytes, so a
+// 16-way set is 128 B of tags plus this record where a way-per-struct layout
+// with a timestamp each took 384 B.
+type setState struct {
+	// order is the true-LRU recency order: nibble k holds the index of the
+	// k-th most recently used way, so nibble 0 is the MRU way and nibble
+	// ways-1 the LRU one; nibbles at and above ways are never read (they
+	// collect stale copies of evicted nibbles). A set starts as
+	// ways-1, …, 1, 0 and an invalid way is never touched, so the invalid
+	// ways are always the tail of the order with the lowest index last: the
+	// LRU nibble is the lowest-index invalid way while one exists, and the
+	// least recently used way once the set is full.
+	order uint64
+	valid uint16 // bit w: way w holds a line
+	dirty uint16 // bit w: way w's line is modified; a subset of valid
+}
+
+const (
+	nibbleOnes  = 0x1111111111111111
+	nibbleHighs = 0x8888888888888888
+	// descending is a 16-way set's initial order; narrower sets shift it
+	// down to their own ways-1, …, 0.
+	descending = 0x0123456789abcdef
+)
+
+// eq is a == b as a 0/1 word. The compiler lowers this shape to a compare
+// and a SETEQ, not a jump (checked with -gcflags=-S); were it ever to emit a
+// branch, Access would only be slower, never wrong.
+func eq(a, b uint64) uint32 {
+	var e uint32
+	if a == b {
+		e = 1
+	}
+	return e
+}
+
+// touch returns order with way w moved to the MRU position and the ways that
+// were more recent than it each aged by one place. w must be in the order.
+func touch(order uint64, w uint) uint64 {
+	// Find w: XOR with w in every nibble zeroes exactly the nibbles that
+	// hold w, and the lowest set bit of the classic SWAR zero test marks the
+	// lowest of them (bits above it may be borrow artefacts, or unused high
+	// nibbles that happen to match; both lie above the real one).
+	x := order ^ uint64(w)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3 & 63
+	below := order & (1<<p - 1)
+	return order&^(below|0xf<<p) | below<<4 | uint64(w)
 }
 
 // Cache is a single set-associative cache. Not safe for concurrent use;
 // each L1 belongs to one recording thread and the L2s are touched only from
 // the single-threaded event loop.
 type Cache struct {
-	lineSize  uint64
-	setMask   uint64
-	setShift  uint
-	ways      int
-	sets      [][]way
-	clock     uint64
-	stats     Stats
-	capacity  units.Bytes
-	setsCount int
+	lineSize uint64
+	setMask  uint64
+	setShift uint
+	ways     int
+	lruShift uint     // bit offset of the LRU nibble: 4*(ways-1)
+	tags     []uint64 // set-major: way w of set s is tags[s*ways+w]
+	sets     []setState
+	stats    Stats
+	capacity units.Bytes
 }
 
 // New builds a cache of the given capacity, line size, and associativity.
-// Capacity must be ways*lineSize*2^k for some k ≥ 0.
+// Capacity must be ways*lineSize*2^k for some k ≥ 0, and ways at most
+// maxWays; see CheckGeometry, whose error New panics with.
 func New(capacity, lineSize units.Bytes, ways int) *Cache {
-	if capacity <= 0 || lineSize <= 0 || ways <= 0 {
-		panic("cachesim: non-positive geometry")
+	if err := CheckGeometry(capacity, lineSize, ways); err != nil {
+		panic(err.Error())
 	}
-	if uint64(lineSize)&(uint64(lineSize)-1) != 0 {
-		panic("cachesim: line size must be a power of two")
-	}
-	lines := int64(capacity) / int64(lineSize)
-	sets := lines / int64(ways)
-	if sets <= 0 || sets*int64(ways)*int64(lineSize) != int64(capacity) {
-		panic(fmt.Sprintf("cachesim: capacity %v not divisible into %d-way sets of %v lines",
-			capacity, ways, lineSize))
-	}
-	if uint64(sets)&(uint64(sets)-1) != 0 {
-		panic("cachesim: set count must be a power of two")
-	}
-	var shift uint
-	for l := uint64(lineSize); l > 1; l >>= 1 {
-		shift++
-	}
+	sets := int(int64(capacity) / int64(lineSize) / int64(ways))
 	c := &Cache{
-		lineSize:  uint64(lineSize),
-		setMask:   uint64(sets) - 1,
-		setShift:  shift,
-		ways:      ways,
-		sets:      make([][]way, sets),
-		capacity:  capacity,
-		setsCount: int(sets),
+		lineSize: uint64(lineSize),
+		setMask:  uint64(sets) - 1,
+		setShift: uint(bits.TrailingZeros64(uint64(lineSize))),
+		ways:     ways,
+		lruShift: 4 * uint(ways-1),
+		tags:     make([]uint64, sets*ways),
+		sets:     make([]setState, sets),
+		capacity: capacity,
 	}
-	backing := make([]way, int(sets)*ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
+	c.Reset()
 	return c
 }
 
@@ -108,41 +166,55 @@ func New(capacity, lineSize units.Bytes, ways int) *Cache {
 // dirty victim the caller must write back toward memory.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	line := addr &^ (c.lineSize - 1)
-	set := c.sets[(line>>c.setShift)&c.setMask]
-	c.clock++
+	si := (line >> c.setShift) & c.setMask
+	s := &c.sets[si]
+	tags := c.tags[int(si)*c.ways:][:c.ways]
 
-	// Hit path.
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].used = c.clock
-			if write {
-				set[i].dirty = true
-			}
-			c.stats.Hits++
-			return Result{Hit: true}
+	// Probe the MRU way first. The record-time L1 sees the raw stream, where
+	// most hits re-touch the line just used: they end here, with no scan and
+	// the order already right. The replay-time L2 sees what an L1 let
+	// through, so for it this is one well-predicted not-taken branch.
+	if mru := uint(s.order) & 0xf; tags[mru] == line && s.valid>>mru&1 != 0 {
+		if write {
+			s.dirty |= 1 << mru
 		}
+		c.stats.Hits++
+		return Result{Hit: true}
 	}
 
-	// Miss: find an invalid way or the LRU victim.
+	// Hit scan over the tags alone: one match bit per way, highest way
+	// first so each bit is shifted in by one, and no branch on any of them.
+	var m uint32
+	for w := len(tags) - 1; w >= 0; w-- {
+		m = m<<1 | eq(tags[w], line)
+	}
+	if match := uint16(m) & s.valid; match != 0 {
+		w := uint(bits.TrailingZeros16(match))
+		s.order = touch(s.order, w)
+		if write {
+			s.dirty |= 1 << w
+		}
+		c.stats.Hits++
+		return Result{Hit: true}
+	}
+
+	// Miss: the LRU nibble names the victim (see setState.order), and
+	// shifting it back in at the bottom makes the refilled way the MRU one.
 	c.stats.Misses++
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			goto fill
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-fill:
+	v := uint(s.order>>c.lruShift) & 0xf
+	s.order = s.order<<4 | uint64(v)
 	res := Result{}
-	if set[victim].valid && set[victim].dirty {
+	if s.dirty>>v&1 != 0 {
 		res.HasWB = true
-		res.Writeback = set[victim].tag
+		res.Writeback = tags[v]
 		c.stats.Writebacks++
 	}
-	set[victim] = way{tag: line, valid: true, dirty: write, used: c.clock}
+	tags[v] = line
+	s.valid |= 1 << v
+	s.dirty &^= 1 << v
+	if write {
+		s.dirty |= 1 << v
+	}
 	return res
 }
 
@@ -150,41 +222,39 @@ fill:
 // without perturbing LRU state. Used by tests.
 func (c *Cache) Contains(addr uint64) bool {
 	line := addr &^ (c.lineSize - 1)
-	set := c.sets[(line>>c.setShift)&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
+	si := int((line >> c.setShift) & c.setMask)
+	for w, t := range c.tags[si*c.ways:][:c.ways] {
+		if t == line && c.sets[si].valid>>uint(w)&1 != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// FlushDirty returns the addresses of all dirty lines and marks them clean.
-// Used at the end of a recorded phase to account for the final writeback
-// wave (the paper's sorted chunks "scheduled for transfer back to DRAM").
+// FlushDirty returns the addresses of all dirty lines — in ascending set,
+// then ascending way, the order the recorder emits them as writebacks — and
+// marks them clean. Used at the end of a recorded phase to account for the
+// final writeback wave (the paper's sorted chunks "scheduled for transfer
+// back to DRAM").
 func (c *Cache) FlushDirty() []uint64 {
 	var out []uint64
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				out = append(out, set[i].tag)
-				set[i].dirty = false
-				c.stats.Writebacks++
-			}
+	for si := range c.sets {
+		s := &c.sets[si]
+		for d := s.dirty; d != 0; d &= d - 1 {
+			out = append(out, c.tags[si*c.ways+bits.TrailingZeros16(d)])
+			c.stats.Writebacks++
 		}
+		s.dirty = 0
 	}
 	return out
 }
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
+	for i := range c.sets {
+		c.sets[i] = setState{order: descending >> (4 * uint(maxWays-c.ways))}
 	}
 	c.stats = Stats{}
-	c.clock = 0
 }
 
 // Stats returns a copy of the access statistics.
@@ -197,4 +267,4 @@ func (c *Cache) LineSize() units.Bytes { return units.Bytes(c.lineSize) }
 func (c *Cache) Capacity() units.Bytes { return c.capacity }
 
 // Sets returns the number of sets (for tests).
-func (c *Cache) Sets() int { return c.setsCount }
+func (c *Cache) Sets() int { return len(c.sets) }

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,50 @@ func TestBadGeometryPanics(t *testing.T) {
 				}
 			}()
 			f()
+		}()
+	}
+}
+
+// TestCheckGeometry pins each rejection of the one geometry rule set, that
+// the shipped geometries pass it, and that New panics with exactly its text.
+func TestCheckGeometry(t *testing.T) {
+	cases := []struct {
+		name           string
+		capacity, line units.Bytes
+		ways           int
+		want           string // substring of the error; "" means accepted
+	}{
+		{"paper L1", 16 * units.KiB, 64, 2, ""},
+		{"paper L2", 512 * units.KiB, 64, 16, ""},
+		{"one set, one way", 64, 64, 1, ""},
+		{"zero capacity", 0, 64, 2, "non-positive geometry"},
+		{"negative line", units.KiB, -64, 2, "non-positive geometry"},
+		{"zero ways", units.KiB, 64, 0, "non-positive geometry"},
+		{"17 ways", 17 * units.KiB, 64, 17, "at most 16"},
+		{"line not a power of two", units.KiB, 48, 2, "line size 48 must be a power of two"},
+		{"capacity below one set", 64, 64, 2, "not divisible"},
+		{"capacity not a whole number of sets", units.KiB, 64, 3, "not divisible"},
+		{"set count not a power of two", 3 * units.KiB, 64, 2, "set count 24 must be a power of two"},
+	}
+	for _, tc := range cases {
+		err := CheckGeometry(tc.capacity, tc.line, tc.ways)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Errorf("%s: New panicked with %v, want %q", tc.name, r, err)
+				}
+			}()
+			New(tc.capacity, tc.line, tc.ways)
 		}()
 	}
 }

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -14,6 +15,9 @@ import (
 // Event is a callback scheduled to run at a simulated time.
 type Event func()
 
+// item is one scheduled event. Invariant: at >= 0 — the clock starts at zero
+// and At/AtTicket refuse the past — which is what lets beforeBit compare at
+// as an unsigned word.
 type item struct {
 	at  units.Time
 	seq uint64
@@ -27,6 +31,17 @@ func before(a, b item) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// beforeBit is before as a 0/1 word with no data-dependent branch: (at, seq)
+// read as one 128-bit unsigned value, a orders first exactly when a - b
+// borrows out of the top word. It is an evaluation of before, not a second
+// definition of the order (TestBeforeBitMatchesBefore holds the two together),
+// and it is only correct under item's at >= 0 invariant.
+func beforeBit(a, b *item) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
+}
+
 // queue is the event queue: a hand-specialized 4-ary min-heap over a flat
 // []item ordered by (at, seq). Replacing container/heap removes the
 // Push(x any)/Pop() any interface boxing — one heap allocation per
@@ -35,6 +50,12 @@ func before(a, b item) bool {
 // (cheap: the four items are adjacent in one or two cache lines) for fewer
 // sift levels. push/pop sift a hole instead of swapping, so each level
 // costs one copy rather than three.
+//
+// In a replay the four children of a node are in no useful order, so a
+// compare-and-branch minimum mispredicts about once per level; pop therefore
+// picks the minimum of a full fan-out arithmetically (beforeBit) and keeps
+// the scalar scan only for the partial last fan-out, which is reached at
+// most once per pop.
 type queue struct {
 	a []item
 }
@@ -77,14 +98,21 @@ func (q *queue) pop() item {
 			if c >= n {
 				break
 			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
 			min := c
-			for j := c + 1; j < end; j++ {
-				if before(a[j], a[min]) {
-					min = j
+			if c+4 <= n {
+				// A two-round tournament: each round's winner is an index
+				// computed from a borrow bit, never a branch taken on one
+				// (the &3 only tells the compiler what lo and hi can be).
+				ch := a[c : c+4 : c+4]
+				lo := beforeBit(&ch[1], &ch[0])
+				hi := 2 + beforeBit(&ch[3], &ch[2])
+				hiWins := beforeBit(&ch[hi&3], &ch[lo&3])
+				min = c + int(lo^(lo^hi)&-hiWins)
+			} else {
+				for j := c + 1; j < n; j++ {
+					if before(a[j], a[min]) {
+						min = j
+					}
 				}
 			}
 			if !before(a[min], last) {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"math"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/units"
 	"repro/internal/xrand"
@@ -14,14 +16,31 @@ import (
 // sort on insertion order is exactly the FIFO tie-break contract, so any
 // heap-shape bug that reorders same-timestamp events shows up as a seq
 // mismatch.
+//
+// The stream reaches the edges of pop's two paths: timestamps come from a
+// narrow range (dense seq ties), from the top of units.Time (the borrow chain
+// at its last representable values) and from all 63 bits; and some pushes
+// redeem a ticket — a sequence number drawn earlier and now older than
+// everything queued at the timestamp it joins, as Sim.AtTicket does.
 func TestQueueMatchesReferenceSort(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 2015} {
 		rng := xrand.New(seed)
 		var q queue
 		var ref []item // kept sorted by (at, seq); pops take ref[0]
 		var seq uint64
+		var tickets []uint64 // drawn, not yet pushed
 		resort := func() {
 			sort.SliceStable(ref, func(i, j int) bool { return before(ref[i], ref[j]) })
+		}
+		stamp := func() units.Time {
+			switch rng.Intn(4) {
+			case 0:
+				return units.Time(math.MaxInt64 - rng.Intn(50))
+			case 1:
+				return units.Time(rng.Uint64() >> 1)
+			}
+			// A narrow timestamp range forces dense seq ties.
+			return units.Time(rng.Intn(50))
 		}
 		const steps = 5000
 		for i := 0; i < steps; i++ {
@@ -31,8 +50,16 @@ func TestQueueMatchesReferenceSort(t *testing.T) {
 				n := 1 + rng.Intn(8)
 				for j := 0; j < n; j++ {
 					seq++
-					// A narrow timestamp range forces dense seq ties.
-					it := item{at: units.Time(rng.Intn(50)), seq: seq}
+					if rng.Intn(8) == 0 {
+						tickets = append(tickets, seq)
+						continue
+					}
+					it := item{at: stamp(), seq: seq}
+					if len(tickets) > 0 && len(ref) > 0 && rng.Intn(4) == 0 {
+						// Redeem the oldest ticket at a timestamp already queued.
+						it = item{at: ref[rng.Intn(len(ref))].at, seq: tickets[0]}
+						tickets = tickets[1:]
+					}
 					q.push(it)
 					ref = append(ref, it)
 				}
@@ -70,6 +97,97 @@ func TestQueueMatchesReferenceSort(t *testing.T) {
 		}
 		if q.len() != 0 {
 			t.Fatalf("seed %d: queue not empty after drain: %d left", seed, q.len())
+		}
+
+		// Every population from empty to 70, drained to nothing: on the way
+		// down the last fan-out takes every shape — absent, one to three
+		// children (the scalar path), exactly four (the arithmetic one).
+		for n := 0; n <= 70; n++ {
+			ref = ref[:0]
+			for j := 0; j < n; j++ {
+				seq++
+				it := item{at: stamp(), seq: seq}
+				q.push(it)
+				ref = append(ref, it)
+			}
+			resort()
+			for j, want := range ref {
+				if got := q.pop(); got.at != want.at || got.seq != want.seq {
+					t.Fatalf("seed %d: population %d, pop %d = (at=%v seq=%d), want (at=%v seq=%d)",
+						seed, n, j, got.at, got.seq, want.at, want.seq)
+				}
+			}
+			if q.len() != 0 {
+				t.Fatalf("seed %d: population %d left %d items behind", seed, n, q.len())
+			}
+		}
+	}
+}
+
+// TestBeforeBitMatchesBefore holds pop's borrow-chain comparison to before,
+// the one definition of the order, over the corners of both words, equal
+// pairs, and random pairs.
+func TestBeforeBitMatchesBefore(t *testing.T) {
+	check := func(a, b item) {
+		t.Helper()
+		want := uint64(0)
+		if before(a, b) {
+			want = 1
+		}
+		if got := beforeBit(&a, &b); got != want {
+			t.Fatalf("beforeBit((%d, %d), (%d, %d)) = %d, before says %d", a.at, a.seq, b.at, b.seq, got, want)
+		}
+	}
+	ats := []units.Time{0, 1, 2, 1 << 31, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
+	seqs := []uint64{0, 1, 2, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	for _, at1 := range ats {
+		for _, s1 := range seqs {
+			for _, at2 := range ats {
+				for _, s2 := range seqs {
+					check(item{at: at1, seq: s1}, item{at: at2, seq: s2})
+				}
+			}
+		}
+	}
+	f := func(at1, at2 int64, s1, s2 uint64, sameAt, sameSeq bool) bool {
+		a := item{at: units.Time(at1 & math.MaxInt64), seq: s1}
+		b := item{at: units.Time(at2 & math.MaxInt64), seq: s2}
+		if sameAt {
+			b.at = a.at
+		}
+		if sameSeq {
+			b.seq = a.seq
+		}
+		check(a, b)
+		check(b, a)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNegativeTimePanics pins the invariant beforeBit rests on: no item with
+// a negative timestamp can enter the queue, through either door.
+func TestNegativeTimePanics(t *testing.T) {
+	for _, door := range []struct {
+		name     string
+		schedule func(*Sim)
+	}{
+		{"At", func(s *Sim) { s.At(-1, noop) }},
+		{"AtTicket", func(s *Sim) { s.AtTicket(-1, s.Ticket(), noop) }},
+	} {
+		s := New()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(-1) must panic", door.name)
+				}
+			}()
+			door.schedule(s)
+		}()
+		if s.Pending() != 0 {
+			t.Errorf("%s(-1) left an event queued", door.name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/machine"
@@ -51,11 +52,27 @@ func replayPar(p, n int) int {
 	return p
 }
 
+// claimOrder is the order in which a pool's workers claim jobs: longest
+// first, by recorded op count (replay time tracks it closely; the machine
+// configuration matters far less), ties in slot order. A sweep lists its
+// cells in report order, which tends to put a long NMsort cell last, where it
+// would run alone while the other workers sit idle; handing the long cells
+// out first is the classic longest-processing-time-first rule.
+func claimOrder(jobs []replayJob) []int {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].tr.Ops() > jobs[order[b]].tr.Ops() })
+	return order
+}
+
 // runReplays replays every job on a pool of `workers` goroutines (via
 // par.Run, the module's one sanctioned fork-join). Workers pull the next
-// unclaimed job index from a shared cursor — dynamic scheduling, because
-// sweep points differ wildly in event count — and write results by index,
-// never by completion order.
+// unclaimed job from a shared cursor over claimOrder — dynamic scheduling,
+// because sweep points differ wildly in event count — and write results by
+// slot index, never by claim or completion order, so the claim order shows
+// in wall time only. One worker walks the slots in order.
 //
 // With a nil supervisor each job is one undivided replay and errors are
 // the caller's to handle (the historical path — byte-identical to every
@@ -83,14 +100,15 @@ func runReplays(sup *Supervisor, workers int, jobs []replayJob) []replayOut {
 		}
 		return out
 	}
+	order := claimOrder(jobs)
 	var next atomic.Int64
 	par.Run(workers, nil, func(int, *trace.TP) {
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(jobs) {
+			k := int(next.Add(1)) - 1
+			if k >= len(order) {
 				return
 			}
-			run(i)
+			run(order[k])
 		}
 	})
 	return out

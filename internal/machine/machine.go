@@ -140,6 +140,9 @@ func (c Config) Validate() error {
 	case c.MaxOutstanding <= 0:
 		return fmt.Errorf("machine: MaxOutstanding must be positive")
 	}
+	if err := cachesim.CheckGeometry(c.L2Capacity, c.LineSize, c.L2Ways); err != nil {
+		return fmt.Errorf("machine: L2Capacity/LineSize/L2Ways: %w", err)
+	}
 	return c.Fault.Validate()
 }
 

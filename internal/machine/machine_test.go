@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -41,6 +42,37 @@ func TestConfigValidate(t *testing.T) {
 	bad.NoC.Groups = 3
 	if err := bad.Validate(); err == nil {
 		t.Error("expected NoC mismatch error")
+	}
+}
+
+// TestConfigValidateL2Geometry: a bad shared-L2 geometry is a Validate error
+// that names the fields and carries cachesim's reason — not a panic from
+// inside cachesim.New that names neither.
+func TestConfigValidateL2Geometry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"zero capacity", func(c *Config) { c.L2Capacity = 0 }, "non-positive geometry"},
+		{"zero ways", func(c *Config) { c.L2Ways = 0 }, "non-positive geometry"},
+		{"too many ways", func(c *Config) { c.L2Ways = 32 }, "at most 16"},
+		{"capacity not a whole number of sets", func(c *Config) { c.L2Ways = 3 }, "not divisible"},
+		{"set count not a power of two", func(c *Config) { c.L2Capacity = 48 * units.KiB }, "power of two"},
+		{"line size not a power of two", func(c *Config) {
+			c.LineSize, c.Far.LineSize, c.Near.LineSize = 48, 48, 48
+		}, "line size 48"},
+	} {
+		cfg := TinyConfig(8, units.MiB)
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "machine: L2Capacity/LineSize/L2Ways: cachesim: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q, want the L2 fields named and %q", tc.name, msg, tc.want)
+		}
 	}
 }
 

@@ -71,6 +71,16 @@ type L1Geometry struct {
 	Ways     int
 }
 
+// Validate reports why no L1 filter of this geometry can be built, in
+// cachesim's words with the type named; NewRecorder panics with the same
+// text.
+func (g L1Geometry) Validate() error {
+	if err := cachesim.CheckGeometry(g.Capacity, g.LineSize, g.Ways); err != nil {
+		return fmt.Errorf("trace: L1Geometry %+v: %w", g, err)
+	}
+	return nil
+}
+
 // DefaultL1 matches the paper's per-core 16KB 2-way data cache.
 func DefaultL1() L1Geometry {
 	return L1Geometry{Capacity: 16 * units.KiB, LineSize: 64, Ways: 2}
@@ -244,6 +254,9 @@ type Recorder struct {
 func NewRecorder(p int, l1 L1Geometry, costs Costs) *Recorder {
 	if p <= 0 {
 		panic("trace: need at least one thread")
+	}
+	if err := l1.Validate(); err != nil {
+		panic(err.Error())
 	}
 	r := &Recorder{costs: costs, l1: l1, threads: make([]*TP, p), phaseIDs: map[string]int{}}
 	for i := range r.threads {

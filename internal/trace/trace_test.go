@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -329,6 +330,42 @@ func TestDefaultL1MatchesPaper(t *testing.T) {
 	g := DefaultL1()
 	if g.Capacity != 16*units.KiB || g.LineSize != 64 || g.Ways != 2 {
 		t.Errorf("DefaultL1 = %+v", g)
+	}
+}
+
+// TestL1GeometryValidate: each way an L1 filter cannot be built is an error
+// that names the type and carries cachesim's reason, and NewRecorder panics
+// with that text instead of dying nameless inside cachesim.New.
+func TestL1GeometryValidate(t *testing.T) {
+	if err := DefaultL1().Validate(); err != nil {
+		t.Errorf("DefaultL1 rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		g    L1Geometry
+		want string
+	}{
+		{L1Geometry{}, "non-positive geometry"},
+		{L1Geometry{Capacity: 2 * units.KiB, LineSize: 64, Ways: 32}, "at most 16"},
+		{L1Geometry{Capacity: 2 * units.KiB, LineSize: 48, Ways: 2}, "line size 48"},
+		{L1Geometry{Capacity: 2 * units.KiB, LineSize: 64, Ways: 3}, "not divisible"},
+		{L1Geometry{Capacity: 3 * units.KiB, LineSize: 64, Ways: 2}, "power of two"},
+	} {
+		err := tc.g.Validate()
+		if err == nil {
+			t.Errorf("%+v: accepted", tc.g)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "trace: L1Geometry ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%+v: error %q, want the type named and %q", tc.g, msg, tc.want)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Errorf("%+v: NewRecorder panicked with %v, want %q", tc.g, r, err)
+				}
+			}()
+			NewRecorder(1, tc.g, DefaultCosts())
+		}()
 	}
 }
 

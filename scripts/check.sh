@@ -22,10 +22,13 @@
 #                                     FuzzBuilderMatchesReference (generated
 #                                     op mixes: the v3 column builder against
 #                                     the old two-pass encoder, byte for
-#                                     byte); and 10s of
+#                                     byte); 10s of
 #                                     FuzzReplayMatchesReference (semantic
 #                                     traces: the replay kernel against the
-#                                     naive reference replay)
+#                                     naive reference replay); and 10s of
+#                                     FuzzAccessMatchesReference (the packed
+#                                     cache sets against the timestamp-LRU
+#                                     reference and a stack-distance oracle)
 #   9. serve smoke                    boot nmsimd, run the golden sweep
 #                                     locally + remotely cold + remotely
 #                                     cached, cmp all three byte-identical,
@@ -53,6 +56,7 @@ step go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzOpenColumnar$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzBuilderMatchesReference$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./internal/machine
+step go test -run='^$' -fuzz='^FuzzAccessMatchesReference$' -fuzztime=10s ./internal/cachesim
 step ./scripts/serve_smoke.sh
 
 echo "== all checks passed =="
