@@ -158,6 +158,7 @@ func TestDiskRecordCacheInvalidIsMissAndOverwritten(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	releaseDroppedMappings(t) // so no earlier test's mapping is released between the two samples
 	before := trace.MappedBytes()
 	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
 		t.Fatal("a cache file that fails Validate reported a hit")
@@ -266,10 +267,18 @@ func TestDiskCacheMappingsReleased(t *testing.T) {
 	if fmt.Sprint(warm.Points) != fmt.Sprint(cold.Points) {
 		t.Fatal("the sweep replayed from mapped cache files differs from the one that recorded them")
 	}
+	releaseDroppedMappings(t)
+}
+
+// releaseDroppedMappings waits until no trace file is mapped. LookupRecord
+// hands out mappings it never closes, so a dropped trace's mapping goes when
+// its finalizer runs; call it only where the test holds no mapped trace.
+func releaseDroppedMappings(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for trace.MappedBytes() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d bytes still mapped after the sweep's traces were dropped", trace.MappedBytes())
+			t.Fatalf("%d bytes still mapped after every mapped trace was dropped", trace.MappedBytes())
 		}
 		runtime.GC() // finalizers run on their own goroutine, some time after the cycle that queued them
 		time.Sleep(10 * time.Millisecond)

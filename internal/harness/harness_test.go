@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -135,13 +138,55 @@ func TestBandwidthSweep(t *testing.T) {
 	if len(s.Points) != 6 {
 		t.Fatalf("points = %d, want 6", len(s.Points))
 	}
-	// The baseline must be exactly ρ-insensitive.
-	if s.Points[0].Result.SimTime != s.Points[4].Result.SimTime {
-		t.Errorf("gnusort time varies with near channels: %v vs %v",
-			s.Points[0].Result.SimTime, s.Points[4].Result.SimTime)
+	// The baseline must be exactly ρ-insensitive — measured, not copied: the
+	// sweep fills two of its three baseline cells from one replay.
+	gnu, err := Record(AlgGNUSort, tinyWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRhoInsensitive(t, gnu.Trace, tinyWorkload().Threads, tinyWorkload().SP,
+		[]machine.Result{s.Points[0].Result, s.Points[2].Result, s.Points[4].Result})
+	if s.Replays != 4 {
+		t.Errorf("Replays = %d, want 4: one baseline replay and three of NMsort", s.Replays)
 	}
 	if !strings.Contains(s.String(), "nmsort@8X") {
 		t.Error("sweep output missing labels")
+	}
+}
+
+// requireRhoInsensitive replays tr for real on the 2X, 4X and 8X nodes —
+// three machines, no pool — and requires the three Results to agree on
+// every field but the one that echoes the node, Phases[].NearChannels, and
+// each to equal the sweep cell reported for its node.
+func requireRhoInsensitive(t *testing.T, tr trace.Source, cores int, sp units.Bytes, cells []machine.Result) {
+	t.Helper()
+	sansEcho := func(res machine.Result, channels int) machine.Result {
+		res.Phases = slices.Clone(res.Phases)
+		for i := range res.Phases {
+			if res.Phases[i].NearChannels != channels {
+				t.Errorf("%d-channel node: phase %q reports %d near channels", channels, res.Phases[i].Name, res.Phases[i].NearChannels)
+			}
+			res.Phases[i].NearChannels = 0
+		}
+		return res
+	}
+	var first machine.Result
+	for i, ch := range []int{8, 16, 32} {
+		res, err := machine.New(NodeFor(cores, ch, sp)).Replay(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NearAccesses != 0 || res.SimTime <= 0 {
+			t.Fatalf("%d-channel node: implausible control replay: %+v", ch, res)
+		}
+		if !reflect.DeepEqual(res, cells[i]) {
+			t.Errorf("%d-channel node: the sweep's cell differs from a replay of it\n got %+v\nwant %+v", ch, cells[i], res)
+		}
+		if res = sansEcho(res, ch); i == 0 {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Errorf("the control varies with near channels: %d-channel node\n got %+v\nwant %+v", ch, res, first)
+		}
 	}
 }
 
@@ -275,11 +320,15 @@ func TestKMeansSweepShape(t *testing.T) {
 	if len(s.Points) != 6 {
 		t.Fatalf("points = %d", len(s.Points))
 	}
-	// Far variant must be rho-insensitive; scratchpad variant must never
-	// slow down with added channels and must touch near memory.
-	if s.Points[0].Result.SimTime != s.Points[4].Result.SimTime {
-		t.Error("far k-means varies with near channels")
+	// Far variant must be rho-insensitive (measured on three real replays);
+	// scratchpad variant must never slow down with added channels and must
+	// touch near memory.
+	farTr, _, err := RecordKMeans(w, false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireRhoInsensitive(t, farTr, w.Th, w.SP,
+		[]machine.Result{s.Points[0].Result, s.Points[2].Result, s.Points[4].Result})
 	if s.Points[1].Result.NearAccesses == 0 {
 		t.Error("scratchpad k-means never touched near memory")
 	}

@@ -67,7 +67,8 @@ func RecordKMeans(w KMeansWorkload, scratch bool) (*trace.Trace, kmeans.Result, 
 // baseline and the scratchpad-pinned variant replayed at 2X/4X/8X near
 // bandwidth. The paper's claim — "all our k-means algorithms run a factor
 // of ρ faster using scratchpad" — shows as the scratchpad variant's time
-// falling with ρ while the baseline stays flat.
+// falling with ρ while the baseline stays flat (one shared replay, like
+// BandwidthSweep's; TestKMeansSweepShape measures the three nodes).
 func KMeansSweep(w KMeansWorkload) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("k-means sweep, %d points x %d dims, k=%d, %d iterations, %d cores",
 		w.Points, w.Dims, w.K, w.Iters, w.Th)}

@@ -34,6 +34,7 @@ type replayOut struct {
 	res      machine.Result
 	memFault bool // the replay completed but returned uncorrected data
 	attempts int  // supervised replay attempts (0 on the unsupervised path)
+	shared   bool // filled from its representative's replay, not replayed (see representatives)
 	err      error
 }
 
@@ -67,6 +68,47 @@ func claimOrder(jobs []replayJob) []int {
 	return order
 }
 
+// representatives maps every job to the job whose replay it shares: itself,
+// or the first earlier job on the same trace whose machine differs at most in
+// cfg.Near, when that trace is near-blind. A machine whose near device serves
+// no request runs the same steps under any Near (machine.Result.ForNear), so
+// the two are one replay and only the representative needs a worker. An
+// alias carries no telemetry recorder, which must actually record (the
+// equality below then rules one out on the representative too).
+func representatives(jobs []replayJob) []int {
+	rep := make([]int, len(jobs))
+	for i, j := range jobs {
+		rep[i] = i
+		if j.cfg.Telemetry != nil {
+			continue
+		}
+		for k, r := range jobs[:i] {
+			cfg := j.cfg
+			cfg.Near = r.cfg.Near
+			if rep[k] == k && r.tr == j.tr && r.cfg == cfg && j.tr.NearBlind() {
+				rep[i] = k
+				break
+			}
+		}
+	}
+	return rep
+}
+
+// aliasOf returns the outcome a replay on cfg would have had, given its
+// representative's, or false when this run does not prove the two equal: the
+// representative failed or was cancelled, needed a retry (retry reseeding
+// mixes the cell's own config key, so retried outcomes differ per cell), or
+// — whatever the trace's near-blind bit promised — reports near-device
+// requests or a DMA copy. The caller then replays the alias for real.
+func aliasOf(rep replayOut, cfg machine.Config) (replayOut, bool) {
+	if rep.err != nil || rep.attempts > 1 || rep.res.NearStats.Accesses() != 0 || rep.res.DMACopies != 0 {
+		return replayOut{}, false
+	}
+	rep.res = rep.res.ForNear(cfg.Near)
+	rep.shared = true
+	return rep, true
+}
+
 // runReplays replays every job on a pool of `workers` goroutines (via
 // par.Run, the module's one sanctioned fork-join). Workers pull the next
 // unclaimed job from a shared cursor over claimOrder — dynamic scheduling,
@@ -74,16 +116,24 @@ func claimOrder(jobs []replayJob) []int {
 // slot index, never by claim or completion order, so the claim order shows
 // in wall time only. One worker walks the slots in order.
 //
+// Only representatives are claimed. Each alias is then filled from its
+// representative's outcome, checkpointed under its own cell key; the aliases
+// aliasOf refuses go through the pool as a second batch.
+//
 // With a nil supervisor each job is one undivided replay and errors are
 // the caller's to handle (the historical path — byte-identical to every
 // pre-supervision release). With a supervisor, each job runs as a
 // supervised cell: sliced, panic-contained, retried, checkpointed.
 func runReplays(sup *Supervisor, workers int, jobs []replayJob) []replayOut {
+	return runShared(sup, workers, jobs, representatives(jobs))
+}
+
+// runShared is runReplays under a given job-to-representative map; the
+// identity map replays every job for real.
+func runShared(sup *Supervisor, workers int, jobs []replayJob, rep []int) []replayOut {
 	out := make([]replayOut, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
 	run := func(i int) { out[i] = runJob(jobs[i]) }
+	fill := func(i int, o replayOut) { out[i] = o }
 	if sup != nil {
 		keys, err := sup.cellKeys(jobs)
 		if err != nil {
@@ -93,14 +143,48 @@ func runReplays(sup *Supervisor, workers int, jobs []replayJob) []replayOut {
 			return out
 		}
 		run = func(i int) { out[i] = sup.runCell(jobs[i], keys[i]) }
+		fill = func(i int, o replayOut) {
+			out[i] = sup.cell(jobs[i], keys[i], func() replayOut { return o })
+		}
+	}
+	var reps, redo []int
+	for i, r := range rep {
+		if r == i {
+			reps = append(reps, i)
+		}
+	}
+	runPool(workers, jobs, reps, run)
+	for i, r := range rep {
+		if r == i {
+			continue
+		}
+		if o, ok := aliasOf(out[r], jobs[i].cfg); ok {
+			fill(i, o)
+		} else {
+			redo = append(redo, i)
+		}
+	}
+	runPool(workers, jobs, redo, run)
+	return out
+}
+
+// runPool calls run(i) for every i in idx, on at most `workers` goroutines
+// and never more than there are calls to make.
+func runPool(workers int, jobs []replayJob, idx []int, run func(int)) {
+	if workers > len(idx) {
+		workers = len(idx)
 	}
 	if workers <= 1 {
-		for i := range jobs {
+		for _, i := range idx {
 			run(i)
 		}
-		return out
+		return
 	}
-	order := claimOrder(jobs)
+	batch := make([]replayJob, len(idx))
+	for k, i := range idx {
+		batch[k] = jobs[i]
+	}
+	order := claimOrder(batch)
 	var next atomic.Int64
 	par.Run(workers, nil, func(int, *trace.TP) {
 		for {
@@ -108,10 +192,9 @@ func runReplays(sup *Supervisor, workers int, jobs []replayJob) []replayOut {
 			if k >= len(order) {
 				return
 			}
-			run(order[k])
+			run(idx[order[k]])
 		}
 	})
-	return out
 }
 
 // runJob replays one job with the harness's usual MemFault tolerance.

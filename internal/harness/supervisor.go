@@ -233,6 +233,14 @@ func (sup *Supervisor) ReplayCell(cfg machine.Config, tr trace.Source, label str
 // sliced replay with panic containment, deterministic MemFault retries,
 // and the checkpoint write. Called concurrently from pool workers.
 func (sup *Supervisor) runCell(j replayJob, key CellKey) replayOut {
+	return sup.cell(j, key, func() replayOut { return sup.replay(j, key) })
+}
+
+// cell is the checkpoint protocol around one cell's outcome, wherever the
+// outcome comes from — its own replay, or (runReplays) a representative's:
+// a stored outcome under the cell's key wins, a cancelled sweep starts no
+// new cell, and a successful outcome is written through under that key.
+func (sup *Supervisor) cell(j replayJob, key CellKey, outcome func() replayOut) replayOut {
 	cache := sup.cache()
 	useCache := cache != nil && j.cfg.Telemetry == nil
 	if useCache {
@@ -243,6 +251,20 @@ func (sup *Supervisor) runCell(j replayJob, key CellKey) replayOut {
 	if err := sup.interrupted(); err != nil {
 		return replayOut{err: &CancelledError{Cell: key, Label: j.label, Cause: err}}
 	}
+	out := outcome()
+	if out.err == nil && useCache {
+		if err := cache.Complete(key, CellOutcome{
+			MemFault: out.memFault, Attempts: out.attempts, Result: out.res,
+		}); err != nil {
+			out.err = err
+		}
+	}
+	return out
+}
+
+// replay runs the cell's attempts: one sliced replay, then up to Retries
+// deterministic re-replays of a MemFault outcome.
+func (sup *Supervisor) replay(j replayJob, key CellKey) replayOut {
 	out := sup.attempt(j, key)
 	attempts := 1
 	var mf *fault.MemFaultError
@@ -262,13 +284,6 @@ func (sup *Supervisor) runCell(j replayJob, key CellKey) replayOut {
 		out.err = nil
 	}
 	out.attempts = attempts
-	if out.err == nil && useCache {
-		if err := cache.Complete(key, CellOutcome{
-			MemFault: out.memFault, Attempts: attempts, Result: out.res,
-		}); err != nil {
-			out.err = err
-		}
-	}
 	return out
 }
 

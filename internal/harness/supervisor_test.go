@@ -66,6 +66,7 @@ func TestChaosInterruptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderSweep(t, golden)
+	t.Run("shared replays", func(t *testing.T) { chaosSharedReplays(t, w, want) })
 
 	pars := []int{1, 4}
 	if testing.Short() {
@@ -123,6 +124,119 @@ func TestChaosInterruptResume(t *testing.T) {
 					if p.Fail != "" && !strings.Contains(pointLabel(p), "[cancelled]") {
 						t.Fatalf("round %d: cancelled cell %q not marked: %q", round, p.Label, pointLabel(p))
 					}
+				}
+			}
+		})
+	}
+}
+
+// chaosSharedReplays is TestChaosInterruptResume across the shared-replay
+// seam: the bandwidth sweep's baseline cells are one replay and two fills, and
+// neither an interrupt nor a partial manifest may show it.
+func chaosSharedReplays(t *testing.T, w Workload, want string) {
+	jobs := bandwidthJobs(t, w)
+	for i, label := range []string{"gnusort@2X", "nmsort@2X", "gnusort@4X", "nmsort@4X", "gnusort@8X", "nmsort@8X"} {
+		jobs[i].label = label
+	}
+	keys, err := (&Supervisor{}).cellKeys(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+
+	// The golden manifest: an uninterrupted supervised sweep's.
+	goldenPath := filepath.Join(dir, "golden.json")
+	gw := w
+	gw.Par = 1
+	gw.Sup = &Supervisor{Slice: 1 << 12, Manifest: NewManifest(goldenPath)}
+	if s, err := BandwidthSweep(gw); err != nil || s.Failed() != 0 || renderSweep(t, s) != want {
+		t.Fatalf("golden supervised sweep: err=%v failed=%d", err, s.Failed())
+	}
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("representative cancelled mid-replay", func(t *testing.T) {
+		// Sequential, the first cell claimed is gnusort@2X, the baseline's
+		// representative. Poll 1 admits it; poll 3 falls between its slices.
+		var polls atomic.Uint64
+		chaos := errors.New("chaos kill")
+		man := NewManifest(filepath.Join(dir, "killed.json"))
+		sup := &Supervisor{Slice: 1 << 12, Manifest: man, Interrupt: func() error {
+			if polls.Add(1) >= 3 {
+				return chaos
+			}
+			return nil
+		}}
+		outs := runReplays(sup, 1, jobs)
+		for i, o := range outs {
+			var ce *CancelledError
+			if !errors.As(o.err, &ce) || !errors.Is(o.err, chaos) {
+				t.Fatalf("cell %s: err = %v, want cancelled by the chaos kill", jobs[i].label, o.err)
+			}
+			if ce.Label != jobs[i].label || ce.Cell != keys[i] {
+				t.Errorf("cell %s (%s) cancelled as %q (%s)", jobs[i].label, keys[i], ce.Label, ce.Cell)
+			}
+			if o.shared || (i > 0 && o.res.Events != 0) {
+				t.Errorf("cell %s: a cancelled sweep filled it: %+v", jobs[i].label, o)
+			}
+		}
+		if outs[0].res.Events == 0 {
+			t.Error("the representative was not mid-replay when the kill landed")
+		}
+		if man.Len() != 0 {
+			t.Errorf("%d cells checkpointed by a sweep that completed none", man.Len())
+		}
+	})
+
+	// Partial manifests, as a -resume would find them after a kill.
+	for _, tc := range []struct {
+		name    string
+		held    []int // cells the manifest already holds
+		replays int   // cells that come back as their own (replayed or found), the rest filled
+	}{
+		{"representative held, aliases missing", []int{0, 1, 3, 5}, 4},
+		{"representative alone", []int{0}, 4},
+		{"an alias held, representative missing", []int{2}, 5},
+		{"both aliases held, representative missing", []int{2, 4, 1}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			full, err := OpenManifest(goldenPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 4} {
+				path := filepath.Join(t.TempDir(), "partial.json")
+				part := NewManifest(path)
+				for _, i := range tc.held {
+					c, ok := full.Lookup(keys[i])
+					if !ok {
+						t.Fatalf("golden manifest lacks cell %s under %s", jobs[i].label, keys[i])
+					}
+					if err := part.Complete(keys[i], c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				man, err := OpenManifest(path) // as a fresh process would
+				if err != nil {
+					t.Fatal(err)
+				}
+				rw := w
+				rw.Par = par
+				rw.Sup = &Supervisor{Slice: 1 << 12, Manifest: man}
+				s, err := BandwidthSweep(rw)
+				if err != nil || s.Failed() != 0 {
+					t.Fatalf("par %d: err=%v failed=%d", par, err, s.Failed())
+				}
+				if got := renderSweep(t, s); got != want {
+					t.Errorf("par %d: resumed sweep differs from golden:\n%s\nwant:\n%s", par, got, want)
+				}
+				if s.Replays != tc.replays {
+					t.Errorf("par %d: %d cells came back as their own, want %d", par, s.Replays, tc.replays)
+				}
+				if got, err := os.ReadFile(path); err != nil || string(got) != string(golden) {
+					t.Errorf("par %d: resumed manifest differs from the uninterrupted sweep's (err=%v)", par, err)
 				}
 			}
 		})

@@ -12,6 +12,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/cachesim"
@@ -197,6 +198,21 @@ type Result struct {
 	// release, in order — the phase boundaries of the replayed algorithm.
 	// Inter-barrier deltas attribute sim time to algorithm phases.
 	BarrierTimes []units.Time
+}
+
+// ForNear returns r as a machine differing from the replayed one only in
+// Config.Near would have reported it. It is meaningful only for a replay
+// that never reached the near device (NearStats.Accesses() == 0 and
+// DMACopies == 0): Config.Near is read by spmem.New, Validate and
+// BandwidthExpansion alone, so a near device that serves no request leaves
+// every step of the replay the same, and the two Results differ only where
+// one echoes its configuration — today Phases[].NearChannels.
+func (r Result) ForNear(near spmem.Config) Result {
+	r.Phases = slices.Clone(r.Phases)
+	for i := range r.Phases {
+		r.Phases[i].NearChannels = near.Channels
+	}
+	return r
 }
 
 // Machine is an instantiated node ready to replay one trace. Machines are

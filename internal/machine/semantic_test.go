@@ -308,6 +308,70 @@ func TestReplayMatchesReference(t *testing.T) {
 	t.Logf("%d cases: %d events run, %d elided", seeds, events, elided)
 }
 
+// TestNearBlindReplayIgnoresNear is the property the harness's shared
+// replays rest on: a trace that never reaches the near memory — far→far DMA
+// included — replays to the same Result, Events and Elided too, on machines
+// that differ only in Config.Near, once the Result's echoes of that
+// configuration are re-derived (Result.ForNear). The generator's traces are
+// made near-blind by moving every near address into the far window.
+func TestNearBlindReplayIgnoresNear(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 40
+	}
+	replay := func(c oracleCase, cfg Config) Result {
+		res, err := Run(cfg, c.tr)
+		var mf *fault.MemFaultError
+		if err != nil && !(c.faults != 0 && errors.As(err, &mf)) {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		return res
+	}
+	toFar := func(a *uint64) {
+		if addr.Addr(*a) >= addr.NearBase {
+			*a = *a - uint64(addr.NearBase) + uint64(addr.FarBase)
+		}
+	}
+	echoed, dmas := 0, uint64(0)
+	for seed := 0; seed < seeds; seed++ {
+		r := xrand.New(uint64(seed) + 77)
+		c := semanticCase(r.Uint64(), uint8(r.Intn(16)), uint8(seed), uint8(seed/4), r.Intn(3) == 0)
+		for _, s := range c.tr.Streams {
+			for i := range s {
+				if k := s[i].Kind; k == trace.OpAccess || k == trace.OpAtomic || k == trace.OpDMA {
+					toFar(&s[i].Addr)
+					toFar(&s[i].Addr2)
+				}
+			}
+		}
+		if !c.tr.NearBlind() {
+			t.Fatalf("%s: trace still reaches the near memory", c.name)
+		}
+		base := replay(c, c.config(nil))
+		if base.NearStats.Accesses() != 0 || base.NearUtilization != 0 {
+			t.Fatalf("%s: a near-blind replay reached the near device: %+v", c.name, base.NearStats)
+		}
+		dmas += base.DMACopies
+		for k := 0; k < 3; k++ {
+			cfg := c.config(nil)
+			cfg.Near.Channels = 1 + r.Intn(64)
+			cfg.Near.ChannelBW = units.BytesPerSecond(1 + r.Intn(1<<40))
+			cfg.Near.Latency = units.Time(r.Intn(1 << 30))
+			cfg.Near.Capacity = units.Bytes(r.Intn(1 << 30))
+			got := replay(c, cfg)
+			if want := base.ForNear(cfg.Near); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Near = %+v changed a near-blind replay\n got %+v\nwant %+v", c.name, cfg.Near, got, want)
+			}
+			if !reflect.DeepEqual(got, base) {
+				echoed++
+			}
+		}
+	}
+	if echoed == 0 || dmas == 0 {
+		t.Fatalf("%d replays echoed their Near, %d DMA copies ran: the property is not reaching what it is about", echoed, dmas)
+	}
+}
+
 // FuzzReplayMatchesReference hands the generator's arguments to the fuzzer.
 // scripts/check.sh runs it briefly as a smoke.
 func FuzzReplayMatchesReference(f *testing.F) {

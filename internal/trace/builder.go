@@ -194,7 +194,7 @@ type colBuilder struct {
 	shift  uint   // address shift the addrs column is currently written under
 	orAddr uint64 // OR of every access/atomic address put so far
 	prev   uint64 // last address, shifted
-	counts LevelCounts
+	seen   footprint
 	dict   gapDict
 	tags   chunkBuf // one raw tag byte per op
 	gaps   chunkBuf // uvarint gapDict id per op whose tag sets tagHasGap
@@ -216,8 +216,8 @@ func provisionalShift(l1 L1Geometry) uint {
 	return uint(bits.TrailingZeros64(uint64(l1.LineSize)))
 }
 
-// put appends one op. The level tally costs nothing here — the address is
-// in a register — where a separate Count walk re-decodes every op.
+// put appends one op. Noting its footprint costs nothing here — the address
+// is in a register — where a separate Count walk re-decodes every op.
 func (b *colBuilder) put(op Op) {
 	tag := byte(op.Kind) & tagKindMask
 	if op.Write {
@@ -231,9 +231,10 @@ func (b *colBuilder) put(op Op) {
 	b.ops++
 	switch op.Kind {
 	case OpAccess, OpAtomic:
-		b.counts.tally(op)
+		b.seen.access(op)
 		b.putAddr(op.Addr)
 	case OpDMA:
+		b.seen.dma(op)
 		b.dmas.putUvarint(op.Addr)
 		b.dmas.putUvarint(op.Addr2)
 		b.dmas.putUvarint(uint64(op.Size))
@@ -444,7 +445,7 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 		th := &c.threads[t]
 		th.ops, th.shift = b.ops, b.shift
 		c.totalOps += b.ops
-		c.counts.add(b.counts)
+		c.seen.add(b.seen)
 		for col := range th.off {
 			pos = align(pos)
 			th.off[col] = pos

@@ -42,7 +42,37 @@ func requireMatchesReference(t testing.TB, name string, src trace.Source) []byte
 	if err := col.Verify(); err != nil {
 		t.Fatalf("%s: Verify: %v", name, err)
 	}
+	if want := walkNearBlind(t, src); col.Validate() == nil && (src.NearBlind() != want || col.NearBlind() != want) {
+		t.Fatalf("%s: NearBlind is %v on the source and %v on its opened image, a cursor walk says %v",
+			name, src.NearBlind(), col.NearBlind(), want)
+	}
 	return got
+}
+
+// walkNearBlind decides near-blindness with nothing but a cursor and the
+// address map: no access, atomic or DMA endpoint in the near window.
+func walkNearBlind(t testing.TB, src trace.Source) bool {
+	t.Helper()
+	near := func(a uint64) bool { return addr.Addr(a) >= addr.NearBase }
+	for tid := 0; tid < src.Threads(); tid++ {
+		cur := src.CursorAt(tid)
+		for cur.Next() {
+			switch op := cur.Cur; op.Kind {
+			case trace.OpAccess, trace.OpAtomic:
+				if near(op.Addr) {
+					return false
+				}
+			case trace.OpDMA:
+				if near(op.Addr) || near(op.Addr2) {
+					return false
+				}
+			}
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return true
 }
 
 // walkCounts tallies line transfers with nothing but a cursor and the
@@ -130,6 +160,10 @@ func TestBuilderMatchesReferenceOnAlgorithms(t *testing.T) {
 		if res.Counts != res.Trace.Count() {
 			t.Fatalf("%s: RecordResult.Counts %+v != Trace.Count() %+v", alg, res.Counts, res.Trace.Count())
 		}
+		// Only the two far-memory baselines never reach the scratchpad.
+		if got, want := res.Trace.NearBlind(), alg == harness.AlgGNUSort || alg == harness.AlgGNUExact; got != want {
+			t.Fatalf("%s: NearBlind = %v, want %v", alg, got, want)
+		}
 	}
 	km := harness.KMeansWorkload{Points: 1 << 10, Dims: 4, K: 4, Iters: 2, Seed: 31, Th: 8, SP: 256 * units.KiB}
 	for _, scratch := range []bool{false, true} {
@@ -138,6 +172,71 @@ func TestBuilderMatchesReferenceOnAlgorithms(t *testing.T) {
 			t.Fatalf("kmeans scratch=%v: %v", scratch, err)
 		}
 		requireSealedRecording(t, fmt.Sprintf("kmeans scratch=%v", scratch), tr)
+		if tr.NearBlind() == scratch {
+			t.Fatalf("kmeans scratch=%v: NearBlind = %v", scratch, tr.NearBlind())
+		}
+	}
+}
+
+// TestNearBlindSeesWhatLevelCountsMisses: the near-blind bit is exact where
+// LevelCounts.Near() is not. Near() counts neither atomics nor DMA streams,
+// so it reads zero for a thread that reaches the scratchpad only through the
+// DMA engine or an atomic; the bit must not — in the recorder's builder, in
+// the validation walk of an opened file, and on decoded streams alike.
+func TestNearBlindSeesWhatLevelCountsMisses(t *testing.T) {
+	far, near := addr.FarBase+1<<20, addr.NearBase+4096
+	for _, tc := range []struct {
+		name  string
+		touch func(tp *trace.TP)
+		blind bool
+	}{
+		{"far loads and stores", func(tp *trace.TP) {}, true},
+		{"far atomic", func(tp *trace.TP) { tp.Atomic(far) }, true},
+		{"far to far DMA", func(tp *trace.TP) { tp.DMA(far, far+8192, 4096); tp.DMAWait() }, true},
+		{"near load", func(tp *trace.TP) { tp.Load(near, 8) }, false},
+		{"near atomic", func(tp *trace.TP) { tp.Atomic(near) }, false},
+		{"DMA into near", func(tp *trace.TP) { tp.DMA(far, near, 4096); tp.DMAWait() }, false},
+		{"DMA out of near", func(tp *trace.TP) { tp.DMA(near, far, 4096); tp.DMAWait() }, false},
+		{"empty DMA into near", func(tp *trace.TP) { tp.DMA(far, near, 0) }, false},
+	} {
+		// Every thread streams far memory; only the last one, and only once,
+		// does what the case names.
+		rec := trace.NewRecorder(3, trace.L1Geometry{Capacity: 256, LineSize: 64, Ways: 2}, trace.DefaultCosts())
+		for tid := 0; tid < rec.Threads(); tid++ {
+			tp := rec.Thread(tid)
+			for i := 0; i < 100; i++ {
+				tp.Load(addr.FarBase+addr.Addr(tid<<16+i*64), 8)
+				tp.Store(addr.FarBase+addr.Addr(tid<<16+i*64), 8)
+			}
+			if tid == rec.Threads()-1 {
+				tc.touch(tp)
+			}
+			tp.Barrier()
+		}
+		tr := rec.Finish()
+		requireSealedRecording(t, tc.name, tr) // the bit agrees across sealed, opened and decoded forms
+		if tr.NearBlind() != tc.blind {
+			t.Errorf("%s: NearBlind = %v, want %v", tc.name, tr.NearBlind(), tc.blind)
+		}
+		if !tc.blind && tc.name != "near load" && tr.Count().Near() != 0 {
+			t.Errorf("%s: Count().Near() = %d; the case no longer shows the blind spot", tc.name, tr.Count().Near())
+		}
+	}
+
+	// A file the validation walk rejects promises nothing.
+	bad := &trace.Trace{L1: trace.DefaultL1(), Costs: trace.DefaultCosts(), Streams: [][]trace.Op{
+		{{Kind: trace.OpBarrier}, {Kind: trace.OpEnd}}, {{Kind: trace.OpEnd}},
+	}}
+	image, err := trace.EncodeColumnar(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := trace.OpenBytes(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Validate() == nil || col.NearBlind() {
+		t.Errorf("barrier-mismatched file: Validate = %v, NearBlind = %v; want an error and false", col.Validate(), col.NearBlind())
 	}
 }
 

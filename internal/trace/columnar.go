@@ -110,11 +110,11 @@ type Columnar struct {
 	mapped bool
 
 	// sealed marks an image this process's column builder produced: it is
-	// canonical, its level counts were tallied as the ops were put, and its
+	// canonical, its footprint was noted as the ops were put, and its
 	// footer — digest included — is filled on the first Digest call, not
 	// at seal (see finishFooter).
 	sealed     bool
-	counts     LevelCounts
+	seen       footprint
 	digestOnce sync.Once
 	digestErr  error
 
@@ -129,7 +129,7 @@ type Columnar struct {
 
 	// validateOnce memoizes Validate: the walk is O(ops) and the daemon
 	// validates once per upload, then replays many times. For an opened
-	// file the same walk yields counts.
+	// file the same walk yields its footprint.
 	validateOnce sync.Once
 	validateErr  error
 }
@@ -403,7 +403,17 @@ func (c *Columnar) Count() LevelCounts {
 	if !c.sealed {
 		c.Validate()
 	}
-	return c.counts
+	return c.seen.counts
+}
+
+// NearBlind reports whether no op reaches the near memory: noted as the ops
+// were put for a sealed recording, by the validation walk for an opened file
+// (false if that walk rejects it).
+func (c *Columnar) NearBlind() bool {
+	if !c.sealed && c.Validate() != nil {
+		return false
+	}
+	return !c.seen.near
 }
 
 // AsTrace wraps the columns as a *Trace that replays them in place. It
@@ -485,44 +495,45 @@ func (c *Columnar) Validate() error { return c.ValidatePar(nil) }
 // thread order.
 func (c *Columnar) ValidatePar(fj ForkJoin) error {
 	c.validateOnce.Do(func() {
-		var counts LevelCounts
-		if counts, c.validateErr = c.validate(fj); !c.sealed && c.validateErr == nil {
-			c.counts = counts
+		var seen footprint
+		if seen, c.validateErr = c.validate(fj); !c.sealed && c.validateErr == nil {
+			c.seen = seen
 		}
 	})
 	return c.validateErr
 }
 
 // validate walks every thread once; the walk that checks a stream also
-// tallies it, so a loaded file is never walked a second time for Count.
-func (c *Columnar) validate(fj ForkJoin) (LevelCounts, error) {
+// notes its footprint, so a loaded file is never walked a second time for
+// Count or NearBlind.
+func (c *Columnar) validate(fj ForkJoin) (footprint, error) {
 	type verdict struct {
-		counts   LevelCounts
+		seen     footprint
 		barriers int
 		err      error
 	}
 	verdicts := make([]verdict, len(c.threads))
 	fj.run(len(c.threads), func(t int) {
 		v := &verdicts[t]
-		v.barriers, v.err = c.validateThread(t, &v.counts)
+		v.barriers, v.err = c.validateThread(t, &v.seen)
 	})
-	var total LevelCounts
+	var total footprint
 	for t, v := range verdicts {
 		if v.err != nil {
-			return LevelCounts{}, v.err
+			return footprint{}, v.err
 		}
 		if v.barriers != verdicts[0].barriers {
-			return LevelCounts{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
+			return footprint{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
 				t, v.barriers, verdicts[0].barriers)
 		}
-		total.add(v.counts)
+		total.add(v.seen)
 	}
 	return total, nil
 }
 
 // validateThread checks thread t's stream and framing, returning its
-// barrier count and adding its line transfers to counts.
-func (c *Columnar) validateThread(t int, counts *LevelCounts) (barriers int, err error) {
+// barrier count and adding its ops' footprint to seen.
+func (c *Columnar) validateThread(t int, seen *footprint) (barriers int, err error) {
 	cur := c.CursorAt(t)
 	n := int64(0)
 	endSeen := false
@@ -541,7 +552,7 @@ func (c *Columnar) validateThread(t int, counts *LevelCounts) (barriers int, err
 			if err := levelCheck(op.Addr); err != nil {
 				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
 			}
-			counts.tally(op)
+			seen.access(op)
 		case OpDMA:
 			if err := levelCheck(op.Addr); err != nil {
 				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
@@ -549,6 +560,7 @@ func (c *Columnar) validateThread(t int, counts *LevelCounts) (barriers int, err
 			if err := levelCheck(op.Addr2); err != nil {
 				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
 			}
+			seen.dma(op)
 		case OpPhase:
 			if op.Addr >= uint64(len(c.phaseNames)) {
 				return 0, fmt.Errorf("trace: thread %d op %d names phase %d of %d",

@@ -30,6 +30,12 @@ type Source interface {
 	// Digest returns the stable 64-bit content fingerprint shared by every
 	// encoding of the same logical trace (see Trace.Digest).
 	Digest() (uint64, error)
+	// NearBlind reports that no op of the trace reaches the near memory: no
+	// access or atomic in the near window and no DMA endpoint there. A replay
+	// of such a trace never sends the near device a request, whatever the
+	// machine. Exact for a trace that passes Validate; a columnar file
+	// that fails it reports false.
+	NearBlind() bool
 }
 
 // Compile-time checks: both representations satisfy Source.
@@ -52,6 +58,22 @@ func (tr *Trace) ThreadOps(tid int) int {
 		return tr.cols.ThreadOps(tid)
 	}
 	return len(tr.Streams[tid])
+}
+
+// NearBlind reports whether no op reaches the near memory: the sealed
+// columns' bit, or a walk of the decoded streams.
+func (tr *Trace) NearBlind() bool {
+	if tr.cols != nil {
+		return tr.cols.NearBlind()
+	}
+	for _, s := range tr.Streams {
+		for _, op := range s {
+			if op.touchesNear() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // PhaseTable returns the phase-name table.

@@ -452,6 +452,53 @@ func (c *LevelCounts) tally(op Op) {
 	}
 }
 
+// inNear reports whether a lies in the near window.
+func inNear(a uint64) bool { return addr.Addr(a) >= addr.NearBase }
+
+// touchesNear reports whether replaying op sends a request to the near
+// device: an access or atomic in the near window, or a DMA descriptor with
+// either endpoint there. LevelCounts cannot answer this — Near() counts
+// neither atomics nor DMA streams — so builders and validators keep the
+// answer as a bit beside their counts (footprint, Source.NearBlind).
+func (op Op) touchesNear() bool {
+	switch op.Kind {
+	case OpAccess, OpAtomic:
+		return inNear(op.Addr)
+	case OpDMA:
+		return inNear(op.Addr) || inNear(op.Addr2)
+	}
+	return false
+}
+
+// footprint is what one walk over a trace's ops learns about where they
+// go: the line counts, and the bit the counts cannot give.
+type footprint struct {
+	counts LevelCounts
+	near   bool // some op reaches the near memory (Op.touchesNear)
+}
+
+// access adds one OpAccess or OpAtomic and dma one OpDMA — the two arms of
+// touchesNear, for the walks that are already inside their own switch on Kind
+// (colBuilder.put, Columnar.validateThread): ops of every other kind cost
+// nothing.
+func (f *footprint) access(op Op) {
+	f.counts.tally(op)
+	if inNear(op.Addr) {
+		f.near = true
+	}
+}
+
+func (f *footprint) dma(op Op) {
+	if inNear(op.Addr) || inNear(op.Addr2) {
+		f.near = true
+	}
+}
+
+func (f *footprint) add(o footprint) {
+	f.counts.add(o.counts)
+	f.near = f.near || o.near
+}
+
 func (c *LevelCounts) add(o LevelCounts) {
 	c.FarReads += o.FarReads
 	c.FarWrites += o.FarWrites

@@ -12,9 +12,17 @@
 #   5. go test ./...                  full test suite (includes the
 #                                     record→replay determinism regression)
 #   6. go test -race -short ./...     race detector over the short suite
+#                                     (incl. the shared-replay differentials,
+#                                     TestShared*: every cell a sweep fills
+#                                     from another's replay against its own
+#                                     replay, pooled)
 #   7. chaos smoke                    the short-mode interrupt/resume chaos
 #                                     test: sweeps killed at seeded slice
-#                                     boundaries must resume byte-identically
+#                                     boundaries must resume byte-identically,
+#                                     across the shared-replay seam too (a
+#                                     representative killed mid-replay, a
+#                                     manifest holding it without its aliases
+#                                     and the converse)
 #   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder)
 #                                     and FuzzOpenColumnar (v3 open/cursor
 #                                     path): no panics on hostile bytes,
@@ -31,7 +39,9 @@
 #                                     reference and a stack-distance oracle)
 #   9. serve smoke                    boot nmsimd, run the golden sweep
 #                                     locally + remotely cold + remotely
-#                                     cached, cmp all three byte-identical,
+#                                     cached, cmp all three byte-identical
+#                                     (then the bandwidth sweep the same way,
+#                                     as text and as CSV rows),
 #                                     SIGTERM-drain to exit 0
 #
 # Any stage failing fails the whole script. Run from anywhere inside the

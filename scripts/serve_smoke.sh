@@ -4,8 +4,10 @@
 # Boots the daemon on an ephemeral port, runs the golden dma sweep three
 # ways — locally via cmd/sweep, remotely cold, remotely again (answered
 # from the daemon's result cache) — and requires all three reports to be
-# byte-identical. Then checks the cache actually hit via /v1/stats and
-# that SIGTERM drains the daemon to a clean exit 0.
+# byte-identical. Then checks the cache actually hit via /v1/stats, runs the
+# bandwidth sweep (whose baseline cells share one replay) through the same
+# three-way identity as text and as CSV rows, and checks that SIGTERM drains
+# the daemon to a clean exit 0.
 #
 # A second pass smoke-tests the columnar (v3) serving path: record a trace
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
@@ -66,6 +68,28 @@ stats=$(curl -sSf "http://$addr/v1/stats")
 echo "$stats"
 hits=$(echo "$stats" | sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p')
 [ "${hits:-0}" -gt 0 ] || { echo "result cache never hit"; exit 1; }
+
+# The bandwidth sweep's three baseline cells are one replay and two fills
+# (DESIGN.md §10, "Replay equivalence"), and handleSweep goes through the same
+# pool as the local run: hold it to the same identity, as a rendered report
+# and row by row, cold and from the cache — and require every cell, filled
+# ones included, to be in the result cache under a key of its own (the seed
+# keeps its cells apart from the dma sweep's above). The rows are CSV:
+# /v1/sweeps has no NDJSON output (that is /v1/jobs' single-job stream), so
+# this gate covers text and CSV only.
+bw="-exp=bandwidth -n 8192 -cores 16 -sp 1 -seed 7"
+entries() { curl -sSf "http://$addr/v1/stats" | sed -n 's/.*"cache_entries":\([0-9]*\).*/\1/p'; }
+before=$(entries)
+for fmt in text csv; do
+	echo "== bandwidth sweep, $fmt: local vs remote cold vs remote cached =="
+	"$workdir/sweep" $bw -format "$fmt" > "$workdir/bw_local.$fmt"
+	"$workdir/sweep" $bw -format "$fmt" -server "http://$addr" > "$workdir/bw_cold.$fmt"
+	"$workdir/sweep" $bw -format "$fmt" -server "http://$addr" > "$workdir/bw_warm.$fmt"
+	cmp "$workdir/bw_local.$fmt" "$workdir/bw_cold.$fmt"
+	cmp "$workdir/bw_local.$fmt" "$workdir/bw_warm.$fmt"
+done
+after=$(entries)
+[ $((after - before)) -eq 6 ] || { echo "bandwidth sweep cached $((after - before)) cells, want 6"; exit 1; }
 
 echo "== graceful shutdown =="
 kill -TERM "$daemon_pid"
