@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +27,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -93,28 +93,42 @@ func record(args []string) {
 
 // recordFile records alg on w and writes the trace at out: a .nmt3 output
 // is the recording's own sealed image, anything else the canonical v2
-// stream, written through the columns' cursors.
+// stream, encoded from the columns on every host CPU.
 func recordFile(alg harness.Algorithm, w harness.Workload, out string) (harness.RecordResult, int64, error) {
 	res, err := harness.Record(alg, w)
 	if err != nil {
 		return res, 0, err
 	}
-	var image io.WriterTo = res.Trace
+	to := "v2"
 	if strings.HasSuffix(out, ".nmt3") {
-		image = res.Trace.Columns()
+		to = "v3"
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return res, 0, err
-	}
-	n, err := image.WriteTo(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	n, err := writeFile(out, to, res.Trace)
 	if err != nil {
 		return res, n, fmt.Errorf("writing trace: %w", err)
 	}
 	return res, n, nil
+}
+
+// writeFile writes src at out as serialization to, "v2" or "v3".
+func writeFile(out, to string, src trace.Source) (int64, error) {
+	write := func(w io.Writer) (int64, error) { return trace.WriteV2Par(w, src, par.Each) }
+	if to == "v3" {
+		col, err := trace.Seal(src) // src's own columns, unless it is an opened v3 file
+		if err != nil {
+			return 0, err
+		}
+		write = col.WriteTo
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return 0, err
+	}
+	n, err := write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }
 
 // load opens a trace file in either serialization (sniffed by magic).
@@ -151,29 +165,25 @@ func convertFile(in, out, to string) error {
 			to = "v3"
 		}
 	}
+	if to != "v2" && to != "v3" {
+		return fmt.Errorf("unknown target serialization %q (want v2 or v3)", to)
+	}
 	src, err := trace.Load(in)
 	if err != nil {
 		return err
 	}
-	if err := src.Validate(); err != nil {
-		return fmt.Errorf("invalid trace %s: %w", in, err)
-	}
-	var data []byte
-	switch to {
-	case "v3":
-		if data, err = trace.EncodeColumnar(src); err != nil {
-			return err
+	// One walk of the input serves both ends: a v2 file was validated as it
+	// was read, and the walk that encodes a v3 file's ops validates them. That
+	// one finishes after the output exists, so an invalid input takes its
+	// output back.
+	n, err := writeFile(out, to, src)
+	if err == nil {
+		if err = validate(src); err != nil {
+			err = fmt.Errorf("invalid trace %s: %w", in, err)
 		}
-	case "v2":
-		var buf bytes.Buffer
-		if _, err = trace.WriteV2(&buf, src); err != nil {
-			return err
-		}
-		data = buf.Bytes()
-	default:
-		return fmt.Errorf("unknown target serialization %q (want v2 or v3)", to)
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	if err != nil {
+		os.Remove(out)
 		return err
 	}
 	d, err := src.Digest()
@@ -181,8 +191,16 @@ func convertFile(in, out, to string) error {
 		return err
 	}
 	fmt.Printf("converted %s -> %s (%s): %d threads, %d ops, %d bytes, digest %016x\n",
-		in, out, to, src.Threads(), src.Ops(), len(data), d)
+		in, out, to, src.Threads(), src.Ops(), n, d)
 	return nil
+}
+
+// validate is src.Validate with a v3 file's walk run on every host CPU.
+func validate(src trace.Source) error {
+	if col, ok := src.(*trace.Columnar); ok {
+		return col.ValidatePar(par.Each)
+	}
+	return src.Validate()
 }
 
 func stat(args []string) {
@@ -305,31 +323,47 @@ func info(args []string) {
 		log.Fatal("nmtrace info: -i is required")
 	}
 	tr := load(*in)
-	if err := tr.Validate(); err != nil {
+	if err := validate(tr); err != nil {
 		log.Fatalf("nmtrace info: invalid trace: %v", err)
 	}
 
-	var kinds [8]uint64
-	var gaps, far, near uint64
-	minOps, maxOps := int(^uint(0)>>1), 0
-	for tid := 0; tid < tr.Threads(); tid++ {
-		n := tr.ThreadOps(tid)
-		minOps, maxOps = min(minOps, n), max(maxOps, n)
+	// Every thread tallies its own ops, on every host CPU; the sums do not
+	// depend on the order they are added in.
+	type tally struct {
+		kinds           [8]uint64
+		gaps, far, near uint64
+		err             error
+	}
+	tallies := make([]tally, tr.Threads())
+	par.Each(len(tallies), func(tid int) {
+		y := &tallies[tid]
 		cur := tr.CursorAt(tid)
 		for cur.Next() {
-			kinds[cur.Cur.Kind]++
-			gaps += uint64(cur.Cur.Gap)
+			y.kinds[cur.Cur.Kind]++
+			y.gaps += uint64(cur.Cur.Gap)
 			if cur.Cur.Kind == trace.OpAccess { // routable: Validate passed
 				if addr.LevelOf(addr.Addr(cur.Cur.Addr)) == addr.Near {
-					near++
+					y.near++
 				} else {
-					far++
+					y.far++
 				}
 			}
 		}
-		if err := cur.Err(); err != nil {
-			log.Fatalf("nmtrace info: %v", err)
+		y.err = cur.Err()
+	})
+	var kinds [8]uint64
+	var gaps, far, near uint64
+	minOps, maxOps := int(^uint(0)>>1), 0
+	for tid, y := range tallies {
+		if y.err != nil {
+			log.Fatalf("nmtrace info: %v", y.err)
 		}
+		n := tr.ThreadOps(tid)
+		minOps, maxOps = min(minOps, n), max(maxOps, n)
+		for k, v := range y.kinds {
+			kinds[k] += v
+		}
+		gaps, far, near = gaps+y.gaps, far+y.far, near+y.near
 	}
 	l1, costs := tr.Geometry(), tr.CostModel()
 	fmt.Printf("threads:      %d (ops per thread %d..%d)\n", tr.Threads(), minOps, maxOps)

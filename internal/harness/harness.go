@@ -158,7 +158,8 @@ func Record(alg Algorithm, w Workload) (RecordResult, error) {
 	// Seal and validate on every host CPU: both are per-thread walks, and
 	// together they are the only O(ops) work left between the sort and the
 	// first replay (the counts were tallied as the ops were emitted; the
-	// digest waits for whoever first asks for it).
+	// digest rides the validation walk, so cell keys, the trace cache and
+	// the daemon's store find it already there).
 	res.Trace = rec.FinishPar(par.Each)
 	if err := res.Trace.Columns().ValidatePar(par.Each); err != nil {
 		return res, fmt.Errorf("harness: invalid trace: %w", err)

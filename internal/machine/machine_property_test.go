@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -144,31 +145,75 @@ func TestReplayPropertyInvariants(t *testing.T) {
 	}
 }
 
+// monotoneSlack is how much slower a replay may get when only near-memory
+// channels are added: one worst-case far access — precharge, activate, CAS
+// and the line's burst. More near bandwidth moves near fills earlier, which
+// can reorder two cores' requests at the shared far channel; the one that now
+// loses the race can find its row closed and wait out a full row miss, and if
+// that happens on the critical path's last far access nothing later absorbs
+// it. Strict monotonicity is therefore not a property of the model.
+func monotoneSlack(cfg Config) units.Time {
+	return cfg.Far.TRp + cfg.Far.TRcd + cfg.Far.TCas + cfg.Far.ChannelBW.TransferTime(cfg.Far.LineSize)
+}
+
+// bandwidthLadder replays tr on the tiny node at 2, 8 and 32 near channels.
+func bandwidthLadder(t *testing.T, tr *trace.Trace) (times [3]units.Time) {
+	t.Helper()
+	for i, ch := range []int{2, 8, 32} {
+		res, err := Run(TinyConfig(ch, 64*units.MiB), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times[i] = res.SimTime
+	}
+	return times
+}
+
 // TestReplayMonotoneInBandwidth: for a fixed trace, more near-memory
-// channels can never make the replay slower.
+// channels never make the replay slower by more than monotoneSlack. The
+// inputs come from a fixed source: a suite that gates merges does not draw a
+// fresh sample of a property known to have counterexamples.
 func TestReplayMonotoneInBandwidth(t *testing.T) {
+	slack := monotoneSlack(TinyConfig(2, 64*units.MiB))
 	f := func(ops []uint32) bool {
 		if len(ops) == 0 {
 			return true
 		}
-		tr := randomTrace(ops, 4, false)
-		var prev units.Time
-		first := true
-		for _, ch := range []int{2, 8, 32} {
-			res, err := Run(TinyConfig(ch, 64*units.MiB), tr)
-			if err != nil {
+		times := bandwidthLadder(t, randomTrace(ops, 4, false))
+		for i := 1; i < len(times); i++ {
+			if times[i] > times[i-1]+slack {
+				t.Logf("rung %d slower by more than %v: %v > %v", i, slack, times[i], times[i-1])
 				return false
 			}
-			if !first && res.SimTime > prev {
-				t.Logf("channels %d slower: %v > %v", ch, res.SimTime, prev)
-				return false
-			}
-			prev, first = res.SimTime, false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(2015))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReplayBandwidthAnomaly pins the counterexample to strict monotonicity
+// — the worst of 113 found in 150 000 generated traces, where about one in
+// 1 300 has one: 8 near channels replay it 43.959 ns slower than 2, within
+// monotoneSlack (46.505 ns). If a kernel change makes it vanish, find the
+// next one before tightening the property above.
+func TestReplayBandwidthAnomaly(t *testing.T) {
+	ops := []uint32{
+		0x53b90152, 0xfed17ae8, 0x969136e5, 0xfa954775, 0x296b6974, 0xad85905a, 0xc6b9a55c, 0x4e69e788,
+		0xe10bc166, 0xd5b86168, 0x6bea39aa, 0x883f1c57, 0xd80b73e8, 0x196c7c61, 0x16c5dcca, 0x552eecfd,
+		0x73125e, 0x9c7419b6, 0xd3693f4, 0xcc45d7b, 0xd4bf4503, 0x30db6197, 0x126a13b, 0xa1878682,
+		0xd8d40071, 0xe3b547c8, 0x44226f6, 0x8b813648, 0x2075563, 0x9fc5f30f, 0x833ddde4, 0xbff8af2c,
+		0x214f8148, 0x5d8882af, 0x9d631f17, 0x63a40d5e, 0x7fea9c7b, 0x7148214d, 0x2af7b157, 0xc9335327,
+		0x4b0b475f, 0x73445975, 0x2dd242e9, 0x5eb3eeb8, 0x5d29086a, 0x67034255,
+	}
+	times := bandwidthLadder(t, randomTrace(ops, 4, false))
+	slack := monotoneSlack(TinyConfig(2, 64*units.MiB))
+	if d := times[1] - times[0]; d <= 0 || d > slack {
+		t.Fatalf("8 channels vs 2: %v vs %v (%+v); want slower, by at most %v", times[1], times[0], d, slack)
+	}
+	if times[2] > times[1] {
+		t.Fatalf("32 channels slower than 8: %v > %v", times[2], times[1])
 	}
 }
 

@@ -377,3 +377,29 @@ func TestOversizedJSONBodyRejected(t *testing.T) {
 		t.Fatalf("job after oversized bodies: %v", err)
 	}
 }
+
+// TestOversizedTraceUploadRejected: a trace body one byte past
+// MaxUploadBytes is 413 like the JSON endpoints' oversized bodies, not the
+// 400 of a malformed one; a body that fits is accepted.
+func TestOversizedTraceUploadRejected(t *testing.T) {
+	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if _, err := rec.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	_, tight := newTestServer(t, serve.Config{MaxUploadBytes: int64(v2.Len()) - 1})
+	_, err = tight.UploadTraceBytes(context.Background(), v2.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "413") || !strings.Contains(err.Error(), "serve: reading trace") {
+		t.Errorf("upload one byte over the cap: %v, want a 413 naming the read", err)
+	}
+	_, exact := newTestServer(t, serve.Config{MaxUploadBytes: int64(v2.Len())})
+	if _, err := exact.UploadTraceBytes(context.Background(), v2.Bytes()); err != nil {
+		t.Errorf("upload exactly at the cap: %v", err)
+	}
+	if _, err := exact.UploadTraceBytes(context.Background(), []byte("NMTR garbage")); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("malformed upload: %v, want 400", err)
+	}
+}

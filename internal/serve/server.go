@@ -165,43 +165,41 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 }
 
 // handleUpload ingests a serialized trace stream into the store, in either
-// serialization: v1/v2 (trace.WriteTo bytes, checksum-verified by
-// ReadTrace) or columnar v3, sniffed by magic. A v3 upload is stored as a
-// *trace.Columnar and replayed straight from its column bytes — but only
-// after Verify recomputes both its payload CRC and its content digest: the
-// store is content-addressed by the footer's digest claim, so a forged
-// footer could otherwise poison the cache entry of a different trace.
+// serialization, sniffed by magic, and either way as columns replayed in
+// place. A v1/v2 body (trace.WriteTo bytes) is checksum-verified, validated
+// and sealed by ReadTrace's one pass. A v3 body is stored as it arrived —
+// but only after Verify recomputes both its payload CRC and its content
+// digest: the store is content-addressed by the footer's digest claim, so a
+// forged footer could otherwise poison the cache entry of a different trace.
+// Verify's walk validates as it goes, so the Validate after it is a lookup;
+// it runs on the handler's goroutine — one request, one CPU.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	var src trace.Source
-	if body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)); err != nil {
-		fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		fail(w, fmt.Errorf("serve: reading trace: %w", err), status)
 		return
-	} else if trace.IsColumnar(body) {
-		col, err := trace.OpenBytes(body)
-		if err != nil {
-			fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
-			return
-		}
-		if err := col.Verify(); err != nil {
-			fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
-			return
-		}
-		if err := col.Validate(); err != nil {
-			fail(w, fmt.Errorf("serve: invalid trace: %w", err), http.StatusBadRequest)
-			return
+	}
+	var src trace.Source
+	if trace.IsColumnar(body) {
+		var col *trace.Columnar
+		if col, err = trace.OpenBytes(body); err == nil {
+			err = col.Verify()
 		}
 		src = col
 	} else {
-		tr, err := trace.ReadTrace(bytes.NewReader(body))
-		if err != nil {
-			fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			fail(w, fmt.Errorf("serve: invalid trace: %w", err), http.StatusBadRequest)
-			return
-		}
-		src = tr
+		src, err = trace.ReadTrace(bytes.NewReader(body))
+	}
+	if err != nil {
+		fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
+		return
+	}
+	if err := src.Validate(); err != nil {
+		fail(w, fmt.Errorf("serve: invalid trace: %w", err), http.StatusBadRequest)
+		return
 	}
 	d, err := s.store.Put(src)
 	if err != nil {

@@ -16,13 +16,14 @@ import (
 // whole run. The budget is therefore soft under load: pinned bytes can
 // exceed it, and the store converges back under it as pins release.
 //
-// Entries are trace.Sources: decoded *Trace uploads (v2 bodies) charge heap
-// bytes per op, columnar traces charge their image size — a recording's
-// sealed image or an uploaded v3 body as heap bytes, a locally opened file
-// as mapped bytes, because a mapped trace holds address space and page
-// cache, not Go heap. Both spend the same budget; Stats reports the split.
-// A recording costs ~3.3 B/op sealed where its decoded form cost 32, so a
-// budget holds about ten times as many recordings as uploads of v2 files. Eviction only
+// Entries are trace.Sources, and every one the daemon itself creates is
+// columns: a recording's sealed image, an uploaded v2 body sealed by
+// ReadTrace, or an uploaded v3 body charge their image size as heap bytes; a
+// locally opened file charges mapped bytes, because a mapped trace holds
+// address space and page cache, not Go heap. Both spend the same budget;
+// Stats reports the split. An image costs ~3.3 B/op whichever way it
+// arrived; only a trace handed over as decoded streams (a hand-built one)
+// still charges the 32 B/op it occupies. Eviction only
 // drops the store's reference: a pinned Source stays valid for its
 // borrower, and a mapped Columnar's pages are released by the finalizer
 // trace.Open installs once the last reference (store, pin, or cursor)

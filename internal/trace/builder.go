@@ -411,23 +411,10 @@ func (r *chunkReader) take(dst []byte, n int) []byte {
 // returned opened: seal measures, the layout follows from the sizes, and
 // each thread then encodes into its own slots — both per-thread steps under
 // fj. Everything but the footer is final; the footer carries the content
-// digest, which costs a walk of every op, so Columnar.Digest fills it on
-// first use (see finishFooter).
+// digest, which costs a walk of every op, so the image's first walk — the
+// one that validates it — fills it (see Columnar.settle).
 func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder, fj ForkJoin) *Columnar {
-	var hdr bytes.Buffer
-	hdr.WriteString(columnarMagic)
-	for _, v := range []int64{
-		columnarVersion,
-		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
-		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
-		int64(len(threads)), int64(len(names)),
-	} {
-		hdr.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
-	}
-	for _, name := range names {
-		hdr.Write(binary.AppendUvarint(nil, uint64(len(name))))
-		hdr.WriteString(name)
-	}
+	hdr := appendHeader(columnarMagic, columnarVersion, costs, l1, len(threads), names)
 
 	sizes := make([][numCols]int, len(threads))
 	fj.run(len(threads), func(t int) { sizes[t] = threads[t].seal() })
@@ -440,7 +427,7 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 		phaseNames: names,
 		threads:    make([]colThread, len(threads)),
 	}
-	pos := int64(hdr.Len())
+	pos := int64(len(hdr))
 	for t, b := range threads {
 		th := &c.threads[t]
 		th.ops, th.shift = b.ops, b.shift
@@ -455,7 +442,7 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 	}
 	c.tableOff = align(pos)
 	c.data = make([]byte, c.tableOff+int64(len(threads))*tableEntrySize+footerSize)
-	copy(c.data, hdr.Bytes())
+	copy(c.data, hdr)
 
 	fj.run(len(threads), func(t int) {
 		th := &c.threads[t]
@@ -491,12 +478,6 @@ func Seal(src Source) (*Columnar, error) {
 	case len(names) > maxPhaseNames:
 		return nil, fmt.Errorf("trace: refusing to serialize %d phase names (max %d)", len(names), maxPhaseNames)
 	}
-	// Every encoding of one logical trace shares its digest, and src has
-	// usually memoized it: adopt it rather than walk the new columns.
-	digest, err := src.Digest()
-	if err != nil {
-		return nil, err
-	}
 	threads := make([]*colBuilder, src.Threads())
 	for t := range threads {
 		b := &colBuilder{shift: provisionalShift(src.Geometry())}
@@ -509,22 +490,24 @@ func Seal(src Source) (*Columnar, error) {
 		}
 		threads[t] = b
 	}
-	c := sealImage(src.CostModel(), src.Geometry(), names, threads, nil)
-	c.digestOnce.Do(func() { c.finishFooter(digest) })
-	return c, nil
+	return sealImage(src.CostModel(), src.Geometry(), names, threads, nil), nil
+}
+
+// columnsOf returns the columns src is made of, or nil for decoded streams.
+func columnsOf(src Source) *Columnar {
+	switch s := src.(type) {
+	case *Trace:
+		return s.cols
+	case *Columnar:
+		return s
+	}
+	return nil
 }
 
 // sealedColumns returns the builder-sealed columns src is made of, or nil.
 func sealedColumns(src Source) *Columnar {
-	switch s := src.(type) {
-	case *Trace:
-		if s.cols != nil && s.cols.sealed {
-			return s.cols
-		}
-	case *Columnar:
-		if s.sealed {
-			return s
-		}
+	if c := columnsOf(src); c != nil && c.sealed {
+		return c
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/addr"
-	"repro/internal/units"
 )
 
 // levelCheck is the non-panicking twin of addr.LevelOf: Columnar.Validate
@@ -110,13 +109,12 @@ type Columnar struct {
 	mapped bool
 
 	// sealed marks an image this process's column builder produced: it is
-	// canonical, its footprint was noted as the ops were put, and its
-	// footer — digest included — is filled on the first Digest call, not
-	// at seal (see finishFooter).
-	sealed     bool
-	seen       footprint
-	digestOnce sync.Once
-	digestErr  error
+	// canonical, its footprint was noted as the ops were put, and its footer
+	// — digest included — is filled by its first walk, not at seal (see
+	// settle).
+	sealed    bool
+	seen      footprint
+	digestErr error
 
 	costs      Costs
 	l1         L1Geometry
@@ -127,9 +125,10 @@ type Columnar struct {
 	payloadCRC uint64
 	tableOff   int64
 
-	// validateOnce memoizes Validate: the walk is O(ops) and the daemon
-	// validates once per upload, then replays many times. For an opened
-	// file the same walk yields its footprint.
+	// validateOnce memoizes the first walk's findings (see settle): Validate's
+	// verdict — the walk is O(ops) and the daemon validates once per upload,
+	// then replays many times — with an opened file's footprint or a sealed
+	// image's digest.
 	validateOnce sync.Once
 	validateErr  error
 }
@@ -203,65 +202,30 @@ func openBytes(data []byte, mapped bool) (*Columnar, error) {
 	}
 
 	// Header: same field set as v2 behind the v3 magic.
-	br := bytes.NewReader(data[:tableOff])
-	off := func() int { return int(tableOff) - br.Len() }
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, decodeErr("header", off(), fmt.Errorf("reading magic: %w", err))
-	}
-	if string(magic) != columnarMagic {
-		return nil, decodeErrf("header", 0, "bad magic %q", magic)
-	}
-	hdr := make([]int64, 9)
-	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
-		return nil, decodeErr("header", off(), fmt.Errorf("reading fields: %w", err))
+	h := headerReader{br: bytes.NewReader(data[:tableOff]), end: int(tableOff)}
+	hdr, err := h.fields(columnarMagic)
+	if err != nil {
+		return nil, err
 	}
 	if hdr[0] != columnarVersion {
 		return nil, decodeErrf("header", 4, "unsupported version %d", hdr[0])
 	}
 	if hdr[8] != threads {
-		return nil, decodeErrf("header", off()-8, "header thread count %d != footer %d", hdr[8], threads)
+		return nil, decodeErrf("header", h.off()-8, "header thread count %d != footer %d", hdr[8], threads)
 	}
 	c := &Columnar{
-		data:   data,
-		mapped: mapped,
-		costs: Costs{
-			IssueCycles: hdr[1], L1HitCycles: hdr[2],
-			CompareCycles: hdr[3], AtomicCycles: hdr[4],
-		},
-		l1: L1Geometry{
-			Capacity: units.Bytes(hdr[5]),
-			LineSize: units.Bytes(hdr[6]),
-			Ways:     int(hdr[7]),
-		},
+		data:       data,
+		mapped:     mapped,
 		totalOps:   totalOps,
 		digest:     le.Uint64(ftr[32:40]),
 		payloadCRC: le.Uint64(ftr[40:48]),
 		tableOff:   tableOff,
 	}
-	var nNames int64
-	if err := binary.Read(br, binary.LittleEndian, &nNames); err != nil {
-		return nil, decodeErr("phase table", off(), fmt.Errorf("phase-name count: %w", err))
+	c.costs, c.l1 = headerModel(hdr)
+	if c.phaseNames, _, err = h.names("header"); err != nil {
+		return nil, err
 	}
-	if nNames < 0 || nNames > maxPhaseNames {
-		return nil, decodeErrf("phase table", off()-8, "implausible phase-name count %d", nNames)
-	}
-	for i := int64(0); i < nNames; i++ {
-		at := off()
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d length: %w", i, err))
-		}
-		if l > uint64(br.Len()) {
-			return nil, decodeErrf("phase table", at, "phase name %d length %d exceeds header", i, l)
-		}
-		name := make([]byte, l)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d: %w", i, err))
-		}
-		c.phaseNames = append(c.phaseNames, string(name))
-	}
-	headerEnd := int64(off())
+	headerEnd := int64(h.off())
 
 	// Section table: every column 64-byte aligned, in file order, disjoint,
 	// inside (headerEnd, tableOff], with a plausible claimed op count.
@@ -361,26 +325,19 @@ func (c *Columnar) CostModel() Costs { return c.costs }
 // Digest returns the content digest — the canonical digest every encoding
 // of this trace shares. An opened file's is the footer's stored value,
 // trusted, so the call is O(1); Verify recomputes it from the decoded ops.
-// A sealed recording computes its own on the first call, as a decoded
-// Trace does, and completes its footer with it: sealing stays off the
-// record path's clock, and a recording that is only replayed never pays
-// for a digest at all.
+// A sealed image learns its own from the lanes of its first walk, which is
+// its validation walk: one that ValidatePar has run under a ForkJoin — as
+// harness.Record does — answers in O(1) here.
 func (c *Columnar) Digest() (uint64, error) {
-	c.digestOnce.Do(func() {
-		if !c.sealed {
-			return
-		}
-		var digest uint64
-		if _, digest, c.digestErr = writePayload(io.Discard, c); c.digestErr == nil {
-			c.finishFooter(digest)
-		}
-	})
+	if c.sealed {
+		c.ValidatePar(nil)
+	}
 	return c.digest, c.digestErr
 }
 
-// finishFooter writes a sealed image's footer. Only Digest's once calls it,
-// and nothing reads footer bytes except through Digest, so cursors — which
-// read column bytes only — may run concurrently.
+// finishFooter writes a sealed image's footer. Only settle calls it, under
+// validateOnce, and nothing reads footer bytes except through Digest, so
+// cursors — which read column bytes only — may run concurrently.
 func (c *Columnar) finishFooter(digest uint64) {
 	le := binary.LittleEndian
 	payload := c.data[:len(c.data)-footerSize]
@@ -492,98 +449,209 @@ func (c *Columnar) Validate() error { return c.ValidatePar(nil) }
 
 // ValidatePar is Validate with the per-thread walks run under fj. The
 // verdict is the one the sequential walk reaches: errors are reported in
-// thread order.
+// thread order. A sealed image's walk carries digest lanes — its digest is
+// the one thing sealing left undone — so a recording validated here answers
+// Digest in O(1) afterwards. An opened file's never does: its footer names
+// its digest, and a warm trace cache pays for validation only.
 func (c *Columnar) ValidatePar(fj ForkJoin) error {
 	c.validateOnce.Do(func() {
-		var seen footprint
-		if seen, c.validateErr = c.validate(fj); !c.sealed && c.validateErr == nil {
-			c.seen = seen
+		var lanes []lane
+		if c.sealed {
+			lanes = make([]lane, len(c.threads))
 		}
+		c.settle(c.walk(fj, lanes))
 	})
 	return c.validateErr
 }
 
-// validate walks every thread once; the walk that checks a stream also
-// notes its footprint, so a loaded file is never walked a second time for
-// Count or NearBlind.
-func (c *Columnar) validate(fj ForkJoin) (footprint, error) {
-	type verdict struct {
-		seen     footprint
-		barriers int
-		err      error
-	}
-	verdicts := make([]verdict, len(c.threads))
-	fj.run(len(c.threads), func(t int) {
-		v := &verdicts[t]
-		v.barriers, v.err = c.validateThread(t, &v.seen)
-	})
-	var total footprint
-	for t, v := range verdicts {
-		if v.err != nil {
-			return footprint{}, v.err
-		}
-		if v.barriers != verdicts[0].barriers {
-			return footprint{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
-				t, v.barriers, verdicts[0].barriers)
-		}
-		total.add(v.seen)
-	}
-	return total, nil
+// walkResult is what one pass over every thread finds.
+type walkResult struct {
+	seen    footprint
+	verdict error  // Validate's: the first structural or decode failure, in thread order
+	decode  error  // the first decode failure alone: all that stops Verify, Digest and WriteV2
+	digest  uint64 // folded from the lanes, when the walk carried them and every op decoded
 }
 
-// validateThread checks thread t's stream and framing, returning its
-// barrier count and adding its ops' footprint to seen.
-func (c *Columnar) validateThread(t int, seen *footprint) (barriers int, err error) {
+// settle memoizes a walk's findings. Callers hold validateOnce; a sealed
+// image's walk carried lanes.
+func (c *Columnar) settle(r walkResult) {
+	c.validateErr = r.verdict
+	switch {
+	case !c.sealed:
+		if r.verdict == nil {
+			c.seen = r.seen
+		}
+	case r.decode != nil:
+		c.digestErr = r.decode
+	default:
+		c.finishFooter(r.digest)
+	}
+}
+
+// walkHook, when a test sets it, hears of every walk and whether it carried
+// lanes.
+var walkHook func(lanes bool)
+
+// walk is the one O(ops) pass a trace needs at a boundary, each thread's
+// share run under fj. It always checks what Validate checks and notes the
+// footprint, so a loaded file is never walked a second time for Count or
+// NearBlind. Given lanes (one per thread) it also encodes every op into its
+// thread's: the digest, Verify and WriteV2 ride the validation walk instead
+// of repeating it. The two verdicts stay apart — a structurally odd trace
+// still has a digest and a v2 form — so with lanes a thread is walked to its
+// end whatever Validate thinks of it, and only a decode failure stops it.
+func (c *Columnar) walk(fj ForkJoin, lanes []lane) (r walkResult) {
+	if walkHook != nil {
+		walkHook(lanes != nil)
+	}
+	checks := make([]threadCheck, len(c.threads))
+	fj.run(len(c.threads), func(t int) {
+		var l *lane
+		if lanes != nil {
+			l = &lanes[t]
+		}
+		c.walkThread(t, &checks[t], l)
+	})
+	r.seen, r.verdict = foldChecks(checks)
+	for t := range checks {
+		if r.decode = checks[t].decode; r.decode != nil {
+			return r
+		}
+	}
+	if lanes != nil {
+		var hdr []byte
+		if hdr, r.decode = headerV2(c); r.decode == nil {
+			r.digest = foldLanes(hdr, lanes)
+		}
+	}
+	return r
+}
+
+// walkThread is thread t's share of walk.
+func (c *Columnar) walkThread(t int, k *threadCheck, l *lane) {
+	k.tid, k.phases = t, len(c.phaseNames)
 	cur := c.CursorAt(t)
-	n := int64(0)
-	endSeen := false
-	for cur.Next() {
-		if endSeen {
-			return 0, fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
-		}
-		n++
+	if l != nil {
+		l.begin(int(c.threads[t].ops))
+	}
+	// The loop keeps what nearly every op of a real trace needs — an access
+	// that routes, in a stream still running — in registers; k takes the rest.
+	n, running := int64(0), true
+	for ; cur.Next(); n++ {
 		op := cur.Cur
-		switch op.Kind {
-		case OpEnd:
-			endSeen = true
-		case OpBarrier:
-			barriers++
-		case OpAccess, OpAtomic:
-			if err := levelCheck(op.Addr); err != nil {
-				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
+		if routedAccess(op) && running {
+			k.seen.access(op)
+		} else {
+			k.op(n, op)
+			if k.err != nil && l == nil {
+				return
 			}
-			seen.access(op)
-		case OpDMA:
-			if err := levelCheck(op.Addr); err != nil {
-				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-			}
-			if err := levelCheck(op.Addr2); err != nil {
-				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-			}
-			seen.dma(op)
-		case OpPhase:
-			if op.Addr >= uint64(len(c.phaseNames)) {
-				return 0, fmt.Errorf("trace: thread %d op %d names phase %d of %d",
-					t, n-1, op.Addr, len(c.phaseNames))
-			}
+			running = !k.endSeen
+		}
+		if l != nil {
+			l.put(op)
 		}
 	}
-	if err := cur.Err(); err != nil {
-		return 0, err
+	if l != nil {
+		l.end()
 	}
-	if n != c.threads[t].ops {
-		return 0, decodeErrf("section table", int(c.tableOff)+t*tableEntrySize,
+	k.decode = cur.Err()
+	switch {
+	case k.err != nil:
+	case k.decode != nil:
+		k.err = k.decode
+	case n != c.threads[t].ops:
+		k.err = decodeErrf("section table", int(c.tableOff)+t*tableEntrySize,
 			"thread %d decoded %d ops, table claims %d", t, n, c.threads[t].ops)
+	default:
+		k.finish()
 	}
-	if !endSeen {
-		return 0, fmt.Errorf("trace: thread %d stream not terminated", t)
-	}
-	if col := cur.remaining(); col >= 0 {
-		return 0, decodeErrf(cur.colSection(col), int(cur.colOffset(col)),
+	if col := cur.remaining(); k.err == nil && col >= 0 {
+		k.err = decodeErrf(cur.colSection(col), int(cur.colOffset(col)),
 			"%d trailing bytes past the claimed %d ops",
 			cur.ends[col]-cur.colOffset(col), c.threads[t].ops)
 	}
-	return barriers, nil
+}
+
+// threadCheck is what Validate asks of one thread, as state: its ops are
+// noted in stream order by whichever walk is passing — a columnar cursor's,
+// or the v2 reader's — and the first failure sticks.
+type threadCheck struct {
+	tid, phases int // the thread, and how many phase names a marker may index
+	barriers    int
+	endSeen     bool
+	seen        footprint
+	err         error // the first failure; no op after it is checked
+	decode      error // the cursor's own failure, when that ended the walk
+}
+
+// routedAccess reports whether op is an access to a mapped address: in a
+// stream that has not ended, an op with nothing for threadCheck.op to check
+// and no state to change but the footprint. The walks test it inline.
+func routedAccess(op Op) bool {
+	return op.Kind == OpAccess && addr.Addr(op.Addr) >= addr.FarBase
+}
+
+// op notes op, the thread's i-th.
+func (k *threadCheck) op(i int64, op Op) {
+	switch {
+	case k.err != nil:
+		return
+	case k.endSeen:
+		k.err = fmt.Errorf("trace: thread %d has interior OpEnd at %d", k.tid, i-1)
+		return
+	}
+	var err error
+	switch op.Kind {
+	case OpEnd:
+		k.endSeen = true
+	case OpBarrier:
+		k.barriers++
+	case OpAccess, OpAtomic:
+		if err = levelCheck(op.Addr); err == nil {
+			k.seen.access(op)
+		}
+	case OpDMA:
+		if err = levelCheck(op.Addr); err == nil {
+			err = levelCheck(op.Addr2)
+		}
+		if err == nil {
+			k.seen.dma(op)
+		}
+	case OpPhase:
+		if op.Addr >= uint64(k.phases) {
+			k.err = fmt.Errorf("trace: thread %d op %d names phase %d of %d", k.tid, i, op.Addr, k.phases)
+		}
+	}
+	if err != nil {
+		k.err = fmt.Errorf("trace: thread %d op %d: %w", k.tid, i, err)
+	}
+}
+
+// finish closes the stream: it must have ended on its OpEnd.
+func (k *threadCheck) finish() {
+	if k.err == nil && !k.endSeen {
+		k.err = fmt.Errorf("trace: thread %d stream not terminated", k.tid)
+	}
+}
+
+// foldChecks merges the per-thread findings into Validate's verdict — the
+// first failure in thread order, barrier disagreement included — and, for a
+// trace that passes, its footprint.
+func foldChecks(checks []threadCheck) (footprint, error) {
+	var total footprint
+	for t := range checks {
+		k := &checks[t]
+		if k.err != nil {
+			return footprint{}, k.err
+		}
+		if k.barriers != checks[0].barriers {
+			return footprint{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
+				t, k.barriers, checks[0].barriers)
+		}
+		total.add(k.seen)
+	}
+	return total, nil
 }
 
 // Verify recomputes both footer checksums: the whole-payload CRC (torn or
@@ -591,7 +659,9 @@ func (c *Columnar) validateThread(t int, seen *footprint) (barriers int, err err
 // decoded ops, guarding the daemon's content-addressed store against a v3
 // file whose footer claims another trace's digest). O(file + ops) — Open
 // deliberately skips it; callers that ingest untrusted files (uploads,
-// nmtrace convert) run it explicitly.
+// nmtrace convert) run it explicitly. Its verdict is about checksums only,
+// but the digest rides a walk that validates too, so a Validate after Verify
+// finds its answer memoized.
 func (c *Columnar) Verify() error {
 	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
 		return err
@@ -600,24 +670,28 @@ func (c *Columnar) Verify() error {
 	if got := crc64.Checksum(payload, crcTable); got != c.payloadCRC {
 		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
 	}
-	_, got, err := writePayload(io.Discard, c)
-	if err != nil {
-		return err
+	r := c.walk(nil, make([]lane, len(c.threads)))
+	c.validateOnce.Do(func() { c.settle(r) })
+	if r.decode != nil {
+		return r.decode
 	}
-	if got != c.digest {
+	if r.digest != c.digest {
 		return decodeErrf("footer", len(c.data)-footerSize+32,
-			"content digest %#x does not match decoded ops (%#x)", c.digest, got)
+			"content digest %#x does not match decoded ops (%#x)", c.digest, r.digest)
 	}
 	return nil
 }
 
 // Decode materializes the decoded representation, for tests and
-// conversion; replay never needs it. It validates
-// first, so the per-thread allocations are exactly sized by verified
-// counts — a hostile header cannot inflate them.
+// conversion; replay never needs it. An opened file is validated first, so
+// the per-thread allocations are exactly sized by verified counts — a
+// hostile header cannot inflate them; a sealed image's counts are its own
+// builder's, and it decodes whatever Validate thinks of it.
 func (c *Columnar) Decode() (*Trace, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+	if !c.sealed {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	tr := &Trace{
 		Streams:    make([][]Op, len(c.threads)),
@@ -650,8 +724,8 @@ func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Load opens the trace file at path in whichever serialization it carries:
-// v3 files (magic "NMT3") are mmapped via Open, v1/v2 files are fully
-// decoded via ReadTrace.
+// v3 files (magic "NMT3") are mmapped via Open, v1/v2 files are read whole
+// and sealed into columns as ReadTrace does.
 func Load(path string) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -659,17 +733,16 @@ func Load(path string) (Source, error) {
 	}
 	var magic [4]byte
 	_, err = io.ReadFull(f, magic[:])
+	f.Close()
 	if err != nil {
-		f.Close()
 		return nil, decodeErr("header", 0, fmt.Errorf("reading magic: %w", err))
 	}
 	if IsColumnar(magic[:]) {
-		f.Close()
 		return Open(path)
 	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+	raw, err := os.ReadFile(path) // sized by stat: no growth copies of a large stream
+	if err != nil {
+		return nil, decodeErr("stream", len(raw), fmt.Errorf("reading: %w", err))
 	}
-	return ReadTrace(f)
+	return decodeTrace(raw)
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // The open-path benchmark pair: how long until a trace file is ready to
-// replay. V2 must read and decode the whole stream into []Op; V3 maps the
+// replay. V2 must read the whole stream and seal it into columns — one pass
+// that decodes, validates and puts every op, then the seal; V3 maps the
 // file and validates the footer and section table only. Each benchmark
 // also reports its file size, so scripts/bench.sh records the on-disk
 // cost of the two serializations side by side.

@@ -49,37 +49,15 @@ func fuzzSeedTraces(t testing.TB) [][]byte {
 }
 
 // FuzzReadTrace asserts the decoder's contract on arbitrary input: it
-// returns an error or a trace, never panics, and never claims success on
-// a stream it cannot round-trip.
+// returns an error or a trace, never panics, never claims success on
+// a stream it cannot round-trip, and agrees with the reader that decoded
+// into []Op on which is which (see requireReadsAsBefore).
 func FuzzReadTrace(f *testing.F) {
-	for _, seed := range fuzzSeedTraces(f) {
+	for _, seed := range readTraceCorpus(f) {
 		f.Add(seed)
-		// Also seed a checksum-valid but body-corrupted variant so the
-		// fuzzer crosses the CRC gate from the start.
-		mut := bytes.Clone(seed)
-		if len(mut) > 20 {
-			mut[16] ^= 0xff
-			refreshChecksum(mut)
-			f.Add(mut)
-		}
-		// Truncated prefixes model torn partial writes (a crashed
-		// recorder, an interrupted copy): cuts inside the checksum tail,
-		// mid-ops, mid-header, and the empty stream.
-		for _, cut := range []int{len(seed) - 3, len(seed) / 2, 9, 0} {
-			if cut >= 0 && cut < len(seed) {
-				f.Add(bytes.Clone(seed[:cut]))
-			}
-		}
-		// A torn prefix whose checksum was refreshed crosses the CRC gate
-		// and fails deeper, in a body section cut mid-record.
-		if len(seed) > 24 {
-			torn := bytes.Clone(seed[:len(seed)-9])
-			torn = append(torn, make([]byte, 8)...)
-			refreshChecksum(torn)
-			f.Add(torn)
-		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireReadsAsBefore(t, "fuzz", data)
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -3,10 +3,12 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math/bits"
 	"sort"
 
+	"repro/internal/addr"
 	"repro/internal/trace"
 )
 
@@ -42,7 +44,7 @@ var refCRC = crc64.MakeTable(crc64.ECMA)
 func referenceEncodeColumnar(src trace.Source) ([]byte, error) {
 	threads := src.Threads()
 	names := src.PhaseTable()
-	digest, err := src.Digest()
+	_, digest, err := referenceWriteV2(src)
 	if err != nil {
 		return nil, err
 	}
@@ -266,4 +268,129 @@ func referenceGapDict(gaps []uint32) []byte {
 		out = append(out, vbuf[:binary.PutUvarint(vbuf[:], lookup[i].r)]...)
 	}
 	return out
+}
+
+// referenceWriteV2 is the sequential v2 writer the digest was defined by —
+// one thread after another through a cursor, one checksum over the bytes as
+// they go by — restated over the exported API. It returns the stream and its
+// trailing checksum, which is the content digest.
+func referenceWriteV2(src trace.Source) ([]byte, uint64, error) {
+	var out bytes.Buffer
+	out.WriteString("NMTR")
+	costs, l1, names := src.CostModel(), src.Geometry(), src.PhaseTable()
+	hdr := []int64{
+		2,
+		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
+		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
+		int64(src.Threads()), int64(len(names)),
+	}
+	if err := binary.Write(&out, binary.LittleEndian, hdr); err != nil {
+		return nil, 0, err
+	}
+	var buf [3 * binary.MaxVarintLen64]byte
+	for _, name := range names {
+		out.Write(buf[:binary.PutUvarint(buf[:], uint64(len(name)))])
+		out.WriteString(name)
+	}
+	for t := 0; t < src.Threads(); t++ {
+		if err := binary.Write(&out, binary.LittleEndian, int64(src.ThreadOps(t))); err != nil {
+			return nil, 0, err
+		}
+		var prevAddr uint64
+		cur := src.CursorAt(t)
+		for cur.Next() {
+			op := cur.Cur
+			tag := byte(op.Kind) & refTagKindMask
+			if op.Write {
+				tag |= refTagWrite
+			}
+			if op.Gap != 0 {
+				tag |= refTagHasGap
+			}
+			out.WriteByte(tag)
+			n := 0
+			if op.Gap != 0 {
+				n += binary.PutUvarint(buf[n:], uint64(op.Gap))
+			}
+			switch op.Kind {
+			case trace.OpAccess, trace.OpAtomic:
+				n += binary.PutVarint(buf[n:], int64(op.Addr-prevAddr))
+				prevAddr = op.Addr
+			case trace.OpDMA:
+				n += binary.PutUvarint(buf[n:], op.Addr)
+				n += binary.PutUvarint(buf[n:], op.Addr2)
+				n += binary.PutUvarint(buf[n:], uint64(op.Size))
+			case trace.OpPhase:
+				n += binary.PutUvarint(buf[n:], op.Addr)
+			}
+			out.Write(buf[:n])
+		}
+		if err := cur.Err(); err != nil {
+			return nil, 0, err
+		}
+	}
+	sum := crc64.Checksum(out.Bytes(), refCRC)
+	if err := binary.Write(&out, binary.LittleEndian, sum); err != nil {
+		return nil, 0, err
+	}
+	return out.Bytes(), sum, nil
+}
+
+// referenceValidate is the structural half of the validate-only walk — the
+// half a cursor and the address map can restate: termination, barrier
+// agreement, address routing, phase ids, in the walk's words and order. (Its
+// framing half needs the cursor's insides; walk_reference_test.go keeps it.)
+func referenceValidate(src trace.Source) error {
+	barriers0 := 0
+	for t := 0; t < src.Threads(); t++ {
+		cur := src.CursorAt(t)
+		n, barriers, endSeen := 0, 0, false
+		for cur.Next() {
+			if endSeen {
+				return fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
+			}
+			n++
+			op := cur.Cur
+			stray := func(a uint64) error {
+				if addr.Addr(a) >= addr.FarBase {
+					return nil
+				}
+				return fmt.Errorf("trace: thread %d op %d: address %#x outside both memory windows", t, n-1, a)
+			}
+			switch op.Kind {
+			case trace.OpEnd:
+				endSeen = true
+			case trace.OpBarrier:
+				barriers++
+			case trace.OpAccess, trace.OpAtomic:
+				if err := stray(op.Addr); err != nil {
+					return err
+				}
+			case trace.OpDMA:
+				if err := stray(op.Addr); err != nil {
+					return err
+				}
+				if err := stray(op.Addr2); err != nil {
+					return err
+				}
+			case trace.OpPhase:
+				if op.Addr >= uint64(len(src.PhaseTable())) {
+					return fmt.Errorf("trace: thread %d op %d names phase %d of %d", t, n-1, op.Addr, len(src.PhaseTable()))
+				}
+			}
+		}
+		if err := cur.Err(); err != nil {
+			return err
+		}
+		if !endSeen {
+			return fmt.Errorf("trace: thread %d stream not terminated", t)
+		}
+		if t == 0 {
+			barriers0 = barriers
+		}
+		if barriers != barriers0 {
+			return fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d", t, barriers, barriers0)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -69,112 +68,208 @@ func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
 }
 
 // WriteV2 serializes any Source in the canonical v2 format — the encoding
-// Digest is defined over. nmtrace convert uses it to turn an opened v3
-// file back into v2 bytes without materializing a *Trace first.
-func WriteV2(w io.Writer, src Source) (int64, error) {
-	n, sum, err := writePayload(w, src)
+// Digest is defined over — without materializing a *Trace first.
+func WriteV2(w io.Writer, src Source) (int64, error) { return WriteV2Par(w, src, nil) }
+
+// WriteV2Par is WriteV2 with the per-thread walks run under fj: every thread
+// encodes its ops into its own buffer, and the buffers are written in thread
+// order once all are full, so the bytes do not depend on fj — and the whole
+// stream is in memory until they are. The trailing checksum is taken over the
+// bytes written. Over columns the walk is the validation walk too (see
+// Columnar.walk): it leaves Validate's verdict memoized, and reports only
+// what stops serialization.
+func WriteV2Par(w io.Writer, src Source, fj ForkJoin) (int64, error) {
+	hdr, lanes, sum, err := encodeV2(src, fj, true)
 	if err != nil {
+		return 0, err
+	}
+	var n int64
+	write := func(p []byte) error {
+		m, err := w.Write(p)
+		n += int64(m)
+		return err
+	}
+	if err := write(hdr); err != nil {
 		return n, err
+	}
+	for t := range lanes {
+		if err := write(lanes[t].buf); err != nil {
+			return n, err
+		}
 	}
 	// Trailing checksum (not itself checksummed).
-	if err := binary.Write(w, binary.LittleEndian, sum); err != nil {
-		return n, err
-	}
-	return n + 8, nil
+	return n, write(binary.LittleEndian.AppendUint64(nil, sum))
 }
 
-// writePayload writes everything before the trailing checksum and returns
-// the bytes written plus the payload's CRC64 — shared between WriteV2
-// (which appends the CRC as the checksum) and Digest (which returns it).
-// It iterates src through cursors, so a columnar trace serializes — and
-// digests — without ever allocating op slices; for a *Trace the cursor
-// walk degenerates to the stream slices and the bytes are unchanged from
-// every earlier release.
-func writePayload(w io.Writer, src Source) (int64, uint64, error) {
+// encodeV2 walks src once, under fj, into one lane per thread, and returns
+// the v2 header, the lanes that follow it, and the checksum of it all. With
+// keep the lanes hold their thread's bytes; without, only their summaries.
+func encodeV2(src Source, fj ForkJoin, keep bool) (hdr []byte, lanes []lane, sum uint64, err error) {
+	if hdr, err = headerV2(src); err != nil {
+		return nil, nil, 0, err
+	}
+	lanes = make([]lane, src.Threads())
+	for t := range lanes {
+		lanes[t].keep = keep
+	}
+	if c := columnsOf(src); c != nil {
+		r := c.walk(fj, lanes)
+		c.validateOnce.Do(func() { c.settle(r) })
+		return hdr, lanes, r.digest, r.decode
+	}
+	fj.run(len(lanes), func(t int) { // decoded streams: their cursors cannot fail
+		l := &lanes[t]
+		l.begin(src.ThreadOps(t))
+		for cur := src.CursorAt(t); cur.Next(); {
+			l.put(cur.Cur)
+		}
+		l.end()
+	})
+	return hdr, lanes, foldLanes(hdr, lanes), nil
+}
+
+// headerV2 returns everything a v2 stream holds before its first thread.
+func headerV2(src Source) ([]byte, error) {
 	threads := src.Threads()
 	if threads == 0 {
-		return 0, 0, fmt.Errorf("trace: refusing to serialize a trace with no threads")
+		return nil, fmt.Errorf("trace: refusing to serialize a trace with no threads")
 	}
 	if threads > maxThreads {
-		return 0, 0, fmt.Errorf("trace: refusing to serialize %d threads (max %d)", threads, maxThreads)
+		return nil, fmt.Errorf("trace: refusing to serialize %d threads (max %d)", threads, maxThreads)
 	}
-	cw := &countingWriter{w: w, crc: crc64.New(crcTable)}
-	bw := bufio.NewWriterSize(cw, 1<<20)
+	return appendHeader(traceMagic, traceVersion, src.CostModel(), src.Geometry(), threads, src.PhaseTable()), nil
+}
 
-	put := func(data any) error { return binary.Write(bw, binary.LittleEndian, data) }
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return cw.n, 0, err
-	}
-	costs, l1 := src.CostModel(), src.Geometry()
-	hdr := []int64{
-		traceVersion,
+// appendHeader lays out the header v2 and v3 share behind their own magic
+// and version: the cost model, the L1 geometry, the thread count, and the
+// phase-name table.
+func appendHeader(magic string, version int64, costs Costs, l1 L1Geometry, threads int, names []string) []byte {
+	hdr := []byte(magic)
+	for _, v := range []int64{
+		version,
 		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
 		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
-		int64(threads),
-	}
-	if err := put(hdr); err != nil {
-		return cw.n, 0, err
-	}
-
-	names := src.PhaseTable()
-	var buf [3 * binary.MaxVarintLen64]byte
-	if err := put(int64(len(names))); err != nil {
-		return cw.n, 0, err
+		int64(threads), int64(len(names)),
+	} {
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v))
 	}
 	for _, name := range names {
-		n := binary.PutUvarint(buf[:], uint64(len(name)))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return cw.n, 0, err
-		}
-		if _, err := bw.WriteString(name); err != nil {
-			return cw.n, 0, err
-		}
+		hdr = append(binary.AppendUvarint(hdr, uint64(len(name))), name...)
 	}
-	for t := 0; t < threads; t++ {
-		if err := put(int64(src.ThreadOps(t))); err != nil {
-			return cw.n, 0, err
-		}
-		var prevAddr uint64
-		cur := src.CursorAt(t)
-		for cur.Next() {
-			op := cur.Cur
-			tag := byte(op.Kind) & tagKindMask
-			if op.Write {
-				tag |= tagWrite
-			}
-			if op.Gap != 0 {
-				tag |= tagHasGap
-			}
-			if err := bw.WriteByte(tag); err != nil {
-				return cw.n, 0, err
-			}
-			n := 0
-			if op.Gap != 0 {
-				n += binary.PutUvarint(buf[n:], uint64(op.Gap))
-			}
-			switch op.Kind {
-			case OpAccess, OpAtomic:
-				n += binary.PutVarint(buf[n:], int64(op.Addr-prevAddr))
-				prevAddr = op.Addr
-			case OpDMA:
-				n += binary.PutUvarint(buf[n:], op.Addr)
-				n += binary.PutUvarint(buf[n:], op.Addr2)
-				n += binary.PutUvarint(buf[n:], uint64(op.Size))
-			case OpPhase:
-				n += binary.PutUvarint(buf[n:], op.Addr)
-			}
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return cw.n, 0, err
-			}
-		}
-		if err := cur.Err(); err != nil {
-			return cw.n, 0, err
-		}
+	return hdr
+}
+
+// appendOp appends op in the v2 op encoding — the one definition of it: a
+// tag byte (kind | flags), then only the fields that kind uses. prev carries
+// the thread's last access address, which the next one is a delta from.
+func appendOp(dst []byte, op Op, prev *uint64) []byte {
+	tag := byte(op.Kind) & tagKindMask
+	if op.Write {
+		tag |= tagWrite
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, 0, err
+	if op.Gap != 0 {
+		tag |= tagHasGap
 	}
-	return cw.n, cw.crc.Sum64(), nil
+	dst = append(dst, tag)
+	if op.Gap != 0 {
+		dst = binary.AppendUvarint(dst, uint64(op.Gap))
+	}
+	switch op.Kind {
+	case OpAccess, OpAtomic:
+		dst = binary.AppendVarint(dst, int64(op.Addr-*prev))
+		*prev = op.Addr
+	case OpDMA:
+		dst = binary.AppendUvarint(dst, op.Addr)
+		dst = binary.AppendUvarint(dst, op.Addr2)
+		dst = binary.AppendUvarint(dst, uint64(op.Size))
+	case OpPhase:
+		dst = binary.AppendUvarint(dst, op.Addr)
+	}
+	return dst
+}
+
+const (
+	// laneBlock is how many bytes a digest lane gathers before it sums them:
+	// hash/crc64 runs slicing-by-8 only on updates of 64 bytes or more, and a
+	// v2 op is a handful.
+	laneBlock = 4 << 10
+	// maxOpBytes bounds one encoded op: tag, gap, three 10-byte varints.
+	maxOpBytes = 1 + binary.MaxVarintLen32 + 3*binary.MaxVarintLen64
+)
+
+// lane is one thread's share of a v2 stream — its op count, then its ops —
+// summarised as it is encoded: the CRC-64 and length of the bytes, and under
+// keep the bytes themselves. Threads fill their lanes independently;
+// foldLanes merges the summaries into the checksum of the whole stream, so
+// neither the digest nor WriteV2 has a sequential O(ops) step.
+type lane struct {
+	buf  []byte // bytes not yet summed; under keep, every byte
+	keep bool
+	crc  uint64 // of the n bytes summed so far
+	n    int64
+	prev uint64 // appendOp's address state
+}
+
+// begin opens the lane with the thread's op count.
+func (l *lane) begin(ops int) {
+	l.buf = binary.LittleEndian.AppendUint64(make([]byte, 0, laneBlock+maxOpBytes), uint64(ops))
+}
+
+func (l *lane) put(op Op) {
+	l.buf = appendOp(l.buf, op, &l.prev)
+	if len(l.buf) >= laneBlock && !l.keep {
+		l.end()
+		l.buf = l.buf[:0]
+	}
+}
+
+// end sums what the lane has not summed yet.
+func (l *lane) end() {
+	l.crc = crc64.Update(l.crc, crcTable, l.buf)
+	l.n += int64(len(l.buf))
+}
+
+// foldLanes returns the CRC-64 of hdr followed by every lane's bytes in
+// thread order.
+func foldLanes(hdr []byte, lanes []lane) uint64 {
+	sum := crc64.Checksum(hdr, crcTable)
+	for t := range lanes {
+		sum = crc64Combine(sum, lanes[t].crc, lanes[t].n)
+	}
+	return sum
+}
+
+// crc64Combine returns the CRC-64 of A‖B given crc(A), crc(B) and len(B) —
+// zlib's crc32_combine for this polynomial. The register is linear in its
+// start state, and len(B) bytes multiply what they find there by x^(8·len(B))
+// mod P, so crc(A‖B) = crc(A)·x^(8·len(B)) + crc(B). hash/crc64 inverts the
+// register on the way in and on the way out, by the same constant: B summed
+// after A starts from ^crc(A) where B summed alone started from ^0, the two
+// differ by crc(A) exactly, and the identity holds unchanged for the values
+// crc64.Update returns.
+func crc64Combine(crcA, crcB uint64, lenB int64) uint64 {
+	// Reflected representation: bit 63 is x^0, so 1<<63 is 1 and 1<<55 is x^8.
+	pow, sq := uint64(1)<<63, uint64(1)<<55
+	for n := lenB; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			pow = polyMul(pow, sq)
+		}
+		sq = polyMul(sq, sq)
+	}
+	return polyMul(crcA, pow) ^ crcB
+}
+
+// polyMul multiplies a and b as polynomials over GF(2) modulo the ECMA
+// polynomial, reflected.
+func polyMul(a, b uint64) uint64 {
+	var p uint64
+	for m := uint64(1) << 63; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ crc64.ECMA&-(b&1) // b·x
+	}
+	return p
 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -189,7 +284,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // redundant: the CRC of payload‖crc(payload) is a message-independent
 // constant residue.)
 //
-// The digest is memoized: the first call serializes the stream, every
+// The digest is memoized: the first call walks the stream, every
 // later call returns the stored value in O(1). Traces are immutable once
 // finished, so the memo never needs invalidating — but a caller that
 // mutates a Trace after digesting it gets the stale fingerprint, which is
@@ -199,7 +294,7 @@ func (tr *Trace) Digest() (uint64, error) {
 		return tr.cols.Digest()
 	}
 	tr.digestOnce.Do(func() {
-		_, tr.digestVal, tr.digestErr = writePayload(io.Discard, tr)
+		_, _, tr.digestVal, tr.digestErr = encodeV2(tr, nil, false)
 	})
 	return tr.digestVal, tr.digestErr
 }
@@ -233,33 +328,27 @@ func decodeErrf(section string, off int, format string, args ...any) error {
 	return decodeErr(section, off, fmt.Errorf(format, args...))
 }
 
-type countingWriter struct {
-	w   io.Writer
-	crc interface {
-		io.Writer
-		Sum64() uint64
-	}
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
 // ReadTrace deserializes a trace written by WriteTo, verifying its
 // checksum. The entire stream is buffered in memory first (traces are tens
 // of MB at most), which keeps the checksum handling trivial. Every decode
 // failure is a *DecodeError naming the broken section and the byte offset
 // at which decoding stopped, so a torn partial write (a crashed recorder,
 // an interrupted copy) is diagnosable from the error alone.
+//
+// The trace comes back the way a recording does, as sealed columns: one pass
+// decodes each op, notes what Validate checks and puts it into the column
+// builder, so no []Op ever exists. The checksum just verified is the content
+// digest, and Validate's verdict is memoized with it: a trace that fails
+// Validate is still returned, as it always was.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, decodeErr("stream", len(raw), fmt.Errorf("reading: %w", err))
 	}
+	return decodeTrace(raw)
+}
+
+func decodeTrace(raw []byte) (*Trace, error) {
 	if len(raw) < 8 {
 		return nil, decodeErrf("stream", len(raw), "truncated stream (%d bytes, need at least the 8-byte checksum)", len(raw))
 	}
@@ -269,20 +358,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, want)
 	}
 
-	br := bytes.NewReader(payload)
-	// off is the current decode position within the stream, for error
-	// reporting: everything before br's remaining bytes has been consumed.
-	off := func() int { return len(payload) - br.Len() }
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, decodeErr("header", off(), fmt.Errorf("reading magic: %w", err))
-	}
-	if string(magic) != traceMagic {
-		return nil, decodeErrf("header", 0, "bad magic %q", magic)
-	}
-	hdr := make([]int64, 9)
-	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
-		return nil, decodeErr("header", off(), fmt.Errorf("reading fields: %w", err))
+	h := headerReader{br: bytes.NewReader(payload), end: len(payload)}
+	hdr, err := h.fields(traceMagic)
+	if err != nil {
+		return nil, err
 	}
 	version := hdr[0]
 	if version != traceVersion && version != traceVersionV1 {
@@ -293,140 +372,233 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	// checking before allocating keeps a hostile header from forcing a
 	// huge allocation.
 	threads := hdr[8]
-	if threads <= 0 || threads > maxThreads || threads > int64(br.Len())/8 {
-		return nil, decodeErrf("header", off()-8, "implausible thread count %d", threads)
+	if threads <= 0 || threads > maxThreads || threads > int64(h.br.Len())/8 {
+		return nil, decodeErrf("header", h.off()-8, "implausible thread count %d", threads)
 	}
-	tr := &Trace{
-		Streams: make([][]Op, threads),
-		Costs: Costs{
-			IssueCycles: hdr[1], L1HitCycles: hdr[2],
-			CompareCycles: hdr[3], AtomicCycles: hdr[4],
-		},
-		L1: L1Geometry{
-			Capacity: units.Bytes(hdr[5]),
-			LineSize: units.Bytes(hdr[6]),
-			Ways:     int(hdr[7]),
-		},
-	}
+	costs, l1 := headerModel(hdr)
 
+	// canon stays true while the bytes are the ones WriteV2 would write for
+	// the ops they decode to, which is what makes their checksum the digest.
+	// A v1 stream never is, and an overlong varint or a zero gap behind
+	// tagHasGap decode fine but re-encode shorter.
+	canon := version == traceVersion
+	var names []string
 	if version >= 2 {
-		var nNames int64
-		if err := binary.Read(br, binary.LittleEndian, &nNames); err != nil {
-			return nil, decodeErr("phase table", off(), fmt.Errorf("phase-name count: %w", err))
-		}
-		if nNames < 0 || nNames > maxPhaseNames {
-			return nil, decodeErrf("phase table", off()-8, "implausible phase-name count %d", nNames)
-		}
-		for i := int64(0); i < nNames; i++ {
-			at := off()
-			l, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d length: %w", i, err))
-			}
-			if l > uint64(br.Len()) {
-				return nil, decodeErrf("phase table", at, "phase name %d length %d exceeds payload", i, l)
-			}
-			name := make([]byte, l)
-			if _, err := io.ReadFull(br, name); err != nil {
-				return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d: %w", i, err))
-			}
-			tr.PhaseNames = append(tr.PhaseNames, string(name))
-		}
-	}
-
-	for t := int64(0); t < threads; t++ {
-		at := off()
-		var nOps int64
-		if err := binary.Read(br, binary.LittleEndian, &nOps); err != nil {
-			return nil, decodeErr(threadSection(t), at, fmt.Errorf("op count: %w", err))
-		}
-		// Each op occupies at least its tag byte, so the remaining
-		// payload bounds the count; this rejects corrupt lengths before
-		// the allocation they would inflate.
-		if nOps < 0 || nOps > int64(br.Len()) {
-			return nil, decodeErrf(threadSection(t), at, "implausible op count %d", nOps)
-		}
-		ops := make([]Op, nOps)
-		if err := decodeOps(br, ops, t, len(payload)); err != nil {
+		var minimal bool
+		if names, minimal, err = h.names("payload"); err != nil {
 			return nil, err
 		}
-		tr.Streams[t] = ops
+		canon = canon && minimal
 	}
-	if br.Len() != 0 {
-		return nil, decodeErrf("stream", off(), "%d trailing payload bytes", br.Len())
+
+	d := opDecoder{p: payload, pos: h.off(), canon: canon}
+	builders := make([]colBuilder, threads)
+	checks := make([]threadCheck, threads)
+	sealing := make([]*colBuilder, threads)
+	for t := range builders {
+		section := threadSection(int64(t))
+		if len(payload)-d.pos < 8 {
+			_, err := io.ReadFull(bytes.NewReader(payload[d.pos:]), make([]byte, 8))
+			return nil, decodeErr(section, d.pos, fmt.Errorf("op count: %w", err))
+		}
+		nOps := int64(binary.LittleEndian.Uint64(payload[d.pos:]))
+		// Each op occupies at least its tag byte, so the remaining
+		// payload bounds the count; this rejects corrupt lengths before
+		// the work they would inflate.
+		if nOps < 0 || nOps > int64(len(payload)-d.pos-8) {
+			return nil, decodeErrf(section, d.pos, "implausible op count %d", nOps)
+		}
+		d.pos += 8
+		b, k := &builders[t], &checks[t]
+		b.shift, k.tid, k.phases = provisionalShift(l1), t, len(names)
+		if err := d.thread(section, nOps, b, k); err != nil {
+			return nil, err
+		}
+		k.finish()
+		sealing[t] = b
 	}
-	return tr, nil
+	if d.pos != len(payload) {
+		return nil, decodeErrf("stream", d.pos, "%d trailing payload bytes", len(payload)-d.pos)
+	}
+	c := sealImage(costs, l1, names, sealing, nil)
+	if d.canon {
+		_, verdict := foldChecks(checks)
+		c.validateOnce.Do(func() { c.settle(walkResult{verdict: verdict, digest: want}) })
+	}
+	return c.AsTrace(), nil
 }
 
 // threadSection names thread t's op section for DecodeError reporting.
 func threadSection(t int64) string { return fmt.Sprintf("thread %d ops", t) }
 
-// decodeOps decodes thread t's op stream into ops, which the caller sized
-// from the validated per-thread count; plen is the payload length, used to
-// recover the byte offset of a broken op from br's remaining length. This
-// is the replay pipeline's decode hot loop — tens of millions of
-// iterations for the Table I traces — so it fills the caller-allocated
-// slice in place and allocates only on the error exits.
-//
-//nmlint:hotpath
-func decodeOps(br *bytes.Reader, ops []Op, t int64, plen int) error {
-	var prevAddr uint64
-	for i := range ops {
-		at := plen - br.Len()
-		tag, err := br.ReadByte()
-		if err != nil {
-			return decodeErr(threadSection(t), at, fmt.Errorf("op %d tag: %w", i, err))
+// headerReader reads the header v2 and v3 share (see appendHeader) from br,
+// whose bytes end at stream offset end.
+type headerReader struct {
+	br  *bytes.Reader
+	end int
+}
+
+// off is the current decode position within the stream, for error
+// reporting: everything before br's remaining bytes has been consumed.
+func (h headerReader) off() int { return h.end - h.br.Len() }
+
+// fields reads the magic and the nine fixed fields: version, four costs,
+// three of L1 geometry, the thread count.
+func (h headerReader) fields(want string) ([]int64, error) {
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(h.br, magic); err != nil {
+		return nil, decodeErr("header", h.off(), fmt.Errorf("reading magic: %w", err))
+	}
+	if string(magic) != want {
+		return nil, decodeErrf("header", 0, "bad magic %q", magic)
+	}
+	hdr := make([]int64, 9)
+	if err := binary.Read(h.br, binary.LittleEndian, hdr); err != nil {
+		return nil, decodeErr("header", h.off(), fmt.Errorf("reading fields: %w", err))
+	}
+	return hdr, nil
+}
+
+// headerModel unpacks the cost model and L1 geometry from the fixed fields.
+func headerModel(hdr []int64) (Costs, L1Geometry) {
+	return Costs{
+			IssueCycles: hdr[1], L1HitCycles: hdr[2],
+			CompareCycles: hdr[3], AtomicCycles: hdr[4],
+		}, L1Geometry{
+			Capacity: units.Bytes(hdr[5]),
+			LineSize: units.Bytes(hdr[6]),
+			Ways:     int(hdr[7]),
 		}
+}
+
+// names reads the phase-name table, whose lengths must fit within what is
+// left of the region (named within, for the error). minimal reports that
+// every length was a shortest-form varint, as a writer's are.
+func (h headerReader) names(within string) (names []string, minimal bool, err error) {
+	var nNames int64
+	if err := binary.Read(h.br, binary.LittleEndian, &nNames); err != nil {
+		return nil, false, decodeErr("phase table", h.off(), fmt.Errorf("phase-name count: %w", err))
+	}
+	if nNames < 0 || nNames > maxPhaseNames {
+		return nil, false, decodeErrf("phase table", h.off()-8, "implausible phase-name count %d", nNames)
+	}
+	minimal = true
+	for i := int64(0); i < nNames; i++ {
+		at := h.off()
+		l, err := binary.ReadUvarint(h.br)
+		if err != nil {
+			return nil, false, decodeErr("phase table", at, fmt.Errorf("phase name %d length: %w", i, err))
+		}
+		if l > uint64(h.br.Len()) {
+			return nil, false, decodeErrf("phase table", at, "phase name %d length %d exceeds %s", i, l, within)
+		}
+		minimal = minimal && h.off()-at == uvarintLen(l)
+		name := make([]byte, l)
+		if _, err := io.ReadFull(h.br, name); err != nil {
+			return nil, false, decodeErr("phase table", at, fmt.Errorf("phase name %d: %w", i, err))
+		}
+		names = append(names, string(name))
+	}
+	return names, minimal, nil
+}
+
+// opDecoder reads v2 ops off a checksummed payload by index arithmetic.
+type opDecoder struct {
+	p     []byte
+	pos   int
+	canon bool // every varint so far was minimal (see decodeTrace)
+}
+
+// uvarint reads one uvarint at d.pos; ok is false when it is truncated or
+// overflows, with d.pos left on it for varintErr.
+func (d *opDecoder) uvarint() (v uint64, ok bool) {
+	v, m := binary.Uvarint(d.p[d.pos:])
+	if m <= 0 {
+		return 0, false
+	}
+	d.pos += m
+	d.canon = d.canon && (m == 1 || d.p[d.pos-1] != 0)
+	return v, true
+}
+
+// varintErr reports the truncated or overflowing varint at d.pos — field
+// what of op i, which began at byte at — with the cause encoding/binary's
+// stream reader gives for it.
+func (d *opDecoder) varintErr(section string, at int, i int64, what string) error {
+	_, err := binary.ReadUvarint(bytes.NewReader(d.p[d.pos:]))
+	return decodeErr(section, at, fmt.Errorf("op %d %s: %w", i, what, err))
+}
+
+// thread decodes one thread's n ops — the count is bounded by the payload —
+// putting each into b and noting it in k. This is the v2 open path's hot
+// loop, tens of millions of iterations for the Table I traces; it allocates
+// only what the builder's columns need, and on the error exits.
+func (d *opDecoder) thread(section string, n int64, b *colBuilder, k *threadCheck) error {
+	var prevAddr uint64
+	running := true // no OpEnd yet
+	for i := int64(0); i < n; i++ {
+		at := d.pos
+		if at == len(d.p) {
+			return decodeErr(section, at, fmt.Errorf("op %d tag: %w", i, io.EOF))
+		}
+		tag := d.p[at]
+		d.pos++
 		if tag&tagReserved != 0 {
-			return decodeErrf(threadSection(t), at, "op %d: reserved tag bits %#x set", i, tag&tagReserved)
+			return decodeErrf(section, at, "op %d: reserved tag bits %#x set", i, tag&tagReserved)
 		}
 		op := Op{Kind: Kind(tag & tagKindMask), Write: tag&tagWrite != 0}
 		if tag&tagHasGap != 0 {
-			g, err := binary.ReadUvarint(br)
-			if err != nil {
-				return decodeErr(threadSection(t), at, fmt.Errorf("op %d gap: %w", i, err))
+			g, ok := d.uvarint()
+			if !ok {
+				return d.varintErr(section, at, i, "gap")
 			}
 			if g > uint64(^uint32(0)) {
-				return decodeErrf(threadSection(t), at, "op %d gap %d overflows", i, g)
+				return decodeErrf(section, at, "op %d gap %d overflows", i, g)
 			}
 			op.Gap = uint32(g)
+			d.canon = d.canon && g != 0
 		}
+		var ok bool
 		switch op.Kind {
 		case OpAccess, OpAtomic:
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return decodeErr(threadSection(t), at, fmt.Errorf("op %d addr delta: %w", i, err))
+			var delta uint64
+			if delta, ok = d.uvarint(); !ok {
+				return d.varintErr(section, at, i, "addr delta")
 			}
-			op.Addr = prevAddr + uint64(d)
-			prevAddr = op.Addr
+			prevAddr += delta>>1 ^ -(delta & 1) // zigzag, as binary.Varint
+			op.Addr = prevAddr
 		case OpDMA:
-			if op.Addr, err = binary.ReadUvarint(br); err != nil {
-				return decodeErr(threadSection(t), at, fmt.Errorf("op %d dma src: %w", i, err))
+			if op.Addr, ok = d.uvarint(); !ok {
+				return d.varintErr(section, at, i, "dma src")
 			}
-			if op.Addr2, err = binary.ReadUvarint(br); err != nil {
-				return decodeErr(threadSection(t), at, fmt.Errorf("op %d dma dst: %w", i, err))
+			if op.Addr2, ok = d.uvarint(); !ok {
+				return d.varintErr(section, at, i, "dma dst")
 			}
-			sz, err := binary.ReadUvarint(br)
-			if err != nil {
-				return decodeErr(threadSection(t), at, fmt.Errorf("op %d dma size: %w", i, err))
+			sz, ok := d.uvarint()
+			if !ok {
+				return d.varintErr(section, at, i, "dma size")
 			}
 			// Mirror the gap overflow check: silently truncating to
 			// uint32 would decode a corrupt stream into a different
 			// (smaller) workload instead of rejecting it.
 			if sz > uint64(^uint32(0)) {
-				return decodeErrf(threadSection(t), at, "op %d dma size %d overflows", i, sz)
+				return decodeErrf(section, at, "op %d dma size %d overflows", i, sz)
 			}
 			op.Size = uint32(sz)
 		case OpPhase:
-			if op.Addr, err = binary.ReadUvarint(br); err != nil {
-				return decodeErr(threadSection(t), at, fmt.Errorf("op %d phase id: %w", i, err))
+			if op.Addr, ok = d.uvarint(); !ok {
+				return d.varintErr(section, at, i, "phase id")
 			}
 		case OpBarrier, OpDMAWait, OpGap, OpEnd:
 			// tag only
 		default:
-			return decodeErrf(threadSection(t), at, "op %d: unknown op kind %d", i, op.Kind)
+			return decodeErrf(section, at, "op %d: unknown op kind %d", i, op.Kind)
 		}
-		ops[i] = op
+		if !routedAccess(op) || !running { // else nothing to check: put notes the footprint
+			k.op(i, op)
+			running = !k.endSeen
+		}
+		b.put(op)
 	}
 	return nil
 }

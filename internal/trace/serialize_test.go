@@ -151,7 +151,7 @@ func TestSerializeRejectsOversizedDMA(t *testing.T) {
 	if err != nil {
 		t.Fatalf("max uint32 size rejected: %v", err)
 	}
-	if op := got.Streams[0][0]; op.Kind != OpDMA || op.Size != ^uint32(0) {
+	if op := stream(t, got, 0)[0]; op.Kind != OpDMA || op.Size != ^uint32(0) {
 		t.Errorf("decoded op = %+v", op)
 	}
 }
@@ -247,8 +247,8 @@ func TestRoundTripThreadBoundary(t *testing.T) {
 	rec.Thread(0).Load(addr.FarBase, 8)
 	tr := rec.Finish()
 	got := roundTrip(t, tr)
-	if len(got.Streams) != 1 {
-		t.Fatalf("round-tripped %d streams, want 1", len(got.Streams))
+	if got.Threads() != 1 {
+		t.Fatalf("round-tripped %d streams, want 1", got.Threads())
 	}
 	if err := sameOps(t, got, tr); err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestSerializeRejectsReservedTagBits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("control stream rejected: %v", err)
 	}
-	if op := got.Streams[0][0]; op.Kind != OpEnd {
+	if op := stream(t, got, 0)[0]; op.Kind != OpEnd {
 		t.Errorf("decoded op = %+v, want OpEnd", op)
 	}
 }

@@ -1,10 +1,11 @@
 package trace
 
 // Source is a replayable trace, whatever its in-memory representation: the
-// sealed columns a recorder produces, the mmap-backed *Columnar view of a v3
-// file — both decode ops lazily through cursors — or a *Trace decoded from
-// a v2 stream. The machine, the harness, and the serving layer all accept a
-// Source, so nothing above this package ever materializes []Op to replay.
+// sealed columns a recorder or ReadTrace produces, the mmap-backed *Columnar
+// view of a v3 file — all decode ops lazily through cursors — or a *Trace a
+// test built from decoded streams. The machine, the harness, and the serving
+// layer all accept a Source, so nothing above this package ever materializes
+// []Op to replay.
 //
 // A Source is immutable and safe for concurrent use: CursorAt hands every
 // replay its own iteration state over the shared backing data.
@@ -66,14 +67,7 @@ func (tr *Trace) NearBlind() bool {
 	if tr.cols != nil {
 		return tr.cols.NearBlind()
 	}
-	for _, s := range tr.Streams {
-		for _, op := range s {
-			if op.touchesNear() {
-				return false
-			}
-		}
-	}
-	return true
+	return !tr.streamsFootprint().near
 }
 
 // PhaseTable returns the phase-name table.

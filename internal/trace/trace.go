@@ -320,10 +320,10 @@ func (r *Recorder) FinishPar(fj ForkJoin) *Trace {
 // immutable once finished (or deserialized): replay, sweeps, and the
 // serving layer all share one *Trace read-only across concurrent replays.
 //
-// A trace has one of two backings. A recording, or a cache file opened by
-// the harness, is sealed v3 columns: Streams is nil and every method
-// delegates to Columns(). A v2 file read by ReadTrace, or a trace a test
-// builds by hand, is decoded: Streams holds the ops.
+// A trace has one of two backings. A recording, a v1/v2 stream read by
+// ReadTrace, or a cache file opened by the harness is sealed v3 columns:
+// Streams is nil and every method delegates to Columns(). Only a trace a
+// test builds by hand, or asks Decoded for, is decoded: Streams holds the ops.
 type Trace struct {
 	Streams [][]Op
 	L1      L1Geometry
@@ -337,7 +337,7 @@ type Trace struct {
 	cols *Columnar
 
 	// digestOnce memoizes a decoded trace's Digest(): the fingerprint
-	// serializes the whole stream, so computing it per cell key would make
+	// walks the whole stream, so computing it per cell key would make
 	// keying O(trace) on every sweep and every served job. Immutability
 	// makes the memo invalidation-free; the Once makes concurrent digest
 	// requests (many clients keying jobs against one stored trace) safe.
@@ -373,45 +373,23 @@ func (tr *Trace) Ops() int {
 
 // Validate checks stream well-formedness: every stream ends with exactly
 // one OpEnd, barrier counts agree across all threads (replay would deadlock
-// otherwise), and every access address routes to a memory level.
+// otherwise), every access address routes to a memory level, and every phase
+// marker names a phase — the checks, and the words, of the columns' walk.
 func (tr *Trace) Validate() error {
 	if tr.cols != nil {
 		return tr.cols.Validate()
 	}
-	barriers := -1
+	checks := make([]threadCheck, len(tr.Streams))
 	for tid, s := range tr.Streams {
-		if len(s) == 0 || s[len(s)-1].Kind != OpEnd {
-			return fmt.Errorf("trace: thread %d stream not terminated", tid)
-		}
-		b := 0
+		k := &checks[tid]
+		k.tid, k.phases = tid, len(tr.PhaseNames)
 		for i, op := range s {
-			switch op.Kind {
-			case OpEnd:
-				if i != len(s)-1 {
-					return fmt.Errorf("trace: thread %d has interior OpEnd at %d", tid, i)
-				}
-			case OpBarrier:
-				b++
-			case OpAccess, OpAtomic:
-				addr.LevelOf(addr.Addr(op.Addr)) // panics on stray address
-			case OpDMA:
-				addr.LevelOf(addr.Addr(op.Addr))
-				addr.LevelOf(addr.Addr(op.Addr2))
-			case OpPhase:
-				if op.Addr >= uint64(len(tr.PhaseNames)) {
-					return fmt.Errorf("trace: thread %d op %d names phase %d of %d",
-						tid, i, op.Addr, len(tr.PhaseNames))
-				}
-			}
+			k.op(int64(i), op)
 		}
-		if barriers == -1 {
-			barriers = b
-		} else if b != barriers {
-			return fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
-				tid, b, barriers)
-		}
+		k.finish()
 	}
-	return nil
+	_, err := foldChecks(checks)
+	return err
 }
 
 // LevelCounts tallies line transfers per memory level, split by direction.
@@ -455,32 +433,17 @@ func (c *LevelCounts) tally(op Op) {
 // inNear reports whether a lies in the near window.
 func inNear(a uint64) bool { return addr.Addr(a) >= addr.NearBase }
 
-// touchesNear reports whether replaying op sends a request to the near
-// device: an access or atomic in the near window, or a DMA descriptor with
-// either endpoint there. LevelCounts cannot answer this — Near() counts
-// neither atomics nor DMA streams — so builders and validators keep the
-// answer as a bit beside their counts (footprint, Source.NearBlind).
-func (op Op) touchesNear() bool {
-	switch op.Kind {
-	case OpAccess, OpAtomic:
-		return inNear(op.Addr)
-	case OpDMA:
-		return inNear(op.Addr) || inNear(op.Addr2)
-	}
-	return false
-}
-
 // footprint is what one walk over a trace's ops learns about where they
 // go: the line counts, and the bit the counts cannot give.
 type footprint struct {
 	counts LevelCounts
-	near   bool // some op reaches the near memory (Op.touchesNear)
+	near   bool // some op reaches the near memory: an access or atomic in its window, or a DMA endpoint there
 }
 
-// access adds one OpAccess or OpAtomic and dma one OpDMA — the two arms of
-// touchesNear, for the walks that are already inside their own switch on Kind
-// (colBuilder.put, Columnar.validateThread): ops of every other kind cost
-// nothing.
+// access adds one OpAccess or OpAtomic and dma one OpDMA, for walks that are
+// already inside their own switch on Kind (colBuilder.put, threadCheck.op):
+// ops of every other kind cost nothing. LevelCounts cannot stand in for near
+// — Near() counts neither atomics nor DMA streams.
 func (f *footprint) access(op Op) {
 	f.counts.tally(op)
 	if inNear(op.Addr) {
@@ -514,13 +477,20 @@ func (tr *Trace) Count() LevelCounts {
 	if tr.cols != nil {
 		return tr.cols.Count()
 	}
-	var c LevelCounts
+	return tr.streamsFootprint().counts
+}
+
+// streamsFootprint walks a decoded trace's streams.
+func (tr *Trace) streamsFootprint() (f footprint) {
 	for _, s := range tr.Streams {
 		for _, op := range s {
-			if op.Kind == OpAccess || op.Kind == OpAtomic {
-				c.tally(op)
+			switch op.Kind {
+			case OpAccess, OpAtomic:
+				f.access(op)
+			case OpDMA:
+				f.dma(op)
 			}
 		}
 	}
-	return c
+	return f
 }

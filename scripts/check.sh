@@ -23,14 +23,21 @@
 #                                     representative killed mid-replay, a
 #                                     manifest holding it without its aliases
 #                                     and the converse)
-#   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder)
-#                                     and FuzzOpenColumnar (v3 open/cursor
-#                                     path): no panics on hostile bytes,
-#                                     every failure a *DecodeError; 10s of
+#   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
+#                                     also held to the []Op-building reader
+#                                     it replaced, error for error, column
+#                                     for column) and FuzzOpenColumnar (v3
+#                                     open/cursor path): no panics on hostile
+#                                     bytes, every failure a *DecodeError;
+#                                     10s of
 #                                     FuzzBuilderMatchesReference (generated
 #                                     op mixes: the v3 column builder against
 #                                     the old two-pass encoder, byte for
 #                                     byte); 10s of
+#                                     FuzzCRC64Combine (per-part CRCs folded
+#                                     by crc64Combine against one streamed
+#                                     CRC: the identity the digest lanes
+#                                     rest on); 10s of
 #                                     FuzzReplayMatchesReference (semantic
 #                                     traces: the replay kernel against the
 #                                     naive reference replay); and 10s of
@@ -65,6 +72,7 @@ step go test -run='^TestChaosInterruptResume$' -short -count=1 ./internal/harnes
 step go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzOpenColumnar$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzBuilderMatchesReference$' -fuzztime=10s ./internal/trace
+step go test -run='^$' -fuzz='^FuzzCRC64Combine$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./internal/machine
 step go test -run='^$' -fuzz='^FuzzAccessMatchesReference$' -fuzztime=10s ./internal/cachesim
 step ./scripts/serve_smoke.sh
