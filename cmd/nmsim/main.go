@@ -17,7 +17,7 @@
 // Usage:
 //
 //	nmsim [-n keys] [-cores n] [-sp MiB] [-seed s] [-dma]
-//	      [-fault-seed s] [-fault-rate r] [-max-events n] [-par n]
+//	      [-fault-seed s] [-fault-rate r] [-max-events n] [-par n] [-timings]
 //	      [-telemetry-out f.trace.json] [-telemetry-csv f.csv] [-telemetry-epoch dur]
 //	nmsim -server http://127.0.0.1:8080 [-job-timeout dur]
 package main
@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -74,6 +75,7 @@ type options struct {
 
 	cpuProfile string
 	memProfile string
+	timings    bool
 
 	traceCache string
 
@@ -95,7 +97,8 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (0 disables injection)")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "far-memory bit error rate per read, in [0, 1] (0 disables injection)")
 	fs.Uint64Var(&o.maxEvents, "max-events", 0, "per-replay budget of executed events (0 = generous default); elided events are not counted, so Table I runs ~31M where it ran ~64M before event elision")
-	fs.IntVar(&o.par, "par", 0, "replay worker count; output is byte-identical at any value (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&o.par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
+	fs.BoolVar(&o.timings, "timings", false, "print one line per recording and per replayed cell to stderr: lane, start and end since process start, cached/shared marks (host time; changes no output byte)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.telemetryOut, "telemetry-out", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) of the NMsort replay to this file")
@@ -204,6 +207,70 @@ func runRemote(ctx context.Context, o options, w io.Writer) (int, error) {
 	return failed, err
 }
 
+// recordMemo is the run's process-local RecordCache: a map in front of the
+// -trace-cache directory (next, when there is one), so the telemetry replay
+// finds the NMsort trace Table I recorded instead of recording it again.
+type recordMemo struct {
+	next harness.RecordCache
+
+	mu   sync.Mutex
+	seen map[recordMemoKey]harness.RecordResult
+}
+
+type recordMemoKey struct {
+	alg harness.Algorithm
+	w   harness.Workload // normalized by RecordKey: comparable, pointer-free
+}
+
+// LookupRecord implements harness.RecordCache.
+func (m *recordMemo) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness.RecordResult, bool) {
+	m.mu.Lock()
+	res, ok := m.seen[recordMemoKey{alg, w}]
+	m.mu.Unlock()
+	if !ok && m.next != nil {
+		if res, ok = m.next.LookupRecord(alg, w); ok {
+			m.remember(alg, w, res)
+		}
+	}
+	return res, ok
+}
+
+// CompleteRecord implements harness.RecordCache.
+func (m *recordMemo) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
+	m.remember(alg, w, res)
+	if m.next != nil {
+		m.next.CompleteRecord(alg, w, res)
+	}
+}
+
+func (m *recordMemo) remember(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.seen == nil {
+		m.seen = make(map[recordMemoKey]harness.RecordResult)
+	}
+	m.seen[recordMemoKey{alg, w}] = res
+}
+
+// supervisor builds the supervised runtime from the flags: cancellation from
+// ctx, the record memo (over the -trace-cache directory, when given), and the
+// -timings stage recorder.
+func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
+	memo := &recordMemo{}
+	if o.traceCache != "" {
+		rc, err := harness.NewDiskRecordCache(o.traceCache)
+		if err != nil {
+			return nil, err
+		}
+		memo.next = rc
+	}
+	sup := &harness.Supervisor{Ctx: ctx, Records: memo}
+	if o.timings {
+		sup.Timings = prof.NewStages()
+	}
+	return sup, nil
+}
+
 // run executes the experiment under supervision and writes the table to w,
 // including after cancellation, when the partially-filled table (with
 // marked rows) is the graceful-shutdown flush. It returns the count of
@@ -212,16 +279,18 @@ func run(ctx context.Context, o options, w io.Writer) (int, error) {
 	if o.server != "" {
 		return runRemote(ctx, o, w)
 	}
+	sup, err := supervisor(ctx, o)
+	if err != nil {
+		return 0, err
+	}
+	defer sup.Timings.WriteTo(os.Stderr)
+	return runLocal(o, sup, w)
+}
+
+// runLocal is run, in process, under the given supervisor.
+func runLocal(o options, sup *harness.Supervisor, w io.Writer) (int, error) {
 	f, _ := report.ParseFormat(o.format)
 	d, _ := workload.Parse(o.dist)
-	sup := &harness.Supervisor{Ctx: ctx}
-	if o.traceCache != "" {
-		rc, err := harness.NewDiskRecordCache(o.traceCache)
-		if err != nil {
-			return 0, err
-		}
-		sup.Records = rc
-	}
 	wl := harness.Workload{
 		N:         o.n,
 		Seed:      o.seed,

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -266,5 +269,99 @@ func TestRunCancelled(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "[cancelled]") {
 		t.Errorf("table missing cancelled marks:\n%s", b.String())
+	}
+}
+
+// countingRecords is a RecordCache that never answers and counts the
+// recordings that reach it: one CompleteRecord per recording performed.
+type countingRecords struct {
+	mu        sync.Mutex
+	completed map[recordMemoKey]int
+}
+
+func (c *countingRecords) LookupRecord(harness.Algorithm, harness.Workload) (harness.RecordResult, bool) {
+	return harness.RecordResult{}, false
+}
+
+func (c *countingRecords) CompleteRecord(alg harness.Algorithm, w harness.Workload, _ harness.RecordResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.completed == nil {
+		c.completed = make(map[recordMemoKey]int)
+	}
+	c.completed[recordMemoKey{alg, w}]++
+}
+
+// TestTelemetryRecordsEachTraceOnce: the telemetry replay follows Table I in
+// the same process and replays a trace Table I already recorded. Under the
+// run's record memo each (algorithm, RecordKey) is recorded once; stdout and
+// both exports are the bytes of a run without the memo, which records NMsort
+// twice — what every earlier release did.
+func TestTelemetryRecordsEachTraceOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full replay")
+	}
+	export := func(dir string) (options, []string) {
+		paths := []string{filepath.Join(dir, "out.trace.json"), filepath.Join(dir, "out.csv")}
+		o, _, err := parseFlags([]string{"-n", "4096", "-cores", "8", "-sp", "1", "-par", "1",
+			"-telemetry-out", paths[0], "-telemetry-csv", paths[1], "-telemetry-epoch", "5us"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.validate(); err != nil {
+			t.Fatal(err)
+		}
+		return o, paths
+	}
+
+	o, paths := export(t.TempDir())
+	sup, err := supervisor(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, ok := sup.Records.(*recordMemo)
+	if !ok {
+		t.Fatalf("run's RecordCache is %T, want the record memo", sup.Records)
+	}
+	counts := &countingRecords{}
+	memo.next = counts
+	var got strings.Builder
+	if failed, err := runLocal(o, sup, &got); err != nil || failed != 0 {
+		t.Fatalf("run with the memo: failed=%d err=%v", failed, err)
+	}
+	if len(counts.completed) != 2 {
+		t.Errorf("%d distinct recordings, want gnusort and nmsort", len(counts.completed))
+	}
+	for k, n := range counts.completed {
+		if n != 1 {
+			t.Errorf("%s recorded %d times, want once", k.alg, n)
+		}
+	}
+
+	plain, plainPaths := export(t.TempDir())
+	twice := &countingRecords{}
+	var want strings.Builder
+	if _, err := runLocal(plain, &harness.Supervisor{Ctx: context.Background(), Records: twice}, &want); err != nil {
+		t.Fatal(err)
+	}
+	if n := twice.completed[recordMemoKey{harness.AlgNMSort, harness.RecordKey(harness.Workload{
+		N: 4096, Seed: 2015, Threads: 8, SP: 1 << 20, Dist: "uniform"})}]; n != 2 {
+		t.Errorf("without the memo NMsort was recorded %d times; the reference run no longer shows what the memo saves", n)
+	}
+	if got.String() != want.String() {
+		t.Errorf("stdout differs from the memo-less run's:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	for i := range paths {
+		g, err := os.ReadFile(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := os.ReadFile(plainPaths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs from the memo-less run's", filepath.Base(paths[i]))
+		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sweep -exp=bandwidth [-n keys] [-cores n] [-sp MiB] [-seed s]
+//	sweep -exp=bandwidth [-n keys] [-cores n] [-sp MiB] [-seed s] [-par n] [-timings]
 //	sweep -exp=faults [-fault-seed s] [-fault-rates r1,r2,...]
 //	sweep -exp=timeline [-epoch dur]
 //	sweep -exp=bandwidth -manifest run.json [-resume] [-slice n] [-retries n] [-timeout dur]
@@ -108,6 +108,7 @@ type options struct {
 	par        int
 	cpuProfile string
 	memProfile string
+	timings    bool
 
 	manifest   string
 	resume     bool
@@ -135,7 +136,8 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed for -exp=faults (0 disables injection)")
 	fs.StringVar(&o.faultRates, "fault-rates", "", "comma-separated bit error rates for -exp=faults (empty = default axis)")
 	fs.StringVar(&o.epoch, "epoch", "10us", "telemetry sampling epoch for -exp=timeline (e.g. 500ns, 10us)")
-	fs.IntVar(&o.par, "par", 0, "replay worker count; output is byte-identical at any value (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&o.par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
+	fs.BoolVar(&o.timings, "timings", false, "print one line per recording and per cell to stderr: lane, start and end since process start, cached/shared marks (host time; changes no output or manifest byte)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.manifest, "manifest", "", "checkpoint completed sweep cells to this JSON file (written atomically after each cell)")
@@ -254,7 +256,8 @@ func parseRates(list string) ([]float64, error) {
 }
 
 // supervisor builds the supervised runtime from the flags: cancellation
-// from ctx, the manifest (fresh or resumed), and the retry policy. Every
+// from ctx, the manifest (fresh or resumed), the retry policy, and the
+// -timings stage recorder. Every
 // sweep cell runs under it; a do-nothing supervisor is byte-identical to
 // the historical unsupervised path (pinned in internal/harness).
 func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
@@ -263,6 +266,9 @@ func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
 		Slice:     o.slice,
 		Retries:   o.retries,
 		RetrySeed: o.retrySeed,
+	}
+	if o.timings {
+		sup.Timings = prof.NewStages()
 	}
 	if o.traceCache != "" {
 		rc, err := harness.NewDiskRecordCache(o.traceCache)
@@ -346,6 +352,7 @@ func run(ctx context.Context, o options, out io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer sup.Timings.WriteTo(os.Stderr)
 	w := harness.Workload{
 		N:       o.n,
 		Seed:    o.seed,

@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -353,5 +355,48 @@ func TestRunCancelled(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "[cancelled]") {
 		t.Errorf("report missing cancelled marks:\n%s", b.String())
+	}
+}
+
+// TestRunCancelledStillFillsTraceCache: a sweep whose context expired before
+// it began replays nothing and still records — both traces land in the
+// -trace-cache directory, so the rerun (and `sweep-warm`'s set-up, which is
+// exactly this) starts warm and leaves the files untouched.
+func TestRunCancelledStillFillsTraceCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full replay")
+	}
+	dir := t.TempDir()
+	o, _, err := parseFlags([]string{"-exp", "bandwidth", "-n", "4096", "-cores", "8", "-sp", "1", "-trace-cache", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var cold strings.Builder
+	if failed, err := run(ctx, o, &cold); err != nil || failed != 6 {
+		t.Fatalf("cancelled run: failed=%d err=%v, want every cell cancelled", failed, err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.nmt3"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("cache holds %v (err=%v), want the two traces", files, err)
+	}
+	stamp := func() (all []string) {
+		for _, f := range files {
+			fi, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, fmt.Sprint(fi.Size(), fi.ModTime().UnixNano()))
+		}
+		return all
+	}
+	before := stamp()
+	var warm strings.Builder
+	if failed, err := run(context.Background(), o, &warm); err != nil || failed != 0 {
+		t.Fatalf("warm run: failed=%d err=%v", failed, err)
+	}
+	if after := stamp(); strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Errorf("the warm run rewrote the cache: %v, were %v", after, before)
 	}
 }

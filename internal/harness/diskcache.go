@@ -5,6 +5,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -29,6 +30,8 @@ import (
 // processes racing the same key converge on identical bytes.
 type DiskRecordCache struct {
 	dir string
+
+	loaded func(path string) // test hook: a file was mapped and is about to be walked
 }
 
 // NewDiskRecordCache returns a cache rooted at dir, creating it if needed.
@@ -48,7 +51,8 @@ func (c *DiskRecordCache) path(alg Algorithm, w Workload) string {
 
 // LookupRecord implements RecordCache: it tries the key's .nmt3 (columnar)
 // then .nmt (v2) file. A missing, unreadable, or invalid file is a miss —
-// the caller re-records and overwrites. A .nmt3 hit is replayed from its
+// the caller re-records and overwrites — and so is one another process
+// truncates under the walk (validateMapped). A .nmt3 hit is replayed from its
 // mapping, never decoded; the one validation walk also yields its counts.
 // The mapping lives as long as anything can reach the returned trace (a
 // cursor included) and is released by trace.Open's finalizer after that.
@@ -59,10 +63,13 @@ func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult,
 		if err != nil {
 			continue
 		}
+		if c.loaded != nil {
+			c.loaded(base + ext)
+		}
 		var tr *trace.Trace
 		switch s := src.(type) {
 		case *trace.Columnar:
-			if err := s.ValidatePar(par.Each); err != nil {
+			if err := validateMapped(s); err != nil {
 				s.Close()
 				continue
 			}
@@ -76,6 +83,28 @@ func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult,
 		return RecordResult{Trace: tr, Sorted: true, Counts: tr.Count()}, true
 	}
 	return RecordResult{}, false
+}
+
+// validateMapped is ValidatePar(par.Each) over what may be a MAP_SHARED
+// mapping: another process truncating the file turns a read into SIGBUS, fatal
+// unless the reading goroutine — each forked walker — has SetPanicOnFault on.
+// par.Each re-raises the panic here, where it becomes the error of a miss.
+func validateMapped(s *trace.Columnar) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			err = fmt.Errorf("harness: cache file changed under its mapping: %v", r)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	return s.ValidatePar(func(n int, body func(int)) {
+		par.Each(n, func(i int) {
+			defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+			body(i)
+		})
+	})
 }
 
 // CompleteRecord implements RecordCache: it writes the trace as a columnar

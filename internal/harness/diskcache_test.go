@@ -238,6 +238,80 @@ func TestTruncatedCacheFileFailsOneCell(t *testing.T) {
 	}
 }
 
+// TestCacheFileTruncatedUnderLookupIsMiss: LookupRecord walks a freshly
+// mapped file on forked goroutines, so another process truncating it between
+// the map and the walk used to be a SIGBUS that killed this process. It is a
+// miss: the mapping is closed on the spot, the sweep re-records, renders the
+// bytes of an uncached run, and overwrites the file with one that hits.
+func TestCacheFileTruncatedUnderLookupIsMiss(t *testing.T) {
+	rc, err := NewDiskRecordCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := Workload{N: 1 << 12, Seed: 13, Threads: 8, SP: 256 * units.KiB, Sup: &Supervisor{}}
+	uncached, err := BandwidthSweep(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := plain
+	w.Sup = &Supervisor{Records: rc}
+	if _, err := BandwidthSweep(w); err != nil { // populates the cache
+		t.Fatal(err)
+	}
+	if hit, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); !ok {
+		t.Fatal("the sweep did not populate the cache")
+	} else if !hit.Trace.Columns().Mapped() {
+		t.Skip("this platform reads cache files instead of mapping them")
+	}
+	victim := rc.path(AlgNMSort, RecordKey(w)) + ".nmt3"
+	truncations := 0
+	rc.loaded = func(path string) {
+		if path == victim && truncations == 0 {
+			truncations++
+			if err := os.Truncate(path, 0); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	releaseDroppedMappings(t)
+	before := trace.MappedBytes()
+	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
+		t.Fatal("a file truncated under the walk reported a hit")
+	}
+	if truncations != 1 {
+		t.Fatalf("the hook truncated %d files, want 1", truncations)
+	}
+	if got := trace.MappedBytes(); got != before {
+		t.Fatalf("the truncated file is still mapped: %d bytes, were %d", got, before)
+	}
+	if was := debug.SetPanicOnFault(false); was {
+		t.Fatal("SetPanicOnFault leaked out of LookupRecord")
+	}
+
+	// The same race under a sweep: the file is empty now, so re-arm the hook
+	// on a file that maps — the baseline's.
+	victim, truncations = rc.path(AlgGNUSort, RecordKey(w))+".nmt3", 0
+	s, err := BandwidthSweep(w)
+	if err != nil || s.Failed() != 0 {
+		t.Fatalf("sweep over a cache file truncated under its lookup: err=%v failed=%d", err, s.Failed())
+	}
+	if truncations != 1 {
+		t.Fatalf("the hook truncated %d files under the sweep, want 1", truncations)
+	}
+	if got, want := renderSweep(t, s), renderSweep(t, uncached); got != want {
+		t.Errorf("sweep differs from the uncached run's:\n%s\nwant:\n%s", got, want)
+	}
+	rc.loaded = nil
+	for _, alg := range []Algorithm{AlgGNUSort, AlgNMSort} {
+		if _, ok := rc.LookupRecord(alg, RecordKey(w)); !ok {
+			t.Errorf("%s: the re-recording did not overwrite the truncated file", alg)
+		}
+	}
+	s = Sweep{}
+	releaseDroppedMappings(t)
+}
+
 // TestDiskCacheMappingsReleased: LookupRecord hands out traces backed by
 // mappings it never closes — they must outlive every cursor — so dropping
 // the results is what releases them. After a cached sweep nothing may stay

@@ -32,24 +32,21 @@ func RunFaultSweep(w Workload, nearChannels int, seed uint64, rates []float64) (
 		rates = FaultRates
 	}
 
-	// Record each algorithm once, then pool every (algorithm, rate) replay.
-	// The rate-0 anchor leads each algorithm's job run; slowdowns are
-	// computed after the pool drains, from the anchor's slot.
+	// Record each algorithm once, beside the (algorithm, rate) replays of the
+	// other. The rate-0 anchor leads each algorithm's job run; slowdowns are
+	// computed after the schedule drains, from the anchor's slot.
 	axis := append([]float64{0}, rates...)
 	var jobs []replayJob
 	var points []SweepPoint
 	for _, alg := range []Algorithm{AlgGNUSort, AlgNMSort} {
-		rec, err := Record(alg, w)
-		if err != nil {
-			return s, err
-		}
+		rec := recordingOf(alg, w)
 		for _, rate := range axis {
 			cfg := NodeFor(w.Threads, nearChannels, w.SP)
 			cfg.MaxEvents = w.MaxEvents
 			if rate > 0 {
 				cfg.Fault = fault.Profile(seed, rate)
 			}
-			jobs = append(jobs, replayJob{cfg: cfg, tr: rec.Trace})
+			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
 			points = append(points, SweepPoint{
 				Label: string(alg),
 				Cores: w.Threads,

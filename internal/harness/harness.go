@@ -65,7 +65,8 @@ type Workload struct {
 	// Par is the replay worker count for sweeps: independent sweep points
 	// replay concurrently on up to Par workers, each writing its result into
 	// its pre-assigned slot, so output stays byte-identical at any value.
-	// 0 means GOMAXPROCS; 1 forces sequential replay.
+	// 0 means GOMAXPROCS; 1 means one replay at a time. Recordings are not
+	// under it: they run beside the replays, on every CPU.
 	Par int
 
 	// Sup, when non-nil, runs every replay under the supervised runtime:
@@ -113,14 +114,20 @@ func RecordKey(w Workload) Workload {
 // pairs share one recorded trace across sweeps — byte-neutral, since a
 // re-recording would be identical.
 func Record(alg Algorithm, w Workload) (RecordResult, error) {
+	res, _, err := record(alg, w)
+	return res, err
+}
+
+// record is Record, also saying whether the RecordCache answered.
+func record(alg Algorithm, w Workload) (res RecordResult, cached bool, err error) {
 	if w.N < 0 || w.Threads <= 0 || w.SP <= 0 {
-		return RecordResult{}, fmt.Errorf("harness: bad workload %+v", w)
+		return RecordResult{}, false, fmt.Errorf("harness: bad workload %+v", w)
 	}
 	var records RecordCache
 	if w.Sup != nil && w.Sup.Records != nil {
 		records = w.Sup.Records
 		if res, ok := records.LookupRecord(alg, RecordKey(w)); ok {
-			return res, nil
+			return res, true, nil
 		}
 	}
 	rec := trace.NewRecorder(w.Threads, ScaledL1, trace.DefaultCosts())
@@ -133,7 +140,6 @@ func Record(alg Algorithm, w Workload) (RecordResult, error) {
 	workload.Fill(a.D, dist, w.Seed^0xDA7A)
 	sum := core.Checksum(a.D)
 
-	var res RecordResult
 	switch alg {
 	case AlgGNUSort:
 		core.GNUSort(env, a)
@@ -148,12 +154,12 @@ func Record(alg Algorithm, w Workload) (RecordResult, error) {
 	case AlgGNUExact:
 		core.GNUSortOpt(env, a, core.GNUOptions{Exact: true})
 	default:
-		return RecordResult{}, fmt.Errorf("harness: unknown algorithm %q", alg)
+		return RecordResult{}, false, fmt.Errorf("harness: unknown algorithm %q", alg)
 	}
 
 	res.Sorted = core.IsSorted(a.D) && core.Checksum(a.D) == sum
 	if !res.Sorted {
-		return res, fmt.Errorf("harness: %s corrupted its input", alg)
+		return res, false, fmt.Errorf("harness: %s corrupted its input", alg)
 	}
 	// Seal and validate on every host CPU: both are per-thread walks, and
 	// together they are the only O(ops) work left between the sort and the
@@ -162,13 +168,13 @@ func Record(alg Algorithm, w Workload) (RecordResult, error) {
 	// the daemon's store find it already there).
 	res.Trace = rec.FinishPar(par.Each)
 	if err := res.Trace.Columns().ValidatePar(par.Each); err != nil {
-		return res, fmt.Errorf("harness: invalid trace: %w", err)
+		return res, false, fmt.Errorf("harness: invalid trace: %w", err)
 	}
 	res.Counts = res.Trace.Count()
 	if records != nil {
 		records.CompleteRecord(alg, RecordKey(w), res)
 	}
-	return res, nil
+	return res, false, nil
 }
 
 // NodeFor builds the simulated node: the Figure 4 machine with the given
@@ -231,34 +237,31 @@ func Table1(w Workload, dma bool) (Table, error) {
 func Table1Faults(w Workload, dma bool, fc fault.Config) (Table, error) {
 	t := Table{Title: fmt.Sprintf("SST-style simulation, N=%d keys, %d cores", w.N, w.Threads)}
 
-	gnu, err := Record(AlgGNUSort, w)
-	if err != nil {
-		return t, err
-	}
 	alg := AlgNMSort
 	if dma {
 		alg = AlgNMSortDM
 	}
-	nm, err := Record(alg, w)
-	if err != nil {
-		return t, err
-	}
+	gnu, nm := recordingOf(AlgGNUSort, w), recordingOf(alg, w)
 
-	// Replays pool in row order: the baseline on the 2X node (it never
-	// touches near memory, so its result is identical on any near
-	// configuration), then NMsort at 2X/4X/8X — all sharing the two
-	// recorded traces read-only.
+	// Replays are declared in row order: the baseline on the 2X node (it
+	// never touches near memory, so its result is identical on any near
+	// configuration), then NMsort at 2X/4X/8X — all sharing the two traces
+	// read-only. NMsort has three cells waiting on it, so it is recorded
+	// first and the baseline's recording hides behind its replays.
 	channels := []int{8, 8, 16, 32}
-	traces := []*trace.Trace{gnu.Trace, nm.Trace, nm.Trace, nm.Trace}
+	traces := []*recording{gnu, nm, nm, nm}
 	labels := []string{"GNU Sort", "NMsort (2X)", "NMsort (4X)", "NMsort (8X)"}
 	jobs := make([]replayJob, len(channels))
 	for i, ch := range channels {
 		cfg := NodeFor(w.Threads, ch, w.SP)
 		cfg.Fault = fc
 		cfg.MaxEvents = w.MaxEvents
-		jobs[i] = replayJob{cfg: cfg, tr: traces[i], label: labels[i]}
+		jobs[i] = replayJob{cfg: cfg, rec: traces[i], label: labels[i]}
 	}
 	outs := runReplays(w.Sup, replayPar(w.Par, len(jobs)), jobs)
+	if err := recordErr(jobs); err != nil {
+		return t, err
+	}
 	if w.Sup == nil {
 		// Unsupervised: the historical fail-fast contract.
 		for _, o := range outs {

@@ -63,6 +63,14 @@ func RecordKMeans(w KMeansWorkload, scratch bool) (*trace.Trace, kmeans.Result, 
 	return tr, res, nil
 }
 
+// kmeansRecording declares one RecordKMeans run.
+func kmeansRecording(name string, w KMeansWorkload, scratch bool) *recording {
+	return &recording{name: name, record: func() (*trace.Trace, bool, error) {
+		tr, _, err := RecordKMeans(w, scratch)
+		return tr, false, err
+	}}
+}
+
 // KMeansSweep reproduces experiment K1 on the full simulator: the far-only
 // baseline and the scratchpad-pinned variant replayed at 2X/4X/8X near
 // bandwidth. The paper's claim — "all our k-means algorithms run a factor
@@ -73,25 +81,15 @@ func KMeansSweep(w KMeansWorkload) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("k-means sweep, %d points x %d dims, k=%d, %d iterations, %d cores",
 		w.Points, w.Dims, w.K, w.Iters, w.Th)}
 
-	farTr, _, err := RecordKMeans(w, false)
-	if err != nil {
-		return s, err
-	}
-	spTr, _, err := RecordKMeans(w, true)
-	if err != nil {
-		return s, err
-	}
 	var jobs []replayJob
 	var points []SweepPoint
+	variants := []*recording{kmeansRecording("kmeans-far", w, false), kmeansRecording("kmeans-sp", w, true)}
 	for _, ch := range []int{8, 16, 32} {
-		for _, v := range []struct {
-			name string
-			tr   *trace.Trace
-		}{{"kmeans-far", farTr}, {"kmeans-sp", spTr}} {
+		for _, rec := range variants {
 			cfg := NodeFor(w.Th, ch, w.SP)
-			jobs = append(jobs, replayJob{cfg: cfg, tr: v.tr})
+			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
 			points = append(points, SweepPoint{
-				Label: fmt.Sprintf("%s@%dX", v.name, ch/4), Cores: w.Th,
+				Label: fmt.Sprintf("%s@%dX", rec.name, ch/4), Cores: w.Th,
 				Rho: cfg.BandwidthExpansion(),
 			})
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -115,6 +116,11 @@ type Supervisor struct {
 	// to a re-recorded one.
 	Records RecordCache
 
+	// Timings, when non-nil, records one host-time stage per recording and
+	// per cell (nmsim/sweep -timings). Observation only: nothing read from
+	// it reaches a result, a key or a manifest.
+	Timings *prof.Stages
+
 	// Interrupt, when non-nil, is polled between slices alongside Ctx —
 	// the deterministic chaos hook. It must be goroutine-safe. A non-nil
 	// return cancels like a context cancellation.
@@ -196,9 +202,9 @@ func ConfigDigest(cfg machine.Config, retries int, retrySeed uint64) uint64 {
 }
 
 // cellKeys derives every job's CellKey. Trace digests are memoized on the
-// trace itself (sweeps share one recorded trace across many cells), so
-// this is cheap after the first digest. Runs on the sweep goroutine
-// before the fan-out.
+// trace itself (sweeps share one recorded trace across many cells, and a
+// recording's digest rode its validation walk), so this is cheap. Runs as a
+// trace is published, before any of its cells can be claimed.
 func (sup *Supervisor) cellKeys(jobs []replayJob) ([]CellKey, error) {
 	keys := make([]CellKey, len(jobs))
 	for i, j := range jobs {
@@ -245,7 +251,7 @@ func (sup *Supervisor) cell(j replayJob, key CellKey, outcome func() replayOut) 
 	useCache := cache != nil && j.cfg.Telemetry == nil
 	if useCache {
 		if c, ok := cache.Lookup(key); ok {
-			return replayOut{res: c.Result, memFault: c.MemFault, attempts: c.Attempts}
+			return replayOut{res: c.Result, memFault: c.MemFault, attempts: c.Attempts, cached: true}
 		}
 	}
 	if err := sup.interrupted(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -198,26 +197,16 @@ func PhaseTable(title string, total units.Time, phases []telemetry.PhaseUsage) *
 func BandwidthSweep(w Workload) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("Bandwidth sweep, N=%d keys, %d cores", w.N, w.Threads)}
 
-	gnu, err := Record(AlgGNUSort, w)
-	if err != nil {
-		return s, err
-	}
-	nm, err := Record(AlgNMSort, w)
-	if err != nil {
-		return s, err
-	}
+	gnu, nm := recordingOf(AlgGNUSort, w), recordingOf(AlgNMSort, w)
 	var jobs []replayJob
 	var points []SweepPoint // point metadata, parallel to jobs
 	for _, ch := range []int{8, 16, 32} {
-		for _, a := range []struct {
-			name string
-			tr   *trace.Trace
-		}{{"gnusort", gnu.Trace}, {"nmsort", nm.Trace}} {
+		for _, rec := range []*recording{gnu, nm} {
 			cfg := NodeFor(w.Threads, ch, w.SP)
 			cfg.MaxEvents = w.MaxEvents
-			jobs = append(jobs, replayJob{cfg: cfg, tr: a.tr})
+			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
 			points = append(points, SweepPoint{
-				Label: fmt.Sprintf("%s@%dX", a.name, ch/4), Cores: w.Threads,
+				Label: fmt.Sprintf("%s@%dX", rec.name, ch/4), Cores: w.Threads,
 				Rho: cfg.BandwidthExpansion(),
 			})
 		}
@@ -225,9 +214,10 @@ func BandwidthSweep(w Workload) (Sweep, error) {
 	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
 }
 
-// collect runs the jobs on the pool and merges each outcome into its
-// pre-built point, in job order. Unsupervised (sup == nil), the first
-// fatal error aborts the sweep — the historical contract. Supervised,
+// collect runs the jobs' recordings and replays as one schedule and merges
+// each outcome into its pre-built point, in job order. A recording that fails
+// aborts the sweep. Unsupervised (sup == nil), so does the first fatal replay
+// error — the historical contract. Supervised,
 // failed cells stay in the series with their failure kind recorded and
 // the sweep always completes; callers inspect Sweep.Failed().
 func (s Sweep) collect(sup *Supervisor, workers int, jobs []replayJob, points []SweepPoint) (Sweep, error) {
@@ -238,6 +228,9 @@ func (s Sweep) collect(sup *Supervisor, workers int, jobs []replayJob, points []
 		jobs[i].label = points[i].Label
 	}
 	outs := runReplays(sup, workers, jobs)
+	if err := recordErr(jobs); err != nil {
+		return s, err
+	}
 	for i, o := range outs {
 		if o.err != nil && sup == nil {
 			return s, o.err
@@ -265,22 +258,11 @@ func CoreSweep(w Workload, coreCounts []int) (Sweep, error) {
 	for _, cores := range coreCounts {
 		cw := w
 		cw.Threads = cores
-		gnu, err := Record(AlgGNUSort, cw)
-		if err != nil {
-			return s, err
-		}
-		nm, err := Record(AlgNMSort, cw)
-		if err != nil {
-			return s, err
-		}
-		for _, a := range []struct {
-			name string
-			tr   *trace.Trace
-		}{{"gnusort", gnu.Trace}, {"nmsort", nm.Trace}} {
+		for _, rec := range []*recording{recordingOf(AlgGNUSort, cw), recordingOf(AlgNMSort, cw)} {
 			cfg := NodeFor(cores, 32, w.SP)
 			cfg.MaxEvents = w.MaxEvents
-			jobs = append(jobs, replayJob{cfg: cfg, tr: a.tr})
-			points = append(points, SweepPoint{Label: a.name, Cores: cores, Rho: 8})
+			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
+			points = append(points, SweepPoint{Label: rec.name, Cores: cores, Rho: 8})
 		}
 	}
 	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
@@ -309,19 +291,15 @@ func AblationDMA(w Workload, nearChannels int) (Sweep, error) {
 	return s.ablate(w, nearChannels, AlgNMSort, AlgNMSortDM)
 }
 
-// ablate records each algorithm and replays them as one pooled batch on
-// identical nodes — the shared body of the two ablation experiments.
+// ablate records each algorithm and replays them on identical nodes, as one
+// schedule — the shared body of the two ablation experiments.
 func (s Sweep) ablate(w Workload, nearChannels int, algs ...Algorithm) (Sweep, error) {
 	var jobs []replayJob
 	var points []SweepPoint
 	for _, alg := range algs {
-		r, err := Record(alg, w)
-		if err != nil {
-			return s, err
-		}
 		cfg := NodeFor(w.Threads, nearChannels, w.SP)
 		cfg.MaxEvents = w.MaxEvents
-		jobs = append(jobs, replayJob{cfg: cfg, tr: r.Trace})
+		jobs = append(jobs, replayJob{cfg: cfg, rec: recordingOf(alg, w)})
 		points = append(points, SweepPoint{
 			Label: string(alg), Cores: w.Threads, Rho: float64(nearChannels) / 4,
 		})

@@ -17,19 +17,19 @@ import (
 // else in the harness (the timeline of a faulting run is exactly what one
 // wants to look at).
 func RunTimeline(alg Algorithm, w Workload, nearChannels int, epoch units.Time, fc fault.Config) (machine.Result, *telemetry.Recorder, error) {
-	rec, err := Record(alg, w)
-	if err != nil {
-		return machine.Result{}, nil, err
-	}
 	tel := telemetry.New(epoch)
 	cfg := NodeFor(w.Threads, nearChannels, w.SP)
 	cfg.MaxEvents = w.MaxEvents
 	cfg.Fault = fc
 	cfg.Telemetry = tel
-	// One-job pool: with w.Sup set this replay is supervised like any
+	// One-job schedule: with w.Sup set this replay is supervised like any
 	// sweep cell (sliced, panic-contained, cancellable); telemetry cells
 	// never use the manifest, so the recorder always actually records.
-	o := runReplays(w.Sup, 1, []replayJob{{cfg: cfg, tr: rec.Trace, label: string(alg)}})[0]
+	jobs := []replayJob{{cfg: cfg, rec: recordingOf(alg, w), label: string(alg)}}
+	o := runReplays(w.Sup, 1, jobs)[0]
+	if err := recordErr(jobs); err != nil {
+		return machine.Result{}, nil, err
+	}
 	if o.err != nil {
 		return o.res, nil, o.err
 	}
@@ -46,16 +46,12 @@ func TimelineSweep(w Workload, nearChannels int, epoch units.Time) (Sweep, error
 	var jobs []replayJob
 	var points []SweepPoint
 	for _, alg := range []Algorithm{AlgGNUSort, AlgNMSort} {
-		rec, err := Record(alg, w)
-		if err != nil {
-			return s, err
-		}
 		cfg := NodeFor(w.Threads, nearChannels, w.SP)
 		cfg.MaxEvents = w.MaxEvents
 		// Each point owns a private recorder (they are single-use, like
 		// machines), so telemetry-instrumented replays pool like any other.
 		cfg.Telemetry = telemetry.New(epoch)
-		jobs = append(jobs, replayJob{cfg: cfg, tr: rec.Trace})
+		jobs = append(jobs, replayJob{cfg: cfg, rec: recordingOf(alg, w)})
 		points = append(points, SweepPoint{
 			Label: string(alg),
 			Cores: w.Threads,

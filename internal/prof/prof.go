@@ -1,9 +1,11 @@
 // Package prof wires the runtime's CPU and heap profilers to command-line
 // flags: the -cpuprofile/-memprofile convention of the go tool, shared by
 // nmsim and sweep so perf work can attach real profiles to a claim instead
-// of guessing. Profiling is strictly host-side observation — it never
-// touches simulated state, so enabling it cannot change a single output
-// byte.
+// of guessing — and, in stages.go, the host-time stage recorder behind
+// their -timings flag (ROADMAP item 1 grows the rest here: nested spans,
+// histograms, gauges). All of it is strictly host-side observation — it
+// never touches simulated state, so enabling it cannot change a single
+// output byte.
 package prof
 
 import (

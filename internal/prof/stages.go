@@ -1,0 +1,116 @@
+package prof
+
+import (
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+)
+
+// Stages records where a run's host time went: one stage per unit of
+// scheduled work (a recording, a sweep cell), with the lane it ran on and its
+// start and end on the monotonic clock, as offsets from the recorder's
+// creation — which commands do first thing, so the offsets read as time since
+// process start. Like the profiles above it is host-side observation only:
+// commands print it to stderr, and nothing read from it may reach a report
+// body, a manifest or a cache key.
+//
+// A nil *Stages records nothing and costs nothing — no clock read, no
+// allocation — so call sites need no guard (the telemetry.Recorder
+// convention). Safe for concurrent use: lanes start and end stages at once.
+type Stages struct {
+	origin time.Time
+
+	mu   sync.Mutex
+	list []Stage
+}
+
+// Stage is one recorded stage. End is zero until the stage has ended.
+type Stage struct {
+	Lane       int    // 0 is the recorder lane, 1.. the replay lanes
+	Kind, Name string // "record" or "cell"; the algorithm or the cell's label
+	Start, End time.Duration
+	Marks      []string // how the work was avoided, if it was: "cached", "shared"
+}
+
+// NewStages returns a recorder whose clock starts now.
+func NewStages() *Stages { return &Stages{origin: time.Now()} }
+
+// Span is one stage in progress; the zero Span (from a nil recorder) is inert.
+type Span struct {
+	s   *Stages
+	idx int
+}
+
+// Start opens a stage on the given lane.
+func (s *Stages) Start(lane int, kind, name string) Span {
+	if s == nil {
+		return Span{}
+	}
+	at := time.Since(s.origin)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.list = append(s.list, Stage{Lane: lane, Kind: kind, Name: name, Start: at})
+	return Span{s: s, idx: len(s.list) - 1}
+}
+
+// MarkIf is mark when on holds and no mark otherwise, for End.
+func MarkIf(on bool, mark string) string {
+	if on {
+		return mark
+	}
+	return ""
+}
+
+// End closes the stage, attaching the non-empty marks.
+func (sp Span) End(marks ...string) {
+	if sp.s == nil {
+		return
+	}
+	at := time.Since(sp.s.origin)
+	sp.s.mu.Lock()
+	defer sp.s.mu.Unlock()
+	st := &sp.s.list[sp.idx]
+	st.End = at
+	for _, m := range marks {
+		if m != "" {
+			st.Marks = append(st.Marks, m)
+		}
+	}
+}
+
+// Snapshot returns the stages recorded so far, in start order.
+func (s *Stages) Snapshot() []Stage {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	out := append([]Stage(nil), s.list...)
+	s.mu.Unlock()
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start < out[b].Start })
+	return out
+}
+
+// WriteTo prints one line per stage, in start order — the -timings output.
+func (s *Stages) WriteTo(w io.Writer) (int64, error) {
+	var b strings.Builder
+	for _, st := range s.Snapshot() {
+		lane := fmt.Sprintf("replay-%d", st.Lane)
+		if st.Lane == 0 {
+			lane = "recorder"
+		}
+		fmt.Fprintf(&b, "timings: %-6s %-24s lane=%-9s start=%8.3fs end=%8.3fs", st.Kind, st.Name, lane,
+			st.Start.Seconds(), st.End.Seconds())
+		if len(st.Marks) > 0 {
+			fmt.Fprintf(&b, " [%s]", strings.Join(st.Marks, ","))
+		}
+		b.WriteByte('\n')
+	}
+	if b.Len() == 0 {
+		return 0, nil
+	}
+	n, err := io.WriteString(w, b.String())
+	return int64(n), err
+}

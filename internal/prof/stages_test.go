@@ -1,0 +1,55 @@
+package prof
+
+import (
+	"strings"
+	"sync"
+	"testing"
+)
+
+// TestNilStagesAreFree: the nil recorder is the off switch — no guard at the
+// call site, no allocation, nothing printed.
+func TestNilStagesAreFree(t *testing.T) {
+	var s *Stages
+	if n := testing.AllocsPerRun(100, func() { s.Start(1, "cell", "x").End("cached") }); n != 0 {
+		t.Errorf("a stage on the nil recorder allocates %v times", n)
+	}
+	var b strings.Builder
+	if n, err := s.WriteTo(&b); n != 0 || err != nil || b.Len() != 0 || s.Snapshot() != nil {
+		t.Errorf("the nil recorder wrote %q (n=%d, err=%v)", b.String(), n, err)
+	}
+}
+
+// TestStagesRecordConcurrently: lanes open and close stages at once; every
+// stage comes back ended, in start order, with its non-empty marks.
+func TestStagesRecordConcurrently(t *testing.T) {
+	s := NewStages()
+	var wg sync.WaitGroup
+	for lane := 0; lane < 4; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.Start(lane, "cell", "c").End("", "shared")
+			}
+		}(lane)
+	}
+	wg.Wait()
+	all := s.Snapshot()
+	if len(all) != 200 {
+		t.Fatalf("%d stages, want 200", len(all))
+	}
+	for i, st := range all {
+		if st.End < st.Start || (i > 0 && st.Start < all[i-1].Start) {
+			t.Fatalf("stage %d: %+v after %+v", i, st, all[max(i-1, 0)])
+		}
+		if len(st.Marks) != 1 || st.Marks[0] != "shared" {
+			t.Fatalf("stage %d: marks %v", i, st.Marks)
+		}
+	}
+	var b strings.Builder
+	if _, err := s.WriteTo(&b); err != nil || strings.Count(b.String(), "\n") != 200 ||
+		!strings.Contains(b.String(), "lane=recorder") || !strings.Contains(b.String(), "lane=replay-3") ||
+		!strings.Contains(b.String(), "[shared]") {
+		t.Errorf("WriteTo (err=%v):\n%s", err, b.String())
+	}
+}

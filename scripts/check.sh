@@ -50,6 +50,19 @@
 #                                     (then the bandwidth sweep the same way,
 #                                     as text and as CSV rows),
 #                                     SIGTERM-drain to exit 0
+#  10. schedule smoke                 the recorder-lane schedule is invisible:
+#                                     nmsim stdout cmp-equal at -par 1,
+#                                     default -par and GOMAXPROCS=1, with and
+#                                     without -timings (stderr only); sweep
+#                                     stdout and -manifest file cmp-equal with
+#                                     -timings on and off; an expired -timeout
+#                                     exits 130 with both .nmt3 cache files
+#                                     written, and the warm run after it
+#                                     leaves them untouched
+#
+# The race pass (6) also carries the schedule's structural tests — the
+# sequential-driver oracle, overlap, the -par bound, no per-trace barrier,
+# failure, panic and cancellation (internal/harness/schedule_test.go).
 #
 # Any stage failing fails the whole script. Run from anywhere inside the
 # repository.
@@ -76,5 +89,6 @@ step go test -run='^$' -fuzz='^FuzzCRC64Combine$' -fuzztime=10s ./internal/trace
 step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./internal/machine
 step go test -run='^$' -fuzz='^FuzzAccessMatchesReference$' -fuzztime=10s ./internal/cachesim
 step ./scripts/serve_smoke.sh
+step ./scripts/schedule_smoke.sh
 
 echo "== all checks passed =="
