@@ -176,9 +176,12 @@ func (o options) faultConfig() fault.Config {
 	return fault.Profile(o.faultSeed, o.faultRate)
 }
 
+// experiment names the registry entry nmsim runs, here or on a daemon.
+const experiment = "table1"
+
 // runRemote ships Table I to an nmsimd daemon and prints the returned
-// table verbatim; the daemon runs the same Table1Faults code, so the
-// bytes match the in-process path.
+// table verbatim; the daemon runs the same registry entry, so the bytes
+// match the in-process path.
 func runRemote(ctx context.Context, o options, w io.Writer) (int, error) {
 	if o.jobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -187,7 +190,7 @@ func runRemote(ctx context.Context, o options, w io.Writer) (int, error) {
 	}
 	c := &serve.Client{BaseURL: o.server}
 	body, failed, err := c.Sweep(ctx, serve.SweepRequest{
-		Exp:       "table1",
+		Exp:       experiment,
 		N:         o.n,
 		Seed:      o.seed,
 		Cores:     o.cores,
@@ -301,16 +304,13 @@ func runLocal(o options, sup *harness.Supervisor, w io.Writer) (int, error) {
 		Par:       o.par,
 		Sup:       sup,
 	}
-	t, err := harness.Table1Faults(wl, o.dma, o.faultConfig())
+	e, _ := harness.FindExperiment(experiment)
+	t, err := e.Run(harness.ExperimentParams{DMA: o.dma, Fault: o.faultConfig()}, wl)
 	if err != nil {
 		return 0, err
 	}
 	failed := t.Failed()
-	if f == report.Text {
-		if _, err := fmt.Fprint(w, t.String()); err != nil {
-			return failed, err
-		}
-	} else if err := t.Report().Render(w, f); err != nil {
+	if err := harness.Render(w, t, f); err != nil {
 		return failed, err
 	}
 	if o.telemetry() {

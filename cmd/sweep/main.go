@@ -256,11 +256,12 @@ func parseRates(list string) ([]float64, error) {
 }
 
 // supervisor builds the supervised runtime from the flags: cancellation
-// from ctx, the manifest (fresh or resumed), the retry policy, and the
-// -timings stage recorder. Every
-// sweep cell runs under it; a do-nothing supervisor is byte-identical to
-// the historical unsupervised path (pinned in internal/harness).
-func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
+// from ctx, the retry policy, the -timings stage recorder, and the manifest
+// (fresh or resumed) as its cell cache — returned too, nil without
+// -manifest, for run's final flush. Every sweep cell runs under it; a
+// do-nothing supervisor is byte-identical to the historical unsupervised
+// path (pinned in internal/harness).
+func supervisor(ctx context.Context, o options) (*harness.Supervisor, *harness.Manifest, error) {
 	sup := &harness.Supervisor{
 		Ctx:       ctx,
 		Slice:     o.slice,
@@ -273,29 +274,30 @@ func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
 	if o.traceCache != "" {
 		rc, err := harness.NewDiskRecordCache(o.traceCache)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sup.Records = rc
 	}
 	if o.manifest == "" {
-		return sup, nil
+		return sup, nil, nil
 	}
+	var man *harness.Manifest
 	if o.resume {
-		man, err := harness.OpenManifest(o.manifest)
-		if err != nil {
-			return nil, err
+		var err error
+		if man, err = harness.OpenManifest(o.manifest); err != nil {
+			return nil, nil, err
 		}
-		sup.Manifest = man
-		return sup, nil
+	} else {
+		// A fresh (non-resume) run must not inherit stale cells: reset the
+		// file now so a crash before the first completed cell leaves a valid
+		// empty manifest, not last week's.
+		man = harness.NewManifest(o.manifest)
+		if err := man.Flush(); err != nil {
+			return nil, nil, err
+		}
 	}
-	// A fresh (non-resume) run must not inherit stale cells: reset the file
-	// now so a crash before the first completed cell leaves a valid empty
-	// manifest, not last week's.
-	sup.Manifest = harness.NewManifest(o.manifest)
-	if err := sup.Manifest.Flush(); err != nil {
-		return nil, err
-	}
-	return sup, nil
+	sup.Cache = man
+	return sup, man, nil
 }
 
 // runRemote ships the sweep to an nmsimd daemon and prints the returned
@@ -348,7 +350,7 @@ func run(ctx context.Context, o options, out io.Writer) (int, error) {
 		return runRemote(ctx, o, out)
 	}
 	f, _ := report.ParseFormat(o.format)
-	sup, err := supervisor(ctx, o)
+	sup, man, err := supervisor(ctx, o)
 	if err != nil {
 		return 0, err
 	}
@@ -370,15 +372,11 @@ func run(ctx context.Context, o options, out io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f == report.Text {
-		if _, err := fmt.Fprint(out, s.String()); err != nil {
-			return s.Failed(), err
-		}
-	} else if err := s.Report().Render(out, f); err != nil {
+	if err := harness.Render(out, s, f); err != nil {
 		return s.Failed(), err
 	}
-	if sup.Manifest != nil {
-		if err := sup.Manifest.Flush(); err != nil {
+	if man != nil {
+		if err := man.Flush(); err != nil {
 			return s.Failed(), err
 		}
 	}

@@ -49,40 +49,27 @@ func (c *DiskRecordCache) path(alg Algorithm, w Workload) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%s-%016x", alg, key))
 }
 
-// LookupRecord implements RecordCache: it tries the key's .nmt3 (columnar)
-// then .nmt (v2) file. A missing, unreadable, or invalid file is a miss —
-// the caller re-records and overwrites — and so is one another process
-// truncates under the walk (validateMapped). A .nmt3 hit is replayed from its
-// mapping, never decoded; the one validation walk also yields its counts.
-// The mapping lives as long as anything can reach the returned trace (a
-// cursor included) and is released by trace.Open's finalizer after that.
+// LookupRecord implements RecordCache: it opens the key's .nmt3 file. A
+// missing, unreadable, or invalid file is a miss — the caller re-records and
+// overwrites — and so is one another process truncates under the walk
+// (validateMapped). A hit is replayed from its mapping, never decoded; the
+// one validation walk also yields its counts. The mapping lives as long as
+// anything can reach the returned trace (a cursor included) and is released
+// by trace.Open's finalizer after that.
 func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult, bool) {
-	base := c.path(alg, w)
-	for _, ext := range []string{".nmt3", ".nmt"} {
-		src, err := trace.Load(base + ext)
-		if err != nil {
-			continue
-		}
-		if c.loaded != nil {
-			c.loaded(base + ext)
-		}
-		var tr *trace.Trace
-		switch s := src.(type) {
-		case *trace.Columnar:
-			if err := validateMapped(s); err != nil {
-				s.Close()
-				continue
-			}
-			tr = s.AsTrace()
-		case *trace.Trace:
-			if err := s.Validate(); err != nil {
-				continue
-			}
-			tr = s
-		}
-		return RecordResult{Trace: tr, Sorted: true, Counts: tr.Count()}, true
+	path := c.path(alg, w) + ".nmt3"
+	col, err := trace.Open(path)
+	if err != nil {
+		return RecordResult{}, false
 	}
-	return RecordResult{}, false
+	if c.loaded != nil {
+		c.loaded(path)
+	}
+	if err := validateMapped(col); err != nil {
+		col.Close()
+		return RecordResult{}, false
+	}
+	return RecordResult{Trace: col.AsTrace(), Sorted: true, Counts: col.Count()}, true
 }
 
 // validateMapped is ValidatePar(par.Each) over what may be a MAP_SHARED

@@ -180,6 +180,51 @@ func TestDiskRecordCacheInvalidIsMissAndOverwritten(t *testing.T) {
 	}
 }
 
+// TestLegacyV2CacheFileIsMiss: nothing has written a .nmt cache file since
+// recordings were born columnar, and the lookup no longer reads one — a
+// directory holding only the key's valid v2 stream misses, and the
+// re-recording lands beside it as the .nmt3 that hits.
+func TestLegacyV2CacheFileIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	rc, err := NewDiskRecordCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{N: 1 << 9, Seed: 11, Threads: 2, SP: 64 * units.KiB}
+	fresh, err := Record(AlgGNUSort, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rc.path(AlgGNUSort, RecordKey(w))
+	legacy, err := os.Create(base + ".nmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Trace.WriteTo(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := legacy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rc.loaded = func(path string) { t.Errorf("the lookup mapped %s", path) }
+	if _, ok := rc.LookupRecord(AlgGNUSort, RecordKey(w)); ok {
+		t.Fatal("a legacy .nmt file reported a hit")
+	}
+	rc.loaded = nil
+
+	w.Sup = &Supervisor{Records: rc}
+	if _, err := Record(AlgGNUSort, w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(base + ".nmt3"); err != nil {
+		t.Fatalf("the re-recording wrote no .nmt3: %v", err)
+	}
+	got, ok := rc.LookupRecord(AlgGNUSort, RecordKey(w))
+	if !ok || got.Counts != fresh.Counts {
+		t.Fatalf("after re-recording: hit=%v counts %+v, recorded %+v", ok, got.Counts, fresh.Counts)
+	}
+}
+
 // TestTruncatedCacheFileFailsOneCell: a cache hit is replayed in place from
 // a MAP_SHARED mapping, so a file truncated under a running sweep faults the
 // cursor that reads it. Under a supervisor that is one failed cell of kind

@@ -1,12 +1,18 @@
 package harness
 
-import "repro/internal/units"
+import (
+	"io"
 
-// The experiment registry: the single catalogue of the paper's sweeps,
-// shared by cmd/sweep (flags) and internal/serve (JSON requests) so the
-// two front ends can never drift on what an experiment name means. Each
-// entry maps parsed parameters plus a workload to a Sweep; front ends own
-// only the string-to-parameter parsing.
+	"repro/internal/fault"
+	"repro/internal/report"
+	"repro/internal/units"
+)
+
+// The experiment registry: the single catalogue of the paper's sweeps and
+// its Table I, shared by cmd/sweep and cmd/nmsim (flags) and internal/serve
+// (JSON requests) so the front ends can never drift on what an experiment
+// name means. Each entry maps parsed parameters plus a workload to an
+// Output; front ends own only the string-to-parameter parsing.
 
 // ExperimentParams carries the per-experiment knobs beyond the workload,
 // already parsed. Zero values select the registry's defaults, which are
@@ -22,6 +28,11 @@ type ExperimentParams struct {
 	FaultRates []float64
 	// Epoch is the -exp=timeline sampling epoch; 0 means DefaultEpoch.
 	Epoch units.Time
+	// DMA makes table1's NMsort use the §VII DMA engines.
+	DMA bool
+	// Fault is the fault environment every table1 node carries; the zero
+	// value injects nothing.
+	Fault fault.Config
 }
 
 // DefaultCoreList is the -exp=cores axis when none is given — the
@@ -37,7 +48,26 @@ const DefaultEpoch = 10 * units.Microsecond
 type Experiment struct {
 	Name string
 	Desc string
-	Run  func(p ExperimentParams, w Workload) (Sweep, error)
+	Run  func(p ExperimentParams, w Workload) (Output, error)
+}
+
+// Output is what an experiment leaves to print — a Sweep, or Table I's
+// Table: its own text layout, the same data as a renderable grid, and the
+// count of cells whose supervised replay did not complete.
+type Output interface {
+	String() string
+	Report() *report.Table
+	Failed() int
+}
+
+// Render writes o in format f: the experiment's own layout for text, its
+// grid for everything else.
+func Render(w io.Writer, o Output, f report.Format) error {
+	if f == report.Text {
+		_, err := io.WriteString(w, o.String())
+		return err
+	}
+	return o.Report().Render(w, f)
 }
 
 // Experiments is the registry, in display order. Adding an experiment
@@ -45,11 +75,11 @@ type Experiment struct {
 // API's experiment set all follow.
 var Experiments = []Experiment{
 	{"bandwidth", "claim C1 — NMsort's runtime falls as near bandwidth rises 2X→8X; the baseline is insensitive",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			return BandwidthSweep(w)
 		}},
 	{"cores", "claim C2 — the scratchpad pays off in the memory-bound regime (256 cores) and not below it",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			cc := p.CoreList
 			if len(cc) == 0 {
 				cc = DefaultCoreList()
@@ -57,15 +87,15 @@ var Experiments = []Experiment{
 			return CoreSweep(w, cc)
 		}},
 	{"dma", "experiment A2 — the §VII DMA-engine extension",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			return AblationDMA(w, 16)
 		}},
 	{"appends", "experiment A1 — bucket-metadata batching ablation",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			return AblationSmallAppends(w, 16)
 		}},
 	{"kmeans", "the §VII k-means extension",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			kw := DefaultKMeans()
 			kw.Th = w.Threads
 			kw.Par = w.Par
@@ -73,16 +103,20 @@ var Experiments = []Experiment{
 			return KMeansSweep(kw)
 		}},
 	{"faults", "experiment F1 — slowdown, retry counts, and MemFault outcomes vs. the far memory's error rate",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			return RunFaultSweep(w, 16, p.FaultSeed, p.FaultRates)
 		}},
 	{"timeline", "telemetry-instrumented replay at 4X — per-phase bandwidth and utilization, NMsort vs. the baseline",
-		func(p ExperimentParams, w Workload) (Sweep, error) {
+		func(p ExperimentParams, w Workload) (Output, error) {
 			epoch := p.Epoch
 			if epoch <= 0 {
 				epoch = DefaultEpoch
 			}
 			return TimelineSweep(w, 16, epoch)
+		}},
+	{"table1", "the paper's Table I (cmd/nmsim parity); dma/dist/fault_rate apply",
+		func(p ExperimentParams, w Workload) (Output, error) {
+			return Table1Faults(w, p.DMA, p.Fault)
 		}},
 }
 

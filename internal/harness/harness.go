@@ -85,10 +85,9 @@ func DefaultWorkload() Workload {
 	return Workload{N: 1 << 21, Seed: 2015, Threads: 256, SP: 8 * units.MiB}
 }
 
-// RecordResult is one recorded algorithm run. Trace is sealed v3 columns —
-// fresh from the recorder's builder or mapped from a cache file — and
-// replays in place; its static type stays *trace.Trace because
-// bench/_layers names it.
+// RecordResult is one recorded algorithm run. Trace is a handle over sealed
+// v3 columns — fresh from the recorder's builder or mapped from a cache file —
+// which replay in place.
 type RecordResult struct {
 	Trace   *trace.Trace
 	Sorted  bool

@@ -23,8 +23,8 @@ import (
 // the recorded trace to replay on it — one the caller already holds (tr), or
 // the declared recording (rec) whose trace runReplays stores in tr when the
 // recorder lane has sealed it. The trace is shared read-only across jobs —
-// replay never mutates a stream — and may be a decoded *Trace or a columnar
-// v3 file replayed in place. label is the point's report label, carried so
+// replay never mutates a stream — as sealed or mapped columns, replayed in
+// place. label is the point's report label, carried so
 // supervised failures name their cell.
 type replayJob struct {
 	cfg   machine.Config

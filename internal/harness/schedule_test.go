@@ -104,20 +104,11 @@ type sweepCase struct {
 }
 
 func sweepCases(t *testing.T) []sweepCase {
-	table := func(dma bool, fc fault.Config) func(Workload) (rendered, error) {
-		return func(w Workload) (rendered, error) {
-			tb, err := Table1Faults(w, dma, fc)
-			var b strings.Builder
-			b.WriteString(tb.String())
-			if rerr := tb.Report().Render(&b, "csv"); rerr != nil {
-				t.Fatal(rerr)
-			}
-			return rendered{body: b.String(), replays: -1}, err
-		}
-	}
 	cases := []sweepCase{
-		{"table1", table(false, fault.Config{})},
-		{"table1 dma faults", table(true, fault.Profile(41, 2e-2))},
+		{"table1 dma faults", func(w Workload) (rendered, error) {
+			tb, err := Table1Faults(w, true, fault.Profile(41, 2e-2))
+			return rendered{body: renderSweep(t, tb), replays: -1}, err
+		}},
 		{"bandwidth starved", func(w Workload) (rendered, error) {
 			w.MaxEvents = 500 // every cell fails: marked rows supervised, the first error unsupervised
 			s, err := BandwidthSweep(w)
@@ -125,18 +116,22 @@ func sweepCases(t *testing.T) []sweepCase {
 		}},
 	}
 	params := ExperimentParams{CoreList: []int{8, 16}, FaultSeed: 41, FaultRates: []float64{1e-3, 2e-2}, Epoch: 5 * units.Microsecond}
-	for _, e := range Experiments {
+	for _, e := range Experiments { // the fault-free Table I is the registry's last row
 		e := e
 		cases = append(cases, sweepCase{e.Name, func(w Workload) (rendered, error) {
-			var s Sweep
+			var out Output
 			var err error
 			if e.Name == "kmeans" {
 				// The registry entry pins DefaultKMeans' 2^18 points.
-				s, err = KMeansSweep(KMeansWorkload{Points: 1 << 11, Dims: 4, K: 4, Iters: 3, Seed: 31, Th: 8, SP: 256 * units.KiB, Par: w.Par, Sup: w.Sup})
+				out, err = KMeansSweep(KMeansWorkload{Points: 1 << 11, Dims: 4, K: 4, Iters: 3, Seed: 31, Th: 8, SP: 256 * units.KiB, Par: w.Par, Sup: w.Sup})
 			} else {
-				s, err = e.Run(params, w)
+				out, err = e.Run(params, w)
 			}
-			return rendered{body: renderSweep(t, s), replays: s.Replays}, err
+			replays := -1
+			if s, ok := out.(Sweep); ok {
+				replays = s.Replays
+			}
+			return rendered{body: renderSweep(t, out), replays: replays}, err
 		}})
 	}
 	return cases
@@ -149,7 +144,7 @@ func renderCase(t *testing.T, c sweepCase, supervised bool, par int) rendered {
 	w.Par = par
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if supervised {
-		w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Manifest: NewManifest(path)}
+		w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(path)}
 	}
 	r, err := c.run(w)
 	if err != nil {
@@ -519,7 +514,7 @@ func TestSharedAcrossRecordings(t *testing.T) {
 				return jobs
 			}
 			sup := func(file string) *Supervisor {
-				return &Supervisor{Slice: 1 << 11, Manifest: NewManifest(filepath.Join(dir, file))}
+				return &Supervisor{Slice: 1 << 11, Cache: NewManifest(filepath.Join(dir, file))}
 			}
 
 			p := &probe{}
@@ -530,7 +525,7 @@ func TestSharedAcrossRecordings(t *testing.T) {
 				}
 			}
 			gotSup := sup("schedule.json")
-			gotSup.Cache = &tee{CellCache: gotSup.Manifest, probe: p}
+			gotSup.Cache = &tee{CellCache: gotSup.Cache, probe: p}
 			got := runReplays(gotSup, workers, build(late))
 			oracle := recordThenPool(sup("oracle.json"), workers, build(false), nil)
 			real := realReplays(sup("real.json"), workers, onNodes(w.Threads, paperNears(w.SP), nil, gnu.Trace))
@@ -573,7 +568,7 @@ func TestTimingsChangeNoByte(t *testing.T) {
 	w.Par = 2
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	stages := prof.NewStages()
-	w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Manifest: NewManifest(path), Timings: stages}
+	w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(path), Timings: stages}
 	got, err := c.run(w)
 	if err != nil {
 		t.Fatal(err)

@@ -97,16 +97,12 @@ type Supervisor struct {
 	Retries   int
 	RetrySeed uint64
 
-	// Manifest, when non-nil, checkpoints completed cells: lookups skip
-	// replays already on disk, and every completed cell is written
-	// through atomically. Cells with telemetry recorders attached never
-	// use the manifest (their recorder must actually record).
-	Manifest *Manifest
-
-	// Cache, when non-nil, takes precedence over Manifest as the cell
-	// checkpoint store — the serving layer plugs its in-memory result
-	// cache in here. The same rules apply: equal keys stand in for
-	// byte-identical replays, and telemetry cells bypass the cache.
+	// Cache, when non-nil, checkpoints completed cells: lookups skip
+	// replays it already holds, and every completed cell is written
+	// through. cmd/sweep plugs a *Manifest in here (atomic on-disk
+	// checkpoints), the serving layer its in-memory result cache. Equal
+	// keys stand in for byte-identical replays; cells with telemetry
+	// recorders attached never use it (their recorder must actually record).
 	Cache CellCache
 
 	// Records, when non-nil, memoizes Record() results for workloads run
@@ -149,18 +145,6 @@ type CellCache interface {
 type RecordCache interface {
 	LookupRecord(alg Algorithm, w Workload) (RecordResult, bool)
 	CompleteRecord(alg Algorithm, w Workload, res RecordResult)
-}
-
-// cache resolves the active cell checkpoint store: an explicit Cache wins,
-// else the Manifest, else none.
-func (sup *Supervisor) cache() CellCache {
-	if sup.Cache != nil {
-		return sup.Cache
-	}
-	if sup.Manifest != nil {
-		return sup.Manifest
-	}
-	return nil
 }
 
 // interrupted reports the sticky cancellation state, latching the first
@@ -247,10 +231,9 @@ func (sup *Supervisor) runCell(j replayJob, key CellKey) replayOut {
 // a stored outcome under the cell's key wins, a cancelled sweep starts no
 // new cell, and a successful outcome is written through under that key.
 func (sup *Supervisor) cell(j replayJob, key CellKey, outcome func() replayOut) replayOut {
-	cache := sup.cache()
-	useCache := cache != nil && j.cfg.Telemetry == nil
+	useCache := sup.Cache != nil && j.cfg.Telemetry == nil
 	if useCache {
-		if c, ok := cache.Lookup(key); ok {
+		if c, ok := sup.Cache.Lookup(key); ok {
 			return replayOut{res: c.Result, memFault: c.MemFault, attempts: c.Attempts, cached: true}
 		}
 	}
@@ -259,7 +242,7 @@ func (sup *Supervisor) cell(j replayJob, key CellKey, outcome func() replayOut) 
 	}
 	out := outcome()
 	if out.err == nil && useCache {
-		if err := cache.Complete(key, CellOutcome{
+		if err := sup.Cache.Complete(key, CellOutcome{
 			MemFault: out.memFault, Attempts: out.attempts, Result: out.res,
 		}); err != nil {
 			out.err = err

@@ -19,7 +19,7 @@ import (
 
 // renderSweep is the byte-identity probe: the aligned text plus the CSV
 // encoding, so both render paths are pinned at once.
-func renderSweep(t *testing.T, s Sweep) string {
+func renderSweep(t *testing.T, s Output) string {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString(s.String())
@@ -97,8 +97,8 @@ func TestChaosInterruptResume(t *testing.T) {
 				sw := w
 				sw.Par = par
 				sw.Sup = &Supervisor{
-					Slice:    1 << 12,
-					Manifest: man,
+					Slice: 1 << 12,
+					Cache: man,
 					Interrupt: func() error {
 						if slices.Add(1) >= kill {
 							return chaos
@@ -148,7 +148,7 @@ func chaosSharedReplays(t *testing.T, w Workload, want string) {
 	goldenPath := filepath.Join(dir, "golden.json")
 	gw := w
 	gw.Par = 1
-	gw.Sup = &Supervisor{Slice: 1 << 12, Manifest: NewManifest(goldenPath)}
+	gw.Sup = &Supervisor{Slice: 1 << 12, Cache: NewManifest(goldenPath)}
 	if s, err := BandwidthSweep(gw); err != nil || s.Failed() != 0 || renderSweep(t, s) != want {
 		t.Fatalf("golden supervised sweep: err=%v failed=%d", err, s.Failed())
 	}
@@ -163,7 +163,7 @@ func chaosSharedReplays(t *testing.T, w Workload, want string) {
 		var polls atomic.Uint64
 		chaos := errors.New("chaos kill")
 		man := NewManifest(filepath.Join(dir, "killed.json"))
-		sup := &Supervisor{Slice: 1 << 12, Manifest: man, Interrupt: func() error {
+		sup := &Supervisor{Slice: 1 << 12, Cache: man, Interrupt: func() error {
 			if polls.Add(1) >= 3 {
 				return chaos
 			}
@@ -224,7 +224,7 @@ func chaosSharedReplays(t *testing.T, w Workload, want string) {
 				}
 				rw := w
 				rw.Par = par
-				rw.Sup = &Supervisor{Slice: 1 << 12, Manifest: man}
+				rw.Sup = &Supervisor{Slice: 1 << 12, Cache: man}
 				s, err := BandwidthSweep(rw)
 				if err != nil || s.Failed() != 0 {
 					t.Fatalf("par %d: err=%v failed=%d", par, err, s.Failed())
@@ -398,7 +398,7 @@ func TestTimelineSupervised(t *testing.T) {
 	w := tinyWorkload()
 	man := NewManifest(filepath.Join(t.TempDir(), "m.json"))
 	sw := w
-	sw.Sup = &Supervisor{Manifest: man}
+	sw.Sup = &Supervisor{Cache: man}
 	res1, tel1, err := RunTimeline(AlgNMSort, sw, 8, 50*units.Microsecond, fault.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -25,9 +25,8 @@ type core struct {
 	id    int
 	group int
 
-	// cur streams the thread's ops. For a decoded *Trace it walks the op
-	// slice; for an mmapped v3 trace it decodes each op on the fly from the
-	// thread's column segments — either way the core only ever sees cur.Cur.
+	// cur streams the thread's ops, decoding each on the fly from the
+	// thread's column segments: the core only ever sees cur.Cur.
 	// eos latches once the stream is exhausted (it is the cursor-world
 	// pc >= len(stream)); the current op stays addressable across the
 	// stall-return-resume cycles below because Next is only called by

@@ -309,9 +309,9 @@ func (m *Machine) l2Stats() cachesim.Stats {
 
 // Replay runs the trace to completion and returns the result. The trace
 // must have at most Config.Cores threads; thread i runs on core i. It
-// accepts any trace.Source: a decoded *Trace or an mmapped *Columnar — the
-// replay cores stream either through cursors, so a v3 file replays without
-// ever being materialized into op slices.
+// accepts any trace.Source — sealed or mmapped columns — and the replay
+// cores stream it through cursors, so no trace is ever materialized into op
+// slices to replay.
 func (m *Machine) Replay(src trace.Source) (Result, error) {
 	return m.ReplaySliced(src, 0, nil)
 }

@@ -96,8 +96,8 @@ type SweepRequest struct {
 	FaultRate float64 `json:"fault_rate,omitempty"` // table1: far bit error rate
 }
 
-// Stats is the GET /v1/stats snapshot. TraceBytes counts decoded traces'
-// heap footprint; TraceMappedBytes counts mmapped columnar traces' file
+// Stats is the GET /v1/stats snapshot. TraceBytes counts heap-resident
+// trace images; TraceMappedBytes counts mmapped columnar traces' file
 // bytes (address space and page cache, not Go heap). The store budget
 // spans both.
 type Stats struct {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,9 +12,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/harness"
+	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // tinyWorkload mirrors the harness test workload: 16 cores, small input,
@@ -228,6 +232,63 @@ func TestSweepMatchesDirectHarness(t *testing.T) {
 	}
 	if want := sw.String(); string(body) != want {
 		t.Fatalf("served sweep differs from direct harness run:\n--- served\n%s\n--- direct\n%s", body, want)
+	}
+}
+
+// TestSweepTable1IsARegistryRow: Table I is served through the same registry
+// lookup as every sweep — its dma, dist and fault_rate fields arrive as
+// ExperimentParams — and the bytes are Table1Faults' own, as text and as CSV.
+// An unknown name is refused with the registry's names, table1 among them,
+// and GET /v1/experiments is the registry and nothing appended.
+func TestSweepTable1IsARegistryRow(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	ctx := context.Background()
+	wl := harness.Workload{N: 1 << 12, Seed: 7, Threads: 8, SP: 1 * units.MiB, Dist: workload.Zipf, Sup: &harness.Supervisor{}}
+	want, err := harness.Table1Faults(wl, true, fault.Profile(41, 2e-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []report.Format{report.Text, report.CSV} {
+		var direct strings.Builder
+		if err := harness.Render(&direct, want, format); err != nil {
+			t.Fatal(err)
+		}
+		body, failed, err := c.Sweep(ctx, serve.SweepRequest{
+			Exp: "table1", N: 1 << 12, Seed: 7, Cores: 8, SPMiB: 1, Format: string(format),
+			DMA: true, Dist: "zipf", FaultSeed: 41, FaultRate: 2e-2,
+		})
+		if err != nil || failed != want.Failed() {
+			t.Fatalf("%s: failed=%d err=%v", format, failed, err)
+		}
+		if string(body) != direct.String() {
+			t.Fatalf("%s: served Table I differs from the direct run:\n--- served\n%s\n--- direct\n%s", format, body, direct.String())
+		}
+	}
+
+	status, msg := postRaw(t, c, "/v1/sweeps", `{"exp":"table2"}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(msg), strings.Join(harness.ExperimentNames(), ", ")) {
+		t.Fatalf("unknown experiment: status %d: %s", status, msg)
+	}
+
+	resp, err := c.HTTP.Get(c.BaseURL + "/v1/experiments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var infos []serve.ExperimentInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != len(harness.Experiments) {
+		t.Fatalf("%d experiments listed, the registry has %d", len(infos), len(harness.Experiments))
+	}
+	for i, e := range harness.Experiments {
+		if infos[i] != (serve.ExperimentInfo{Name: e.Name, Desc: e.Desc}) {
+			t.Errorf("entry %d: %+v, the registry has %q", i, infos[i], e.Name)
+		}
+	}
+	if last := infos[len(infos)-1].Name; last != "table1" {
+		t.Errorf("the list ends in %q; clients of the old daemon found table1 there", last)
 	}
 }
 

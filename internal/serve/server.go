@@ -166,7 +166,7 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 
 // handleUpload ingests a serialized trace stream into the store, in either
 // serialization, sniffed by magic, and either way as columns replayed in
-// place. A v1/v2 body (trace.WriteTo bytes) is checksum-verified, validated
+// place. A v2 body (trace.WriteTo bytes) is checksum-verified, validated
 // and sealed by ReadTrace's one pass. A v3 body is stored as it arrived —
 // but only after Verify recomputes both its payload CRC and its content
 // digest: the store is content-addressed by the footer's digest claim, so a
@@ -253,9 +253,9 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFetchTrace streams a stored trace back in its serialized form —
-// v2 bytes for a decoded trace, the raw v3 file for a columnar one (both
-// WriteTo implementations satisfy io.WriterTo). The trace stays pinned
-// for the duration of the write.
+// v2 bytes for a *trace.Trace (a recording, a v2 upload), the raw v3 file for
+// a *trace.Columnar (both WriteTo implementations satisfy io.WriterTo). The
+// trace stays pinned for the duration of the write.
 func (s *Server) handleFetchTrace(w http.ResponseWriter, r *http.Request) {
 	d, err := parseDigest(r.PathValue("digest"))
 	if err != nil {
@@ -483,9 +483,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	_, known := harness.FindExperiment(req.Exp)
-	if !known && req.Exp != "table1" {
-		fail(w, fmt.Errorf("serve: unknown experiment %q (want table1 or one of: %s)",
+	e, known := harness.FindExperiment(req.Exp)
+	if !known {
+		fail(w, fmt.Errorf("serve: unknown experiment %q (want one of: %s)",
 			req.Exp, strings.Join(harness.ExperimentNames(), ", ")), http.StatusBadRequest)
 		return
 	}
@@ -516,51 +516,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Sup: sup,
 	}
 
+	p := harness.ExperimentParams{
+		CoreList:   req.CoreList,
+		FaultSeed:  req.FaultSeed,
+		FaultRates: req.FaultRates,
+		Epoch:      units.Time(req.EpochPS),
+		DMA:        req.DMA,
+	}
+	if req.FaultRate > 0 {
+		p.Fault = fault.Profile(req.FaultSeed, req.FaultRate)
+	}
+	out, err := e.Run(p, wl)
+	if err != nil {
+		fail(w, err, http.StatusUnprocessableEntity)
+		return
+	}
 	// Render into a buffer first: a failed experiment must still be able
 	// to answer with a clean error status.
 	var body strings.Builder
-	var failed int
-	if req.Exp == "table1" {
-		var fc fault.Config
-		if req.FaultRate > 0 {
-			fc = fault.Profile(req.FaultSeed, req.FaultRate)
-		}
-		t, err := harness.Table1Faults(wl, req.DMA, fc)
-		if err != nil {
-			fail(w, err, http.StatusUnprocessableEntity)
-			return
-		}
-		failed = t.Failed()
-		if f == report.Text {
-			fmt.Fprint(&body, t.String())
-		} else if err := t.Report().Render(&body, f); err != nil {
-			fail(w, err, http.StatusInternalServerError)
-			return
-		}
-	} else {
-		e, _ := harness.FindExperiment(req.Exp)
-		p := harness.ExperimentParams{
-			CoreList:   req.CoreList,
-			FaultSeed:  req.FaultSeed,
-			FaultRates: req.FaultRates,
-			Epoch:      units.Time(req.EpochPS),
-		}
-		sw, err := e.Run(p, wl)
-		if err != nil {
-			fail(w, err, http.StatusUnprocessableEntity)
-			return
-		}
-		failed = sw.Failed()
-		if f == report.Text {
-			fmt.Fprint(&body, sw.String())
-		} else if err := sw.Report().Render(&body, f); err != nil {
-			fail(w, err, http.StatusInternalServerError)
-			return
-		}
+	if err := harness.Render(&body, out, f); err != nil {
+		fail(w, err, http.StatusInternalServerError)
+		return
 	}
 	s.sweepsDone.Add(1)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Nmsimd-Failed", fmt.Sprintf("%d", failed))
+	w.Header().Set("X-Nmsimd-Failed", fmt.Sprintf("%d", out.Failed()))
 	io.WriteString(w, body.String())
 }
 
@@ -585,10 +565,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiments lists the shared registry.
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	infos := make([]ExperimentInfo, 0, len(harness.Experiments)+1)
+	infos := make([]ExperimentInfo, 0, len(harness.Experiments))
 	for _, e := range harness.Experiments {
 		infos = append(infos, ExperimentInfo{Name: e.Name, Desc: e.Desc})
 	}
-	infos = append(infos, ExperimentInfo{Name: "table1", Desc: "the paper's Table I (cmd/nmsim parity); dma/dist/fault_rate apply"})
 	writeJSON(w, infos)
 }

@@ -16,14 +16,12 @@ import (
 // whole run. The budget is therefore soft under load: pinned bytes can
 // exceed it, and the store converges back under it as pins release.
 //
-// Entries are trace.Sources, and every one the daemon itself creates is
-// columns: a recording's sealed image, an uploaded v2 body sealed by
-// ReadTrace, or an uploaded v3 body charge their image size as heap bytes; a
-// locally opened file charges mapped bytes, because a mapped trace holds
-// address space and page cache, not Go heap. Both spend the same budget;
-// Stats reports the split. An image costs ~3.3 B/op whichever way it
-// arrived; only a trace handed over as decoded streams (a hand-built one)
-// still charges the 32 B/op it occupies. Eviction only
+// Entries are trace.Sources, and a Source is columns: a recording's sealed
+// image, an uploaded v2 body sealed by ReadTrace, or an uploaded v3 body
+// charge their image size as heap bytes; a locally opened file charges
+// mapped bytes, because a mapped trace holds address space and page cache,
+// not Go heap. Both spend the same budget; Stats reports the split. An image
+// costs ~3.3 B/op whichever way it arrived. Eviction only
 // drops the store's reference: a pinned Source stays valid for its
 // borrower, and a mapped Columnar's pages are released by the finalizer
 // trace.Open installs once the last reference (store, pin, or cursor)
@@ -33,26 +31,17 @@ import (
 // hold; callers re-upload or re-record.
 var ErrTraceNotFound = errors.New("serve: trace not found")
 
-// opBytes is the in-memory footprint charged per op of a decoded trace:
-// the Op struct is 26 bytes padded to 32 in a slice.
-const opBytes = 32
-
 // sourceBytes splits a source's resident footprint into heap and mapped
-// bytes: the image size for anything backed by columns, opBytes per op for
-// decoded streams.
+// bytes: the size of the image behind it, on whichever side it lives.
 func sourceBytes(src trace.Source) (heap, mapped int64) {
 	col, _ := src.(*trace.Columnar)
 	if tr, ok := src.(*trace.Trace); ok {
 		col = tr.Columns()
 	}
-	switch {
-	case col == nil:
-		return int64(src.Ops()) * opBytes, 0
-	case col.Mapped():
+	if col.Mapped() {
 		return 0, col.Size()
-	default:
-		return col.Size(), 0
 	}
+	return col.Size(), 0
 }
 
 // storeEntry is one resident trace.

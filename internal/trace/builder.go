@@ -465,10 +465,8 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 // is a builder-sealed recording, otherwise one builder pass over its
 // cursors.
 func Seal(src Source) (*Columnar, error) {
-	if c := sealedColumns(src); c != nil {
-		return c, nil
-	}
-	// Refuse, before any work, the shapes the reader would refuse.
+	// Refuse, before any work, the shapes the reader would refuse: a
+	// hand-built trace seals whatever it was given (see Trace.Columns).
 	names := src.PhaseTable()
 	switch threads := src.Threads(); {
 	case threads == 0:
@@ -477,6 +475,9 @@ func Seal(src Source) (*Columnar, error) {
 		return nil, fmt.Errorf("trace: refusing to serialize %d threads (max %d)", threads, maxThreads)
 	case len(names) > maxPhaseNames:
 		return nil, fmt.Errorf("trace: refusing to serialize %d phase names (max %d)", len(names), maxPhaseNames)
+	}
+	if c := sealedColumns(src); c != nil {
+		return c, nil
 	}
 	threads := make([]*colBuilder, src.Threads())
 	for t := range threads {
@@ -493,20 +494,18 @@ func Seal(src Source) (*Columnar, error) {
 	return sealImage(src.CostModel(), src.Geometry(), names, threads, nil), nil
 }
 
-// columnsOf returns the columns src is made of, or nil for decoded streams.
+// columnsOf returns the columns src is made of: this package's two Sources
+// are the columns and the handle over them.
 func columnsOf(src Source) *Columnar {
-	switch s := src.(type) {
-	case *Trace:
-		return s.cols
-	case *Columnar:
-		return s
+	if tr, ok := src.(*Trace); ok {
+		return tr.Columns()
 	}
-	return nil
+	return src.(*Columnar)
 }
 
 // sealedColumns returns the builder-sealed columns src is made of, or nil.
 func sealedColumns(src Source) *Columnar {
-	if c := columnsOf(src); c != nil && c.sealed {
+	if c := columnsOf(src); c.sealed {
 		return c
 	}
 	return nil

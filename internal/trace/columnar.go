@@ -406,23 +406,22 @@ func (c *Columnar) Sections() []Section {
 	return secs
 }
 
-// CursorAt returns a fresh columnar cursor over thread tid's columns. The
+// CursorAt returns a fresh cursor over thread tid's columns. The
 // gap column's dictionary header is parsed here, once per cursor; a
 // malformed header latches the cursor failed so the first Next reports it
 // through Err.
 func (c *Columnar) CursorAt(tid int) Cursor {
 	th := &c.threads[tid]
 	cur := Cursor{
-		columnar: true,
-		owner:    c,
-		tid:      tid,
-		n:        th.ops,
-		shift:    th.shift,
-		tags:     c.data[th.off[colTags]:th.end[colTags]],
-		addrs:    c.data[th.off[colAddrs]:th.end[colAddrs]],
-		dmas:     c.data[th.off[colDMAs]:th.end[colDMAs]],
-		phases:   c.data[th.off[colPhases]:th.end[colPhases]],
-		ends:     th.end,
+		owner:  c,
+		tid:    tid,
+		n:      th.ops,
+		shift:  th.shift,
+		tags:   c.data[th.off[colTags]:th.end[colTags]],
+		addrs:  c.data[th.off[colAddrs]:th.end[colAddrs]],
+		dmas:   c.data[th.off[colDMAs]:th.end[colDMAs]],
+		phases: c.data[th.off[colPhases]:th.end[colPhases]],
+		ends:   th.end,
 	}
 	g := c.data[th.off[colGaps]:th.end[colGaps]]
 	if th.ops == 0 && len(g) == 0 {
@@ -439,9 +438,9 @@ func (c *Columnar) CursorAt(tid int) Cursor {
 	return cur
 }
 
-// Validate streams every thread's columns once, checking what
-// Trace.Validate checks on decoded streams — OpEnd termination, barrier
-// agreement, address routing, phase-id bounds — plus the columnar framing:
+// Validate streams every thread's columns once, checking that the streams
+// are well formed — OpEnd termination, barrier agreement, address routing,
+// phase-id bounds — and the columnar framing:
 // the claimed op count decodes exactly and consumes every column byte. It
 // allocates no op slices, so a hostile header cannot turn validation into
 // an allocation amplifier. The result is memoized.
@@ -724,7 +723,7 @@ func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Load opens the trace file at path in whichever serialization it carries:
-// v3 files (magic "NMT3") are mmapped via Open, v1/v2 files are read whole
+// v3 files (magic "NMT3") are mmapped via Open, v2 files are read whole
 // and sealed into columns as ReadTrace does.
 func Load(path string) (Source, error) {
 	f, err := os.Open(path)

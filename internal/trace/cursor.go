@@ -22,9 +22,8 @@ var colNames = [numCols]string{"tags", "gaps", "addrs", "dma", "phase"}
 
 // Cursor streams one thread's ops in order. It is a value type: CursorAt
 // returns it on the stack and the replay core embeds it, so iteration
-// allocates nothing. Two modes share the API: a decoded-slice walk over a
-// *Trace stream, and a columnar walk that decodes each op on the fly from
-// a v3 file's per-thread column segments.
+// allocates nothing. It decodes each op on the fly from a v3 image's
+// per-thread column segments; there is no other mode.
 //
 // Usage:
 //
@@ -37,33 +36,27 @@ var colNames = [numCols]string{"tags", "gaps", "addrs", "dma", "phase"}
 //
 // Next never allocates, including on malformed input: a decode failure
 // latches the cursor into a terminal failed state and Next reports false;
-// Err materializes the *DecodeError afterwards, off the hot path. A
-// columnar cursor holds its owning *Columnar, so the mapped file cannot be
-// unmapped by the finalizer while any cursor can still read it.
+// Err materializes the *DecodeError afterwards, off the hot path. A cursor
+// holds its owning *Columnar, so the mapped file cannot be unmapped by the
+// finalizer while any cursor can still read it.
 type Cursor struct {
 	// Cur is the current op: valid after each Next that returned true.
 	Cur Op
 
-	// Decoded-slice mode.
-	ops []Op
-	idx int
-
-	// Columnar mode.
-	columnar bool
-	owner    *Columnar // keeps the mapping alive while cursors exist
-	n        int64     // claimed ops not yet produced
-	run      uint64    // ops remaining in the current tag run block
-	lit      uint64    // tag bytes remaining in the current literal block
-	tag      byte      // current op's tag byte
-	prev     uint64    // shifted-address accumulator (see Columnar shift)
-	shift    uint      // per-thread address shift
-	dict     []byte    // gap dictionary: fixed-width u32 entries
-	tags     []byte    // unconsumed remainder of each column
-	gaps     []byte    // (gaps: the index stream past the dictionary)
-	addrs    []byte
-	dmas     []byte
-	phases   []byte
-	ends     [numCols]int64 // file offset one past each column, for Err
+	owner  *Columnar // keeps the mapping alive while cursors exist
+	n      int64     // claimed ops not yet produced
+	run    uint64    // ops remaining in the current tag run block
+	lit    uint64    // tag bytes remaining in the current literal block
+	tag    byte      // current op's tag byte
+	prev   uint64    // shifted-address accumulator (see Columnar shift)
+	shift  uint      // per-thread address shift
+	dict   []byte    // gap dictionary: fixed-width u32 entries
+	tags   []byte    // unconsumed remainder of each column
+	gaps   []byte    // (gaps: the index stream past the dictionary)
+	addrs  []byte
+	dmas   []byte
+	phases []byte
+	ends   [numCols]int64 // file offset one past each column, for Err
 
 	failed bool
 	col    int // column that failed, valid when failed
@@ -77,14 +70,6 @@ type Cursor struct {
 //
 //nmlint:hotpath
 func (c *Cursor) Next() bool {
-	if !c.columnar {
-		if c.idx >= len(c.ops) {
-			return false
-		}
-		c.Cur = c.ops[c.idx]
-		c.idx++
-		return true
-	}
 	if c.failed || c.n <= 0 {
 		return false
 	}
@@ -191,7 +176,7 @@ func (c *Cursor) fail(col int) bool {
 // Err returns the decode failure that stopped the cursor, or nil if Next
 // reported false because the stream is simply exhausted. The error is a
 // *DecodeError naming the thread's column and the file byte offset at
-// which decoding stopped. Decoded-slice cursors never fail.
+// which decoding stopped.
 func (c *Cursor) Err() error {
 	if !c.failed {
 		return nil
@@ -216,9 +201,6 @@ func (c *Cursor) colOffset(col int) int64 {
 // walk consumed every column exactly. Columnar.Validate uses it to reject
 // files whose columns carry trailing garbage past the claimed op count.
 func (c *Cursor) remaining() int {
-	if !c.columnar {
-		return -1
-	}
 	for col, rem := range [numCols]int{len(c.tags), len(c.gaps), len(c.addrs), len(c.dmas), len(c.phases)} {
 		if rem != 0 {
 			return col

@@ -215,7 +215,8 @@ func TestFusedWalkKeepsBothVerdicts(t *testing.T) {
 }
 
 // v1Stream rewrites a v2 stream with an empty phase table as the v1 stream
-// of the same ops: version 1, no table.
+// of the same ops: version 1, no table. The reader took these until the
+// decoded trace went; now they are the corpus's must-reject.
 func v1Stream(t testing.TB, v2 []byte) []byte {
 	t.Helper()
 	const nameCount = 4 + 9*8
@@ -223,13 +224,13 @@ func v1Stream(t testing.TB, v2 []byte) []byte {
 		t.Fatal("v1 had no phase names")
 	}
 	v1 := append(bytes.Clone(v2[:nameCount]), v2[nameCount+8:]...)
-	putLE64(v1[4:], traceVersionV1)
+	putLE64(v1[4:], 1)
 	refreshChecksum(v1)
 	return v1
 }
 
 // readTraceCorpus is FuzzReadTrace's seed corpus: small valid streams
-// covering every op kind, a v1 stream, and the ways they tear.
+// covering every op kind, a v1 stream (refused), and the ways they tear.
 func readTraceCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	var corpus [][]byte
@@ -270,7 +271,7 @@ func readTraceCorpus(t testing.TB) [][]byte {
 // cause — for the rest; and for an accepted one, sealed columns and no
 // streams, byte-equal to the columns the old reader's ops seal to (footer
 // digest included: the adopted checksum is the canonical digest, even for a
-// v1 stream or one with overlong varints), and Validate's memoized verdict
+// stream with overlong varints), and Validate's memoized verdict
 // the validate-only walk's over those columns.
 func requireReadsAsBefore(t testing.TB, name string, raw []byte) {
 	t.Helper()
@@ -484,11 +485,11 @@ func TestRecordDigestIsFree(t *testing.T) {
 			t.Fatalf("v2 -> v3: %v, bytes equal: %v", err, bytes.Equal(again.Bytes(), v3.Bytes()))
 		}
 	})
-	expect("v1 file: its checksum is not its digest, one walk finds it", 1, 1, func() {
-		tr, err := ReadTrace(bytes.NewReader(v1Stream(t, v2.Bytes())))
+	expect("hand-built trace: sealed on first use, then a recording's one walk", 1, 1, func() {
+		built, err := rec.Decoded()
 		if err != nil {
 			t.Fatal(err)
 		}
-		use(tr)
+		use(built)
 	})
 }

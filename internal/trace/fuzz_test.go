@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc64"
 	"testing"
 )
@@ -61,6 +62,9 @@ func FuzzReadTrace(f *testing.F) {
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if v := binary.LittleEndian.Uint64(data[4:]); v != traceVersion {
+			t.Fatalf("accepted a version %d stream", v)
 		}
 		// A successfully decoded trace must serialize and decode again
 		// to the same stream shape.

@@ -19,7 +19,7 @@ import (
 //	magic "NMTR" | version u32
 //	costs: 4 x i64 | l1: cap i64, line i64, ways i64
 //	threads u32
-//	phase names (version >= 2): count i64, then per name len uvarint + bytes
+//	phase names: count i64, then per name len uvarint + bytes
 //	per thread: ops u32, then packed ops
 //	crc64(ECMA) of everything before it
 //
@@ -27,12 +27,12 @@ import (
 // by only the fields that kind uses.
 //
 // Version history: v1 had no phase-name table and no OpPhase ops; v2 added
-// both. The writer emits v2; the reader accepts both.
+// both. Nothing has written v1 since, and the reader refuses it like any
+// other unknown version.
 
 const (
-	traceMagic     = "NMTR"
-	traceVersion   = 2
-	traceVersionV1 = 1
+	traceMagic   = "NMTR"
+	traceVersion = 2
 
 	// maxPhaseNames bounds the phase table a hostile stream can request;
 	// real traces mark a handful of phases.
@@ -72,16 +72,26 @@ func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
 func WriteV2(w io.Writer, src Source) (int64, error) { return WriteV2Par(w, src, nil) }
 
 // WriteV2Par is WriteV2 with the per-thread walks run under fj: every thread
-// encodes its ops into its own buffer, and the buffers are written in thread
+// encodes its ops into its own lane, and the lanes are written in thread
 // order once all are full, so the bytes do not depend on fj — and the whole
 // stream is in memory until they are. The trailing checksum is taken over the
-// bytes written. Over columns the walk is the validation walk too (see
-// Columnar.walk): it leaves Validate's verdict memoized, and reports only
-// what stops serialization.
+// bytes written. The walk is the validation walk too (see Columnar.walk): it
+// leaves Validate's verdict memoized, and reports only what stops
+// serialization.
 func WriteV2Par(w io.Writer, src Source, fj ForkJoin) (int64, error) {
-	hdr, lanes, sum, err := encodeV2(src, fj, true)
+	c := columnsOf(src)
+	hdr, err := headerV2(c) // refused before any walk
 	if err != nil {
 		return 0, err
+	}
+	lanes := make([]lane, len(c.threads))
+	for t := range lanes {
+		lanes[t].keep = true
+	}
+	r := c.walk(fj, lanes)
+	c.validateOnce.Do(func() { c.settle(r) })
+	if r.decode != nil {
+		return 0, r.decode
 	}
 	var n int64
 	write := func(p []byte) error {
@@ -98,34 +108,7 @@ func WriteV2Par(w io.Writer, src Source, fj ForkJoin) (int64, error) {
 		}
 	}
 	// Trailing checksum (not itself checksummed).
-	return n, write(binary.LittleEndian.AppendUint64(nil, sum))
-}
-
-// encodeV2 walks src once, under fj, into one lane per thread, and returns
-// the v2 header, the lanes that follow it, and the checksum of it all. With
-// keep the lanes hold their thread's bytes; without, only their summaries.
-func encodeV2(src Source, fj ForkJoin, keep bool) (hdr []byte, lanes []lane, sum uint64, err error) {
-	if hdr, err = headerV2(src); err != nil {
-		return nil, nil, 0, err
-	}
-	lanes = make([]lane, src.Threads())
-	for t := range lanes {
-		lanes[t].keep = keep
-	}
-	if c := columnsOf(src); c != nil {
-		r := c.walk(fj, lanes)
-		c.validateOnce.Do(func() { c.settle(r) })
-		return hdr, lanes, r.digest, r.decode
-	}
-	fj.run(len(lanes), func(t int) { // decoded streams: their cursors cannot fail
-		l := &lanes[t]
-		l.begin(src.ThreadOps(t))
-		for cur := src.CursorAt(t); cur.Next(); {
-			l.put(cur.Cur)
-		}
-		l.end()
-	})
-	return hdr, lanes, foldLanes(hdr, lanes), nil
+	return n, write(binary.LittleEndian.AppendUint64(nil, r.digest))
 }
 
 // headerV2 returns everything a v2 stream holds before its first thread.
@@ -284,20 +267,12 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // redundant: the CRC of payload‖crc(payload) is a message-independent
 // constant residue.)
 //
-// The digest is memoized: the first call walks the stream, every
-// later call returns the stored value in O(1). Traces are immutable once
-// finished, so the memo never needs invalidating — but a caller that
-// mutates a Trace after digesting it gets the stale fingerprint, which is
-// why nothing in this module mutates a finished trace.
-func (tr *Trace) Digest() (uint64, error) {
-	if tr.cols != nil {
-		return tr.cols.Digest()
-	}
-	tr.digestOnce.Do(func() {
-		_, _, tr.digestVal, tr.digestErr = encodeV2(tr, nil, false)
-	})
-	return tr.digestVal, tr.digestErr
-}
+// The digest is memoized with the columns (see Columnar.Digest): a file's
+// footer names it, a sealed image learns it on its first walk. Traces are
+// immutable once finished, so the memo never needs invalidating — but a
+// caller that mutates a hand-built Trace after first use gets the stale
+// fingerprint, which is why nothing in this module mutates a finished trace.
+func (tr *Trace) Digest() (uint64, error) { return tr.Columns().Digest() }
 
 // DecodeError is the diagnosable failure every ReadTrace error path
 // produces: which section of the stream broke (header, phase table,
@@ -363,9 +338,8 @@ func decodeTrace(raw []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	version := hdr[0]
-	if version != traceVersion && version != traceVersionV1 {
-		return nil, decodeErrf("header", 4, "unsupported version %d", version)
+	if hdr[0] != traceVersion {
+		return nil, decodeErrf("header", 4, "unsupported version %d", hdr[0])
 	}
 	// Every stream costs at least its 8-byte length field, so a thread
 	// count beyond the remaining payload can only come from corruption;
@@ -378,17 +352,12 @@ func decodeTrace(raw []byte) (*Trace, error) {
 	costs, l1 := headerModel(hdr)
 
 	// canon stays true while the bytes are the ones WriteV2 would write for
-	// the ops they decode to, which is what makes their checksum the digest.
-	// A v1 stream never is, and an overlong varint or a zero gap behind
-	// tagHasGap decode fine but re-encode shorter.
-	canon := version == traceVersion
-	var names []string
-	if version >= 2 {
-		var minimal bool
-		if names, minimal, err = h.names("payload"); err != nil {
-			return nil, err
-		}
-		canon = canon && minimal
+	// the ops they decode to, which is what makes their checksum the digest:
+	// an overlong varint or a zero gap behind tagHasGap decode fine but
+	// re-encode shorter.
+	names, canon, err := h.names("payload")
+	if err != nil {
+		return nil, err
 	}
 
 	d := opDecoder{p: payload, pos: h.off(), canon: canon}

@@ -1,11 +1,10 @@
 package trace
 
-// Source is a replayable trace, whatever its in-memory representation: the
-// sealed columns a recorder or ReadTrace produces, the mmap-backed *Columnar
-// view of a v3 file — all decode ops lazily through cursors — or a *Trace a
-// test built from decoded streams. The machine, the harness, and the serving
-// layer all accept a Source, so nothing above this package ever materializes
-// []Op to replay.
+// Source is a replayable trace: v3 columns, whether a recorder or ReadTrace
+// sealed them on the heap, Open mapped them from a file, or a *Trace sealed
+// the streams a test built by hand. Ops are decoded lazily through cursors;
+// the machine, the harness, and the serving layer all accept a Source, so
+// nothing above this package ever materializes []Op to replay.
 //
 // A Source is immutable and safe for concurrent use: CursorAt hands every
 // replay its own iteration state over the shared backing data.
@@ -39,36 +38,20 @@ type Source interface {
 	NearBlind() bool
 }
 
-// Compile-time checks: both representations satisfy Source.
+// Compile-time checks: the columns and the handle over them satisfy Source.
 var (
 	_ Source = (*Trace)(nil)
 	_ Source = (*Columnar)(nil)
 )
 
 // Threads returns the number of per-thread op streams.
-func (tr *Trace) Threads() int {
-	if tr.cols != nil {
-		return tr.cols.Threads()
-	}
-	return len(tr.Streams)
-}
+func (tr *Trace) Threads() int { return tr.Columns().Threads() }
 
 // ThreadOps returns the number of ops in thread tid's stream.
-func (tr *Trace) ThreadOps(tid int) int {
-	if tr.cols != nil {
-		return tr.cols.ThreadOps(tid)
-	}
-	return len(tr.Streams[tid])
-}
+func (tr *Trace) ThreadOps(tid int) int { return tr.Columns().ThreadOps(tid) }
 
-// NearBlind reports whether no op reaches the near memory: the sealed
-// columns' bit, or a walk of the decoded streams.
-func (tr *Trace) NearBlind() bool {
-	if tr.cols != nil {
-		return tr.cols.NearBlind()
-	}
-	return !tr.streamsFootprint().near
-}
+// NearBlind reports whether no op reaches the near memory.
+func (tr *Trace) NearBlind() bool { return tr.Columns().NearBlind() }
 
 // PhaseTable returns the phase-name table.
 func (tr *Trace) PhaseTable() []string { return tr.PhaseNames }
@@ -79,11 +62,5 @@ func (tr *Trace) Geometry() L1Geometry { return tr.L1 }
 // CostModel returns the record-time cycle charges.
 func (tr *Trace) CostModel() Costs { return tr.Costs }
 
-// CursorAt returns a cursor over thread tid's columns, or over its decoded
-// op slice.
-func (tr *Trace) CursorAt(tid int) Cursor {
-	if tr.cols != nil {
-		return tr.cols.CursorAt(tid)
-	}
-	return Cursor{ops: tr.Streams[tid], tid: tid}
-}
+// CursorAt returns a cursor over thread tid's columns.
+func (tr *Trace) CursorAt(tid int) Cursor { return tr.Columns().CursorAt(tid) }

@@ -316,14 +316,15 @@ func (r *Recorder) FinishPar(fj ForkJoin) *Trace {
 	return sealImage(r.costs, r.l1, r.phaseNames, builders, fj).AsTrace()
 }
 
-// Trace is a completed recording: one op stream per thread. Traces are
-// immutable once finished (or deserialized): replay, sweeps, and the
-// serving layer all share one *Trace read-only across concurrent replays.
+// Trace is a completed recording. Traces are immutable once finished (or
+// deserialized): replay, sweeps, and the serving layer all share one *Trace
+// read-only across concurrent replays.
 //
-// A trace has one of two backings. A recording, a v1/v2 stream read by
-// ReadTrace, or a cache file opened by the harness is sealed v3 columns:
-// Streams is nil and every method delegates to Columns(). Only a trace a
-// test builds by hand, or asks Decoded for, is decoded: Streams holds the ops.
+// A trace is its sealed v3 columns: a recording, a v2 stream read by
+// ReadTrace, and a cache file opened by the harness all arrive sealed, with
+// Streams nil. Streams is only an input — what a test builds by hand, or what
+// Decode hands back — and Columns seals it on first use; every other method
+// asks the columns.
 type Trace struct {
 	Streams [][]Op
 	L1      L1Geometry
@@ -333,64 +334,45 @@ type Trace struct {
 	// this table. Empty for traces recorded without phase markers.
 	PhaseNames []string
 
-	// cols backs a trace whose Streams is nil.
-	cols *Columnar
-
-	// digestOnce memoizes a decoded trace's Digest(): the fingerprint
-	// walks the whole stream, so computing it per cell key would make
-	// keying O(trace) on every sweep and every served job. Immutability
-	// makes the memo invalidation-free; the Once makes concurrent digest
-	// requests (many clients keying jobs against one stored trace) safe.
-	digestOnce sync.Once
-	digestVal  uint64
-	digestErr  error
+	sealOnce sync.Once
+	cols     *Columnar
 }
 
-// Columns returns the sealed columns backing the trace, or nil for a
-// decoded one.
-func (tr *Trace) Columns() *Columnar { return tr.cols }
-
-// Decoded returns the trace in decoded form, Streams populated — itself if
-// it already is. A test and conversion helper: replay never needs it.
-func (tr *Trace) Decoded() (*Trace, error) {
-	if tr.cols == nil {
-		return tr, nil
-	}
-	return tr.cols.Decode()
+// Columns returns the sealed columns the trace is made of, sealing a
+// hand-built trace's Streams the first time it is asked. Sealing refuses
+// nothing: a trace no file could hold (no threads, too many phase names)
+// still gets its errors where it always did, from Digest, WriteTo and
+// EncodeColumnar.
+func (tr *Trace) Columns() *Columnar {
+	tr.sealOnce.Do(func() {
+		if tr.cols != nil {
+			return
+		}
+		builders := make([]*colBuilder, len(tr.Streams))
+		for t, ops := range tr.Streams {
+			b := &colBuilder{shift: provisionalShift(tr.L1)}
+			for _, op := range ops {
+				b.put(op)
+			}
+			builders[t] = b
+		}
+		tr.cols = sealImage(tr.Costs, tr.L1, tr.PhaseNames, builders, nil)
+	})
+	return tr.cols
 }
+
+// Decoded returns the trace in decoded form, Streams populated. A test and
+// conversion helper: replay never needs it.
+func (tr *Trace) Decoded() (*Trace, error) { return tr.Columns().Decode() }
 
 // Ops returns the total number of recorded operations.
-func (tr *Trace) Ops() int {
-	if tr.cols != nil {
-		return tr.cols.Ops()
-	}
-	n := 0
-	for _, s := range tr.Streams {
-		n += len(s)
-	}
-	return n
-}
+func (tr *Trace) Ops() int { return tr.Columns().Ops() }
 
 // Validate checks stream well-formedness: every stream ends with exactly
 // one OpEnd, barrier counts agree across all threads (replay would deadlock
 // otherwise), every access address routes to a memory level, and every phase
-// marker names a phase — the checks, and the words, of the columns' walk.
-func (tr *Trace) Validate() error {
-	if tr.cols != nil {
-		return tr.cols.Validate()
-	}
-	checks := make([]threadCheck, len(tr.Streams))
-	for tid, s := range tr.Streams {
-		k := &checks[tid]
-		k.tid, k.phases = tid, len(tr.PhaseNames)
-		for i, op := range s {
-			k.op(int64(i), op)
-		}
-		k.finish()
-	}
-	_, err := foldChecks(checks)
-	return err
-}
+// marker names a phase.
+func (tr *Trace) Validate() error { return tr.Columns().Validate() }
 
 // LevelCounts tallies line transfers per memory level, split by direction.
 // This is the raw material for Table I's access columns and for the
@@ -473,24 +455,4 @@ func (c *LevelCounts) add(o LevelCounts) {
 // Count tallies the trace's line transfers per level. Note these are the
 // L1-filtered counts; the replay-time shared L2 filters them further before
 // they reach the memory devices.
-func (tr *Trace) Count() LevelCounts {
-	if tr.cols != nil {
-		return tr.cols.Count()
-	}
-	return tr.streamsFootprint().counts
-}
-
-// streamsFootprint walks a decoded trace's streams.
-func (tr *Trace) streamsFootprint() (f footprint) {
-	for _, s := range tr.Streams {
-		for _, op := range s {
-			switch op.Kind {
-			case OpAccess, OpAtomic:
-				f.access(op)
-			case OpDMA:
-				f.dma(op)
-			}
-		}
-	}
-	return f
-}
+func (tr *Trace) Count() LevelCounts { return tr.Columns().Count() }

@@ -16,12 +16,48 @@ import (
 // the digest was defined by, the validate-only thread walk, the Verify that
 // ran a second walk for the digest, and the reader that decoded a v2 stream
 // into []Op. They are the old code with a ref prefix; nothing outside tests
-// calls them.
+// calls them. The refStreams* three are the arms *Trace's methods had while
+// a hand-built trace still replayed its []Op: they read Streams directly, so
+// the columns such a trace now seals itself into have something to be held to.
+
+// opFeed hands visit thread t's ops in order until it returns false, and
+// reports the decode failure, if any, that ended the stream early: a
+// Source's cursors, or the [][]Op a test built a *Trace from.
+type opFeed func(t int, visit func(Op) bool) error
+
+func cursorFeed(src Source) opFeed {
+	return func(t int, visit func(Op) bool) error {
+		cur := src.CursorAt(t)
+		for cur.Next() && visit(cur.Cur) {
+		}
+		return cur.Err()
+	}
+}
+
+func sliceFeed(streams [][]Op) opFeed {
+	return func(t int, visit func(Op) bool) error {
+		for _, op := range streams[t] {
+			if !visit(op) {
+				break
+			}
+		}
+		return nil
+	}
+}
 
 // refWritePayload writes everything before the trailing checksum and returns
 // the bytes written plus the payload's CRC64.
 func refWritePayload(w io.Writer, src Source) (int64, uint64, error) {
-	threads := src.Threads()
+	ops := make([]int, src.Threads())
+	for t := range ops {
+		ops[t] = src.ThreadOps(t)
+	}
+	return refWritePayloadFrom(w, src.CostModel(), src.Geometry(), src.PhaseTable(), ops, cursorFeed(src))
+}
+
+// refWritePayloadFrom is refWritePayload over a feed of ops[t] ops per thread.
+func refWritePayloadFrom(w io.Writer, costs Costs, l1 L1Geometry, names []string, ops []int, feed opFeed) (int64, uint64, error) {
+	threads := len(ops)
 	if threads == 0 {
 		return 0, 0, fmt.Errorf("trace: refusing to serialize a trace with no threads")
 	}
@@ -35,7 +71,6 @@ func refWritePayload(w io.Writer, src Source) (int64, uint64, error) {
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return cw.n, 0, err
 	}
-	costs, l1 := src.CostModel(), src.Geometry()
 	hdr := []int64{
 		traceVersion,
 		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
@@ -46,7 +81,6 @@ func refWritePayload(w io.Writer, src Source) (int64, uint64, error) {
 		return cw.n, 0, err
 	}
 
-	names := src.PhaseTable()
 	var buf [3 * binary.MaxVarintLen64]byte
 	if err := put(int64(len(names))); err != nil {
 		return cw.n, 0, err
@@ -61,13 +95,12 @@ func refWritePayload(w io.Writer, src Source) (int64, uint64, error) {
 		}
 	}
 	for t := 0; t < threads; t++ {
-		if err := put(int64(src.ThreadOps(t))); err != nil {
+		if err := put(int64(ops[t])); err != nil {
 			return cw.n, 0, err
 		}
 		var prevAddr uint64
-		cur := src.CursorAt(t)
-		for cur.Next() {
-			op := cur.Cur
+		var werr error
+		derr := feed(t, func(op Op) bool {
 			tag := byte(op.Kind) & tagKindMask
 			if op.Write {
 				tag |= tagWrite
@@ -75,8 +108,8 @@ func refWritePayload(w io.Writer, src Source) (int64, uint64, error) {
 			if op.Gap != 0 {
 				tag |= tagHasGap
 			}
-			if err := bw.WriteByte(tag); err != nil {
-				return cw.n, 0, err
+			if werr = bw.WriteByte(tag); werr != nil {
+				return false
 			}
 			n := 0
 			if op.Gap != 0 {
@@ -93,12 +126,14 @@ func refWritePayload(w io.Writer, src Source) (int64, uint64, error) {
 			case OpPhase:
 				n += binary.PutUvarint(buf[n:], op.Addr)
 			}
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return cw.n, 0, err
-			}
+			_, werr = bw.Write(buf[:n])
+			return werr == nil
+		})
+		if werr != nil {
+			return cw.n, 0, werr
 		}
-		if err := cur.Err(); err != nil {
-			return cw.n, 0, err
+		if derr != nil {
+			return cw.n, 0, derr
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -160,47 +195,20 @@ func refValidate(c *Columnar) (footprint, error) {
 
 func refValidateThread(c *Columnar, t int, seen *footprint) (barriers int, err error) {
 	cur := c.CursorAt(t)
-	n := int64(0)
-	endSeen := false
+	k := refThread{tid: t, phases: len(c.phaseNames), seen: seen}
 	for cur.Next() {
-		if endSeen {
-			return 0, fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
-		}
-		n++
-		op := cur.Cur
-		switch op.Kind {
-		case OpEnd:
-			endSeen = true
-		case OpBarrier:
-			barriers++
-		case OpAccess, OpAtomic:
-			if err := levelCheck(op.Addr); err != nil {
-				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-			}
-			seen.access(op)
-		case OpDMA:
-			if err := levelCheck(op.Addr); err != nil {
-				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-			}
-			if err := levelCheck(op.Addr2); err != nil {
-				return 0, fmt.Errorf("trace: thread %d op %d: %w", t, n-1, err)
-			}
-			seen.dma(op)
-		case OpPhase:
-			if op.Addr >= uint64(len(c.phaseNames)) {
-				return 0, fmt.Errorf("trace: thread %d op %d names phase %d of %d",
-					t, n-1, op.Addr, len(c.phaseNames))
-			}
+		if err := k.op(cur.Cur); err != nil {
+			return 0, err
 		}
 	}
 	if err := cur.Err(); err != nil {
 		return 0, err
 	}
-	if n != c.threads[t].ops {
+	if k.n != c.threads[t].ops {
 		return 0, decodeErrf("section table", int(c.tableOff)+t*tableEntrySize,
-			"thread %d decoded %d ops, table claims %d", t, n, c.threads[t].ops)
+			"thread %d decoded %d ops, table claims %d", t, k.n, c.threads[t].ops)
 	}
-	if !endSeen {
+	if !k.endSeen {
 		return 0, fmt.Errorf("trace: thread %d stream not terminated", t)
 	}
 	if col := cur.remaining(); col >= 0 {
@@ -208,7 +216,103 @@ func refValidateThread(c *Columnar, t int, seen *footprint) (barriers int, err e
 			"%d trailing bytes past the claimed %d ops",
 			cur.ends[col]-cur.colOffset(col), c.threads[t].ops)
 	}
-	return barriers, nil
+	return k.barriers, nil
+}
+
+// refThread is the validate-only walk's state for one thread: op is the body
+// of its loop.
+type refThread struct {
+	tid, phases int
+	seen        *footprint
+	n           int64
+	barriers    int
+	endSeen     bool
+}
+
+func (k *refThread) op(op Op) error {
+	t, n := k.tid, k.n
+	if k.endSeen {
+		return fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
+	}
+	k.n++
+	switch op.Kind {
+	case OpEnd:
+		k.endSeen = true
+	case OpBarrier:
+		k.barriers++
+	case OpAccess, OpAtomic:
+		if err := levelCheck(op.Addr); err != nil {
+			return fmt.Errorf("trace: thread %d op %d: %w", t, n, err)
+		}
+		k.seen.access(op)
+	case OpDMA:
+		if err := levelCheck(op.Addr); err != nil {
+			return fmt.Errorf("trace: thread %d op %d: %w", t, n, err)
+		}
+		if err := levelCheck(op.Addr2); err != nil {
+			return fmt.Errorf("trace: thread %d op %d: %w", t, n, err)
+		}
+		k.seen.dma(op)
+	case OpPhase:
+		if op.Addr >= uint64(k.phases) {
+			return fmt.Errorf("trace: thread %d op %d names phase %d of %d", t, n, op.Addr, k.phases)
+		}
+	}
+	return nil
+}
+
+// refStreamsValidate is Validate over a hand-built trace's own streams.
+func refStreamsValidate(tr *Trace) error {
+	barriers0 := 0
+	for t, ops := range tr.Streams {
+		k := refThread{tid: t, phases: len(tr.PhaseNames), seen: new(footprint)}
+		for _, op := range ops {
+			if err := k.op(op); err != nil {
+				return err
+			}
+		}
+		if !k.endSeen {
+			return fmt.Errorf("trace: thread %d stream not terminated", t)
+		}
+		if t == 0 {
+			barriers0 = k.barriers
+		}
+		if k.barriers != barriers0 {
+			return fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d", t, k.barriers, barriers0)
+		}
+	}
+	return nil
+}
+
+// refStreamsFootprint is the walk Count and NearBlind made of a hand-built
+// trace's streams, whatever Validate thought of them.
+func refStreamsFootprint(tr *Trace) (f footprint) {
+	for _, s := range tr.Streams {
+		for _, op := range s {
+			switch op.Kind {
+			case OpAccess, OpAtomic:
+				f.access(op)
+			case OpDMA:
+				f.dma(op)
+			}
+		}
+	}
+	return f
+}
+
+// refStreamsWriteV2 is the sequential writer over a hand-built trace's own
+// streams: the v2 bytes, whose trailing checksum is the digest.
+func refStreamsWriteV2(tr *Trace) ([]byte, uint64, error) {
+	ops := make([]int, len(tr.Streams))
+	for t, s := range tr.Streams {
+		ops[t] = len(s)
+	}
+	var b bytes.Buffer
+	_, sum, err := refWritePayloadFrom(&b, tr.Costs, tr.L1, tr.PhaseNames, ops, sliceFeed(tr.Streams))
+	if err != nil {
+		return nil, 0, err
+	}
+	return binary.LittleEndian.AppendUint64(b.Bytes(), sum), sum, nil
 }
 
 // refVerify is the two-checksum Verify of an opened file: the payload CRC,
@@ -229,7 +333,7 @@ func refVerify(c *Columnar) error {
 	return nil
 }
 
-// refReadTrace is the reader that decoded a v1/v2 stream into []Op.
+// refReadTrace is the reader that decoded a v2 stream into []Op.
 func refReadTrace(r io.Reader) (*Trace, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -257,9 +361,8 @@ func refReadTrace(r io.Reader) (*Trace, error) {
 	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
 		return nil, decodeErr("header", off(), fmt.Errorf("reading fields: %w", err))
 	}
-	version := hdr[0]
-	if version != traceVersion && version != traceVersionV1 {
-		return nil, decodeErrf("header", 4, "unsupported version %d", version)
+	if hdr[0] != traceVersion {
+		return nil, decodeErrf("header", 4, "unsupported version %d", hdr[0])
 	}
 	threads := hdr[8]
 	if threads <= 0 || threads > maxThreads || threads > int64(br.Len())/8 {
@@ -278,29 +381,27 @@ func refReadTrace(r io.Reader) (*Trace, error) {
 		},
 	}
 
-	if version >= 2 {
-		var nNames int64
-		if err := binary.Read(br, binary.LittleEndian, &nNames); err != nil {
-			return nil, decodeErr("phase table", off(), fmt.Errorf("phase-name count: %w", err))
+	var nNames int64
+	if err := binary.Read(br, binary.LittleEndian, &nNames); err != nil {
+		return nil, decodeErr("phase table", off(), fmt.Errorf("phase-name count: %w", err))
+	}
+	if nNames < 0 || nNames > maxPhaseNames {
+		return nil, decodeErrf("phase table", off()-8, "implausible phase-name count %d", nNames)
+	}
+	for i := int64(0); i < nNames; i++ {
+		at := off()
+		l, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d length: %w", i, err))
 		}
-		if nNames < 0 || nNames > maxPhaseNames {
-			return nil, decodeErrf("phase table", off()-8, "implausible phase-name count %d", nNames)
+		if l > uint64(br.Len()) {
+			return nil, decodeErrf("phase table", at, "phase name %d length %d exceeds payload", i, l)
 		}
-		for i := int64(0); i < nNames; i++ {
-			at := off()
-			l, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d length: %w", i, err))
-			}
-			if l > uint64(br.Len()) {
-				return nil, decodeErrf("phase table", at, "phase name %d length %d exceeds payload", i, l)
-			}
-			name := make([]byte, l)
-			if _, err := io.ReadFull(br, name); err != nil {
-				return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d: %w", i, err))
-			}
-			tr.PhaseNames = append(tr.PhaseNames, string(name))
+		name := make([]byte, l)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d: %w", i, err))
 		}
+		tr.PhaseNames = append(tr.PhaseNames, string(name))
 	}
 
 	for t := int64(0); t < threads; t++ {

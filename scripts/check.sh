@@ -26,7 +26,8 @@
 #   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
 #                                     also held to the []Op-building reader
 #                                     it replaced, error for error, column
-#                                     for column) and FuzzOpenColumnar (v3
+#                                     for column; no stream of another
+#                                     version accepted) and FuzzOpenColumnar (v3
 #                                     open/cursor path): no panics on hostile
 #                                     bytes, every failure a *DecodeError;
 #                                     10s of
@@ -58,7 +59,14 @@
 #                                     -timings on and off; an expired -timeout
 #                                     exits 130 with both .nmt3 cache files
 #                                     written, and the warm run after it
-#                                     leaves them untouched
+#                                     leaves them untouched; sweep -exp=table1
+#                                     prints nmsim's bytes
+#  11. benchmark module               go vet -C bench ./_layers && go test -C
+#                                     bench ./...: bench/ is its own module
+#                                     and the one importer of repro/internal
+#                                     outside this one, so a renamed or
+#                                     retyped export breaks there and nowhere
+#                                     above
 #
 # The race pass (6) also carries the schedule's structural tests — the
 # sequential-driver oracle, overlap, the -par bound, no per-trace barrier,
@@ -90,5 +98,7 @@ step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./inte
 step go test -run='^$' -fuzz='^FuzzAccessMatchesReference$' -fuzztime=10s ./internal/cachesim
 step ./scripts/serve_smoke.sh
 step ./scripts/schedule_smoke.sh
+step go vet -C bench ./_layers
+step go test -C bench ./...
 
 echo "== all checks passed =="

@@ -11,6 +11,8 @@
 #      -timeout 1ns exits 130 having written both .nmt3 files (this is how
 #      the sweep-warm benchmark fills its cache), and the warm run that
 #      follows prints the uncached bytes and leaves the files untouched.
+#   4. Table I is a row of the experiment registry: sweep -exp=table1 prints
+#      nmsim's bytes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,5 +59,8 @@ before=$(cd "$workdir/cache" && ls -l --time-style=full-iso ./*.nmt3 && sha256su
 cmp "$workdir/plain.txt" "$workdir/warm.txt"
 after=$(cd "$workdir/cache" && ls -l --time-style=full-iso ./*.nmt3 && sha256sum ./*.nmt3)
 [ "$before" = "$after" ] || { echo "the warm run touched the cache:"; echo "$before"; echo "$after"; exit 1; }
+
+echo "== sweep -exp=table1 is nmsim =="
+"$workdir/sweep" -exp=table1 $t1 | cmp "$workdir/par1.txt" -
 
 echo "== schedule smoke passed =="
