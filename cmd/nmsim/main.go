@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -210,64 +209,19 @@ func runRemote(ctx context.Context, o options, w io.Writer) (int, error) {
 	return failed, err
 }
 
-// recordMemo is the run's process-local RecordCache: a map in front of the
-// -trace-cache directory (next, when there is one), so the telemetry replay
-// finds the NMsort trace Table I recorded instead of recording it again.
-type recordMemo struct {
-	next harness.RecordCache
-
-	mu   sync.Mutex
-	seen map[recordMemoKey]harness.RecordResult
-}
-
-type recordMemoKey struct {
-	alg harness.Algorithm
-	w   harness.Workload // normalized by RecordKey: comparable, pointer-free
-}
-
-// LookupRecord implements harness.RecordCache.
-func (m *recordMemo) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness.RecordResult, bool) {
-	m.mu.Lock()
-	res, ok := m.seen[recordMemoKey{alg, w}]
-	m.mu.Unlock()
-	if !ok && m.next != nil {
-		if res, ok = m.next.LookupRecord(alg, w); ok {
-			m.remember(alg, w, res)
-		}
-	}
-	return res, ok
-}
-
-// CompleteRecord implements harness.RecordCache.
-func (m *recordMemo) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
-	m.remember(alg, w, res)
-	if m.next != nil {
-		m.next.CompleteRecord(alg, w, res)
-	}
-}
-
-func (m *recordMemo) remember(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.seen == nil {
-		m.seen = make(map[recordMemoKey]harness.RecordResult)
-	}
-	m.seen[recordMemoKey{alg, w}] = res
-}
-
 // supervisor builds the supervised runtime from the flags: cancellation from
-// ctx, the record memo (over the -trace-cache directory, when given), and the
-// -timings stage recorder.
+// ctx, the -trace-cache directory when given, and the -timings stage
+// recorder. The telemetry replay runs under the same supervisor as Table I,
+// so its memo hands it the NMsort trace Table I recorded.
 func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
-	memo := &recordMemo{}
+	sup := &harness.Supervisor{Ctx: ctx}
 	if o.traceCache != "" {
 		rc, err := harness.NewDiskRecordCache(o.traceCache)
 		if err != nil {
 			return nil, err
 		}
-		memo.next = rc
+		sup.Records = rc
 	}
-	sup := &harness.Supervisor{Ctx: ctx, Records: memo}
 	if o.timings {
 		sup.Timings = prof.NewStages()
 	}

@@ -276,27 +276,27 @@ func TestRunCancelled(t *testing.T) {
 // recordings that reach it: one CompleteRecord per recording performed.
 type countingRecords struct {
 	mu        sync.Mutex
-	completed map[recordMemoKey]int
+	completed map[harness.Algorithm]int
 }
 
 func (c *countingRecords) LookupRecord(harness.Algorithm, harness.Workload) (harness.RecordResult, bool) {
 	return harness.RecordResult{}, false
 }
 
-func (c *countingRecords) CompleteRecord(alg harness.Algorithm, w harness.Workload, _ harness.RecordResult) {
+func (c *countingRecords) CompleteRecord(alg harness.Algorithm, _ harness.Workload, _ harness.RecordResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.completed == nil {
-		c.completed = make(map[recordMemoKey]int)
+		c.completed = make(map[harness.Algorithm]int)
 	}
-	c.completed[recordMemoKey{alg, w}]++
+	c.completed[alg]++
 }
 
-// TestTelemetryRecordsEachTraceOnce: the telemetry replay follows Table I in
-// the same process and replays a trace Table I already recorded. Under the
-// run's record memo each (algorithm, RecordKey) is recorded once; stdout and
-// both exports are the bytes of a run without the memo, which records NMsort
-// twice — what every earlier release did.
+// TestTelemetryRecordsEachTraceOnce: the telemetry replay follows Table I
+// under the same supervisor and replays a trace Table I already recorded.
+// The supervisor's record memo records each (algorithm, RecordKey) once;
+// stdout and both exports are the bytes of an unsupervised run, which has
+// no memo and records NMsort twice.
 func TestTelemetryRecordsEachTraceOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full replay")
@@ -319,34 +319,28 @@ func TestTelemetryRecordsEachTraceOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, ok := sup.Records.(*recordMemo)
-	if !ok {
-		t.Fatalf("run's RecordCache is %T, want the record memo", sup.Records)
+	if sup.Records != nil {
+		t.Fatalf("without -trace-cache the run's RecordCache is %T, want none", sup.Records)
 	}
 	counts := &countingRecords{}
-	memo.next = counts
+	sup.Records = counts
 	var got strings.Builder
 	if failed, err := runLocal(o, sup, &got); err != nil || failed != 0 {
-		t.Fatalf("run with the memo: failed=%d err=%v", failed, err)
+		t.Fatalf("supervised run: failed=%d err=%v", failed, err)
 	}
 	if len(counts.completed) != 2 {
-		t.Errorf("%d distinct recordings, want gnusort and nmsort", len(counts.completed))
+		t.Errorf("recorded %v, want gnusort and nmsort", counts.completed)
 	}
-	for k, n := range counts.completed {
+	for alg, n := range counts.completed {
 		if n != 1 {
-			t.Errorf("%s recorded %d times, want once", k.alg, n)
+			t.Errorf("%s recorded %d times, want once", alg, n)
 		}
 	}
 
 	plain, plainPaths := export(t.TempDir())
-	twice := &countingRecords{}
 	var want strings.Builder
-	if _, err := runLocal(plain, &harness.Supervisor{Ctx: context.Background(), Records: twice}, &want); err != nil {
+	if _, err := runLocal(plain, nil, &want); err != nil {
 		t.Fatal(err)
-	}
-	if n := twice.completed[recordMemoKey{harness.AlgNMSort, harness.RecordKey(harness.Workload{
-		N: 4096, Seed: 2015, Threads: 8, SP: 1 << 20, Dist: "uniform"})}]; n != 2 {
-		t.Errorf("without the memo NMsort was recorded %d times; the reference run no longer shows what the memo saves", n)
 	}
 	if got.String() != want.String() {
 		t.Errorf("stdout differs from the memo-less run's:\n%s\nwant:\n%s", got.String(), want.String())

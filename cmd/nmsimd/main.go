@@ -62,7 +62,7 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrently running jobs (0 = 4)")
 	fs.IntVar(&o.queue, "queue", 64, "jobs waiting beyond -workers before 429")
-	fs.IntVar(&o.storeMB, "store-mb", 256, "trace store budget in MiB (pinned in-flight traces may exceed it); a trace costs ~3.3 B/op however it arrived (recorded, v2 or v3 upload)")
+	fs.IntVar(&o.storeMB, "store-mb", 256, "trace store budget in MiB (pinned in-flight traces may exceed it); a trace costs ~3.3 B/op however it arrived (recorded, v2 or v3 upload), and recordings kept for later requests live here too")
 	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "result cache capacity in completed cells")
 	fs.Uint64Var(&o.slice, "slice", 0, "executed events per supervised replay slice; cancellation and streaming happen between slices (0 = default); a replay executes about half the events it did before event elision")
 	fs.Uint64Var(&o.maxEvents, "max-events", 0, "default per-job budget of executed events when requests set none (0 = generous default); elided events are not counted")

@@ -8,6 +8,7 @@
 //	nmtrace replay  -i nmsort.nmt3 -near 16
 //	nmtrace info    -i nmsort.nmt3
 //	nmtrace stat    -i nmsort.nmt3
+//	nmtrace check   nmsort.trace.json
 //
 // Trace files come in two serializations sharing one content digest: the
 // row-oriented v2 stream (.nmt) and the columnar v3 layout (.nmt3), which
@@ -28,6 +29,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/par"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -48,6 +50,13 @@ func main() {
 		info(os.Args[2:])
 	case "stat":
 		stat(os.Args[2:])
+	case "check":
+		if len(os.Args) < 3 {
+			usage()
+		}
+		if !check(os.Args[2:], os.Stdout, os.Stderr) {
+			os.Exit(1)
+		}
 	default:
 		usage()
 	}
@@ -60,6 +69,7 @@ func usage() {
   nmtrace replay  -i file [-cores n] [-near channels] [-sp MiB]
   nmtrace info    -i file
   nmtrace stat    -i file
+  nmtrace check   file.trace.json [more.trace.json ...]
 `)
 	os.Exit(2)
 }
@@ -377,4 +387,25 @@ func info(args []string) {
 	fmt.Printf("L1 geometry:  %v %d-way, %vB lines\n", l1.Capacity, l1.Ways, int64(l1.LineSize))
 	fmt.Printf("costs:        issue %d, L1 hit %d, compare %d, atomic %d cycles\n",
 		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles)
+}
+
+// check validates each file as a Chrome trace-event container — a non-empty
+// traceEvents array whose entries all carry a phase and a name, what nmsim's
+// -telemetry-out writes and Perfetto loads — reporting one verdict per file,
+// and returns whether every file passed (the exit status: 0, else 1).
+func check(paths []string, out, errw io.Writer) bool {
+	ok := true
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = telemetry.ValidateChromeJSON(data)
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "nmtrace check: %s: %v\n", path, err)
+			ok = false
+			continue
+		}
+		fmt.Fprintf(out, "%s: ok\n", path)
+	}
+	return ok
 }

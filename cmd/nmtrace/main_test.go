@@ -207,3 +207,38 @@ func TestStatFile(t *testing.T) {
 		}
 	}
 }
+
+// TestCheck: one verdict per file — "FILE: ok" on out, the failure on errw —
+// and false when any file is not a loadable trace-event container.
+func TestCheck(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.trace.json")
+	bad := filepath.Join(dir, "bad.trace.json")
+	if err := os.WriteFile(good, []byte(`{"traceEvents":[{"ph":"X","name":"p","ts":"0","dur":"1","pid":1,"tid":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(`{"traceEvents":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errw strings.Builder
+	if !check([]string{good}, &out, &errw) {
+		t.Errorf("valid file rejected: %s", errw.String())
+	}
+	if !strings.Contains(out.String(), "good.trace.json: ok") {
+		t.Errorf("verdict missing: %q", out.String())
+	}
+
+	out.Reset()
+	errw.Reset()
+	if check([]string{good, bad}, &out, &errw) {
+		t.Error("invalid file accepted")
+	}
+	if !strings.Contains(out.String(), "ok") || !strings.Contains(errw.String(), "bad.trace.json") {
+		t.Errorf("mixed verdicts wrong: out=%q err=%q", out.String(), errw.String())
+	}
+
+	if check([]string{filepath.Join(dir, "missing.json")}, &out, &errw) {
+		t.Error("missing file accepted")
+	}
+}

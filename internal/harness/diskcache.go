@@ -19,11 +19,7 @@ import (
 // on-disk copy replays identically to a fresh recording.
 //
 // Only the trace is persisted. Counts are rebuilt from the trace on load
-// and Sorted is implied (Record never caches an unsorted result); NMStats
-// is not persisted, so a disk hit reports zero NMStats — nothing in the
-// replay pipeline reads it, which is why the loss is acceptable here and
-// the in-memory serve memo (which does keep NMStats) remains the daemon's
-// cache.
+// and Sorted is implied (Record never caches an unsorted result).
 //
 // Safe for concurrent use: lookups only read, and completions write via
 // an atomic temp-file rename, so a torn write can never be observed. Two

@@ -104,22 +104,23 @@ func TestDiskRecordCacheCorruptIsMiss(t *testing.T) {
 }
 
 // TestRecordUsesDiskCache wires the cache through a Supervisor the way
-// -trace-cache does and checks Record itself takes the hit path.
+// -trace-cache does and checks Record itself takes the hit path — under a
+// second supervisor, whose memo does not hold the first one's recording.
 func TestRecordUsesDiskCache(t *testing.T) {
 	rc, err := NewDiskRecordCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := &Supervisor{Records: rc}
-	w := Workload{N: 1 << 10, Seed: 7, Threads: 4, SP: 64 * units.KiB, Sup: sup}
+	w := Workload{N: 1 << 10, Seed: 7, Threads: 4, SP: 64 * units.KiB, Sup: &Supervisor{Records: rc}}
 
-	first, err := Record(AlgNMSort, w)
-	if err != nil {
-		t.Fatal(err)
+	first, cached, err := record(AlgNMSort, w)
+	if err != nil || cached {
+		t.Fatalf("first recording: cached=%v err=%v", cached, err)
 	}
-	second, err := Record(AlgNMSort, w)
-	if err != nil {
-		t.Fatal(err)
+	w.Sup = &Supervisor{Records: rc}
+	second, cached, err := record(AlgNMSort, w)
+	if err != nil || !cached {
+		t.Fatalf("second supervisor: cached=%v err=%v, want the cache file", cached, err)
 	}
 	d1, err := first.Trace.Digest()
 	if err != nil {
@@ -334,9 +335,11 @@ func TestCacheFileTruncatedUnderLookupIsMiss(t *testing.T) {
 		t.Fatal("SetPanicOnFault leaked out of LookupRecord")
 	}
 
-	// The same race under a sweep: the file is empty now, so re-arm the hook
-	// on a file that maps — the baseline's.
+	// The same race under a sweep — a new supervisor's, whose memo holds
+	// nothing yet: the file is empty now, so re-arm the hook on a file that
+	// maps — the baseline's.
 	victim, truncations = rc.path(AlgGNUSort, RecordKey(w))+".nmt3", 0
+	w.Sup = &Supervisor{Records: rc}
 	s, err := BandwidthSweep(w)
 	if err != nil || s.Failed() != 0 {
 		t.Fatalf("sweep over a cache file truncated under its lookup: err=%v failed=%d", err, s.Failed())
@@ -353,14 +356,15 @@ func TestCacheFileTruncatedUnderLookupIsMiss(t *testing.T) {
 			t.Errorf("%s: the re-recording did not overwrite the truncated file", alg)
 		}
 	}
-	s = Sweep{}
+	s, w.Sup = Sweep{}, nil
 	releaseDroppedMappings(t)
 }
 
 // TestDiskCacheMappingsReleased: LookupRecord hands out traces backed by
 // mappings it never closes — they must outlive every cursor — so dropping
-// the results is what releases them. After a cached sweep nothing may stay
-// mapped.
+// the results is what releases them. A supervisor's record memo is one such
+// holder: after a cached sweep nothing may stay mapped once the supervisor
+// is dropped, and while it lives its memo keeps both mappings.
 func TestDiskCacheMappingsReleased(t *testing.T) {
 	rc, err := NewDiskRecordCache(t.TempDir())
 	if err != nil {
@@ -375,10 +379,15 @@ func TestDiskCacheMappingsReleased(t *testing.T) {
 	if !ok {
 		t.Fatal("the sweep did not populate the cache")
 	}
-	if hit.Trace.Columns().Mapped() && trace.MappedBytes() < hit.Trace.Columns().Size() {
+	mapped := hit.Trace.Columns().Mapped()
+	if mapped && trace.MappedBytes() < hit.Trace.Columns().Size() {
 		t.Fatalf("a mapped hit is live but MappedBytes() = %d", trace.MappedBytes())
 	}
 	hit = RecordResult{}
+	releaseDroppedMappings(t)
+
+	sup := &Supervisor{Records: rc} // a new run: its memo starts empty
+	w.Sup = sup
 	warm, err := BandwidthSweep(w) // replays both from their mappings
 	if err != nil {
 		t.Fatal(err)
@@ -386,6 +395,12 @@ func TestDiskCacheMappingsReleased(t *testing.T) {
 	if fmt.Sprint(warm.Points) != fmt.Sprint(cold.Points) {
 		t.Fatal("the sweep replayed from mapped cache files differs from the one that recorded them")
 	}
+	runtime.GC()
+	if mapped && trace.MappedBytes() == 0 {
+		t.Fatal("the supervisor's memo lost its mapped recordings while it lives")
+	}
+	runtime.KeepAlive(sup)
+	w.Sup = nil // dropping the supervisor drops its memo
 	releaseDroppedMappings(t)
 }
 

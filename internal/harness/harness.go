@@ -89,10 +89,9 @@ func DefaultWorkload() Workload {
 // v3 columns — fresh from the recorder's builder or mapped from a cache file —
 // which replay in place.
 type RecordResult struct {
-	Trace   *trace.Trace
-	Sorted  bool
-	NMStats core.NMStats // meaningful for the NMsort algorithms
-	Counts  trace.LevelCounts
+	Trace  *trace.Trace
+	Sorted bool
+	Counts trace.LevelCounts
 }
 
 // RecordKey normalizes a workload for Record memoization: only the fields
@@ -108,27 +107,31 @@ func RecordKey(w Workload) Workload {
 
 // Record executes the algorithm natively under instrumentation and returns
 // its trace. The input is regenerated deterministically from the workload
-// seed, so equal workloads yield byte-identical traces. When the
-// workload's supervisor carries a RecordCache, equal (algorithm, RecordKey)
-// pairs share one recorded trace across sweeps — byte-neutral, since a
+// seed, so equal workloads yield byte-identical traces. Under a supervisor,
+// equal (algorithm, RecordKey) pairs share one recorded trace: the
+// supervisor's own memo, then its RecordCache — byte-neutral, since a
 // re-recording would be identical.
 func Record(alg Algorithm, w Workload) (RecordResult, error) {
 	res, _, err := record(alg, w)
 	return res, err
 }
 
-// record is Record, also saying whether the RecordCache answered.
-func record(alg Algorithm, w Workload) (res RecordResult, cached bool, err error) {
+// record is Record, also saying whether the recording was found rather
+// than made.
+func record(alg Algorithm, w Workload) (RecordResult, bool, error) {
 	if w.N < 0 || w.Threads <= 0 || w.SP <= 0 {
 		return RecordResult{}, false, fmt.Errorf("harness: bad workload %+v", w)
 	}
-	var records RecordCache
-	if w.Sup != nil && w.Sup.Records != nil {
-		records = w.Sup.Records
-		if res, ok := records.LookupRecord(alg, RecordKey(w)); ok {
-			return res, true, nil
-		}
+	if w.Sup != nil {
+		return w.Sup.record(alg, w)
 	}
+	res, err := recordNative(alg, w)
+	return res, false, err
+}
+
+// recordNative runs the algorithm under instrumentation: the recording
+// itself, with no memo or cache in front of it.
+func recordNative(alg Algorithm, w Workload) (res RecordResult, err error) {
 	rec := trace.NewRecorder(w.Threads, ScaledL1, trace.DefaultCosts())
 	env := core.NewEnv(w.Threads, w.SP, rec, w.Seed)
 	a := env.AllocFar(w.N)
@@ -143,22 +146,22 @@ func record(alg Algorithm, w Workload) (res RecordResult, cached bool, err error
 	case AlgGNUSort:
 		core.GNUSort(env, a)
 	case AlgNMSort:
-		res.NMStats = core.NMSort(env, a, core.NMOptions{Buckets: w.Buckets})
+		core.NMSort(env, a, core.NMOptions{Buckets: w.Buckets})
 	case AlgNMSortDM:
-		res.NMStats = core.NMSort(env, a, core.NMOptions{Buckets: w.Buckets, DMA: true})
+		core.NMSort(env, a, core.NMOptions{Buckets: w.Buckets, DMA: true})
 	case AlgNMScatter:
-		res.NMStats = core.NMSortSmallAppends(env, a, core.NMOptions{Buckets: w.Buckets})
+		core.NMSortSmallAppends(env, a, core.NMOptions{Buckets: w.Buckets})
 	case AlgParSort:
 		core.ParScratchpadSort(env, a, core.SeqOptions{})
 	case AlgGNUExact:
 		core.GNUSortOpt(env, a, core.GNUOptions{Exact: true})
 	default:
-		return RecordResult{}, false, fmt.Errorf("harness: unknown algorithm %q", alg)
+		return RecordResult{}, fmt.Errorf("harness: unknown algorithm %q", alg)
 	}
 
 	res.Sorted = core.IsSorted(a.D) && core.Checksum(a.D) == sum
 	if !res.Sorted {
-		return res, false, fmt.Errorf("harness: %s corrupted its input", alg)
+		return res, fmt.Errorf("harness: %s corrupted its input", alg)
 	}
 	// Seal and validate on every host CPU: both are per-thread walks, and
 	// together they are the only O(ops) work left between the sort and the
@@ -167,13 +170,10 @@ func record(alg Algorithm, w Workload) (res RecordResult, cached bool, err error
 	// the daemon's store find it already there).
 	res.Trace = rec.FinishPar(par.Each)
 	if err := res.Trace.Columns().ValidatePar(par.Each); err != nil {
-		return res, false, fmt.Errorf("harness: invalid trace: %w", err)
+		return res, fmt.Errorf("harness: invalid trace: %w", err)
 	}
 	res.Counts = res.Trace.Count()
-	if records != nil {
-		records.CompleteRecord(alg, RecordKey(w), res)
-	}
-	return res, false, nil
+	return res, nil
 }
 
 // NodeFor builds the simulated node: the Figure 4 machine with the given

@@ -292,7 +292,7 @@ func (s *schedule) publish(lane int, cells []int) {
 	s.mu.Lock()
 	if !s.given {
 		// Published representatives go first: two recordings may yield one
-		// trace (a memoizing RecordCache), and its cells are one group.
+		// trace (the supervisor's record memo), and its cells are one group.
 		var group []int
 		for i, r := range s.rep {
 			if r == i {

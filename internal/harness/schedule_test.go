@@ -314,6 +314,45 @@ func TestParBoundsReplaysNotRecordings(t *testing.T) {
 	}
 }
 
+// TestSupervisorRecordsEachKeyOnce: a core list that names a core count twice
+// declares six recordings of four distinct workloads. Under a supervisor four
+// are made and two are answered by its memo — `record` lines marked cached —
+// and the sweep renders the bytes of an unsupervised run, which records six.
+func TestSupervisorRecordsEachKeyOnce(t *testing.T) {
+	e, _ := FindExperiment("cores")
+	p := ExperimentParams{CoreList: []int{8, 8, 16}}
+	w := tinyWorkload()
+	plain, err := e.Run(p, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := &probe{}
+	stages := prof.NewStages()
+	w.Sup = &Supervisor{Records: counts, Timings: stages}
+	memoized, err := e.Run(p, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts.completed != 4 || len(counts.recorded) != 4 {
+		t.Errorf("%d recordings completed after %d lookups, want 4 and 4", counts.completed, len(counts.recorded))
+	}
+	var records, cached int
+	for _, st := range stages.Snapshot() {
+		if st.Kind == "record" {
+			records++
+			if reflect.DeepEqual(st.Marks, []string{"cached"}) {
+				cached++
+			}
+		}
+	}
+	if records != 6 || cached != 2 {
+		t.Errorf("%d record stages, %d cached; want 6 and 2", records, cached)
+	}
+	if got, want := renderSweep(t, memoized), renderSweep(t, plain); got != want {
+		t.Errorf("the memoized sweep differs from the unsupervised one:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // handJobs builds a sweep from hand-made recordings: counts[k] cells on
 // recording k, all on one node, labelled "<k>.<n>", in recording order.
 func handJobs(w Workload, recs []*recording, counts ...int) ([]replayJob, []SweepPoint) {
@@ -479,14 +518,14 @@ func TestExpiredContextStillRecords(t *testing.T) {
 	}
 }
 
-// TestSharedAcrossRecordings: two recordings can yield one trace (a memoizing
-// RecordCache answers the second), and its cells are one near-blind group
-// whichever recording is published first. Here the representative by slot
-// order — slot 0 — belongs to the recording published last, because the other
-// has more cells; and in the second round it is published only after the
-// cell that stands in for it has finished, so it is filled on arrival.
-// Outcomes, the number of cells that shared a replay, and the manifest are
-// the sequential driver's and the all-real pool's.
+// TestSharedAcrossRecordings: two recordings of one workload yield one trace
+// (the supervisor's record memo answers the second), and its cells are one
+// near-blind group whichever recording is published first. Here the
+// representative by slot order — slot 0 — belongs to the recording published
+// last, because the other has more cells; and in the second round it is
+// published only after the cell that stands in for it has finished, so it is
+// filled on arrival. Outcomes, the number of cells that shared a replay, and
+// the manifest are the sequential driver's and the all-real pool's.
 func TestSharedAcrossRecordings(t *testing.T) {
 	w := tinyWorkload()
 	gnu, err := Record(AlgGNUSort, w)
@@ -498,14 +537,17 @@ func TestSharedAcrossRecordings(t *testing.T) {
 			name := fmt.Sprintf("late=%v/%d workers", late, workers)
 			dir := t.TempDir()
 			groupDone := make(chan struct{})
-			build := func(wait bool) []replayJob {
-				few := &recording{name: "few", record: func() (*trace.Trace, bool, error) {
-					if wait {
+			build := func(sup *Supervisor, wait bool) []replayJob {
+				ws := w
+				ws.Sup = sup
+				few, many := recordingOf(AlgGNUSort, ws), recordingOf(AlgGNUSort, ws)
+				if wait {
+					record := few.record
+					few.record = func() (*trace.Trace, bool, error) {
 						waitFor(t, groupDone, "the larger recording's cells never finished")
+						return record()
 					}
-					return gnu.Trace, true, nil
-				}}
-				many := &recording{name: "many", record: func() (*trace.Trace, bool, error) { return gnu.Trace, true, nil }}
+				}
 				jobs := onNodes(w.Threads, paperNears(w.SP), nil, gnu.Trace)
 				for i := range jobs {
 					jobs[i].tr, jobs[i].rec = nil, many
@@ -526,8 +568,13 @@ func TestSharedAcrossRecordings(t *testing.T) {
 			}
 			gotSup := sup("schedule.json")
 			gotSup.Cache = &tee{CellCache: gotSup.Cache, probe: p}
-			got := runReplays(gotSup, workers, build(late))
-			oracle := recordThenPool(sup("oracle.json"), workers, build(false), nil)
+			jobs := build(gotSup, late)
+			got := runReplays(gotSup, workers, jobs)
+			if few, many := jobs[0].rec, jobs[1].rec; few == many || few.tr != many.tr {
+				t.Fatalf("%s: the two recordings of one workload yielded two traces", name)
+			}
+			oracleSup := sup("oracle.json")
+			oracle := recordThenPool(oracleSup, workers, build(oracleSup, false), nil)
 			real := realReplays(sup("real.json"), workers, onNodes(w.Threads, paperNears(w.SP), nil, gnu.Trace))
 
 			if shared := requireSameOuts(t, name, got, real); shared != 2 {

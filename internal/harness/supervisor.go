@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -78,8 +79,10 @@ func (e *CancelledError) Unwrap() error { return e.Cause }
 
 // Supervisor wraps sweep replays in the supervised runtime. The zero
 // value is usable: no context, no manifest, no retries, default slice.
-// One Supervisor may serve many sweeps in sequence; its methods are
-// goroutine-safe with respect to the worker pool (cells run concurrently).
+// One Supervisor may serve many sweeps in sequence, and they share its
+// recordings: each (algorithm, RecordKey) is recorded once per supervisor,
+// which keeps the trace until it is dropped. Its methods are goroutine-safe
+// with respect to the worker pool (cells run concurrently).
 type Supervisor struct {
 	// Ctx, when non-nil, is polled between event-budget slices: a
 	// deadline or cancellation abandons the running cell with a
@@ -105,11 +108,12 @@ type Supervisor struct {
 	// recorders attached never use it (their recorder must actually record).
 	Cache CellCache
 
-	// Records, when non-nil, memoizes Record() results for workloads run
-	// under this supervisor, so many sweeps against the same (algorithm,
-	// workload) share one recorded trace. Byte-neutral: equal workloads
-	// record byte-identical traces, so a cached trace replays identically
-	// to a re-recorded one.
+	// Records, when non-nil, holds recordings across supervised runs: the
+	// -trace-cache directory, or the daemon's trace store. Within one
+	// supervisor every (algorithm, RecordKey) is recorded or looked up once
+	// anyway — the supervisor memoizes its own recordings, writing fresh ones
+	// through to Records. Byte-neutral: equal workloads record byte-identical
+	// traces, so a cached trace replays identically to a re-recorded one.
 	Records RecordCache
 
 	// Timings, when non-nil, records one host-time stage per recording and
@@ -125,6 +129,18 @@ type Supervisor struct {
 	// stop latches the first cancellation cause: once any cell observes
 	// cancellation, every later poll fails fast without re-deriving it.
 	stop atomic.Pointer[error]
+
+	// recorded is the supervisor's record memo, allocated on first use: every
+	// recording this supervisor made or found, kept as long as it lives.
+	recMu    sync.Mutex
+	recorded map[recordKey]RecordResult
+}
+
+// recordKey is one memoized recording: the workload normalized by RecordKey
+// is comparable and pointer-free.
+type recordKey struct {
+	alg Algorithm
+	w   Workload
 }
 
 // CellCache is a checkpoint store for completed sweep cells, keyed
@@ -139,12 +155,50 @@ type CellCache interface {
 	Complete(key CellKey, cell CellOutcome) error
 }
 
-// RecordCache memoizes Record() results. The key workload is normalized
-// by the caller (replay-only knobs zeroed), so implementations may use it
-// directly as a map key. Must be goroutine-safe.
+// RecordCache holds Record() results across supervised runs. The key
+// workload is normalized by the caller (replay-only knobs zeroed), so
+// implementations may use it directly as a map key. *DiskRecordCache is the
+// on-disk implementation; internal/serve's trace store is the daemon's. Must
+// be goroutine-safe.
 type RecordCache interface {
 	LookupRecord(alg Algorithm, w Workload) (RecordResult, bool)
 	CompleteRecord(alg Algorithm, w Workload, res RecordResult)
+}
+
+// record is Record under this supervisor: its memo, then Records, then a
+// fresh recording written through to Records; whatever answered is
+// memoized. It reports whether the recording was found rather than made.
+// The lock guards the map only, never a recording or a call into Records:
+// two goroutines recording one key at once may both record it, byte-identical
+// traces, and the memo keeps the later. A schedule's recorder lane records
+// one trace at a time, so sweeps never do.
+func (sup *Supervisor) record(alg Algorithm, w Workload) (RecordResult, bool, error) {
+	key := recordKey{alg, RecordKey(w)}
+	sup.recMu.Lock()
+	res, found := sup.recorded[key]
+	sup.recMu.Unlock()
+	if found {
+		return res, true, nil
+	}
+	if sup.Records != nil {
+		res, found = sup.Records.LookupRecord(alg, key.w)
+	}
+	if !found {
+		var err error
+		if res, err = recordNative(alg, w); err != nil {
+			return res, false, err
+		}
+		if sup.Records != nil {
+			sup.Records.CompleteRecord(alg, key.w, res)
+		}
+	}
+	sup.recMu.Lock()
+	if sup.recorded == nil {
+		sup.recorded = make(map[recordKey]RecordResult)
+	}
+	sup.recorded[key] = res
+	sup.recMu.Unlock()
+	return res, found, nil
 }
 
 // interrupted reports the sticky cancellation state, latching the first
@@ -205,18 +259,20 @@ func (sup *Supervisor) cellKeys(jobs []replayJob) ([]CellKey, error) {
 // entry point into the supervised runtime. It derives the cell's key,
 // then executes the full runCell path: cache lookup, sliced replay with
 // panic containment, deterministic MemFault retries, checkpoint write.
-// The returned outcome is valid whenever err is nil.
-func (sup *Supervisor) ReplayCell(cfg machine.Config, tr trace.Source, label string) (CellKey, CellOutcome, error) {
+// The returned outcome is valid whenever err is nil, and the bool says
+// whether Cache answered it — taken from the lookup itself, so a cache that
+// counts its hits agrees with it however identical cells race.
+func (sup *Supervisor) ReplayCell(cfg machine.Config, tr trace.Source, label string) (CellKey, CellOutcome, bool, error) {
 	td, err := tr.Digest()
 	if err != nil {
-		return CellKey{}, CellOutcome{}, fmt.Errorf("harness: digesting trace: %w", err)
+		return CellKey{}, CellOutcome{}, false, fmt.Errorf("harness: digesting trace: %w", err)
 	}
 	key := CellKey{Trace: td, Config: ConfigDigest(cfg, sup.Retries, sup.RetrySeed)}
 	out := sup.runCell(replayJob{cfg: cfg, tr: tr, label: label}, key)
 	if out.err != nil {
-		return key, CellOutcome{}, out.err
+		return key, CellOutcome{}, false, out.err
 	}
-	return key, CellOutcome{MemFault: out.memFault, Attempts: out.attempts, Result: out.res}, nil
+	return key, CellOutcome{MemFault: out.memFault, Attempts: out.attempts, Result: out.res}, out.cached, nil
 }
 
 // runCell executes one supervised cell end to end: manifest lookup,

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -584,6 +585,43 @@ func TestTable1Supervised(t *testing.T) {
 	for _, r := range starved.Rows {
 		if !strings.Contains(r.Name, "[budget]") {
 			t.Errorf("row %q not budget-marked", r.Name)
+		}
+	}
+}
+
+// TestRecordMemoConcurrent: goroutines recording through one supervisor at
+// once each get a trace with the bytes of an unsupervised recording, and
+// afterwards the supervisor answers every one of its keys from its memo.
+func TestRecordMemoConcurrent(t *testing.T) {
+	w := Workload{N: 1 << 10, Seed: 3, Threads: 4, SP: 64 * units.KiB}
+	algs := []Algorithm{AlgGNUSort, AlgNMSort}
+	want := make([]uint64, len(algs))
+	for k, alg := range algs {
+		res, err := Record(alg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[k], err = res.Trace.Digest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Sup = &Supervisor{}
+	got := make([]uint64, 8)
+	errs := make([]error, len(got))
+	par.Each(len(got), func(i int) {
+		var res RecordResult
+		if res, errs[i] = Record(algs[i%len(algs)], w); errs[i] == nil {
+			got[i], errs[i] = res.Trace.Digest()
+		}
+	})
+	for i, d := range got {
+		if errs[i] != nil || d != want[i%len(algs)] {
+			t.Errorf("recording %d: digest %016x err %v, want %016x", i, d, errs[i], want[i%len(algs)])
+		}
+	}
+	for _, alg := range algs {
+		if _, cached, err := record(alg, w); err != nil || !cached {
+			t.Errorf("%s after the race: cached=%v err=%v, want the memo's", alg, cached, err)
 		}
 	}
 }

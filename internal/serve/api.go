@@ -21,7 +21,8 @@ type TraceInfo struct {
 
 // RecordRequest asks the server to record an algorithm trace
 // (POST /v1/traces/record). Equal requests record byte-identical traces,
-// so the response digest is stable and the server memoizes the work.
+// so the response digest is stable, and a repeat is answered from the
+// trace store while the trace is resident.
 type RecordRequest struct {
 	Alg     string `json:"alg"`               // harness.Algorithm name, e.g. "nmsort"
 	N       int    `json:"n"`                 // keys to sort
@@ -107,12 +108,16 @@ type Stats struct {
 	CacheEntries     int    `json:"cache_entries"`
 	CacheHits        uint64 `json:"cache_hits"`
 	CacheMisses      uint64 `json:"cache_misses"`
-	Records          int    `json:"records"`
-	JobsRunning      int    `json:"jobs_running"`
-	JobsAdmitted     int    `json:"jobs_admitted"`
-	JobsDone         uint64 `json:"jobs_done"`
-	JobsRejected     uint64 `json:"jobs_rejected"`
-	SweepsDone       uint64 `json:"sweeps_done"`
+	// Records counts the recordings — (algorithm, workload) pairs — whose
+	// trace is resident in the store: a sweep or record request naming one
+	// replays it without recording. Those traces count in Traces and are
+	// charged to the store budget like any upload.
+	Records      int    `json:"records"`
+	JobsRunning  int    `json:"jobs_running"`
+	JobsAdmitted int    `json:"jobs_admitted"`
+	JobsDone     uint64 `json:"jobs_done"`
+	JobsRejected uint64 `json:"jobs_rejected"`
+	SweepsDone   uint64 `json:"sweeps_done"`
 }
 
 // ExperimentInfo is one GET /v1/experiments row.

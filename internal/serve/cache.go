@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"sync"
 
 	"repro/internal/harness"
@@ -12,11 +13,25 @@ import (
 // (including the retry policy), a hit is byte-equivalent to re-running
 // the replay — the whole point of the serving layer's "identical jobs
 // answered without re-simulation" contract.
+//
+// It stays a type of its own beside harness.Manifest, the other CellCache:
+// the manifest persists every cell and never evicts, this one bounds itself
+// and counts hits, and one type doing both would branch on its caller.
 type ResultCache struct {
-	mu   sync.Mutex
-	idx  *lruIndex[harness.CellKey, harness.CellOutcome]
-	hits uint64
-	miss uint64
+	mu      sync.Mutex
+	limit   int
+	entries map[harness.CellKey]*list.Element
+	order   *list.List // front = most recently used; holds cacheEntry values
+	hits    uint64
+	miss    uint64
+}
+
+// cacheEntry is one cached cell on the recency list. Eviction walks the
+// list, never the map (Go map order is the nondeterminism source nmlint
+// bans from this package).
+type cacheEntry struct {
+	key harness.CellKey
+	out harness.CellOutcome
 }
 
 // ResultCache implements the supervisor's checkpoint-store interface.
@@ -28,40 +43,42 @@ func NewResultCache(limit int) *ResultCache {
 	if limit <= 0 {
 		limit = 4096
 	}
-	return &ResultCache{idx: newLRUIndex[harness.CellKey, harness.CellOutcome](limit)}
+	return &ResultCache{limit: limit, entries: make(map[harness.CellKey]*list.Element), order: list.New()}
 }
 
-// Lookup returns the cached outcome for key, if any.
+// Lookup returns the cached outcome for key, if any, marking it most
+// recently used.
 func (c *ResultCache) Lookup(key harness.CellKey) (harness.CellOutcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, ok := c.idx.get(key)
-	if ok {
-		c.hits++
-	} else {
+	e, ok := c.entries[key]
+	if !ok {
 		c.miss++
+		return harness.CellOutcome{}, false
 	}
-	return out, ok
+	c.hits++
+	c.order.MoveToFront(e)
+	return e.Value.(cacheEntry).out, true
 }
 
-// Complete stores a finished cell. In-memory completion cannot fail, so
-// the error is always nil (the CellCache contract reserves it for stores
-// that persist).
+// Complete stores a finished cell, evicting the least recently used cells
+// beyond the limit. In-memory completion cannot fail, so the error is always
+// nil (the CellCache contract reserves it for stores that persist).
 func (c *ResultCache) Complete(key harness.CellKey, cell harness.CellOutcome) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.idx.put(key, cell)
+	if e, ok := c.entries[key]; ok {
+		e.Value = cacheEntry{key, cell}
+		c.order.MoveToFront(e)
+		return nil
+	}
+	c.entries[key] = c.order.PushFront(cacheEntry{key, cell})
+	for c.order.Len() > c.limit {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(cacheEntry).key)
+	}
 	return nil
-}
-
-// Peek reports whether key is cached without counting a hit or miss and
-// without refreshing recency — the HTTP layer's way to label a response
-// cold vs. cached while the supervisor's own Lookup keeps the stats.
-func (c *ResultCache) Peek(key harness.CellKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.idx.entries[key]
-	return ok
 }
 
 // Stats returns (entries, hits, misses) — the cache-hit observability the
@@ -69,53 +86,5 @@ func (c *ResultCache) Peek(key harness.CellKey) bool {
 func (c *ResultCache) Stats() (entries int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.idx.len(), c.hits, c.miss
-}
-
-// recordMemo memoizes harness.Record results so many requests against
-// the same (algorithm, workload) share one recorded trace — the "record
-// once" half of the serving story. Keys are RecordKey-normalized
-// workloads (replay-only knobs zeroed), so the struct is directly
-// comparable. Concurrent first-records of the same key may both run; the
-// results are byte-identical by Record's determinism contract, and the
-// memo keeps one.
-type recordMemo struct {
-	mu  sync.Mutex
-	idx *lruIndex[recordMemoKey, harness.RecordResult]
-}
-
-type recordMemoKey struct {
-	alg harness.Algorithm
-	w   harness.Workload
-}
-
-var _ harness.RecordCache = (*recordMemo)(nil)
-
-func newRecordMemo(limit int) *recordMemo {
-	if limit <= 0 {
-		limit = 64
-	}
-	return &recordMemo{idx: newLRUIndex[recordMemoKey, harness.RecordResult](limit)}
-}
-
-// LookupRecord implements harness.RecordCache. w must already be
-// RecordKey-normalized (Record normalizes before calling).
-func (m *recordMemo) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness.RecordResult, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.idx.get(recordMemoKey{alg: alg, w: w})
-}
-
-// CompleteRecord implements harness.RecordCache.
-func (m *recordMemo) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.idx.put(recordMemoKey{alg: alg, w: w}, res)
-}
-
-// Len reports the memoized record count.
-func (m *recordMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.idx.len()
+	return c.order.Len(), c.hits, c.miss
 }

@@ -1,6 +1,7 @@
 // Package serve turns the deterministic replay kernel into a service: a
 // content-addressed trace store (record or upload once, share one
-// immutable *trace.Trace across every concurrent replay), a result cache
+// immutable trace across every concurrent replay and every sweep that
+// records the same workload), a result cache
 // keyed by the supervisor's CellKey (identical (trace, config) jobs are
 // answered without re-simulation, byte for byte), a bounded admission
 // gate in front of the supervised worker pool (429 on overload), and
@@ -14,54 +15,3 @@
 // nmlint's simulator-package analyzers: no wall-clock reads and no
 // map-iteration-order dependence anywhere in the serving path.
 package serve
-
-import "container/list"
-
-// lruIndex is a small mutex-free LRU bookkeeping core shared by the
-// result cache and the record memo: a map for lookup plus an intrusive
-// recency list for eviction order, so no code path ever ranges over the
-// map (Go map order is the canonical nondeterminism source nmlint bans
-// from simulator packages). Callers provide their own locking.
-type lruIndex[K comparable, V any] struct {
-	limit   int // max entries; <= 0 means unbounded
-	entries map[K]*list.Element
-	order   *list.List // front = most recently used; holds lruPair[K, V]
-}
-
-type lruPair[K comparable, V any] struct {
-	key K
-	val V
-}
-
-func newLRUIndex[K comparable, V any](limit int) *lruIndex[K, V] {
-	return &lruIndex[K, V]{limit: limit, entries: make(map[K]*list.Element), order: list.New()}
-}
-
-// get returns the value for k, marking it most recently used.
-func (x *lruIndex[K, V]) get(k K) (V, bool) {
-	if e, ok := x.entries[k]; ok {
-		x.order.MoveToFront(e)
-		return e.Value.(lruPair[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// put inserts or refreshes k, evicting the least recently used entries
-// beyond the limit.
-func (x *lruIndex[K, V]) put(k K, v V) {
-	if e, ok := x.entries[k]; ok {
-		e.Value = lruPair[K, V]{key: k, val: v}
-		x.order.MoveToFront(e)
-		return
-	}
-	x.entries[k] = x.order.PushFront(lruPair[K, V]{key: k, val: v})
-	for x.limit > 0 && x.order.Len() > x.limit {
-		oldest := x.order.Back()
-		x.order.Remove(oldest)
-		delete(x.entries, oldest.Value.(lruPair[K, V]).key)
-	}
-}
-
-// len reports the entry count.
-func (x *lruIndex[K, V]) len() int { return x.order.Len() }

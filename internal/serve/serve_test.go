@@ -138,7 +138,7 @@ func TestJobMatchesDirectReplay(t *testing.T) {
 
 	cfg := harness.NodeFor(16, 16, 1*units.MiB)
 	sup := &harness.Supervisor{}
-	key, out, err := sup.ReplayCell(cfg, rec.Trace, "")
+	key, out, _, err := sup.ReplayCell(cfg, rec.Trace, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +293,8 @@ func TestSweepTable1IsARegistryRow(t *testing.T) {
 }
 
 // TestRecordEndpointMemoized pins record-once: two identical record
-// requests return the same digest and the second is served from the memo
-// (the record count stays 1).
+// requests return the same digest and the second is served from the trace
+// store (the record count stays 1).
 func TestRecordEndpointMemoized(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	ctx := context.Background()
@@ -315,8 +315,123 @@ func TestRecordEndpointMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != 1 {
-		t.Fatalf("record memo holds %d entries, want 1", st.Records)
+	if st.Records != 1 || st.Traces != 1 {
+		t.Fatalf("the store holds %d recordings in %d traces, want 1 and 1", st.Records, st.Traces)
+	}
+}
+
+// TestConcurrentJobsCacheHeaderMatchesStats: identical cold jobs racing on
+// one cell each say in X-Nmsimd-Cache what the result cache counted for
+// them — the header comes from the lookup that counts, so however the race
+// goes the hit headers equal the cache_hits delta.
+func TestConcurrentJobsCacheHeaderMatchesStats(t *testing.T) {
+	const jobs = 8
+	_, c := newTestServer(t, serve.Config{Workers: jobs, Queue: jobs})
+	info := recordAndUpload(t, c)
+	ctx := context.Background()
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := make([]bool, jobs)
+	var wg sync.WaitGroup
+	for i := range hits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if _, _, hits[i], err = c.SubmitJob(ctx, tinyJob(info.Digest)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := 0
+	for _, h := range hits {
+		if h {
+			headers++
+		}
+	}
+	if got := after.CacheHits - before.CacheHits; got != uint64(headers) {
+		t.Errorf("%d responses said hit, the cache counted %d hits", headers, got)
+	}
+	if got := after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses; got != jobs {
+		t.Errorf("the cache counted %d lookups for %d jobs", got, jobs)
+	}
+}
+
+// TestSweepRecordingsLiveInTheStore: the trace store is the daemon's only
+// record cache. Sweeps whose recordings outgrow a small budget leave the
+// store within it with nothing pinned, every recording /v1/stats counts is
+// resident, and a sweep whose recordings were evicted records them again and
+// renders the bytes it rendered the first time.
+func TestSweepRecordingsLiveInTheStore(t *testing.T) {
+	ctx := context.Background()
+	wl := func(seed uint64) harness.Workload {
+		return harness.Workload{N: 1 << 12, Seed: seed, Threads: 8, SP: 1 * units.MiB}
+	}
+	algs := []harness.Algorithm{harness.AlgGNUSort, harness.AlgNMSort}
+	var budget int64 // one sweep's two recordings and a quarter
+	for _, alg := range algs {
+		res, err := harness.Record(alg, wl(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget += res.Trace.Columns().Size() * 5 / 4
+	}
+	srv, c := newTestServer(t, serve.Config{StoreBytes: budget})
+	sweep := func(seed uint64) string {
+		body, failed, err := c.Sweep(ctx, serve.SweepRequest{Exp: "bandwidth", N: 1 << 12, Seed: seed, Cores: 8, SPMiB: 1})
+		if err != nil || failed != 0 {
+			t.Fatalf("seed %d: failed=%d err=%v", seed, failed, err)
+		}
+		return string(body)
+	}
+	seeds := []uint64{1, 2, 3, 4}
+	first := make(map[uint64]string)
+	for _, seed := range seeds {
+		first[seed] = sweep(seed)
+	}
+
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TraceBytes <= 0 || st.TraceBytes > budget {
+		t.Errorf("the store holds %d trace bytes, want some and at most the %d-byte budget", st.TraceBytes, budget)
+	}
+	resident := func(seed uint64) int {
+		n := 0
+		for _, alg := range algs {
+			if _, ok := srv.Store().LookupRecord(alg, harness.RecordKey(wl(seed))); ok {
+				n++
+			}
+		}
+		return n
+	}
+	total, evicted := 0, uint64(0)
+	for _, seed := range seeds {
+		n := resident(seed)
+		total += n
+		if n == 0 && evicted == 0 {
+			evicted = seed
+		}
+	}
+	if total == 0 || st.Records != total || st.Traces < total {
+		t.Errorf("/v1/stats: %d records in %d traces; %d recordings are resident", st.Records, st.Traces, total)
+	}
+	if evicted == 0 {
+		t.Fatalf("no sweep's recordings were evicted from a %d-byte store", budget)
+	}
+	if got := sweep(evicted); got != first[evicted] {
+		t.Errorf("seed %d re-recorded after eviction renders differently:\n%s\nwant:\n%s", evicted, got, first[evicted])
+	}
+	if resident(evicted) == 0 {
+		t.Errorf("seed %d: the repeated sweep left none of its recordings in the store", evicted)
 	}
 }
 

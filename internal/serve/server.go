@@ -47,12 +47,11 @@ type Config struct {
 // spawns no goroutines of its own, so concurrency is exactly what the
 // HTTP layer and the gate admit.
 type Server struct {
-	cfg     Config
-	store   *Store
-	cache   *ResultCache
-	records *recordMemo
-	gate    *Gate
-	mux     *http.ServeMux
+	cfg   Config
+	store *Store // also the RecordCache of every request that records
+	cache *ResultCache
+	gate  *Gate
+	mux   *http.ServeMux
 
 	jobsDone     atomic.Uint64
 	jobsRejected atomic.Uint64
@@ -71,12 +70,11 @@ func New(cfg Config) *Server {
 		cfg.MaxUploadBytes = 1 << 30
 	}
 	s := &Server{
-		cfg:     cfg,
-		store:   NewStore(cfg.StoreBytes),
-		cache:   NewResultCache(cfg.CacheEntries),
-		records: newRecordMemo(0),
-		gate:    NewGate(cfg.Workers, cfg.Queue),
-		mux:     http.NewServeMux(),
+		cfg:   cfg,
+		store: NewStore(cfg.StoreBytes),
+		cache: NewResultCache(cfg.CacheEntries),
+		gate:  NewGate(cfg.Workers, cfg.Queue),
+		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("POST /v1/traces", s.handleUpload)
 	s.mux.HandleFunc("POST /v1/traces/record", s.handleRecord)
@@ -210,8 +208,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRecord records an algorithm trace server-side and stores it.
-// Recording is replay-grade CPU work, so it passes the admission gate;
-// the record memo makes repeats free.
+// Recording is replay-grade CPU work, so it passes the admission gate; the
+// store is the record cache, so a repeat finds the trace while it is
+// resident.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var req RecordRequest
 	if !decodeBody(w, r, "record", &req) {
@@ -236,16 +235,17 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	wl := harness.Workload{
 		N: req.N, Seed: req.Seed, Threads: req.Threads,
 		SP: units.Bytes(req.SPMiB) * units.MiB, Buckets: req.Buckets, Dist: dist,
-		Sup: &harness.Supervisor{Ctx: r.Context(), Records: s.records},
+		Sup: &harness.Supervisor{Ctx: r.Context(), Records: s.store},
 	}
 	res, err := harness.Record(harness.Algorithm(req.Alg), wl)
 	if err != nil {
 		fail(w, err, http.StatusUnprocessableEntity)
 		return
 	}
-	d, err := s.store.Put(res.Trace)
+	// The store already holds the trace: Record found it there or put it there.
+	d, err := res.Trace.Digest()
 	if err != nil {
-		fail(w, err, http.StatusInternalServerError)
+		fail(w, fmt.Errorf("serve: digesting trace: %w", err), http.StatusInternalServerError)
 		return
 	}
 	s.jobsDone.Add(1)
@@ -351,8 +351,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, req, sup, cfg, tr, digest)
 		return
 	}
-	hit := s.cache.Peek(harness.CellKey{Trace: digest, Config: harness.ConfigDigest(cfg, sup.Retries, sup.RetrySeed)})
-	key, out, err := sup.ReplayCell(cfg, tr, req.Label)
+	key, out, hit, err := sup.ReplayCell(cfg, tr, req.Label)
 	if err != nil {
 		fail(w, err, http.StatusInternalServerError)
 		return
@@ -407,7 +406,7 @@ func (s *Server) streamJob(w http.ResponseWriter, req JobRequest, sup *harness.S
 	// stop burning simulation time.
 	sup.Interrupt = drain
 
-	key, out, err := sup.ReplayCell(cfg, tr, req.Label)
+	key, out, _, err := sup.ReplayCell(cfg, tr, req.Label)
 	if derr := drain(); err == nil && derr != nil {
 		err = derr
 	}
@@ -504,7 +503,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sup := &harness.Supervisor{
 		Ctx: r.Context(), Slice: req.Slice,
 		Retries: req.Retries, RetrySeed: req.RetrySeed,
-		Cache: s.cache, Records: s.records,
+		Cache: s.cache, Records: s.store,
 	}
 	if sup.Slice == 0 {
 		sup.Slice = s.cfg.Slice
@@ -554,7 +553,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:     entries,
 		CacheHits:        hits,
 		CacheMisses:      misses,
-		Records:          s.records.Len(),
+		Records:          s.store.recordCount(),
 		JobsRunning:      s.gate.Running(),
 		JobsAdmitted:     s.gate.Admitted(),
 		JobsDone:         s.jobsDone.Load(),

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
@@ -26,6 +27,13 @@ import (
 // borrower, and a mapped Columnar's pages are released by the finalizer
 // trace.Open installs once the last reference (store, pin, or cursor)
 // goes away — the store never unmaps under a reader.
+//
+// The store is also the daemon's harness.RecordCache, and its only one: a
+// recording is Put like an upload, and an index maps each (algorithm,
+// RecordKey) to the digest it recorded, dropped with the entry on eviction.
+// So every trace the daemon holds between requests is charged to the budget,
+// and a recording larger than the budget is recorded again by the next
+// request that needs it.
 
 // ErrTraceNotFound marks a digest the store does not (or no longer does)
 // hold; callers re-upload or re-record.
@@ -44,13 +52,21 @@ func sourceBytes(src trace.Source) (heap, mapped int64) {
 	return col.Size(), 0
 }
 
+// recordKey names one recording: the workload is RecordKey-normalized, so
+// comparable and pointer-free.
+type recordKey struct {
+	alg harness.Algorithm
+	w   harness.Workload
+}
+
 // storeEntry is one resident trace.
 type storeEntry struct {
-	src    trace.Source
-	heap   int64
-	mapped int64
-	pins   int
-	elem   *list.Element // position in the recency list; value is the digest
+	src     trace.Source
+	heap    int64
+	mapped  int64
+	pins    int
+	records []recordKey   // the recordings indexed to this trace
+	elem    *list.Element // position in the recency list; value is the digest
 }
 
 // Store is the content-addressed trace store. Safe for concurrent use.
@@ -60,7 +76,8 @@ type Store struct {
 	usedHeap   int64
 	usedMapped int64
 	entries    map[uint64]*storeEntry
-	order      *list.List // front = most recently used; element values are uint64 digests
+	records    map[recordKey]uint64 // recording → digest of a resident entry
+	order      *list.List           // front = most recently used; element values are uint64 digests
 }
 
 // NewStore returns a store bounded by budget bytes (<= 0 means a 256 MiB
@@ -69,7 +86,8 @@ func NewStore(budget int64) *Store {
 	if budget <= 0 {
 		budget = 256 << 20
 	}
-	return &Store{budget: budget, entries: make(map[uint64]*storeEntry), order: list.New()}
+	return &Store{budget: budget, entries: make(map[uint64]*storeEntry),
+		records: make(map[recordKey]uint64), order: list.New()}
 }
 
 // Put inserts src under its digest and returns the digest. A trace already
@@ -77,25 +95,66 @@ func NewStore(budget int64) *Store {
 // refreshes its recency — so concurrent uploads of the same logical trace
 // (in either serialization; the digest is encoding-independent) cost one
 // resident copy.
-func (s *Store) Put(src trace.Source) (uint64, error) {
+func (s *Store) Put(src trace.Source) (uint64, error) { return s.put(src, nil) }
+
+// put is Put, also indexing the entry under rec when there is one — inside
+// the same critical section, so the index never names an evicted trace.
+func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 	d, err := src.Digest()
 	if err != nil {
 		return 0, fmt.Errorf("serve: digesting trace: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[d]; ok {
+	e, ok := s.entries[d]
+	if ok {
 		s.order.MoveToFront(e.elem)
-		return d, nil
+	} else {
+		e = &storeEntry{src: src}
+		e.heap, e.mapped = sourceBytes(src)
+		e.elem = s.order.PushFront(d)
+		s.entries[d] = e
+		s.usedHeap += e.heap
+		s.usedMapped += e.mapped
 	}
-	e := &storeEntry{src: src}
-	e.heap, e.mapped = sourceBytes(src)
-	e.elem = s.order.PushFront(d)
-	s.entries[d] = e
-	s.usedHeap += e.heap
-	s.usedMapped += e.mapped
+	if rec != nil {
+		if _, known := s.records[*rec]; !known {
+			s.records[*rec] = d
+			e.records = append(e.records, *rec)
+		}
+	}
 	s.evictLocked()
 	return d, nil
+}
+
+// LookupRecord implements harness.RecordCache: the resident trace a
+// recording of alg on w produced, whichever way it arrived — a columnar
+// upload with the same digest answers through a handle over its columns.
+func (s *Store) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness.RecordResult, bool) {
+	s.mu.Lock()
+	d, ok := s.records[recordKey{alg, w}]
+	var src trace.Source
+	if ok {
+		e := s.entries[d]
+		s.order.MoveToFront(e.elem)
+		src = e.src
+	}
+	s.mu.Unlock()
+	if !ok {
+		return harness.RecordResult{}, false
+	}
+	tr, isTrace := src.(*trace.Trace)
+	if !isTrace {
+		tr = src.(*trace.Columnar).AsTrace()
+	}
+	return harness.RecordResult{Trace: tr, Sorted: true, Counts: tr.Count()}, true
+}
+
+// CompleteRecord implements harness.RecordCache: it is Put, indexed under
+// the recording. A trace that cannot be digested is not stored; the caller
+// keeps its recording either way.
+func (s *Store) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
+	s.put(res.Trace, &recordKey{alg, w})
 }
 
 // Pin returns the trace for digest and pins it resident until release is
@@ -134,9 +193,9 @@ func (s *Store) Get(digest uint64) (trace.Source, bool) {
 	return e.src, true
 }
 
-// evictLocked drops least-recently-used unpinned traces until the store
-// fits its budget. Walks the recency list back to front — never the map —
-// skipping pinned entries.
+// evictLocked drops least-recently-used unpinned traces, and the recordings
+// indexed to them, until the store fits its budget. Walks the recency list
+// back to front — never a map — skipping pinned entries.
 func (s *Store) evictLocked() {
 	for el := s.order.Back(); el != nil && s.usedHeap+s.usedMapped > s.budget; {
 		prev := el.Prev()
@@ -144,6 +203,9 @@ func (s *Store) evictLocked() {
 		if e := s.entries[d]; e.pins == 0 {
 			s.order.Remove(el)
 			delete(s.entries, d)
+			for _, k := range e.records {
+				delete(s.records, k)
+			}
 			s.usedHeap -= e.heap
 			s.usedMapped -= e.mapped
 		}
@@ -156,6 +218,13 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
+}
+
+// recordCount reports the recordings whose trace is resident.
+func (s *Store) recordCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.records)
 }
 
 // Bytes reports the resident heap footprint estimate.

@@ -3,9 +3,11 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/harness"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -89,6 +91,55 @@ func TestStorePinBlocksEviction(t *testing.T) {
 	}
 	// Double release is a no-op.
 	release()
+}
+
+// TestStoreRecordIndexConcurrent: recordings completed, looked up and evicted
+// from several goroutines at once leave an index that names resident traces
+// only, and every hit is the trace completed under its key.
+func TestStoreRecordIndexConcurrent(t *testing.T) {
+	size := traceSize(t)
+	s := serve.NewStore(2*size + size/2) // room for two
+	const n = 8
+	traces := make([]*trace.Trace, n)
+	digests := make([]uint64, n)
+	for i := range traces {
+		traces[i] = storeTrace(t, i)
+		var err error
+		if digests[i], err = traces[i].Digest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(i int) harness.Workload { return harness.Workload{N: i, Seed: 1, Threads: 1, SP: 1} }
+	lookup := func(i int) bool {
+		res, ok := s.LookupRecord(harness.AlgGNUSort, key(i))
+		if ok {
+			if d, err := res.Trace.Digest(); err != nil || d != digests[i] || !res.Sorted {
+				t.Errorf("key %d answered digest %016x (err %v, sorted %v), completed %016x", i, d, err, res.Sorted, digests[i])
+			}
+		}
+		return ok
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				s.CompleteRecord(harness.AlgGNUSort, key(i), harness.RecordResult{Trace: traces[i]})
+				lookup((i + round) % n)
+			}
+		}()
+	}
+	wg.Wait()
+	hits := 0
+	for i := 0; i < n; i++ {
+		if lookup(i) {
+			hits++
+		}
+	}
+	if hits == 0 || hits != s.Len() {
+		t.Errorf("%d recordings answer from a store of %d traces, each completed as one", hits, s.Len())
+	}
 }
 
 // TestStorePinMissing checks pinning an absent digest fails cleanly.

@@ -113,7 +113,7 @@ func jsonString(s string) string {
 
 // ValidateChromeJSON checks that data parses as a Chrome trace-event JSON
 // object with a non-empty traceEvents array whose entries carry the
-// required "ph" and "name" fields. cmd/tracecheck and the CI smoke test use
+// required "ph" and "name" fields. `nmtrace check` and the CI smoke test use
 // it to validate generated timelines without a browser.
 func ValidateChromeJSON(data []byte) error {
 	var doc struct {

@@ -49,8 +49,9 @@
 #                                     locally + remotely cold + remotely
 #                                     cached, cmp all three byte-identical
 #                                     (then the bandwidth sweep the same way,
-#                                     as text and as CSV rows),
-#                                     SIGTERM-drain to exit 0
+#                                     as text and as CSV rows; its two
+#                                     recordings resident in the trace
+#                                     store), SIGTERM-drain to exit 0
 #  10. schedule smoke                 the recorder-lane schedule is invisible:
 #                                     nmsim stdout cmp-equal at -par 1,
 #                                     default -par and GOMAXPROCS=1, with and
@@ -60,7 +61,9 @@
 #                                     exits 130 with both .nmt3 cache files
 #                                     written, and the warm run after it
 #                                     leaves them untouched; sweep -exp=table1
-#                                     prints nmsim's bytes
+#                                     prints nmsim's bytes; a supervised run
+#                                     records each workload once (nmsim's
+#                                     telemetry replay, -corelist 8,8,16)
 #  11. benchmark module               go vet -C bench ./_layers && go test -C
 #                                     bench ./...: bench/ is its own module
 #                                     and the one importer of repro/internal

@@ -13,6 +13,9 @@
 #      follows prints the uncached bytes and leaves the files untouched.
 #   4. Table I is a row of the experiment registry: sweep -exp=table1 prints
 #      nmsim's bytes.
+#   5. A supervised run records each workload once: nmsim's telemetry replay
+#      finds the NMsort trace Table I recorded, and sweep -corelist 8,8,16
+#      records the 8-core pair once for its two declarations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,5 +65,16 @@ after=$(cd "$workdir/cache" && ls -l --time-style=full-iso ./*.nmt3 && sha256sum
 
 echo "== sweep -exp=table1 is nmsim =="
 "$workdir/sweep" -exp=table1 $t1 | cmp "$workdir/par1.txt" -
+
+echo "== a supervised run records each workload once =="
+"$workdir/nmsim" -n 8192 -cores 8 -sp 1 -telemetry-out "$workdir/t.trace.json" -telemetry-csv "$workdir/t.csv" \
+	-timings > /dev/null 2> "$workdir/tel.timings"
+[ "$(grep -c '^timings: record ' "$workdir/tel.timings")" -eq 3 ] &&
+	[ "$(grep '^timings: record ' "$workdir/tel.timings" | grep -c '\[cached\]')" -eq 1 ] ||
+	{ cat "$workdir/tel.timings"; echo "nmsim -telemetry-out: want 3 recordings, 1 cached"; exit 1; }
+"$workdir/sweep" -exp=cores -corelist 8,8,16 -n 8192 -sp 1 -timings > /dev/null 2> "$workdir/cores.timings"
+[ "$(grep -c '^timings: record ' "$workdir/cores.timings")" -eq 6 ] &&
+	[ "$(grep '^timings: record ' "$workdir/cores.timings" | grep -c '\[cached\]')" -eq 2 ] ||
+	{ cat "$workdir/cores.timings"; echo "sweep -corelist 8,8,16: want 6 recordings, 2 cached"; exit 1; }
 
 echo "== schedule smoke passed =="

@@ -78,8 +78,10 @@ hits=$(echo "$stats" | sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p')
 # /v1/sweeps has no NDJSON output (that is /v1/jobs' single-job stream), so
 # this gate covers text and CSV only.
 bw="-exp=bandwidth -n 8192 -cores 16 -sp 1 -seed 7"
-entries() { curl -sSf "http://$addr/v1/stats" | sed -n 's/.*"cache_entries":\([0-9]*\).*/\1/p'; }
+field() { curl -sSf "http://$addr/v1/stats" | sed -n "s/.*\"$1\":\\([0-9]*\\).*/\\1/p"; }
+entries() { field cache_entries; }
 before=$(entries)
+records_before=$(field records)
 for fmt in text csv; do
 	echo "== bandwidth sweep, $fmt: local vs remote cold vs remote cached =="
 	"$workdir/sweep" $bw -format "$fmt" > "$workdir/bw_local.$fmt"
@@ -90,6 +92,14 @@ for fmt in text csv; do
 done
 after=$(entries)
 [ $((after - before)) -eq 6 ] || { echo "bandwidth sweep cached $((after - before)) cells, want 6"; exit 1; }
+
+# The trace store is the daemon's record cache: the dma sweep's two
+# recordings and then the bandwidth sweep's two are resident in it, as traces
+# charged to -store-mb like any upload.
+records=$(field records)
+traces=$(field traces)
+[ "$records_before" -eq 2 ] && [ $((records - records_before)) -eq 2 ] && [ "$traces" -ge 2 ] ||
+	{ echo "store holds $records recordings ($records_before before the bandwidth sweep) in $traces traces; want 2, then 2 more, in >= 2 traces"; exit 1; }
 
 echo "== graceful shutdown =="
 kill -TERM "$daemon_pid"
