@@ -11,7 +11,8 @@ package repro_test
 // prints the reproduced numbers alongside the host-side cost of producing
 // them. Benchmark sizes are scaled down from the cmd/ tools so the full
 // suite runs in minutes; run `go run ./cmd/nmsim` and `go run ./cmd/sweep`
-// for the full-size experiments recorded in EXPERIMENTS.md.
+// for the full-size experiments recorded in EXPERIMENTS.md — every one of
+// them, the model-side M1–M3, M-PEM and C4 included, is a `sweep -exp` row.
 
 import (
 	"runtime"
@@ -214,7 +215,7 @@ func BenchmarkCoreSweep(b *testing.B) {
 	}
 }
 
-// --- C3/C4 are derived from T1's access columns and cmd/membound ---------
+// --- C3/C4 are derived from T1's access columns and sweep -exp=membound --
 
 // --- M1: Theorem 6 block-transfer validation ------------------------------
 

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -198,6 +199,39 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := harness.FindExperiment("nope"); ok {
 		t.Error("FindExperiment accepted an unknown name")
+	}
+}
+
+// TestDocumentedCommandsExist keeps the documents' commands runnable: every
+// `go run ./…` in README.md, EXPERIMENTS.md and DESIGN.md names a directory of
+// the module, every -exp=… names a registry row, and no block cites a
+// one-iteration benchmark or a verbose test run as the command behind it —
+// the paper's numbers come from sweep -exp rows.
+func TestDocumentedCommandsExist(t *testing.T) {
+	goRun := regexp.MustCompile(`go run (\./[\w./-]+)`)
+	exp := regexp.MustCompile(`-exp=([\w-]+)`)
+	side := regexp.MustCompile(`-benchtime[= ]1x|go test\b.*-run\b.*\s-v\b`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			at := fmt.Sprintf("%s:%d", doc, i+1)
+			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(filepath.Join("..", "..", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s: go run %s names no directory", at, m[1])
+				}
+			}
+			for _, m := range exp.FindAllStringSubmatch(line, -1) {
+				if _, ok := harness.FindExperiment(m[1]); !ok {
+					t.Errorf("%s: -exp=%s names no registry row", at, m[1])
+				}
+			}
+			if m := side.FindString(line); m != "" {
+				t.Errorf("%s: %q is not a command behind a paper number; cite the sweep -exp row", at, m)
+			}
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestQueueMatchesReferenceSort(t *testing.T) {
 		stamp := func() units.Time {
 			switch rng.Intn(4) {
 			case 0:
-				return units.Time(math.MaxInt64 - rng.Intn(50))
+				return units.Time(math.MaxInt64 - int64(rng.Intn(50)))
 			case 1:
 				return units.Time(rng.Uint64() >> 1)
 			}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/units"
 )
 
-// The experiment registry: the single catalogue of the paper's sweeps and
-// its Table I, shared by cmd/sweep and cmd/nmsim (flags) and internal/serve
-// (JSON requests) so the front ends can never drift on what an experiment
-// name means. Each entry maps parsed parameters plus a workload to an
+// The experiment registry: the single catalogue of the paper's sweeps, its
+// model-side results and its Table I, shared by cmd/sweep and cmd/nmsim
+// (flags) and internal/serve (JSON requests) so the front ends can never
+// drift on what an experiment name means. Each entry maps parsed parameters plus a workload to an
 // Output; front ends own only the string-to-parameter parsing.
 
 // ExperimentParams carries the per-experiment knobs beyond the workload,
@@ -51,8 +51,8 @@ type Experiment struct {
 	Run  func(p ExperimentParams, w Workload) (Output, error)
 }
 
-// Output is what an experiment leaves to print — a Sweep, or Table I's
-// Table: its own text layout, the same data as a renderable grid, and the
+// Output is what an experiment leaves to print — a Sweep, Table I's Table,
+// or a model-side row's one grid: its own text layout, the same data as a renderable grid, and the
 // count of cells whose supervised replay did not complete.
 type Output interface {
 	String() string
@@ -114,6 +114,13 @@ var Experiments = []Experiment{
 			}
 			return TimelineSweep(w, 16, epoch)
 		}},
+	// The model-side rows (paper.go) take no parameters.
+	{"membound", "claim C4 — Section V-A's y·lgZ < x on the paper's node, and the crossover core count (model only)", memBound},
+	{"codesign", "vendor guidance — rho*, speedups and ceiling from the paper's Table I profile and from Table I's cells on this workload", coDesign},
+	{"m1", "experiment M1 — Theorem 6: the sequential sort's line transfers vs the model, six doublings of N up to -n", blockTransfers},
+	{"m2", "experiment M2 — Lemma 5: split quality and recursion depth, six doublings of N up to -n", lemma5},
+	{"m3", "experiment M3 — Corollaries 3/7: in-scratchpad mergesort vs quicksort near lines, x = n/64, n/16, n/4, n", innerSort},
+	{"pem", "experiment M-PEM — Theorem 8: PEM sort of n scratchpad-resident keys at p' = 4, 16, 64 threads, 4X", pemSweep},
 	{"table1", "the paper's Table I (cmd/nmsim parity); dma/dist/fault_rate apply",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			return Table1Faults(w, p.DMA, p.Fault)

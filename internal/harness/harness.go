@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/noc"
 	"repro/internal/par"
 	"repro/internal/report"
@@ -75,14 +74,6 @@ type Workload struct {
 	// sweep), deterministic MemFault retries, and manifest checkpointing.
 	// Nil keeps the historical fail-fast behavior, byte for byte.
 	Sup *Supervisor
-}
-
-// DefaultWorkload returns the scaled Table I workload: the paper sorts 10M
-// keys on 256 cores with a multi-hundred-MB scratchpad; we preserve the
-// ratios (several chunks per input, runs exceeding the per-thread L2
-// share) at a size a discrete-event simulation sweeps in seconds.
-func DefaultWorkload() Workload {
-	return Workload{N: 1 << 21, Seed: 2015, Threads: 256, SP: 8 * units.MiB}
 }
 
 // RecordResult is one recorded algorithm run. Trace is a handle over sealed
@@ -364,20 +355,4 @@ func (t Table) String() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// ModelFor translates a workload plus node description into the
-// algorithmic model's parameters (Section II), for predicted-vs-measured
-// comparisons.
-func ModelFor(w Workload, cfg machine.Config) model.Params {
-	return model.Params{
-		N:      int64(w.N),
-		Elem:   8,
-		B:      cfg.LineSize,
-		Rho:    cfg.BandwidthExpansion(),
-		M:      w.SP,
-		Z:      cfg.L2Capacity * units.Bytes(cfg.Cores/cfg.CoresPerGroup),
-		P:      cfg.Cores,
-		PPrime: cfg.Cores,
-	}
 }

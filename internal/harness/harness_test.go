@@ -215,17 +215,6 @@ func TestAblationDMA(t *testing.T) {
 	}
 }
 
-func TestModelFor(t *testing.T) {
-	w := DefaultWorkload()
-	p := ModelFor(w, NodeFor(w.Threads, 16, w.SP))
-	if err := p.Validate(); err != nil {
-		t.Errorf("derived model params invalid: %v", err)
-	}
-	if p.Rho != 4 {
-		t.Errorf("rho = %v", p.Rho)
-	}
-}
-
 func TestRecordExtendedAlgorithms(t *testing.T) {
 	w := tinyWorkload()
 	for _, alg := range []Algorithm{AlgNMScatter, AlgParSort, AlgGNUExact} {

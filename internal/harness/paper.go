@@ -1,0 +1,280 @@
+package harness
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/model"
+	"repro/internal/par"
+	"repro/internal/report"
+	"repro/internal/trace"
+	"repro/internal/units"
+	"repro/internal/xrand"
+)
+
+// The paper's model-side results as registry rows: the Section V-A
+// inequality (C4), vendor guidance, and the recording-only checks of Theorem
+// 6 (M1), Lemma 5 (M2), Corollaries 3 and 7 (M3) and Theorem 8 (M-PEM). A row
+// with a size axis takes the top of the axis from Workload.N; everything else
+// it depends on — seeds, M, Z, ρ, m, p′ — is pinned here, so the numbers do
+// not move with the node the other flags describe.
+
+// tableOutput is the Output of a row whose result is one grid.
+type tableOutput struct {
+	t      *report.Table
+	failed int
+}
+
+func (o tableOutput) String() string {
+	var b strings.Builder
+	o.t.Render(&b, report.Text) // a strings.Builder takes every write
+	return b.String()
+}
+
+func (o tableOutput) Report() *report.Table { return o.t }
+func (o tableOutput) Failed() int           { return o.failed }
+
+// sizeAxis is a row's size axis: rows sizes, each factor times the one
+// before, the last equal to top. It refuses a top whose smallest size would
+// fall below least, which the row cannot run.
+func sizeAxis(exp string, top, factor, rows, least int) ([]int, error) {
+	sizes := make([]int, rows)
+	for i, n := rows-1, top; i >= 0; i, n = i-1, n/factor {
+		sizes[i] = n
+	}
+	if sizes[0] < least {
+		floor := least
+		for range rows - 1 {
+			floor *= factor
+		}
+		return nil, fmt.Errorf("harness: -exp=%s takes %d sizes up to n, each %d times the one before; n = %d must be at least %d",
+			exp, rows, factor, top, floor)
+	}
+	return sizes, nil
+}
+
+// The node of the paper's Section V-A estimate: 1.7 GHz cores retiring one
+// comparison every 16 cycles, 8 GB/s of useful off-chip bandwidth moving
+// 8-byte keys (y = 10⁹ elements/s), and Z = 10⁶ blocks on chip.
+const (
+	paperCoreHz  = 1.7e9
+	paperCycles  = 16
+	paperBW      = 8e9
+	paperElem    = 8
+	paperZBlocks = 1e6
+)
+
+// memBound evaluates claim C4 on the paper's node: both sides of y·lgZ < x at
+// the §V core counts and at the crossover, the fewest cores at which sorting
+// turns memory bound. Model only.
+func memBound(ExperimentParams, Workload) (Output, error) {
+	crossover := model.MinCoresForMemoryBound(paperCoreHz, paperCycles, paperBW, paperElem, paperZBlocks)
+	t := report.New(fmt.Sprintf("Section V-A: sorting is memory bound iff y·lgZ < x (N cancels); %.2f GHz, %d cyc/cmp, y = %.3g elem/s, Z = %.3g blocks",
+		paperCoreHz/1e9, paperCycles, paperBW/paperElem, paperZBlocks),
+		"cores", "x_cmp_per_s", "y_lgZ_elem_per_s", "ratio", "verdict")
+	cores := append(DefaultCoreList(), crossover)
+	slices.Sort(cores)
+	for _, c := range cores {
+		x, y := model.NodeRates(c, paperCoreHz, paperCycles, paperBW, paperElem)
+		a := model.MemoryBound(x, y, paperZBlocks)
+		verdict := "compute bound"
+		if a.MemoryBound {
+			verdict = "memory bound"
+		}
+		if c == crossover {
+			verdict += " (crossover)"
+		}
+		t.AddRow(strconv.Itoa(c), fmt.Sprintf("%.3g", a.ProcessingRate), fmt.Sprintf("%.3g", a.MemoryRate),
+			fmt.Sprintf("%.3f", a.Ratio), verdict)
+	}
+	return tableOutput{t: t}, nil
+}
+
+// coDesign turns traffic profiles into the numbers the paper says should
+// "guide vendors": the paper's own Table I profile, and the one measured by
+// Table I's GNU and NMsort-2X cells on w. Those are Table I's cells — same
+// keys, same cache, same supervisor — so after -exp=table1 they cost nothing.
+func coDesign(_ ExperimentParams, w Workload) (Output, error) {
+	tb, err := Table1Faults(w, false, fault.Config{})
+	if err != nil {
+		return nil, err
+	}
+	t := report.New(fmt.Sprintf("Vendor guidance (bandwidth-bound model), the paper's Table I profile and the one measured at N=%d keys, %d cores", w.N, w.Threads),
+		"profile", "base_far", "nm_far", "nm_near", "min_rho", "speedup_2x", "speedup_4x", "speedup_8x", "ceiling")
+	add := func(name string, p model.TrafficProfile) {
+		g := model.VendorGuidance(paperCoreHz, paperCycles, paperBW, paperElem, paperZBlocks, p)
+		f := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+		x := func(v float64) string { return fmt.Sprintf("%.2fx", v) }
+		t.AddRow(name, f(p.BaseFar), f(p.NMFar), f(p.NMNear), fmt.Sprintf("%.2f", g.MinRho),
+			x(g.SpeedupAt2X), x(g.SpeedupAt4X), x(g.SpeedupAt8X), x(g.Ceiling))
+	}
+	add("paper Table I (millions)", model.PaperProfile())
+	gnu, nm := tb.Rows[0], tb.Rows[1]
+	add(report.FailMark("measured", cmp.Or(gnu.Fail, nm.Fail)), model.TrafficProfile{
+		BaseFar: float64(gnu.Result.FarAccesses),
+		NMFar:   float64(nm.Result.FarAccesses),
+		NMNear:  float64(nm.Result.NearAccesses),
+	})
+	return tableOutput{t: t, failed: tb.Failed()}, nil
+}
+
+// blockTransfers validates Theorem 6 (experiment M1): the sequential
+// scratchpad sort recorded at six doublings of N up to w.N, its far and near
+// line transfers beside the model's leading terms. M = 64 KiB, Z is the
+// record-time L1, ρ = 4, and each size's keys are seeded by the size.
+func blockTransfers(_ ExperimentParams, w Workload) (Output, error) {
+	const sp, rho = 64 * units.KiB, 4.0
+	sizes, err := sizeAxis("m1", w.N, 2, 6, 1)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New(fmt.Sprintf("Theorem 6: sequential scratchpad sort, measured line transfers vs the model (M=%v, Z=%v, B=64B, rho=%.0f)",
+		sp, ScaledL1.Capacity, rho),
+		"N", "far_lines", "near_lines", "scans", "model_far", "model_near")
+	for _, n := range sizes {
+		rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
+		env := core.NewEnv(1, sp, rec, 99)
+		a := env.AllocFar(n)
+		xrand.New(uint64(n)).Keys(a.D)
+		st := core.SeqScratchpadSort(env, a, core.SeqOptions{})
+		if !core.IsSorted(a.D) {
+			return nil, fmt.Errorf("harness: m1: N=%d not sorted", n)
+		}
+		c := rec.Finish().Count()
+		p := model.Params{N: int64(n), Elem: 8, B: 64, Rho: rho, M: sp, Z: ScaledL1.Capacity, P: 1, PPrime: 1}
+		pred := p.ScratchpadSort()
+		// The model counts B-sized far blocks and ρB-sized near blocks; the
+		// counters are 64-byte lines, so near lines = ρ × near blocks.
+		t.AddRow(strconv.Itoa(n), strconv.FormatUint(c.Far(), 10), strconv.FormatUint(c.Near(), 10),
+			strconv.Itoa(st.Scans), fmt.Sprintf("%.0f", pred.DRAMBlocks), fmt.Sprintf("%.0f", pred.SPBlocks*rho))
+	}
+	return tableOutput{t: t}, nil
+}
+
+// lemma5 measures Lemma 5 (experiment M2): the sequential sort run natively
+// at six doublings of N up to w.N with m = 256 pivots in an M = 16 KiB
+// scratchpad, its split quality (a bad split leaves a child above
+// parent/√m, probability ~e^{-√m}) and recursion depth beside the model's.
+func lemma5(_ ExperimentParams, w Workload) (Output, error) {
+	const sp, m = 16 * units.KiB, 256
+	sizes, err := sizeAxis("m2", w.N, 2, 6, 1)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New(fmt.Sprintf("Lemma 5: bucketizing-scan split quality and recursion depth (M=%v, m=%d, e^-sqrt(m) = %.2g)",
+		sp, m, math.Exp(-math.Sqrt(m))),
+		"N", "good_splits", "bad_splits", "bad_frac", "scans", "depth", "model_depth")
+	for _, n := range sizes {
+		env := core.NewEnv(1, sp, nil, 42)
+		a := env.AllocFar(n)
+		xrand.New(44).Keys(a.D)
+		st := core.SeqScratchpadSort(env, a, core.SeqOptions{SampleSize: m})
+		if !core.IsSorted(a.D) {
+			return nil, fmt.Errorf("harness: m2: N=%d not sorted", n)
+		}
+		frac := 0.0
+		if splits := st.GoodSplits + st.BadSplits; splits > 0 {
+			frac = float64(st.BadSplits) / float64(splits)
+		}
+		p := model.Params{N: int64(n), Elem: 8, B: 64, M: sp}
+		t.AddRow(strconv.Itoa(n), strconv.Itoa(st.GoodSplits), strconv.Itoa(st.BadSplits),
+			fmt.Sprintf("%.4f", frac), strconv.Itoa(st.Scans), strconv.Itoa(st.Depth), fmt.Sprintf("%.2f", p.ScanCount()))
+	}
+	return tableOutput{t: t}, nil
+}
+
+// innerSort isolates Corollaries 3 and 7 (experiment M3): x
+// scratchpad-resident keys sorted by the multiway mergesort (runs of 128,
+// fanout 8) and by quicksort, near lines per key, at x = w.N/64, /16, /4 and
+// w.N. Each size gets a scratchpad of 24 bytes per key.
+func innerSort(_ ExperimentParams, w Workload) (Output, error) {
+	sizes, err := sizeAxis("m3", w.N, 4, 4, 16)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New(fmt.Sprintf("Corollaries 3 and 7: sorting x scratchpad-resident keys, near lines (Z=%v record L1)", ScaledL1.Capacity),
+		"x", "merge_near", "quick_near", "merge_per_elem", "quick_per_elem")
+	for _, x := range sizes {
+		var near [2]uint64
+		for i, quick := range []bool{false, true} {
+			rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
+			env := core.NewEnv(1, units.Bytes(x)*24, rec, 3)
+			a := env.MustAllocSP(x)
+			tmp := env.MustAllocSP(x)
+			xrand.New(9).Keys(a.D)
+			tp := rec.Thread(0)
+			if quick {
+				core.QuickSort(tp, a)
+			} else {
+				a = core.MultiwayMergeSort(tp, a, tmp, 128, 8)
+			}
+			if !core.IsSorted(a.D) {
+				return nil, fmt.Errorf("harness: m3: x=%d not sorted", x)
+			}
+			near[i] = rec.Finish().Count().Near()
+		}
+		t.AddRow(strconv.Itoa(x), strconv.FormatUint(near[0], 10), strconv.FormatUint(near[1], 10),
+			fmt.Sprintf("%.2f", float64(near[0])/float64(x)), fmt.Sprintf("%.2f", float64(near[1])/float64(x)))
+	}
+	return tableOutput{t: t}, nil
+}
+
+// pemSP is the scratchpad of the PEM sweep: it holds the w.N keys and their
+// sorted copy, which caps w.N at pemSP/16.
+const pemSP = 4 * units.MiB
+
+// pemSweep reproduces Theorem 8 (experiment M-PEM): the in-scratchpad
+// parallel multiway mergesort — the PEM algorithm NMsort runs per chunk — on
+// w.N scratchpad-resident keys with p′ = 4, 16 and 64 threads, each replayed
+// on the smallest node that seats them at 4X. Sim time falls as 1/p′ until
+// the near channels saturate.
+func pemSweep(_ ExperimentParams, w Workload) (Output, error) {
+	ps := []int{4, 16, 64}
+	if w.N < ps[len(ps)-1] || units.Bytes(w.N)*16 > pemSP {
+		return nil, fmt.Errorf("harness: -exp=pem sorts n keys on up to %d threads in a %v scratchpad; n = %d must be in [%d, %d]",
+			ps[len(ps)-1], pemSP, w.N, ps[len(ps)-1], pemSP/16)
+	}
+	s := Sweep{Title: fmt.Sprintf("PEM sort scaling (Theorem 8), N=%d scratchpad-resident keys, 4X near bandwidth", w.N)}
+	var jobs []replayJob
+	var points []SweepPoint
+	for _, p := range ps {
+		cores := (p + 3) / 4 * 4
+		cfg := NodeFor(cores, 16, pemSP)
+		cfg.MaxEvents = w.MaxEvents
+		label := fmt.Sprintf("p'=%d", p)
+		jobs = append(jobs, replayJob{cfg: cfg, rec: pemRecording(label, p, w.N)})
+		points = append(points, SweepPoint{Label: label, Cores: cores, Rho: cfg.BandwidthExpansion()})
+	}
+	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
+}
+
+// pemRecording declares the recording of one PEM sort: n keys (seed 0) sorted
+// into the scratchpad by p threads, pivots seeded 3.
+func pemRecording(name string, p, n int) *recording {
+	return &recording{name: name, record: func() (*trace.Trace, bool, error) {
+		rec := trace.NewRecorder(p, ScaledL1, trace.DefaultCosts())
+		env := core.NewEnv(p, pemSP, rec, 3)
+		src := env.MustAllocSP(n)
+		dst := env.MustAllocSP(n)
+		sample := env.AllocFar(core.SampleLen(p))
+		sampleTmp := env.AllocFar(core.SampleLen(p))
+		xrand.New(0).Keys(src.D)
+		bar := par.NewBarrier(p)
+		ps := core.NewPMSort(p, src, dst, dst, sample, sampleTmp, bar)
+		par.RunPoison(p, rec, bar, ps.Run)
+		if !core.IsSorted(dst.D) {
+			return nil, false, fmt.Errorf("harness: pem: p'=%d not sorted", p)
+		}
+		tr := rec.FinishPar(par.Each)
+		if err := tr.Columns().ValidatePar(par.Each); err != nil {
+			return nil, false, fmt.Errorf("harness: pem trace invalid: %w", err)
+		}
+		return tr, false, nil
+	}}
+}

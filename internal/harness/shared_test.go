@@ -327,9 +327,6 @@ func TestSharedSweepsMatchRealSweeps(t *testing.T) {
 		pars = []int{4}
 	}
 	for _, e := range Experiments {
-		if e.Name == "table1" {
-			continue // not a Sweep, and no two of Table I's cells replay one trace near-blind
-		}
 		for _, supervised := range []bool{false, true} {
 			for _, par := range pars {
 				name := fmt.Sprintf("%s/supervised=%v/par%d", e.Name, supervised, par)
@@ -355,7 +352,13 @@ func TestSharedSweepsMatchRealSweeps(t *testing.T) {
 					pw.Par, pw.Sup = par, gotSup
 					var out Output
 					if out, err = e.Run(params, pw); err == nil {
-						s = out.(Sweep)
+						var ok bool
+						if s, ok = out.(Sweep); !ok {
+							// A table: no two of Table I's cells (table1's,
+							// codesign's) replay one trace near-blind, and
+							// the other tables replay nothing.
+							continue
+						}
 					}
 					if e.Name == "bandwidth" {
 						jobs = bandwidthJobs(t, w)

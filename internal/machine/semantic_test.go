@@ -355,7 +355,7 @@ func TestNearBlindReplayIgnoresNear(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			cfg := c.config(nil)
 			cfg.Near.Channels = 1 + r.Intn(64)
-			cfg.Near.ChannelBW = units.BytesPerSecond(1 + r.Intn(1<<40))
+			cfg.Near.ChannelBW = units.BytesPerSecond(1 + r.Uint64n(1<<40))
 			cfg.Near.Latency = units.Time(r.Intn(1 << 30))
 			cfg.Near.Capacity = units.Bytes(r.Intn(1 << 30))
 			got := replay(c, cfg)

@@ -292,6 +292,27 @@ func TestSweepTable1IsARegistryRow(t *testing.T) {
 	}
 }
 
+// TestSweepRefusesASizeTheRowCannotUse: a paper row whose size axis cannot
+// take the request's n is refused with 422 and the row's reason, before any
+// recording (the store stays empty), and the daemon serves on.
+func TestSweepRefusesASizeTheRowCannotUse(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	status, msg := postRaw(t, c, "/v1/sweeps", `{"exp":"pem","n":16,"cores":16,"sp_mib":1}`)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "n = 16 must be in [64, 262144]") {
+		t.Fatalf("pem at n=16: status %d: %s", status, msg)
+	}
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 0 || st.SweepsDone != 0 {
+		t.Fatalf("a refused sweep left %d recordings and %d sweeps done", st.Records, st.SweepsDone)
+	}
+	if _, _, err := c.Sweep(context.Background(), serve.SweepRequest{Exp: "pem", N: 64, Cores: 16, SPMiB: 1}); err != nil {
+		t.Fatalf("pem at n=64 after the refusal: %v", err)
+	}
+}
+
 // TestRecordEndpointMemoized pins record-once: two identical record
 // requests return the same digest and the second is served from the trace
 // store (the record count stays 1).

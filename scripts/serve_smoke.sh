@@ -6,8 +6,9 @@
 # from the daemon's result cache) — and requires all three reports to be
 # byte-identical. Then checks the cache actually hit via /v1/stats, runs the
 # bandwidth sweep (whose baseline cells share one replay) through the same
-# three-way identity as text and as CSV rows, and checks that SIGTERM drains
-# the daemon to a clean exit 0.
+# three-way identity as text and as CSV rows, then the paper's model-side
+# rows (membound, codesign, m1, m2, m3, pem) the same way, and checks that
+# SIGTERM drains the daemon to a clean exit 0.
 #
 # A second pass smoke-tests the columnar (v3) serving path: record a trace
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
@@ -100,6 +101,21 @@ records=$(field records)
 traces=$(field traces)
 [ "$records_before" -eq 2 ] && [ $((records - records_before)) -eq 2 ] && [ "$traces" -ge 2 ] ||
 	{ echo "store holds $records recordings ($records_before before the bandwidth sweep) in $traces traces; want 2, then 2 more, in >= 2 traces"; exit 1; }
+
+# The paper's model-side numbers (C4, vendor guidance, M1-M3, M-PEM) are
+# registry rows like the sweeps: hold them to the same three-way identity, as
+# text and as CSV. They run after the counts above, which they would move.
+for exp in membound codesign m1 m2 m3 pem; do
+	row="-exp=$exp -n 4096 -cores 16 -sp 1 -seed 7"
+	for fmt in text csv; do
+		echo "== $exp, $fmt: local vs remote cold vs remote cached =="
+		"$workdir/sweep" $row -format "$fmt" > "$workdir/${exp}_local.$fmt"
+		"$workdir/sweep" $row -format "$fmt" -server "http://$addr" > "$workdir/${exp}_cold.$fmt"
+		"$workdir/sweep" $row -format "$fmt" -server "http://$addr" > "$workdir/${exp}_warm.$fmt"
+		cmp "$workdir/${exp}_local.$fmt" "$workdir/${exp}_cold.$fmt"
+		cmp "$workdir/${exp}_local.$fmt" "$workdir/${exp}_warm.$fmt"
+	done
+done
 
 echo "== graceful shutdown =="
 kill -TERM "$daemon_pid"
