@@ -28,18 +28,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Exit codes: 0 success, 1 fatal error, 2 usage, 3 completed with failed
@@ -52,21 +51,12 @@ const (
 	exitInterrupted = 130
 )
 
-// options holds every flag value; validation is separated from flag
-// parsing so bad combinations are rejected up front with a usage hint and
-// a non-zero exit, and so the rules are testable without a process.
+// options holds every flag value: the ones Table I's request carries parse
+// straight into it, the rest stay here. Validation is separated from flag
+// parsing so bad combinations are rejected up front with a usage hint and a
+// non-zero exit, and so the rules are testable without a process.
 type options struct {
-	n         int
-	cores     int
-	spMiB     int
-	seed      uint64
-	dma       bool
-	format    string
-	dist      string
-	faultSeed uint64
-	faultRate float64
-	maxEvents uint64
-	par       int
+	req serve.SweepRequest
 
 	telemetryOut   string
 	telemetryCSV   string
@@ -84,19 +74,19 @@ type options struct {
 
 // parseFlags parses args (without the program name) into options.
 func parseFlags(args []string) (options, *flag.FlagSet, error) {
-	var o options
+	o := options{req: serve.SweepRequest{Exp: "table1"}}
 	fs := flag.NewFlagSet("nmsim", flag.ContinueOnError)
-	fs.IntVar(&o.n, "n", 1<<20, "keys to sort")
-	fs.IntVar(&o.cores, "cores", 256, "simulated cores (multiple of 4)")
-	fs.IntVar(&o.spMiB, "sp", 2, "scratchpad capacity in MiB")
-	fs.Uint64Var(&o.seed, "seed", 2015, "input seed")
-	fs.BoolVar(&o.dma, "dma", false, "use the §VII DMA engines in NMsort")
-	fs.StringVar(&o.format, "format", "text", "output format: text, csv, markdown")
-	fs.StringVar(&o.dist, "dist", "uniform", "key distribution: uniform, zipf, sorted, reverse, fewkeys, gaussian, runblend")
-	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (0 disables injection)")
-	fs.Float64Var(&o.faultRate, "fault-rate", 0, "far-memory bit error rate per read, in [0, 1] (0 disables injection)")
-	fs.Uint64Var(&o.maxEvents, "max-events", 0, "per-replay budget of executed events (0 = generous default); elided events are not counted, so Table I runs ~31M where it ran ~64M before event elision")
-	fs.IntVar(&o.par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
+	fs.IntVar(&o.req.N, "n", serve.DefaultN, "keys to sort")
+	fs.IntVar(&o.req.Cores, "cores", serve.DefaultCores, "simulated cores (multiple of 4)")
+	fs.IntVar(&o.req.SPMiB, "sp", 2, "scratchpad capacity in MiB")
+	fs.Uint64Var(&o.req.Seed, "seed", serve.DefaultSeed, "input seed")
+	fs.BoolVar(&o.req.DMA, "dma", false, "use the §VII DMA engines in NMsort")
+	fs.StringVar(&o.req.Format, "format", serve.DefaultFormat, "output format: text, csv, markdown")
+	fs.StringVar(&o.req.Dist, "dist", "uniform", "key distribution: uniform, zipf, sorted, reverse, fewkeys, gaussian, runblend")
+	fs.Uint64Var(&o.req.FaultSeed, "fault-seed", 1, "fault-injection seed (0 disables injection)")
+	fs.Float64Var(&o.req.FaultRate, "fault-rate", 0, "far-memory bit error rate per read, in [0, 1] (0 disables injection)")
+	fs.Uint64Var(&o.req.MaxEvents, "max-events", 0, "per-replay budget of executed events (0 = generous default); elided events are not counted, so Table I runs ~31M where it ran ~64M before event elision")
+	fs.IntVar(&o.req.Par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
 	fs.BoolVar(&o.timings, "timings", false, "print one line per recording and per replayed cell to stderr: lane, start and end since process start, cached/shared marks (host time; changes no output byte)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
@@ -113,19 +103,10 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 // telemetry reports whether any telemetry export was requested.
 func (o options) telemetry() bool { return o.telemetryOut != "" || o.telemetryCSV != "" }
 
-// validate rejects inconsistent flag combinations before any work is done.
+// validate rejects inconsistent flag combinations before any work is done:
+// the rules only a command line has here, then the request's own Validate.
 func (o options) validate() error {
 	switch {
-	case o.n < 0:
-		return fmt.Errorf("-n %d is negative", o.n)
-	case o.cores <= 0 || o.cores%4 != 0:
-		return fmt.Errorf("-cores %d must be a positive multiple of 4", o.cores)
-	case o.spMiB <= 0:
-		return fmt.Errorf("-sp %d MiB must be positive", o.spMiB)
-	case o.faultRate < 0 || o.faultRate > 1:
-		return fmt.Errorf("-fault-rate %v must be in [0, 1]", o.faultRate)
-	case o.par < 0:
-		return fmt.Errorf("-par %d is negative (0 means GOMAXPROCS)", o.par)
 	case o.jobTimeout < 0:
 		return fmt.Errorf("-job-timeout %v is negative", o.jobTimeout)
 	case o.jobTimeout > 0 && o.server == "":
@@ -140,17 +121,11 @@ func (o options) validate() error {
 			return fmt.Errorf("-telemetry-out/-telemetry-csv are local-only and conflict with -server (stream jobs via the API instead)")
 		case o.traceCache != "":
 			return fmt.Errorf("-trace-cache is local-only and conflicts with -server (the daemon keeps its own trace store)")
-		case o.n == 0:
-			return fmt.Errorf("-n 0 cannot travel to -server (the wire treats 0 as the default %d)", 1<<20)
-		case o.seed == 0:
-			return fmt.Errorf("-seed 0 cannot travel to -server (the wire treats 0 as the default 2015)")
+		case o.req.N == 0:
+			return fmt.Errorf("-n 0 cannot travel to -server (the wire treats 0 as the default %d)", serve.DefaultN)
+		case o.req.Seed == 0:
+			return fmt.Errorf("-seed 0 cannot travel to -server (the wire treats 0 as the default %d)", serve.DefaultSeed)
 		}
-	}
-	if _, err := report.ParseFormat(o.format); err != nil {
-		return err
-	}
-	if _, err := workload.Parse(o.dist); err != nil {
-		return err
 	}
 	if o.telemetry() {
 		epoch, err := units.ParseTime(o.telemetryEpoch)
@@ -161,52 +136,7 @@ func (o options) validate() error {
 			return fmt.Errorf("-telemetry-epoch %s must be positive", o.telemetryEpoch)
 		}
 	}
-	if o.faultRate > 0 {
-		return o.faultConfig().Validate()
-	}
-	return nil
-}
-
-// faultConfig derives the injected fault environment from the flags.
-func (o options) faultConfig() fault.Config {
-	if o.faultRate == 0 {
-		return fault.Config{}
-	}
-	return fault.Profile(o.faultSeed, o.faultRate)
-}
-
-// experiment names the registry entry nmsim runs, here or on a daemon.
-const experiment = "table1"
-
-// runRemote ships Table I to an nmsimd daemon and prints the returned
-// table verbatim; the daemon runs the same registry entry, so the bytes
-// match the in-process path.
-func runRemote(ctx context.Context, o options, w io.Writer) (int, error) {
-	if o.jobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.jobTimeout)
-		defer cancel()
-	}
-	c := &serve.Client{BaseURL: o.server}
-	body, failed, err := c.Sweep(ctx, serve.SweepRequest{
-		Exp:       experiment,
-		N:         o.n,
-		Seed:      o.seed,
-		Cores:     o.cores,
-		SPMiB:     o.spMiB,
-		Format:    o.format,
-		DMA:       o.dma,
-		Dist:      o.dist,
-		FaultSeed: o.faultSeed,
-		FaultRate: o.faultRate,
-		MaxEvents: o.maxEvents,
-		Par:       o.par,
-	})
-	if err != nil {
-		return 0, err
-	}
-	_, err = w.Write(body)
-	return failed, err
+	return o.req.Validate()
 }
 
 // supervisor builds the supervised runtime from the flags: cancellation from
@@ -231,10 +161,12 @@ func supervisor(ctx context.Context, o options) (*harness.Supervisor, error) {
 // run executes the experiment under supervision and writes the table to w,
 // including after cancellation, when the partially-filled table (with
 // marked rows) is the graceful-shutdown flush. It returns the count of
-// replays that did not complete.
+// replays that did not complete. With -server the daemon runs the same
+// request through the same serve.RunSweep and the table is printed verbatim.
 func run(ctx context.Context, o options, w io.Writer) (int, error) {
 	if o.server != "" {
-		return runRemote(ctx, o, w)
+		c := &serve.Client{BaseURL: o.server, HTTP: &http.Client{Timeout: o.jobTimeout}}
+		return c.SweepTo(ctx, w, o.req)
 	}
 	sup, err := supervisor(ctx, o)
 	if err != nil {
@@ -246,43 +178,24 @@ func run(ctx context.Context, o options, w io.Writer) (int, error) {
 
 // runLocal is run, in process, under the given supervisor.
 func runLocal(o options, sup *harness.Supervisor, w io.Writer) (int, error) {
-	f, _ := report.ParseFormat(o.format)
-	d, _ := workload.Parse(o.dist)
-	wl := harness.Workload{
-		N:         o.n,
-		Seed:      o.seed,
-		Threads:   o.cores,
-		SP:        units.Bytes(o.spMiB) * units.MiB,
-		Dist:      d,
-		MaxEvents: o.maxEvents,
-		Par:       o.par,
-		Sup:       sup,
-	}
-	e, _ := harness.FindExperiment(experiment)
-	t, err := e.Run(harness.ExperimentParams{DMA: o.dma, Fault: o.faultConfig()}, wl)
-	if err != nil {
-		return 0, err
-	}
-	failed := t.Failed()
-	if err := harness.Render(w, t, f); err != nil {
+	failed, err := serve.RunSweep(w, o.req, sup)
+	if err != nil || !o.telemetry() {
 		return failed, err
 	}
-	if o.telemetry() {
-		return failed, runTelemetry(o, wl, w, f)
-	}
-	return failed, nil
+	return failed, runTelemetry(o, sup, w)
 }
 
 // runTelemetry replays the NMsort trace on the 4X node with a telemetry
-// recorder, writes the requested export files, and appends the per-phase
-// breakdown to the report.
-func runTelemetry(o options, wl harness.Workload, w io.Writer, f report.Format) error {
+// recorder, on Table I's workload and fault environment, writes the
+// requested export files, and appends the per-phase breakdown to the report.
+func runTelemetry(o options, sup *harness.Supervisor, w io.Writer) error {
 	epoch, _ := units.ParseTime(o.telemetryEpoch)
+	f, _ := report.ParseFormat(o.req.Format)
 	alg := harness.AlgNMSort
-	if o.dma {
+	if o.req.DMA {
 		alg = harness.AlgNMSortDM
 	}
-	res, tel, err := harness.RunTimeline(alg, wl, 16, epoch, o.faultConfig())
+	res, tel, err := harness.RunTimeline(alg, o.req.Workload(sup), 16, epoch, o.req.Params().Fault)
 	if err != nil {
 		return err
 	}

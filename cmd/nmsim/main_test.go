@@ -95,8 +95,8 @@ func TestFaultConfigDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc := o.faultConfig(); fc.Enabled() {
-		t.Fatalf("faultConfig() = %+v, want disabled at rate 0", fc)
+	if fc := o.req.Params().Fault; fc.Enabled() {
+		t.Fatalf("Params().Fault = %+v, want disabled at rate 0", fc)
 	}
 }
 

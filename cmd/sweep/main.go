@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -34,7 +35,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/prof"
-	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/units"
 )
@@ -49,9 +49,10 @@ const (
 	exitInterrupted = 130
 )
 
-// The experiment registry lives in harness.Experiments — shared with the
-// nmsimd serving layer so the two front ends agree on experiment names.
-// This command owns only the flag-string parsing into ExperimentParams.
+// The experiment registry lives in harness.Experiments, and a run is a
+// serve.SweepRequest — the value nmsim and the nmsimd daemon run too. This
+// command owns only the flag strings' parsing into that request and the
+// rules only a command line has.
 
 // usageTable renders the registry as the experiment section of the usage
 // text: one aligned row per experiment.
@@ -63,58 +64,21 @@ func usageTable() string {
 	return b.String()
 }
 
-// params parses the selected experiment's string flags into registry
-// parameters. Only the flags the experiment consumes are parsed, keeping
-// the historical behavior that a junk -corelist is ignored outside
-// -exp=cores.
-func (o options) params() (harness.ExperimentParams, error) {
-	p := harness.ExperimentParams{FaultSeed: o.faultSeed}
-	switch o.exp {
-	case "cores":
-		cc, err := parseCoreList(o.list)
-		if err != nil {
-			return p, err
-		}
-		p.CoreList = cc
-	case "faults":
-		rates, err := parseRates(o.faultRates)
-		if err != nil {
-			return p, err
-		}
-		p.FaultRates = rates
-	case "timeline":
-		epoch, err := units.ParseTime(o.epoch)
-		if err != nil {
-			return p, err
-		}
-		p.Epoch = epoch
-	}
-	return p, nil
-}
-
-// options holds every flag value; validation is separated from parsing so
-// bad combinations fail fast with a usage hint and are testable.
+// options holds every flag value: the ones a run's request carries parse
+// straight into it, the rest stay here. Validation is separated from parsing
+// so bad combinations fail fast with a usage hint and are testable.
 type options struct {
-	exp        string
-	n          int
-	cores      int
-	list       string
-	spMiB      int
-	seed       uint64
-	format     string
-	faultSeed  uint64
-	faultRates string
-	epoch      string
-	par        int
+	req serve.SweepRequest
+	// -corelist, -fault-rates and -epoch; request parses the one the
+	// experiment reads.
+	list, faultRates, epoch string
+
 	cpuProfile string
 	memProfile string
 	timings    bool
 
 	manifest   string
 	resume     bool
-	slice      uint64
-	retries    int
-	retrySeed  uint64
 	timeout    time.Duration
 	traceCache string
 
@@ -126,25 +90,25 @@ type options struct {
 func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	var o options
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	fs.StringVar(&o.exp, "exp", "bandwidth", "experiment: "+strings.Join(harness.ExperimentNames(), ", "))
-	fs.IntVar(&o.n, "n", 1<<20, "keys to sort")
-	fs.IntVar(&o.cores, "cores", 256, "simulated cores for the bandwidth/dma/faults/timeline sweeps")
+	fs.StringVar(&o.req.Exp, "exp", "bandwidth", "experiment: "+strings.Join(harness.ExperimentNames(), ", "))
+	fs.IntVar(&o.req.N, "n", serve.DefaultN, "keys to sort")
+	fs.IntVar(&o.req.Cores, "cores", serve.DefaultCores, "simulated cores for the bandwidth/dma/faults/timeline sweeps")
 	fs.StringVar(&o.list, "corelist", "64,128,192,256", "core counts for -exp=cores")
-	fs.IntVar(&o.spMiB, "sp", 8, "scratchpad capacity in MiB")
-	fs.Uint64Var(&o.seed, "seed", 2015, "input seed")
-	fs.StringVar(&o.format, "format", "text", "output format: text, csv, markdown")
-	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed for -exp=faults (0 disables injection)")
+	fs.IntVar(&o.req.SPMiB, "sp", serve.DefaultSPMiB, "scratchpad capacity in MiB")
+	fs.Uint64Var(&o.req.Seed, "seed", serve.DefaultSeed, "input seed")
+	fs.StringVar(&o.req.Format, "format", serve.DefaultFormat, "output format: text, csv, markdown")
+	fs.Uint64Var(&o.req.FaultSeed, "fault-seed", 1, "fault-injection seed for -exp=faults (0 disables injection)")
 	fs.StringVar(&o.faultRates, "fault-rates", "", "comma-separated bit error rates for -exp=faults (empty = default axis)")
 	fs.StringVar(&o.epoch, "epoch", "10us", "telemetry sampling epoch for -exp=timeline (e.g. 500ns, 10us)")
-	fs.IntVar(&o.par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
+	fs.IntVar(&o.req.Par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
 	fs.BoolVar(&o.timings, "timings", false, "print one line per recording and per cell to stderr: lane, start and end since process start, cached/shared marks (host time; changes no output or manifest byte)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.manifest, "manifest", "", "checkpoint completed sweep cells to this JSON file (written atomically after each cell)")
 	fs.BoolVar(&o.resume, "resume", false, "load -manifest and skip cells it already holds; the final report is byte-identical to an uninterrupted run")
-	fs.Uint64Var(&o.slice, "slice", 0, "executed events per supervised replay slice; cancellation is polled between slices (0 = default); a replay executes about half the events it did before event elision")
-	fs.IntVar(&o.retries, "retries", 0, "deterministic re-replays of cells ending in a transient MemFault outcome")
-	fs.Uint64Var(&o.retrySeed, "retry-seed", 1, "seed for the deterministic retry reseeding chain")
+	fs.Uint64Var(&o.req.Slice, "slice", 0, "executed events per supervised replay slice; cancellation is polled between slices (0 = default); a replay executes about half the events it did before event elision")
+	fs.IntVar(&o.req.Retries, "retries", 0, "deterministic re-replays of cells ending in a transient MemFault outcome")
+	fs.Uint64Var(&o.req.RetrySeed, "retry-seed", 1, "seed for the deterministic retry reseeding chain")
 	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock bound on the whole sweep (0 = none); on expiry the partial report and manifest are flushed")
 	fs.StringVar(&o.traceCache, "trace-cache", "", "directory caching recorded traces as columnar .nmt3 files across runs (byte-neutral)")
 	fs.StringVar(&o.server, "server", "", "run the sweep on this nmsimd daemon (e.g. http://127.0.0.1:8080) instead of in-process; the printed report is byte-identical")
@@ -158,22 +122,10 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	return o, fs, err
 }
 
-// validate rejects inconsistent flag combinations before any work is done.
+// validate rejects inconsistent flag combinations before any work is done:
+// the rules only a command line has here, then the request's own Validate.
 func (o options) validate() error {
-	if _, ok := harness.FindExperiment(o.exp); !ok {
-		return fmt.Errorf("unknown experiment %q (want one of: %s)", o.exp, strings.Join(harness.ExperimentNames(), ", "))
-	}
 	switch {
-	case o.n < 0:
-		return fmt.Errorf("-n %d is negative", o.n)
-	case o.cores <= 0 || o.cores%4 != 0:
-		return fmt.Errorf("-cores %d must be a positive multiple of 4", o.cores)
-	case o.spMiB <= 0:
-		return fmt.Errorf("-sp %d MiB must be positive", o.spMiB)
-	case o.par < 0:
-		return fmt.Errorf("-par %d is negative (0 means GOMAXPROCS)", o.par)
-	case o.retries < 0:
-		return fmt.Errorf("-retries %d is negative", o.retries)
 	case o.timeout < 0:
 		return fmt.Errorf("-timeout %v is negative", o.timeout)
 	case o.resume && o.manifest == "":
@@ -194,52 +146,59 @@ func (o options) validate() error {
 			return fmt.Errorf("-resume conflicts with -server")
 		case o.traceCache != "":
 			return fmt.Errorf("-trace-cache is local-only and conflicts with -server (the daemon keeps its own trace store)")
-		case o.n == 0:
-			return fmt.Errorf("-n 0 cannot travel to -server (the wire treats 0 as the default %d)", 1<<20)
-		case o.seed == 0:
-			return fmt.Errorf("-seed 0 cannot travel to -server (the wire treats 0 as the default 2015)")
+		case o.req.N == 0:
+			return fmt.Errorf("-n 0 cannot travel to -server (the wire treats 0 as the default %d)", serve.DefaultN)
+		case o.req.Seed == 0:
+			return fmt.Errorf("-seed 0 cannot travel to -server (the wire treats 0 as the default %d)", serve.DefaultSeed)
 		}
 	}
-	if _, err := report.ParseFormat(o.format); err != nil {
+	req, err := o.request()
+	if err != nil {
 		return err
 	}
-	if o.exp == "cores" {
-		if _, err := parseCoreList(o.list); err != nil {
-			return err
-		}
-	}
-	if o.exp == "faults" {
-		if _, err := parseRates(o.faultRates); err != nil {
-			return err
-		}
-	}
-	if o.exp == "timeline" {
-		epoch, err := units.ParseTime(o.epoch)
-		if err != nil {
-			return fmt.Errorf("-epoch: %v", err)
-		}
-		if epoch <= 0 {
-			return fmt.Errorf("-epoch %s must be positive", o.epoch)
-		}
-	}
-	return nil
+	return req.Validate()
 }
 
-// parseCoreList parses the -corelist flag: positive multiples of 4.
+// request builds the sweep's one description from the flags. Only the list
+// flags the experiment reads are parsed, keeping the historical behavior
+// that a junk -corelist is ignored outside -exp=cores.
+func (o options) request() (serve.SweepRequest, error) {
+	req := o.req
+	var err error
+	switch req.Exp {
+	case "cores":
+		req.CoreList, err = parseCoreList(o.list)
+	case "faults":
+		req.FaultRates, err = parseRates(o.faultRates)
+	case "timeline":
+		var epoch units.Time
+		if epoch, err = units.ParseTime(o.epoch); err != nil {
+			err = fmt.Errorf("-epoch: %v", err)
+		} else if epoch == 0 {
+			// The wire would read 0 as the default epoch.
+			err = fmt.Errorf("-epoch %s must be positive", o.epoch)
+		}
+		req.EpochPS = int64(epoch)
+	}
+	return req, err
+}
+
+// parseCoreList parses the -corelist flag's integers; Validate holds them
+// to the core-count rule.
 func parseCoreList(list string) ([]int, error) {
 	var cc []int
 	for _, f := range strings.Split(list, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 || v%4 != 0 {
-			return nil, fmt.Errorf("bad core count %q (must be a positive multiple of 4)", f)
+		if err != nil {
+			return nil, fmt.Errorf("-corelist: bad core count %q (not an integer)", f)
 		}
 		cc = append(cc, v)
 	}
 	return cc, nil
 }
 
-// parseRates parses the -fault-rates flag: probabilities in [0, 1]. An
-// empty flag selects the default axis.
+// parseRates parses the -fault-rates flag's numbers; Validate holds them to
+// the fault-rate rule. An empty flag selects the default axis.
 func parseRates(list string) ([]float64, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, nil
@@ -247,8 +206,8 @@ func parseRates(list string) ([]float64, error) {
 	var rates []float64
 	for _, f := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v < 0 || v > 1 || v != v {
-			return nil, fmt.Errorf("bad fault rate %q (must be in [0, 1])", f)
+		if err != nil {
+			return nil, fmt.Errorf("-fault-rates: bad fault rate %q (not a number)", f)
 		}
 		rates = append(rates, v)
 	}
@@ -256,18 +215,14 @@ func parseRates(list string) ([]float64, error) {
 }
 
 // supervisor builds the supervised runtime from the flags: cancellation
-// from ctx, the retry policy, the -timings stage recorder, and the manifest
-// (fresh or resumed) as its cell cache — returned too, nil without
-// -manifest, for run's final flush. Every sweep cell runs under it; a
+// from ctx, the -timings stage recorder, the -trace-cache directory, and
+// the manifest (fresh or resumed) as its cell cache — returned too, nil
+// without -manifest, for run's final flush. The request's retry policy and
+// slice reach it through serve.RunSweep. Every sweep cell runs under it; a
 // do-nothing supervisor is byte-identical to the historical unsupervised
 // path (pinned in internal/harness).
 func supervisor(ctx context.Context, o options) (*harness.Supervisor, *harness.Manifest, error) {
-	sup := &harness.Supervisor{
-		Ctx:       ctx,
-		Slice:     o.slice,
-		Retries:   o.retries,
-		RetrySeed: o.retrySeed,
-	}
+	sup := &harness.Supervisor{Ctx: ctx}
 	if o.timings {
 		sup.Timings = prof.NewStages()
 	}
@@ -300,87 +255,31 @@ func supervisor(ctx context.Context, o options) (*harness.Supervisor, *harness.M
 	return sup, man, nil
 }
 
-// runRemote ships the sweep to an nmsimd daemon and prints the returned
-// report verbatim. The daemon renders through the same registry and
-// report code, so the bytes match the in-process path — the smoke script
-// cmp's exactly this. The failed-cell count arrives in a header, keeping
-// the local exit-code contract.
-func runRemote(ctx context.Context, o options, out io.Writer) (int, error) {
-	p, err := o.params()
-	if err != nil {
-		return 0, err
-	}
-	if o.jobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.jobTimeout)
-		defer cancel()
-	}
-	c := &serve.Client{BaseURL: o.server}
-	body, failed, err := c.Sweep(ctx, serve.SweepRequest{
-		Exp:        o.exp,
-		N:          o.n,
-		Seed:       o.seed,
-		Cores:      o.cores,
-		SPMiB:      o.spMiB,
-		Format:     o.format,
-		CoreList:   p.CoreList,
-		FaultSeed:  p.FaultSeed,
-		FaultRates: p.FaultRates,
-		EpochPS:    int64(p.Epoch),
-		Par:        o.par,
-		Retries:    o.retries,
-		RetrySeed:  o.retrySeed,
-		Slice:      o.slice,
-	})
-	if err != nil {
-		return 0, err
-	}
-	_, err = out.Write(body)
-	return failed, err
-}
-
 // run executes the selected experiment under supervision and writes the
 // series to out — including after cancellation or cell failures, when the
 // partially-filled report (with marked rows) is the flush the shutdown
-// path promises. It returns the count of failed cells. Every experiment
-// yields a harness.Sweep, so fault, timeline, and plain sweeps all render
-// through the same table path.
+// path promises. It returns the count of failed cells. With -server the
+// daemon runs the same request through the same serve.RunSweep and the
+// report is printed verbatim; the failed count arrives in a header.
 func run(ctx context.Context, o options, out io.Writer) (int, error) {
-	if o.server != "" {
-		return runRemote(ctx, o, out)
+	req, err := o.request()
+	if err != nil {
+		return 0, err
 	}
-	f, _ := report.ParseFormat(o.format)
+	if o.server != "" {
+		c := &serve.Client{BaseURL: o.server, HTTP: &http.Client{Timeout: o.jobTimeout}}
+		return c.SweepTo(ctx, out, req)
+	}
 	sup, man, err := supervisor(ctx, o)
 	if err != nil {
 		return 0, err
 	}
 	defer sup.Timings.WriteTo(os.Stderr)
-	w := harness.Workload{
-		N:       o.n,
-		Seed:    o.seed,
-		Threads: o.cores,
-		SP:      units.Bytes(o.spMiB) * units.MiB,
-		Par:     o.par,
-		Sup:     sup,
+	failed, err := serve.RunSweep(out, req, sup)
+	if err == nil && man != nil {
+		err = man.Flush()
 	}
-	e, _ := harness.FindExperiment(o.exp)
-	p, err := o.params()
-	if err != nil {
-		return 0, err
-	}
-	s, err := e.Run(p, w)
-	if err != nil {
-		return 0, err
-	}
-	if err := harness.Render(out, s, f); err != nil {
-		return s.Failed(), err
-	}
-	if man != nil {
-		if err := man.Flush(); err != nil {
-			return s.Failed(), err
-		}
-	}
-	return s.Failed(), nil
+	return failed, err
 }
 
 func main() {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -116,6 +117,25 @@ func TestRunRemoteMatchesLocal(t *testing.T) {
 	}
 	if local.String() != remote.String() {
 		t.Fatalf("remote report differs from local:\n--- local\n%s\n--- remote\n%s", local.String(), remote.String())
+	}
+}
+
+// TestFlaglessRequest: a flagless sweep builds the request the wire's minimal
+// {"exp":"bandwidth"} means, plus the two seeds the wire leaves to the row
+// (internal/serve's TestNormalizeSweepIsTheFlaglessSweep holds the other side).
+func TestFlaglessRequest(t *testing.T) {
+	o, _, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := o.request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serve.SweepRequest{Exp: "bandwidth", N: 1 << 20, Seed: 2015, Cores: 256, SPMiB: 8, Format: "text",
+		FaultSeed: 1, RetrySeed: 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flagless request %+v, want %+v", got, want)
 	}
 }
 

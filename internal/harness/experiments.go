@@ -9,10 +9,9 @@ import (
 )
 
 // The experiment registry: the single catalogue of the paper's sweeps, its
-// model-side results and its Table I, shared by cmd/sweep and cmd/nmsim
-// (flags) and internal/serve (JSON requests) so the front ends can never
-// drift on what an experiment name means. Each entry maps parsed parameters plus a workload to an
-// Output; front ends own only the string-to-parameter parsing.
+// model-side results and its Table I. Each entry maps parsed parameters plus
+// a workload to an Output; serve.RunSweep is the one place a request — from
+// cmd/sweep's or cmd/nmsim's flags, or a /v1/sweeps body — becomes those.
 
 // ExperimentParams carries the per-experiment knobs beyond the workload,
 // already parsed. Zero values select the registry's defaults, which are

@@ -43,6 +43,26 @@ func TestRecordRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestBadWorkloadErrorIsStable: the refusal names the fields it checked and
+// no host address, so equal bad workloads under different supervisors get
+// equal text (a daemon's error body is a pure function of the request).
+func TestBadWorkloadErrorIsStable(t *testing.T) {
+	bad := func() error {
+		_, err := Record(AlgNMSort, Workload{N: 1 << 10, Seed: 7, Threads: 0, SP: units.MiB, Sup: &Supervisor{}})
+		return err
+	}
+	a, b := bad(), bad()
+	if a == nil || b == nil {
+		t.Fatalf("a zero-thread workload recorded: %v, %v", a, b)
+	}
+	if a.Error() != b.Error() {
+		t.Errorf("equal bad workloads, unequal errors:\n%s\n%s", a, b)
+	}
+	if want := "harness: bad workload (n 1024, threads 0, sp 1MiB)"; a.Error() != want {
+		t.Errorf("error %q, want %q", a, want)
+	}
+}
+
 func TestRecordDeterministic(t *testing.T) {
 	w := tinyWorkload()
 	a, err := Record(AlgNMSort, w)

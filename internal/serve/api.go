@@ -68,23 +68,25 @@ type JobResponse struct {
 	Result    machine.Result `json:"result"`
 }
 
-// SweepRequest runs a whole registry experiment server-side
-// (POST /v1/sweeps) and returns the rendered report — the same bytes the
-// cmd/sweep front end prints for the same parameters, which is the
-// client-parity contract the smoke test cmp's. Exp "table1" mirrors
-// cmd/nmsim's Table I instead (DMA/Dist/FaultRate apply there).
+// SweepRequest is one run of a registry experiment: the body of
+// POST /v1/sweeps, and what cmd/sweep and cmd/nmsim build from their flags.
+// All three check it with Validate and run it with RunSweep (sweep.go) — in
+// process under the caller's supervisor, or on a daemon through
+// Client.SweepTo — so local and remote print the same bytes. On the wire a
+// zero N, Seed, Cores, SPMiB or Format means the sweep default (DefaultN and
+// its siblings).
 type SweepRequest struct {
 	Exp    string `json:"exp"`
-	N      int    `json:"n,omitempty"`      // 0 = 1<<20
-	Seed   uint64 `json:"seed,omitempty"`   // 0 = 2015
-	Cores  int    `json:"cores,omitempty"`  // 0 = 256
-	SPMiB  int    `json:"sp_mib,omitempty"` // 0 = 8
-	Format string `json:"format,omitempty"` // "" = text
+	N      int    `json:"n,omitempty"`
+	Seed   uint64 `json:"seed,omitempty"`
+	Cores  int    `json:"cores,omitempty"`
+	SPMiB  int    `json:"sp_mib,omitempty"`
+	Format string `json:"format,omitempty"`
 
-	CoreList   []int     `json:"core_list,omitempty"`   // -exp=cores axis
-	FaultSeed  uint64    `json:"fault_seed,omitempty"`  // -exp=faults / table1 seed
-	FaultRates []float64 `json:"fault_rates,omitempty"` // -exp=faults axis
-	EpochPS    int64     `json:"epoch_ps,omitempty"`    // -exp=timeline epoch
+	CoreList   []int     `json:"core_list,omitempty"`   // cores: the core axis (empty = harness.DefaultCoreList)
+	FaultSeed  uint64    `json:"fault_seed,omitempty"`  // faults: injection seed; table1: seeds fault_rate's profile
+	FaultRates []float64 `json:"fault_rates,omitempty"` // faults: the error-rate axis (empty = harness.FaultRates)
+	EpochPS    int64     `json:"epoch_ps,omitempty"`    // timeline: sampling epoch in ps (0 = harness.DefaultEpoch)
 
 	Par       int    `json:"par,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
@@ -92,9 +94,12 @@ type SweepRequest struct {
 	Slice     uint64 `json:"slice,omitempty"`
 	MaxEvents uint64 `json:"max_events,omitempty"`
 
-	DMA       bool    `json:"dma,omitempty"`        // table1: §VII DMA engines
-	Dist      string  `json:"dist,omitempty"`       // table1: key distribution
-	FaultRate float64 `json:"fault_rate,omitempty"` // table1: far bit error rate
+	DMA bool `json:"dma,omitempty"` // table1: NMsort with the §VII DMA engines
+	// Dist is the key distribution ("" = uniform). Every row that records a
+	// sort reads it — bandwidth, cores, dma, appends, faults, timeline,
+	// codesign and table1; kmeans and the model-side rows ignore it.
+	Dist      string  `json:"dist,omitempty"`
+	FaultRate float64 `json:"fault_rate,omitempty"` // table1: far bit error rate of every node (0 = none)
 }
 
 // Stats is the GET /v1/stats snapshot. TraceBytes counts heap-resident

@@ -195,6 +195,17 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (body []byte, fail
 	return body, failed, nil
 }
 
+// SweepTo is Sweep writing the report to w: RunSweep's remote twin, so a
+// front end picks its transport and nothing else.
+func (c *Client) SweepTo(ctx context.Context, w io.Writer, req SweepRequest) (int, error) {
+	body, failed, err := c.Sweep(ctx, req)
+	if err != nil {
+		return 0, err
+	}
+	_, err = w.Write(body)
+	return failed, err
+}
+
 // Stats fetches the serving counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)

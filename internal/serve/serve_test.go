@@ -313,6 +313,58 @@ func TestSweepRefusesASizeTheRowCannotUse(t *testing.T) {
 	}
 }
 
+// TestSweepRefusesOutOfRangeFields: a sweep field out of its range is refused
+// with a 400 naming the field, before the gate and before any recording — the
+// rules cmd/sweep and cmd/nmsim apply to their flags, through the same
+// SweepRequest.Validate. Each refusal is the same bytes twice, and the daemon
+// serves on.
+func TestSweepRefusesOutOfRangeFields(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	const wl = `"n":4096,"cores":8,"sp_mib":1`
+	for _, tc := range []struct{ body, field string }{
+		{`{"exp":"cores",` + wl + `,"core_list":[6]}`, "core_list (-corelist)"},
+		{`{"exp":"cores",` + wl + `,"core_list":[0]}`, "core_list (-corelist)"},
+		{`{"exp":"table1",` + wl + `,"fault_rate":2}`, "fault_rate (-fault-rate)"},
+		{`{"exp":"table1",` + wl + `,"fault_rate":-1}`, "fault_rate (-fault-rate)"},
+		{`{"exp":"faults",` + wl + `,"fault_rates":[7]}`, "fault_rates (-fault-rates)"},
+		{`{"exp":"bandwidth",` + wl + `,"par":-3}`, "par (-par)"},
+		{`{"exp":"bandwidth",` + wl + `,"retries":-3}`, "retries (-retries)"},
+		{`{"exp":"timeline",` + wl + `,"epoch_ps":-5}`, "epoch_ps (-epoch)"},
+	} {
+		status, msg := postRaw(t, c, "/v1/sweeps", tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(msg), tc.field) {
+			t.Errorf("%s: status %d: %s, want 400 naming %s", tc.body, status, msg, tc.field)
+		}
+		if _, again := postRaw(t, c, "/v1/sweeps", tc.body); !bytes.Equal(again, msg) {
+			t.Errorf("%s: refused twice with different bodies:\n%s%s", tc.body, msg, again)
+		}
+	}
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 0 || st.SweepsDone != 0 {
+		t.Fatalf("refused sweeps left %d recordings and %d sweeps done", st.Records, st.SweepsDone)
+	}
+	if _, failed, err := c.Sweep(context.Background(), serve.SweepRequest{Exp: "dma", N: 4096, Cores: 8, SPMiB: 1}); err != nil || failed != 0 {
+		t.Fatalf("a valid sweep after the refusals: failed=%d err=%v", failed, err)
+	}
+}
+
+// TestRecordRefusalIsStable: a bad record request is refused with a 400
+// whose body names the field and is the same bytes every time.
+func TestRecordRefusalIsStable(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	const body = `{"alg":"nmsort","n":4096,"seed":7,"threads":6,"sp_mib":1}`
+	status, first := postRaw(t, c, "/v1/traces/record", body)
+	if status != http.StatusBadRequest || !strings.Contains(string(first), "threads (-cores) 6") {
+		t.Fatalf("status %d: %s, want 400 naming threads", status, first)
+	}
+	if _, second := postRaw(t, c, "/v1/traces/record", body); !bytes.Equal(first, second) {
+		t.Errorf("refused twice with different bodies:\n%s%s", first, second)
+	}
+}
+
 // TestRecordEndpointMemoized pins record-once: two identical record
 // requests return the same digest and the second is served from the trace
 // store (the record count stays 1).
@@ -506,6 +558,13 @@ func TestJobValidation(t *testing.T) {
 		if _, _, _, err := c.SubmitJob(ctx, req); err == nil {
 			t.Errorf("bad job %d accepted", i)
 		}
+	}
+	// A rule shared with sweeps has one wording.
+	_, _, _, jobErr := c.SubmitJob(ctx, bad[0])
+	_, _, sweepErr := c.Sweep(ctx, serve.SweepRequest{Exp: "dma", Cores: 10})
+	const rule = "cores (-cores) 10 must be a positive multiple of 4"
+	if jobErr == nil || sweepErr == nil || !strings.Contains(jobErr.Error(), rule) || !strings.Contains(sweepErr.Error(), rule) {
+		t.Errorf("job refusal %v and sweep refusal %v, want both to say %q", jobErr, sweepErr, rule)
 	}
 	// Unknown digest: 404, not 400.
 	miss := tinyJob("0000000000000001")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,11 +14,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/report"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Config sizes one Server. Zero values select the documented defaults.
@@ -217,12 +216,15 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dist, err := parseDist(req.Dist)
+	if err == nil {
+		err = cmp.Or(
+			nonNegative("n (-n)", req.N),
+			coreCount("threads (-cores)", req.Threads),
+			positive("sp_mib (-sp)", req.SPMiB),
+		)
+	}
 	if err != nil {
 		fail(w, err, http.StatusBadRequest)
-		return
-	}
-	if req.N < 0 || req.Threads <= 0 || req.Threads%4 != 0 || req.SPMiB <= 0 {
-		fail(w, fmt.Errorf("serve: bad record workload %+v", req), http.StatusBadRequest)
 		return
 	}
 	release, err := s.gate.Acquire(r.Context())
@@ -291,23 +293,17 @@ func (s *Server) jobConfig(req JobRequest) machine.Config {
 	return cfg
 }
 
-// validateJob rejects malformed job parameters up front.
+// validateJob rejects malformed job parameters up front, through the rules
+// SweepRequest.Validate words.
 func validateJob(req JobRequest) error {
-	switch {
-	case req.Cores <= 0 || req.Cores%4 != 0:
-		return fmt.Errorf("serve: cores %d must be a positive multiple of 4", req.Cores)
-	case req.NearChannels <= 0:
-		return fmt.Errorf("serve: near_channels %d must be positive", req.NearChannels)
-	case req.SPMiB <= 0:
-		return fmt.Errorf("serve: sp_mib %d must be positive", req.SPMiB)
-	case req.FaultRate < 0 || req.FaultRate > 1 || req.FaultRate != req.FaultRate:
-		return fmt.Errorf("serve: fault_rate %v must be in [0, 1]", req.FaultRate)
-	case req.Retries < 0:
-		return fmt.Errorf("serve: retries %d is negative", req.Retries)
-	case req.EpochPS < 0:
-		return fmt.Errorf("serve: epoch_ps %d is negative", req.EpochPS)
-	}
-	return nil
+	return cmp.Or(
+		coreCount("cores (-cores)", req.Cores),
+		positive("near_channels", req.NearChannels),
+		positive("sp_mib (-sp)", req.SPMiB),
+		faultRate("fault_rate (-fault-rate)", req.FaultSeed, req.FaultRate),
+		nonNegative("retries (-retries)", req.Retries),
+		nonNegative("epoch_ps (-epoch)", req.EpochPS),
+	)
 }
 
 // handleJob runs one replay cell: admission gate, trace pin, supervised
@@ -432,64 +428,19 @@ func (s *Server) streamJob(w http.ResponseWriter, req JobRequest, sup *harness.S
 	json.NewEncoder(w).Encode(resp)
 }
 
-// parseDist parses a distribution name, "" meaning uniform.
-func parseDist(s string) (workload.Dist, error) {
-	if s == "" {
-		return "", nil
-	}
-	return workload.Parse(s)
-}
-
-// normalizeSweep fills a sweep request's defaulted fields with the
-// cmd/sweep flag defaults, so a minimal request renders the same bytes a
-// flagless sweep run prints.
-func normalizeSweep(req SweepRequest) SweepRequest {
-	if req.N == 0 {
-		req.N = 1 << 20
-	}
-	if req.Seed == 0 {
-		req.Seed = 2015
-	}
-	if req.Cores == 0 {
-		req.Cores = 256
-	}
-	if req.SPMiB == 0 {
-		req.SPMiB = 8
-	}
-	if req.Format == "" {
-		req.Format = "text"
-	}
-	return req
-}
-
-// handleSweep runs a whole experiment server-side and returns the
-// rendered report — the cmd/sweep parity path. The count of failed cells
-// travels in X-Nmsimd-Failed so remote clients can reproduce the local
-// exit-code contract.
+// handleSweep runs a whole experiment server-side and returns the rendered
+// report: the wire's defaults, then the request's own Validate (400, before
+// the gate and before any recording), then RunSweep — the path cmd/sweep and
+// cmd/nmsim run locally. The count of failed cells travels in
+// X-Nmsimd-Failed so remote clients keep the local exit-code contract.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !decodeBody(w, r, "sweep", &req) {
 		return
 	}
 	req = normalizeSweep(req)
-	f, err := report.ParseFormat(req.Format)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		fail(w, err, http.StatusBadRequest)
-		return
-	}
-	dist, err := parseDist(req.Dist)
-	if err != nil {
-		fail(w, err, http.StatusBadRequest)
-		return
-	}
-	e, known := harness.FindExperiment(req.Exp)
-	if !known {
-		fail(w, fmt.Errorf("serve: unknown experiment %q (want one of: %s)",
-			req.Exp, strings.Join(harness.ExperimentNames(), ", ")), http.StatusBadRequest)
-		return
-	}
-	if req.Cores <= 0 || req.Cores%4 != 0 {
-		fail(w, fmt.Errorf("serve: cores %d must be a positive multiple of 4", req.Cores), http.StatusBadRequest)
 		return
 	}
 	release, err := s.gate.Acquire(r.Context())
@@ -501,45 +452,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	sup := &harness.Supervisor{
-		Ctx: r.Context(), Slice: req.Slice,
-		Retries: req.Retries, RetrySeed: req.RetrySeed,
+		Ctx: r.Context(), Slice: s.cfg.Slice,
 		Cache: s.cache, Records: s.store,
-	}
-	if sup.Slice == 0 {
-		sup.Slice = s.cfg.Slice
-	}
-	wl := harness.Workload{
-		N: req.N, Seed: req.Seed, Threads: req.Cores,
-		SP: units.Bytes(req.SPMiB) * units.MiB, Dist: dist,
-		MaxEvents: req.MaxEvents, Par: req.Par,
-		Sup: sup,
-	}
-
-	p := harness.ExperimentParams{
-		CoreList:   req.CoreList,
-		FaultSeed:  req.FaultSeed,
-		FaultRates: req.FaultRates,
-		Epoch:      units.Time(req.EpochPS),
-		DMA:        req.DMA,
-	}
-	if req.FaultRate > 0 {
-		p.Fault = fault.Profile(req.FaultSeed, req.FaultRate)
-	}
-	out, err := e.Run(p, wl)
-	if err != nil {
-		fail(w, err, http.StatusUnprocessableEntity)
-		return
 	}
 	// Render into a buffer first: a failed experiment must still be able
 	// to answer with a clean error status.
 	var body strings.Builder
-	if err := harness.Render(&body, out, f); err != nil {
-		fail(w, err, http.StatusInternalServerError)
+	failed, err := RunSweep(&body, req, sup)
+	if err != nil {
+		fail(w, err, http.StatusUnprocessableEntity)
 		return
 	}
 	s.sweepsDone.Add(1)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Nmsimd-Failed", fmt.Sprintf("%d", out.Failed()))
+	w.Header().Set("X-Nmsimd-Failed", fmt.Sprintf("%d", failed))
 	io.WriteString(w, body.String())
 }
 

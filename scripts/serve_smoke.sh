@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — the nmsimd daemon smoke test.
 #
-# Boots the daemon on an ephemeral port, runs the golden dma sweep three
+# Boots the daemon on an ephemeral port, requires an out-of-range sweep
+# (core_list [6]) to be refused with HTTP 400, runs the golden dma sweep three
 # ways — locally via cmd/sweep, remotely cold, remotely again (answered
 # from the daemon's result cache) — and requires all three reports to be
 # byte-identical. Then checks the cache actually hit via /v1/stats, runs the
@@ -51,6 +52,14 @@ echo "== start daemon =="
 daemon_pid=$!
 addr=$(wait_addr "$daemon_pid" "$workdir/daemon.out")
 echo "daemon at $addr"
+
+# A request the CLIs would refuse is refused by the daemon too, with a 400
+# and before any recording (the record counts below start from zero).
+echo "== invalid sweep refused =="
+code=$(curl -sS -o "$workdir/invalid.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+	-d '{"exp":"cores","n":8192,"cores":16,"sp_mib":1,"core_list":[6]}' "http://$addr/v1/sweeps")
+cat "$workdir/invalid.json"
+[ "$code" -eq 400 ] || { echo "core_list [6] got HTTP $code, want 400"; exit 1; }
 
 args="-exp=dma -n 8192 -cores 16 -sp 1"
 echo "== local sweep =="
