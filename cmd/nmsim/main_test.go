@@ -295,8 +295,9 @@ func (c *countingRecords) CompleteRecord(alg harness.Algorithm, _ harness.Worklo
 // TestTelemetryRecordsEachTraceOnce: the telemetry replay follows Table I
 // under the same supervisor and replays a trace Table I already recorded.
 // The supervisor's record memo records each (algorithm, RecordKey) once;
-// stdout and both exports are the bytes of an unsupervised run, which has
-// no memo and records NMsort twice.
+// stdout and both exports are the bytes of a run handed a nil supervisor,
+// whose Table I and telemetry replay each get a zero one of their own and so
+// record NMsort twice.
 func TestTelemetryRecordsEachTraceOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full replay")

@@ -218,9 +218,8 @@ func parseRates(list string) ([]float64, error) {
 // from ctx, the -timings stage recorder, the -trace-cache directory, and
 // the manifest (fresh or resumed) as its cell cache — returned too, nil
 // without -manifest, for run's final flush. The request's retry policy and
-// slice reach it through serve.RunSweep. Every sweep cell runs under it; a
-// do-nothing supervisor is byte-identical to the historical unsupervised
-// path (pinned in internal/harness).
+// slice reach it through serve.RunSweep. Every sweep cell runs under it, and
+// none of what it adds to the zero Supervisor moves a byte of the report.
 func supervisor(ctx context.Context, o options) (*harness.Supervisor, *harness.Manifest, error) {
 	sup := &harness.Supervisor{Ctx: ctx}
 	if o.timings {

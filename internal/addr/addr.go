@@ -71,11 +71,10 @@ func Line(a Addr, lineSize uint64) uint64 {
 // capacity and refusals are real (callers fall back to SPAllocator for
 // dynamic use, or size their chunks to fit).
 type Arena struct {
-	name   string
-	base   Addr
-	limit  Addr // zero means unbounded
-	next   Addr
-	budget uint64
+	name  string
+	base  Addr
+	limit Addr // zero means unbounded
+	next  Addr
 }
 
 // NewFarArena returns the arena for the capacity memory window.
@@ -87,11 +86,10 @@ func NewFarArena() *Arena {
 // capacity.
 func NewNearArena(capacity uint64) *Arena {
 	return &Arena{
-		name:   "near",
-		base:   NearBase,
-		next:   NearBase,
-		limit:  NearBase + Addr(capacity),
-		budget: capacity,
+		name:  "near",
+		base:  NearBase,
+		next:  NearBase,
+		limit: NearBase + Addr(capacity),
 	}
 }
 
@@ -130,6 +128,3 @@ func (ar *Arena) Free() uint64 {
 // Reset returns the arena to empty. Used between independent experiment
 // runs that reuse one machine description.
 func (ar *Arena) Reset() { ar.next = ar.base }
-
-// Capacity returns the total size of a bounded arena (0 if unbounded).
-func (ar *Arena) Capacity() uint64 { return ar.budget }

@@ -103,6 +103,3 @@ func (r *Resource) Bytes() uint64 { return r.bytes }
 
 // TotalWait returns the cumulative queueing delay imposed on requests.
 func (r *Resource) TotalWait() units.Time { return r.waited }
-
-// Bandwidth returns the resource's configured bandwidth.
-func (r *Resource) Bandwidth() units.BytesPerSecond { return r.bw }

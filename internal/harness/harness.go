@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -68,11 +67,11 @@ type Workload struct {
 	// under it: they run beside the replays, on every CPU.
 	Par int
 
-	// Sup, when non-nil, runs every replay under the supervised runtime:
+	// Sup is the supervised runtime every recording and replay runs under:
 	// sliced event budgets with cancellation polling, panic containment
 	// (failed cells become marked report rows instead of aborting the
 	// sweep), deterministic MemFault retries, and manifest checkpointing.
-	// Nil keeps the historical fail-fast behavior, byte for byte.
+	// Nil means the zero Supervisor.
 	Sup *Supervisor
 }
 
@@ -98,8 +97,8 @@ func RecordKey(w Workload) Workload {
 
 // Record executes the algorithm natively under instrumentation and returns
 // its trace. The input is regenerated deterministically from the workload
-// seed, so equal workloads yield byte-identical traces. Under a supervisor,
-// equal (algorithm, RecordKey) pairs share one recorded trace: the
+// seed, so equal workloads yield byte-identical traces. Equal (algorithm,
+// RecordKey) pairs under one supervisor share one recorded trace: the
 // supervisor's own memo, then its RecordCache — byte-neutral, since a
 // re-recording would be identical.
 func Record(alg Algorithm, w Workload) (RecordResult, error) {
@@ -115,11 +114,11 @@ func record(alg Algorithm, w Workload) (RecordResult, bool, error) {
 		// address, or equal requests would get unequal errors.
 		return RecordResult{}, false, fmt.Errorf("harness: bad workload (n %d, threads %d, sp %v)", w.N, w.Threads, w.SP)
 	}
-	if w.Sup != nil {
-		return w.Sup.record(alg, w)
+	sup := w.Sup
+	if sup == nil {
+		sup = new(Supervisor)
 	}
-	res, err := recordNative(alg, w)
-	return res, false, err
+	return sup.record(alg, w)
 }
 
 // recordNative runs the algorithm under instrumentation: the recording
@@ -211,21 +210,17 @@ func (t Table) Failed() int {
 	return n
 }
 
-// Table1 reproduces the paper's Table I on the given workload: the GNU
+// Table1Faults reproduces the paper's Table I on the given workload: the GNU
 // baseline plus NMsort under 2X, 4X, and 8X near-memory bandwidth, all on
 // nodes with w.Threads cores. Traces are recorded once per algorithm and
 // replayed per configuration, exactly as the paper replays one binary
-// against varying memory systems.
-func Table1(w Workload, dma bool) (Table, error) {
-	return Table1Faults(w, dma, fault.Config{})
-}
-
-// Table1Faults is Table1 under an injected fault environment: every node
-// carries fc, so the table shows how the co-design comparison shifts when
-// the memory system is imperfect. A zero (or Seed == 0) config is
-// bit-identical to Table1. Replays ending in a MemFault outcome keep their
-// row — the timing is valid, the simulated program's output is not — and
-// are marked with a trailing "!".
+// against varying memory systems. Every node carries fc, so the table shows
+// how the co-design comparison shifts when the memory system is imperfect;
+// a zero (or Seed == 0) config is perfect memory. Replays ending in a
+// MemFault outcome keep their row — the timing is valid, the simulated
+// program's output is not — and are marked with a trailing "!"; replays that
+// fail keep their row marked with the failure kind (Table.Failed). A
+// recording that fails is the returned error.
 func Table1Faults(w Workload, dma bool, fc fault.Config) (Table, error) {
 	t := Table{Title: fmt.Sprintf("SST-style simulation, N=%d keys, %d cores", w.N, w.Threads)}
 
@@ -254,14 +249,6 @@ func Table1Faults(w Workload, dma bool, fc fault.Config) (Table, error) {
 	if err := recordErr(jobs); err != nil {
 		return t, err
 	}
-	if w.Sup == nil {
-		// Unsupervised: the historical fail-fast contract.
-		for _, o := range outs {
-			if o.err != nil {
-				return t, o.err
-			}
-		}
-	}
 	baseTime := outs[0].res.SimTime.Seconds()
 	for i, o := range outs {
 		r := Row{
@@ -281,18 +268,6 @@ func Table1Faults(w Workload, dma bool, fc fault.Config) (Table, error) {
 		t.Rows = append(t.Rows, r)
 	}
 	return t, nil
-}
-
-// runTolerant replays tr on cfg, treating a MemFault outcome as data (the
-// result is complete and correctly timed; the simulated output is
-// poisoned) and every other error — stalls, budget exhaustion — as fatal.
-func runTolerant(cfg machine.Config, tr trace.Source) (machine.Result, bool, error) {
-	res, err := machine.Run(cfg, tr)
-	var mf *fault.MemFaultError
-	if errors.As(err, &mf) {
-		return res, true, nil
-	}
-	return res, false, err
 }
 
 // mark appends the MemFault marker to a row name.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -98,7 +99,7 @@ func TestNodeFor(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tb, err := Table1(tinyWorkload(), false)
+	tb, err := Table1Faults(tinyWorkload(), false, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,11 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable1Deterministic(t *testing.T) {
-	a, err := Table1(tinyWorkload(), false)
+	a, err := Table1Faults(tinyWorkload(), false, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Table1(tinyWorkload(), false)
+	b, err := Table1Faults(tinyWorkload(), false, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestKMeansSweepShape(t *testing.T) {
 }
 
 func TestReportRenderers(t *testing.T) {
-	tb, err := Table1(tinyWorkload(), false)
+	tb, err := Table1Faults(tinyWorkload(), false, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

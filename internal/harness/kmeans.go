@@ -24,7 +24,7 @@ type KMeansWorkload struct {
 	// GOMAXPROCS, 1 forces sequential replay; byte-identical at any value.
 	Par int
 
-	// Sup, when non-nil, supervises every replay (like Workload.Sup).
+	// Sup supervises every replay (like Workload.Sup; nil is the zero one).
 	Sup *Supervisor
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/model"
 )
 
@@ -58,7 +59,7 @@ func TestCoDesignReadsTableOnesCells(t *testing.T) {
 	man := NewManifest(filepath.Join(t.TempDir(), "m.json"))
 	w := tinyWorkload()
 	w.Sup = &Supervisor{Cache: man}
-	tb, err := Table1(w, false)
+	tb, err := Table1Faults(w, false, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

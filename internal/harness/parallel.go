@@ -37,7 +37,7 @@ type replayJob struct {
 type replayOut struct {
 	res      machine.Result
 	memFault bool // the replay completed but returned uncorrected data
-	attempts int  // supervised replay attempts (0 on the unsupervised path)
+	attempts int  // replay attempts, retries included
 	shared   bool // filled from its representative's replay, not replayed (see representatives)
 	cached   bool // found in the supervisor's CellCache, not replayed
 	err      error
@@ -133,7 +133,7 @@ func recordingOf(alg Algorithm, w Workload) *recording {
 }
 
 // recordErr is the error of the first declared recording that failed; a
-// sweep that has one has no report, supervised or not.
+// sweep that has one has no report.
 func recordErr(jobs []replayJob) error {
 	for _, j := range jobs {
 		if j.rec != nil && j.rec.err != nil {
@@ -163,10 +163,13 @@ func recordErr(jobs []replayJob) error {
 // claimed; the lane that finishes one fills its aliases from the outcome,
 // each under its own key, and releases those aliasOf refuses to be replayed.
 //
-// With a nil supervisor each job is one undivided replay and errors are the
-// caller's to handle; with one, each job runs as a supervised cell: sliced,
-// panic-contained, retried, checkpointed.
+// Each job runs as a supervised cell — sliced, panic-contained, retried,
+// checkpointed — under sup, or under the zero Supervisor when sup is nil; a
+// cell that fails is its slot's error, never the sweep's.
 func runReplays(sup *Supervisor, workers int, jobs []replayJob) []replayOut {
+	if sup == nil {
+		sup = new(Supervisor)
+	}
 	return driver(sup, workers, jobs, nil)
 }
 
@@ -178,8 +181,7 @@ var driver = runShared
 // keys and a job's tr are written before the cell is released (or its done
 // bit set) under mu and read only after.
 type schedule struct {
-	sup     *Supervisor
-	stages  *prof.Stages // sup.Timings; nil records nothing
+	sup     *Supervisor // its Timings, when non-nil, records every stage
 	workers int
 	jobs    []replayJob
 	cells   map[*recording][]int
@@ -203,9 +205,6 @@ func runShared(sup *Supervisor, workers int, jobs []replayJob, rep []int) []repl
 	s := &schedule{sup: sup, workers: workers, jobs: jobs, rep: rep, given: rep != nil, cells: make(map[*recording][]int),
 		out: make([]replayOut, len(jobs)), keys: make([]CellKey, len(jobs)), done: make([]bool, len(jobs))}
 	s.wake = sync.NewCond(&s.mu)
-	if sup != nil {
-		s.stages = sup.Timings
-	}
 	var recs []*recording // declared recordings; cells[nil] are the cells whose trace the caller holds
 	for i, j := range jobs {
 		if !s.given {
@@ -249,7 +248,7 @@ func (s *schedule) recordLane(recs []*recording) {
 		s.mu.Unlock()
 	}()
 	for _, r := range recs {
-		sp := s.stages.Start(0, "record", r.name)
+		sp := s.sup.Timings.Start(0, "record", r.name)
 		var cached bool
 		r.tr, cached, r.err = r.record()
 		sp.End(prof.MarkIf(cached, "cached"))
@@ -276,18 +275,16 @@ func (s *schedule) pick(idx []int) []replayJob {
 // representatives, then the ready set — in that order, so no lane ever holds
 // a cell it cannot checkpoint or one a finished replay already answers.
 func (s *schedule) publish(lane int, cells []int) {
-	if s.sup != nil {
-		keys, err := s.sup.cellKeys(s.pick(cells))
-		for k, i := range cells {
-			if err != nil {
-				s.out[i] = replayOut{err: err}
-			} else {
-				s.keys[i] = keys[k]
-			}
-		}
+	keys, err := s.sup.cellKeys(s.pick(cells))
+	for k, i := range cells {
 		if err != nil {
-			return
+			s.out[i] = replayOut{err: err}
+		} else {
+			s.keys[i] = keys[k]
 		}
+	}
+	if err != nil {
+		return
 	}
 	s.mu.Lock()
 	if !s.given {
@@ -355,9 +352,9 @@ func (s *schedule) replayLane(lane int) {
 }
 
 // replay runs claimed cell i and settles the aliases waiting on it. The
-// deferred bookkeeping runs on a panic too (an unsupervised replay's, which
-// par.Run re-raises once every lane has left), or the others would wait on
-// this cell forever.
+// deferred bookkeeping runs on a panic too (a CellCache's, say: the
+// supervisor contains only the replay's, and par.Run re-raises the rest once
+// every lane has left), or the others would wait on this cell forever.
 func (s *schedule) replay(lane, i int) {
 	defer func() {
 		s.mu.Lock()
@@ -396,21 +393,10 @@ func (s *schedule) settle(lane, a int) {
 // (fill) its representative's outcome under its own checkpoint.
 func (s *schedule) cell(lane, i int, fill *replayOut) (o replayOut) {
 	j := s.jobs[i]
-	sp := s.stages.Start(lane, "cell", j.label)
+	sp := s.sup.Timings.Start(lane, "cell", j.label)
 	defer func() { sp.End(prof.MarkIf(o.cached, "cached"), prof.MarkIf(o.shared, "shared")) }()
-	switch {
-	case s.sup == nil && fill != nil:
-		return *fill
-	case s.sup == nil:
-		return runJob(j)
-	case fill != nil:
+	if fill != nil {
 		return s.sup.cell(j, s.keys[i], func() replayOut { return *fill })
 	}
 	return s.sup.runCell(j, s.keys[i])
-}
-
-// runJob replays one job with the harness's usual MemFault tolerance.
-func runJob(j replayJob) replayOut {
-	res, memFault, err := runTolerant(j.cfg, j.tr)
-	return replayOut{res: res, memFault: memFault, err: err}
 }

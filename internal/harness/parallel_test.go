@@ -104,8 +104,8 @@ func TestClaimOrder(t *testing.T) {
 // worker runs which cell and when, and nothing else. Batches whose costs
 // ascend, descend and alternate fill the same slots with the same results at
 // every worker count; the sweeps built on the pool render the same bytes; and
-// an unsupervised sweep still reports the first error in slot order even when
-// that cell is the cheapest and so the last one claimed.
+// each failed cell keeps its own slot and failure kind, the cheapest one —
+// and so the last one claimed — included.
 func TestRunReplaysClaimOrderInvisible(t *testing.T) {
 	pars := []int{1, 2, 8}
 
@@ -179,13 +179,16 @@ func TestRunReplaysClaimOrderInvisible(t *testing.T) {
 		t.Fatalf("claim order %v: the starved cell should be claimed last", order)
 	}
 	for _, workers := range pars {
-		_, err := Sweep{}.collect(nil, workers, jobs, make([]SweepPoint, len(jobs)))
-		if !errors.As(err, new(*engine.BudgetError)) {
-			t.Errorf("%d workers: sweep error %v, want slot 0's budget error", workers, err)
+		s, err := Sweep{}.collect(nil, workers, jobs, make([]SweepPoint, len(jobs)))
+		if err != nil {
+			t.Fatalf("%d workers: a failed cell aborted the sweep: %v", workers, err)
+		}
+		if got := []string{s.Points[0].Fail, s.Points[1].Fail, s.Points[2].Fail}; !reflect.DeepEqual(got, []string{"budget", "", "error"}) {
+			t.Errorf("%d workers: failure kinds %q, want budget, none, error", workers, got)
 		}
 		outs := runReplays(nil, workers, jobs)
-		if outs[1].err != nil || outs[2].err == nil || !strings.Contains(outs[2].err.Error(), "16 threads") {
-			t.Errorf("%d workers: slot errors %v / %v, want none / too many threads", workers, outs[1].err, outs[2].err)
+		if !errors.As(outs[0].err, new(*engine.BudgetError)) || outs[1].err != nil || outs[2].err == nil || !strings.Contains(outs[2].err.Error(), "16 threads") {
+			t.Errorf("%d workers: slot errors %v / %v / %v, want out of budget / none / too many threads", workers, outs[0].err, outs[1].err, outs[2].err)
 		}
 	}
 }

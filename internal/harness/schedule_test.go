@@ -28,8 +28,9 @@ import (
 
 // recordThenPool is the driver every experiment had before recordings and
 // replays shared a schedule, kept as the oracle: every declared recording, in
-// declaration order, failing fast; then every representative in slot order on
-// the calling goroutine; then the aliases, filled or replayed, in slot order.
+// declaration order, failing fast; then every representative's cell in slot
+// order on the calling goroutine; then the aliases, filled or replayed, in
+// slot order. Like every driver it gets the supervisor runReplays settled on.
 func recordThenPool(sup *Supervisor, _ int, jobs []replayJob, rep []int) []replayOut {
 	out := make([]replayOut, len(jobs))
 	for i := range jobs {
@@ -48,24 +49,16 @@ func recordThenPool(sup *Supervisor, _ int, jobs []replayJob, rep []int) []repla
 	if rep == nil {
 		rep = representatives(jobs)
 	}
-	run := func(i int) { out[i] = runJob(jobs[i]) }
-	fill := func(i int, o replayOut) { out[i] = o }
-	if sup != nil {
-		keys, err := sup.cellKeys(jobs)
-		if err != nil {
-			for i := range out {
-				out[i] = replayOut{err: err}
-			}
-			return out
+	keys, err := sup.cellKeys(jobs)
+	if err != nil {
+		for i := range out {
+			out[i] = replayOut{err: err}
 		}
-		run = func(i int) { out[i] = sup.runCell(jobs[i], keys[i]) }
-		fill = func(i int, o replayOut) {
-			out[i] = sup.cell(jobs[i], keys[i], func() replayOut { return o })
-		}
+		return out
 	}
 	for i, r := range rep {
 		if r == i {
-			run(i)
+			out[i] = sup.runCell(jobs[i], keys[i])
 		}
 	}
 	for i, r := range rep {
@@ -73,9 +66,9 @@ func recordThenPool(sup *Supervisor, _ int, jobs []replayJob, rep []int) []repla
 			continue
 		}
 		if o, ok := aliasOf(out[r], jobs[i].cfg); ok {
-			fill(i, o)
+			out[i] = sup.cell(jobs[i], keys[i], func() replayOut { return o })
 		} else {
-			run(i)
+			out[i] = sup.runCell(jobs[i], keys[i])
 		}
 	}
 	return out
@@ -110,7 +103,7 @@ func sweepCases(t *testing.T) []sweepCase {
 			return rendered{body: renderSweep(t, tb), replays: -1}, err
 		}},
 		{"bandwidth starved", func(w Workload) (rendered, error) {
-			w.MaxEvents = 500 // every cell fails: marked rows supervised, the first error unsupervised
+			w.MaxEvents = 500 // every cell fails: marked rows, no error
 			s, err := BandwidthSweep(w)
 			return rendered{body: renderSweep(t, s), replays: s.Replays}, err
 		}},
@@ -137,7 +130,8 @@ func sweepCases(t *testing.T) []sweepCase {
 	return cases
 }
 
-// renderCase runs one case, supervised (manifest, retries) or not.
+// renderCase runs one case under a nil supervisor, or, supervised, under a
+// manifest and retries.
 func renderCase(t *testing.T, c sweepCase, supervised bool, par int) rendered {
 	t.Helper()
 	w := tinyWorkload()
@@ -279,7 +273,7 @@ func TestSecondRecordingOverlapsFirstReplays(t *testing.T) {
 				w := tinyWorkload()
 				w.Par = par
 				w.Sup = &Supervisor{Records: p, Cache: p}
-				tb, err := Table1(w, false)
+				tb, err := Table1Faults(w, false, fault.Config{})
 				if err != nil || tb.Failed() != 0 {
 					t.Fatalf("par %d: err=%v failed=%d", par, err, tb.Failed())
 				}
@@ -317,7 +311,8 @@ func TestParBoundsReplaysNotRecordings(t *testing.T) {
 // TestSupervisorRecordsEachKeyOnce: a core list that names a core count twice
 // declares six recordings of four distinct workloads. Under a supervisor four
 // are made and two are answered by its memo — `record` lines marked cached —
-// and the sweep renders the bytes of an unsupervised run, which records six.
+// and the sweep renders the bytes of a run under a nil supervisor, whose
+// recordings each get a zero one of their own and so record six.
 func TestSupervisorRecordsEachKeyOnce(t *testing.T) {
 	e, _ := FindExperiment("cores")
 	p := ExperimentParams{CoreList: []int{8, 8, 16}}
@@ -349,7 +344,7 @@ func TestSupervisorRecordsEachKeyOnce(t *testing.T) {
 		t.Errorf("%d record stages, %d cached; want 6 and 2", records, cached)
 	}
 	if got, want := renderSweep(t, memoized), renderSweep(t, plain); got != want {
-		t.Errorf("the memoized sweep differs from the unsupervised one:\n%s\nwant:\n%s", got, want)
+		t.Errorf("the memoized sweep differs from the memo-less one:\n%s\nwant:\n%s", got, want)
 	}
 }
 

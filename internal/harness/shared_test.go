@@ -23,11 +23,15 @@ import (
 // the manifest. The reference is the pool with every job a cell of its own.
 
 // realReplays replays every job for real: runShared under the identity map,
-// which is what runReplays was before it shared anything.
+// which is what runReplays was before it shared anything. A nil sup is the
+// zero Supervisor, as it is to runReplays.
 func realReplays(sup *Supervisor, workers int, jobs []replayJob) []replayOut {
 	own := make([]int, len(jobs))
 	for i := range own {
 		own[i] = i
+	}
+	if sup == nil {
+		sup = new(Supervisor)
 	}
 	return runShared(sup, workers, jobs, own)
 }
@@ -174,7 +178,7 @@ func TestSharedReplaysMatchRealReplays(t *testing.T) {
 	type batch struct {
 		name   string
 		jobs   func() []replayJob   // called once per pool run: telemetry recorders are single-use
-		sups   []func() *Supervisor // nil entry: unsupervised
+		sups   []func() *Supervisor // nil entry: a nil supervisor, no manifest
 		shared int                  // cells that must be filled from a representative
 		// differ: the cells' own replays must not all be equal modulo the
 		// near echo — the batch proves its guard is load-bearing.
@@ -188,7 +192,7 @@ func TestSharedReplaysMatchRealReplays(t *testing.T) {
 		{name: "bandwidth shape", jobs: on(w.Threads, paperNears(w.SP), nil, gnu.Trace, nm.Trace), sups: both, shared: 2},
 		{name: "kmeans shape", jobs: on(kw.Th, paperNears(kw.SP), nil, kmFar, kmSP), sups: both, shared: 2},
 		{name: "near differs in every field", jobs: on(w.Threads, oddNears(), nil, gnu.Trace), sups: both, shared: 2},
-		// Unsupervised only: with a manifest the second cell finds the first
+		// Without a manifest only: with one the second cell finds the first
 		// under their common key before it can be filled.
 		{name: "equal cells", jobs: on(w.Threads, []spmem.Config{spmem.Paper(8, w.SP), spmem.Paper(8, w.SP)}, nil, gnu.Trace),
 			sups: []func() *Supervisor{nil}, shared: 1},
@@ -313,8 +317,8 @@ func kmeansJobs(t *testing.T, kw KMeansWorkload) []replayJob {
 }
 
 // TestSharedSweepsMatchRealSweeps walks the experiment registry at tiny N,
-// unsupervised and supervised (manifest, fault injection on, retries
-// allowed), sequential and pooled. The two experiments with alias cells must
+// under a nil supervisor and a supervised one (manifest, fault injection on,
+// retries allowed), sequential and pooled. The two experiments with alias cells must
 // report, render and checkpoint exactly what the all-real pool produces for
 // the same cells; every other experiment must not have shared a replay at
 // all, so its bytes are the real path's by construction.
@@ -442,6 +446,6 @@ func TestAliasOfGuards(t *testing.T) {
 		}
 	}
 	if out, ok := aliasOf(replayOut{}, cfg); !ok || out.res.Phases != nil {
-		t.Errorf("an unsupervised, phase-less outcome must fill with nil phases: %+v, %v", out, ok)
+		t.Errorf("a phase-less outcome must fill with nil phases: %+v, %v", out, ok)
 	}
 }

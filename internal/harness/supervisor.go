@@ -17,14 +17,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// The supervised execution runtime: every replay of every sweep can run
-// under a Supervisor, which slices the replay's event budget (via the
-// engine's byte-identical RunBudget resume), polls for cancellation and
-// chaos between slices, contains panics to their cell, retries transient
-// MemFault outcomes deterministically, and checkpoints completed cells in
-// a Manifest so an interrupted sweep resumes to a byte-identical report.
-// A nil Supervisor (the default everywhere) is the pre-supervision
-// fast path: one undivided replay per cell, first error aborts the sweep.
+// The supervised execution runtime: every replay of every sweep runs under
+// a Supervisor, which slices the replay's event budget (via the engine's
+// byte-identical RunBudget resume), polls for cancellation and chaos between
+// slices, contains panics to their cell, retries transient MemFault outcomes
+// deterministically, and checkpoints completed cells in a Manifest so an
+// interrupted sweep resumes to a byte-identical report. A nil Supervisor is
+// the zero one, substituted where a supervisor enters the harness.
 
 // DefaultSlice is the per-slice event budget when Supervisor.Slice is
 // zero: small enough that cancellation latency stays in the milliseconds
@@ -78,7 +77,8 @@ func (e *CancelledError) Error() string {
 func (e *CancelledError) Unwrap() error { return e.Cause }
 
 // Supervisor wraps sweep replays in the supervised runtime. The zero
-// value is usable: no context, no manifest, no retries, default slice.
+// value is usable — no context, no manifest, no retries, default slice —
+// and is what a nil *Supervisor in a Workload or a sweep means.
 // One Supervisor may serve many sweeps in sequence, and they share its
 // recordings: each (algorithm, RecordKey) is recorded once per supervisor,
 // which keeps the trace until it is dropped. Its methods are goroutine-safe
@@ -323,8 +323,9 @@ func (sup *Supervisor) replay(j replayJob, key CellKey) replayOut {
 		attempts++
 	}
 	if errors.As(out.err, &mf) {
-		// Retries exhausted (or disabled): tolerate the MemFault outcome
-		// as data, exactly like the unsupervised runTolerant path.
+		// Retries exhausted (or disabled): tolerate the MemFault outcome as
+		// data — the result is complete and correctly timed, only the
+		// simulated program's output is poisoned.
 		out.memFault = true
 		out.err = nil
 	}

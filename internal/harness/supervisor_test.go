@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/par"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -30,15 +32,29 @@ func renderSweep(t *testing.T, s Output) string {
 	return b.String()
 }
 
-// TestSupervisedMatchesUnsupervised pins the core byte-identity claim: a
-// supervisor with nothing to do (no cancellation, no chaos, no manifest)
-// renders the exact bytes of the historical unsupervised sweep.
-func TestSupervisedMatchesUnsupervised(t *testing.T) {
-	w := tinyWorkload()
-	golden, err := BandwidthSweep(w)
-	if err != nil {
-		t.Fatal(err)
+// requireMachineRun holds one cell's outcome to the per-cell reference:
+// machine.Run of its job, one undivided replay, on the whole machine.Result.
+// A MemFault outcome is data, read the way a cell with no retries reads it.
+func requireMachineRun(t *testing.T, name string, j replayJob, res machine.Result, memFault bool) {
+	t.Helper()
+	want, err := machine.Run(j.cfg, j.tr)
+	wantMF := errors.As(err, new(*fault.MemFaultError))
+	if err != nil && !wantMF {
+		t.Fatalf("%s: machine.Run: %v", name, err)
 	}
+	if memFault != wantMF || !reflect.DeepEqual(res, want) {
+		t.Errorf("%s: the cell (MemFault %v) differs from machine.Run of its job (MemFault %v)\n got %+v\nwant %+v",
+			name, memFault, wantMF, res, want)
+	}
+}
+
+// TestSlicedSweepMatchesMachineRun pins the byte-identity of slicing: a
+// supervisor with nothing to do (no cancellation, no chaos, no manifest)
+// fills every cell of a sweep, at the default slice and a small one, with
+// machine.Run's result for the cell's job.
+func TestSlicedSweepMatchesMachineRun(t *testing.T) {
+	w := tinyWorkload()
+	jobs := bandwidthJobs(t, w)
 	for _, slice := range []uint64{0, 1 << 12} {
 		sw := w
 		sw.Sup = &Supervisor{Slice: slice}
@@ -49,8 +65,80 @@ func TestSupervisedMatchesUnsupervised(t *testing.T) {
 		if got.Failed() != 0 {
 			t.Fatalf("slice %d: %d failed cells", slice, got.Failed())
 		}
-		if g, want := renderSweep(t, got), renderSweep(t, golden); g != want {
-			t.Errorf("slice %d: supervised output differs from unsupervised:\n%s\nwant:\n%s", slice, g, want)
+		for i, p := range got.Points {
+			requireMachineRun(t, fmt.Sprintf("slice %d, %s", slice, p.Label), jobs[i], p.Result, p.MemFault)
+		}
+	}
+}
+
+// TestNilSupervisorIsTheZeroSupervisor: there is one cell protocol. Table I
+// and the bandwidth sweep — the fault sweep where the case injects faults —
+// render the same bytes, count the same failures and return the same error
+// under a nil supervisor as under &Supervisor{}, whatever their cells do.
+func TestNilSupervisorIsTheZeroSupervisor(t *testing.T) {
+	type run struct {
+		what string
+		run  func(Workload) (Output, error)
+	}
+	runs := func(rate float64) []run {
+		fc := fault.Config{}
+		sweep := run{"bandwidth", func(w Workload) (Output, error) { return BandwidthSweep(w) }}
+		if rate > 0 {
+			fc = fault.Profile(41, rate)
+			sweep = run{"faults", func(w Workload) (Output, error) { return RunFaultSweep(w, 16, 41, []float64{rate}) }}
+		}
+		return []run{{"table1", func(w Workload) (Output, error) { return Table1Faults(w, false, fc) }}, sweep}
+	}
+	for _, c := range []struct {
+		name     string
+		tweak    func(*Workload)
+		rate     float64 // far-memory fault rate
+		kind     string  // every row's failure kind; "" for none
+		memFault bool    // some row is marked "!"
+		recErr   bool    // a recording fails: the run's error
+	}{
+		{name: "success"},
+		{name: "every cell over MaxEvents", tweak: func(w *Workload) { w.MaxEvents = 9 }, kind: "budget"},
+		{name: "replays panic", tweak: func(w *Workload) { w.Threads = 6 }, kind: "panic"}, // not whole quad-core groups: machine.New panics
+		{name: "fault rate 1, zero retries", rate: 1, memFault: true},
+		{name: "recording fails", tweak: func(w *Workload) { w.N = -1 }, recErr: true},
+	} {
+		for _, r := range runs(c.rate) {
+			name := c.name + "/" + r.what
+			w := tinyWorkload()
+			if c.tweak != nil {
+				c.tweak(&w)
+			}
+			nilOut, nilErr := r.run(w)
+			w.Sup = &Supervisor{}
+			out, err := r.run(w)
+			if (err != nil) != c.recErr || fmt.Sprint(nilErr) != fmt.Sprint(err) {
+				t.Fatalf("%s: err %v under a nil supervisor, %v under the zero one; want an error: %v", name, nilErr, err, c.recErr)
+			}
+			if c.recErr {
+				continue
+			}
+			if got, want := renderSweep(t, nilOut), renderSweep(t, out); got != want || nilOut.Failed() != out.Failed() {
+				t.Errorf("%s: %d failed under a nil supervisor, %d under the zero one\n got %s\nwant %s", name, nilOut.Failed(), out.Failed(), got, want)
+			}
+			rows := out.Report().Rows
+			wantFailed := 0
+			if c.kind != "" {
+				wantFailed = len(rows)
+			}
+			marked, failed := false, 0
+			for _, row := range rows {
+				marked = marked || strings.HasSuffix(row[0], " !")
+				if strings.HasSuffix(row[0], " ["+c.kind+"]") {
+					failed++
+				}
+			}
+			if failed != wantFailed || out.Failed() != wantFailed {
+				t.Errorf("%s: %d rows marked %q, Failed() = %d; want %d", name, failed, c.kind, out.Failed(), wantFailed)
+			}
+			if marked != c.memFault {
+				t.Errorf("%s: a row marked with a MemFault: %v, want %v", name, marked, c.memFault)
+			}
 		}
 	}
 }
@@ -349,20 +437,19 @@ func TestDeterministicRetry(t *testing.T) {
 	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 		t.Errorf("retry chain not deterministic:\n%+v\n%+v", a, b)
 	}
-	// Zero retries must match the historical runTolerant outcome exactly.
+	// Zero retries read the one replay's MemFault outcome as data: exactly
+	// machine.Run's result, marked.
 	sup := &Supervisor{}
-	keys, err := sup.cellKeys([]replayJob{{cfg: cfg, tr: rec.Trace}})
+	j := replayJob{cfg: cfg, tr: rec.Trace, label: "faulty"}
+	keys, err := sup.cellKeys([]replayJob{j})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sup.runCell(replayJob{cfg: cfg, tr: rec.Trace}, keys[0])
-	res, mf, err := runTolerant(cfg, rec.Trace)
-	if err != nil || !mf {
-		t.Fatalf("runTolerant: mf=%v err=%v", mf, err)
+	got := sup.runCell(j, keys[0])
+	if got.err != nil || !got.memFault || got.attempts != 1 {
+		t.Fatalf("zero retries: err=%v memFault=%v attempts=%d, want the tolerated MemFault of one attempt", got.err, got.memFault, got.attempts)
 	}
-	if got.err != nil || !got.memFault || fmt.Sprintf("%+v", got.res) != fmt.Sprintf("%+v", res) {
-		t.Errorf("supervised MemFault outcome differs from runTolerant")
-	}
+	requireMachineRun(t, "zero retries", j, got.res, got.memFault)
 }
 
 // TestCancellationSkipsCells: a context cancelled before the sweep starts
@@ -550,32 +637,61 @@ func TestCellKeyStability(t *testing.T) {
 	}
 }
 
-// TestTable1Supervised: Table1 under a do-nothing supervisor matches the
-// unsupervised golden table byte for byte, and a supervised failure leaves
-// a marked row with a non-zero Failed count instead of an abort.
+// table1Jobs rebuilds Table I's cells as Table1Faults declares them, in row
+// order, on traces recorded here.
+func table1Jobs(t *testing.T, w Workload, dma bool, fc fault.Config) []replayJob {
+	t.Helper()
+	alg := AlgNMSort
+	if dma {
+		alg = AlgNMSortDM
+	}
+	var traces []*trace.Trace
+	for _, a := range []Algorithm{AlgGNUSort, alg} {
+		rec, err := Record(a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, rec.Trace)
+	}
+	var jobs []replayJob
+	for i, ch := range []int{8, 8, 16, 32} {
+		cfg := NodeFor(w.Threads, ch, w.SP)
+		cfg.Fault = fc
+		cfg.MaxEvents = w.MaxEvents
+		jobs = append(jobs, replayJob{cfg: cfg, tr: traces[min(i, 1)]})
+	}
+	return jobs
+}
+
+// TestTable1Supervised: every cell of a supervised Table I is machine.Run of
+// its job on the whole machine.Result — fault-free, and under faults with the
+// §VII DMA engines — and a supervised failure leaves a marked row with a
+// non-zero Failed count instead of an abort.
 func TestTable1Supervised(t *testing.T) {
 	w := tinyWorkload()
-	golden, err := Table1(w, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sw := w
-	sw.Sup = &Supervisor{}
-	got, err := Table1(sw, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Failed() != 0 {
-		t.Fatalf("Failed() = %d", got.Failed())
-	}
-	if got.String() != golden.String() {
-		t.Errorf("supervised Table1 differs:\n%s\nwant:\n%s", got.String(), golden.String())
+	for _, c := range []struct {
+		dma bool
+		fc  fault.Config
+	}{{false, fault.Config{}}, {true, fault.Profile(41, 2e-2)}} {
+		sw.Sup = &Supervisor{}
+		got, err := Table1Faults(sw, c.dma, c.fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Failed() != 0 {
+			t.Fatalf("dma %v: Failed() = %d", c.dma, got.Failed())
+		}
+		for i, j := range table1Jobs(t, w, c.dma, c.fc) {
+			r := got.Rows[i]
+			requireMachineRun(t, fmt.Sprintf("dma %v, %s", c.dma, r.Name), j, r.Result, strings.HasSuffix(r.Name, " !"))
+		}
 	}
 
 	// Starve the table's replays: every row fails, none aborts.
 	bw := sw
 	bw.MaxEvents = 9
-	starved, err := Table1(bw, false)
+	starved, err := Table1Faults(bw, false, fault.Config{})
 	if err != nil {
 		t.Fatalf("supervised table aborted: %v", err)
 	}
@@ -590,7 +706,7 @@ func TestTable1Supervised(t *testing.T) {
 }
 
 // TestRecordMemoConcurrent: goroutines recording through one supervisor at
-// once each get a trace with the bytes of an unsupervised recording, and
+// once each get a trace with the bytes of a recording of its own, and
 // afterwards the supervisor answers every one of its keys from its memo.
 func TestRecordMemoConcurrent(t *testing.T) {
 	w := Workload{N: 1 << 10, Seed: 3, Threads: 4, SP: 64 * units.KiB}

@@ -38,21 +38,14 @@ type Sweep struct {
 	FaultAxis bool // points vary a fault rate: add rate/slowdown/degraded/retrans columns
 	Points    []SweepPoint
 
-	// Par records the replay worker count the sweep ran with (after
-	// resolving Workload.Par against the job count). Informational only —
-	// it is deliberately excluded from String/Report so rendered output
-	// stays byte-identical at every worker count.
-	Par int
-
 	// Replays counts the points that were replayed (or found checkpointed)
 	// as their own cell; the other len(Points)-Replays shared a
 	// representative's replay (see runReplays). Informational and unrendered,
-	// like Par.
+	// so output stays byte-identical whatever was shared.
 	Replays int
 }
 
-// Failed counts points whose supervised replay did not complete. Zero for
-// every unsupervised sweep (failures abort those instead).
+// Failed counts points whose supervised replay did not complete.
 func (s Sweep) Failed() int {
 	n := 0
 	for _, p := range s.Points {
@@ -216,12 +209,9 @@ func BandwidthSweep(w Workload) (Sweep, error) {
 
 // collect runs the jobs' recordings and replays as one schedule and merges
 // each outcome into its pre-built point, in job order. A recording that fails
-// aborts the sweep. Unsupervised (sup == nil), so does the first fatal replay
-// error — the historical contract. Supervised,
-// failed cells stay in the series with their failure kind recorded and
-// the sweep always completes; callers inspect Sweep.Failed().
+// aborts the sweep; a cell that fails stays in the series with its failure
+// kind recorded, and callers inspect Sweep.Failed().
 func (s Sweep) collect(sup *Supervisor, workers int, jobs []replayJob, points []SweepPoint) (Sweep, error) {
-	s.Par = workers
 	for i := range jobs {
 		// Jobs and points are parallel; carry the report label onto the
 		// job so supervised failures name their cell.
@@ -232,9 +222,6 @@ func (s Sweep) collect(sup *Supervisor, workers int, jobs []replayJob, points []
 		return s, err
 	}
 	for i, o := range outs {
-		if o.err != nil && sup == nil {
-			return s, o.err
-		}
 		p := points[i]
 		p.Result = o.res
 		p.MemFault = o.memFault

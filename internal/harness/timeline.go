@@ -22,9 +22,9 @@ func RunTimeline(alg Algorithm, w Workload, nearChannels int, epoch units.Time, 
 	cfg.MaxEvents = w.MaxEvents
 	cfg.Fault = fc
 	cfg.Telemetry = tel
-	// One-job schedule: with w.Sup set this replay is supervised like any
-	// sweep cell (sliced, panic-contained, cancellable); telemetry cells
-	// never use the manifest, so the recorder always actually records.
+	// One-job schedule: this replay is a supervised cell like any sweep's
+	// (sliced, panic-contained, cancellable); telemetry cells never use the
+	// manifest, so the recorder always actually records.
 	jobs := []replayJob{{cfg: cfg, rec: recordingOf(alg, w), label: string(alg)}}
 	o := runReplays(w.Sup, 1, jobs)[0]
 	if err := recordErr(jobs); err != nil {

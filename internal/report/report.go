@@ -50,8 +50,7 @@ func (t *Table) AddRowf(values ...any) {
 // FailMark annotates a row label with a supervised-replay failure kind
 // ("panic", "stall", "budget", "cancelled", "error"): the cell stays in
 // the table as a marked row instead of aborting the sweep. An empty kind
-// returns the label unchanged, so successful cells render identically to
-// an unsupervised run.
+// returns the label unchanged.
 func FailMark(label, kind string) string {
 	if kind == "" {
 		return label

@@ -3,6 +3,8 @@ package serve
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestNormalizeSweepIsTheFlaglessSweep: the wire's minimal request means the
@@ -30,5 +32,28 @@ func TestRunSweepRefusesAnInvalidRequest(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("a refused request wrote %q", out.String())
+	}
+}
+
+// TestRunSweepNilSupervisorKeepsTheRetryPolicy: a nil supervisor is the zero
+// one, so the request's retries and retry seed still reach every cell — the
+// same bytes as under &harness.Supervisor{}, and not those of no retries.
+func TestRunSweepNilSupervisorKeepsTheRetryPolicy(t *testing.T) {
+	req := normalizeSweep(SweepRequest{Exp: "table1", N: 1 << 13, Cores: 16, SPMiB: 1, FaultSeed: 41, FaultRate: 2e-2, Retries: 2, RetrySeed: 5})
+	render := func(req SweepRequest, sup *harness.Supervisor) string {
+		var out strings.Builder
+		if _, err := RunSweep(&out, req, sup); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	got := render(req, nil)
+	if want := render(req, &harness.Supervisor{}); got != want {
+		t.Errorf("under a nil supervisor:\n%s\nunder the zero one:\n%s", got, want)
+	}
+	noRetries := req
+	noRetries.Retries = 0
+	if got == render(noRetries, nil) {
+		t.Error("retries change nothing here; the case no longer shows that they reach the cells")
 	}
 }

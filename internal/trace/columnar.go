@@ -221,7 +221,12 @@ func openBytes(data []byte, mapped bool) (*Columnar, error) {
 		payloadCRC: le.Uint64(ftr[40:48]),
 		tableOff:   tableOff,
 	}
-	c.costs, c.l1 = headerModel(hdr)
+	// The footer's digest is trusted, so a header this build cannot hold
+	// as written is refused rather than opened narrowed under it.
+	var exact bool
+	if c.costs, c.l1, exact = headerModel(hdr); !exact {
+		return nil, decodeErrf("header", 60, "L1 ways %d does not fit an int", hdr[7])
+	}
 	if c.phaseNames, _, err = h.names("header"); err != nil {
 		return nil, err
 	}

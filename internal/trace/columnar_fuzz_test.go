@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"strconv"
 	"testing"
 )
 
@@ -158,5 +159,30 @@ func TestOpenColumnarSeeds(t *testing.T) {
 				t.Fatalf("hostile seed %d accepted by Open and Verify", j)
 			}
 		}
+	}
+}
+
+// TestOpenRefusesANarrowedHeader: an opened file answers Digest from its
+// footer, so a header field this build's int cannot hold — the L1 ways field
+// past 2^31 where an int is 32 bits wide — is refused instead of opened
+// narrowed under a digest of other bytes. Where an int holds it, the file
+// opens as written.
+func TestOpenRefusesANarrowedHeader(t *testing.T) {
+	data, err := EncodeColumnar(sampleTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[63] |= 0x80 // bit 31 of the ways field at 60
+	want := int64(binary.LittleEndian.Uint64(data[60:]))
+	col, err := OpenBytes(data)
+	if strconv.IntSize == 64 {
+		if err != nil || int64(col.Geometry().Ways) != want {
+			t.Fatalf("ways %d: opened %v, err %v", want, col, err)
+		}
+		return
+	}
+	var de *DecodeError
+	if !errors.As(err, &de) || de.Section != "header" || de.Offset != 60 {
+		t.Fatalf("ways %d on a %d-bit int: err %v, want a header DecodeError at 60", want, strconv.IntSize, err)
 	}
 }

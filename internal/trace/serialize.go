@@ -349,18 +349,19 @@ func decodeTrace(raw []byte) (*Trace, error) {
 	if threads <= 0 || threads > maxThreads || threads > int64(h.br.Len())/8 {
 		return nil, decodeErrf("header", h.off()-8, "implausible thread count %d", threads)
 	}
-	costs, l1 := headerModel(hdr)
+	costs, l1, exact := headerModel(hdr)
 
 	// canon stays true while the bytes are the ones WriteV2 would write for
 	// the ops they decode to, which is what makes their checksum the digest:
 	// an overlong varint or a zero gap behind tagHasGap decode fine but
-	// re-encode shorter.
+	// re-encode shorter, and a header field an int cannot hold re-encodes
+	// narrowed.
 	names, canon, err := h.names("payload")
 	if err != nil {
 		return nil, err
 	}
 
-	d := opDecoder{p: payload, pos: h.off(), canon: canon}
+	d := opDecoder{p: payload, pos: h.off(), canon: canon && exact}
 	builders := make([]colBuilder, threads)
 	checks := make([]threadCheck, threads)
 	sealing := make([]*colBuilder, threads)
@@ -429,15 +430,20 @@ func (h headerReader) fields(want string) ([]int64, error) {
 }
 
 // headerModel unpacks the cost model and L1 geometry from the fixed fields.
-func headerModel(hdr []int64) (Costs, L1Geometry) {
-	return Costs{
-			IssueCycles: hdr[1], L1HitCycles: hdr[2],
-			CompareCycles: hdr[3], AtomicCycles: hdr[4],
-		}, L1Geometry{
-			Capacity: units.Bytes(hdr[5]),
-			LineSize: units.Bytes(hdr[6]),
-			Ways:     int(hdr[7]),
-		}
+// exact reports that every field survived its conversion: the L1 ways field
+// is an int, which a 32-bit build narrows, and a narrowed header re-encodes
+// to other bytes than it was read from.
+func headerModel(hdr []int64) (costs Costs, l1 L1Geometry, exact bool) {
+	costs = Costs{
+		IssueCycles: hdr[1], L1HitCycles: hdr[2],
+		CompareCycles: hdr[3], AtomicCycles: hdr[4],
+	}
+	l1 = L1Geometry{
+		Capacity: units.Bytes(hdr[5]),
+		LineSize: units.Bytes(hdr[6]),
+		Ways:     int(hdr[7]),
+	}
+	return costs, l1, int64(l1.Ways) == hdr[7]
 }
 
 // names reads the phase-name table, whose lengths must fit within what is

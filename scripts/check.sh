@@ -11,19 +11,23 @@
 #   4. go vet ./...                   the stock vet checks
 #   5. go test ./...                  full test suite (includes the
 #                                     record→replay determinism regression)
-#   6. go test -race -short ./...     race detector over the short suite
+#   6. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
+#                                     off): an int narrower than the int64
+#                                     it is read from must not slip past
+#                                     the trace readers
+#   7. go test -race -short ./...     race detector over the short suite
 #                                     (incl. the shared-replay differentials,
 #                                     TestShared*: every cell a sweep fills
 #                                     from another's replay against its own
 #                                     replay, pooled)
-#   7. chaos smoke                    the short-mode interrupt/resume chaos
+#   8. chaos smoke                    the short-mode interrupt/resume chaos
 #                                     test: sweeps killed at seeded slice
 #                                     boundaries must resume byte-identically,
 #                                     across the shared-replay seam too (a
 #                                     representative killed mid-replay, a
 #                                     manifest holding it without its aliases
 #                                     and the converse)
-#   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
+#   9. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
 #                                     also held to the []Op-building reader
 #                                     it replaced, error for error, column
 #                                     for column; no stream of another
@@ -45,14 +49,14 @@
 #                                     FuzzAccessMatchesReference (the packed
 #                                     cache sets against the timestamp-LRU
 #                                     reference and a stack-distance oracle)
-#   9. serve smoke                    boot nmsimd, run the golden sweep
+#  10. serve smoke                    boot nmsimd, run the golden sweep
 #                                     locally + remotely cold + remotely
 #                                     cached, cmp all three byte-identical
 #                                     (then the bandwidth sweep the same way,
 #                                     as text and as CSV rows; its two
 #                                     recordings resident in the trace
 #                                     store), SIGTERM-drain to exit 0
-#  10. schedule smoke                 the recorder-lane schedule is invisible:
+#  11. schedule smoke                 the recorder-lane schedule is invisible:
 #                                     nmsim stdout cmp-equal at -par 1,
 #                                     default -par and GOMAXPROCS=1, with and
 #                                     without -timings (stderr only); sweep
@@ -64,14 +68,14 @@
 #                                     prints nmsim's bytes; a supervised run
 #                                     records each workload once (nmsim's
 #                                     telemetry replay, -corelist 8,8,16)
-#  11. benchmark module               go vet -C bench ./_layers && go test -C
+#  12. benchmark module               go vet -C bench ./_layers && go test -C
 #                                     bench ./...: bench/ is its own module
 #                                     and the one importer of repro/internal
 #                                     outside this one, so a renamed or
 #                                     retyped export breaks there and nowhere
 #                                     above
 #
-# The race pass (6) also carries the schedule's structural tests — the
+# The race pass (7) also carries the schedule's structural tests — the
 # sequential-driver oracle, overlap, the -par bound, no per-trace barrier,
 # failure, panic and cancellation (internal/harness/schedule_test.go).
 #
@@ -91,6 +95,7 @@ step go run ./cmd/nmlint ./...
 step go run ./cmd/nmlint -escape-check ./...
 step go vet ./...
 step go test ./...
+step env GOARCH=386 CGO_ENABLED=0 go test ./...
 step go test -race -short ./...
 step go test -run='^TestChaosInterruptResume$' -short -count=1 ./internal/harness
 step go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/trace
