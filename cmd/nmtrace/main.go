@@ -64,20 +64,20 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  nmtrace record  -alg {gnusort|nmsort|nmsort-dma|nmsort-scatter} [-n keys] [-cores n] [-sp MiB] [-seed s] -o file
+  nmtrace record  -alg {%s} [-n keys] [-cores n] [-sp MiB] [-seed s] -o file
   nmtrace convert -i file -o file [-to v2|v3]
   nmtrace replay  -i file [-cores n] [-near channels] [-sp MiB]
   nmtrace info    -i file
   nmtrace stat    -i file
   nmtrace check   file.trace.json [more.trace.json ...]
-`)
+`, strings.Join(harness.AlgorithmNames(), "|"))
 	os.Exit(2)
 }
 
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	alg := fs.String("alg", "nmsort", "algorithm to record")
-	n := fs.Int("n", 1<<20, "keys to sort")
+	n := fs.Int("n", 1<<20, "keys to sort (points, for k-means)")
 	cores := fs.Int("cores", 256, "logical threads")
 	spMiB := fs.Int("sp", 4, "scratchpad capacity in MiB")
 	seed := fs.Uint64("seed", 2015, "input seed")
@@ -96,7 +96,7 @@ func record(args []string) {
 	fmt.Printf("recorded %s: %d threads, %d ops, %d bytes (%.1f bits/op)\n",
 		*alg, res.Trace.Threads(), res.Trace.Ops(), nBytes,
 		8*float64(nBytes)/float64(res.Trace.Ops()))
-	c := res.Counts
+	c := res.Trace.Count()
 	fmt.Printf("L1-filtered lines: far %d (r %d / w %d), near %d (r %d / w %d), atomics %d\n",
 		c.Far(), c.FarReads, c.FarWrites, c.Near(), c.NearReads, c.NearWrites, c.Atomics)
 }

@@ -18,9 +18,6 @@ import (
 // equal workloads record byte-identical traces, and the digest-checked
 // on-disk copy replays identically to a fresh recording.
 //
-// Only the trace is persisted. Counts are rebuilt from the trace on load
-// and Sorted is implied (Record never caches an unsorted result).
-//
 // Safe for concurrent use: lookups only read, and completions write via
 // an atomic temp-file rename, so a torn write can never be observed. Two
 // processes racing the same key converge on identical bytes.
@@ -48,10 +45,9 @@ func (c *DiskRecordCache) path(alg Algorithm, w Workload) string {
 // LookupRecord implements RecordCache: it opens the key's .nmt3 file. A
 // missing, unreadable, or invalid file is a miss — the caller re-records and
 // overwrites — and so is one another process truncates under the walk
-// (validateMapped). A hit is replayed from its mapping, never decoded; the
-// one validation walk also yields its counts. The mapping lives as long as
-// anything can reach the returned trace (a cursor included) and is released
-// by trace.Open's finalizer after that.
+// (validateMapped). A hit is replayed from its mapping, never decoded. The
+// mapping lives as long as anything can reach the returned trace (a cursor
+// included) and is released by trace.Open's finalizer after that.
 func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult, bool) {
 	path := c.path(alg, w) + ".nmt3"
 	col, err := trace.Open(path)
@@ -65,7 +61,7 @@ func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult,
 		col.Close()
 		return RecordResult{}, false
 	}
-	return RecordResult{Trace: col.AsTrace(), Sorted: true, Counts: col.Count()}, true
+	return RecordResult{Trace: col.AsTrace()}, true
 }
 
 // validateMapped is ValidatePar(par.Each) over what may be a MAP_SHARED

@@ -6,7 +6,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -34,7 +36,8 @@ var (
 	ScaledL2 units.Bytes = 32 * units.KiB
 )
 
-// Algorithm selects which sort to record.
+// Algorithm names a recordable program: a sort, a k-means variant, or the
+// PEM sort.
 type Algorithm string
 
 // The algorithms under study.
@@ -45,16 +48,19 @@ const (
 	AlgNMScatter Algorithm = "nmsort-scatter" // ablation A1: per-bucket small appends, no metadata batching
 	AlgParSort   Algorithm = "parsort"        // the Theorem 10 recursive parallel scratchpad sort
 	AlgGNUExact  Algorithm = "gnusort-exact"  // baseline with exact multisequence splitting
+	AlgKMeansFar Algorithm = "kmeans-far"     // §VII k-means, the point set in far memory
+	AlgKMeansSP  Algorithm = "kmeans-sp"      // §VII k-means, the point set pinned in the scratchpad
+	AlgPEM       Algorithm = "pem"            // Theorem 8: PEM sort of scratchpad-resident keys
 )
 
-// Workload describes one sorting experiment.
+// Workload describes one recording, and how the sweeps built on it replay.
 type Workload struct {
-	N       int           // keys to sort
-	Seed    uint64        // input generation seed
+	N       int           // keys to sort (points to cluster, for k-means)
+	Seed    uint64        // input generation seed (pivot seed, for PEM)
 	Threads int           // logical threads (= simulated cores used)
 	SP      units.Bytes   // scratchpad capacity M
 	Buckets int           // NMsort bucket count override (0 = automatic)
-	Dist    workload.Dist // key distribution ("" = uniform, the paper's)
+	Dist    workload.Dist // key distribution of the sorts ("" = uniform, the paper's)
 
 	// MaxEvents bounds each replay's event count (the engine's
 	// runaway-schedule guard); 0 means machine.DefaultEventBudget.
@@ -75,13 +81,11 @@ type Workload struct {
 	Sup *Supervisor
 }
 
-// RecordResult is one recorded algorithm run. Trace is a handle over sealed
-// v3 columns — fresh from the recorder's builder or mapped from a cache file —
-// which replay in place.
+// RecordResult is one recorded algorithm run — made only once its program
+// checked its own output — and is its trace: sealed v3 columns, fresh from the
+// recorder's builder or mapped from a cache file, that replay in place.
 type RecordResult struct {
-	Trace  *trace.Trace
-	Sorted bool
-	Counts trace.LevelCounts
+	Trace *trace.Trace
 }
 
 // RecordKey normalizes a workload for Record memoization: only the fields
@@ -121,51 +125,76 @@ func record(alg Algorithm, w Workload) (RecordResult, bool, error) {
 	return sup.record(alg, w)
 }
 
-// recordNative runs the algorithm under instrumentation: the recording
-// itself, with no memo or cache in front of it.
-func recordNative(alg Algorithm, w Workload) (res RecordResult, err error) {
-	rec := trace.NewRecorder(w.Threads, ScaledL1, trace.DefaultCosts())
-	env := core.NewEnv(w.Threads, w.SP, rec, w.Seed)
-	a := env.AllocFar(w.N)
-	dist := w.Dist
-	if dist == "" {
-		dist = workload.Uniform
-	}
-	workload.Fill(a.D, dist, w.Seed^0xDA7A)
-	sum := core.Checksum(a.D)
+// A program is one recordable algorithm. run, on an Env whose recorder and
+// seed come from w, allocates its own input (in an order that is part of the
+// trace's bytes), runs, checks its own output, and refuses a w it cannot run.
+type program struct {
+	alg Algorithm
+	run func(env *core.Env, w Workload) error
+}
 
-	switch alg {
-	case AlgGNUSort:
-		core.GNUSort(env, a)
-	case AlgNMSort:
-		core.NMSort(env, a, core.NMOptions{Buckets: w.Buckets})
-	case AlgNMSortDM:
-		core.NMSort(env, a, core.NMOptions{Buckets: w.Buckets, DMA: true})
-	case AlgNMScatter:
-		core.NMSortSmallAppends(env, a, core.NMOptions{Buckets: w.Buckets})
-	case AlgParSort:
-		core.ParScratchpadSort(env, a, core.SeqOptions{})
-	case AlgGNUExact:
-		core.GNUSortOpt(env, a, core.GNUOptions{Exact: true})
-	default:
+// programs is every recordable algorithm, in the order usage text lists them.
+var programs = []program{
+	{AlgGNUSort, sorting(func(e *core.Env, a trace.U64, _ Workload) { core.GNUSort(e, a) })},
+	{AlgNMSort, sorting(func(e *core.Env, a trace.U64, w Workload) { core.NMSort(e, a, core.NMOptions{Buckets: w.Buckets}) })},
+	{AlgNMSortDM, sorting(func(e *core.Env, a trace.U64, w Workload) {
+		core.NMSort(e, a, core.NMOptions{Buckets: w.Buckets, DMA: true})
+	})},
+	{AlgNMScatter, sorting(func(e *core.Env, a trace.U64, w Workload) {
+		core.NMSortSmallAppends(e, a, core.NMOptions{Buckets: w.Buckets})
+	})},
+	{AlgParSort, sorting(func(e *core.Env, a trace.U64, _ Workload) { core.ParScratchpadSort(e, a, core.SeqOptions{}) })},
+	{AlgGNUExact, sorting(func(e *core.Env, a trace.U64, _ Workload) { core.GNUSortOpt(e, a, core.GNUOptions{Exact: true}) })},
+	{AlgKMeansFar, clustering(false)},
+	{AlgKMeansSP, clustering(true)},
+	{AlgPEM, pemSort},
+}
+
+// AlgorithmNames returns the recordable algorithms' names in table order.
+func AlgorithmNames() (names []string) {
+	for _, p := range programs {
+		names = append(names, string(p.alg))
+	}
+	return names
+}
+
+// sorting is the run of one sort: w.N far-memory keys drawn from w.Dist,
+// seeded from w.Seed, sorted in place, in order and a permutation after.
+func sorting(sort func(env *core.Env, a trace.U64, w Workload)) func(*core.Env, Workload) error {
+	return func(env *core.Env, w Workload) error {
+		a := env.AllocFar(w.N)
+		workload.Fill(a.D, w.Dist, w.Seed^0xDA7A)
+		sum := core.Checksum(a.D)
+		sort(env, a, w)
+		if !core.IsSorted(a.D) || core.Checksum(a.D) != sum {
+			return errors.New("corrupted its input")
+		}
+		return nil
+	}
+}
+
+// recordNative runs the algorithm's program under instrumentation: the
+// recording itself, with no memo or cache in front of it, and the one place a
+// trace that is replayed gets recorded.
+func recordNative(alg Algorithm, w Workload) (RecordResult, error) {
+	i := slices.IndexFunc(programs, func(p program) bool { return p.alg == alg })
+	if i < 0 {
 		return RecordResult{}, fmt.Errorf("harness: unknown algorithm %q", alg)
 	}
-
-	res.Sorted = core.IsSorted(a.D) && core.Checksum(a.D) == sum
-	if !res.Sorted {
-		return res, fmt.Errorf("harness: %s corrupted its input", alg)
+	rec := trace.NewRecorder(w.Threads, ScaledL1, trace.DefaultCosts())
+	if err := programs[i].run(core.NewEnv(w.Threads, w.SP, rec, w.Seed), w); err != nil {
+		return RecordResult{}, fmt.Errorf("harness: %s %w", alg, err)
 	}
 	// Seal and validate on every host CPU: both are per-thread walks, and
-	// together they are the only O(ops) work left between the sort and the
+	// together they are the only O(ops) work left between the program and the
 	// first replay (the counts were tallied as the ops were emitted; the
 	// digest rides the validation walk, so cell keys, the trace cache and
 	// the daemon's store find it already there).
-	res.Trace = rec.FinishPar(par.Each)
-	if err := res.Trace.Columns().ValidatePar(par.Each); err != nil {
-		return res, fmt.Errorf("harness: invalid trace: %w", err)
+	tr := rec.FinishPar(par.Each)
+	if err := tr.Columns().ValidatePar(par.Each); err != nil {
+		return RecordResult{}, fmt.Errorf("harness: invalid trace: %w", err)
 	}
-	res.Counts = res.Trace.Count()
-	return res, nil
+	return RecordResult{Trace: tr}, nil
 }
 
 // NodeFor builds the simulated node: the Figure 4 machine with the given

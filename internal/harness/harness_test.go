@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -8,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -19,6 +23,20 @@ func tinyWorkload() Workload {
 	return Workload{N: 1 << 13, Seed: 7, Threads: 16, SP: 64 * units.KiB}
 }
 
+// smallKMeans is the kmeans row's workload at test size, with w's replay
+// knobs copied in as the row copies them; the row itself pins 2^18 points.
+func smallKMeans(w Workload) Workload {
+	return Workload{N: 1 << 11, Seed: 31, Threads: 8, SP: 256 * units.KiB, MaxEvents: w.MaxEvents, Par: w.Par, Sup: w.Sup}
+}
+
+// runRow runs registry row e on w, the kmeans row on smallKMeans(w).
+func runRow(e Experiment, p ExperimentParams, w Workload) (Output, error) {
+	if e.Name == "kmeans" {
+		return KMeansSweep(smallKMeans(w))
+	}
+	return e.Run(p, w)
+}
+
 func TestRecordAlgorithms(t *testing.T) {
 	w := tinyWorkload()
 	for _, alg := range []Algorithm{AlgGNUSort, AlgNMSort, AlgNMSortDM} {
@@ -26,21 +44,40 @@ func TestRecordAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if !r.Sorted {
-			t.Errorf("%s: output not sorted", alg)
-		}
 		if r.Trace.Ops() == 0 {
 			t.Errorf("%s: empty trace", alg)
 		}
 	}
 }
 
+// TestRecordRejectsBadInput: nmtrace record and /v1/traces/record reach
+// every program, so a workload none can run, or the named one cannot, is an
+// error saying why — never a panic — and the edge a program can run records.
 func TestRecordRejectsBadInput(t *testing.T) {
-	if _, err := Record(AlgGNUSort, Workload{N: -1, Threads: 4, SP: units.KiB}); err == nil {
-		t.Error("expected error for negative N")
-	}
-	if _, err := Record(Algorithm("bogus"), tinyWorkload()); err == nil {
-		t.Error("expected error for unknown algorithm")
+	for _, c := range []struct {
+		alg  Algorithm
+		n    int
+		sp   units.Bytes
+		want string // "" = records
+	}{
+		{AlgGNUSort, -1, units.KiB, "harness: bad workload (n -1"},
+		{"bogus", 1 << 10, units.KiB, `harness: unknown algorithm "bogus"`},
+		{AlgKMeansFar, 0, units.KiB, "harness: kmeans-far needs at least one point"},
+		{AlgKMeansFar, 1, units.KiB, ""},
+		{AlgKMeansSP, 33, units.KiB, "harness: kmeans-sp cannot pin n = 33 points of 4 dims (1056B) in a 1KiB scratchpad"},
+		{AlgKMeansSP, 32, units.KiB, ""},
+		{AlgKMeansSP, 31, 1000, "cannot pin n = 31 points"}, // 992 bytes, but the allocator hands out whole lines
+		{AlgPEM, 3, units.KiB, "harness: pem needs a key per thread (n = 3, threads 4)"},
+		{AlgPEM, 65, units.KiB, "harness: pem cannot hold n = 65 keys and their sorted copy (1040B) in a 1KiB scratchpad"},
+		{AlgPEM, 64, units.KiB, ""},
+	} {
+		_, err := Record(c.alg, Workload{N: c.n, Seed: 5, Threads: 4, SP: c.sp})
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s, n = %d, sp %v: %v", c.alg, c.n, c.sp, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s, n = %d, sp %v: err = %v, want one saying %q", c.alg, c.n, c.sp, err, c.want)
+		}
 	}
 }
 
@@ -74,8 +111,8 @@ func TestRecordDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Counts != b.Counts {
-		t.Errorf("traces differ: %+v vs %+v", a.Counts, b.Counts)
+	if a.Trace.Count() != b.Trace.Count() {
+		t.Errorf("traces differ: %+v vs %+v", a.Trace.Count(), b.Trace.Count())
 	}
 	if a.Trace.Ops() != b.Trace.Ops() {
 		t.Errorf("op counts differ: %d vs %d", a.Trace.Ops(), b.Trace.Ops())
@@ -243,7 +280,7 @@ func TestRecordExtendedAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if !r.Sorted || r.Trace.Ops() == 0 {
+		if r.Trace.Ops() == 0 {
 			t.Errorf("%s: bad record result", alg)
 		}
 	}
@@ -307,22 +344,16 @@ func TestRecordAllDistributions(t *testing.T) {
 	for _, d := range workload.All() {
 		w.Dist = d
 		for _, alg := range []Algorithm{AlgGNUSort, AlgGNUExact, AlgNMSort, AlgParSort} {
-			r, err := Record(alg, w)
-			if err != nil {
+			// A recording exists only once its sort checked its output.
+			if _, err := Record(alg, w); err != nil {
 				t.Fatalf("%s/%s: %v", alg, d, err)
-			}
-			if !r.Sorted {
-				t.Errorf("%s/%s: not sorted", alg, d)
 			}
 		}
 	}
 }
 
 func TestKMeansSweepShape(t *testing.T) {
-	w := DefaultKMeans()
-	w.Points = 1 << 11
-	w.Th = 8
-	w.Iters = 4
+	w := smallKMeans(Workload{})
 	s, err := KMeansSweep(w)
 	if err != nil {
 		t.Fatal(err)
@@ -333,11 +364,11 @@ func TestKMeansSweepShape(t *testing.T) {
 	// Far variant must be rho-insensitive (measured on three real replays);
 	// scratchpad variant must never slow down with added channels and must
 	// touch near memory.
-	farTr, _, err := RecordKMeans(w, false)
+	far, err := Record(AlgKMeansFar, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRhoInsensitive(t, farTr, w.Th, w.SP,
+	requireRhoInsensitive(t, far.Trace, w.Threads, w.SP,
 		[]machine.Result{s.Points[0].Result, s.Points[2].Result, s.Points[4].Result})
 	if s.Points[1].Result.NearAccesses == 0 {
 		t.Error("scratchpad k-means never touched near memory")
@@ -345,6 +376,80 @@ func TestKMeansSweepShape(t *testing.T) {
 	if s.Points[5].Result.SimTime > s.Points[1].Result.SimTime {
 		t.Errorf("more near bandwidth slowed scratchpad k-means: %v -> %v",
 			s.Points[1].Result.SimTime, s.Points[5].Result.SimTime)
+	}
+}
+
+// TestKMeansSweepHonoursMaxEvents: the kmeans row carries the event budget to
+// its cells like every other row, so a budget too small for any replay marks
+// all six.
+func TestKMeansSweepHonoursMaxEvents(t *testing.T) {
+	s, err := KMeansSweep(smallKMeans(Workload{MaxEvents: 1000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 0
+	for _, row := range s.Report().Rows {
+		if strings.HasSuffix(row[0], " [budget]") {
+			budget++
+		}
+	}
+	if budget != 6 || s.Failed() != 6 {
+		t.Errorf("%d [budget] rows, Failed() = %d; want 6 and 6:\n%s", budget, s.Failed(), s)
+	}
+}
+
+// TestEveryRecordingReachesTheRecordCache walks the registry. A row that
+// records, run twice, each time under a fresh supervisor on one -trace-cache
+// directory, finds every recording there the second time — each record stage
+// marked cached — and renders and checkpoints the same bytes as the first.
+func TestEveryRecordingReachesTheRecordCache(t *testing.T) {
+	params := ExperimentParams{CoreList: []int{8, 16}, FaultSeed: 41, FaultRates: []float64{1e-3, 2e-2}, Epoch: 5 * units.Microsecond}
+	var recording []string
+	for _, e := range Experiments {
+		dir := t.TempDir()
+		rc, err := NewDiskRecordCache(filepath.Join(dir, "traces"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(i int) (got rendered, records, cached int) {
+			path := filepath.Join(dir, fmt.Sprintf("manifest%d.json", i))
+			w := tinyWorkload()
+			w.Sup = &Supervisor{Records: rc, Cache: NewManifest(path), Timings: prof.NewStages()}
+			out, err := runRow(e, params, w)
+			if err != nil {
+				t.Fatalf("%s, run %d: %v", e.Name, i, err)
+			}
+			got.body = renderSweep(t, out)
+			if raw, err := os.ReadFile(path); err == nil {
+				got.manifest = string(raw)
+			}
+			for _, st := range w.Sup.Timings.Snapshot() {
+				if st.Kind == "record" {
+					records++
+					if reflect.DeepEqual(st.Marks, []string{"cached"}) {
+						cached++
+					}
+				}
+			}
+			return got, records, cached
+		}
+		first, records, _ := run(0)
+		if records == 0 {
+			continue
+		}
+		recording = append(recording, e.Name)
+		second, again, cached := run(1)
+		if again != records || cached != records {
+			t.Errorf("%s: the second run had %d record stages, %d cached; the first had %d", e.Name, again, cached, records)
+		}
+		if second != first {
+			t.Errorf("%s: the run from the trace cache differs\n got %+v\nwant %+v", e.Name, second, first)
+		}
+	}
+	for _, name := range []string{"kmeans", "pem"} {
+		if !slices.Contains(recording, name) {
+			t.Errorf("the %s row recorded nothing (rows that record: %v)", name, recording)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -138,6 +139,7 @@ func blockTransfers(_ ExperimentParams, w Workload) (Output, error) {
 		sp, ScaledL1.Capacity, rho),
 		"N", "far_lines", "near_lines", "scans", "model_far", "model_near")
 	for _, n := range sizes {
+		// Count-only, never replayed: the row reads SeqStats, not a Record.
 		rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
 		env := core.NewEnv(1, sp, rec, 99)
 		a := env.AllocFar(n)
@@ -203,6 +205,7 @@ func innerSort(_ ExperimentParams, w Workload) (Output, error) {
 	for _, x := range sizes {
 		var near [2]uint64
 		for i, quick := range []bool{false, true} {
+			// Count-only, never replayed: one thread probe, not a Record.
 			rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
 			env := core.NewEnv(1, units.Bytes(x)*24, rec, 3)
 			a := env.MustAllocSP(x)
@@ -247,34 +250,34 @@ func pemSweep(_ ExperimentParams, w Workload) (Output, error) {
 		cores := (p + 3) / 4 * 4
 		cfg := NodeFor(cores, 16, pemSP)
 		cfg.MaxEvents = w.MaxEvents
-		label := fmt.Sprintf("p'=%d", p)
-		jobs = append(jobs, replayJob{cfg: cfg, rec: pemRecording(label, p, w.N)})
-		points = append(points, SweepPoint{Label: label, Cores: cores, Rho: cfg.BandwidthExpansion()})
+		rec := recordingOf(AlgPEM, Workload{N: w.N, Seed: 3, Threads: p, SP: pemSP, Sup: w.Sup})
+		jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
+		points = append(points, SweepPoint{Label: fmt.Sprintf("p'=%d", p), Cores: cores, Rho: cfg.BandwidthExpansion()})
 	}
 	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
 }
 
-// pemRecording declares the recording of one PEM sort: n keys (seed 0) sorted
-// into the scratchpad by p threads, pivots seeded 3.
-func pemRecording(name string, p, n int) *recording {
-	return &recording{name: name, record: func() (*trace.Trace, bool, error) {
-		rec := trace.NewRecorder(p, ScaledL1, trace.DefaultCosts())
-		env := core.NewEnv(p, pemSP, rec, 3)
-		src := env.MustAllocSP(n)
-		dst := env.MustAllocSP(n)
-		sample := env.AllocFar(core.SampleLen(p))
-		sampleTmp := env.AllocFar(core.SampleLen(p))
-		xrand.New(0).Keys(src.D)
-		bar := par.NewBarrier(p)
-		ps := core.NewPMSort(p, src, dst, dst, sample, sampleTmp, bar)
-		par.RunPoison(p, rec, bar, ps.Run)
-		if !core.IsSorted(dst.D) {
-			return nil, false, fmt.Errorf("harness: pem: p'=%d not sorted", p)
-		}
-		tr := rec.FinishPar(par.Each)
-		if err := tr.Columns().ValidatePar(par.Each); err != nil {
-			return nil, false, fmt.Errorf("harness: pem trace invalid: %w", err)
-		}
-		return tr, false, nil
-	}}
+// pemSort is the run of the PEM sort: w.N keys (seed 0) in the scratchpad
+// sorted into a scratchpad copy by p′ = w.Threads threads, pivots seeded by
+// w.Seed. Every thread needs a key, and the keys and their copy must fit.
+func pemSort(env *core.Env, w Workload) error {
+	p, n := w.Threads, w.N
+	if n < p {
+		return fmt.Errorf("needs a key per thread (n = %d, threads %d)", n, p)
+	}
+	src, ok := env.AllocSP(n)
+	dst, okDst := env.AllocSP(n)
+	if !ok || !okDst {
+		return fmt.Errorf("cannot hold n = %d keys and their sorted copy (%v) in a %v scratchpad", n, units.Bytes(n)*16, w.SP)
+	}
+	sample := env.AllocFar(core.SampleLen(p))
+	sampleTmp := env.AllocFar(core.SampleLen(p))
+	xrand.New(0).Keys(src.D)
+	bar := par.NewBarrier(p)
+	ps := core.NewPMSort(p, src, dst, dst, sample, sampleTmp, bar)
+	par.RunPoison(p, env.Rec, bar, ps.Run)
+	if !core.IsSorted(dst.D) {
+		return errors.New("left its output unsorted")
+	}
+	return nil
 }

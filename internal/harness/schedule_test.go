@@ -112,14 +112,7 @@ func sweepCases(t *testing.T) []sweepCase {
 	for _, e := range Experiments { // the fault-free Table I is the registry's last row
 		e := e
 		cases = append(cases, sweepCase{e.Name, func(w Workload) (rendered, error) {
-			var out Output
-			var err error
-			if e.Name == "kmeans" {
-				// The registry entry pins DefaultKMeans' 2^18 points.
-				out, err = KMeansSweep(KMeansWorkload{Points: 1 << 11, Dims: 4, K: 4, Iters: 3, Seed: 31, Th: 8, SP: 256 * units.KiB, Par: w.Par, Sup: w.Sup})
-			} else {
-				out, err = e.Run(params, w)
-			}
+			out, err := runRow(e, params, w)
 			replays := -1
 			if s, ok := out.(Sweep); ok {
 				replays = s.Replays

@@ -153,12 +153,12 @@ func TestSharedReplaysMatchRealReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kw := KMeansWorkload{Points: 1 << 11, Dims: 4, K: 4, Iters: 3, Seed: 31, Th: 8, SP: 256 * units.KiB}
-	kmFar, _, err := RecordKMeans(kw, false)
+	kw := smallKMeans(Workload{})
+	kmFar, err := Record(AlgKMeansFar, kw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmSP, _, err := RecordKMeans(kw, true)
+	kmSP, err := Record(AlgKMeansSP, kw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSharedReplaysMatchRealReplays(t *testing.T) {
 	both := []func() *Supervisor{nil, supervised(0)}
 	batches := []batch{
 		{name: "bandwidth shape", jobs: on(w.Threads, paperNears(w.SP), nil, gnu.Trace, nm.Trace), sups: both, shared: 2},
-		{name: "kmeans shape", jobs: on(kw.Th, paperNears(kw.SP), nil, kmFar, kmSP), sups: both, shared: 2},
+		{name: "kmeans shape", jobs: on(kw.Threads, paperNears(kw.SP), nil, kmFar.Trace, kmSP.Trace), sups: both, shared: 2},
 		{name: "near differs in every field", jobs: on(w.Threads, oddNears(), nil, gnu.Trace), sups: both, shared: 2},
 		// Without a manifest only: with one the second cell finds the first
 		// under their common key before it can be filled.
@@ -286,34 +286,21 @@ func TestSharedReplaysMatchRealReplays(t *testing.T) {
 	}
 }
 
-// bandwidthJobs and kmeansJobs rebuild the job lists of the two registry
-// experiments that have alias cells, exactly as BandwidthSweep and
-// KMeansSweep build them, so the test can run the same cells through the
-// all-real pool.
-func bandwidthJobs(t *testing.T, w Workload) []replayJob {
+// bandwidthJobs rebuilds the job list of the two registry experiments that
+// have alias cells, bandwidth (gnusort, nmsort) and kmeans (kmeans-far,
+// kmeans-sp), exactly as overBandwidth builds it, so the test can run the
+// same cells through the all-real pool.
+func bandwidthJobs(t *testing.T, w Workload, control, variant Algorithm) []replayJob {
 	t.Helper()
-	gnu, err := Record(AlgGNUSort, w)
-	if err != nil {
-		t.Fatal(err)
+	traces := make([]*trace.Trace, 2)
+	for i, alg := range []Algorithm{control, variant} {
+		res, err := Record(alg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = res.Trace
 	}
-	nm, err := Record(AlgNMSort, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return onNodes(w.Threads, paperNears(w.SP), func(c *machine.Config) { c.MaxEvents = w.MaxEvents }, gnu.Trace, nm.Trace)
-}
-
-func kmeansJobs(t *testing.T, kw KMeansWorkload) []replayJob {
-	t.Helper()
-	farTr, _, err := RecordKMeans(kw, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spTr, _, err := RecordKMeans(kw, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return onNodes(kw.Th, paperNears(kw.SP), nil, farTr, spTr)
+	return onNodes(w.Threads, paperNears(w.SP), func(c *machine.Config) { c.MaxEvents = w.MaxEvents }, traces...)
 }
 
 // TestSharedSweepsMatchRealSweeps walks the experiment registry at tiny N,
@@ -324,7 +311,6 @@ func kmeansJobs(t *testing.T, kw KMeansWorkload) []replayJob {
 // all, so its bytes are the real path's by construction.
 func TestSharedSweepsMatchRealSweeps(t *testing.T) {
 	w := tinyWorkload()
-	kw := KMeansWorkload{Points: 1 << 11, Dims: 4, K: 4, Iters: 3, Seed: 31, Th: 8, SP: 256 * units.KiB}
 	params := ExperimentParams{CoreList: []int{8, 16}, FaultSeed: 41, FaultRates: []float64{1e-3, 2e-2}, Epoch: 5 * units.Microsecond}
 	pars := []int{1, 4}
 	if testing.Short() {
@@ -340,36 +326,25 @@ func TestSharedSweepsMatchRealSweeps(t *testing.T) {
 					gotSup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(filepath.Join(dir, "shared.json"))}
 					wantSup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(filepath.Join(dir, "real.json"))}
 				}
-				var s Sweep
-				var jobs []replayJob
-				var err error
-				switch e.Name {
-				case "kmeans":
-					// The registry entry pins DefaultKMeans' 2^18 points;
-					// the sweep behind it takes a tiny workload.
-					k := kw
-					k.Par, k.Sup = par, gotSup
-					s, err = KMeansSweep(k)
-					jobs = kmeansJobs(t, kw)
-				default:
-					pw := w
-					pw.Par, pw.Sup = par, gotSup
-					var out Output
-					if out, err = e.Run(params, pw); err == nil {
-						var ok bool
-						if s, ok = out.(Sweep); !ok {
-							// A table: no two of Table I's cells (table1's,
-							// codesign's) replay one trace near-blind, and
-							// the other tables replay nothing.
-							continue
-						}
-					}
-					if e.Name == "bandwidth" {
-						jobs = bandwidthJobs(t, w)
-					}
-				}
+				pw := w
+				pw.Par, pw.Sup = par, gotSup
+				out, err := runRow(e, params, pw)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				s, ok := out.(Sweep)
+				if !ok {
+					// A table: no two of Table I's cells (table1's,
+					// codesign's) replay one trace near-blind, and the
+					// other tables replay nothing.
+					continue
+				}
+				var jobs []replayJob
+				switch e.Name {
+				case "bandwidth":
+					jobs = bandwidthJobs(t, w, AlgGNUSort, AlgNMSort)
+				case "kmeans":
+					jobs = bandwidthJobs(t, smallKMeans(Workload{}), AlgKMeansFar, AlgKMeansSP)
 				}
 				if s.Failed() != 0 {
 					t.Fatalf("%s: %d failed cells", name, s.Failed())

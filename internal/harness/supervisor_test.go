@@ -54,7 +54,7 @@ func requireMachineRun(t *testing.T, name string, j replayJob, res machine.Resul
 // machine.Run's result for the cell's job.
 func TestSlicedSweepMatchesMachineRun(t *testing.T) {
 	w := tinyWorkload()
-	jobs := bandwidthJobs(t, w)
+	jobs := bandwidthJobs(t, w, AlgGNUSort, AlgNMSort)
 	for _, slice := range []uint64{0, 1 << 12} {
 		sw := w
 		sw.Sup = &Supervisor{Slice: slice}
@@ -223,7 +223,7 @@ func TestChaosInterruptResume(t *testing.T) {
 // seam: the bandwidth sweep's baseline cells are one replay and two fills, and
 // neither an interrupt nor a partial manifest may show it.
 func chaosSharedReplays(t *testing.T, w Workload, want string) {
-	jobs := bandwidthJobs(t, w)
+	jobs := bandwidthJobs(t, w, AlgGNUSort, AlgNMSort)
 	for i, label := range []string{"gnusort@2X", "nmsort@2X", "gnusort@4X", "nmsort@4X", "gnusort@8X", "nmsort@8X"} {
 		jobs[i].label = label
 	}

@@ -189,12 +189,20 @@ func PhaseTable(title string, total units.Time, phases []telemetry.PhaseUsage) *
 // (representatives); TestBandwidthSweep still measures all three.
 func BandwidthSweep(w Workload) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("Bandwidth sweep, N=%d keys, %d cores", w.N, w.Threads)}
+	return s.overBandwidth(w, AlgGNUSort, AlgNMSort)
+}
 
-	gnu, nm := recordingOf(AlgGNUSort, w), recordingOf(AlgNMSort, w)
+// overBandwidth records each algorithm on w and replays it at 2X/4X/8X near
+// bandwidth, node by node — the body of the bandwidth and k-means sweeps.
+func (s Sweep) overBandwidth(w Workload, algs ...Algorithm) (Sweep, error) {
+	recs := make([]*recording, len(algs))
+	for i, alg := range algs {
+		recs[i] = recordingOf(alg, w)
+	}
 	var jobs []replayJob
 	var points []SweepPoint // point metadata, parallel to jobs
 	for _, ch := range []int{8, 16, 32} {
-		for _, rec := range []*recording{gnu, nm} {
+		for _, rec := range recs {
 			cfg := NodeFor(w.Threads, ch, w.SP)
 			cfg.MaxEvents = w.MaxEvents
 			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
@@ -268,28 +276,30 @@ func AblationSmallAppends(w Workload, nearChannels int) (Sweep, error) {
 		}
 	}
 	s := Sweep{Title: fmt.Sprintf("Small-appends ablation, N=%d keys, %d cores, %dX, %d buckets", w.N, w.Threads, nearChannels/4, w.Buckets)}
-	return s.ablate(w, nearChannels, AlgNMSort, AlgNMScatter)
+	return s.onOneNode(w, nearChannels, nil, AlgNMSort, AlgNMScatter)
 }
 
 // AblationDMA compares NMsort with and without the §VII DMA engines at the
 // given bandwidth expansion (experiment A2).
 func AblationDMA(w Workload, nearChannels int) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("DMA ablation, N=%d keys, %d cores, %dX", w.N, w.Threads, nearChannels/4)}
-	return s.ablate(w, nearChannels, AlgNMSort, AlgNMSortDM)
+	return s.onOneNode(w, nearChannels, nil, AlgNMSort, AlgNMSortDM)
 }
 
-// ablate records each algorithm and replays them on identical nodes, as one
-// schedule — the shared body of the two ablation experiments.
-func (s Sweep) ablate(w Workload, nearChannels int, algs ...Algorithm) (Sweep, error) {
+// onOneNode records each algorithm and replays them on identical nodes,
+// each finished by tweak when it is non-nil, as one schedule — the shared
+// body of the two ablations and the timeline sweep.
+func (s Sweep) onOneNode(w Workload, nearChannels int, tweak func(*machine.Config), algs ...Algorithm) (Sweep, error) {
 	var jobs []replayJob
 	var points []SweepPoint
 	for _, alg := range algs {
 		cfg := NodeFor(w.Threads, nearChannels, w.SP)
 		cfg.MaxEvents = w.MaxEvents
+		if tweak != nil {
+			tweak(&cfg)
+		}
 		jobs = append(jobs, replayJob{cfg: cfg, rec: recordingOf(alg, w)})
-		points = append(points, SweepPoint{
-			Label: string(alg), Cores: w.Threads, Rho: float64(nearChannels) / 4,
-		})
+		points = append(points, SweepPoint{Label: string(alg), Cores: w.Threads, Rho: float64(nearChannels) / 4})
 	}
 	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
 }

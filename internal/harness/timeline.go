@@ -43,20 +43,8 @@ func RunTimeline(alg Algorithm, w Workload, nearChannels int, epoch units.Time, 
 func TimelineSweep(w Workload, nearChannels int, epoch units.Time) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("Timeline sweep, N=%d keys, %d cores, %dX near bandwidth, epoch %s",
 		w.N, w.Threads, nearChannels/4, epoch)}
-	var jobs []replayJob
-	var points []SweepPoint
-	for _, alg := range []Algorithm{AlgGNUSort, AlgNMSort} {
-		cfg := NodeFor(w.Threads, nearChannels, w.SP)
-		cfg.MaxEvents = w.MaxEvents
-		// Each point owns a private recorder (they are single-use, like
-		// machines), so telemetry-instrumented replays pool like any other.
-		cfg.Telemetry = telemetry.New(epoch)
-		jobs = append(jobs, replayJob{cfg: cfg, rec: recordingOf(alg, w)})
-		points = append(points, SweepPoint{
-			Label: string(alg),
-			Cores: w.Threads,
-			Rho:   float64(nearChannels) / 4,
-		})
-	}
-	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
+	// Each point owns a private recorder (they are single-use, like
+	// machines), so telemetry-instrumented replays pool like any other.
+	attach := func(cfg *machine.Config) { cfg.Telemetry = telemetry.New(epoch) }
+	return s.onOneNode(w, nearChannels, attach, AlgGNUSort, AlgNMSort)
 }

@@ -83,7 +83,10 @@ func GenerateClustered(pts Points, k int, seed uint64) [][]float64 {
 	for i := 0; i < n; i++ {
 		c := centers[i%k]
 		for j := 0; j < d; j++ {
-			pts.Set(nil, i, j, c[j]+gauss(rng)*10)
+			// An explicit float64() rounds the product, which forbids a fused
+			// multiply-add, so a trace is the same bytes on every GOARCH (the
+			// record caches' keys name none); lloyd's sums do the same.
+			pts.Set(nil, i, j, c[j]+float64(gauss(rng)*10))
 		}
 	}
 	return centers
@@ -178,7 +181,7 @@ func lloyd(e *core.Env, pts Points, cfg Config) Result {
 					var dist float64
 					for j := 0; j < d; j++ {
 						diff := pts.Get(tp, i, j) - cent[c][j]
-						dist += diff * diff
+						dist += float64(diff * diff)
 					}
 					tp.Compute(int64(d) * cfg.CyclesPerDim)
 					if dist < bestD {
@@ -216,7 +219,7 @@ func lloyd(e *core.Env, pts Points, cfg Config) Result {
 					}
 					for j := 0; j < d; j++ {
 						nc := sum[j] / float64(cnt)
-						moved += (nc - cent[c][j]) * (nc - cent[c][j])
+						moved += float64((nc - cent[c][j]) * (nc - cent[c][j]))
 						cent[c][j] = nc
 					}
 				}

@@ -46,7 +46,9 @@ func (p TrafficProfile) Speedup(rho float64) float64 {
 	if rho <= 0 {
 		panic("model: non-positive rho")
 	}
-	return p.BaseFar / (p.NMFar + p.NMNear/rho)
+	// float64(): with a constant rho the quotient is a product, and must not
+	// fuse into the sum on GOARCHes that have a multiply-add.
+	return p.BaseFar / (p.NMFar + float64(p.NMNear/rho))
 }
 
 // AsymptoticSpeedup returns the ρ→∞ limit of the speedup: the far-traffic

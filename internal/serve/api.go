@@ -24,8 +24,8 @@ type TraceInfo struct {
 // so the response digest is stable, and a repeat is answered from the
 // trace store while the trace is resident.
 type RecordRequest struct {
-	Alg     string `json:"alg"`               // harness.Algorithm name, e.g. "nmsort"
-	N       int    `json:"n"`                 // keys to sort
+	Alg     string `json:"alg"`               // one of harness.AlgorithmNames, e.g. "nmsort"
+	N       int    `json:"n"`                 // keys to sort (points, for k-means)
 	Seed    uint64 `json:"seed"`              // input seed
 	Threads int    `json:"threads"`           // logical threads (simulated cores)
 	SPMiB   int    `json:"sp_mib"`            // scratchpad capacity in MiB

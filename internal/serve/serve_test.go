@@ -294,7 +294,8 @@ func TestSweepTable1IsARegistryRow(t *testing.T) {
 
 // TestSweepRefusesASizeTheRowCannotUse: a paper row whose size axis cannot
 // take the request's n is refused with 422 and the row's reason, before any
-// recording (the store stays empty), and the daemon serves on.
+// recording (the store stays empty), and the daemon serves on — the row's
+// recordings then reach the store.
 func TestSweepRefusesASizeTheRowCannotUse(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	status, msg := postRaw(t, c, "/v1/sweeps", `{"exp":"pem","n":16,"cores":16,"sp_mib":1}`)
@@ -310,6 +311,10 @@ func TestSweepRefusesASizeTheRowCannotUse(t *testing.T) {
 	}
 	if _, _, err := c.Sweep(context.Background(), serve.SweepRequest{Exp: "pem", N: 64, Cores: 16, SPMiB: 1}); err != nil {
 		t.Fatalf("pem at n=64 after the refusal: %v", err)
+	}
+	// Its three recordings live in the store, like every row's.
+	if st, err := c.Stats(context.Background()); err != nil || st.Records != 3 || st.Traces != 3 {
+		t.Fatalf("after the pem row: %+v (err %v), want its 3 recordings in 3 traces", st, err)
 	}
 }
 
@@ -351,17 +356,41 @@ func TestSweepRefusesOutOfRangeFields(t *testing.T) {
 	}
 }
 
-// TestRecordRefusalIsStable: a bad record request is refused with a 400
-// whose body names the field and is the same bytes every time.
+// TestRecordRefusalIsStable: a record request is refused the same bytes every
+// time. A field out of range, or an algorithm outside the harness's one program
+// table, is a 400 before the gate; a workload its program cannot run — k-means
+// points that do not fit the scratchpad, a PEM sort without a key per thread
+// or without room for its copy — is the program's 422, never a dropped
+// connection. The refusals record nothing, and the daemon serves on.
 func TestRecordRefusalIsStable(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
-	const body = `{"alg":"nmsort","n":4096,"seed":7,"threads":6,"sp_mib":1}`
-	status, first := postRaw(t, c, "/v1/traces/record", body)
-	if status != http.StatusBadRequest || !strings.Contains(string(first), "threads (-cores) 6") {
-		t.Fatalf("status %d: %s, want 400 naming threads", status, first)
+	for _, tc := range []struct {
+		body   string
+		status int
+		says   string
+	}{
+		{`{"alg":"nmsort","n":4096,"seed":7,"threads":6,"sp_mib":1}`, http.StatusBadRequest, "threads (-cores) 6"},
+		{`{"alg":"bogus","n":4096,"threads":16,"sp_mib":1}`, http.StatusBadRequest, `unknown algorithm \"bogus\" (want one of: gnusort, `},
+		{`{"alg":"kmeans-sp","n":65536,"threads":16,"sp_mib":1}`, http.StatusUnprocessableEntity, "kmeans-sp cannot pin n = 65536 points"},
+		{`{"alg":"pem","n":65537,"threads":16,"sp_mib":1}`, http.StatusUnprocessableEntity, "pem cannot hold n = 65537 keys"},
+		{`{"alg":"pem","n":8,"threads":16,"sp_mib":1}`, http.StatusUnprocessableEntity, "pem needs a key per thread (n = 8, threads 16)"},
+	} {
+		status, first := postRaw(t, c, "/v1/traces/record", tc.body)
+		if status != tc.status || !strings.Contains(string(first), tc.says) {
+			t.Errorf("%s: status %d: %s, want %d saying %s", tc.body, status, first, tc.status, tc.says)
+		}
+		if _, second := postRaw(t, c, "/v1/traces/record", tc.body); !bytes.Equal(first, second) {
+			t.Errorf("%s: refused twice with different bodies:\n%s%s", tc.body, first, second)
+		}
 	}
-	if _, second := postRaw(t, c, "/v1/traces/record", body); !bytes.Equal(first, second) {
-		t.Errorf("refused twice with different bodies:\n%s%s", first, second)
+	ctx := context.Background()
+	if st, err := c.Stats(ctx); err != nil || st.Records != 0 || st.JobsDone != 0 {
+		t.Errorf("the refusals left %+v (err %v), want no recording and no job done", st, err)
+	}
+	for _, alg := range []string{"kmeans-sp", "pem"} {
+		if _, err := c.Record(ctx, serve.RecordRequest{Alg: alg, N: 4096, Seed: 7, Threads: 16, SPMiB: 1}); err != nil {
+			t.Errorf("%s after the refusals: %v", alg, err)
+		}
 	}
 }
 

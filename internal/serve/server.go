@@ -206,10 +206,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, traceInfo(d, src))
 }
 
-// handleRecord records an algorithm trace server-side and stores it.
-// Recording is replay-grade CPU work, so it passes the admission gate; the
-// store is the record cache, so a repeat finds the trace while it is
-// resident.
+// handleRecord records an algorithm trace server-side and stores it: a bad
+// field is a 400, and only then does the recording (replay-grade CPU work)
+// pass the admission gate; a workload its program refuses is a 422. The store
+// is the record cache, so a repeat finds the trace while it is resident.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var req RecordRequest
 	if !decodeBody(w, r, "record", &req) {
@@ -218,6 +218,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	dist, err := parseDist(req.Dist)
 	if err == nil {
 		err = cmp.Or(
+			oneOf("algorithm", req.Alg, harness.AlgorithmNames()),
 			nonNegative("n (-n)", req.N),
 			coreCount("threads (-cores)", req.Threads),
 			positive("sp_mib (-sp)", req.SPMiB),

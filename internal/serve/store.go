@@ -147,7 +147,7 @@ func (s *Store) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness
 	if !isTrace {
 		tr = src.(*trace.Columnar).AsTrace()
 	}
-	return harness.RecordResult{Trace: tr, Sorted: true, Counts: tr.Count()}, true
+	return harness.RecordResult{Trace: tr}, true
 }
 
 // CompleteRecord implements harness.RecordCache: it is Put, indexed under

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -39,8 +40,8 @@ func normalizeSweep(req SweepRequest) SweepRequest {
 // the daemon's 400 and the CLIs' usage error. A valid request may still be
 // refused by its row (a size axis that cannot use n); RunSweep returns that.
 func (r SweepRequest) Validate() error {
-	if _, ok := harness.FindExperiment(r.Exp); !ok {
-		return fmt.Errorf("unknown experiment %q (want one of: %s)", r.Exp, strings.Join(harness.ExperimentNames(), ", "))
+	if err := oneOf("experiment", r.Exp, harness.ExperimentNames()); err != nil {
+		return err
 	}
 	if _, err := report.ParseFormat(r.Format); err != nil {
 		return err
@@ -94,6 +95,15 @@ func coreCount(name string, v int) error {
 	return nil
 }
 
+// oneOf requires v to name an entry of a registry: an experiment, or a
+// program harness.Record runs.
+func oneOf(what, v string, names []string) error {
+	if !slices.Contains(names, v) {
+		return fmt.Errorf("unknown %s %q (want one of: %s)", what, v, strings.Join(names, ", "))
+	}
+	return nil
+}
+
 // faultRate requires a far-memory bit error rate in [0, 1] whose fault
 // profile validates.
 func faultRate(name string, seed uint64, v float64) error {
@@ -113,7 +123,7 @@ func parseDist(s string) (workload.Dist, error) {
 
 // Workload is the harness workload a valid request runs on, under sup. Dist
 // reaches every row that records a sort; kmeans and the model-side rows
-// ignore it.
+// (pem included) pin their own recordings and ignore it.
 func (r SweepRequest) Workload(sup *harness.Supervisor) harness.Workload {
 	d, _ := parseDist(r.Dist)
 	return harness.Workload{

@@ -144,36 +144,21 @@ func requireSealedRecording(t *testing.T, name string, tr *trace.Trace) {
 }
 
 // TestBuilderMatchesReferenceOnAlgorithms records every algorithm the
-// harness knows, and both k-means variants, and holds each recording to the
-// reference encoder.
+// harness knows — the sorts, both k-means variants and the PEM sort — and
+// holds each recording to the reference encoder.
 func TestBuilderMatchesReferenceOnAlgorithms(t *testing.T) {
-	w := harness.Workload{N: 1 << 12, Seed: 2015, Threads: 8, SP: 64 * units.KiB}
-	for _, alg := range []harness.Algorithm{
-		harness.AlgGNUSort, harness.AlgNMSort, harness.AlgNMSortDM,
-		harness.AlgNMScatter, harness.AlgParSort, harness.AlgGNUExact,
-	} {
+	w := harness.Workload{N: 1 << 12, Seed: 2015, Threads: 8, SP: 128 * units.KiB} // kmeans-sp pins 128KiB of points
+	for _, name := range harness.AlgorithmNames() {
+		alg := harness.Algorithm(name)
 		res, err := harness.Record(alg, w)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		requireSealedRecording(t, string(alg), res.Trace)
-		if res.Counts != res.Trace.Count() {
-			t.Fatalf("%s: RecordResult.Counts %+v != Trace.Count() %+v", alg, res.Counts, res.Trace.Count())
-		}
-		// Only the two far-memory baselines never reach the scratchpad.
-		if got, want := res.Trace.NearBlind(), alg == harness.AlgGNUSort || alg == harness.AlgGNUExact; got != want {
-			t.Fatalf("%s: NearBlind = %v, want %v", alg, got, want)
-		}
-	}
-	km := harness.KMeansWorkload{Points: 1 << 10, Dims: 4, K: 4, Iters: 2, Seed: 31, Th: 8, SP: 256 * units.KiB}
-	for _, scratch := range []bool{false, true} {
-		tr, _, err := harness.RecordKMeans(km, scratch)
-		if err != nil {
-			t.Fatalf("kmeans scratch=%v: %v", scratch, err)
-		}
-		requireSealedRecording(t, fmt.Sprintf("kmeans scratch=%v", scratch), tr)
-		if tr.NearBlind() == scratch {
-			t.Fatalf("kmeans scratch=%v: NearBlind = %v", scratch, tr.NearBlind())
+		requireSealedRecording(t, name, res.Trace)
+		// Only the far-memory baselines never reach the scratchpad.
+		far := alg == harness.AlgGNUSort || alg == harness.AlgGNUExact || alg == harness.AlgKMeansFar
+		if got := res.Trace.NearBlind(); got != far {
+			t.Fatalf("%s: NearBlind = %v, want %v", alg, got, far)
 		}
 	}
 }

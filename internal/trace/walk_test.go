@@ -100,24 +100,13 @@ func requireFusedWalk(t *testing.T, name string, src trace.Source) {
 // make, and the builder tests' generator — whose traces mostly fail
 // validation, on barriers — through requireFusedWalk.
 func TestFusedWalkMatchesSeparateWalks(t *testing.T) {
-	w := harness.Workload{N: 1 << 12, Seed: 2015, Threads: 8, SP: 64 * units.KiB}
-	for _, alg := range []harness.Algorithm{
-		harness.AlgGNUSort, harness.AlgNMSort, harness.AlgNMSortDM,
-		harness.AlgNMScatter, harness.AlgParSort, harness.AlgGNUExact,
-	} {
-		res, err := harness.Record(alg, w)
+	w := harness.Workload{N: 1 << 12, Seed: 2015, Threads: 8, SP: 128 * units.KiB} // kmeans-sp pins 128KiB of points
+	for _, name := range harness.AlgorithmNames() {
+		res, err := harness.Record(harness.Algorithm(name), w)
 		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		requireFusedWalk(t, string(alg), res.Trace)
-	}
-	km := harness.KMeansWorkload{Points: 1 << 10, Dims: 4, K: 4, Iters: 2, Seed: 31, Th: 8, SP: 256 * units.KiB}
-	for _, scratch := range []bool{false, true} {
-		tr, _, err := harness.RecordKMeans(km, scratch)
-		if err != nil {
-			t.Fatalf("kmeans scratch=%v: %v", scratch, err)
-		}
-		requireFusedWalk(t, fmt.Sprintf("kmeans scratch=%v", scratch), tr)
+		requireFusedWalk(t, name, res.Trace)
 	}
 	// A fresh recording, walked for the first time by each entry point.
 	for _, first := range []string{"Validate", "Digest", "WriteV2", "Verify"} {

@@ -102,7 +102,7 @@ func ParseTime(s string) (Time, error) {
 	if v < 0 || v != v || v > float64(1<<62)/float64(unit) {
 		return 0, fmt.Errorf("units: duration %q out of range", s)
 	}
-	return Time(v*float64(unit) + 0.5), nil
+	return Time(float64(v*float64(unit)) + 0.5), nil // float64(): no fused multiply-add on any GOARCH
 }
 
 // Hz is a clock frequency in cycles per second.

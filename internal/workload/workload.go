@@ -41,12 +41,13 @@ func Parse(s string) (Dist, error) {
 	return "", fmt.Errorf("workload: unknown distribution %q", s)
 }
 
-// Fill writes n keys of the distribution into dst using the seed.
+// Fill writes n keys of the distribution into dst using the seed; "" is
+// Uniform, the paper's.
 func Fill(dst []uint64, d Dist, seed uint64) {
 	rng := xrand.New(seed)
 	n := len(dst)
 	switch d {
-	case Uniform:
+	case Uniform, "":
 		rng.Keys(dst)
 	case Zipf:
 		z := newZipf(rng, 1.1, 1<<20)

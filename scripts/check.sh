@@ -15,6 +15,12 @@
 #                                     off): an int narrower than the int64
 #                                     it is read from must not slip past
 #                                     the trace readers
+#   6b. no fused multiply-add         the commands cross-compiled for arm64
+#                                     with -S: no FMADDD/FMSUBD/FNMADDD/
+#                                     FNMSUBD in a repro/ function, so a
+#                                     trace (k-means' floats) is the same
+#                                     bytes on every GOARCH — the record
+#                                     caches' keys do not name one
 #   7. go test -race -short ./...     race detector over the short suite
 #                                     (incl. the shared-replay differentials,
 #                                     TestShared*: every cell a sweep fills
@@ -90,12 +96,27 @@ step() {
 	"$@"
 }
 
+# no_fma fails on any fused multiply-add the compiler emits for repro/ code on
+# arm64; an explicit float64() around the product is the fix.
+no_fma() {
+	local asm
+	if ! asm=$(GOARCH=arm64 go build -o /dev/null -gcflags='repro/...=-S' ./cmd/... 2>&1); then
+		echo "$asm" >&2
+		return 1
+	fi
+	if grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$asm"; then
+		echo "fused multiply-add in repro/ code on arm64: round the product with float64()" >&2
+		return 1
+	fi
+}
+
 step go build ./...
 step go run ./cmd/nmlint ./...
 step go run ./cmd/nmlint -escape-check ./...
 step go vet ./...
 step go test ./...
 step env GOARCH=386 CGO_ENABLED=0 go test ./...
+step no_fma
 step go test -race -short ./...
 step go test -run='^TestChaosInterruptResume$' -short -count=1 ./internal/harness
 step go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/trace
