@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -122,40 +120,6 @@ func TestRunSmall(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "NMsort") {
 		t.Errorf("output missing NMsort rows:\n%s", b.String())
-	}
-}
-
-// TestRunRemoteMatchesLocal is the client-parity check: the same flags
-// through -server against an in-process nmsimd stack print the same bytes
-// as the local path.
-func TestRunRemoteMatchesLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full replay")
-	}
-	hs := httptest.NewServer(serve.New(serve.Config{}).Handler())
-	defer hs.Close()
-	args := []string{"-n", "4096", "-cores", "8", "-sp", "1", "-seed", "7"}
-	var local, remote strings.Builder
-	for _, pass := range []struct {
-		extra []string
-		out   *strings.Builder
-	}{
-		{nil, &local},
-		{[]string{"-server", hs.URL}, &remote},
-	} {
-		o, _, err := parseFlags(append(args, pass.extra...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := o.validate(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := run(context.Background(), o, pass.out); err != nil {
-			t.Fatalf("run(%v): %v", pass.extra, err)
-		}
-	}
-	if local.String() != remote.String() {
-		t.Fatalf("remote table differs from local:\n--- local\n%s\n--- remote\n%s", local.String(), remote.String())
 	}
 }
 

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -11,7 +8,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -171,20 +167,6 @@ func TestTable1Shape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTable1Deterministic(t *testing.T) {
-	a, err := Table1Faults(tinyWorkload(), false, fault.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Table1Faults(tinyWorkload(), false, fault.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("Table1 not deterministic:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
 
@@ -395,61 +377,6 @@ func TestKMeansSweepHonoursMaxEvents(t *testing.T) {
 	}
 	if budget != 6 || s.Failed() != 6 {
 		t.Errorf("%d [budget] rows, Failed() = %d; want 6 and 6:\n%s", budget, s.Failed(), s)
-	}
-}
-
-// TestEveryRecordingReachesTheRecordCache walks the registry. A row that
-// records, run twice, each time under a fresh supervisor on one -trace-cache
-// directory, finds every recording there the second time — each record stage
-// marked cached — and renders and checkpoints the same bytes as the first.
-func TestEveryRecordingReachesTheRecordCache(t *testing.T) {
-	params := ExperimentParams{CoreList: []int{8, 16}, FaultSeed: 41, FaultRates: []float64{1e-3, 2e-2}, Epoch: 5 * units.Microsecond}
-	var recording []string
-	for _, e := range Experiments {
-		dir := t.TempDir()
-		rc, err := NewDiskRecordCache(filepath.Join(dir, "traces"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(i int) (got rendered, records, cached int) {
-			path := filepath.Join(dir, fmt.Sprintf("manifest%d.json", i))
-			w := tinyWorkload()
-			w.Sup = &Supervisor{Records: rc, Cache: NewManifest(path), Timings: prof.NewStages()}
-			out, err := runRow(e, params, w)
-			if err != nil {
-				t.Fatalf("%s, run %d: %v", e.Name, i, err)
-			}
-			got.body = renderSweep(t, out)
-			if raw, err := os.ReadFile(path); err == nil {
-				got.manifest = string(raw)
-			}
-			for _, st := range w.Sup.Timings.Snapshot() {
-				if st.Kind == "record" {
-					records++
-					if reflect.DeepEqual(st.Marks, []string{"cached"}) {
-						cached++
-					}
-				}
-			}
-			return got, records, cached
-		}
-		first, records, _ := run(0)
-		if records == 0 {
-			continue
-		}
-		recording = append(recording, e.Name)
-		second, again, cached := run(1)
-		if again != records || cached != records {
-			t.Errorf("%s: the second run had %d record stages, %d cached; the first had %d", e.Name, again, cached, records)
-		}
-		if second != first {
-			t.Errorf("%s: the run from the trace cache differs\n got %+v\nwant %+v", e.Name, second, first)
-		}
-	}
-	for _, name := range []string{"kmeans", "pem"} {
-		if !slices.Contains(recording, name) {
-			t.Errorf("the %s row recorded nothing (rows that record: %v)", name, recording)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,7 +51,8 @@ type manifestEntry struct {
 	Cell   CellOutcome `json:"cell"`
 }
 
-// manifestFile is the on-disk layout. CRC covers the marshaled entries.
+// manifestFile is the on-disk layout. CRC covers the marshaled entries: the
+// cells array with its whitespace compacted away.
 type manifestFile struct {
 	Version int             `json:"version"`
 	Cells   []manifestEntry `json:"cells"`
@@ -78,7 +80,10 @@ func NewManifest(path string) *Manifest {
 // manifest bound to the path (resuming a sweep that never checkpointed is
 // just a fresh run); a present-but-unverifiable file yields an error
 // wrapping ErrManifestCorrupt — resuming from it would silently produce a
-// report that matches nothing.
+// report that matches nothing. The checksum is verified over the cells as
+// they were written, not as this build would marshal them, so a cell that
+// lacks a field machine.Result has gained since, or carries one it has lost,
+// still verifies.
 func OpenManifest(path string) (*Manifest, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -87,22 +92,30 @@ func OpenManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: reading manifest %s: %w", path, err)
 	}
-	var f manifestFile
+	var f struct {
+		Version int             `json:"version"`
+		Cells   json.RawMessage `json:"cells"`
+		CRC     string          `json:"crc64"`
+	}
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrManifestCorrupt, path, err)
 	}
 	if f.Version != manifestVersion {
 		return nil, fmt.Errorf("%w: %s: version %d, want %d", ErrManifestCorrupt, path, f.Version, manifestVersion)
 	}
-	sum, err := cellsCRC(f.Cells)
-	if err != nil {
+	var cells bytes.Buffer
+	if err := json.Compact(&cells, f.Cells); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrManifestCorrupt, path, err)
 	}
-	if sum != f.CRC {
+	if sum := checksum(cells.Bytes()); sum != f.CRC {
 		return nil, fmt.Errorf("%w: %s: checksum %s, want %s", ErrManifestCorrupt, path, f.CRC, sum)
 	}
+	var entries []manifestEntry
+	if err := json.Unmarshal(f.Cells, &entries); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrManifestCorrupt, path, err)
+	}
 	m := NewManifest(path)
-	for _, e := range f.Cells {
+	for _, e := range entries {
 		var k CellKey
 		k.Trace, err = strconv.ParseUint(e.Trace, 16, 64)
 		if err != nil {
@@ -150,14 +163,9 @@ func (m *Manifest) Flush() error {
 	return m.writeLocked()
 }
 
-// cellsCRC checksums the marshaled cells — the integrity seal the loader
-// verifies.
-func cellsCRC(cells []manifestEntry) (string, error) {
-	raw, err := json.Marshal(cells)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%016x", crc64.Checksum(raw, cellCRCTable)), nil
+// checksum is the integrity seal of a manifest's compact cells array.
+func checksum(cells []byte) string {
+	return fmt.Sprintf("%016x", crc64.Checksum(cells, cellCRCTable))
 }
 
 // writeLocked marshals the manifest (cells sorted by key for a stable
@@ -177,11 +185,11 @@ func (m *Manifest) writeLocked() error {
 		}
 		return entries[i].Config < entries[j].Config
 	})
-	sum, err := cellsCRC(entries)
+	cells, err := json.Marshal(entries)
 	if err != nil {
 		return fmt.Errorf("harness: marshaling manifest: %w", err)
 	}
-	raw, err := json.MarshalIndent(manifestFile{Version: manifestVersion, Cells: entries, CRC: sum}, "", "  ")
+	raw, err := json.MarshalIndent(manifestFile{Version: manifestVersion, Cells: entries, CRC: checksum(cells)}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("harness: marshaling manifest: %w", err)
 	}

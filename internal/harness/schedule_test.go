@@ -123,16 +123,13 @@ func sweepCases(t *testing.T) []sweepCase {
 	return cases
 }
 
-// renderCase runs one case under a nil supervisor, or, supervised, under a
-// manifest and retries.
-func renderCase(t *testing.T, c sweepCase, supervised bool, par int) rendered {
+// renderCase runs one case supervised, under a manifest and retries.
+func renderCase(t *testing.T, c sweepCase, par int) rendered {
 	t.Helper()
 	w := tinyWorkload()
 	w.Par = par
 	path := filepath.Join(t.TempDir(), "manifest.json")
-	if supervised {
-		w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(path)}
-	}
+	w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(path)}
 	r, err := c.run(w)
 	if err != nil {
 		r.err = err.Error()
@@ -145,32 +142,18 @@ func renderCase(t *testing.T, c sweepCase, supervised bool, par int) rendered {
 
 // TestScheduleMatchesSequentialDriver: Table I, Table I under faults, and
 // every registry experiment leave the same text, CSV, manifest file (so the
-// same cell keys), replay count and error as the record-then-pool oracle, at
-// every worker count and host width.
+// same cell keys), replay count and error on four replay lanes as the
+// record-then-pool oracle, supervised with a manifest and retries. The -par
+// and GOMAXPROCS axes of the committed bytes are TestRows' (root package).
 func TestScheduleMatchesSequentialDriver(t *testing.T) {
-	type point struct{ par, procs int }
-	matrix := []point{{1, 1}, {2, 1}, {8, 1}, {1, 4}, {2, 4}, {8, 4}}
-	sups := []bool{false, true}
-	if testing.Short() {
-		matrix, sups = []point{{1, 4}, {8, 1}}, []bool{true}
-	}
 	for _, c := range sweepCases(t) {
-		for _, supervised := range sups {
-			var want rendered
-			withDriver(recordThenPool, func() { want = renderCase(t, c, supervised, 1) })
-			if want.body == "" && want.err == "" {
-				t.Fatalf("%s: the oracle rendered nothing", c.name)
-			}
-			for _, m := range matrix {
-				func() {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(m.procs))
-					got := renderCase(t, c, supervised, m.par)
-					if got != want {
-						t.Errorf("%s, supervised=%v, par %d, GOMAXPROCS %d: differs from the sequential driver\n got %+v\nwant %+v",
-							c.name, supervised, m.par, m.procs, got, want)
-					}
-				}()
-			}
+		var want rendered
+		withDriver(recordThenPool, func() { want = renderCase(t, c, 1) })
+		if want.body == "" && want.err == "" {
+			t.Fatalf("%s: the oracle rendered nothing", c.name)
+		}
+		if got := renderCase(t, c, 4); got != want {
+			t.Errorf("%s: differs from the sequential driver\n got %+v\nwant %+v", c.name, got, want)
 		}
 	}
 }
@@ -597,7 +580,7 @@ func TestTimingsChangeNoByte(t *testing.T) {
 		s, err := BandwidthSweep(w)
 		return rendered{body: renderSweep(t, s), replays: s.Replays}, err
 	}}
-	want := renderCase(t, c, true, 2)
+	want := renderCase(t, c, 2)
 
 	w := tinyWorkload()
 	w.Par = 2

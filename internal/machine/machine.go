@@ -178,9 +178,8 @@ type Result struct {
 	// event, gaps fused into the stall behind them, and drain markers folded
 	// into the engine's horizon. Events+Elided is that model's event count.
 	// Like Events it is a diagnostic, never rendered in a report. It is
-	// omitted from JSON when zero so that a checkpoint manifest written
-	// before the field existed still re-marshals to the bytes its checksum
-	// covers, and resumes.
+	// omitted from JSON when zero, so a checkpoint manifest cell without
+	// elided events is written as it was before the field existed.
 	Elided uint64 `json:"elided,omitempty"`
 
 	// Phases attributes memory traffic to the algorithm phases the trace

@@ -169,7 +169,8 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 // digest: the store is content-addressed by the footer's digest claim, so a
 // forged footer could otherwise poison the cache entry of a different trace.
 // Verify's walk validates as it goes, so the Validate after it is a lookup;
-// it runs on the handler's goroutine — one request, one CPU.
+// it runs on the handler's goroutine — one request, one CPU. A trace larger
+// than the whole store budget is a 507, and nothing resident is evicted.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
@@ -199,6 +200,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d, err := s.store.Put(src)
+	if errors.Is(err, ErrTraceTooLarge) {
+		fail(w, fmt.Errorf("%w (nmsimd -store-mb)", err), http.StatusInsufficientStorage)
+		return
+	}
 	if err != nil {
 		fail(w, err, http.StatusInternalServerError)
 		return

@@ -34,10 +34,19 @@ import (
 // So every trace the daemon holds between requests is charged to the budget,
 // and a recording larger than the budget is recorded again by the next
 // request that needs it.
+//
+// A trace larger than the whole budget is refused before anything is
+// evicted (ErrTraceTooLarge), and a trace just put is never its own eviction
+// victim: when every other entry is pinned, it stays and the budget is
+// exceeded until a pin releases.
 
 // ErrTraceNotFound marks a digest the store does not (or no longer does)
 // hold; callers re-upload or re-record.
 var ErrTraceNotFound = errors.New("serve: trace not found")
+
+// ErrTraceTooLarge marks a trace whose footprint alone exceeds the store's
+// budget: holding it would evict every other trace and then itself.
+var ErrTraceTooLarge = errors.New("serve: trace larger than the store budget")
 
 // sourceBytes splits a source's resident footprint into heap and mapped
 // bytes: the size of the image behind it, on whichever side it lives.
@@ -112,6 +121,9 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 	} else {
 		e = &storeEntry{src: src}
 		e.heap, e.mapped = sourceBytes(src)
+		if size := e.heap + e.mapped; size > s.budget {
+			return 0, fmt.Errorf("%w: %d bytes, budget %d", ErrTraceTooLarge, size, s.budget)
+		}
 		e.elem = s.order.PushFront(d)
 		s.entries[d] = e
 		s.usedHeap += e.heap
@@ -123,7 +135,7 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 			e.records = append(e.records, *rec)
 		}
 	}
-	s.evictLocked()
+	s.evictLocked(e)
 	return d, nil
 }
 
@@ -151,8 +163,8 @@ func (s *Store) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness
 }
 
 // CompleteRecord implements harness.RecordCache: it is Put, indexed under
-// the recording. A trace that cannot be digested is not stored; the caller
-// keeps its recording either way.
+// the recording. A trace that cannot be digested, or that is larger than the
+// budget, is not stored; the caller keeps its recording either way.
 func (s *Store) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
 	s.put(res.Trace, &recordKey{alg, w})
 }
@@ -175,7 +187,7 @@ func (s *Store) Pin(digest uint64) (src trace.Source, release func(), err error)
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			e.pins--
-			s.evictLocked()
+			s.evictLocked(nil)
 		})
 	}
 	return e.src, release, nil
@@ -193,14 +205,14 @@ func (s *Store) Get(digest uint64) (trace.Source, bool) {
 	return e.src, true
 }
 
-// evictLocked drops least-recently-used unpinned traces, and the recordings
-// indexed to them, until the store fits its budget. Walks the recency list
-// back to front — never a map — skipping pinned entries.
-func (s *Store) evictLocked() {
+// evictLocked drops least-recently-used unpinned traces other than keep, and
+// the recordings indexed to them, until the store fits its budget. Walks the
+// recency list back to front — never a map — skipping pinned entries.
+func (s *Store) evictLocked(keep *storeEntry) {
 	for el := s.order.Back(); el != nil && s.usedHeap+s.usedMapped > s.budget; {
 		prev := el.Prev()
 		d := el.Value.(uint64)
-		if e := s.entries[d]; e.pins == 0 {
+		if e := s.entries[d]; e.pins == 0 && e != keep {
 			s.order.Remove(el)
 			delete(s.entries, d)
 			for _, k := range e.records {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,11 +16,14 @@ import (
 // storeTrace records a distinct small trace: 64 far loads at addresses
 // offset by stamp, so each stamp yields a different digest but (within a
 // varint byte or two) the same footprint — its sealed image, see traceSize.
-func storeTrace(t *testing.T, stamp int) *trace.Trace {
+func storeTrace(t *testing.T, stamp int) *trace.Trace { return farLoads(t, stamp, 64) }
+
+// farLoads records n far loads at addresses offset by stamp.
+func farLoads(t *testing.T, stamp, n int) *trace.Trace {
 	t.Helper()
 	rec := trace.NewRecorder(1, trace.DefaultL1(), trace.DefaultCosts())
 	tp := rec.Thread(0)
-	for i := 0; i < 64; i++ {
+	for i := 0; i < n; i++ {
 		tp.Load(addr.FarBase+addr.Addr(stamp*64+i)*4096, 8)
 	}
 	tp.Barrier()
@@ -65,7 +69,8 @@ func TestStoreLRUEviction(t *testing.T) {
 }
 
 // TestStorePinBlocksEviction pins a trace, overflows the budget, and
-// checks the pinned trace survives until release.
+// checks the pinned trace survives until release — and so does the trace
+// put over the budget, which is never its own eviction victim.
 func TestStorePinBlocksEviction(t *testing.T) {
 	size := traceSize(t)
 	s := serve.NewStore(size + size/2) // room for one trace
@@ -77,20 +82,56 @@ func TestStorePinBlocksEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(storeTrace(t, 1)); err != nil {
+	d1, err := s.Put(storeTrace(t, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(d0); !ok {
 		t.Fatal("pinned trace was evicted")
 	}
+	if _, ok := s.Get(d1); !ok {
+		t.Fatal("the trace just put was evicted by its own put")
+	}
 	release()
-	// Releasing converges the store back under budget: the unpinned LRU
-	// entry (d0, refreshed by Get above... insert a newer touch first).
-	if s.Bytes() > 2*(size+size/2) {
+	// Releasing converges the store back under budget.
+	if s.Bytes() > size+size/2 {
 		t.Fatalf("store did not converge after release: %d bytes", s.Bytes())
 	}
 	// Double release is a no-op.
 	release()
+}
+
+// TestStoreRefusesATraceOverItsBudget: a trace larger than the whole budget
+// is refused before anything is evicted — an upload with a typed error and
+// a 507 naming -store-mb, a recording by storing nothing — and what was
+// resident stays resident.
+func TestStoreRefusesATraceOverItsBudget(t *testing.T) {
+	size := traceSize(t)
+	budget := size + size/2 // room for one small trace
+	srv, c := newTestServer(t, serve.Config{StoreBytes: budget})
+	ctx := context.Background()
+	small, err := c.UploadTrace(ctx, storeTrace(t, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := farLoads(t, 1, 256)
+	if _, err := srv.Store().Put(big); !errors.Is(err, serve.ErrTraceTooLarge) {
+		t.Errorf("Put of a trace over the budget: err = %v, want ErrTraceTooLarge", err)
+	}
+	if _, err := c.UploadTrace(ctx, big); err == nil || !strings.Contains(err.Error(), "507") || !strings.Contains(err.Error(), "-store-mb") {
+		t.Errorf("upload of a trace over the budget: err = %v, want a 507 naming -store-mb", err)
+	}
+	w := harness.Workload{N: 1, Seed: 1, Threads: 1, SP: 1}
+	srv.Store().CompleteRecord(harness.AlgGNUSort, w, harness.RecordResult{Trace: big})
+	if _, ok := srv.Store().LookupRecord(harness.AlgGNUSort, w); ok {
+		t.Error("a recording over the budget was indexed")
+	}
+	if srv.Store().Len() != 1 || srv.Store().Bytes() > budget {
+		t.Errorf("the store holds %d traces, %d bytes; want the small one alone", srv.Store().Len(), srv.Store().Bytes())
+	}
+	if _, _, _, err := c.SubmitJob(ctx, serve.JobRequest{TraceDigest: small.Digest, Cores: 4, NearChannels: 8, SPMiB: 1}); err != nil {
+		t.Errorf("the resident trace no longer answers a job: %v", err)
+	}
 }
 
 // TestStoreRecordIndexConcurrent: recordings completed, looked up and evicted

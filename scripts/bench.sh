@@ -24,13 +24,6 @@
 #
 # Gates (non-zero exit):
 #   - idle-telemetry overhead vs. the bare replay >= MAX_OVERHEAD_PCT (5%)
-#   - baseline ns/trace-op (replay wall time over the ops of the replayed
-#     trace) more than MAX_REGRESSION_PCT (10%) above the last committed
-#     BENCH_replay.json entry, when that entry has the field; the first
-#     entry to carry it only records. ns/event is still reported and
-#     recorded but no longer gated: it divides by a count the kernel is
-#     free to shrink (event elision raised it ~45% while making replay
-#     ~27% faster)
 #   - columnar open speedup below MIN_OPEN_SPEEDUP (5x) or columnar file
 #     size above MAX_SIZE_RATIO (0.8) of the v2 stream — both are
 #     host-independent properties of the serialization itself. Opening a
@@ -42,7 +35,10 @@
 #     benchmark ledger's trace.record_alloc_bytes_per_op, which read 127.7
 #     when recordings were 32-byte op slices grown by doubling. Allocation
 #     counts are a property of the code, not of the host
-# The Par1/ParMax sweep ratio is report-only: it depends on host core
+# Baseline ns/trace-op (replay wall time over the ops of the replayed trace)
+# and ns/event are report-only, recorded in every entry: one run on this host
+# against an entry committed from another measures the hosts, not the code.
+# The Par1/ParMax sweep ratio is report-only too: it depends on host core
 # count, which is not a property of the code under test. Each entry records
 # gomaxprocs and the host cpu count so a 1.0x "speedup" measured on a
 # single-proc run is legible as such; GOMAXPROCS=1 also prints a warning
@@ -56,7 +52,6 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-10x}"
 MAX_OVERHEAD_PCT="${MAX_OVERHEAD_PCT:-5}"
-MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-10}"
 MIN_OPEN_SPEEDUP="${MIN_OPEN_SPEEDUP:-5}"
 MAX_SIZE_RATIO="${MAX_SIZE_RATIO:-0.8}"
 MAX_RECORD_BYTES_PER_OP="${MAX_RECORD_BYTES_PER_OP:-16}"
@@ -89,13 +84,6 @@ go test -run '^$' -bench '^BenchmarkTraceOpen' -benchtime "$BENCHTIME" ./interna
 # figure is an allocation count: three iterations are plenty.
 echo "== go test -bench BenchmarkRecordTable1 -benchtime 3x =="
 go test -run '^$' -bench '^BenchmarkRecordTable1' -benchtime 3x . | tee "$RAW_RECORD"
-
-# last_value FILE KEY: the KEY of the last trajectory entry, or "" when the
-# file is absent or that entry predates the key.
-last_value() {
-	[ -f "$1" ] || return 0
-	grep '^ *{' "$1" | tail -1 | { grep -o "\"$2\": [0-9.eE+-]*" || true; } | awk '{print $2}'
-}
 
 # append FILE ENTRY: append one entry line to a JSON-array trajectory,
 # creating the file when absent. Entries are one line each; the closing
@@ -190,20 +178,10 @@ awk -v max="$MAX_OVERHEAD_PCT" -v base="$BASE_NSOP" -v idle="$IDLE_NSOP" 'BEGIN 
 	if (pct >= max) { print "bench.sh: idle telemetry overhead exceeds budget" > "/dev/stderr"; exit 1 }
 }'
 
-# --- gate 2: baseline ns/trace-op vs. the committed trajectory ------------
-PREV_NSTOP="$(last_value "$REPLAY_OUT" baseline_ns_per_trace_op)"
-if [ -n "$PREV_NSTOP" ]; then
-	awk -v max="$MAX_REGRESSION_PCT" -v prev="$PREV_NSTOP" -v cur="$BASE_NSTOP" 'BEGIN {
-		pct = (cur - prev) * 100 / prev
-		printf "== baseline ns/trace-op: %.1f vs committed %.1f (%+.2f%%, fail at +%s%%) ==\n", cur, prev, pct, max
-		if (pct > max) { print "bench.sh: replay ns/trace-op regressed past budget" > "/dev/stderr"; exit 1 }
-	}'
-else
-	echo "== last $REPLAY_OUT entry has no baseline_ns_per_trace_op; recording the first one =="
-fi
-echo "== baseline ns/event: $BASE_NSEV (report-only) =="
+# --- report-only: baseline replay cost ------------------------------------
+echo "== baseline ns/trace-op: $BASE_NSTOP, ns/event: $BASE_NSEV (report-only) =="
 
-# --- gate 3: columnar open speedup and file size --------------------------
+# --- gate 2: columnar open speedup and file size --------------------------
 awk -v minsp="$MIN_OPEN_SPEEDUP" -v maxratio="$MAX_SIZE_RATIO" \
 	-v v2="$OPEN_V2_NSOP" -v v3="$OPEN_V3_NSOP" -v b2="$V2_BYTES" -v b3="$V3_BYTES" 'BEGIN {
 	if (v3+0 == 0 || b2+0 == 0) { print "bench.sh: missing trace-open numbers" > "/dev/stderr"; exit 1 }
@@ -214,7 +192,7 @@ awk -v minsp="$MIN_OPEN_SPEEDUP" -v maxratio="$MAX_SIZE_RATIO" \
 	if (ratio > maxratio) { print "bench.sh: columnar file size above budget" > "/dev/stderr"; exit 1 }
 }'
 
-# --- gate 4: recorder allocation per recorded op ---------------------------
+# --- gate 3: recorder allocation per recorded op ---------------------------
 awk -v max="$MAX_RECORD_BYTES_PER_OP" -v b="$REC_B" -v gb="$REC_GNU_B" -v nb="$REC_NM_B" -v gn="$REC_GNU_NS" -v nn="$REC_NM_NS" 'BEGIN {
 	printf "== record: gnusort %.1f ns / %.2f B, nmsort %.1f ns / %.2f B per recorded op; %.2f B/recorded-op over both (fail over %s) ==\n", \
 		gn, gb, nn, nb, b, max

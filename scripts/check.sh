@@ -9,18 +9,19 @@
 #   3. nmlint -escape-check           compiler escape analysis cross-check
 #                                     over the //nmlint:hotpath regions
 #   4. go vet ./...                   the stock vet checks
-#   5. go test ./...                  full test suite (includes the
-#                                     record→replay determinism regression)
+#   5. go test ./...                  full test suite (includes TestRows:
+#                                     every registry row's bytes against
+#                                     testdata/rows.golden, the 386 run too)
 #   6. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
 #                                     off): an int narrower than the int64
 #                                     it is read from must not slip past
 #                                     the trace readers
-#   6b. no fused multiply-add         the commands cross-compiled for arm64
-#                                     with -S: no FMADDD/FMSUBD/FNMADDD/
-#                                     FNMSUBD in a repro/ function, so a
-#                                     trace (k-means' floats) is the same
-#                                     bytes on every GOARCH — the record
-#                                     caches' keys do not name one
+#   6b. no fused multiply-add         the commands cross-compiled for arm64,
+#                                     ppc64le, s390x and riscv64 with -S: no
+#                                     F(N)MADD/F(N)MSUB[S|D] in a repro/
+#                                     function, so a trace (k-means' floats)
+#                                     is the same bytes on every GOARCH — the
+#                                     record caches' keys do not name one
 #   7. go test -race -short ./...     race detector over the short suite
 #                                     (incl. the shared-replay differentials,
 #                                     TestShared*: every cell a sweep fills
@@ -61,7 +62,8 @@
 #                                     (then the bandwidth sweep the same way,
 #                                     as text and as CSV rows; its two
 #                                     recordings resident in the trace
-#                                     store), SIGTERM-drain to exit 0
+#                                     store; nmsim local vs -server too),
+#                                     SIGTERM-drain to exit 0
 #  11. schedule smoke                 the recorder-lane schedule is invisible:
 #                                     nmsim stdout cmp-equal at -par 1,
 #                                     default -par and GOMAXPROCS=1, with and
@@ -73,7 +75,9 @@
 #                                     leaves them untouched; sweep -exp=table1
 #                                     prints nmsim's bytes; a supervised run
 #                                     records each workload once (nmsim's
-#                                     telemetry replay, -corelist 8,8,16)
+#                                     telemetry replay, -corelist 8,8,16);
+#                                     a cold 2^20 Table I and its two .nmt3
+#                                     files match rows.golden's large/ lines
 #  12. benchmark module               go vet -C bench ./_layers && go test -C
 #                                     bench ./...: bench/ is its own module
 #                                     and the one importer of repro/internal
@@ -97,17 +101,20 @@ step() {
 }
 
 # no_fma fails on any fused multiply-add the compiler emits for repro/ code on
-# arm64; an explicit float64() around the product is the fix.
+# an architecture that has one (FMADD, FMSUBS, FNMADDD, ...); an explicit
+# float64() around the product is the fix.
 no_fma() {
-	local asm
-	if ! asm=$(GOARCH=arm64 go build -o /dev/null -gcflags='repro/...=-S' ./cmd/... 2>&1); then
-		echo "$asm" >&2
-		return 1
-	fi
-	if grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$asm"; then
-		echo "fused multiply-add in repro/ code on arm64: round the product with float64()" >&2
-		return 1
-	fi
+	local arch asm
+	for arch in arm64 ppc64le s390x riscv64; do
+		if ! asm=$(GOARCH=$arch go build -o /dev/null -gcflags='repro/...=-S' ./cmd/... 2>&1); then
+			echo "$asm" >&2
+			return 1
+		fi
+		if grep -E '\bFN?M(ADD|SUB)[SD]?\b' <<<"$asm"; then
+			echo "fused multiply-add in repro/ code on $arch: round the product with float64()" >&2
+			return 1
+		fi
+	done
 }
 
 step go build ./...

@@ -16,6 +16,9 @@
 #   5. A supervised run records each workload once: nmsim's telemetry replay
 #      finds the NMsort trace Table I recorded, and sweep -corelist 8,8,16
 #      records the 8-core pair once for its two declarations.
+#   6. Table I at 2^20 keys, 256 cores, 2 MiB, cold, prints the bytes and
+#      caches the two .nmt3 files whose SHA-256 testdata/rows.golden holds
+#      (its large/ entries; TestRows checks the rest of the file).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,5 +79,10 @@ echo "== a supervised run records each workload once =="
 [ "$(grep -c '^timings: record ' "$workdir/cores.timings")" -eq 6 ] &&
 	[ "$(grep '^timings: record ' "$workdir/cores.timings" | grep -c '\[cached\]')" -eq 2 ] ||
 	{ cat "$workdir/cores.timings"; echo "sweep -corelist 8,8,16: want 6 recordings, 2 cached"; exit 1; }
+
+echo "== Table I at 2^20: the large/ entries of testdata/rows.golden =="
+mkdir "$workdir/large"
+"$workdir/nmsim" -n 1048576 -cores 256 -sp 2 -seed 2015 -trace-cache "$workdir/large" > "$workdir/large/table1.txt"
+grep '  large/' testdata/rows.golden | (cd "$workdir" && sha256sum -c -)
 
 echo "== schedule smoke passed =="

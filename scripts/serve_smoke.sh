@@ -8,8 +8,9 @@
 # byte-identical. Then checks the cache actually hit via /v1/stats, runs the
 # bandwidth sweep (whose baseline cells share one replay) through the same
 # three-way identity as text and as CSV rows, then the paper's model-side
-# rows (membound, codesign, m1, m2, m3, pem) the same way, and checks that
-# SIGTERM drains the daemon to a clean exit 0.
+# rows (membound, codesign, m1, m2, m3, pem) the same way, then nmsim's Table
+# I locally and through -server, and checks that SIGTERM drains the daemon to
+# a clean exit 0.
 #
 # A second pass smoke-tests the columnar (v3) serving path: record a trace
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
@@ -32,6 +33,7 @@ trap cleanup EXIT
 echo "== build =="
 go build -o "$workdir/nmsimd" ./cmd/nmsimd
 go build -o "$workdir/sweep" ./cmd/sweep
+go build -o "$workdir/nmsim" ./cmd/nmsim
 go build -o "$workdir/nmtrace" ./cmd/nmtrace
 
 # wait_addr PID OUTFILE: echo the bound address a daemon printed on start.
@@ -125,6 +127,13 @@ for exp in membound codesign m1 m2 m3 pem; do
 		cmp "$workdir/${exp}_local.$fmt" "$workdir/${exp}_warm.$fmt"
 	done
 done
+
+# nmsim sends the same request through the same client as sweep -server.
+t1="-n 8192 -cores 16 -sp 1 -seed 7"
+echo "== nmsim: local vs remote =="
+"$workdir/nmsim" $t1 > "$workdir/nmsim_local.txt"
+"$workdir/nmsim" $t1 -server "http://$addr" > "$workdir/nmsim_remote.txt"
+cmp "$workdir/nmsim_local.txt" "$workdir/nmsim_remote.txt"
 
 echo "== graceful shutdown =="
 kill -TERM "$daemon_pid"
