@@ -143,7 +143,7 @@ func writeFile(out, to string, src trace.Source) (int64, error) {
 
 // load opens a trace file in either serialization (sniffed by magic).
 func load(path string) trace.Source {
-	src, err := trace.Load(path)
+	src, err := trace.Load(path, par.Each)
 	if err != nil {
 		log.Fatalf("nmtrace: %v", err)
 	}
@@ -178,7 +178,7 @@ func convertFile(in, out, to string) error {
 	if to != "v2" && to != "v3" {
 		return fmt.Errorf("unknown target serialization %q (want v2 or v3)", to)
 	}
-	src, err := trace.Load(in)
+	src, err := trace.Load(in, par.Each)
 	if err != nil {
 		return err
 	}
@@ -229,7 +229,7 @@ func stat(args []string) {
 // digest, per-thread op counts, and (for columnar files) every column
 // segment with its file offset and size.
 func statFile(w io.Writer, path string) error {
-	src, err := trace.Load(path)
+	src, err := trace.Load(path, par.Each)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/harness"
+	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -99,7 +100,7 @@ func TestConvertRoundTrip(t *testing.T) {
 	// Digests agree across all four files.
 	var digests []uint64
 	for _, p := range []string{v2a, v3a, v2b, v3b} {
-		src, err := trace.Load(p)
+		src, err := trace.Load(p, par.Each)
 		if err != nil {
 			t.Fatalf("Load %s: %v", p, err)
 		}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -50,24 +51,39 @@ func TestStatsConservation(t *testing.T) {
 	}
 }
 
-// TestMoreChannelsNeverSlower: the same request stream on a device with
-// more channels finishes no later.
+// TestMoreChannelsNeverSlower: the same request stream, every request
+// arriving at once, finishes on eight channels no later than on one plus one
+// row conflict's penalty over a row hit (TRp + TRcd).
+//
+// Eight channels can finish later than one. The row and bank come from the
+// channel-local line index, so two lines one channel keeps in different banks
+// can share a bank on eight: a row miss there becomes a conflict. Offsets
+// {0x6fda, 0xacba} do it: two banks on one channel, two misses; one bank of
+// channel 2 on eight, a miss and then a conflict. What holds is the bound:
+// each access waits between a row hit's TCas and a conflict's
+// TRp + TRcd + TCas, then holds its channel's bus for one line. So k accesses
+// on one channel end within TRp + TRcd + TCas + k lines, and n accesses on
+// one bus end no sooner than TCas + n lines.
 func TestMoreChannelsNeverSlower(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		run := func(channels int) units.Time {
-			s := engine.New()
-			d := New(s, DDR1066(channels), addr.FarBase)
-			var last units.Time
-			for _, off := range offsets {
-				if done := d.Access(0, addr.FarBase+addr.Addr(off)*64, false); done > last {
-					last = done
-				}
+	cfg := DDR1066(1)
+	slack := cfg.TRp + cfg.TRcd
+	run := func(channels int, offsets []uint16) units.Time {
+		s := engine.New()
+		d := New(s, DDR1066(channels), addr.FarBase)
+		var last units.Time
+		for _, off := range offsets {
+			if done := d.Access(0, addr.FarBase+addr.Addr(off)*64, false); done > last {
+				last = done
 			}
-			return last
 		}
-		return run(8) <= run(1)
+		return last
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	pinned := []uint16{0x6fda, 0xacba}
+	if one, eight := run(1, pinned), run(8, pinned); eight <= one || eight > one+slack {
+		t.Errorf("offsets %#x: %v on eight channels, %v on one; want later, by at most %v", pinned, eight, one, slack)
+	}
+	f := func(offsets []uint16) bool { return run(8, offsets) <= run(1, offsets)+slack }
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2015))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -93,6 +93,24 @@ func (s *Stages) Snapshot() []Stage {
 	return out
 }
 
+// ServerTiming renders the ended stages, in start order, as the value of an
+// HTTP Server-Timing header: each stage's name and its duration in
+// milliseconds, "queue;dur=0.012, replay;dur=3.208". The daemon sends it so
+// a request's host time travels in a header, never in a body.
+func (s *Stages) ServerTiming() string {
+	var b strings.Builder
+	for _, st := range s.Snapshot() {
+		if st.End == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s;dur=%.3f", st.Name, float64(st.End-st.Start)/float64(time.Millisecond))
+	}
+	return b.String()
+}
+
 // WriteTo prints one line per stage, in start order — the -timings output.
 func (s *Stages) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder

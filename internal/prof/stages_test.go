@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,27 @@ func TestNilStagesAreFree(t *testing.T) {
 	var b strings.Builder
 	if n, err := s.WriteTo(&b); n != 0 || err != nil || b.Len() != 0 || s.Snapshot() != nil {
 		t.Errorf("the nil recorder wrote %q (n=%d, err=%v)", b.String(), n, err)
+	}
+}
+
+// TestServerTiming: ended stages only, in start order, as Server-Timing
+// metrics; nothing at all from the nil recorder.
+func TestServerTiming(t *testing.T) {
+	var off *Stages
+	if got := off.ServerTiming(); got != "" {
+		t.Errorf("the nil recorder renders %q", got)
+	}
+	s := NewStages()
+	s.Start(0, "request", "queue").End()
+	open := s.Start(0, "request", "write")
+	s.Start(0, "request", "replay").End()
+	got := s.ServerTiming()
+	if !regexp.MustCompile(`^queue;dur=\d+\.\d{3}, replay;dur=\d+\.\d{3}$`).MatchString(got) {
+		t.Errorf("ServerTiming() = %q", got)
+	}
+	open.End()
+	if got := s.ServerTiming(); !strings.Contains(got, ", write;dur=") {
+		t.Errorf("once ended, the stage is missing: %q", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,50 @@ func TestJobCacheHit(t *testing.T) {
 	}
 	if _, hits, _ := srv.Cache().Stats(); hits == 0 {
 		t.Fatal("cache stats recorded no hit")
+	}
+}
+
+// TestServerTimingHeader: an upload names its verify stage, a job its gate
+// wait and its replay, in a Server-Timing header; host time stays out of the
+// body, so a cached job's bytes are still the cold job's.
+func TestServerTimingHeader(t *testing.T) {
+	_, c := newTestServer(t, serve.Config{})
+	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if _, err := rec.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, contentType string, body []byte, timing string) []byte {
+		t.Helper()
+		resp, err := c.HTTP.Post(c.BaseURL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s (%v)", path, resp.StatusCode, out, err)
+		}
+		if got := resp.Header.Get("Server-Timing"); !regexp.MustCompile(timing).MatchString(got) {
+			t.Errorf("POST %s: Server-Timing %q, want %s", path, got, timing)
+		}
+		return out
+	}
+	var info serve.TraceInfo
+	if err := json.Unmarshal(post("/v1/traces", "application/octet-stream", v2.Bytes(), `^verify;dur=[0-9.]+$`), &info); err != nil {
+		t.Fatal(err)
+	}
+	job, err := json.Marshal(tinyJob(info.Digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stages = `^queue;dur=[0-9.]+, replay;dur=[0-9.]+$`
+	cold := post("/v1/jobs", "application/json", job, stages)
+	if warm := post("/v1/jobs", "application/json", job, stages); !bytes.Equal(cold, warm) {
+		t.Errorf("the cached job's body differs:\ncold: %s\nwarm: %s", cold, warm)
 	}
 }
 

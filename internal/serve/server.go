@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -95,6 +96,12 @@ func (s *Server) Store() *Store { return s.store }
 // Cache exposes the result cache (tests, stats).
 func (s *Server) Cache() *ResultCache { return s.cache }
 
+// storeFull answers a trace larger than the whole store budget: 507, naming
+// the flag that sets it.
+func storeFull(w http.ResponseWriter, err error) {
+	fail(w, fmt.Errorf("%w (nmsimd -store-mb)", err), http.StatusInsufficientStorage)
+}
+
 // fail writes the JSON error envelope with a status derived from the
 // error's supervised failure kind.
 func fail(w http.ResponseWriter, err error, status int) {
@@ -169,8 +176,10 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 // digest: the store is content-addressed by the footer's digest claim, so a
 // forged footer could otherwise poison the cache entry of a different trace.
 // Verify's walk validates as it goes, so the Validate after it is a lookup;
-// it runs on the handler's goroutine — one request, one CPU. A trace larger
-// than the whole store budget is a 507, and nothing resident is evicted.
+// it runs on the handler's goroutine — one request, one CPU. The read, the
+// checksums and the validation are the request's verify stage, sent in a
+// Server-Timing header. A trace larger than the whole store budget is a 507,
+// and nothing resident is evicted.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
@@ -181,6 +190,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("serve: reading trace: %w", err), status)
 		return
 	}
+	timing := prof.NewStages()
+	verify := timing.Start(0, "request", "verify")
 	var src trace.Source
 	if trace.IsColumnar(body) {
 		var col *trace.Columnar
@@ -191,17 +202,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	} else {
 		src, err = trace.ReadTrace(bytes.NewReader(body))
 	}
+	var invalid error
+	if err == nil {
+		invalid = src.Validate()
+	}
+	verify.End()
+	w.Header().Set("Server-Timing", timing.ServerTiming())
 	if err != nil {
 		fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
 		return
 	}
-	if err := src.Validate(); err != nil {
-		fail(w, fmt.Errorf("serve: invalid trace: %w", err), http.StatusBadRequest)
+	if invalid != nil {
+		fail(w, fmt.Errorf("serve: invalid trace: %w", invalid), http.StatusBadRequest)
 		return
 	}
 	d, err := s.store.Put(src)
 	if errors.Is(err, ErrTraceTooLarge) {
-		fail(w, fmt.Errorf("%w (nmsimd -store-mb)", err), http.StatusInsufficientStorage)
+		storeFull(w, err)
 		return
 	}
 	if err != nil {
@@ -213,8 +230,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 // handleRecord records an algorithm trace server-side and stores it: a bad
 // field is a 400, and only then does the recording (replay-grade CPU work)
-// pass the admission gate; a workload its program refuses is a 422. The store
-// is the record cache, so a repeat finds the trace while it is resident.
+// pass the admission gate; a workload its program refuses is a 422, and a
+// recording larger than the whole store budget a 507 — the store could not
+// hold the digest the answer would name. The store is the record cache, so a
+// repeat finds the trace while it is resident.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var req RecordRequest
 	if !decodeBody(w, r, "record", &req) {
@@ -250,7 +269,12 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusUnprocessableEntity)
 		return
 	}
-	// The store already holds the trace: Record found it there or put it there.
+	// The store holds the trace — Record found it there or put it there —
+	// unless it is larger than the budget.
+	if err := s.store.fits(res.Trace); err != nil {
+		storeFull(w, err)
+		return
+	}
 	d, err := res.Trace.Digest()
 	if err != nil {
 		fail(w, fmt.Errorf("serve: digesting trace: %w", err), http.StatusInternalServerError)
@@ -314,7 +338,8 @@ func validateJob(req JobRequest) error {
 
 // handleJob runs one replay cell: admission gate, trace pin, supervised
 // replay (panic-contained, deterministically retried, cache-backed), one
-// JSON result. Stream requests answer in NDJSON instead.
+// JSON result, with the gate wait and the replay in a Server-Timing header.
+// Stream requests answer in NDJSON instead.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if !decodeBody(w, r, "job", &req) {
@@ -329,7 +354,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
+	timing := prof.NewStages()
+	queue := timing.Start(0, "request", "queue")
 	release, err := s.gate.Acquire(r.Context())
+	queue.End()
 	if err != nil {
 		s.jobsRejected.Add(1)
 		fail(w, err, http.StatusTooManyRequests)
@@ -353,7 +381,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, req, sup, cfg, tr, digest)
 		return
 	}
+	replay := timing.Start(0, "request", "replay")
 	key, out, hit, err := sup.ReplayCell(cfg, tr, req.Label)
+	replay.End()
+	w.Header().Set("Server-Timing", timing.ServerTiming())
 	if err != nil {
 		fail(w, err, http.StatusInternalServerError)
 		return

@@ -113,6 +113,9 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("serve: digesting trace: %w", err)
 	}
+	if err := s.fits(src); err != nil {
+		return 0, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[d]
@@ -121,9 +124,6 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 	} else {
 		e = &storeEntry{src: src}
 		e.heap, e.mapped = sourceBytes(src)
-		if size := e.heap + e.mapped; size > s.budget {
-			return 0, fmt.Errorf("%w: %d bytes, budget %d", ErrTraceTooLarge, size, s.budget)
-		}
 		e.elem = s.order.PushFront(d)
 		s.entries[d] = e
 		s.usedHeap += e.heap
@@ -137,6 +137,17 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 	}
 	s.evictLocked(e)
 	return d, nil
+}
+
+// fits returns ErrTraceTooLarge, with the sizes, for a trace larger than the
+// whole budget: one Put refuses. The budget never changes, so it needs no
+// lock.
+func (s *Store) fits(src trace.Source) error {
+	heap, mapped := sourceBytes(src)
+	if size := heap + mapped; size > s.budget {
+		return fmt.Errorf("%w: %d bytes, budget %d", ErrTraceTooLarge, size, s.budget)
+	}
+	return nil
 }
 
 // LookupRecord implements harness.RecordCache: the resident trace a
@@ -164,7 +175,8 @@ func (s *Store) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness
 
 // CompleteRecord implements harness.RecordCache: it is Put, indexed under
 // the recording. A trace that cannot be digested, or that is larger than the
-// budget, is not stored; the caller keeps its recording either way.
+// budget, is not stored; the caller keeps its recording either way, and
+// POST /v1/traces/record answers the second case with a 507.
 func (s *Store) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
 	s.put(res.Trace, &recordKey{alg, w})
 }

@@ -103,8 +103,8 @@ func TestStorePinBlocksEviction(t *testing.T) {
 
 // TestStoreRefusesATraceOverItsBudget: a trace larger than the whole budget
 // is refused before anything is evicted — an upload with a typed error and
-// a 507 naming -store-mb, a recording by storing nothing — and what was
-// resident stays resident.
+// a 507 naming -store-mb, a recording by storing nothing and, over HTTP, by
+// the same 507 — and what was resident stays resident.
 func TestStoreRefusesATraceOverItsBudget(t *testing.T) {
 	size := traceSize(t)
 	budget := size + size/2 // room for one small trace
@@ -125,6 +125,12 @@ func TestStoreRefusesATraceOverItsBudget(t *testing.T) {
 	srv.Store().CompleteRecord(harness.AlgGNUSort, w, harness.RecordResult{Trace: big})
 	if _, ok := srv.Store().LookupRecord(harness.AlgGNUSort, w); ok {
 		t.Error("a recording over the budget was indexed")
+	}
+	// Recorded over HTTP, the same refusal is the answer, not a digest the
+	// store does not hold.
+	rec := serve.RecordRequest{Alg: "gnusort", N: 1024, Seed: 1, Threads: 4, SPMiB: 1}
+	if info, err := c.Record(ctx, rec); err == nil || !strings.Contains(err.Error(), "507") || !strings.Contains(err.Error(), "-store-mb") {
+		t.Errorf("recording over the budget: %+v, err = %v; want a 507 naming -store-mb", info, err)
 	}
 	if srv.Store().Len() != 1 || srv.Store().Bytes() > budget {
 		t.Errorf("the store holds %d traces, %d bytes; want the small one alone", srv.Store().Len(), srv.Store().Bytes())

@@ -29,11 +29,12 @@ import (
 // once every call has. The per-thread seal and validation walks take one so
 // they can run on all host CPUs without this package starting goroutines:
 // internal/par imports trace, so callers hand par.Each in. A nil ForkJoin
-// runs the bodies in order on the calling goroutine.
+// runs the bodies in order on the calling goroutine; with n == 0 nothing is
+// called.
 type ForkJoin func(n int, body func(i int))
 
 func (fj ForkJoin) run(n int, body func(i int)) {
-	if fj != nil {
+	if fj != nil && n > 0 {
 		fj(n, body)
 		return
 	}

@@ -340,14 +340,15 @@ func (c *Columnar) Digest() (uint64, error) {
 	return c.digest, c.digestErr
 }
 
-// finishFooter writes a sealed image's footer. Only settle calls it, under
-// validateOnce, and nothing reads footer bytes except through Digest, so
-// cursors — which read column bytes only — may run concurrently.
-func (c *Columnar) finishFooter(digest uint64) {
+// finishFooter writes a sealed image's footer, its payload CRC summed under
+// fj. Only settle calls it, under validateOnce, and nothing reads footer
+// bytes except through Digest, so cursors — which read column bytes only —
+// may run concurrently.
+func (c *Columnar) finishFooter(digest uint64, fj ForkJoin) {
 	le := binary.LittleEndian
 	payload := c.data[:len(c.data)-footerSize]
 	ftr := c.data[len(payload):]
-	c.digest, c.payloadCRC = digest, crc64.Checksum(payload, crcTable)
+	c.digest, c.payloadCRC = digest, checksum(payload, fj)
 	le.PutUint64(ftr[0:], uint64(c.tableOff))
 	le.PutUint64(ftr[8:], uint64(len(c.threads)*tableEntrySize))
 	le.PutUint64(ftr[16:], uint64(len(c.threads)))
@@ -463,7 +464,7 @@ func (c *Columnar) ValidatePar(fj ForkJoin) error {
 		if c.sealed {
 			lanes = make([]lane, len(c.threads))
 		}
-		c.settle(c.walk(fj, lanes))
+		c.settle(c.walk(fj, lanes), fj)
 	})
 	return c.validateErr
 }
@@ -476,9 +477,9 @@ type walkResult struct {
 	digest  uint64 // folded from the lanes, when the walk carried them and every op decoded
 }
 
-// settle memoizes a walk's findings. Callers hold validateOnce; a sealed
-// image's walk carried lanes.
-func (c *Columnar) settle(r walkResult) {
+// settle memoizes a walk's findings, finishing a sealed image's footer under
+// fj. Callers hold validateOnce; a sealed image's walk carried lanes.
+func (c *Columnar) settle(r walkResult, fj ForkJoin) {
 	c.validateErr = r.verdict
 	switch {
 	case !c.sealed:
@@ -488,7 +489,7 @@ func (c *Columnar) settle(r walkResult) {
 	case r.decode != nil:
 		c.digestErr = r.decode
 	default:
-		c.finishFooter(r.digest)
+		c.finishFooter(r.digest, fj)
 	}
 }
 
@@ -675,7 +676,7 @@ func (c *Columnar) Verify() error {
 		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
 	}
 	r := c.walk(nil, make([]lane, len(c.threads)))
-	c.validateOnce.Do(func() { c.settle(r) })
+	c.validateOnce.Do(func() { c.settle(r, nil) })
 	if r.decode != nil {
 		return r.decode
 	}
@@ -729,8 +730,9 @@ func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
 
 // Load opens the trace file at path in whichever serialization it carries:
 // v3 files (magic "NMT3") are mmapped via Open, v2 files are read whole
-// and sealed into columns as ReadTrace does.
-func Load(path string) (Source, error) {
+// and sealed into columns as ReadTrace does, with the per-thread work of the
+// read run under fj.
+func Load(path string, fj ForkJoin) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -748,5 +750,5 @@ func Load(path string) (Source, error) {
 	if err != nil {
 		return nil, decodeErr("stream", len(raw), fmt.Errorf("reading: %w", err))
 	}
-	return decodeTrace(raw)
+	return decodeTrace(raw, fj)
 }

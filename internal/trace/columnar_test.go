@@ -169,14 +169,14 @@ func TestLoadSniffsFormat(t *testing.T) {
 	if err := os.WriteFile(v3p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Load(v2p)
+	s2, err := Load(v2p, concurrent)
 	if err != nil {
 		t.Fatalf("Load v2: %v", err)
 	}
 	if _, ok := s2.(*Trace); !ok {
 		t.Fatalf("Load v2 returned %T", s2)
 	}
-	s3, err := Load(v3p)
+	s3, err := Load(v3p, concurrent)
 	if err != nil {
 		t.Fatalf("Load v3: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/addr"
@@ -264,7 +265,27 @@ func readTraceCorpus(t testing.TB) [][]byte {
 			corpus = append(corpus, torn)
 		}
 	}
-	return corpus
+	return append(corpus, threadFaults(t)...)
+}
+
+// concurrent is a fork-join that runs every body on a goroutine of its own.
+func concurrent(n int, body func(int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			body(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// reversed is a fork-join that runs the bodies last to first.
+func reversed(n int, body func(int)) {
+	for i := n - 1; i >= 0; i-- {
+		body(i)
+	}
 }
 
 // requireReadsAsBefore holds ReadTrace to the reader that decoded into []Op:
@@ -273,47 +294,156 @@ func readTraceCorpus(t testing.TB) [][]byte {
 // streams, byte-equal to the columns the old reader's ops seal to (footer
 // digest included: the adopted checksum is the canonical digest, even for a
 // stream with overlong varints), and Validate's memoized verdict
-// the validate-only walk's over those columns.
+// the validate-only walk's over those columns. The v2 read Load runs under a
+// fork-join is held to the same, under a concurrent one and a reversed one.
 func requireReadsAsBefore(t testing.TB, name string, raw []byte) {
 	t.Helper()
 	want, wantErr := refReadTrace(bytes.NewReader(raw))
-	got, gotErr := ReadTrace(bytes.NewReader(raw))
-	if wantErr != nil || gotErr != nil {
-		var w, g *DecodeError
-		if !errors.As(wantErr, &w) || !errors.As(gotErr, &g) || w.Section != g.Section || w.Offset != g.Offset || wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%s: ReadTrace fails with %v, the []Op reader with %v", name, gotErr, wantErr)
+	var wantImage []byte
+	var wantDigest uint64
+	var wantSeen footprint
+	var wantVerdict error
+	if wantErr == nil {
+		var err error
+		if _, wantDigest, err = refWritePayload(new(bytes.Buffer), want); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		return
+		if wantImage, err = EncodeColumnar(want); err != nil {
+			t.Fatalf("%s: sealing the []Op reader's trace: %v", name, err)
+		}
+		reopened, err := OpenBytes(wantImage)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wantSeen, wantVerdict = refValidate(reopened)
 	}
-	if got.Streams != nil || got.Columns() == nil || !got.Columns().sealed {
-		t.Fatalf("%s: ReadTrace must return sealed columns and no streams", name)
+	for _, reader := range []struct {
+		name string
+		read func() (*Trace, error)
+	}{
+		{"ReadTrace", func() (*Trace, error) { return ReadTrace(bytes.NewReader(raw)) }},
+		{"concurrent", func() (*Trace, error) { return decodeTrace(raw, concurrent) }},
+		{"reversed", func() (*Trace, error) { return decodeTrace(raw, reversed) }},
+	} {
+		got, gotErr := reader.read()
+		if wantErr != nil || gotErr != nil {
+			var w, g *DecodeError
+			if !errors.As(wantErr, &w) || !errors.As(gotErr, &g) || w.Section != g.Section || w.Offset != g.Offset || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%s: %s fails with %v, the []Op reader with %v", name, reader.name, gotErr, wantErr)
+			}
+			continue
+		}
+		if got.Streams != nil || got.Columns() == nil || !got.Columns().sealed {
+			t.Fatalf("%s: %s must return sealed columns and no streams", name, reader.name)
+		}
+		gotImage, err := EncodeColumnar(got)
+		if err != nil {
+			t.Fatalf("%s: %s: EncodeColumnar: %v", name, reader.name, err)
+		}
+		if d, _ := got.Digest(); d != wantDigest || !bytes.Equal(gotImage, wantImage) {
+			t.Fatalf("%s: %s: digest %016x, want %016x; columns equal to the old reader's sealed ops: %v",
+				name, reader.name, d, wantDigest, bytes.Equal(gotImage, wantImage))
+		}
+		if fmt.Sprint(got.Validate()) != fmt.Sprint(wantVerdict) {
+			t.Fatalf("%s: %s: Validate says %v, the validate-only walk over the same columns %v", name, reader.name, got.Validate(), wantVerdict)
+		}
+		if wantVerdict == nil && (got.Count() != wantSeen.counts || got.NearBlind() == wantSeen.near) {
+			t.Fatalf("%s: %s: footprint %+v near-blind %v, the validate-only walk found %+v", name, reader.name, got.Count(), got.NearBlind(), wantSeen)
+		}
 	}
-	_, wantDigest, err := refWritePayload(new(bytes.Buffer), want)
+}
+
+// threadFaults are v2 streams of four threads broken where only the thread
+// order decides which failure is reported: threads 1 and 3 both broken (1
+// wins) — thread 1 by a gap past 32 bits, which the framing scan steps over,
+// thread 3 by a reserved tag bit, where the scan stops; a stream torn inside
+// thread 2; and the last thread's op count past what the payload could hold.
+// Each must fail the []Op reader in the thread it is named for, so
+// requireReadsAsBefore holds every fork-join to that thread.
+func threadFaults(t testing.TB) [][]byte {
+	t.Helper()
+	far := uint64(addr.FarBase)
+	streams := make([][]Op, 4)
+	for tid := range streams {
+		// The first op's gap is a 5-byte varint whose last byte is 0x0f.
+		streams[tid] = append(streams[tid], Op{Kind: OpGap, Gap: ^uint32(0)})
+		for i := 0; i < 3+tid; i++ {
+			streams[tid] = append(streams[tid], Op{Kind: OpAccess, Addr: far + uint64(tid<<12+i*64), Gap: uint32(i)})
+		}
+		streams[tid] = append(streams[tid], Op{Kind: OpDMA, Addr: far, Addr2: far + 4096, Size: 300}, Op{Kind: OpEnd})
+	}
+	var b bytes.Buffer
+	tr := &Trace{Streams: streams, L1: tinyL1(), Costs: DefaultCosts()}
+	if _, err := tr.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	intact := b.Bytes()
+	hdr, err := headerV2(tr)
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatal(err)
 	}
-	wantImage, err := EncodeColumnar(want)
-	if err != nil {
-		t.Fatalf("%s: sealing the []Op reader's trace: %v", name, err)
+	starts, end := frameThreads(intact[:len(intact)-8], len(hdr), 4)
+	if len(starts) != 4 || end != len(intact)-8 {
+		t.Fatalf("framing the intact stream: starts %v, end %d of %d", starts, end, len(intact)-8)
 	}
-	gotImage, err := EncodeColumnar(got)
-	if err != nil {
-		t.Fatalf("%s: EncodeColumnar: %v", name, err)
+	var faults [][]byte
+	broken := func(section string, edit func(raw []byte) []byte) {
+		raw := edit(bytes.Clone(intact))
+		refreshChecksum(raw)
+		var de *DecodeError
+		if _, err := refReadTrace(bytes.NewReader(raw)); !errors.As(err, &de) || de.Section != section {
+			t.Fatalf("the []Op reader fails with %v, want a DecodeError in %q", err, section)
+		}
+		faults = append(faults, raw)
 	}
-	if d, _ := got.Digest(); d != wantDigest || !bytes.Equal(gotImage, wantImage) {
-		t.Fatalf("%s: digest %016x, want %016x; columns equal to the old reader's sealed ops: %v",
-			name, d, wantDigest, bytes.Equal(gotImage, wantImage))
-	}
-	reopened, err := OpenBytes(wantImage)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	wantSeen, wantVerdict := refValidate(reopened)
-	if fmt.Sprint(got.Validate()) != fmt.Sprint(wantVerdict) {
-		t.Fatalf("%s: Validate says %v, the validate-only walk over the same columns %v", name, got.Validate(), wantVerdict)
-	}
-	if wantVerdict == nil && (got.Count() != wantSeen.counts || got.NearBlind() == wantSeen.near) {
-		t.Fatalf("%s: footprint %+v near-blind %v, the validate-only walk found %+v", name, got.Count(), got.NearBlind(), wantSeen)
+	firstTag := func(tid int) int { return starts[tid] + 8 }
+	broken("thread 1 ops", func(raw []byte) []byte {
+		raw[firstTag(1)+5] = 0x1f
+		raw[firstTag(3)] |= 0x40
+		return raw
+	})
+	broken("thread 2 ops", func(raw []byte) []byte {
+		return append(raw[:starts[3]-2], make([]byte, 8)...)
+	})
+	broken("thread 3 ops", func(raw []byte) []byte {
+		putLE64(raw[starts[3]:], uint64(end-starts[3]))
+		return raw
+	})
+	return faults
+}
+
+// TestFramingScanMatchesDecoder: for every tag byte, followed by varints of
+// one byte and of two, the framing scan skips exactly the bytes
+// opDecoder.thread consumes, or both refuse the op; and wherever the op is
+// cut short, both refuse it.
+func TestFramingScanMatchesDecoder(t *testing.T) {
+	for tag := 0; tag < 256; tag++ {
+		for _, varint := range [][]byte{{0x01}, {0x81, 0x00}} {
+			p := binary.LittleEndian.AppendUint64(nil, 1)
+			p = append(p, byte(tag))
+			for i := 0; i < 5; i++ {
+				p = append(p, varint...)
+			}
+			var r threadRead
+			r.read(p, 0, 0, 0, 1)
+			end := frameThread(p, 0)
+			switch {
+			case r.err != nil:
+				if end != -1 || tagFields[tag] != -1 {
+					t.Fatalf("tag %#x: the decoder refuses it (%v), the scan frames %d bytes (fields %d)", tag, r.err, end, tagFields[tag])
+				}
+				continue
+			case end != r.end || end != 9+int(tagFields[tag])*len(varint):
+				t.Fatalf("tag %#x, %d-byte varints: the decoder ends at %d, the scan at %d (fields %d)", tag, len(varint), r.end, end, tagFields[tag])
+			}
+			for cut := 9; cut < end; cut++ {
+				var short threadRead
+				short.read(p[:cut], 0, 0, 0, 1)
+				if frameThread(p[:cut], 0) != -1 || short.err == nil {
+					t.Fatalf("tag %#x cut at %d: the scan frames %d, the decoder says %v", tag, cut, frameThread(p[:cut], 0), short.err)
+				}
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -89,7 +90,7 @@ func WriteV2Par(w io.Writer, src Source, fj ForkJoin) (int64, error) {
 		lanes[t].keep = true
 	}
 	r := c.walk(fj, lanes)
-	c.validateOnce.Do(func() { c.settle(r) })
+	c.validateOnce.Do(func() { c.settle(r, fj) })
 	if r.decode != nil {
 		return 0, r.decode
 	}
@@ -257,6 +258,23 @@ func polyMul(a, b uint64) uint64 {
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
+// crcBlock is how many bytes checksum hands one fork-join body.
+const crcBlock = 1 << 20
+
+// checksum is crc64.Checksum(data, crcTable) with data cut into crcBlock
+// blocks, each summed under fj, folded in order by crc64Combine.
+func checksum(data []byte, fj ForkJoin) uint64 {
+	blocks := (len(data) + crcBlock - 1) / crcBlock
+	sums := make([]uint64, blocks)
+	block := func(i int) []byte { return data[i*crcBlock : min((i+1)*crcBlock, len(data))] }
+	fj.run(blocks, func(i int) { sums[i] = crc64.Checksum(block(i), crcTable) })
+	var sum uint64
+	for i, s := range sums {
+		sum = crc64Combine(sum, s, int64(len(block(i))))
+	}
+	return sum
+}
+
 // Digest returns a stable 64-bit fingerprint of the trace: the CRC64-ECMA
 // of its serialized payload — the same value WriteTo appends as the
 // stream's trailing checksum, so the digest of an in-memory trace matches
@@ -314,22 +332,29 @@ func decodeErrf(section string, off int, format string, args ...any) error {
 // decodes each op, notes what Validate checks and puts it into the column
 // builder, so no []Op ever exists. The checksum just verified is the content
 // digest, and Validate's verdict is memoized with it: a trace that fails
-// Validate is still returned, as it always was.
+// Validate is still returned, as it always was. ReadTrace runs on the calling
+// goroutine; Load reads a v2 file the same way on every CPU it is handed.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, decodeErr("stream", len(raw), fmt.Errorf("reading: %w", err))
 	}
-	return decodeTrace(raw)
+	return decodeTrace(raw, nil)
 }
 
-func decodeTrace(raw []byte) (*Trace, error) {
+// decodeTrace reads a v2 stream with its per-thread work under fj: the
+// checksum in blocks, then — once frameThreads has found where each thread's
+// ops start — every thread's decode, checks and puts, then the seal. The
+// threads after a failing one may decode too, but only the first failure in
+// thread order is reported: the one, with the section, offset and text, that
+// a reader going thread by thread stops at.
+func decodeTrace(raw []byte, fj ForkJoin) (*Trace, error) {
 	if len(raw) < 8 {
 		return nil, decodeErrf("stream", len(raw), "truncated stream (%d bytes, need at least the 8-byte checksum)", len(raw))
 	}
 	payload, tail := raw[:len(raw)-8], raw[len(raw)-8:]
 	want := binary.LittleEndian.Uint64(tail)
-	if got := crc64.Checksum(payload, crcTable); got != want {
+	if got := checksum(payload, fj); got != want {
 		return nil, decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, want)
 	}
 
@@ -361,45 +386,166 @@ func decodeTrace(raw []byte) (*Trace, error) {
 		return nil, err
 	}
 
-	d := opDecoder{p: payload, pos: h.off(), canon: canon && exact}
-	builders := make([]colBuilder, threads)
-	checks := make([]threadCheck, threads)
-	sealing := make([]*colBuilder, threads)
-	for t := range builders {
-		section := threadSection(int64(t))
-		if len(payload)-d.pos < 8 {
-			_, err := io.ReadFull(bytes.NewReader(payload[d.pos:]), make([]byte, 8))
-			return nil, decodeErr(section, d.pos, fmt.Errorf("op count: %w", err))
+	starts, end := frameThreads(payload, h.off(), int(threads))
+	reads := make([]threadRead, len(starts))
+	shift := provisionalShift(l1)
+	fj.run(len(reads), func(t int) { reads[t].read(payload, starts[t], t, shift, len(names)) })
+	canon = canon && exact
+	checks := make([]threadCheck, len(reads))
+	sealing := make([]*colBuilder, len(reads))
+	for t := range reads {
+		r := &reads[t]
+		if r.err != nil {
+			return nil, r.err
 		}
-		nOps := int64(binary.LittleEndian.Uint64(payload[d.pos:]))
-		// Each op occupies at least its tag byte, so the remaining
-		// payload bounds the count; this rejects corrupt lengths before
-		// the work they would inflate.
-		if nOps < 0 || nOps > int64(len(payload)-d.pos-8) {
-			return nil, decodeErrf(section, d.pos, "implausible op count %d", nOps)
+		// A thread decodes exactly what the scan framed: tagFields is the
+		// decoder's field count (TestFramingScanMatchesDecoder).
+		next := end
+		if t+1 < len(starts) {
+			next = starts[t+1]
 		}
-		d.pos += 8
-		b, k := &builders[t], &checks[t]
-		b.shift, k.tid, k.phases = provisionalShift(l1), t, len(names)
-		if err := d.thread(section, nOps, b, k); err != nil {
-			return nil, err
+		if r.end != next {
+			panic(fmt.Sprintf("trace: thread %d decoded to byte %d, the framing scan to %d", t, r.end, next))
 		}
-		k.finish()
-		sealing[t] = b
+		checks[t], sealing[t], canon = r.k, &r.b, canon && r.canon
 	}
-	if d.pos != len(payload) {
-		return nil, decodeErrf("stream", d.pos, "%d trailing payload bytes", len(payload)-d.pos)
+	if end != len(payload) {
+		return nil, decodeErrf("stream", end, "%d trailing payload bytes", len(payload)-end)
 	}
-	c := sealImage(costs, l1, names, sealing, nil)
-	if d.canon {
+	c := sealImage(costs, l1, names, sealing, fj)
+	if canon {
 		_, verdict := foldChecks(checks)
-		c.validateOnce.Do(func() { c.settle(walkResult{verdict: verdict, digest: want}) })
+		c.validateOnce.Do(func() { c.settle(walkResult{verdict: verdict, digest: want}, fj) })
 	}
 	return c.AsTrace(), nil
 }
 
 // threadSection names thread t's op section for DecodeError reporting.
 func threadSection(t int64) string { return fmt.Sprintf("thread %d ops", t) }
+
+// tagFields is, for every tag byte, how many varints follow it in the v2 op
+// encoding — the gap's under tagHasGap, then the kind's fields — or -1 for a
+// tag opDecoder.thread refuses: a reserved bit set, or an unknown kind.
+var tagFields = func() (fields [256]int8) {
+	for tag := range fields {
+		n := int8(-1)
+		switch Kind(tag & tagKindMask) {
+		case OpBarrier, OpDMAWait, OpGap, OpEnd:
+			n = 0
+		case OpAccess, OpAtomic, OpPhase:
+			n = 1
+		case OpDMA:
+			n = 3
+		}
+		switch {
+		case tag&tagReserved != 0:
+			n = -1
+		case n >= 0 && tag&tagHasGap != 0:
+			n++
+		}
+		fields[tag] = n
+	}
+	return fields
+}()
+
+// frameThreads finds where each of a v2 payload's thread sections starts,
+// the first at pos: a pass over tag bytes and varint terminators only, far
+// cheaper than the decode it splits. It stops in the first thread it cannot
+// frame — a short or implausible op count, a refused tag, the payload ending
+// inside an op — and returns that thread as the last start, with end -1:
+// the thread's decode then fails, and says why. Otherwise end is where the
+// last thread's ops end.
+func frameThreads(p []byte, pos, threads int) (starts []int, end int) {
+	starts = make([]int, 0, threads)
+	for t := 0; t < threads && pos >= 0; t++ {
+		starts = append(starts, pos)
+		pos = frameThread(p, pos)
+	}
+	return starts, pos
+}
+
+// frameThread returns where the thread section at pos ends, or -1 where it
+// cannot tell. The op count bound is the decoder's: each op is at least its
+// tag byte.
+func frameThread(p []byte, pos int) int {
+	if len(p)-pos < 8 {
+		return -1
+	}
+	n := int64(binary.LittleEndian.Uint64(p[pos:]))
+	if n < 0 || n > int64(len(p)-pos-8) {
+		return -1
+	}
+	pos += 8
+	for ; n > 0; n-- {
+		// Nearly every op fits in the eight bytes at pos. A varint ends at a
+		// byte whose top bit is clear, as does every tag tagFields accepts,
+		// so the op ends at the (fields+1)-th such byte.
+		if len(p)-pos >= 8 {
+			w := binary.LittleEndian.Uint64(p[pos:])
+			fields := tagFields[byte(w)]
+			ends := ^w & 0x8080808080808080
+			for i := int8(0); i < fields; i++ {
+				ends &= ends - 1
+			}
+			if fields >= 0 && ends != 0 {
+				pos += bits.TrailingZeros64(ends)/8 + 1
+				continue
+			}
+		}
+		if pos == len(p) {
+			return -1
+		}
+		fields := tagFields[p[pos]]
+		pos++
+		if fields < 0 {
+			return -1
+		}
+		for ; fields > 0; fields-- {
+			for pos < len(p) && p[pos] >= 0x80 {
+				pos++
+			}
+			if pos == len(p) {
+				return -1
+			}
+			pos++
+		}
+	}
+	return pos
+}
+
+// threadRead is one thread's share of decodeTrace.
+type threadRead struct {
+	b     colBuilder
+	k     threadCheck
+	end   int  // where its ops end
+	canon bool // every varint minimal (see decodeTrace)
+	err   error
+}
+
+// read decodes thread t's section, which starts at pos: its op count, then
+// its ops, each noted in r.k and put into r.b.
+func (r *threadRead) read(payload []byte, pos, t int, shift uint, phases int) {
+	section := threadSection(int64(t))
+	if len(payload)-pos < 8 {
+		_, err := io.ReadFull(bytes.NewReader(payload[pos:]), make([]byte, 8))
+		r.err = decodeErr(section, pos, fmt.Errorf("op count: %w", err))
+		return
+	}
+	nOps := int64(binary.LittleEndian.Uint64(payload[pos:]))
+	// Each op occupies at least its tag byte, so the remaining payload bounds
+	// the count; this rejects corrupt lengths before the work they would
+	// inflate.
+	if nOps < 0 || nOps > int64(len(payload)-pos-8) {
+		r.err = decodeErrf(section, pos, "implausible op count %d", nOps)
+		return
+	}
+	d := opDecoder{p: payload, pos: pos + 8, canon: true}
+	r.b.shift, r.k.tid, r.k.phases = shift, t, phases
+	if r.err = d.thread(section, nOps, &r.b, &r.k); r.err == nil {
+		r.k.finish()
+		r.end, r.canon = d.pos, d.canon
+	}
+}
 
 // headerReader reads the header v2 and v3 share (see appendHeader) from br,
 // whose bytes end at stream offset end.

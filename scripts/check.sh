@@ -78,7 +78,15 @@
 #                                     telemetry replay, -corelist 8,8,16);
 #                                     a cold 2^20 Table I and its two .nmt3
 #                                     files match rows.golden's large/ lines
-#  12. benchmark module               go vet -C bench ./_layers && go test -C
+#  12. trace identity                 an nmsort recording at -cores 64 (many
+#                                     thread boundaries for the v2 reader's
+#                                     framing scan): v2 -> v3 -> v2 gives the
+#                                     recorded bytes back, replay prints one
+#                                     report from either file, and record and
+#                                     convert at GOMAXPROCS=1 write the same
+#                                     files and convert lines as at the
+#                                     default
+#  13. benchmark module               go vet -C bench ./_layers && go test -C
 #                                     bench ./...: bench/ is its own module
 #                                     and the one importer of repro/internal
 #                                     outside this one, so a renamed or
@@ -117,6 +125,40 @@ no_fma() {
 	done
 }
 
+# trace_identity runs check 12 in a scratch directory: the same commands once
+# at the default GOMAXPROCS and once at 1, each in its own directory under the
+# same relative paths, so the convert lines (which name their files) compare
+# too.
+trace_identity() (
+	d=$(mktemp -d)
+	trap 'rm -rf "$d"' EXIT
+	go build -o "$d/nmtrace" ./cmd/nmtrace
+	cd "$d"
+	rec="record -alg nmsort -n 16384 -cores 64 -sp 1"
+	for procs in default 1; do
+		mkdir "$procs"
+		(
+			cd "$procs"
+			if [ "$procs" = 1 ]; then
+				export GOMAXPROCS=1
+			fi
+			../nmtrace $rec -o rec.nmt >/dev/null
+			../nmtrace $rec -o rec.nmt3 >/dev/null
+			../nmtrace convert -i rec.nmt -o conv.nmt3 >convert.txt
+			../nmtrace convert -i conv.nmt3 -o back.nmt >>convert.txt
+			../nmtrace replay -i rec.nmt -near 16 >replay_v2.txt
+			../nmtrace replay -i conv.nmt3 -near 16 >replay_v3.txt
+		)
+	done
+	cat default/convert.txt
+	for f in rec.nmt rec.nmt3 conv.nmt3 back.nmt convert.txt replay_v2.txt replay_v3.txt; do
+		cmp "default/$f" "1/$f"
+	done
+	cmp default/rec.nmt default/back.nmt
+	cmp default/rec.nmt3 default/conv.nmt3
+	cmp default/replay_v2.txt default/replay_v3.txt
+)
+
 step go build ./...
 step go run ./cmd/nmlint ./...
 step go run ./cmd/nmlint -escape-check ./...
@@ -134,6 +176,7 @@ step go test -run='^$' -fuzz='^FuzzReplayMatchesReference$' -fuzztime=10s ./inte
 step go test -run='^$' -fuzz='^FuzzAccessMatchesReference$' -fuzztime=10s ./internal/cachesim
 step ./scripts/serve_smoke.sh
 step ./scripts/schedule_smoke.sh
+step trace_identity
 step go vet -C bench ./_layers
 step go test -C bench ./...
 

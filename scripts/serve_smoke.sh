@@ -15,7 +15,9 @@
 # A second pass smoke-tests the columnar (v3) serving path: record a trace
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
 # stream to one fresh daemon and the v3 file to another, submit the same
-# job to both, and require byte-identical response bodies.
+# job to both, and require byte-identical response bodies. Host time travels
+# in a Server-Timing header only: the uploads must name their verify stage
+# and the jobs their gate wait and replay, with the bodies still cmp-equal.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -159,22 +161,37 @@ addr_v3=$(wait_addr "$daemon2_pid" "$workdir/daemon_v3.out")
 echo "v2 daemon at $addr_v2, v3 daemon at $addr_v3"
 
 echo "== upload both serializations =="
-d2=$(curl -sSf --data-binary @"$workdir/t.nmt" "http://$addr_v2/v1/traces" |
+d2=$(curl -sSf -D "$workdir/upload_v2.hdr" --data-binary @"$workdir/t.nmt" "http://$addr_v2/v1/traces" |
 	sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p')
-d3=$(curl -sSf --data-binary @"$workdir/t.nmt3" "http://$addr_v3/v1/traces" |
+d3=$(curl -sSf -D "$workdir/upload_v3.hdr" --data-binary @"$workdir/t.nmt3" "http://$addr_v3/v1/traces" |
 	sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p')
 echo "v2 digest $d2, v3 digest $d3"
 [ -n "$d2" ] && [ "$d2" = "$d3" ] || { echo "digest differs across serializations"; exit 1; }
 
 echo "== same job against both =="
 job() {
-	curl -sSf -H 'Content-Type: application/json' \
+	curl -sSf -D "$3" -H 'Content-Type: application/json' \
 		-d "{\"trace_digest\":\"$1\",\"cores\":16,\"near_channels\":16,\"sp_mib\":1}" \
 		"http://$2/v1/jobs"
 }
-job "$d2" "$addr_v2" > "$workdir/job_v2.json"
-job "$d3" "$addr_v3" > "$workdir/job_v3.json"
+job "$d2" "$addr_v2" "$workdir/job_v2.hdr" > "$workdir/job_v2.json"
+job "$d3" "$addr_v3" "$workdir/job_v3.hdr" > "$workdir/job_v3.json"
 cmp "$workdir/job_v2.json" "$workdir/job_v3.json"
+job "$d2" "$addr_v2" "$workdir/job_v2_cached.hdr" > "$workdir/job_v2_cached.json"
+cmp "$workdir/job_v2.json" "$workdir/job_v2_cached.json"
+
+echo "== Server-Timing headers =="
+# timing FILE PATTERN: the response headers in FILE carry a matching Server-Timing.
+timing() {
+	grep -iE "^Server-Timing: $2"$'\r'"?\$" "$1" ||
+		{ echo "$1: no Server-Timing matching $2:"; cat "$1"; return 1; }
+}
+for f in upload_v2 upload_v3; do
+	timing "$workdir/$f.hdr" 'verify;dur=[0-9.]+'
+done
+for f in job_v2 job_v3 job_v2_cached; do
+	timing "$workdir/$f.hdr" 'queue;dur=[0-9.]+, replay;dur=[0-9.]+'
+done
 
 kill -TERM "$daemon_pid" && wait "$daemon_pid" || true
 kill -TERM "$daemon2_pid" && wait "$daemon2_pid" || true
