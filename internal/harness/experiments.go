@@ -43,11 +43,14 @@ const DefaultEpoch = 10 * units.Microsecond
 
 // Experiment is one registered experiment: a stable name (the -exp value
 // and the serving API's exp field), a one-line description (usage text is
-// generated from these), and the runner.
+// generated from these), what it reproduces — the paper's table, theorem or
+// section and EXPERIMENTS.md's heading id, "Table I", "§V claim C1",
+// "Theorem 6" — and the runner.
 type Experiment struct {
-	Name string
-	Desc string
-	Run  func(p ExperimentParams, w Workload) (Output, error)
+	Name  string
+	Desc  string
+	Paper string
+	Run   func(p ExperimentParams, w Workload) (Output, error)
 }
 
 // Output is what an experiment leaves to print — a Sweep, Table I's Table,
@@ -73,11 +76,11 @@ func Render(w io.Writer, o Output, f report.Format) error {
 // here is the whole job: flag validation, usage text, and the serving
 // API's experiment set all follow.
 var Experiments = []Experiment{
-	{"bandwidth", "claim C1 — NMsort's runtime falls as near bandwidth rises 2X→8X; the baseline is insensitive",
+	{"bandwidth", "claim C1 — NMsort's runtime falls as near bandwidth rises 2X→8X; the baseline is insensitive", "§V claim C1",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			return BandwidthSweep(w)
 		}},
-	{"cores", "claim C2 — the scratchpad pays off in the memory-bound regime (256 cores) and not below it",
+	{"cores", "claim C2 — the scratchpad pays off in the memory-bound regime (256 cores) and not below it", "§V claim C2",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			cc := p.CoreList
 			if len(cc) == 0 {
@@ -85,15 +88,15 @@ var Experiments = []Experiment{
 			}
 			return CoreSweep(w, cc)
 		}},
-	{"dma", "experiment A2 — the §VII DMA-engine extension",
+	{"dma", "experiment A2 — the §VII DMA-engine extension", "§VII A2",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			return AblationDMA(w, 16)
 		}},
-	{"appends", "experiment A1 — bucket-metadata batching ablation",
+	{"appends", "experiment A1 — bucket-metadata batching ablation", "§IV-D A1",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			return AblationSmallAppends(w, 16)
 		}},
-	{"kmeans", "the §VII k-means extension",
+	{"kmeans", "the §VII k-means extension", "§VII K1",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			// The row pins its recording: 8MiB of points, more than a 256-core
 			// node's 2MiB of L2 and less than the 12MiB scratchpad. Only the
@@ -101,11 +104,11 @@ var Experiments = []Experiment{
 			return KMeansSweep(Workload{N: 1 << 18, Seed: 31, Threads: w.Threads, SP: 12 * units.MiB,
 				MaxEvents: w.MaxEvents, Par: w.Par, Sup: w.Sup})
 		}},
-	{"faults", "experiment F1 — slowdown, retry counts, and MemFault outcomes vs. the far memory's error rate",
+	{"faults", "experiment F1 — slowdown, retry counts, and MemFault outcomes vs. the far memory's error rate", "F1, beyond the paper",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			return RunFaultSweep(w, 16, p.FaultSeed, p.FaultRates)
 		}},
-	{"timeline", "telemetry-instrumented replay at 4X — per-phase bandwidth and utilization, NMsort vs. the baseline",
+	{"timeline", "telemetry-instrumented replay at 4X — per-phase bandwidth and utilization, NMsort vs. the baseline", "Table I, TL",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			epoch := p.Epoch
 			if epoch <= 0 {
@@ -114,13 +117,13 @@ var Experiments = []Experiment{
 			return TimelineSweep(w, 16, epoch)
 		}},
 	// The model-side rows (paper.go) take no parameters.
-	{"membound", "claim C4 — Section V-A's y·lgZ < x on the paper's node, and the crossover core count (model only)", memBound},
-	{"codesign", "vendor guidance — rho*, speedups and ceiling from the paper's Table I profile and from Table I's cells on this workload", coDesign},
-	{"m1", "experiment M1 — Theorem 6: the sequential sort's line transfers vs the model, six doublings of N up to -n", blockTransfers},
-	{"m2", "experiment M2 — Lemma 5: split quality and recursion depth, six doublings of N up to -n", lemma5},
-	{"m3", "experiment M3 — Corollaries 3/7: in-scratchpad mergesort vs quicksort near lines, x = n/64, n/16, n/4, n", innerSort},
-	{"pem", "experiment M-PEM — Theorem 8: PEM sort of n scratchpad-resident keys at p' = 4, 16, 64 threads, 4X", pemSweep},
-	{"table1", "the paper's Table I (cmd/nmsim parity); dma/dist/fault_rate apply",
+	{"membound", "claim C4 — Section V-A's y·lgZ < x on the paper's node, and the crossover core count (model only)", "§V-A claim C4", memBound},
+	{"codesign", "vendor guidance — rho*, speedups and ceiling from the paper's Table I profile and from Table I's cells on this workload", "§I-A and §VII vendor guidance", coDesign},
+	{"m1", "experiment M1 — Theorem 6: the sequential sort's line transfers vs the model, six doublings of N up to -n", "Theorem 6", blockTransfers},
+	{"m2", "experiment M2 — Lemma 5: split quality and recursion depth, six doublings of N up to -n", "Lemma 5", lemma5},
+	{"m3", "experiment M3 — Corollaries 3/7: in-scratchpad mergesort vs quicksort near lines, x = n/64, n/16, n/4, n", "Corollary 7", innerSort},
+	{"pem", "experiment M-PEM — Theorem 8: PEM sort of n scratchpad-resident keys at p' = 4, 16, 64 threads, 4X", "Theorem 8", pemSweep},
+	{"table1", "the paper's Table I (cmd/nmsim parity); dma/dist/fault_rate apply", "Table I",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			return Table1Faults(w, p.DMA, p.Fault)
 		}},

@@ -91,3 +91,14 @@ func TestCoDesignReadsTableOnesCells(t *testing.T) {
 		t.Errorf("measured row = %q, want %q", rows[len(rows)-1], want)
 	}
 }
+
+// TestEveryRowNamesWhatItReproduces: each registry row says which table,
+// theorem or section of the paper it reproduces (GET /v1/experiments lists
+// it as paper).
+func TestEveryRowNamesWhatItReproduces(t *testing.T) {
+	for _, e := range Experiments {
+		if e.Paper == "" {
+			t.Errorf("row %q names no part of the paper", e.Name)
+		}
+	}
+}

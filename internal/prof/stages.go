@@ -81,6 +81,19 @@ func (sp Span) End(marks ...string) {
 	}
 }
 
+// EndAs closes the stage under a new name, for work whose kind is known only
+// once it is done: an upload the store answered by a compare ("resident") or
+// one it had to verify ("verify").
+func (sp Span) EndAs(name string, marks ...string) {
+	if sp.s == nil {
+		return
+	}
+	sp.s.mu.Lock()
+	sp.s.list[sp.idx].Name = name
+	sp.s.mu.Unlock()
+	sp.End(marks...)
+}
+
 // Snapshot returns the stages recorded so far, in start order.
 func (s *Stages) Snapshot() []Stage {
 	if s == nil {

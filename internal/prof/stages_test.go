@@ -39,6 +39,11 @@ func TestServerTiming(t *testing.T) {
 	if got := s.ServerTiming(); !strings.Contains(got, ", write;dur=") {
 		t.Errorf("once ended, the stage is missing: %q", got)
 	}
+	s.Start(0, "request", "verify").EndAs("resident")
+	if got := s.ServerTiming(); !regexp.MustCompile(`, replay;dur=[0-9.]+, resident;dur=[0-9.]+$`).MatchString(got) {
+		t.Errorf("EndAs kept the old name: %q", got)
+	}
+	off.Start(0, "request", "verify").EndAs("resident") // inert on the nil recorder
 }
 
 // TestStagesRecordConcurrently: lanes open and close stages at once; every

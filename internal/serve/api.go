@@ -127,8 +127,9 @@ type Stats struct {
 
 // ExperimentInfo is one GET /v1/experiments row.
 type ExperimentInfo struct {
-	Name string `json:"name"`
-	Desc string `json:"desc"`
+	Name  string `json:"name"`
+	Desc  string `json:"desc"`
+	Paper string `json:"paper"` // what the row reproduces: "Table I", "Theorem 6", …
 }
 
 // errorBody is the JSON error envelope on every non-2xx response.

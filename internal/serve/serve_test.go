@@ -117,17 +117,23 @@ func TestJobCacheHit(t *testing.T) {
 	}
 }
 
-// TestServerTimingHeader: an upload names its verify stage, a job its gate
-// wait and its replay, in a Server-Timing header; host time stays out of the
-// body, so a cached job's bytes are still the cold job's.
+// TestServerTimingHeader: an upload names its read and then its verify
+// stage, or its resident stage when a compare with the image the store holds
+// answered it; a job its gate wait and its replay; a recording its gate wait
+// and its recording; a sweep its gate wait and RunSweep. Each travels in a
+// Server-Timing header, and host time stays out of the body, so a repeat's
+// bytes are still the first answer's.
 func TestServerTimingHeader(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
+	var v2, v3 bytes.Buffer
 	if _, err := rec.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Trace.Columns().WriteTo(&v3); err != nil {
 		t.Fatal(err)
 	}
 	post := func(path, contentType string, body []byte, timing string) []byte {
@@ -146,8 +152,16 @@ func TestServerTimingHeader(t *testing.T) {
 		}
 		return out
 	}
+	const verified, resident = `^read;dur=[0-9.]+, verify;dur=[0-9.]+$`, `^read;dur=[0-9.]+, resident;dur=[0-9.]+$`
+	upload := post("/v1/traces", "application/octet-stream", v2.Bytes(), verified)
+	if again := post("/v1/traces", "application/octet-stream", v2.Bytes(), verified); !bytes.Equal(upload, again) {
+		t.Errorf("the v2 re-upload's body differs:\nfirst: %s\nagain: %s", upload, again)
+	}
+	if again := post("/v1/traces", "application/octet-stream", v3.Bytes(), resident); !bytes.Equal(upload, again) {
+		t.Errorf("the resident v3 image's body differs:\nv2: %s\nv3: %s", upload, again)
+	}
 	var info serve.TraceInfo
-	if err := json.Unmarshal(post("/v1/traces", "application/octet-stream", v2.Bytes(), `^verify;dur=[0-9.]+$`), &info); err != nil {
+	if err := json.Unmarshal(upload, &info); err != nil {
 		t.Fatal(err)
 	}
 	job, err := json.Marshal(tinyJob(info.Digest))
@@ -158,6 +172,24 @@ func TestServerTimingHeader(t *testing.T) {
 	cold := post("/v1/jobs", "application/json", job, stages)
 	if warm := post("/v1/jobs", "application/json", job, stages); !bytes.Equal(cold, warm) {
 		t.Errorf("the cached job's body differs:\ncold: %s\nwarm: %s", cold, warm)
+	}
+
+	record, err := json.Marshal(serve.RecordRequest{Alg: "gnusort", N: 1 << 12, Seed: 7, Threads: 16, SPMiB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const recorded = `^queue;dur=[0-9.]+, record;dur=[0-9.]+$`
+	first := post("/v1/traces/record", "application/json", record, recorded)
+	if again := post("/v1/traces/record", "application/json", record, recorded); !bytes.Equal(first, again) {
+		t.Errorf("the repeated recording's body differs:\nfirst: %s\nagain: %s", first, again)
+	}
+	sweep, err := json.Marshal(serve.SweepRequest{Exp: "m2", N: 4096, Cores: 16, SPMiB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const swept = `^queue;dur=[0-9.]+, sweep;dur=[0-9.]+$`
+	if a, b := post("/v1/sweeps", "application/json", sweep, swept), post("/v1/sweeps", "application/json", sweep, swept); !bytes.Equal(a, b) {
+		t.Errorf("the repeated sweep's body differs:\nfirst: %s\nagain: %s", a, b)
 	}
 }
 
@@ -328,7 +360,7 @@ func TestSweepTable1IsARegistryRow(t *testing.T) {
 		t.Fatalf("%d experiments listed, the registry has %d", len(infos), len(harness.Experiments))
 	}
 	for i, e := range harness.Experiments {
-		if infos[i] != (serve.ExperimentInfo{Name: e.Name, Desc: e.Desc}) {
+		if infos[i] != (serve.ExperimentInfo{Name: e.Name, Desc: e.Desc, Paper: e.Paper}) {
 			t.Errorf("entry %d: %+v, the registry has %q", i, infos[i], e.Name)
 		}
 	}

@@ -168,6 +168,20 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 	}
 }
 
+// uploadReserve caps what a Content-Length header alone can make the daemon
+// allocate for an upload body: the header is a hint, and a body longer than
+// the reserve grows by doubling as its bytes actually arrive.
+const uploadReserve = 4 << 20
+
+// readBody reads a request body into one buffer, reserved from the
+// Content-Length hint (at most limit and uploadReserve; MinRead more, so an
+// honest body fills it without a growth copy at EOF).
+func readBody(r io.Reader, hint, limit int64) ([]byte, error) {
+	b := bytes.NewBuffer(make([]byte, 0, min(max(hint, 0), limit, uploadReserve)+bytes.MinRead))
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
 // handleUpload ingests a serialized trace stream into the store, in either
 // serialization, sniffed by magic, and either way as columns replayed in
 // place. A v2 body (trace.WriteTo bytes) is checksum-verified, validated
@@ -176,12 +190,21 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 // digest: the store is content-addressed by the footer's digest claim, so a
 // forged footer could otherwise poison the cache entry of a different trace.
 // Verify's walk validates as it goes, so the Validate after it is a lookup;
-// it runs on the handler's goroutine — one request, one CPU. The read, the
-// checksums and the validation are the request's verify stage, sent in a
-// Server-Timing header. A trace larger than the whole store budget is a 507,
-// and nothing resident is evicted.
+// it runs on the handler's goroutine — one request, one CPU.
+//
+// A v3 body that is, byte for byte, the image of the trace resident under
+// its digest claim is answered from that entry instead, by a compare: the
+// verdict is a function of the bytes, and a resident image either passed
+// Verify or was sealed here with a footer from its own validation walk, so
+// equal bytes get the verdict the walk would reach. The read and then the
+// checks ("verify") or the compare ("resident") are the request's stages,
+// sent in a Server-Timing header. A trace larger than the whole store budget
+// is a 507, and nothing resident is evicted.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	timing := prof.NewStages()
+	read := timing.Start(0, "request", "read")
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), r.ContentLength, s.cfg.MaxUploadBytes)
+	read.End()
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
@@ -190,15 +213,21 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("serve: reading trace: %w", err), status)
 		return
 	}
-	timing := prof.NewStages()
-	verify := timing.Start(0, "request", "verify")
+	check := timing.Start(0, "request", "verify")
+	stage := "verify"
 	var src trace.Source
 	if trace.IsColumnar(body) {
 		var col *trace.Columnar
 		if col, err = trace.OpenBytes(body); err == nil {
-			err = col.Verify()
+			claim, _ := col.Digest() // an opened file's footer value: O(1), never an error
+			var ok bool
+			if src, ok = s.store.holding(claim, body); ok {
+				stage = "resident"
+			} else {
+				err = col.Verify()
+				src = col
+			}
 		}
-		src = col
 	} else {
 		src, err = trace.ReadTrace(bytes.NewReader(body))
 	}
@@ -206,7 +235,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		invalid = src.Validate()
 	}
-	verify.End()
+	check.EndAs(stage)
 	w.Header().Set("Server-Timing", timing.ServerTiming())
 	if err != nil {
 		fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
@@ -233,7 +262,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // pass the admission gate; a workload its program refuses is a 422, and a
 // recording larger than the whole store budget a 507 — the store could not
 // hold the digest the answer would name. The store is the record cache, so a
-// repeat finds the trace while it is resident.
+// repeat finds the trace while it is resident. The gate wait and the
+// recording travel in a Server-Timing header.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var req RecordRequest
 	if !decodeBody(w, r, "record", &req) {
@@ -252,7 +282,10 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
+	timing := prof.NewStages()
+	queue := timing.Start(0, "request", "queue")
 	release, err := s.gate.Acquire(r.Context())
+	queue.End()
 	if err != nil {
 		s.jobsRejected.Add(1)
 		fail(w, err, http.StatusTooManyRequests)
@@ -264,7 +297,10 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		SP: units.Bytes(req.SPMiB) * units.MiB, Buckets: req.Buckets, Dist: dist,
 		Sup: &harness.Supervisor{Ctx: r.Context(), Records: s.store},
 	}
+	record := timing.Start(0, "request", "record")
 	res, err := harness.Record(harness.Algorithm(req.Alg), wl)
+	record.End()
+	w.Header().Set("Server-Timing", timing.ServerTiming())
 	if err != nil {
 		fail(w, err, http.StatusUnprocessableEntity)
 		return
@@ -469,7 +505,8 @@ func (s *Server) streamJob(w http.ResponseWriter, req JobRequest, sup *harness.S
 // report: the wire's defaults, then the request's own Validate (400, before
 // the gate and before any recording), then RunSweep — the path cmd/sweep and
 // cmd/nmsim run locally. The count of failed cells travels in
-// X-Nmsimd-Failed so remote clients keep the local exit-code contract.
+// X-Nmsimd-Failed so remote clients keep the local exit-code contract, and
+// the gate wait and RunSweep's time in a Server-Timing header.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !decodeBody(w, r, "sweep", &req) {
@@ -480,7 +517,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
+	timing := prof.NewStages()
+	queue := timing.Start(0, "request", "queue")
 	release, err := s.gate.Acquire(r.Context())
+	queue.End()
 	if err != nil {
 		s.jobsRejected.Add(1)
 		fail(w, err, http.StatusTooManyRequests)
@@ -495,7 +535,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Render into a buffer first: a failed experiment must still be able
 	// to answer with a clean error status.
 	var body strings.Builder
+	sweep := timing.Start(0, "request", "sweep")
 	failed, err := RunSweep(&body, req, sup)
+	sweep.End()
+	w.Header().Set("Server-Timing", timing.ServerTiming())
 	if err != nil {
 		fail(w, err, http.StatusUnprocessableEntity)
 		return
@@ -529,7 +572,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	infos := make([]ExperimentInfo, 0, len(harness.Experiments))
 	for _, e := range harness.Experiments {
-		infos = append(infos, ExperimentInfo{Name: e.Name, Desc: e.Desc})
+		infos = append(infos, ExperimentInfo{Name: e.Name, Desc: e.Desc, Paper: e.Paper})
 	}
 	writeJSON(w, infos)
 }

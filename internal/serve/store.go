@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -51,14 +52,20 @@ var ErrTraceTooLarge = errors.New("serve: trace larger than the store budget")
 // sourceBytes splits a source's resident footprint into heap and mapped
 // bytes: the size of the image behind it, on whichever side it lives.
 func sourceBytes(src trace.Source) (heap, mapped int64) {
-	col, _ := src.(*trace.Columnar)
-	if tr, ok := src.(*trace.Trace); ok {
-		col = tr.Columns()
-	}
+	col := columnsOf(src)
 	if col.Mapped() {
 		return 0, col.Size()
 	}
 	return col.Size(), 0
+}
+
+// columnsOf is the v3 image behind a source: a recording's or a v2 upload's
+// sealed columns, or the Columnar itself.
+func columnsOf(src trace.Source) *trace.Columnar {
+	if tr, ok := src.(*trace.Trace); ok {
+		return tr.Columns()
+	}
+	return src.(*trace.Columnar)
 }
 
 // recordKey names one recording: the workload is RecordKey-normalized, so
@@ -215,6 +222,40 @@ func (s *Store) Get(digest uint64) (trace.Source, bool) {
 	}
 	s.order.MoveToFront(e.elem)
 	return e.src, true
+}
+
+// holding returns the resident trace under digest whose v3 image is image,
+// byte for byte, without touching recency: a caller that finds one Puts it,
+// and a caller that does not leaves the store as it found it. The compare
+// runs outside the lock, through the image's own writer (a recording's or a
+// v2 upload's sealed columns, a v3 upload's bytes); an entry evicted
+// meanwhile stays readable, since eviction only drops the store's reference.
+func (s *Store) holding(digest uint64, image []byte) (trace.Source, bool) {
+	s.mu.Lock()
+	e, ok := s.entries[digest]
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	same := &sameBytes{want: image}
+	if _, err := columnsOf(e.src).WriteTo(same); err != nil || len(same.want) != 0 {
+		return nil, false
+	}
+	return e.src, true
+}
+
+// sameBytes is an io.Writer that consumes want as long as what is written
+// matches it, and fails at the first difference.
+type sameBytes struct{ want []byte }
+
+var errDiffers = errors.New("serve: image differs")
+
+func (c *sameBytes) Write(p []byte) (int, error) {
+	if !bytes.HasPrefix(c.want, p) {
+		return 0, errDiffers
+	}
+	c.want = c.want[len(p):]
+	return len(p), nil
 }
 
 // evictLocked drops least-recently-used unpinned traces other than keep, and

@@ -1,0 +1,302 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc64"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"runtime"
+	"testing"
+
+	"repro/internal/harness"
+	"repro/internal/trace"
+	"repro/internal/units"
+)
+
+// referenceUpload is the upload handler as it was before the resident
+// compare: the whole body through io.ReadAll, then Verify (v3) or ReadTrace
+// (v2), Validate and Put — every upload walked. The resident path is held to
+// its answers.
+func (s *Server) referenceUpload(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		fail(w, fmt.Errorf("serve: reading trace: %w", err), status)
+		return
+	}
+	var src trace.Source
+	if trace.IsColumnar(body) {
+		var col *trace.Columnar
+		if col, err = trace.OpenBytes(body); err == nil {
+			err = col.Verify()
+		}
+		src = col
+	} else {
+		src, err = trace.ReadTrace(bytes.NewReader(body))
+	}
+	var invalid error
+	if err == nil {
+		invalid = src.Validate()
+	}
+	if err != nil {
+		fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
+		return
+	}
+	if invalid != nil {
+		fail(w, fmt.Errorf("serve: invalid trace: %w", invalid), http.StatusBadRequest)
+		return
+	}
+	d, err := s.store.Put(src)
+	if errors.Is(err, ErrTraceTooLarge) {
+		storeFull(w, err)
+		return
+	}
+	if err != nil {
+		fail(w, err, http.StatusInternalServerError)
+		return
+	}
+	writeJSON(w, traceInfo(d, src))
+}
+
+// uploadRig is one daemon on httptest: the real handlers, or (reference)
+// the same daemon with referenceUpload behind POST /v1/traces.
+type uploadRig struct {
+	srv *Server
+	url string
+}
+
+func newUploadRig(t *testing.T, cfg Config, reference bool) uploadRig {
+	t.Helper()
+	srv := New(cfg)
+	h := srv.Handler()
+	if reference {
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/traces" {
+				srv.referenceUpload(w, r)
+				return
+			}
+			srv.Handler().ServeHTTP(w, r)
+		})
+	}
+	hs := httptest.NewServer(h)
+	t.Cleanup(hs.Close)
+	return uploadRig{srv: srv, url: hs.URL}
+}
+
+// uploadAnswer is everything an upload is held to: the response, the
+// daemon's counters after it, and the store's recency, front first.
+type uploadAnswer struct {
+	status  int
+	body    string
+	stats   Stats
+	recency []uint64
+}
+
+// post sends one request and returns its status, body and Server-Timing.
+func (g uploadRig) post(t *testing.T, path string, body []byte) (int, []byte, string) {
+	t.Helper()
+	resp, err := http.Post(g.url+path, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out, resp.Header.Get("Server-Timing")
+}
+
+// answer is the state after a response: /v1/stats and the recency list.
+func (g uploadRig) answer(t *testing.T, status int, body []byte) uploadAnswer {
+	t.Helper()
+	resp, err := http.Get(g.url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	a := uploadAnswer{status: status, body: string(body)}
+	if err := json.NewDecoder(resp.Body).Decode(&a.stats); err != nil {
+		t.Fatal(err)
+	}
+	g.srv.store.mu.Lock()
+	for el := g.srv.store.order.Front(); el != nil; el = el.Next() {
+		a.recency = append(a.recency, el.Value.(uint64))
+	}
+	g.srv.store.mu.Unlock()
+	return a
+}
+
+// uploadStage reads which check answered an upload from its Server-Timing.
+var uploadStage = regexp.MustCompile(`^read;dur=[0-9.]+, (verify|resident);dur=[0-9.]+$`)
+
+// image is the v3 bytes of a recording's sealed columns.
+func image(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := tr.Columns().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// edit returns a copy of img changed by f, with the footer's own checksum
+// recomputed when reseal is set — so the copy still opens, and only Verify
+// or the compare can tell.
+func edit(img []byte, reseal bool, f func(b []byte)) []byte {
+	b := bytes.Clone(img)
+	f(b)
+	if reseal {
+		ftr := b[len(b)-64:]
+		binary.LittleEndian.PutUint64(ftr[48:], crc64.Checksum(ftr[:48], crc64.MakeTable(crc64.ECMA)))
+	}
+	return b
+}
+
+// TestUploadAnsweredByResidentImage: an upload the store already holds, byte
+// for byte, is answered by a compare; everything else is verified as before.
+// Each case runs its setup and then its probe upload on two daemons, one
+// with the resident compare and one with referenceUpload, and the probe's
+// status, body, /v1/stats and store recency must agree.
+func TestUploadAnsweredByResidentImage(t *testing.T) {
+	wl := harness.Workload{N: 1 << 13, Seed: 7, Threads: 16, SP: units.MiB}
+	recA, err := harness.Record(harness.AlgNMSort, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recB, err := harness.Record(harness.AlgGNUSort, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := image(t, recA.Trace), image(t, recB.Trace)
+	var v2 bytes.Buffer
+	if _, err := recA.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	digestA, err := recA.Trace.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftr := len(a) - 64
+	column := recA.Trace.Columns().Sections()[0].Offset // the first op byte of thread 0
+	record, err := json.Marshal(RecordRequest{Alg: "nmsort", N: wl.N, Seed: wl.Seed, Threads: wl.Threads, SPMiB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type step struct {
+		path string
+		body []byte
+	}
+	upload := func(body []byte) step { return step{"/v1/traces", body} }
+	cases := []struct {
+		name   string
+		budget int64 // store budget; 0 = the default
+		setup  []step
+		probe  []byte
+		stage  string
+		status int
+	}{
+		{"identical v3 re-upload", 0, []step{upload(a), upload(b)}, a, "resident", http.StatusOK},
+		{"payload byte flipped", 0, []step{upload(a), upload(b)},
+			edit(a, false, func(x []byte) { x[column] ^= 1 }), "verify", http.StatusBadRequest},
+		{"footer digest byte flipped", 0, []step{upload(a), upload(b)},
+			edit(a, false, func(x []byte) { x[ftr+32] ^= 1 }), "verify", http.StatusBadRequest},
+		{"footer digest byte flipped, footer resealed", 0, []step{upload(a), upload(b)},
+			edit(a, true, func(x []byte) { x[ftr+32] ^= 1 }), "verify", http.StatusBadRequest},
+		{"footer payload CRC byte flipped, footer resealed", 0, []step{upload(a), upload(b)},
+			edit(a, true, func(x []byte) { x[ftr+40] ^= 1 }), "verify", http.StatusBadRequest},
+		{"footer checksum byte flipped", 0, []step{upload(a), upload(b)},
+			edit(a, false, func(x []byte) { x[ftr+48] ^= 1 }), "verify", http.StatusBadRequest},
+		{"another trace under a resident digest", 0, []step{upload(a), upload(b)},
+			edit(b, true, func(x []byte) { binary.LittleEndian.PutUint64(x[len(x)-64+32:], digestA) }),
+			"verify", http.StatusBadRequest},
+		{"image of a resident recording", 0, []step{{"/v1/traces/record", record}, upload(b)}, a, "resident", http.StatusOK},
+		{"v3 conversion of a resident v2 upload", 0, []step{upload(v2.Bytes()), upload(b)}, a, "resident", http.StatusOK},
+		{"v2 re-upload", 0, []step{upload(v2.Bytes()), upload(b)}, v2.Bytes(), "verify", http.StatusOK},
+		{"re-upload after eviction", int64(len(a) + len(b) - 1), []step{upload(a), upload(b)}, a, "verify", http.StatusOK},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var answers [2]uploadAnswer
+			for i, reference := range []bool{false, true} {
+				g := newUploadRig(t, Config{StoreBytes: tc.budget}, reference)
+				for _, s := range tc.setup {
+					if status, out, _ := g.post(t, s.path, s.body); status != http.StatusOK {
+						t.Fatalf("setup POST %s: %d %s", s.path, status, out)
+					}
+				}
+				status, out, timing := g.post(t, "/v1/traces", tc.probe)
+				if !reference {
+					m := uploadStage.FindStringSubmatch(timing)
+					if m == nil || m[1] != tc.stage {
+						t.Errorf("Server-Timing %q, want the %s stage", timing, tc.stage)
+					}
+				}
+				answers[i] = g.answer(t, status, out)
+			}
+			got, want := answers[0], answers[1]
+			if got.status != tc.status {
+				t.Errorf("status %d, want %d: %s", got.status, tc.status, got.body)
+			}
+			if got.status != want.status || got.body != want.body {
+				t.Errorf("answer %d %q, the verify-only daemon's %d %q", got.status, got.body, want.status, want.body)
+			}
+			if got.stats != want.stats {
+				t.Errorf("stats %+v, the verify-only daemon's %+v", got.stats, want.stats)
+			}
+			if fmt.Sprint(got.recency) != fmt.Sprint(want.recency) {
+				t.Errorf("recency %x, the verify-only daemon's %x", got.recency, want.recency)
+			}
+		})
+	}
+}
+
+// TestUploadLengthIsOnlyAHint: a client that claims a 1 GiB body, sends
+// 1 KiB and hangs up gets the verify-only daemon's answer, and the claim
+// does not make the daemon allocate it.
+func TestUploadLengthIsOnlyAHint(t *testing.T) {
+	send := func(g uploadRig) (int, string, uint64) {
+		t.Helper()
+		conn, err := net.Dial("tcp", g.url[len("http://"):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fmt.Fprintf(conn, "POST /v1/traces HTTP/1.1\r\nHost: nmsimd\r\nContent-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\n", 1<<30)
+		conn.Write(bytes.Repeat([]byte{0x5a}, 1<<10))
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return resp.StatusCode, string(out), after.TotalAlloc - before.TotalAlloc
+	}
+	status, body, alloc := send(newUploadRig(t, Config{}, false))
+	wantStatus, wantBody, _ := send(newUploadRig(t, Config{}, true))
+	if status != wantStatus || body != wantBody {
+		t.Errorf("answer %d %q, the verify-only daemon's %d %q", status, body, wantStatus, wantBody)
+	}
+	if alloc >= 64<<20 {
+		t.Errorf("a 1 GiB claim backed by 1 KiB allocated %d MiB", alloc>>20)
+	}
+}

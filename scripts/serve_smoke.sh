@@ -15,9 +15,12 @@
 # A second pass smoke-tests the columnar (v3) serving path: record a trace
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
 # stream to one fresh daemon and the v3 file to another, submit the same
-# job to both, and require byte-identical response bodies. Host time travels
-# in a Server-Timing header only: the uploads must name their verify stage
-# and the jobs their gate wait and replay, with the bodies still cmp-equal.
+# job to both, and require byte-identical response bodies. Each file is
+# uploaded twice, and a recording and a sweep run twice. Host time travels in
+# a Server-Timing header only: an upload names its read and then its verify
+# stage, or its resident stage when the store already held the v3 image; a
+# job its gate wait and replay; a recording and a sweep their gate wait and
+# their work — with every repeat's body cmp-equal to the first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -160,11 +163,19 @@ daemon2_pid=$!
 addr_v3=$(wait_addr "$daemon2_pid" "$workdir/daemon_v3.out")
 echo "v2 daemon at $addr_v2, v3 daemon at $addr_v3"
 
-echo "== upload both serializations =="
-d2=$(curl -sSf -D "$workdir/upload_v2.hdr" --data-binary @"$workdir/t.nmt" "http://$addr_v2/v1/traces" |
-	sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p')
-d3=$(curl -sSf -D "$workdir/upload_v3.hdr" --data-binary @"$workdir/t.nmt3" "http://$addr_v3/v1/traces" |
-	sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p')
+echo "== upload both serializations, each twice =="
+# upload FILE ADDR NAME: POST FILE, the body to NAME.json, the headers to NAME.hdr.
+upload() {
+	curl -sSf -D "$workdir/$3.hdr" --data-binary @"$1" "http://$2/v1/traces" > "$workdir/$3.json"
+}
+upload "$workdir/t.nmt" "$addr_v2" upload_v2
+upload "$workdir/t.nmt" "$addr_v2" upload_v2_again
+upload "$workdir/t.nmt3" "$addr_v3" upload_v3
+upload "$workdir/t.nmt3" "$addr_v3" upload_v3_again
+cmp "$workdir/upload_v2.json" "$workdir/upload_v2_again.json"
+cmp "$workdir/upload_v3.json" "$workdir/upload_v3_again.json"
+d2=$(sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$workdir/upload_v2.json")
+d3=$(sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$workdir/upload_v3.json")
 echo "v2 digest $d2, v3 digest $d3"
 [ -n "$d2" ] && [ "$d2" = "$d3" ] || { echo "digest differs across serializations"; exit 1; }
 
@@ -180,17 +191,35 @@ cmp "$workdir/job_v2.json" "$workdir/job_v3.json"
 job "$d2" "$addr_v2" "$workdir/job_v2_cached.hdr" > "$workdir/job_v2_cached.json"
 cmp "$workdir/job_v2.json" "$workdir/job_v2_cached.json"
 
+echo "== a recording and a sweep, each twice =="
+for i in 1 2; do
+	curl -sSf -D "$workdir/record_$i.hdr" -H 'Content-Type: application/json' \
+		-d '{"alg":"gnusort","n":4096,"seed":7,"threads":16,"sp_mib":1}' \
+		"http://$addr_v2/v1/traces/record" > "$workdir/record_$i.json"
+	curl -sSf -D "$workdir/sweep_$i.hdr" -H 'Content-Type: application/json' \
+		-d '{"exp":"m2","n":4096,"cores":16,"sp_mib":1}' "http://$addr_v2/v1/sweeps" > "$workdir/sweep_$i.txt"
+done
+cmp "$workdir/record_1.json" "$workdir/record_2.json"
+cmp "$workdir/sweep_1.txt" "$workdir/sweep_2.txt"
+
 echo "== Server-Timing headers =="
 # timing FILE PATTERN: the response headers in FILE carry a matching Server-Timing.
 timing() {
 	grep -iE "^Server-Timing: $2"$'\r'"?\$" "$1" ||
 		{ echo "$1: no Server-Timing matching $2:"; cat "$1"; return 1; }
 }
-for f in upload_v2 upload_v3; do
-	timing "$workdir/$f.hdr" 'verify;dur=[0-9.]+'
+# New bytes are verified, a v3 image the store already holds is answered by
+# a byte compare, and a v2 body is decoded every time.
+for f in upload_v2 upload_v2_again upload_v3; do
+	timing "$workdir/$f.hdr" 'read;dur=[0-9.]+, verify;dur=[0-9.]+'
 done
+timing "$workdir/upload_v3_again.hdr" 'read;dur=[0-9.]+, resident;dur=[0-9.]+'
 for f in job_v2 job_v3 job_v2_cached; do
 	timing "$workdir/$f.hdr" 'queue;dur=[0-9.]+, replay;dur=[0-9.]+'
+done
+for i in 1 2; do
+	timing "$workdir/record_$i.hdr" 'queue;dur=[0-9.]+, record;dur=[0-9.]+'
+	timing "$workdir/sweep_$i.hdr" 'queue;dur=[0-9.]+, sweep;dur=[0-9.]+'
 done
 
 kill -TERM "$daemon_pid" && wait "$daemon_pid" || true
