@@ -29,6 +29,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/par"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -280,29 +281,45 @@ func replay(args []string) {
 	if *in == "" {
 		log.Fatal("nmtrace replay: -i is required")
 	}
-	tr := load(*in)
-
-	c := *cores
-	if c == 0 {
-		c = (tr.Threads() + 3) / 4 * 4
-	}
-	cfg := harness.NodeFor(c, *near, units.Bytes(*spMiB)*units.MiB)
-	res, err := machine.Run(cfg, tr)
-	if err != nil {
+	node := serve.JobRequest{Cores: *cores, NearChannels: *near, SPMiB: *spMiB}
+	if err := replayFile(os.Stdout, *in, node, *phases); err != nil {
 		log.Fatalf("nmtrace replay: %v", err)
 	}
-	fmt.Printf("node: %d cores, near %dX (%v), far %v\n",
-		cfg.Cores, *near/4, cfg.Near.TotalBandwidth(), cfg.Far.TotalBandwidth())
-	fmt.Printf("sim time:            %v\n", res.SimTime)
-	fmt.Printf("scratchpad accesses: %d\n", res.NearAccesses)
-	fmt.Printf("DRAM accesses:       %d (row-hit rate %.1f%%)\n",
+}
+
+// replayFile replays the trace at path on the node that node's cores, near
+// channels and scratchpad describe (0 cores: the trace's thread count
+// rounded up to a multiple of 4) and prints the report, with the phases
+// longest inter-barrier phases. The node is held to the rules the daemon
+// holds a /v1/jobs node to, so a bad flag is an error, never a panic.
+func replayFile(w io.Writer, path string, node serve.JobRequest, phases int) error {
+	tr, err := trace.Load(path, par.Each)
+	if err != nil {
+		return err
+	}
+	if node.Cores == 0 {
+		node.Cores = (tr.Threads() + 3) / 4 * 4
+	}
+	if err := node.Validate(); err != nil {
+		return err
+	}
+	cfg := harness.NodeFor(node.Cores, node.NearChannels, units.Bytes(node.SPMiB)*units.MiB)
+	res, err := machine.Run(cfg, tr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "node: %d cores, near %gX (%v), far %v\n",
+		cfg.Cores, cfg.BandwidthExpansion(), cfg.Near.TotalBandwidth(), cfg.Far.TotalBandwidth())
+	fmt.Fprintf(w, "sim time:            %v\n", res.SimTime)
+	fmt.Fprintf(w, "scratchpad accesses: %d\n", res.NearAccesses)
+	fmt.Fprintf(w, "DRAM accesses:       %d (row-hit rate %.1f%%)\n",
 		res.FarAccesses, 100*res.FarStats.RowHitRate())
-	fmt.Printf("L2: %.1f%% miss rate; utilization far %.1f%% near %.1f%% noc %.1f%%\n",
+	fmt.Fprintf(w, "L2: %.1f%% miss rate; utilization far %.1f%% near %.1f%% noc %.1f%%\n",
 		100*res.L2.MissRate(), 100*res.FarUtilization,
 		100*res.NearUtilization, 100*res.NoCUtilization)
-	fmt.Printf("events: %d (+%d elided), barriers: %d\n", res.Events, res.Elided, len(res.BarrierTimes))
+	fmt.Fprintf(w, "events: %d (+%d elided), barriers: %d\n", res.Events, res.Elided, len(res.BarrierTimes))
 
-	if *phases > 0 && len(res.BarrierTimes) > 0 {
+	if phases > 0 && len(res.BarrierTimes) > 0 {
 		type span struct {
 			idx int
 			d   units.Time
@@ -314,15 +331,16 @@ func replay(args []string) {
 			prev = bt
 		}
 		sort.Slice(spans, func(a, b int) bool { return spans[a].d > spans[b].d })
-		if *phases < len(spans) {
-			spans = spans[:*phases]
+		if phases < len(spans) {
+			spans = spans[:phases]
 		}
-		fmt.Printf("\nlongest inter-barrier phases:\n")
+		fmt.Fprintf(w, "\nlongest inter-barrier phases:\n")
 		for _, sp := range spans {
-			fmt.Printf("  barrier %4d: %12s (%.1f%% of total)\n",
+			fmt.Fprintf(w, "  barrier %4d: %12s (%.1f%% of total)\n",
 				sp.idx, sp.d, 100*float64(sp.d)/float64(res.SimTime))
 		}
 	}
+	return nil
 }
 
 func info(args []string) {

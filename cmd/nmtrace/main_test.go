@@ -10,6 +10,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/harness"
 	"repro/internal/par"
+	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -241,5 +242,38 @@ func TestCheck(t *testing.T) {
 
 	if check([]string{filepath.Join(dir, "missing.json")}, &out, &errw) {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestReplayFile holds replay's node flags to the daemon's /v1/jobs rules:
+// each bad value is a one-line error before any replay, never a panic, and
+// the header prints the bandwidth expansion the node computes.
+func TestReplayFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.nmt")
+	writeV2(t, testTrace(t), path)
+	for _, tc := range []struct {
+		name string
+		node serve.JobRequest
+		want string // the error, or the header's start
+	}{
+		{"zero near", serve.JobRequest{NearChannels: 0, SPMiB: 4}, "near_channels (-near) 0 must be positive"},
+		{"negative near", serve.JobRequest{NearChannels: -4, SPMiB: 4}, "near_channels (-near) -4 must be positive"},
+		{"cores not multiple of 4", serve.JobRequest{Cores: 6, NearChannels: 16, SPMiB: 4}, "cores (-cores) 6 must be a positive multiple of 4"},
+		{"zero scratchpad", serve.JobRequest{NearChannels: 16, SPMiB: 0}, "sp_mib (-sp) 0 must be positive"},
+		{"cores from the trace", serve.JobRequest{NearChannels: 16, SPMiB: 4}, "node: 4 cores, near 4X ("},
+		{"near 10", serve.JobRequest{Cores: 8, NearChannels: 10, SPMiB: 4}, "node: 8 cores, near 2.5X ("},
+		{"near 32", serve.JobRequest{NearChannels: 32, SPMiB: 1}, "node: 4 cores, near 8X ("},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			err := replayFile(&out, path, tc.node, 2)
+			if strings.HasPrefix(tc.want, "node:") {
+				if err != nil || !strings.HasPrefix(out.String(), tc.want) {
+					t.Errorf("replayFile(%+v) = %v, printed:\n%s\nwant a header starting %q", tc.node, err, out.String(), tc.want)
+				}
+			} else if err == nil || err.Error() != tc.want || out.Len() != 0 {
+				t.Errorf("replayFile(%+v) = %v after printing %q, want only %q", tc.node, err, out.String(), tc.want)
+			}
+		})
 	}
 }

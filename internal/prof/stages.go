@@ -119,9 +119,29 @@ func (s *Stages) ServerTiming() string {
 		if b.Len() > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s;dur=%.3f", st.Name, float64(st.End-st.Start)/float64(time.Millisecond))
+		b.WriteString(Metric(st.Name, st.End-st.Start))
 	}
 	return b.String()
+}
+
+// Sum is the summed duration of the ended stages of one kind: a sweep's
+// recordings ("record"), or its cells across every lane ("cell"). The daemon
+// sends sums where one metric per stage would not do: a cell's label ("GNU
+// Sort") is not a Server-Timing token, and a sweep has dozens of cells.
+func (s *Stages) Sum(kind string) time.Duration {
+	var d time.Duration
+	for _, st := range s.Snapshot() {
+		if st.Kind == kind && st.End != 0 {
+			d += st.End - st.Start
+		}
+	}
+	return d
+}
+
+// Metric renders one Server-Timing metric: the name and the duration in
+// milliseconds, "replay;dur=3.208".
+func Metric(name string, d time.Duration) string {
+	return fmt.Sprintf("%s;dur=%.3f", name, float64(d)/float64(time.Millisecond))
 }
 
 // WriteTo prints one line per stage, in start order — the -timings output.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilStagesAreFree: the nil recorder is the off switch — no guard at the
@@ -78,5 +79,31 @@ func TestStagesRecordConcurrently(t *testing.T) {
 		!strings.Contains(b.String(), "lane=recorder") || !strings.Contains(b.String(), "lane=replay-3") ||
 		!strings.Contains(b.String(), "[shared]") {
 		t.Errorf("WriteTo (err=%v):\n%s", err, b.String())
+	}
+}
+
+// TestSum: the ended stages of one kind, summed across lanes; open stages
+// and other kinds are left out, and the nil recorder sums to zero.
+func TestSum(t *testing.T) {
+	var off *Stages
+	if d := off.Sum("cell"); d != 0 {
+		t.Errorf("the nil recorder sums to %v", d)
+	}
+	s := NewStages()
+	var want time.Duration
+	for lane := 1; lane <= 3; lane++ {
+		sp := s.Start(lane, "cell", "GNU Sort")
+		time.Sleep(time.Millisecond)
+		sp.End()
+		st := s.Snapshot()
+		want += st[len(st)-1].End - st[len(st)-1].Start
+	}
+	s.Start(0, "record", "nmsort").End()
+	s.Start(2, "cell", "open")
+	if got := s.Sum("cell"); got != want || got < 3*time.Millisecond {
+		t.Errorf("Sum(cell) = %v, want %v", got, want)
+	}
+	if got := Metric("cells", 3208*time.Microsecond); got != "cells;dur=3.208" {
+		t.Errorf("Metric = %q", got)
 	}
 }

@@ -120,9 +120,9 @@ func TestJobCacheHit(t *testing.T) {
 // TestServerTimingHeader: an upload names its read and then its verify
 // stage, or its resident stage when a compare with the image the store holds
 // answered it; a job its gate wait and its replay; a recording its gate wait
-// and its recording; a sweep its gate wait and RunSweep. Each travels in a
-// Server-Timing header, and host time stays out of the body, so a repeat's
-// bytes are still the first answer's.
+// and its recording; a sweep its gate wait, RunSweep, and its recordings and
+// cells summed by kind. Each travels in a Server-Timing header, and host time
+// stays out of the body, so a repeat's bytes are still the first answer's.
 func TestServerTimingHeader(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
@@ -187,8 +187,18 @@ func TestServerTimingHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const swept = `^queue;dur=[0-9.]+, sweep;dur=[0-9.]+$`
+	const swept = `^queue;dur=[0-9.]+, sweep;dur=[0-9.]+, record;dur=[0-9.]+, cells;dur=[0-9.]+$`
 	if a, b := post("/v1/sweeps", "application/json", sweep, swept), post("/v1/sweeps", "application/json", sweep, swept); !bytes.Equal(a, b) {
+		t.Errorf("the repeated sweep's body differs:\nfirst: %s\nagain: %s", a, b)
+	}
+	// A row that records and replays: its first run's recordings and cells
+	// (summed by kind, not one metric per label) took time.
+	replayed, err := json.Marshal(serve.SweepRequest{Exp: "dma", N: 4096, Cores: 16, SPMiB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spent = `^queue;dur=[0-9.]+, sweep;dur=[0-9.]+, record;dur=[0-9.]*[1-9][0-9.]*, cells;dur=[0-9.]*[1-9][0-9.]*$`
+	if a, b := post("/v1/sweeps", "application/json", replayed, spent), post("/v1/sweeps", "application/json", replayed, swept); !bytes.Equal(a, b) {
 		t.Errorf("the repeated sweep's body differs:\nfirst: %s\nagain: %s", a, b)
 	}
 }

@@ -359,16 +359,17 @@ func (s *Server) jobConfig(req JobRequest) machine.Config {
 	return cfg
 }
 
-// validateJob rejects malformed job parameters up front, through the rules
-// SweepRequest.Validate words.
-func validateJob(req JobRequest) error {
+// Validate rejects malformed job parameters up front, through the rules
+// SweepRequest.Validate words: /v1/jobs answers 400 with it, and nmtrace
+// replay holds its node flags to it.
+func (r JobRequest) Validate() error {
 	return cmp.Or(
-		coreCount("cores (-cores)", req.Cores),
-		positive("near_channels", req.NearChannels),
-		positive("sp_mib (-sp)", req.SPMiB),
-		faultRate("fault_rate (-fault-rate)", req.FaultSeed, req.FaultRate),
-		nonNegative("retries (-retries)", req.Retries),
-		nonNegative("epoch_ps (-epoch)", req.EpochPS),
+		coreCount("cores (-cores)", r.Cores),
+		positive("near_channels (-near)", r.NearChannels),
+		positive("sp_mib (-sp)", r.SPMiB),
+		faultRate("fault_rate (-fault-rate)", r.FaultSeed, r.FaultRate),
+		nonNegative("retries (-retries)", r.Retries),
+		nonNegative("epoch_ps (-epoch)", r.EpochPS),
 	)
 }
 
@@ -381,7 +382,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "job", &req) {
 		return
 	}
-	if err := validateJob(req); err != nil {
+	if err := req.Validate(); err != nil {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
@@ -503,10 +504,11 @@ func (s *Server) streamJob(w http.ResponseWriter, req JobRequest, sup *harness.S
 
 // handleSweep runs a whole experiment server-side and returns the rendered
 // report: the wire's defaults, then the request's own Validate (400, before
-// the gate and before any recording), then RunSweep — the path cmd/sweep and
-// cmd/nmsim run locally. The count of failed cells travels in
-// X-Nmsimd-Failed so remote clients keep the local exit-code contract, and
-// the gate wait and RunSweep's time in a Server-Timing header.
+// the gate and before any recording), then RunSweep — the path internal/cli
+// runs locally for cmd/sweep and cmd/nmsim. The count of failed cells
+// travels in X-Nmsimd-Failed so remote clients keep the local exit-code
+// contract, and the gate wait, RunSweep's time and its summed recordings and
+// cells (the stages sweep -timings prints) in a Server-Timing header.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !decodeBody(w, r, "sweep", &req) {
@@ -531,6 +533,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sup := &harness.Supervisor{
 		Ctx: r.Context(), Slice: s.cfg.Slice,
 		Cache: s.cache, Records: s.store,
+		Timings: prof.NewStages(),
 	}
 	// Render into a buffer first: a failed experiment must still be able
 	// to answer with a clean error status.
@@ -538,7 +541,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sweep := timing.Start(0, "request", "sweep")
 	failed, err := RunSweep(&body, req, sup)
 	sweep.End()
-	w.Header().Set("Server-Timing", timing.ServerTiming())
+	w.Header().Set("Server-Timing", strings.Join([]string{timing.ServerTiming(),
+		prof.Metric("record", sup.Timings.Sum("record")), prof.Metric("cells", sup.Timings.Sum("cell"))}, ", "))
 	if err != nil {
 		fail(w, err, http.StatusUnprocessableEntity)
 		return

@@ -14,8 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The sweep defaults: cmd/sweep's flag defaults, and what the wire's zero
-// values mean (normalizeSweep). cmd/nmsim shares all but the scratchpad.
+// The sweep defaults: the command-line front end's flag defaults
+// (internal/cli), and what the wire's zero values mean (normalizeSweep).
+// cli.NMSim overrides the scratchpad (-sp 2) and fixes the experiment.
 const (
 	DefaultN      = 1 << 20
 	DefaultSeed   = 2015
@@ -67,7 +68,7 @@ func (r SweepRequest) Validate() error {
 	return err
 }
 
-// The range rules, each worded once. Validate, validateJob and handleRecord
+// The range rules, each worded once. Validate, JobRequest.Validate and handleRecord
 // check their fields through these.
 
 // nonNegative requires v ≥ 0.

@@ -20,7 +20,8 @@
 # a Server-Timing header only: an upload names its read and then its verify
 # stage, or its resident stage when the store already held the v3 image; a
 # job its gate wait and replay; a recording and a sweep their gate wait and
-# their work — with every repeat's body cmp-equal to the first.
+# their work, a sweep then its recordings and cells summed by kind — with
+# every repeat's body cmp-equal to the first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -219,7 +220,7 @@ for f in job_v2 job_v3 job_v2_cached; do
 done
 for i in 1 2; do
 	timing "$workdir/record_$i.hdr" 'queue;dur=[0-9.]+, record;dur=[0-9.]+'
-	timing "$workdir/sweep_$i.hdr" 'queue;dur=[0-9.]+, sweep;dur=[0-9.]+'
+	timing "$workdir/sweep_$i.hdr" 'queue;dur=[0-9.]+, sweep;dur=[0-9.]+, record;dur=[0-9.]+, cells;dur=[0-9.]+'
 done
 
 kill -TERM "$daemon_pid" && wait "$daemon_pid" || true
