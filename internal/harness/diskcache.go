@@ -43,11 +43,12 @@ func (c *DiskRecordCache) path(alg Algorithm, w Workload) string {
 }
 
 // LookupRecord implements RecordCache: it opens the key's .nmt3 file. A
-// missing, unreadable, or invalid file is a miss — the caller re-records and
-// overwrites — and so is one another process truncates under the walk
-// (validateMapped). A hit is replayed from its mapping, never decoded. The
-// mapping lives as long as anything can reach the returned trace (a cursor
-// included) and is released by trace.Open's finalizer after that.
+// missing, unreadable, corrupted (its payload CRC disagrees with the footer)
+// or invalid file is a miss — the caller re-records and overwrites — and so
+// is one another process truncates under the walk (validateMapped). A hit is
+// replayed from its mapping, never decoded. The mapping lives as long as
+// anything can reach the returned trace (a cursor included) and is released
+// by trace.Open's finalizer after that.
 func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult, bool) {
 	path := c.path(alg, w) + ".nmt3"
 	col, err := trace.Open(path)
@@ -64,10 +65,12 @@ func (c *DiskRecordCache) LookupRecord(alg Algorithm, w Workload) (RecordResult,
 	return RecordResult{Trace: col.AsTrace()}, true
 }
 
-// validateMapped is ValidatePar(par.Each) over what may be a MAP_SHARED
-// mapping: another process truncating the file turns a read into SIGBUS, fatal
-// unless the reading goroutine — each forked walker — has SetPanicOnFault on.
-// par.Each re-raises the panic here, where it becomes the error of a miss.
+// validateMapped is CheckPayload and then ValidatePar, both under par.Each,
+// over what may be a MAP_SHARED mapping: a bit flipped on disk fails the
+// first, and another process truncating the file turns a read into SIGBUS,
+// fatal unless the reading goroutine — each forked worker — has
+// SetPanicOnFault on. par.Each re-raises the panic here, where it becomes
+// the error of a miss.
 func validateMapped(s *trace.Columnar) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -78,12 +81,16 @@ func validateMapped(s *trace.Columnar) (err error) {
 		}
 	}()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	return s.ValidatePar(func(n int, body func(int)) {
+	fj := func(n int, body func(int)) {
 		par.Each(n, func(i int) {
 			defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 			body(i)
 		})
-	})
+	}
+	if err := s.CheckPayload(fj); err != nil {
+		return err
+	}
+	return s.ValidatePar(fj)
 }
 
 // CompleteRecord implements RecordCache: it writes the trace as a columnar

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -357,6 +358,69 @@ func TestCacheFileTruncatedUnderLookupIsMiss(t *testing.T) {
 		if _, ok := rc.LookupRecord(alg, RecordKey(w)); !ok {
 			t.Errorf("%s: the re-recording did not overwrite the truncated file", alg)
 		}
+	}
+	s, w.Sup = Sweep{}, nil
+	releaseDroppedMappings(t)
+}
+
+// TestCacheFileWithAFlippedByteIsMiss: a bit flipped on disk inside an
+// addrs column still opens and validates — it only moves an address — so
+// the lookup's payload CRC is what turns it into a miss. The sweep then
+// re-records and prints the bytes of an uncached run.
+func TestCacheFileWithAFlippedByteIsMiss(t *testing.T) {
+	rc, err := NewDiskRecordCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := Workload{N: 1 << 12, Seed: 17, Threads: 8, SP: 256 * units.KiB, Sup: &Supervisor{}}
+	uncached, err := BandwidthSweep(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := plain
+	w.Sup = &Supervisor{Records: rc}
+	if _, err := BandwidthSweep(w); err != nil { // populates the cache
+		t.Fatal(err)
+	}
+	victim := rc.path(AlgNMSort, RecordKey(w)) + ".nmt3"
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := trace.OpenBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs trace.Section
+	for _, sec := range col.Sections() {
+		if sec.Thread == 5 && sec.Column == "addrs" {
+			addrs = sec
+		}
+	}
+	if addrs.Bytes == 0 {
+		t.Fatal("thread 5 has no addrs column")
+	}
+	data = bytes.Clone(data)
+	data[addrs.Offset+addrs.Bytes/2] ^= 0x02
+	if flipped, err := trace.OpenBytes(data); err != nil || flipped.Validate() != nil {
+		t.Fatalf("the flipped file must open and validate, so only its CRC can tell: %v", err)
+	}
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
+		t.Fatal("a cache file with a flipped byte reported a hit")
+	}
+	w.Sup = &Supervisor{Records: rc}
+	s, err := BandwidthSweep(w)
+	if err != nil || s.Failed() != 0 {
+		t.Fatalf("sweep over a corrupted cache file: err=%v failed=%d", err, s.Failed())
+	}
+	if got, want := renderSweep(t, s), renderSweep(t, uncached); got != want {
+		t.Errorf("sweep differs from the uncached run's:\n%s\nwant:\n%s", got, want)
+	}
+	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); !ok {
+		t.Error("the re-recording did not overwrite the corrupted file")
 	}
 	s, w.Sup = Sweep{}, nil
 	releaseDroppedMappings(t)

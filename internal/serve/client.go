@@ -126,7 +126,9 @@ func (c *Client) Record(ctx context.Context, req RecordRequest) (TraceInfo, erro
 	return info, json.NewDecoder(resp.Body).Decode(&info)
 }
 
-// FetchTrace downloads a stored trace by digest.
+// FetchTrace downloads a stored trace by digest: the server sends its v3
+// image, which is opened in memory and — the bytes are untrusted — verified
+// before it is handed out as a trace over its columns.
 func (c *Client) FetchTrace(ctx context.Context, digest string) (*trace.Trace, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/traces/"+digest, nil)
 	if err != nil {
@@ -140,7 +142,18 @@ func (c *Client) FetchTrace(ctx context.Context, digest string) (*trace.Trace, e
 	if resp.StatusCode/100 != 2 {
 		return nil, apiError(resp)
 	}
-	return trace.ReadTrace(resp.Body)
+	image, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	col, err := trace.OpenBytes(image)
+	if err == nil {
+		err = col.Verify()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: fetched trace %s: %w", digest, err)
+	}
+	return col.AsTrace(), nil
 }
 
 // SubmitJob runs one replay cell and returns the response body bytes

@@ -3,14 +3,17 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // TestUploadColumnarSameDigest pins serialization-independent content
@@ -65,10 +68,10 @@ func TestUploadColumnarSameDigest(t *testing.T) {
 	}
 }
 
-// TestUploadKeepsItsSerialization: both serializations of one trace are held
-// as columns and charged their image — about a tenth of the 32 B/op a decoded
-// v2 upload used to cost — and a fetch returns the bytes that were uploaded:
-// the v2 stream for a v2 upload, the v3 file for a v3 one.
+// TestUploadKeepsItsSerialization: both serializations of one trace are kept
+// in one serialization, the columns, and charged their image — about a tenth
+// of the 32 B/op a decoded v2 upload used to cost — and a fetch returns that
+// image: the v3 file, whichever serialization was uploaded.
 func TestUploadKeepsItsSerialization(t *testing.T) {
 	ctx := context.Background()
 	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
@@ -100,8 +103,8 @@ func TestUploadKeepsItsSerialization(t *testing.T) {
 		}
 		got, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if err != nil || !bytes.Equal(got, upload) {
-			t.Errorf("%s upload: fetch returned %d bytes (%v), not the %d uploaded", name, len(got), err, len(upload))
+		if err != nil || !bytes.Equal(got, v3) {
+			t.Errorf("%s upload: fetch returned %d bytes (%v), not the %d-byte image", name, len(got), err, len(v3))
 		}
 		// The other serialization is the same trace: no second entry.
 		other := v3
@@ -112,6 +115,61 @@ func TestUploadKeepsItsSerialization(t *testing.T) {
 		if err != nil || again.Digest != info.Digest || srv.Store().Len() != 1 {
 			t.Errorf("%s then the other serialization: digest %s vs %s, %d entries (%v)",
 				name, again.Digest, info.Digest, srv.Store().Len(), err)
+		}
+	}
+}
+
+// TestFetchTrace: Client.FetchTrace returns every resident trace, however it
+// arrived — a v3 upload, a v2 upload, a recording made by the daemon — under
+// its digest and with the recording's ops.
+func TestFetchTrace(t *testing.T) {
+	ctx := context.Background()
+	wl := tinyWorkload()
+	wl.SP = units.MiB // what the recording request's sp_mib can name
+	rec, err := harness.Record(harness.AlgNMSort, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if _, err := rec.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := trace.EncodeColumnar(rec.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rec.Trace.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arrival := range []struct {
+		name string
+		put  func(c *serve.Client) (serve.TraceInfo, error)
+	}{
+		{"v3 upload", func(c *serve.Client) (serve.TraceInfo, error) { return c.UploadTraceBytes(ctx, v3) }},
+		{"v2 upload", func(c *serve.Client) (serve.TraceInfo, error) { return c.UploadTraceBytes(ctx, v2.Bytes()) }},
+		{"recording", func(c *serve.Client) (serve.TraceInfo, error) {
+			return c.Record(ctx, serve.RecordRequest{Alg: "nmsort", N: wl.N, Seed: wl.Seed, Threads: wl.Threads, SPMiB: 1})
+		}},
+	} {
+		_, c := newTestServer(t, serve.Config{})
+		info, err := arrival.put(c)
+		if err != nil {
+			t.Fatalf("%s: %v", arrival.name, err)
+		}
+		tr, err := c.FetchTrace(ctx, info.Digest)
+		if err != nil {
+			t.Fatalf("%s: fetch: %v", arrival.name, err)
+		}
+		if d, err := tr.Digest(); err != nil || fmt.Sprintf("%016x", d) != info.Digest {
+			t.Errorf("%s: fetched digest %016x (%v), stored under %s", arrival.name, d, err, info.Digest)
+		}
+		got, err := tr.Decoded()
+		if err != nil {
+			t.Fatalf("%s: %v", arrival.name, err)
+		}
+		if !reflect.DeepEqual(got.Streams, want.Streams) {
+			t.Errorf("%s: the fetched trace's ops differ from the recording's", arrival.name)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -173,13 +174,68 @@ func traceInfo(digest uint64, src trace.Source) TraceInfo {
 // the reserve grows by doubling as its bytes actually arrive.
 const uploadReserve = 4 << 20
 
-// readBody reads a request body into one buffer, reserved from the
-// Content-Length hint (at most limit and uploadReserve; MinRead more, so an
-// honest body fills it without a growth copy at EOF).
-func readBody(r io.Reader, hint, limit int64) ([]byte, error) {
-	b := bytes.NewBuffer(make([]byte, 0, min(max(hint, 0), limit, uploadReserve)+bytes.MinRead))
+// readBody reads a request body into one buffer after head, the bytes of it
+// already read, reserved from the Content-Length hint (at most limit and
+// uploadReserve, or head's length if that is more; MinRead more, so an honest
+// body fills it without a growth copy at EOF).
+func readBody(r io.Reader, hint, limit int64, head ...[]byte) ([]byte, error) {
+	n := 0
+	for _, h := range head {
+		n += len(h)
+	}
+	b := bytes.NewBuffer(make([]byte, 0, max(min(max(hint, 0), limit, uploadReserve), int64(n))+bytes.MinRead))
+	for _, h := range head {
+		b.Write(h)
+	}
 	_, err := b.ReadFrom(r)
 	return b.Bytes(), err
+}
+
+// compareChunk is what the compare reads at a time: the memory a re-upload
+// of a resident trace costs, whatever the trace's size.
+const compareChunk = 64 << 10
+
+// readUpload reads an upload body, comparing it as it streams, compareChunk
+// bytes at a time, with the images of cands (the resident traces whose image
+// is Content-Length bytes). A body that ends exactly where a still-equal
+// image ends is that trace: its source comes back, and the body was never
+// buffered. Any other body comes back whole from readBody, after the prefix
+// the last candidates matched, copied from an image it equals.
+func readUpload(r io.Reader, hint, limit int64, cands []resident) (trace.Source, []byte, error) {
+	defer runtime.KeepAlive(cands) // a mapped image stays mapped while it is read
+	if len(cands) == 0 {
+		body, err := readBody(r, hint, limit)
+		return nil, body, err
+	}
+	chunk := make([]byte, compareChunk)
+	for matched := 0; ; {
+		n, err := r.Read(chunk)
+		if err != nil && err != io.EOF {
+			return nil, nil, err
+		}
+		var prefix []byte // the body before this chunk, from an image it equals
+		live := 0
+		for i := range cands {
+			image := cands[i].image
+			if image == nil {
+				continue
+			}
+			prefix = image[:matched]
+			if len(image)-matched < n || !bytes.Equal(image[matched:matched+n], chunk[:n]) {
+				cands[i].image = nil // differs: out of the compare
+				continue
+			}
+			if err == io.EOF && len(image) == matched+n {
+				return cands[i].src, nil, nil
+			}
+			live++
+		}
+		matched += n
+		if live == 0 || err == io.EOF {
+			body, err := readBody(r, hint, limit, prefix, chunk[:n])
+			return nil, body, err
+		}
+	}
 }
 
 // handleUpload ingests a serialized trace stream into the store, in either
@@ -192,18 +248,21 @@ func readBody(r io.Reader, hint, limit int64) ([]byte, error) {
 // Verify's walk validates as it goes, so the Validate after it is a lookup;
 // it runs on the handler's goroutine — one request, one CPU.
 //
-// A v3 body that is, byte for byte, the image of the trace resident under
-// its digest claim is answered from that entry instead, by a compare: the
-// verdict is a function of the bytes, and a resident image either passed
-// Verify or was sealed here with a footer from its own validation walk, so
-// equal bytes get the verdict the walk would reach. The read and then the
-// checks ("verify") or the compare ("resident") are the request's stages,
-// sent in a Server-Timing header. A trace larger than the whole store budget
-// is a 507, and nothing resident is evicted.
+// A body that is, byte for byte, the v3 image of a resident trace is answered
+// from that entry instead, and is never buffered: readUpload compares it as it
+// arrives with every resident image of its Content-Length. The verdict is a
+// function of the bytes, and a resident image either passed Verify or was
+// sealed here with a footer from its own validation walk, so equal bytes get
+// the verdict the walk would reach, and the memoized Validate returns it. The
+// read (with the compare) and then the checks ("verify") or the memo lookup
+// ("resident") are the request's stages, sent in a Server-Timing header. A
+// trace larger than the whole store budget is a 507, and nothing resident is
+// evicted.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	timing := prof.NewStages()
 	read := timing.Start(0, "request", "read")
-	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), r.ContentLength, s.cfg.MaxUploadBytes)
+	src, body, err := readUpload(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes),
+		r.ContentLength, s.cfg.MaxUploadBytes, s.store.sized(r.ContentLength))
 	read.End()
 	if err != nil {
 		status := http.StatusBadRequest
@@ -215,20 +274,16 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	check := timing.Start(0, "request", "verify")
 	stage := "verify"
-	var src trace.Source
-	if trace.IsColumnar(body) {
+	switch {
+	case src != nil:
+		stage = "resident"
+	case trace.IsColumnar(body):
 		var col *trace.Columnar
 		if col, err = trace.OpenBytes(body); err == nil {
-			claim, _ := col.Digest() // an opened file's footer value: O(1), never an error
-			var ok bool
-			if src, ok = s.store.holding(claim, body); ok {
-				stage = "resident"
-			} else {
-				err = col.Verify()
-				src = col
-			}
+			err = col.Verify()
 		}
-	} else {
+		src = col
+	default:
 		src, err = trace.ReadTrace(bytes.NewReader(body))
 	}
 	var invalid error
@@ -320,9 +375,9 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, traceInfo(d, res.Trace))
 }
 
-// handleFetchTrace streams a stored trace back in its serialized form —
-// v2 bytes for a *trace.Trace (a recording, a v2 upload), the raw v3 file for
-// a *trace.Columnar (both WriteTo implementations satisfy io.WriterTo). The
+// handleFetchTrace streams a stored trace back as its sealed v3 image —
+// whichever way it arrived: a recording's or a v2 upload's columns, or the v3
+// bytes that were uploaded — written from where it lives, with no copy. The
 // trace stays pinned for the duration of the write.
 func (s *Server) handleFetchTrace(w http.ResponseWriter, r *http.Request) {
 	d, err := parseDigest(r.PathValue("digest"))
@@ -336,13 +391,8 @@ func (s *Server) handleFetchTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	wt, ok := src.(io.WriterTo)
-	if !ok {
-		fail(w, fmt.Errorf("serve: trace %016x is not serializable", d), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	wt.WriteTo(w)
+	columnsOf(src).WriteTo(w)
 }
 
 // jobConfig translates a JobRequest into the machine configuration,

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -224,38 +223,33 @@ func (s *Store) Get(digest uint64) (trace.Source, bool) {
 	return e.src, true
 }
 
-// holding returns the resident trace under digest whose v3 image is image,
-// byte for byte, without touching recency: a caller that finds one Puts it,
-// and a caller that does not leaves the store as it found it. The compare
-// runs outside the lock, through the image's own writer (a recording's or a
-// v2 upload's sealed columns, a v3 upload's bytes); an entry evicted
-// meanwhile stays readable, since eviction only drops the store's reference.
-func (s *Store) holding(digest uint64, image []byte) (trace.Source, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[digest]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	same := &sameBytes{want: image}
-	if _, err := columnsOf(e.src).WriteTo(same); err != nil || len(same.want) != 0 {
-		return nil, false
-	}
-	return e.src, true
+// resident is a trace the store holds, with its v3 image.
+type resident struct {
+	src   trace.Source
+	image []byte
 }
 
-// sameBytes is an io.Writer that consumes want as long as what is written
-// matches it, and fails at the first difference.
-type sameBytes struct{ want []byte }
-
-var errDiffers = errors.New("serve: image differs")
-
-func (c *sameBytes) Write(p []byte) (int, error) {
-	if !bytes.HasPrefix(c.want, p) {
-		return 0, errDiffers
+// sized returns the resident traces whose v3 image is size bytes, with their
+// images, without touching recency: an upload found to be one of them Puts
+// it, and one that is not leaves the store as it found it. A resident entry's
+// digest is known, so its image is at hand in O(1). The caller reads the
+// images outside the lock; an entry evicted meanwhile stays readable, since
+// eviction only drops the store's reference and src keeps a mapped image
+// mapped.
+func (s *Store) sized(size int64) []resident {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []resident
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		e := s.entries[el.Value.(uint64)]
+		if e.heap+e.mapped != size {
+			continue
+		}
+		if image, err := columnsOf(e.src).Image(); err == nil {
+			out = append(out, resident{e.src, image})
+		}
 	}
-	c.want = c.want[len(p):]
-	return len(p), nil
+	return out
 }
 
 // evictLocked drops least-recently-used unpinned traces other than keep, and

@@ -14,8 +14,11 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/harness"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -103,10 +106,16 @@ type uploadAnswer struct {
 	recency []uint64
 }
 
-// post sends one request and returns its status, body and Server-Timing.
-func (g uploadRig) post(t *testing.T, path string, body []byte) (int, []byte, string) {
+// post sends one request and returns its status, body and Server-Timing. A
+// chunked request hides the body's length from the client, which then sends
+// it with no Content-Length.
+func (g uploadRig) post(t *testing.T, path string, body []byte, chunked bool) (int, []byte, string) {
 	t.Helper()
-	resp, err := http.Post(g.url+path, "application/octet-stream", bytes.NewReader(body))
+	var r io.Reader = bytes.NewReader(body)
+	if chunked {
+		r = struct{ io.Reader }{r}
+	}
+	resp, err := http.Post(g.url+path, "application/octet-stream", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +173,28 @@ func edit(img []byte, reseal bool, f func(b []byte)) []byte {
 	return b
 }
 
+// farWalk is the image of a one-thread recording of n far loads a page apart
+// and one more load last pages past them: images of one n and different lasts
+// are equally long and differ only near their ends.
+func farWalk(t *testing.T, n, last int) []byte {
+	t.Helper()
+	rec := trace.NewRecorder(1, trace.DefaultL1(), trace.DefaultCosts())
+	tp := rec.Thread(0)
+	for i := 0; i < n; i++ {
+		tp.Load(addr.FarBase+addr.Addr(i)*4096, 8)
+	}
+	tp.Load(addr.FarBase+addr.Addr(n+last)*4096, 8)
+	tp.Barrier()
+	return image(t, rec.Finish())
+}
+
 // TestUploadAnsweredByResidentImage: an upload the store already holds, byte
-// for byte, is answered by a compare; everything else is verified as before.
-// Each case runs its setup and then its probe upload on two daemons, one
-// with the resident compare and one with referenceUpload, and the probe's
-// status, body, /v1/stats and store recency must agree.
+// for byte, is answered from the store, compared as it streams and never
+// buffered; everything else is verified as before. Each case runs its setup
+// and then its probe upload on two daemons, one with the resident compare and
+// one with referenceUpload, and the probe's status, body, /v1/stats and store
+// recency must agree. A case named "chunked …" sends its probe with no
+// Content-Length, which the compare needs.
 func TestUploadAnsweredByResidentImage(t *testing.T) {
 	wl := harness.Workload{N: 1 << 13, Seed: 7, Threads: 16, SP: units.MiB}
 	recA, err := harness.Record(harness.AlgNMSort, wl)
@@ -189,6 +215,13 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	ftr := len(a) - 64
+	lateA, lateB, lateC := farWalk(t, 5<<14, 1), farWalk(t, 5<<14, 2), farWalk(t, 5<<14, 3)
+	if len(lateA) != len(lateB) || len(lateA) != len(lateC) || len(lateA) < 2*compareChunk {
+		t.Fatalf("the late twins are %d, %d and %d bytes: want one length past two chunks", len(lateA), len(lateB), len(lateC))
+	}
+	if last := len(lateA) - compareChunk; bytes.Equal(lateA, lateB) || !bytes.Equal(lateA[:last], lateB[:last]) {
+		t.Fatal("the late twins must differ, and only in their last chunk")
+	}
 	column := recA.Trace.Columns().Sections()[0].Offset // the first op byte of thread 0
 	record, err := json.Marshal(RecordRequest{Alg: "nmsort", N: wl.N, Seed: wl.Seed, Threads: wl.Threads, SPMiB: 1})
 	if err != nil {
@@ -226,6 +259,18 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 		{"v3 conversion of a resident v2 upload", 0, []step{upload(v2.Bytes()), upload(b)}, a, "resident", http.StatusOK},
 		{"v2 re-upload", 0, []step{upload(v2.Bytes()), upload(b)}, v2.Bytes(), "verify", http.StatusOK},
 		{"re-upload after eviction", int64(len(a) + len(b) - 1), []step{upload(a), upload(b)}, a, "verify", http.StatusOK},
+		{"chunked v3 re-upload", 0, []step{upload(a), upload(b)}, a, "verify", http.StatusOK},
+		{"one byte shorter than a resident image", 0, []step{upload(a), upload(b)}, a[:len(a)-1], "verify", http.StatusBadRequest},
+		{"one byte longer than a resident image", 0, []step{upload(a), upload(b)}, append(bytes.Clone(a), 0), "verify", http.StatusBadRequest},
+		{"first byte differs", 0, []step{upload(a), upload(b)},
+			edit(a, false, func(x []byte) { x[0] ^= 1 }), "verify", http.StatusBadRequest},
+		{"middle byte differs", 0, []step{upload(a), upload(b)},
+			edit(a, false, func(x []byte) { x[len(x)/2] ^= 1 }), "verify", http.StatusBadRequest},
+		{"last byte differs", 0, []step{upload(a), upload(b)},
+			edit(a, false, func(x []byte) { x[len(x)-1] ^= 1 }), "verify", http.StatusBadRequest},
+		{"equal-length resident images differing late", 0, []step{upload(lateA), upload(lateB), upload(b)}, lateA, "resident", http.StatusOK},
+		{"equal-length resident images differing late, the other", 0, []step{upload(lateA), upload(lateB), upload(b)}, lateB, "resident", http.StatusOK},
+		{"equal-length resident images differing late, neither", 0, []step{upload(lateA), upload(lateB), upload(b)}, lateC, "verify", http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,11 +278,11 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 			for i, reference := range []bool{false, true} {
 				g := newUploadRig(t, Config{StoreBytes: tc.budget}, reference)
 				for _, s := range tc.setup {
-					if status, out, _ := g.post(t, s.path, s.body); status != http.StatusOK {
+					if status, out, _ := g.post(t, s.path, s.body, false); status != http.StatusOK {
 						t.Fatalf("setup POST %s: %d %s", s.path, status, out)
 					}
 				}
-				status, out, timing := g.post(t, "/v1/traces", tc.probe)
+				status, out, timing := g.post(t, "/v1/traces", tc.probe, strings.HasPrefix(tc.name, "chunked"))
 				if !reference {
 					m := uploadStage.FindStringSubmatch(timing)
 					if m == nil || m[1] != tc.stage {
@@ -261,6 +306,73 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResidentReUploadIsNotBuffered: re-uploading a resident image costs the
+// daemon a fixed compare buffer, not a copy of the body — each re-upload adds
+// less than a quarter of the image to TotalAlloc, client side included.
+func TestResidentReUploadIsNotBuffered(t *testing.T) {
+	rec, err := harness.Record(harness.AlgNMSort, harness.Workload{N: 1 << 16, Seed: 7, Threads: 16, SP: units.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := image(t, rec.Trace)
+	g := newUploadRig(t, Config{}, false)
+	if status, out, _ := g.post(t, "/v1/traces", a, false); status != http.StatusOK {
+		t.Fatalf("first upload: %d %s", status, out)
+	}
+	const reUploads = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reUploads {
+		if status, out, timing := g.post(t, "/v1/traces", a, false); status != http.StatusOK || !strings.Contains(timing, "resident") {
+			t.Fatalf("re-upload: %d %s, Server-Timing %q", status, out, timing)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reUploads; per >= uint64(len(a))/4 {
+		t.Errorf("each re-upload of a %d-byte resident image allocated %d bytes, want under a quarter of it", len(a), per)
+	} else {
+		t.Logf("each re-upload of a %d-byte resident image allocated %d bytes", len(a), per)
+	}
+}
+
+// TestConcurrentReUploads: re-uploads of three equal-length images, racing
+// one another and the evictions their own Puts cause in a store with room
+// for two, each get the answer a lone upload of that image gets, whether the
+// compare or Verify gave it.
+func TestConcurrentReUploads(t *testing.T) {
+	images := [][]byte{farWalk(t, 1<<14, 1), farWalk(t, 1<<14, 2), farWalk(t, 1<<14, 3)}
+	g := newUploadRig(t, Config{StoreBytes: int64(2 * len(images[0]))}, false)
+	want := make([]string, len(images))
+	for i, img := range images {
+		status, out, _ := g.post(t, "/v1/traces", img, false)
+		if status != http.StatusOK {
+			t.Fatalf("upload %d: %d %s", i, status, out)
+		}
+		want[i] = string(out)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 6 {
+				i := (w + k) % len(images)
+				resp, err := http.Post(g.url+"/v1/traces", "application/octet-stream", bytes.NewReader(images[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || string(out) != want[i] {
+					t.Errorf("re-upload of image %d: %d %q (%v), alone %q", i, resp.StatusCode, out, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestUploadLengthIsOnlyAHint: a client that claims a 1 GiB body, sends

@@ -668,12 +668,8 @@ func foldChecks(checks []threadCheck) (footprint, error) {
 // but the digest rides a walk that validates too, so a Validate after Verify
 // finds its answer memoized.
 func (c *Columnar) Verify() error {
-	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
+	if err := c.CheckPayload(nil); err != nil {
 		return err
-	}
-	payload := c.data[:len(c.data)-footerSize]
-	if got := crc64.Checksum(payload, crcTable); got != c.payloadCRC {
-		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
 	}
 	r := c.walk(nil, make([]lane, len(c.threads)))
 	c.validateOnce.Do(func() { c.settle(r, nil) })
@@ -683,6 +679,21 @@ func (c *Columnar) Verify() error {
 	if r.digest != c.digest {
 		return decodeErrf("footer", len(c.data)-footerSize+32,
 			"content digest %#x does not match decoded ops (%#x)", c.digest, r.digest)
+	}
+	return nil
+}
+
+// CheckPayload recomputes the whole-payload CRC the footer claims, in blocks
+// under fj: Verify's torn-or-corrupted check without its walk, for a caller
+// that trusts the digest but not the medium (the -trace-cache lookup). O(file);
+// Open skips it.
+func (c *Columnar) CheckPayload(fj ForkJoin) error {
+	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
+		return err
+	}
+	payload := c.data[:len(c.data)-footerSize]
+	if got := checksum(payload, fj); got != c.payloadCRC {
+		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
 	}
 	return nil
 }
@@ -718,13 +729,24 @@ func (c *Columnar) Decode() (*Trace, error) {
 	return tr, nil
 }
 
-// WriteTo copies the raw v3 bytes — what the daemon's fetch handler
-// streams back for a stored columnar trace.
-func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
+// Image returns the raw v3 bytes in place, not copied: what WriteTo writes.
+// The caller must not mutate them, and must keep c reachable while it reads
+// them — a mapped image is unmapped once c is collected.
+func (c *Columnar) Image() ([]byte, error) {
 	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
+		return nil, err
+	}
+	return c.data, nil
+}
+
+// WriteTo copies the raw v3 bytes — what the daemon's fetch handler
+// streams back for every stored trace.
+func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
+	data, err := c.Image()
+	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(c.data)
+	n, err := w.Write(data)
 	return int64(n), err
 }
 

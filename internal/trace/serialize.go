@@ -342,6 +342,19 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return decodeTrace(raw, nil)
 }
 
+// v2Magic checks the magic before anything else is read, so that a v3 file
+// or a foreign one is named for what it is, not as a torn v2 stream. A stream
+// shorter than the magic is left to the length check.
+func v2Magic(raw []byte) error {
+	if IsColumnar(raw) {
+		return decodeErrf("header", 0, "a v3 (columnar) trace, not a v2 stream: open it with trace.Open or trace.OpenBytes")
+	}
+	if len(raw) >= len(traceMagic) && string(raw[:len(traceMagic)]) != traceMagic {
+		return decodeErrf("header", 0, "bad magic %q", raw[:len(traceMagic)])
+	}
+	return nil
+}
+
 // decodeTrace reads a v2 stream with its per-thread work under fj: the
 // checksum in blocks, then — once frameThreads has found where each thread's
 // ops start — every thread's decode, checks and puts, then the seal. The
@@ -349,6 +362,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 // thread order is reported: the one, with the section, offset and text, that
 // a reader going thread by thread stops at.
 func decodeTrace(raw []byte, fj ForkJoin) (*Trace, error) {
+	if err := v2Magic(raw); err != nil {
+		return nil, err
+	}
 	if len(raw) < 8 {
 		return nil, decodeErrf("stream", len(raw), "truncated stream (%d bytes, need at least the 8-byte checksum)", len(raw))
 	}

@@ -378,6 +378,48 @@ func TestDecodeErrorSections(t *testing.T) {
 	}
 }
 
+// TestReadTraceNamesItsInput: the v2 reader checks the magic before the
+// checksum, so a v3 file is named as v3 — pointing at the reader that opens
+// it — and not as a torn v2 stream; a v2 stream that really is torn or
+// corrupted still reads as one.
+func TestReadTraceNamesItsInput(t *testing.T) {
+	tr := sampleTrace(t)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	v3, err := EncodeColumnar(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(v2)
+	flipped[len(flipped)/2] ^= 0x10
+	cases := []struct {
+		name    string
+		raw     []byte
+		section string
+		says    []string
+	}{
+		{"v3 file", v3, "header", []string{"v3", "trace.Open", "OpenBytes"}},
+		{"truncated v2 stream", v2[:len(v2)/2], "checksum", []string{"torn or corrupted"}},
+		{"v2 stream with one byte flipped", flipped, "checksum", []string{"torn or corrupted"}},
+	}
+	for _, tc := range cases {
+		_, err := ReadTrace(bytes.NewReader(tc.raw))
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Section != tc.section {
+			t.Errorf("%s: %v, want a DecodeError in %q", tc.name, err, tc.section)
+			continue
+		}
+		for _, s := range tc.says {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("%s: %q does not say %q", tc.name, err, s)
+			}
+		}
+	}
+}
+
 // TestDigestStability: Digest is a pure function of the serialized bytes —
 // stable across calls, sensitive to any op change. Since the digest is
 // memoized on the (immutable-by-contract) Trace, sensitivity is asserted

@@ -339,6 +339,9 @@ func refReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, decodeErr("stream", len(raw), fmt.Errorf("reading: %w", err))
 	}
+	if err := v2Magic(raw); err != nil { // the magic is read first, as ReadTrace reads it
+		return nil, err
+	}
 	if len(raw) < 8 {
 		return nil, decodeErrf("stream", len(raw), "truncated stream (%d bytes, need at least the 8-byte checksum)", len(raw))
 	}

@@ -16,12 +16,15 @@
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
 # stream to one fresh daemon and the v3 file to another, submit the same
 # job to both, and require byte-identical response bodies. Each file is
-# uploaded twice, and a recording and a sweep run twice. Host time travels in
-# a Server-Timing header only: an upload names its read and then its verify
-# stage, or its resident stage when the store already held the v3 image; a
-# job its gate wait and replay; a recording and a sweep their gate wait and
-# their work, a sweep then its recordings and cells summed by kind — with
-# every repeat's body cmp-equal to the first.
+# uploaded twice, the v3 file a third time chunked (no Content-Length), and
+# each daemon's trace is fetched back and must cmp equal to the .nmt3 file:
+# a fetch serves the v3 image whichever way the trace arrived. A recording
+# and a sweep run twice. Host time travels in a Server-Timing header only: an
+# upload names its read and then its verify stage, or its resident stage when
+# the body was the v3 image the store already held; a job its gate wait and
+# replay; a recording and a sweep their gate wait and their work, a sweep then
+# its recordings and cells summed by kind — with every repeat's body
+# cmp-equal to the first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -173,12 +176,21 @@ upload "$workdir/t.nmt" "$addr_v2" upload_v2
 upload "$workdir/t.nmt" "$addr_v2" upload_v2_again
 upload "$workdir/t.nmt3" "$addr_v3" upload_v3
 upload "$workdir/t.nmt3" "$addr_v3" upload_v3_again
+curl -sSf -D "$workdir/upload_v3_chunked.hdr" -H 'Transfer-Encoding: chunked' \
+	--data-binary @"$workdir/t.nmt3" "http://$addr_v3/v1/traces" > "$workdir/upload_v3_chunked.json"
 cmp "$workdir/upload_v2.json" "$workdir/upload_v2_again.json"
 cmp "$workdir/upload_v3.json" "$workdir/upload_v3_again.json"
+cmp "$workdir/upload_v3.json" "$workdir/upload_v3_chunked.json"
 d2=$(sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$workdir/upload_v2.json")
 d3=$(sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' "$workdir/upload_v3.json")
 echo "v2 digest $d2, v3 digest $d3"
 [ -n "$d2" ] && [ "$d2" = "$d3" ] || { echo "digest differs across serializations"; exit 1; }
+
+echo "== fetch each upload back: the v3 image =="
+curl -sSf "http://$addr_v2/v1/traces/$d2" > "$workdir/fetch_v2.nmt3"
+curl -sSf "http://$addr_v3/v1/traces/$d3" > "$workdir/fetch_v3.nmt3"
+cmp "$workdir/t.nmt3" "$workdir/fetch_v2.nmt3"
+cmp "$workdir/t.nmt3" "$workdir/fetch_v3.nmt3"
 
 echo "== same job against both =="
 job() {
@@ -210,8 +222,9 @@ timing() {
 		{ echo "$1: no Server-Timing matching $2:"; cat "$1"; return 1; }
 }
 # New bytes are verified, a v3 image the store already holds is answered by
-# a byte compare, and a v2 body is decoded every time.
-for f in upload_v2 upload_v2_again upload_v3; do
+# a byte compare as it streams, a v2 body is decoded every time, and so is a
+# body with no Content-Length, which no resident image is compared with.
+for f in upload_v2 upload_v2_again upload_v3 upload_v3_chunked; do
 	timing "$workdir/$f.hdr" 'read;dur=[0-9.]+, verify;dur=[0-9.]+'
 done
 timing "$workdir/upload_v3_again.hdr" 'read;dur=[0-9.]+, resident;dur=[0-9.]+'
