@@ -94,7 +94,7 @@ func (c Command) flagSet(o *Options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.req.Format, "format", serve.DefaultFormat, "output format: text, csv, markdown")
 	fs.Uint64Var(&o.req.FaultSeed, "fault-seed", 1, "fault-injection seed (0 disables injection)")
 	fs.IntVar(&o.req.Par, "par", 0, "replays in flight at once; output is byte-identical at any value (0 = GOMAXPROCS, 1 = one replay at a time); recordings run beside the replays and are not counted")
-	fs.BoolVar(&o.timings, "timings", false, "print one line per recording and per replayed cell to stderr: lane, start and end since process start, cached/shared marks (host time; changes no output or manifest byte)")
+	fs.BoolVar(&o.timings, "timings", false, "print one line per recording and per replayed cell to stderr: lane, start and end since process start, cached/shared marks, then the process's peak RSS where the OS reports it (host time; changes no output or manifest byte)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.traceCache, "trace-cache", "", "directory caching recorded traces as columnar .nmt3 files across runs (byte-neutral)")
@@ -307,12 +307,23 @@ func (o *Options) Run(ctx context.Context, w io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if o.timings {
+		defer writePeakRSS(os.Stderr)
+	}
 	defer sup.Timings.WriteTo(os.Stderr)
 	failed, err := o.runLocal(sup, w)
 	if err == nil && man != nil {
 		err = man.Flush()
 	}
 	return failed, err
+}
+
+// writePeakRSS closes the -timings lines with the process's peak resident
+// set, where the platform reports one. Printed, never gated: hosts differ.
+func writePeakRSS(w io.Writer) {
+	if rss, ok := prof.PeakRSS(); ok {
+		fmt.Fprintf(w, "timings: peak rss %.1f MiB\n", float64(rss)/(1<<20))
+	}
 }
 
 // runLocal is Run in process under sup: the row, then the telemetry replay

@@ -363,10 +363,13 @@ func TestCacheFileTruncatedUnderLookupIsMiss(t *testing.T) {
 	releaseDroppedMappings(t)
 }
 
-// TestCacheFileWithAFlippedByteIsMiss: a bit flipped on disk inside an
-// addrs column still opens and validates — it only moves an address — so
-// the lookup's payload CRC is what turns it into a miss. The sweep then
-// re-records and prints the bytes of an uncached run.
+// TestCacheFileWithAFlippedByteIsMiss: a bit flipped on disk in any kind of
+// segment of the image — a column, the head, the zero padding after a column
+// inside a thread's segment or after the last thread's, the section table —
+// still opens and validates, so the payload CRC is the only check that can
+// tell: Verify and CheckPayload each call the file torn or corrupted, and the
+// lookup turns it into a miss. The sweep then re-records and prints the bytes
+// of an uncached run.
 func TestCacheFileWithAFlippedByteIsMiss(t *testing.T) {
 	rc, err := NewDiskRecordCache(t.TempDir())
 	if err != nil {
@@ -391,38 +394,80 @@ func TestCacheFileWithAFlippedByteIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var addrs trace.Section
-	for _, sec := range col.Sections() {
+	secs := col.Sections()
+	tableOff := int64(len(data)) - 64 - int64(col.Threads())*96
+	end := func(s trace.Section) int64 { return s.Offset + s.Bytes }
+	var addrs, padded trace.Section
+	for i, sec := range secs {
 		if sec.Thread == 5 && sec.Column == "addrs" {
 			addrs = sec
 		}
+		if i+1 < len(secs) && secs[i+1].Thread == sec.Thread && end(sec) < secs[i+1].Offset && padded.Column == "" {
+			padded = sec
+		}
 	}
-	if addrs.Bytes == 0 {
-		t.Fatal("thread 5 has no addrs column")
+	// inColumn reports whether byte at lies in some column.
+	inColumn := func(at int64) bool {
+		for _, sec := range secs {
+			if sec.Offset <= at && at < end(sec) {
+				return true
+			}
+		}
+		return false
 	}
-	data = bytes.Clone(data)
-	data[addrs.Offset+addrs.Bytes/2] ^= 0x02
-	if flipped, err := trace.OpenBytes(data); err != nil || flipped.Validate() != nil {
-		t.Fatalf("the flipped file must open and validate, so only its CRC can tell: %v", err)
+	if addrs.Bytes == 0 || padded.Column == "" {
+		t.Fatalf("the image lacks a segment kind to flip: addrs %+v, padded %+v", addrs, padded)
 	}
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name string
+		at   int64
+		pad  bool // the byte is zero padding, in no column
+	}{
+		{"thread 5 addrs column", addrs.Offset + addrs.Bytes/2, false},
+		{"head padding", secs[0].Offset - 1, true},
+		{"padding after a column inside a thread", end(padded), true},
+		{"last thread's padding before the section table", tableOff - 1, true},
+		// Thread 1's address shift: the low bit moves every address, which
+		// still routes, and nothing else reads it.
+		{"section table", tableOff + 96 + 8, false},
 	}
-	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
-		t.Fatal("a cache file with a flipped byte reported a hit")
+	for _, row := range rows {
+		bad := bytes.Clone(data)
+		bad[row.at] ^= 0x01
+		if row.pad && (data[row.at] != 0 || inColumn(row.at)) {
+			t.Fatalf("%s: byte %d (%#x) is not padding", row.name, row.at, data[row.at])
+		}
+		flipped, err := trace.OpenBytes(bad)
+		if err != nil || flipped.Validate() != nil {
+			t.Fatalf("%s: the flipped file must open and validate, so only its CRC can tell: %v", row.name, err)
+		}
+		for i, err := range []error{flipped.CheckPayload(nil), flipped.Verify()} {
+			if err == nil || !strings.Contains(err.Error(), "torn or corrupted") {
+				t.Errorf("%s: %s = %v, want torn or corrupted", row.name, []string{"CheckPayload", "Verify"}[i], err)
+			}
+		}
+		if err := os.WriteFile(victim, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
+			t.Fatalf("%s: a cache file with a flipped byte reported a hit", row.name)
+		}
+		w.Sup = &Supervisor{Records: rc}
+		s, err := BandwidthSweep(w)
+		if err != nil || s.Failed() != 0 {
+			t.Fatalf("%s: sweep over a corrupted cache file: err=%v failed=%d", row.name, err, s.Failed())
+		}
+		if got, want := renderSweep(t, s), renderSweep(t, uncached); got != want {
+			t.Errorf("%s: sweep differs from the uncached run's:\n%s\nwant:\n%s", row.name, got, want)
+		}
+		if again, err := os.ReadFile(victim); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%s: the re-recording did not restore the file (%v)", row.name, err)
+		}
+		if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); !ok {
+			t.Errorf("%s: the re-recording did not overwrite the corrupted file", row.name)
+		}
 	}
-	w.Sup = &Supervisor{Records: rc}
-	s, err := BandwidthSweep(w)
-	if err != nil || s.Failed() != 0 {
-		t.Fatalf("sweep over a corrupted cache file: err=%v failed=%d", err, s.Failed())
-	}
-	if got, want := renderSweep(t, s), renderSweep(t, uncached); got != want {
-		t.Errorf("sweep differs from the uncached run's:\n%s\nwant:\n%s", got, want)
-	}
-	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); !ok {
-		t.Error("the re-recording did not overwrite the corrupted file")
-	}
-	s, w.Sup = Sweep{}, nil
+	w.Sup = nil
 	releaseDroppedMappings(t)
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 
 	"repro/internal/trace"
@@ -82,14 +83,22 @@ func (c *Client) postJSON(ctx context.Context, path string, v any) (*http.Respon
 	return resp, nil
 }
 
-// UploadTrace ships a trace's serialized stream to the store and returns
-// its metadata (digest included).
+// UploadTrace ships a trace's v3 image to the store — its sealed segments,
+// streamed where they lie, never copied into one buffer — and returns its
+// metadata (digest included). The daemon opens and verifies the image; a
+// re-upload of one it holds is answered by its streaming compare.
 func (c *Client) UploadTrace(ctx context.Context, tr *trace.Trace) (TraceInfo, error) {
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	col := tr.Columns()
+	segs, err := col.Segments()
+	if err != nil {
 		return TraceInfo{}, err
 	}
-	return c.UploadTraceBytes(ctx, buf.Bytes())
+	defer runtime.KeepAlive(col) // a mapped image stays mapped while it is sent
+	body := make([]io.Reader, len(segs))
+	for i, s := range segs {
+		body[i] = bytes.NewReader(s)
+	}
+	return c.upload(ctx, io.MultiReader(body...), col.Size())
 }
 
 // UploadTraceBytes ships an already-serialized trace file — either the v2
@@ -97,10 +106,16 @@ func (c *Client) UploadTrace(ctx context.Context, tr *trace.Trace) (TraceInfo, e
 // returns its metadata. Both serializations of one logical trace land on
 // the same digest.
 func (c *Client) UploadTraceBytes(ctx context.Context, data []byte) (TraceInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/traces", bytes.NewReader(data))
+	return c.upload(ctx, bytes.NewReader(data), int64(len(data)))
+}
+
+// upload POSTs size bytes of body to /v1/traces, with that Content-Length.
+func (c *Client) upload(ctx context.Context, body io.Reader, size int64) (TraceInfo, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/traces", body)
 	if err != nil {
 		return TraceInfo{}, err
 	}
+	req.ContentLength = size
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.httpClient().Do(req)
 	if err != nil {

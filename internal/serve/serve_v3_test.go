@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,11 +32,15 @@ func TestUploadColumnarSameDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var v2 bytes.Buffer
+	if _, err := rec.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
 
 	// Server A sees only the v2 stream; server B only the v3 file.
 	_, ca := newTestServer(t, serve.Config{})
 	srvB, cb := newTestServer(t, serve.Config{})
-	infoA, err := ca.UploadTrace(ctx, rec.Trace)
+	infoA, err := ca.UploadTraceBytes(ctx, v2.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestUploadColumnarSameDigest(t *testing.T) {
 	}
 
 	// Re-uploading the other serialization must not duplicate the entry.
-	if _, err := cb.UploadTrace(ctx, rec.Trace); err != nil {
+	if _, err := cb.UploadTraceBytes(ctx, v2.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if srvB.Store().Len() != 1 {
@@ -115,6 +120,92 @@ func TestUploadKeepsItsSerialization(t *testing.T) {
 		if err != nil || again.Digest != info.Digest || srv.Store().Len() != 1 {
 			t.Errorf("%s then the other serialization: digest %s vs %s, %d entries (%v)",
 				name, again.Digest, info.Digest, srv.Store().Len(), err)
+		}
+	}
+}
+
+// bodyTap is a transport that keeps a copy of every request body it sends,
+// and notes whether each went with a Content-Length equal to its size.
+type bodyTap struct {
+	sent  [][]byte
+	sized []bool
+}
+
+func (b *bodyTap) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		body, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		b.sent = append(b.sent, body)
+		b.sized = append(b.sized, r.ContentLength == int64(len(body)))
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestUploadTraceSendsTheImage: Client.UploadTrace sends the trace's v3
+// image, with its length — a recording's sealed segments, a v2 read's, an
+// opened file's — and the daemon answers with the TraceInfo a v2 upload of the
+// same trace gets; FetchTrace then gives back exactly the bytes sent.
+func TestUploadTraceSendsTheImage(t *testing.T) {
+	ctx := context.Background()
+	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if _, err := rec.Trace.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := trace.EncodeColumnar(rec.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := trace.ReadTrace(bytes.NewReader(v2.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.nmt3")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+
+	_, ref := newTestServer(t, serve.Config{})
+	want, err := ref.UploadTraceBytes(ctx, v2.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+	}{{"recording", rec.Trace}, {"v2 read", read}, {"opened file", opened.AsTrace()}} {
+		_, c := newTestServer(t, serve.Config{})
+		tap := &bodyTap{}
+		c.HTTP = &http.Client{Transport: tap}
+		got, err := c.UploadTrace(ctx, tc.tr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: UploadTrace answered %+v, a v2 upload %+v", tc.name, got, want)
+		}
+		if len(tap.sent) != 1 || !bytes.Equal(tap.sent[0], v3) || !tap.sized[0] {
+			t.Fatalf("%s: UploadTrace sent %d bodies, want the %d-byte v3 image once, with its length", tc.name, len(tap.sent), len(v3))
+		}
+		fetched, err := c.FetchTrace(ctx, got.Digest)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var back bytes.Buffer
+		if _, err := fetched.Columns().WriteTo(&back); err != nil || !bytes.Equal(back.Bytes(), tap.sent[0]) {
+			t.Errorf("%s: FetchTrace gave back %d bytes (%v), not the %d sent", tc.name, back.Len(), err, len(tap.sent[0]))
 		}
 	}
 }

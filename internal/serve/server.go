@@ -195,12 +195,49 @@ func readBody(r io.Reader, hint, limit int64, head ...[]byte) ([]byte, error) {
 // of a resident trace costs, whatever the trace's size.
 const compareChunk = 64 << 10
 
+// segments is a v3 image as trace.Columnar.Segments gives it: slices that,
+// put together in order, are the file.
+type segments [][]byte
+
+// equalAt reports whether b is the image's bytes from offset off on.
+func (im segments) equalAt(off int64, b []byte) bool {
+	for _, s := range im {
+		if len(b) == 0 {
+			break
+		}
+		if off >= int64(len(s)) {
+			off -= int64(len(s))
+			continue
+		}
+		n := min(int64(len(s))-off, int64(len(b)))
+		if !bytes.Equal(s[off:off+n], b[:n]) {
+			return false
+		}
+		b, off = b[n:], 0
+	}
+	return len(b) == 0
+}
+
+// head returns the image's first n bytes, as slices of its segments.
+func (im segments) head(n int64) [][]byte {
+	var out [][]byte
+	for _, s := range im {
+		if n <= 0 {
+			break
+		}
+		m := min(int64(len(s)), n)
+		out, n = append(out, s[:m]), n-m
+	}
+	return out
+}
+
 // readUpload reads an upload body, comparing it as it streams, compareChunk
 // bytes at a time, with the images of cands (the resident traces whose image
-// is Content-Length bytes). A body that ends exactly where a still-equal
-// image ends is that trace: its source comes back, and the body was never
-// buffered. Any other body comes back whole from readBody, after the prefix
-// the last candidates matched, copied from an image it equals.
+// is Content-Length bytes), segment by segment. A body that ends exactly
+// where a still-equal image ends is that trace: its source comes back, and
+// the body was never buffered. Any other body comes back whole from
+// readBody, after the prefix the last candidates matched, copied from the
+// segments of an image it equals.
 func readUpload(r io.Reader, hint, limit int64, cands []resident) (trace.Source, []byte, error) {
 	defer runtime.KeepAlive(cands) // a mapped image stays mapped while it is read
 	if len(cands) == 0 {
@@ -208,33 +245,33 @@ func readUpload(r io.Reader, hint, limit int64, cands []resident) (trace.Source,
 		return nil, body, err
 	}
 	chunk := make([]byte, compareChunk)
-	for matched := 0; ; {
+	for matched := int64(0); ; {
 		n, err := r.Read(chunk)
 		if err != nil && err != io.EOF {
 			return nil, nil, err
 		}
-		var prefix []byte // the body before this chunk, from an image it equals
+		var prefix segments // an image the body before this chunk equals
 		live := 0
 		for i := range cands {
-			image := cands[i].image
-			if image == nil {
+			c := &cands[i]
+			if c.image == nil {
 				continue
 			}
-			prefix = image[:matched]
-			if len(image)-matched < n || !bytes.Equal(image[matched:matched+n], chunk[:n]) {
-				cands[i].image = nil // differs: out of the compare
+			prefix = c.image
+			if c.size-matched < int64(n) || !c.image.equalAt(matched, chunk[:n]) {
+				c.image = nil // differs: out of the compare
 				continue
 			}
-			if err == io.EOF && len(image) == matched+n {
-				return cands[i].src, nil, nil
+			if err == io.EOF && c.size == matched+int64(n) {
+				return c.src, nil, nil
 			}
 			live++
 		}
-		matched += n
 		if live == 0 || err == io.EOF {
-			body, err := readBody(r, hint, limit, prefix, chunk[:n])
+			body, err := readBody(r, hint, limit, append(prefix.head(matched), chunk[:n])...)
 			return nil, body, err
 		}
+		matched += int64(n)
 	}
 }
 

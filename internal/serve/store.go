@@ -226,16 +226,17 @@ func (s *Store) Get(digest uint64) (trace.Source, bool) {
 // resident is a trace the store holds, with its v3 image.
 type resident struct {
 	src   trace.Source
-	image []byte
+	image segments
+	size  int64
 }
 
 // sized returns the resident traces whose v3 image is size bytes, with their
 // images, without touching recency: an upload found to be one of them Puts
 // it, and one that is not leaves the store as it found it. A resident entry's
-// digest is known, so its image is at hand in O(1). The caller reads the
-// images outside the lock; an entry evicted meanwhile stays readable, since
-// eviction only drops the store's reference and src keeps a mapped image
-// mapped.
+// digest is known, so its segments are at hand in O(threads). The caller
+// reads the images outside the lock; an entry evicted meanwhile stays
+// readable, since eviction only drops the store's reference and src keeps a
+// mapped image mapped.
 func (s *Store) sized(size int64) []resident {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,8 +246,8 @@ func (s *Store) sized(size int64) []resident {
 		if e.heap+e.mapped != size {
 			continue
 		}
-		if image, err := columnsOf(e.src).Image(); err == nil {
-			out = append(out, resident{e.src, image})
+		if image, err := columnsOf(e.src).Segments(); err == nil {
+			out = append(out, resident{e.src, image, size})
 		}
 	}
 	return out

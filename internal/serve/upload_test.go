@@ -127,6 +127,21 @@ func (g uploadRig) post(t *testing.T, path string, body []byte, chunked bool) (i
 	return resp.StatusCode, out, resp.Header.Get("Server-Timing")
 }
 
+// fetch returns the v3 image the daemon serves for digest.
+func (g uploadRig) fetch(t *testing.T, digest uint64) []byte {
+	t.Helper()
+	resp, err := http.Get(g.url + "/v1/traces/" + digestString(digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("fetch: %d (%v)", resp.StatusCode, err)
+	}
+	return out
+}
+
 // answer is the state after a response: /v1/stats and the recency list.
 func (g uploadRig) answer(t *testing.T, status int, body []byte) uploadAnswer {
 	t.Helper()
@@ -237,7 +252,7 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 		name   string
 		budget int64 // store budget; 0 = the default
 		setup  []step
-		probe  []byte
+		probe  []byte // nil: the image of recA the daemon serves after setup
 		stage  string
 		status int
 	}{
@@ -257,6 +272,8 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 			"verify", http.StatusBadRequest},
 		{"image of a resident recording", 0, []step{{"/v1/traces/record", record}, upload(b)}, a, "resident", http.StatusOK},
 		{"v3 conversion of a resident v2 upload", 0, []step{upload(v2.Bytes()), upload(b)}, a, "resident", http.StatusOK},
+		{"fetched image of a resident recording", 0, []step{{"/v1/traces/record", record}, upload(b)}, nil, "resident", http.StatusOK},
+		{"fetched image of a resident v2 upload", 0, []step{upload(v2.Bytes()), upload(b)}, nil, "resident", http.StatusOK},
 		{"v2 re-upload", 0, []step{upload(v2.Bytes()), upload(b)}, v2.Bytes(), "verify", http.StatusOK},
 		{"re-upload after eviction", int64(len(a) + len(b) - 1), []step{upload(a), upload(b)}, a, "verify", http.StatusOK},
 		{"chunked v3 re-upload", 0, []step{upload(a), upload(b)}, a, "verify", http.StatusOK},
@@ -282,7 +299,13 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 						t.Fatalf("setup POST %s: %d %s", s.path, status, out)
 					}
 				}
-				status, out, timing := g.post(t, "/v1/traces", tc.probe, strings.HasPrefix(tc.name, "chunked"))
+				probe := tc.probe
+				if probe == nil {
+					if probe = g.fetch(t, digestA); !bytes.Equal(probe, a) {
+						t.Fatalf("fetched %d bytes, not the %d-byte image", len(probe), len(a))
+					}
+				}
+				status, out, timing := g.post(t, "/v1/traces", probe, strings.HasPrefix(tc.name, "chunked"))
 				if !reference {
 					m := uploadStage.FindStringSubmatch(timing)
 					if m == nil || m[1] != tc.stage {
@@ -310,30 +333,45 @@ func TestUploadAnsweredByResidentImage(t *testing.T) {
 
 // TestResidentReUploadIsNotBuffered: re-uploading a resident image costs the
 // daemon a fixed compare buffer, not a copy of the body — each re-upload adds
-// less than a quarter of the image to TotalAlloc, client side included.
+// less than a quarter of the image to TotalAlloc, client side included —
+// whether the entry is an upload, whose image is one buffer, or a recording
+// the daemon made, whose image is its sealed segments.
 func TestResidentReUploadIsNotBuffered(t *testing.T) {
-	rec, err := harness.Record(harness.AlgNMSort, harness.Workload{N: 1 << 16, Seed: 7, Threads: 16, SP: units.MiB})
+	wl := harness.Workload{N: 1 << 16, Seed: 7, Threads: 16, SP: units.MiB}
+	rec, err := harness.Record(harness.AlgNMSort, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := image(t, rec.Trace)
-	g := newUploadRig(t, Config{}, false)
-	if status, out, _ := g.post(t, "/v1/traces", a, false); status != http.StatusOK {
-		t.Fatalf("first upload: %d %s", status, out)
+	record, err := json.Marshal(RecordRequest{Alg: "nmsort", N: wl.N, Seed: wl.Seed, Threads: wl.Threads, SPMiB: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	const reUploads = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range reUploads {
-		if status, out, timing := g.post(t, "/v1/traces", a, false); status != http.StatusOK || !strings.Contains(timing, "resident") {
-			t.Fatalf("re-upload: %d %s, Server-Timing %q", status, out, timing)
+	for _, resident := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"uploaded", "/v1/traces", a},
+		{"recorded", "/v1/traces/record", record},
+	} {
+		g := newUploadRig(t, Config{}, false)
+		if status, out, _ := g.post(t, resident.path, resident.body, false); status != http.StatusOK {
+			t.Fatalf("%s: first request: %d %s", resident.name, status, out)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / reUploads; per >= uint64(len(a))/4 {
-		t.Errorf("each re-upload of a %d-byte resident image allocated %d bytes, want under a quarter of it", len(a), per)
-	} else {
-		t.Logf("each re-upload of a %d-byte resident image allocated %d bytes", len(a), per)
+		const reUploads = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reUploads {
+			if status, out, timing := g.post(t, "/v1/traces", a, false); status != http.StatusOK || !strings.Contains(timing, "resident") {
+				t.Fatalf("%s: re-upload: %d %s, Server-Timing %q", resident.name, status, out, timing)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / reUploads; per >= uint64(len(a))/4 {
+			t.Errorf("%s: each re-upload of a %d-byte resident image allocated %d bytes, want under a quarter of it", resident.name, len(a), per)
+		} else {
+			t.Logf("%s: each re-upload of a %d-byte resident image allocated %d bytes", resident.name, len(a), per)
+		}
 	}
 }
 

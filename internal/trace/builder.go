@@ -408,12 +408,15 @@ func (r *chunkReader) take(dst []byte, n int) []byte {
 	return dst
 }
 
-// sealImage seals every builder and lays the columns out as one v3 image,
+// sealImage seals every builder and lays the columns out as a v3 image,
 // returned opened: seal measures, the layout follows from the sizes, and
-// each thread then encodes into its own slots — both per-thread steps under
-// fj. Everything but the footer is final; the footer carries the content
-// digest, which costs a walk of every op, so the image's first walk — the
-// one that validates it — fills it (see Columnar.settle).
+// each thread then allocates its own segment and encodes into it — both
+// per-thread steps under fj. writeTo empties the builder it reads, so a
+// thread's raw columns are garbage once its segment is written, and no
+// buffer the size of the whole image is ever allocated. Everything but the
+// footer is final; the footer carries the content digest, which costs a walk
+// of every op, so the image's first walk — the one that validates it — fills
+// it (see Columnar.settle).
 func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder, fj ForkJoin) *Columnar {
 	hdr := appendHeader(columnarMagic, columnarVersion, costs, l1, len(threads), names)
 
@@ -442,22 +445,31 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 		}
 	}
 	c.tableOff = align(pos)
-	c.data = make([]byte, c.tableOff+int64(len(threads))*tableEntrySize+footerSize)
-	copy(c.data, hdr)
+
+	// Segment i spans [cuts[i], cuts[i+1]): the head, each thread, the tail.
+	cuts := append(append([]int64{0}, c.threadStarts()...), c.tableOff, c.tableOff+int64(len(threads))*tableEntrySize+footerSize)
+	c.segs = make([][]byte, len(cuts)-1)
+	c.segs[0] = make([]byte, cuts[1])
+	copy(c.segs[0], hdr)
+	tail := make([]byte, cuts[len(cuts)-1]-c.tableOff)
+	c.segs[len(c.segs)-1] = tail
 
 	fj.run(len(threads), func(t int) {
 		th := &c.threads[t]
+		base := cuts[1+t]
+		seg := make([]byte, cuts[2+t]-base)
 		var dst [numCols][]byte
 		le := binary.LittleEndian
-		ent := c.data[c.tableOff+int64(t)*tableEntrySize:]
+		ent := tail[t*tableEntrySize:]
 		le.PutUint64(ent[0:], uint64(th.ops))
 		le.PutUint64(ent[8:], uint64(th.shift))
 		for col := range dst {
-			dst[col] = c.data[th.off[col]:th.end[col]:th.end[col]]
+			dst[col] = seg[th.off[col]-base : th.end[col]-base : th.end[col]-base]
 			le.PutUint64(ent[16+col*16:], uint64(th.off[col]))
 			le.PutUint64(ent[24+col*16:], uint64(th.end[col]-th.off[col]))
 		}
 		threads[t].writeTo(dst)
+		c.segs[1+t] = seg
 	})
 	return c
 }
@@ -512,18 +524,16 @@ func sealedColumns(src Source) *Columnar {
 	return nil
 }
 
-// EncodeColumnar serializes src into the v3 columnar format. The bytes are
-// the caller's: a recording that is already sealed is copied, not aliased.
+// EncodeColumnar serializes src into the v3 columnar format: its sealed
+// segments put together in one fresh buffer, the caller's to keep.
 func EncodeColumnar(src Source) ([]byte, error) {
 	c, err := Seal(src)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.Digest(); err != nil {
+	segs, err := c.Segments()
+	if err != nil {
 		return nil, err
 	}
-	if c == sealedColumns(src) {
-		return bytes.Clone(c.data), nil
-	}
-	return c.data, nil
+	return bytes.Join(segs, nil), nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -104,9 +105,17 @@ type colThread struct {
 // heap, or an opened file's raw bytes (mmap-backed when the platform
 // allows). It implements Source without materializing []Op, is immutable
 // and safe for concurrent cursors.
+//
+// Either way the image is a list of segments which, put together in order,
+// are the file byte for byte: the head (header and its zero padding), one
+// segment per thread (its five columns, each with the zero padding after
+// it), and the tail (section table and footer). A sealed image allocates
+// each segment on its own, so a recording never holds its raw columns and
+// a whole image at once; an opened file's segments are views into its one
+// buffer. Cursors, checksums and WriteTo read the segments alike.
 type Columnar struct {
-	data   []byte
-	mapped bool
+	segs    [][]byte
+	mapping []byte // the mmap behind an opened file's segments; nil on the heap
 
 	// sealed marks an image this process's column builder produced: it is
 	// canonical, its footprint was noted as the ops were put, and its footer
@@ -214,8 +223,6 @@ func openBytes(data []byte, mapped bool) (*Columnar, error) {
 		return nil, decodeErrf("header", h.off()-8, "header thread count %d != footer %d", hdr[8], threads)
 	}
 	c := &Columnar{
-		data:       data,
-		mapped:     mapped,
 		totalOps:   totalOps,
 		digest:     le.Uint64(ftr[32:40]),
 		payloadCRC: le.Uint64(ftr[40:48]),
@@ -280,7 +287,16 @@ func openBytes(data []byte, mapped bool) (*Columnar, error) {
 	if sumOps != totalOps {
 		return nil, decodeErrf("footer", fOff+24, "total op count %d != section table sum %d", totalOps, sumOps)
 	}
+	// The segments: each thread's starts at its first column, which the
+	// table puts past the header and the previous thread's columns.
+	cut := int64(0)
+	c.segs = make([][]byte, 0, len(c.threads)+2)
+	for _, next := range append(c.threadStarts(), tableOff, int64(len(data))) {
+		c.segs = append(c.segs, data[cut:next:next])
+		cut = next
+	}
 	if mapped {
+		c.mapping = data
 		mappedBytes.Add(int64(len(data)))
 		runtime.SetFinalizer(c, (*Columnar).Close)
 	}
@@ -292,22 +308,51 @@ func openBytes(data []byte, mapped bool) (*Columnar, error) {
 // (the serving layer guarantees this by holding pins, and otherwise leaves
 // cleanup to the finalizer installed by Open).
 func (c *Columnar) Close() error {
-	if !c.mapped {
+	if c.mapping == nil {
 		return nil
 	}
-	c.mapped = false
 	runtime.SetFinalizer(c, nil)
-	data := c.data
-	c.data = nil
+	data := c.mapping
+	c.mapping, c.segs = nil, nil
 	mappedBytes.Add(-int64(len(data)))
 	return unmapFile(data)
 }
 
+// threadStarts returns the file offset of each thread's segment: its first
+// column's.
+func (c *Columnar) threadStarts() []int64 {
+	starts := make([]int64, len(c.threads))
+	for t := range c.threads {
+		starts[t] = c.threads[t].off[0]
+	}
+	return starts
+}
+
 // Size returns the file size in bytes.
-func (c *Columnar) Size() int64 { return int64(len(c.data)) }
+func (c *Columnar) Size() int64 {
+	n := int64(0)
+	for _, s := range c.segs {
+		n += int64(len(s))
+	}
+	return n
+}
 
 // Mapped reports whether the bytes are an mmap rather than heap memory.
-func (c *Columnar) Mapped() bool { return c.mapped }
+func (c *Columnar) Mapped() bool { return c.mapping != nil }
+
+// footer returns the image's final footerSize bytes, the tail's end.
+func (c *Columnar) footer() []byte {
+	tail := c.segs[len(c.segs)-1]
+	return tail[len(tail)-footerSize:]
+}
+
+// payload returns the segments the payload CRC covers: all but the footer.
+func (c *Columnar) payload() [][]byte {
+	segs := slices.Clone(c.segs)
+	tail := segs[len(segs)-1]
+	segs[len(segs)-1] = tail[:len(tail)-footerSize]
+	return segs
+}
 
 // Threads returns the number of per-thread op streams.
 func (c *Columnar) Threads() int { return len(c.threads) }
@@ -346,9 +391,8 @@ func (c *Columnar) Digest() (uint64, error) {
 // may run concurrently.
 func (c *Columnar) finishFooter(digest uint64, fj ForkJoin) {
 	le := binary.LittleEndian
-	payload := c.data[:len(c.data)-footerSize]
-	ftr := c.data[len(payload):]
-	c.digest, c.payloadCRC = digest, checksum(payload, fj)
+	ftr := c.footer()
+	c.digest, c.payloadCRC = digest, checksum(fj, c.payload()...)
 	le.PutUint64(ftr[0:], uint64(c.tableOff))
 	le.PutUint64(ftr[8:], uint64(len(c.threads)*tableEntrySize))
 	le.PutUint64(ftr[16:], uint64(len(c.threads)))
@@ -423,13 +467,13 @@ func (c *Columnar) CursorAt(tid int) Cursor {
 		tid:    tid,
 		n:      th.ops,
 		shift:  th.shift,
-		tags:   c.data[th.off[colTags]:th.end[colTags]],
-		addrs:  c.data[th.off[colAddrs]:th.end[colAddrs]],
-		dmas:   c.data[th.off[colDMAs]:th.end[colDMAs]],
-		phases: c.data[th.off[colPhases]:th.end[colPhases]],
+		tags:   c.column(tid, colTags),
+		addrs:  c.column(tid, colAddrs),
+		dmas:   c.column(tid, colDMAs),
+		phases: c.column(tid, colPhases),
 		ends:   th.end,
 	}
-	g := c.data[th.off[colGaps]:th.end[colGaps]]
+	g := c.column(tid, colGaps)
 	if th.ops == 0 && len(g) == 0 {
 		return cur // an all-empty thread carries no dict header
 	}
@@ -442,6 +486,13 @@ func (c *Columnar) CursorAt(tid int) Cursor {
 	cur.dict = g[m : m+4*int(dictLen)]
 	cur.gaps = g[m+4*int(dictLen):]
 	return cur
+}
+
+// column returns column col of thread tid, from the thread's segment.
+func (c *Columnar) column(tid, col int) []byte {
+	th := &c.threads[tid]
+	base := th.off[0]
+	return c.segs[1+tid][th.off[col]-base : th.end[col]-base]
 }
 
 // Validate streams every thread's columns once, checking that the streams
@@ -677,23 +728,22 @@ func (c *Columnar) Verify() error {
 		return r.decode
 	}
 	if r.digest != c.digest {
-		return decodeErrf("footer", len(c.data)-footerSize+32,
+		return decodeErrf("footer", int(c.Size())-footerSize+32,
 			"content digest %#x does not match decoded ops (%#x)", c.digest, r.digest)
 	}
 	return nil
 }
 
 // CheckPayload recomputes the whole-payload CRC the footer claims, in blocks
-// under fj: Verify's torn-or-corrupted check without its walk, for a caller
-// that trusts the digest but not the medium (the -trace-cache lookup). O(file);
-// Open skips it.
+// across the segments under fj: Verify's torn-or-corrupted check without its walk, for
+// a caller that trusts the digest but not the medium (the -trace-cache
+// lookup). O(file); Open skips it.
 func (c *Columnar) CheckPayload(fj ForkJoin) error {
 	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
 		return err
 	}
-	payload := c.data[:len(c.data)-footerSize]
-	if got := checksum(payload, fj); got != c.payloadCRC {
-		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
+	if got := checksum(fj, c.payload()...); got != c.payloadCRC {
+		return decodeErrf("checksum", int(c.Size())-footerSize, "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
 	}
 	return nil
 }
@@ -729,25 +779,28 @@ func (c *Columnar) Decode() (*Trace, error) {
 	return tr, nil
 }
 
-// Image returns the raw v3 bytes in place, not copied: what WriteTo writes.
-// The caller must not mutate them, and must keep c reachable while it reads
-// them — a mapped image is unmapped once c is collected.
-func (c *Columnar) Image() ([]byte, error) {
+// Segments returns the v3 image as its segments, in place, not copied: put
+// together in order they are what WriteTo writes. The caller must not mutate
+// them, and must keep c reachable while it reads them — a mapped image is
+// unmapped once c is collected.
+func (c *Columnar) Segments() ([][]byte, error) {
 	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
 		return nil, err
 	}
-	return c.data, nil
+	return c.segs, nil
 }
 
-// WriteTo copies the raw v3 bytes — what the daemon's fetch handler
-// streams back for every stored trace.
-func (c *Columnar) WriteTo(w io.Writer) (int64, error) {
-	data, err := c.Image()
-	if err != nil {
-		return 0, err
+// WriteTo writes the v3 image, segment by segment — what the daemon's fetch
+// handler streams back for every stored trace.
+func (c *Columnar) WriteTo(w io.Writer) (n int64, err error) {
+	segs, err := c.Segments()
+	for _, s := range segs {
+		m, err := w.Write(s)
+		if n += int64(m); err != nil {
+			return n, err
+		}
 	}
-	n, err := w.Write(data)
-	return int64(n), err
+	return n, err
 }
 
 // Load opens the trace file at path in whichever serialization it carries:

@@ -61,6 +61,46 @@ func requireCombine(t testing.TB, data []byte, cuts uint64) {
 	}
 }
 
+// TestChecksumAcrossSegments: checksum of a message cut into segments — empty
+// ones, one-byte ones, ones longer than a block, joins on and off the block
+// boundaries — is crc64.Checksum of the message, sequentially and under a
+// fork-join that runs its bodies in reverse.
+func TestChecksumAcrossSegments(t *testing.T) {
+	r := xrand.New(65)
+	data := make([]byte, 3*crcBlock+crcBlock/3)
+	for i := range data {
+		data[i] = byte(r.Uint64())
+	}
+	want := crc64.Checksum(data, crcTable)
+	reversed := func(n int, body func(int)) {
+		for i := n - 1; i >= 0; i-- {
+			body(i)
+		}
+	}
+	for round := range 20 {
+		var segs [][]byte
+		for rest := data; len(rest) > 0; {
+			var n int
+			switch r.Intn(4) {
+			case 0:
+				n = r.Intn(2)
+			case 1: // a join one byte either side of the next block boundary, or on it
+				done := len(data) - len(rest)
+				n = (done/crcBlock+1)*crcBlock - done - 1 + r.Intn(3)
+			default:
+				n = r.Intn(crcBlock + crcBlock/2)
+			}
+			n = max(0, min(n, len(rest)))
+			segs, rest = append(segs, rest[:n]), rest[n:]
+		}
+		for _, fj := range []ForkJoin{nil, reversed} {
+			if got := checksum(fj, segs...); got != want {
+				t.Fatalf("round %d: %d segments sum to %#x, the whole to %#x", round, len(segs), got, want)
+			}
+		}
+	}
+}
+
 // FuzzCRC64Combine hands the message and the cut points to the fuzzer.
 // scripts/check.sh runs it briefly as a smoke.
 func FuzzCRC64Combine(f *testing.F) {

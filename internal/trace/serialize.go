@@ -261,16 +261,37 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // crcBlock is how many bytes checksum hands one fork-join body.
 const crcBlock = 1 << 20
 
-// checksum is crc64.Checksum(data, crcTable) with data cut into crcBlock
-// blocks, each summed under fj, folded in order by crc64Combine.
-func checksum(data []byte, fj ForkJoin) uint64 {
-	blocks := (len(data) + crcBlock - 1) / crcBlock
-	sums := make([]uint64, blocks)
-	block := func(i int) []byte { return data[i*crcBlock : min((i+1)*crcBlock, len(data))] }
-	fj.run(blocks, func(i int) { sums[i] = crc64.Checksum(block(i), crcTable) })
+// checksum is crc64.Checksum of segs put together in order. The whole is cut
+// into crcBlock-byte blocks, wherever the segment joins fall: each block is
+// summed under fj, piece by piece across the joins it spans, and the block
+// sums are folded in order by crc64Combine. An image of many small segments
+// costs the fork-join and the fold what one buffer of its size would.
+func checksum(fj ForkJoin, segs ...[]byte) uint64 {
+	var blocks [][][]byte // each block's pieces, in order
+	var block [][]byte
+	n := 0 // bytes in block
+	for _, s := range segs {
+		for len(s) > 0 {
+			m := min(len(s), crcBlock-n)
+			block, s, n = append(block, s[:m]), s[m:], n+m
+			if n == crcBlock {
+				blocks, block, n = append(blocks, block), nil, 0
+			}
+		}
+	}
+	if n > 0 {
+		blocks = append(blocks, block)
+	}
+	sums, lens := make([]uint64, len(blocks)), make([]int64, len(blocks))
+	fj.run(len(blocks), func(i int) {
+		for _, piece := range blocks[i] {
+			sums[i] = crc64.Update(sums[i], crcTable, piece)
+			lens[i] += int64(len(piece))
+		}
+	})
 	var sum uint64
 	for i, s := range sums {
-		sum = crc64Combine(sum, s, int64(len(block(i))))
+		sum = crc64Combine(sum, s, lens[i])
 	}
 	return sum
 }
@@ -370,7 +391,7 @@ func decodeTrace(raw []byte, fj ForkJoin) (*Trace, error) {
 	}
 	payload, tail := raw[:len(raw)-8], raw[len(raw)-8:]
 	want := binary.LittleEndian.Uint64(tail)
-	if got := checksum(payload, fj); got != want {
+	if got := checksum(fj, payload); got != want {
 		return nil, decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, want)
 	}
 

@@ -318,7 +318,8 @@ func refStreamsWriteV2(tr *Trace) ([]byte, uint64, error) {
 // refVerify is the two-checksum Verify of an opened file: the payload CRC,
 // then a walk of its own for the digest.
 func refVerify(c *Columnar) error {
-	payload := c.data[:len(c.data)-footerSize]
+	img := bytes.Join(c.segs, nil)
+	payload := img[:len(img)-footerSize]
 	if got := crc64.Checksum(payload, crcTable); got != c.payloadCRC {
 		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
 	}
@@ -327,7 +328,7 @@ func refVerify(c *Columnar) error {
 		return err
 	}
 	if got != c.digest {
-		return decodeErrf("footer", len(c.data)-footerSize+32,
+		return decodeErrf("footer", len(img)-footerSize+32,
 			"content digest %#x does not match decoded ops (%#x)", c.digest, got)
 	}
 	return nil
