@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -35,10 +34,12 @@ func NewDiskRecordCache(dir string) (*DiskRecordCache, error) {
 	return &DiskRecordCache{dir: dir}, nil
 }
 
-// path derives the cache file base path (no extension) for a normalized
-// workload: a stable CRC64 of the algorithm and the RecordKey fields.
+// path is the cache file base path (no extension) of a RecordKey workload.
 func (c *DiskRecordCache) path(alg Algorithm, w Workload) string {
-	key := crc64.Checksum([]byte(fmt.Sprintf("%s|%+v", alg, w)), cellCRCTable)
+	key := keyDigest(struct {
+		Alg      Algorithm
+		Workload Workload
+	}{alg, w})
 	return filepath.Join(c.dir, fmt.Sprintf("%s-%016x", alg, key))
 }
 

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -226,6 +228,53 @@ func TestLegacyV2CacheFileIsMiss(t *testing.T) {
 	}
 	if got.Trace.Count() != fresh.Trace.Count() {
 		t.Fatalf("after re-recording: counts %+v, recorded %+v", got.Trace.Count(), fresh.Trace.Count())
+	}
+}
+
+// TestCacheFileUnderAnOldKeyIsIgnored: before keyVersion 2 a -trace-cache
+// file was named by the CRC-64 of fmt.Sprintf("%s|%+v", alg, w). A directory
+// holding a valid recording under that name — another algorithm's, so a hit
+// would replay the wrong program — misses, and the workload is re-recorded
+// under its current name.
+func TestCacheFileUnderAnOldKeyIsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	rc, err := NewDiskRecordCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{N: 1 << 9, Seed: 13, Threads: 2, SP: 64 * units.KiB}
+	oldKey := crc64.Checksum([]byte(fmt.Sprintf("%s|%+v", AlgNMSort, RecordKey(w))), crc64.MakeTable(crc64.ECMA))
+	old := filepath.Join(dir, fmt.Sprintf("%s-%016x.nmt3", AlgNMSort, oldKey))
+	gnu, err := Record(AlgGNUSort, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.CompleteRecord(AlgGNUSort, RecordKey(w), gnu)
+	if err := os.Rename(rc.path(AlgGNUSort, RecordKey(w))+".nmt3", old); err != nil {
+		t.Fatal(err)
+	}
+	rc.loaded = func(path string) { t.Errorf("the lookup mapped %s", path) }
+	if _, ok := rc.LookupRecord(AlgNMSort, RecordKey(w)); ok {
+		t.Fatal("a file under the old key reported a hit")
+	}
+	rc.loaded = nil
+
+	w.Sup = &Supervisor{Records: rc}
+	got, found, err := record(AlgNMSort, w)
+	if err != nil || found {
+		t.Fatalf("re-recording: found=%v err=%v", found, err)
+	}
+	fresh, err := Record(AlgNMSort, Workload{N: w.N, Seed: w.Seed, Threads: w.Threads, SP: w.SP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotD, err1 := got.Trace.Digest()
+	wantD, err2 := fresh.Trace.Digest()
+	if err1 != nil || err2 != nil || gotD != wantD {
+		t.Fatalf("re-recorded digest %016x (%v), fresh %016x (%v)", gotD, err1, wantD, err2)
+	}
+	if _, err := os.Stat(rc.path(AlgNMSort, RecordKey(w)) + ".nmt3"); err != nil {
+		t.Fatalf("the re-recording wrote no file under the current key: %v", err)
 	}
 }
 

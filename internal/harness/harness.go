@@ -89,13 +89,16 @@ type RecordResult struct {
 }
 
 // RecordKey normalizes a workload for Record memoization: only the fields
-// that shape the recorded trace remain. Replay-only knobs (MaxEvents, Par,
-// the supervisor pointer) are zeroed — they change how a trace is
-// replayed, never what gets recorded.
+// that shape the recorded trace remain, each in one spelling. Replay-only
+// knobs (MaxEvents, Par, the supervisor pointer) are zeroed — they change
+// how a trace is replayed, never what gets recorded — and Uniform is "".
 func RecordKey(w Workload) Workload {
 	w.MaxEvents = 0
 	w.Par = 0
 	w.Sup = nil
+	if w.Dist == workload.Uniform {
+		w.Dist = ""
+	}
 	return w
 }
 

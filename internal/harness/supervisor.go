@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -221,22 +220,18 @@ func (sup *Supervisor) interrupted() error {
 	return *sup.stop.Load()
 }
 
-// ConfigDigest fingerprints a machine configuration for cell keying —
-// the one keying function shared by the checkpoint manifest and the
-// serving layer's result cache, so the two can never drift. Shards is
-// zeroed because the field is inert (see machine.Config.Shards): whatever
-// a caller leaves in it must not split the key space. Telemetry is
-// zeroed because a recorder pointer has no stable rendering (telemetry
-// cells are excluded from cache use anyway). The retry policy is folded
-// in because it changes fault outcomes.
-var cellCRCTable = crc64.MakeTable(crc64.ECMA)
-
+// ConfigDigest is the keyDigest of a machine configuration and the retry
+// policy, which changes fault outcomes: the one cell key of the checkpoint
+// manifest and the serving layer's result cache. Its result-neutral fields
+// are zeroed first: Shards (see machine.Config.Shards), and Telemetry, a
+// recorder pointer, not a value (telemetry cells skip cache use anyway).
 func ConfigDigest(cfg machine.Config, retries int, retrySeed uint64) uint64 {
 	cfg.Shards = 0
 	cfg.Telemetry = nil
-	return crc64.Checksum(
-		[]byte(fmt.Sprintf("%+v|retries=%d|retryseed=%d", cfg, retries, retrySeed)),
-		cellCRCTable)
+	return keyDigest(struct {
+		Config             machine.Config
+		Retries, RetrySeed uint64
+	}{cfg, uint64(retries), retrySeed})
 }
 
 // cellKeys derives every job's CellKey. Trace digests are memoized on the

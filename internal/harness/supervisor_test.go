@@ -647,6 +647,30 @@ func TestCellKeyStability(t *testing.T) {
 	if keys[0] == keys3[0] {
 		t.Error("config change did not change the cell key")
 	}
+	// Values a rounded rendering of the units would merge, though the
+	// first two pairs replay differently: the key holds each exactly.
+	for _, c := range []struct {
+		name string
+		a, b func(*machine.Config)
+	}{
+		{"CoreHz 1.7e9 vs 1.7049e9",
+			func(c *machine.Config) { c.CoreHz = units.Hz(1.7e9) },
+			func(c *machine.Config) { c.CoreHz = units.Hz(1.7049e9) }},
+		{"far and near ChannelBW 8.528e9 vs 8.5349e9",
+			func(c *machine.Config) { c.Far.ChannelBW, c.Near.ChannelBW = 8.528e9, 8.528e9 },
+			func(c *machine.Config) { c.Far.ChannelBW, c.Near.ChannelBW = 8.5349e9, 8.5349e9 }},
+		{"Fault.DegradeEpoch 10us vs 10us+1ps",
+			func(c *machine.Config) { c.Fault.DegradeEpoch = 10 * units.Microsecond },
+			func(c *machine.Config) { c.Fault.DegradeEpoch = 10*units.Microsecond + units.Picosecond }},
+	} {
+		a, b := cfg, cfg
+		a.Fault, b.Fault = fault.Profile(1, 1e-3), fault.Profile(1, 1e-3)
+		c.a(&a)
+		c.b(&b)
+		if ConfigDigest(a, 0, 0) == ConfigDigest(b, 0, 0) {
+			t.Errorf("%s: one cell key for two configs", c.name)
+		}
+	}
 	if got, want := (CellKey{Trace: 0xAB, Config: 0xCD}).String(), "t00000000000000ab-c00000000000000cd"; got != want {
 		t.Errorf("key format drifted: %q, want %q", got, want)
 	}

@@ -59,13 +59,11 @@ type Config struct {
 	// runaway-schedule guard. Zero means DefaultEventBudget.
 	MaxEvents uint64
 
-	// Shards is inert: nothing reads it. It selected the intra-replay
-	// sharded engine that DESIGN.md §10 records as deleted. The field stays
-	// declared for two reasons: bench/_layers/probes.go assigns it (and
-	// bench/ changes only in benchmark PRs), and ConfigDigest hashes the
-	// %+v rendering of this struct, so keeping the field keeps every
-	// manifest key and served config_key byte-identical. Follow-up: the
-	// next benchmark PR drops machine.shards_over_seq, then this field.
+	// Shards is inert: nothing reads it, and ConfigDigest zeroes it. It
+	// selected the intra-replay sharded engine that DESIGN.md §10 records
+	// as deleted, and stays declared because bench/_layers/probes.go
+	// assigns it. Follow-up: the next benchmark PR drops
+	// machine.shards_over_seq, then this field.
 	Shards int
 
 	// Telemetry, when non-nil, attaches a time-series recorder: every

@@ -16,21 +16,18 @@ import (
 
 // Config describes the network.
 type Config struct {
-	Groups    int                  // number of endpoints (core groups)
-	LinkBW    units.BytesPerSecond // per-group link bandwidth, per direction
-	HopLat    units.Time           // one-way latency
-	Payload   units.Bytes          // data payload per message (cache line)
-	HeaderLat units.Time           // extra per-message router overhead
+	Groups int                  // number of endpoints (core groups)
+	LinkBW units.BytesPerSecond // per-group link bandwidth, per direction
+	HopLat units.Time           // one-way latency
 }
 
-// Paper returns the Figure 4 network: 72GB/s per group connection, 20ns
-// hop latency, 64B lines.
+// Paper returns the Figure 4 network: 72GB/s per group connection and
+// 20ns hop latency.
 func Paper(groups int) Config {
 	return Config{
-		Groups:  groups,
-		LinkBW:  units.GBps(72),
-		HopLat:  20 * units.Nanosecond,
-		Payload: 64,
+		Groups: groups,
+		LinkBW: units.GBps(72),
+		HopLat: 20 * units.Nanosecond,
 	}
 }
 
@@ -78,22 +75,18 @@ func (nw *Network) Deliver(at units.Time, g int, n units.Bytes) units.Time {
 	return nw.transfer(nw.rx[g], at, n)
 }
 
-// transfer moves one message over link, including any fault-injected
-// retransmissions.
+// transfer moves one message over link, then once per fault-injected
+// retransmission; each pass occupies the link and pays the hop latency.
 func (nw *Network) transfer(link *engine.Resource, at units.Time, n units.Bytes) units.Time {
 	nw.msgs++
 	nw.bytes += uint64(n)
 	resends := nw.inj.NoCResends(nw.msgs - 1)
-	arr := at + nw.cfg.HopLat + nw.cfg.HeaderLat
-	if n > 0 {
-		arr = link.AcquireAt(at, n) + nw.cfg.HopLat + nw.cfg.HeaderLat
-	}
-	for k := 0; k < resends; k++ {
+	arr := at
+	for k := 0; k <= resends; k++ {
 		if n > 0 {
-			arr = link.AcquireAt(arr, n) + nw.cfg.HopLat + nw.cfg.HeaderLat
-		} else {
-			arr += nw.cfg.HopLat + nw.cfg.HeaderLat
+			arr = link.AcquireAt(arr, n)
 		}
+		arr += nw.cfg.HopLat
 	}
 	return arr
 }

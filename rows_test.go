@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/harness"
@@ -327,4 +328,53 @@ func walkRow(t *testing.T, r *rowWalk, daemon *serve.Client) {
 		}
 		r.check(t, r.exp+".txt", b.Bytes())
 	})
+}
+
+// hitCounter is a cell cache that counts its hits.
+type hitCounter struct {
+	harness.CellCache
+	hits atomic.Int64
+}
+
+func (c *hitCounter) Lookup(key harness.CellKey) (harness.CellOutcome, bool) {
+	out, ok := c.CellCache.Lookup(key)
+	if ok {
+		c.hits.Add(1)
+	}
+	return out, ok
+}
+
+// TestResumeFromOldKeysReplaysEveryCell: testdata/dma.keyv1.manifest.json is
+// `sweep -exp=dma -n 4096 -cores 16 -sp 1 -manifest` as written while cell
+// keys hashed the %+v rendering of the config, before keyVersion 2. It still
+// opens, and -resume from it finds none of its cells: each is replayed and
+// checkpointed under its current key, and the report is the cold bytes.
+func TestResumeFromOldKeysReplaysEveryCell(t *testing.T) {
+	raw, err := os.ReadFile("testdata/dma.keyv1.manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "resume.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := harness.OpenManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := m.Len()
+	cache := &hitCounter{CellCache: m}
+	var b bytes.Buffer
+	if failed, err := serve.RunSweep(&b, rowRequest("dma", "text", 1), &harness.Supervisor{Cache: cache}); err != nil || failed != 0 {
+		t.Fatalf("failed=%d err=%v", failed, err)
+	}
+	if n := cache.hits.Load(); n != 0 || m.Len() != 2*old {
+		t.Errorf("%d of %d old cells answered, %d cells after the run; want none answered and %d", n, old, m.Len(), 2*old)
+	}
+	_, entries := readGolden(t)
+	for _, e := range entries {
+		if e.name == "dma.txt" && sha(b.Bytes()) != e.sum {
+			t.Errorf("dma.txt: sha256 %s, golden %s", sha(b.Bytes()), e.sum)
+		}
+	}
 }

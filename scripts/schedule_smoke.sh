@@ -18,9 +18,10 @@
 #      records the 8-core pair once for its two declarations.
 #   6. Table I at 2^20 keys, 256 cores, 2 MiB, cold, prints the bytes and
 #      caches the two .nmt3 files whose SHA-256 testdata/rows.golden holds
-#      (its large/ entries; TestRows checks the rest of the file). Its
-#      -timings peak RSS is printed beside the check, never gated: hosts
-#      differ.
+#      (its large/ entries; TestRows checks the rest of the file). On a
+#      mismatch it prints what it wrote in that file's format, so a
+#      deliberate key or trace change is pasted, not typed. Its -timings
+#      peak RSS is printed beside the check, never gated: hosts differ.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,7 +87,11 @@ echo "== Table I at 2^20: the large/ entries of testdata/rows.golden =="
 mkdir "$workdir/large"
 "$workdir/nmsim" -n 1048576 -cores 256 -sp 2 -seed 2015 -trace-cache "$workdir/large" -timings \
 	> "$workdir/large/table1.txt" 2> "$workdir/large.timings"
-grep '  large/' testdata/rows.golden | (cd "$workdir" && sha256sum -c -)
+grep '  large/' testdata/rows.golden | (cd "$workdir" && sha256sum -c -) || {
+	echo "the large/ files this run wrote, as testdata/rows.golden lines:"
+	(cd "$workdir" && sha256sum large/table1.txt large/*.nmt3)
+	exit 1
+}
 grep '^timings: peak rss ' "$workdir/large.timings" || echo "(no peak RSS on this platform)"
 
 echo "== schedule smoke passed =="
