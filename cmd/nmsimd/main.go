@@ -8,7 +8,10 @@
 // Usage:
 //
 //	nmsimd [-addr host:port] [-workers n] [-queue n] [-store-mb n]
-//	       [-cache-entries n] [-slice n] [-max-events n] [-drain dur]
+//	       [-cache-entries n] [-slice n] [-drain dur]
+//
+// A replay past 3 events per trace op plus one per thread (machine.EventBound)
+// is a runaway: its job fails with a budget error. Nothing sets that bound.
 //
 // Endpoints (see internal/serve): POST /v1/traces, POST /v1/traces/record,
 // GET /v1/traces/{digest}, POST /v1/jobs, POST /v1/sweeps, GET /v1/stats,
@@ -51,7 +54,6 @@ type options struct {
 	storeMB      int
 	cacheEntries int
 	slice        uint64
-	maxEvents    uint64
 	drain        time.Duration
 }
 
@@ -65,7 +67,6 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.IntVar(&o.storeMB, "store-mb", 256, "trace store budget in MiB (pinned in-flight traces may exceed it); a trace costs ~3.3 B/op however it arrived (recorded, v2 or v3 upload), and recordings kept for later requests live here too")
 	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "result cache capacity in completed cells")
 	fs.Uint64Var(&o.slice, "slice", 0, "executed events per supervised replay slice; cancellation and streaming happen between slices (0 = default); a replay executes about half the events it did before event elision")
-	fs.Uint64Var(&o.maxEvents, "max-events", 0, "default per-job budget of executed events when requests set none (0 = generous default); elided events are not counted")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "grace period for in-flight jobs on shutdown (0 = wait forever)")
 	err := fs.Parse(args)
 	return o, fs, err
@@ -106,7 +107,6 @@ func run(ctx context.Context, o options, lis net.Listener, out io.Writer) error 
 		StoreBytes:   int64(o.storeMB) << 20,
 		CacheEntries: o.cacheEntries,
 		Slice:        o.slice,
-		MaxEvents:    o.maxEvents,
 	})
 	hs := &http.Server{Handler: srv.Handler()}
 	fmt.Fprintf(out, "nmsimd: listening on %s\n", lis.Addr())

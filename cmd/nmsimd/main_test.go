@@ -50,9 +50,12 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestParseError checks unknown flags surface as parse errors, not panics.
+// -max-events is one: a replay's event budget is its trace's EventBound.
 func TestParseError(t *testing.T) {
-	if _, _, err := parseFlags([]string{"-bogus"}); err == nil {
-		t.Fatal("parseFlags accepted an unknown flag")
+	for _, args := range [][]string{{"-bogus"}, {"-max-events", "100000000"}} {
+		if _, _, err := parseFlags(args); err == nil {
+			t.Fatalf("parseFlags accepted %v", args)
+		}
 	}
 }
 

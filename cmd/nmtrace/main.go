@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/addr"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/par"
@@ -140,15 +139,6 @@ func writeFile(out, to string, src trace.Source) (int64, error) {
 		err = cerr
 	}
 	return n, err
-}
-
-// load opens a trace file in either serialization (sniffed by magic).
-func load(path string) trace.Source {
-	src, err := trace.Load(path, par.Each)
-	if err != nil {
-		log.Fatalf("nmtrace: %v", err)
-	}
-	return src
 }
 
 func convert(args []string) {
@@ -350,61 +340,44 @@ func info(args []string) {
 	if *in == "" {
 		log.Fatal("nmtrace info: -i is required")
 	}
-	tr := load(*in)
-	if err := validate(tr); err != nil {
-		log.Fatalf("nmtrace info: invalid trace: %v", err)
+	if err := infoFile(os.Stdout, *in); err != nil {
+		log.Fatalf("nmtrace info: %v", err)
 	}
+}
 
-	// Every thread tallies its own ops, on every host CPU; the sums do not
-	// depend on the order they are added in.
-	type tally struct {
-		kinds           [8]uint64
-		gaps, far, near uint64
-		err             error
+// infoFile prints the trace at path's threads, ops by kind and level, compute
+// cycles, L1 and costs: every number from the one validation walk.
+func infoFile(w io.Writer, path string) error {
+	src, err := trace.Load(path, par.Each)
+	if err != nil {
+		return err
 	}
-	tallies := make([]tally, tr.Threads())
-	par.Each(len(tallies), func(tid int) {
-		y := &tallies[tid]
-		cur := tr.CursorAt(tid)
-		for cur.Next() {
-			y.kinds[cur.Cur.Kind]++
-			y.gaps += uint64(cur.Cur.Gap)
-			if cur.Cur.Kind == trace.OpAccess { // routable: Validate passed
-				if addr.LevelOf(addr.Addr(cur.Cur.Addr)) == addr.Near {
-					y.near++
-				} else {
-					y.far++
-				}
-			}
-		}
-		y.err = cur.Err()
-	})
-	var kinds [8]uint64
-	var gaps, far, near uint64
+	cols, ok := src.(*trace.Columnar)
+	if !ok {
+		cols = src.(*trace.Trace).Columns()
+	}
+	if err := validate(cols); err != nil {
+		return fmt.Errorf("invalid trace: %w", err)
+	}
 	minOps, maxOps := int(^uint(0)>>1), 0
-	for tid, y := range tallies {
-		if y.err != nil {
-			log.Fatalf("nmtrace info: %v", y.err)
-		}
-		n := tr.ThreadOps(tid)
+	for tid := 0; tid < cols.Threads(); tid++ {
+		n := cols.ThreadOps(tid)
 		minOps, maxOps = min(minOps, n), max(maxOps, n)
-		for k, v := range y.kinds {
-			kinds[k] += v
-		}
-		gaps, far, near = gaps+y.gaps, far+y.far, near+y.near
 	}
-	l1, costs := tr.Geometry(), tr.CostModel()
-	fmt.Printf("threads:      %d (ops per thread %d..%d)\n", tr.Threads(), minOps, maxOps)
-	fmt.Printf("total ops:    %d\n", tr.Ops())
-	fmt.Printf("  accesses:   %d (far %d, near %d)\n", kinds[trace.OpAccess], far, near)
-	fmt.Printf("  atomics:    %d\n", kinds[trace.OpAtomic])
-	fmt.Printf("  barriers:   %d (%d per thread)\n", kinds[trace.OpBarrier],
-		kinds[trace.OpBarrier]/uint64(tr.Threads()))
-	fmt.Printf("  dma:        %d (+%d waits)\n", kinds[trace.OpDMA], kinds[trace.OpDMAWait])
-	fmt.Printf("compute:      %d core cycles total\n", gaps)
-	fmt.Printf("L1 geometry:  %v %d-way, %vB lines\n", l1.Capacity, l1.Ways, int64(l1.LineSize))
-	fmt.Printf("costs:        issue %d, L1 hit %d, compare %d, atomic %d cycles\n",
+	c := cols.Count()
+	barriers, dmas, waits, cycles := cols.Tally()
+	l1, costs := cols.Geometry(), cols.CostModel()
+	fmt.Fprintf(w, "threads:      %d (ops per thread %d..%d)\n", cols.Threads(), minOps, maxOps)
+	fmt.Fprintf(w, "total ops:    %d\n", cols.Ops())
+	fmt.Fprintf(w, "  accesses:   %d (far %d, near %d)\n", c.Far()+c.Near(), c.Far(), c.Near())
+	fmt.Fprintf(w, "  atomics:    %d\n", c.Atomics)
+	fmt.Fprintf(w, "  barriers:   %d (%d per thread)\n", barriers, barriers/uint64(cols.Threads()))
+	fmt.Fprintf(w, "  dma:        %d (+%d waits)\n", dmas, waits)
+	fmt.Fprintf(w, "compute:      %d core cycles total\n", cycles)
+	fmt.Fprintf(w, "L1 geometry:  %v %d-way, %vB lines\n", l1.Capacity, l1.Ways, int64(l1.LineSize))
+	fmt.Fprintf(w, "costs:        issue %d, L1 hit %d, compare %d, atomic %d cycles\n",
 		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles)
+	return nil
 }
 
 // check validates each file as a Chrome trace-event container — a non-empty

@@ -210,6 +210,52 @@ func TestStatFile(t *testing.T) {
 	}
 }
 
+// TestInfoFile pins nmtrace info's bytes on a 2^14-key corpus, in both
+// serializations: DMA copies and waits in one trace, atomics in the other.
+func TestInfoFile(t *testing.T) {
+	dir := t.TempDir()
+	w := harness.Workload{N: 1 << 14, Seed: 2015, Threads: 16, SP: units.MiB}
+	for _, tc := range []struct {
+		alg  harness.Algorithm
+		want string
+	}{
+		{harness.AlgNMSortDM, `threads:      16 (ops per thread 3123..4698)
+total ops:    57048
+  accesses:   56653 (far 618, near 56035)
+  atomics:    0
+  barriers:   368 (23 per thread)
+  dma:        4 (+4 waits)
+compute:      8636011 core cycles total
+L1 geometry:  2KiB 2-way, 64B lines
+costs:        issue 1, L1 hit 3, compare 30, atomic 20 cycles
+`},
+		{harness.AlgNMScatter, `threads:      16 (ops per thread 3827..5493)
+total ops:    69328
+  accesses:   68960 (far 13067, near 55893)
+  atomics:    64
+  barriers:   288 (18 per thread)
+  dma:        0 (+0 waits)
+compute:      8637892 core cycles total
+L1 geometry:  2KiB 2-way, 64B lines
+costs:        issue 1, L1 hit 3, compare 30, atomic 20 cycles
+`},
+	} {
+		for _, ext := range []string{".nmt3", ".nmt"} {
+			path := filepath.Join(dir, string(tc.alg)+ext)
+			if _, _, err := recordFile(tc.alg, w, path); err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			if err := infoFile(&out, path); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if out.String() != tc.want {
+				t.Errorf("%s: info printed\n%s\nwant\n%s", path, out.String(), tc.want)
+			}
+		}
+	}
+}
+
 // TestCheck: one verdict per file — "FILE: ok" on out, the failure on errw —
 // and false when any file is not a loadable trace-event container.
 func TestCheck(t *testing.T) {

@@ -40,9 +40,9 @@ type Command struct {
 }
 
 // NMSim reproduces Table I: the table1 row at -sp 2, with the DMA, key
-// distribution, fault-rate, event-budget and telemetry flags.
+// distribution, fault-rate and telemetry flags.
 var NMSim = Command{Name: "nmsim", Exp: "table1", SPMiB: 2, Flags: []string{
-	"dma", "dist", "fault-rate", "max-events", "telemetry-out", "telemetry-csv", "telemetry-epoch"}}
+	"dma", "dist", "fault-rate", "telemetry-out", "telemetry-csv", "telemetry-epoch"}}
 
 // Sweep runs any registry row: -exp and the list flags the rows read, and
 // the supervision flags (-manifest, -resume, -slice, -retries, -timeout).
@@ -115,7 +115,6 @@ func (c Command) flagSet(o *Options, stderr io.Writer) *flag.FlagSet {
 	bind(c, fs.BoolVar, &o.req.DMA, "dma", false, "use the §VII DMA engines in NMsort")
 	bind(c, fs.StringVar, &o.req.Dist, "dist", "uniform", "key distribution: uniform, zipf, sorted, reverse, fewkeys, gaussian, runblend")
 	bind(c, fs.Float64Var, &o.req.FaultRate, "fault-rate", 0, "far-memory bit error rate per read, in [0, 1] (0 disables injection)")
-	bind(c, fs.Uint64Var, &o.req.MaxEvents, "max-events", 0, "per-replay budget of executed events (0 = generous default); elided events are not counted, so Table I runs ~31M where it ran ~64M before event elision")
 	bind(c, fs.StringVar, &o.telemetryOut, "telemetry-out", "", "write a Chrome trace-event JSON timeline (Perfetto-loadable) of the NMsort replay to this file")
 	bind(c, fs.StringVar, &o.telemetryCSV, "telemetry-csv", "", "write the sampled time series of the NMsort replay to this CSV file")
 	bind(c, fs.StringVar, &o.telemetryEpoch, "telemetry-epoch", "10us", "telemetry sampling resolution in simulated time (e.g. 500ns, 10us)")

@@ -26,7 +26,7 @@ func TestFlags(t *testing.T) {
 		want string
 	}{
 		{NMSim, "cores=256 cpuprofile= dist=uniform dma=false fault-rate=0 fault-seed=1 format=text job-timeout=0s " +
-			"max-events=0 memprofile= n=1048576 par=0 seed=2015 server= sp=2 telemetry-csv= telemetry-epoch=10us " +
+			"memprofile= n=1048576 par=0 seed=2015 server= sp=2 telemetry-csv= telemetry-epoch=10us " +
 			"telemetry-out= timings=false trace-cache="},
 		{Sweep, "corelist=64,128,192,256 cores=256 cpuprofile= epoch=10us exp=bandwidth fault-rates= fault-seed=1 " +
 			"format=text job-timeout=0s manifest= memprofile= n=1048576 par=0 resume=false retries=0 retry-seed=1 " +

@@ -61,6 +61,9 @@ var Flags = []Case{
 	{"bad shards", "-shards -2", "-shards", "-shards"},
 	{"valid shards", "-shards 4", "-shards", "-shards"},
 	{"valid shards auto", "-shards -1", "-shards", "-shards"},
+	// So is -max-events: a replay's event budget is its trace's
+	// machine.EventBound.
+	{"max-events", "-max-events 100000000", "-max-events", "-max-events"},
 	{"valid profiles", "-cpuprofile cpu.pprof -memprofile mem.pprof", "", ""},
 	{"valid server", "-server http://127.0.0.1:8080", "", ""},
 	{"valid server with timeout", "-server http://127.0.0.1:8080 -job-timeout 1m", "", ""},
@@ -79,7 +82,7 @@ var Flags = []Case{
 	{"bad distribution", "-dist bimodal", "bimodal", "-dist"},
 	{"valid faults", "-fault-rate 1e-4 -fault-seed 9", "", "-fault-rate"},
 	{"valid zipf csv", "-dist zipf -format csv", "", "-dist"},
-	{"valid dma", "-dma -max-events 100000000", "", "-dma"},
+	{"valid dma", "-dma", "", "-dma"},
 	{"telemetry", "-telemetry-out t.json", "", "-telemetry-out"},
 	{"server conflicts telemetry", "-server http://h:1 -telemetry-out t.json", "-telemetry-out", "-telemetry-out"},
 	{"server conflicts telemetry csv", "-server http://h:1 -telemetry-csv t.csv", "-telemetry-out", "-telemetry-csv"},

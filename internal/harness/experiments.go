@@ -102,7 +102,7 @@ var Experiments = []Experiment{
 			// node's 2MiB of L2 and less than the 12MiB scratchpad. Only the
 			// node and the replay knobs come from w (Dist would split its key).
 			return KMeansSweep(Workload{N: 1 << 18, Seed: 31, Threads: w.Threads, SP: 12 * units.MiB,
-				MaxEvents: w.MaxEvents, Par: w.Par, Sup: w.Sup})
+				Par: w.Par, Sup: w.Sup})
 		}},
 	{"faults", "experiment F1 — slowdown, retry counts, and MemFault outcomes vs. the far memory's error rate", "F1, beyond the paper",
 		func(p ExperimentParams, w Workload) (Output, error) {

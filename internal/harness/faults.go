@@ -42,7 +42,6 @@ func RunFaultSweep(w Workload, nearChannels int, seed uint64, rates []float64) (
 		rec := recordingOf(alg, w)
 		for _, rate := range axis {
 			cfg := NodeFor(w.Threads, nearChannels, w.SP)
-			cfg.MaxEvents = w.MaxEvents
 			if rate > 0 {
 				cfg.Fault = fault.Profile(seed, rate)
 			}

@@ -62,10 +62,6 @@ type Workload struct {
 	Buckets int           // NMsort bucket count override (0 = automatic)
 	Dist    workload.Dist // key distribution of the sorts ("" = uniform, the paper's)
 
-	// MaxEvents bounds each replay's event count (the engine's
-	// runaway-schedule guard); 0 means machine.DefaultEventBudget.
-	MaxEvents uint64
-
 	// Par is the replay worker count for sweeps: independent sweep points
 	// replay concurrently on up to Par workers, each writing its result into
 	// its pre-assigned slot, so output stays byte-identical at any value.
@@ -90,10 +86,9 @@ type RecordResult struct {
 
 // RecordKey normalizes a workload for Record memoization: only the fields
 // that shape the recorded trace remain, each in one spelling. Replay-only
-// knobs (MaxEvents, Par, the supervisor pointer) are zeroed — they change
+// knobs (Par, the supervisor pointer) are zeroed — they change
 // how a trace is replayed, never what gets recorded — and Uniform is "".
 func RecordKey(w Workload) Workload {
-	w.MaxEvents = 0
 	w.Par = 0
 	w.Sup = nil
 	if w.Dist == workload.Uniform {
@@ -274,7 +269,6 @@ func Table1Faults(w Workload, dma bool, fc fault.Config) (Table, error) {
 	for i, ch := range channels {
 		cfg := NodeFor(w.Threads, ch, w.SP)
 		cfg.Fault = fc
-		cfg.MaxEvents = w.MaxEvents
 		jobs[i] = replayJob{cfg: cfg, rec: traces[i], label: labels[i]}
 	}
 	outs := runReplays(w.Sup, replayPar(w.Par, len(jobs)), jobs)

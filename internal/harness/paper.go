@@ -249,7 +249,6 @@ func pemSweep(_ ExperimentParams, w Workload) (Output, error) {
 	for _, p := range ps {
 		cores := (p + 3) / 4 * 4
 		cfg := NodeFor(cores, 16, pemSP)
-		cfg.MaxEvents = w.MaxEvents
 		rec := recordingOf(AlgPEM, Workload{N: w.N, Seed: 3, Threads: p, SP: pemSP, Sup: w.Sup})
 		jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
 		points = append(points, SweepPoint{Label: fmt.Sprintf("p'=%d", p), Cores: cores, Rho: cfg.BandwidthExpansion()})

@@ -82,6 +82,19 @@ func withDriver(d func(*Supervisor, int, []replayJob, []int) []replayOut, f func
 	f()
 }
 
+// starved runs f with every cell of every sweep it starts held to an event
+// budget of maxEvents, through whichever driver is installed. A budget of 0
+// leaves each cell at its trace's machine.EventBound.
+func starved(maxEvents uint64, f func()) {
+	d := driver
+	withDriver(func(sup *Supervisor, workers int, jobs []replayJob, rep []int) []replayOut {
+		for i := range jobs {
+			jobs[i].cfg.MaxEvents = maxEvents
+		}
+		return d(sup, workers, jobs, rep)
+	}, f)
+}
+
 // rendered is everything a sweep leaves behind that anyone can read.
 type rendered struct {
 	body     string // text, then CSV
@@ -103,8 +116,9 @@ func sweepCases(t *testing.T) []sweepCase {
 			return rendered{body: renderSweep(t, tb), replays: -1}, err
 		}},
 		{"bandwidth starved", func(w Workload) (rendered, error) {
-			w.MaxEvents = 500 // every cell fails: marked rows, no error
-			s, err := BandwidthSweep(w)
+			var s Sweep
+			var err error
+			starved(500, func() { s, err = BandwidthSweep(w) }) // every cell fails: marked rows, no error
 			return rendered{body: renderSweep(t, s), replays: s.Replays}, err
 		}},
 	}

@@ -300,7 +300,7 @@ func bandwidthJobs(t *testing.T, w Workload, control, variant Algorithm) []repla
 		}
 		traces[i] = res.Trace
 	}
-	return onNodes(w.Threads, paperNears(w.SP), func(c *machine.Config) { c.MaxEvents = w.MaxEvents }, traces...)
+	return onNodes(w.Threads, paperNears(w.SP), nil, traces...)
 }
 
 // TestSharedSweepsMatchRealSweeps walks the experiment registry at tiny N,

@@ -95,13 +95,14 @@ func TestNilSupervisorIsTheZeroSupervisor(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		tweak    func(*Workload)
+		budget   uint64  // every cell's event budget; 0 for its trace's EventBound
 		rate     float64 // far-memory fault rate
 		kind     string  // every row's failure kind; "" for none
 		memFault bool    // some row is marked "!"
 		recErr   bool    // a recording fails: the run's error
 	}{
 		{name: "success"},
-		{name: "every cell over MaxEvents", tweak: func(w *Workload) { w.MaxEvents = 9 }, kind: "budget"},
+		{name: "every cell over MaxEvents", budget: 9, kind: "budget"},
 		{name: "replays panic", tweak: func(w *Workload) { w.Threads = 6 }, kind: "panic"}, // not whole quad-core groups: machine.New panics
 		{name: "fault rate 1, zero retries", rate: 1, memFault: true},
 		{name: "recording fails", tweak: func(w *Workload) { w.N = -1 }, recErr: true},
@@ -112,9 +113,13 @@ func TestNilSupervisorIsTheZeroSupervisor(t *testing.T) {
 			if c.tweak != nil {
 				c.tweak(&w)
 			}
-			nilOut, nilErr := r.run(w)
-			w.Sup = &Supervisor{}
-			out, err := r.run(w)
+			var nilOut, out Output
+			var nilErr, err error
+			starved(c.budget, func() {
+				nilOut, nilErr = r.run(w)
+				w.Sup = &Supervisor{}
+				out, err = r.run(w)
+			})
 			if (err != nil) != c.recErr || fmt.Sprint(nilErr) != fmt.Sprint(err) {
 				t.Fatalf("%s: err %v under a nil supervisor, %v under the zero one; want an error: %v", name, nilErr, err, c.recErr)
 			}
@@ -696,7 +701,6 @@ func table1Jobs(t *testing.T, w Workload, dma bool, fc fault.Config) []replayJob
 	for i, ch := range []int{8, 8, 16, 32} {
 		cfg := NodeFor(w.Threads, ch, w.SP)
 		cfg.Fault = fc
-		cfg.MaxEvents = w.MaxEvents
 		jobs = append(jobs, replayJob{cfg: cfg, tr: traces[min(i, 1)]})
 	}
 	return jobs
@@ -728,16 +732,16 @@ func TestTable1Supervised(t *testing.T) {
 	}
 
 	// Starve the table's replays: every row fails, none aborts.
-	bw := sw
-	bw.MaxEvents = 9
-	starved, err := Table1Faults(bw, false, fault.Config{})
+	var tb Table
+	var err error
+	starved(9, func() { tb, err = Table1Faults(sw, false, fault.Config{}) })
 	if err != nil {
 		t.Fatalf("supervised table aborted: %v", err)
 	}
-	if starved.Failed() != len(starved.Rows) {
-		t.Errorf("Failed() = %d, want %d", starved.Failed(), len(starved.Rows))
+	if tb.Failed() != len(tb.Rows) {
+		t.Errorf("Failed() = %d, want %d", tb.Failed(), len(tb.Rows))
 	}
-	for _, r := range starved.Rows {
+	for _, r := range tb.Rows {
 		if !strings.Contains(r.Name, "[budget]") {
 			t.Errorf("row %q not budget-marked", r.Name)
 		}

@@ -204,7 +204,6 @@ func (s Sweep) overBandwidth(w Workload, algs ...Algorithm) (Sweep, error) {
 	for _, ch := range []int{8, 16, 32} {
 		for _, rec := range recs {
 			cfg := NodeFor(w.Threads, ch, w.SP)
-			cfg.MaxEvents = w.MaxEvents
 			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
 			points = append(points, SweepPoint{
 				Label: fmt.Sprintf("%s@%dX", rec.name, ch/4), Cores: w.Threads,
@@ -255,7 +254,6 @@ func CoreSweep(w Workload, coreCounts []int) (Sweep, error) {
 		cw.Threads = cores
 		for _, rec := range []*recording{recordingOf(AlgGNUSort, cw), recordingOf(AlgNMSort, cw)} {
 			cfg := NodeFor(cores, 32, w.SP)
-			cfg.MaxEvents = w.MaxEvents
 			jobs = append(jobs, replayJob{cfg: cfg, rec: rec})
 			points = append(points, SweepPoint{Label: rec.name, Cores: cores, Rho: 8})
 		}
@@ -294,7 +292,6 @@ func (s Sweep) onOneNode(w Workload, nearChannels int, tweak func(*machine.Confi
 	var points []SweepPoint
 	for _, alg := range algs {
 		cfg := NodeFor(w.Threads, nearChannels, w.SP)
-		cfg.MaxEvents = w.MaxEvents
 		if tweak != nil {
 			tweak(&cfg)
 		}

@@ -19,7 +19,6 @@ import (
 func RunTimeline(alg Algorithm, w Workload, nearChannels int, epoch units.Time, fc fault.Config) (machine.Result, *telemetry.Recorder, error) {
 	tel := telemetry.New(epoch)
 	cfg := NodeFor(w.Threads, nearChannels, w.SP)
-	cfg.MaxEvents = w.MaxEvents
 	cfg.Fault = fc
 	cfg.Telemetry = tel
 	// One-job schedule: this replay is a supervised cell like any sweep's

@@ -10,6 +10,7 @@
 package machine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -56,7 +57,8 @@ type Config struct {
 	Fault fault.Config
 
 	// MaxEvents bounds the events one replay may execute — the
-	// runaway-schedule guard. Zero means DefaultEventBudget.
+	// runaway-schedule guard. Zero means EventBound of the replayed trace;
+	// tests set it to starve a replay.
 	MaxEvents uint64
 
 	// Shards is inert: nothing reads it, and ConfigDigest zeroes it. It
@@ -74,11 +76,17 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
-// DefaultEventBudget is the generous per-replay event bound used when
-// Config.MaxEvents is zero: far beyond any legitimate replay (the Table I
-// runs execute tens of millions of events), close enough to abort a
-// runaway schedule in reasonable wall time.
-const DefaultEventBudget uint64 = 1 << 36
+// EventBound is the most events a replay of src can execute: the budget a
+// zero Config.MaxEvents stands for, past which a replay is a runaway. Each
+// thread's start is one event, and each op costs at most three: one for its
+// leading gap (the resume, or instead a park fused with it), one block (a
+// park on one fill, whose wake frees what the op waits for), and one
+// completion-class event (a posted-write carrier, an atomic's completion,
+// its core's barrier release, or a DMA completion, inside which a DMA wait
+// resumes).
+func EventBound(src trace.Source) uint64 {
+	return 3*uint64(src.Ops()) + uint64(src.Threads())
+}
 
 // PaperConfig returns the Figure 4 node: 256 cores at 1.7GHz in quad-core
 // groups, 512KB 16-way shared L2 per group, 72GB/s group links with 20ns
@@ -356,14 +364,8 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 		m.sim.At(0, c.runEv)
 	}
 	m.watch()
-	budget := m.cfg.MaxEvents
-	if budget == 0 {
-		budget = DefaultEventBudget
-	}
-	sliceSize := slice
-	if sliceSize == 0 || sliceSize > budget {
-		sliceSize = budget
-	}
+	budget := cmp.Or(m.cfg.MaxEvents, EventBound(src))
+	sliceSize := min(cmp.Or(slice, budget), budget)
 	var (
 		end    units.Time
 		runErr error

@@ -239,9 +239,11 @@ func checkAgainstReference(t *testing.T, c oracleCase) Result {
 			epoch = e
 		}
 	}
-	replay := func(slice uint64) (Result, *telemetry.Recorder) {
+	replay := func(slice, maxEvents uint64) (Result, *telemetry.Recorder) {
 		tel := telemetry.New(epoch)
-		res, err := New(c.config(tel)).ReplaySliced(c.tr, slice, func() error { return nil })
+		cfg := c.config(tel)
+		cfg.MaxEvents = maxEvents
+		res, err := New(cfg).ReplaySliced(c.tr, slice, func() error { return nil })
 		var mf *fault.MemFaultError
 		if err != nil && !(c.faults != 0 && errors.As(err, &mf)) {
 			t.Fatalf("%s: fast replay (slice %d): %v", c.name, slice, err)
@@ -251,7 +253,13 @@ func checkAgainstReference(t *testing.T, c oracleCase) Result {
 
 	refTel := telemetry.New(epoch)
 	ref := referenceReplay(c.config(refTel), c.tr)
-	fast, fastTel := replay(0)
+	// Unbudgeted, so that the bound below is checked rather than enforced;
+	// the sliced replays run under the default budget, EventBound.
+	fast, fastTel := replay(0, math.MaxUint64)
+	if bound := EventBound(c.tr); fast.Events > bound {
+		t.Errorf("%s: %d events exceed EventBound %d (%d ops, %d threads)",
+			c.name, fast.Events, bound, c.tr.Ops(), c.tr.Threads())
+	}
 
 	if ref.Elided != 0 {
 		t.Fatalf("%s: the reference elided %d events; it must schedule every one", c.name, ref.Elided)
@@ -273,7 +281,7 @@ func checkAgainstReference(t *testing.T, c oracleCase) Result {
 		t.Errorf("%s: telemetry spans and marks diverged from the reference", c.name)
 	}
 	for _, slice := range []uint64{1, 7, 1000} {
-		sliced, slicedTel := replay(slice)
+		sliced, slicedTel := replay(slice, 0)
 		if !reflect.DeepEqual(fast, sliced) {
 			t.Errorf("%s: slice %d changed the Result\n got %+v\nwant %+v", c.name, slice, sliced, fast)
 		}
@@ -292,6 +300,7 @@ func TestReplayMatchesReference(t *testing.T) {
 		seeds = 60
 	}
 	var elided, events uint64
+	var worst float64
 	for seed := 0; seed < seeds; seed++ {
 		r := xrand.New(uint64(seed) + 1)
 		c := semanticCase(r.Uint64(), uint8(r.Intn(16)), uint8(seed), uint8(seed/4), r.Intn(3) == 0)
@@ -301,11 +310,13 @@ func TestReplayMatchesReference(t *testing.T) {
 		}
 		elided += res.Elided
 		events += res.Events
+		worst = max(worst, float64(res.Events)/float64(c.tr.Ops()))
 	}
 	if elided == 0 {
 		t.Fatal("no case elided a single event: the generator is not reaching the elision sites")
 	}
-	t.Logf("%d cases: %d events run, %d elided", seeds, events, elided)
+	t.Logf("%d cases: %d events run, %d elided; largest %.3f events per op (EventBound allows 3 plus one per thread)",
+		seeds, events, elided, worst)
 }
 
 // TestNearBlindReplayIgnoresNear is the property the harness's shared

@@ -56,7 +56,7 @@ func TestWatchdogCatchesDroppedCompletion(t *testing.T) {
 				c.nfill = 1
 				tc.bug(c)
 			})
-			_, err := m.sim.RunBudget(DefaultEventBudget)
+			_, err := m.sim.RunBudget(EventBound(tr))
 			var st *engine.StallError
 			if !errors.As(err, &st) {
 				t.Fatalf("RunBudget = %v, want StallError", err)
@@ -119,7 +119,7 @@ func TestReplayBudgetError(t *testing.T) {
 		t.Fatalf("budget error carries %d, want 10", be.MaxEvents)
 	}
 
-	cfg.MaxEvents = 0 // DefaultEventBudget
+	cfg.MaxEvents = 0 // EventBound(tr)
 	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatalf("Run with default budget: %v", err)

@@ -1,8 +1,13 @@
 package prof
 
 import (
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -58,5 +63,43 @@ func TestWritesProfiles(t *testing.T) {
 func TestStartBadPath(t *testing.T) {
 	if _, err := Start(filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.pprof"), ""); err == nil {
 		t.Fatal("Start with uncreatable path = nil, want error")
+	}
+}
+
+// TestPeakRSSIsTheProcessOwn re-executes the test binary from a process
+// holding 160 MiB: the child's PeakRSS must be its own few MiB, not the
+// parent's peak that Linux seeds a vforked child's maxrss with at exec.
+func TestPeakRSSIsTheProcessOwn(t *testing.T) {
+	const childEnv = "PROF_PEAK_RSS_CHILD"
+	if os.Getenv(childEnv) != "" {
+		rss, _ := PeakRSS()
+		fmt.Printf("peak=%d\n", rss)
+		return
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("the inherited maxrss is Linux's")
+	}
+	held := make([]byte, 160<<20)
+	for i := 0; i < len(held); i += 4096 {
+		held[i] = 1 // fault every page in
+	}
+	if rss, _ := PeakRSS(); rss < 128<<20 {
+		t.Fatalf("parent peak %d B after touching 160 MiB, want at least 128 MiB", rss)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestPeakRSSIsTheProcessOwn$")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	out, err := cmd.Output()
+	runtime.KeepAlive(held)
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	_, v, ok := strings.Cut(string(out), "peak=")
+	v, _, _ = strings.Cut(v, "\n")
+	rss, err := strconv.ParseInt(v, 10, 64)
+	if !ok || err != nil {
+		t.Fatalf("child printed no peak:\n%s", out)
+	}
+	if rss >= 64<<20 {
+		t.Errorf("child peak RSS %.1f MiB, want its own (< 64 MiB), not the parent's", float64(rss)/(1<<20))
 	}
 }

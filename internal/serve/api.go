@@ -42,7 +42,6 @@ type JobRequest struct {
 	SPMiB        int     `json:"sp_mib"`
 	FaultSeed    uint64  `json:"fault_seed,omitempty"` // 0 disables injection
 	FaultRate    float64 `json:"fault_rate,omitempty"` // far-memory bit error rate in [0, 1]
-	MaxEvents    uint64  `json:"max_events,omitempty"` // per-job event budget (0 = server default)
 	Retries      int     `json:"retries,omitempty"`    // deterministic MemFault retries
 	RetrySeed    uint64  `json:"retry_seed,omitempty"`
 	Label        string  `json:"label,omitempty"` // report label for failure messages
@@ -92,7 +91,6 @@ type SweepRequest struct {
 	Retries   int    `json:"retries,omitempty"`
 	RetrySeed uint64 `json:"retry_seed,omitempty"`
 	Slice     uint64 `json:"slice,omitempty"`
-	MaxEvents uint64 `json:"max_events,omitempty"`
 
 	DMA bool `json:"dma,omitempty"` // table1: NMsort with the §VII DMA engines
 	// Dist is the key distribution ("" = uniform). Every row that records a

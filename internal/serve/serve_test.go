@@ -706,29 +706,32 @@ func postRaw(t *testing.T, c *serve.Client, path, body string) (int, []byte) {
 }
 
 // TestLegacyShardsFieldIgnored is the wire-compatibility edge of removing
-// the sharded engine: job and sweep bodies that still carry "shards" are
-// accepted and answered byte-identically (config_key included) to the same
-// request without it. Sharding was byte-neutral, so ignoring the key is
-// the compatible behaviour.
+// the sharded engine and the per-request event budget: job and sweep bodies
+// that still carry "shards" or "max_events" are accepted and answered
+// byte-identically (config_key included) to the same request without it.
+// Sharding was byte-neutral, and every replay's budget is now its trace's
+// machine.EventBound, so ignoring either key is the compatible behaviour.
 func TestLegacyShardsFieldIgnored(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
 	job := fmt.Sprintf(`{"trace_digest":%q,"cores":16,"near_channels":16,"sp_mib":1`, info.Digest)
 	sweep := `{"exp":"dma","n":8192,"seed":7,"cores":16,"sp_mib":1`
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/jobs", job},
-		{"/v1/sweeps", sweep},
+	for _, tc := range []struct{ path, body, legacy string }{
+		{"/v1/jobs", job, `"shards":4`},
+		{"/v1/sweeps", sweep, `"shards":4`},
+		{"/v1/jobs", job, `"max_events":100000000`},
+		{"/v1/sweeps", sweep, `"max_events":100000000`},
 	} {
 		status, want := postRaw(t, c, tc.path, tc.body+"}")
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", tc.path, status, want)
 		}
-		status, got := postRaw(t, c, tc.path, tc.body+`,"shards":4}`)
+		status, got := postRaw(t, c, tc.path, tc.body+","+tc.legacy+"}")
 		if status != http.StatusOK {
-			t.Fatalf("%s with shards: status %d: %s", tc.path, status, got)
+			t.Fatalf("%s with %s: status %d: %s", tc.path, tc.legacy, status, got)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: body with \"shards\": 4 differs:\n%s\nwant:\n%s", tc.path, got, want)
+			t.Errorf("%s: body with %s differs:\n%s\nwant:\n%s", tc.path, tc.legacy, got, want)
 		}
 	}
 }

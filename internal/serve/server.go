@@ -36,9 +36,6 @@ type Config struct {
 	// Slice is the default supervised per-slice event budget (0 =
 	// harness.DefaultSlice) — also the streaming granularity.
 	Slice uint64
-	// MaxEvents is the default per-job event budget when a request does
-	// not set one (0 = machine.DefaultEventBudget).
-	MaxEvents uint64
 	// MaxUploadBytes bounds POST /v1/traces bodies (0 = 1 GiB).
 	MaxUploadBytes int64
 }
@@ -432,20 +429,6 @@ func (s *Server) handleFetchTrace(w http.ResponseWriter, r *http.Request) {
 	columnsOf(src).WriteTo(w)
 }
 
-// jobConfig translates a JobRequest into the machine configuration,
-// applying the server's default event budget.
-func (s *Server) jobConfig(req JobRequest) machine.Config {
-	cfg := harness.NodeFor(req.Cores, req.NearChannels, units.Bytes(req.SPMiB)*units.MiB)
-	if req.FaultRate > 0 {
-		cfg.Fault = fault.Profile(req.FaultSeed, req.FaultRate)
-	}
-	cfg.MaxEvents = req.MaxEvents
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = s.cfg.MaxEvents
-	}
-	return cfg
-}
-
 // Validate rejects malformed job parameters up front, through the rules
 // SweepRequest.Validate words: /v1/jobs answers 400 with it, and nmtrace
 // replay holds its node flags to it.
@@ -495,7 +478,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	defer unpin()
 
-	cfg := s.jobConfig(req)
+	cfg := harness.NodeFor(req.Cores, req.NearChannels, units.Bytes(req.SPMiB)*units.MiB)
+	if req.FaultRate > 0 {
+		cfg.Fault = fault.Profile(req.FaultSeed, req.FaultRate)
+	}
 	sup := &harness.Supervisor{
 		Ctx: r.Context(), Slice: s.cfg.Slice,
 		Retries: req.Retries, RetrySeed: req.RetrySeed,

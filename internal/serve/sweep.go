@@ -128,14 +128,13 @@ func parseDist(s string) (workload.Dist, error) {
 func (r SweepRequest) Workload(sup *harness.Supervisor) harness.Workload {
 	d, _ := parseDist(r.Dist)
 	return harness.Workload{
-		N:         r.N,
-		Seed:      r.Seed,
-		Threads:   r.Cores,
-		SP:        units.Bytes(r.SPMiB) * units.MiB,
-		Dist:      d,
-		MaxEvents: r.MaxEvents,
-		Par:       r.Par,
-		Sup:       sup,
+		N:       r.N,
+		Seed:    r.Seed,
+		Threads: r.Cores,
+		SP:      units.Bytes(r.SPMiB) * units.MiB,
+		Dist:    d,
+		Par:     r.Par,
+		Sup:     sup,
 	}
 }
 

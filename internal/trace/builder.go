@@ -227,6 +227,7 @@ func (b *colBuilder) put(op Op) {
 	if op.Gap != 0 {
 		tag |= tagHasGap
 		b.gaps.putUvarint(uint64(b.dict.id(op.Gap)))
+		b.seen.cycles += uint64(op.Gap)
 	}
 	b.tags.putByte(tag)
 	b.ops++
@@ -234,6 +235,10 @@ func (b *colBuilder) put(op Op) {
 	case OpAccess, OpAtomic:
 		b.seen.access(op)
 		b.putAddr(op.Addr)
+	case OpBarrier:
+		b.seen.barriers++
+	case OpDMAWait:
+		b.seen.waits++
 	case OpDMA:
 		b.seen.dma(op)
 		b.dmas.putUvarint(op.Addr)

@@ -413,6 +413,16 @@ func (c *Columnar) Count() LevelCounts {
 	return c.seen.counts
 }
 
+// Tally returns the barrier, DMA-copy and DMA-wait ops and the compute
+// cycles Count's walk sums beside the line transfers (zero if it rejects).
+func (c *Columnar) Tally() (barriers, dmas, waits, cycles uint64) {
+	if !c.sealed {
+		c.Validate()
+	}
+	s := c.seen
+	return s.barriers, s.dmas, s.waits, s.cycles
+}
+
 // NearBlind reports whether no op reaches the near memory: noted as the ops
 // were put for a sealed recording, by the validation walk for an opened file
 // (false if that walk rejects it).
@@ -595,6 +605,7 @@ func (c *Columnar) walkThread(t int, k *threadCheck, l *lane) {
 	n, running := int64(0), true
 	for ; cur.Next(); n++ {
 		op := cur.Cur
+		k.seen.cycles += uint64(op.Gap)
 		if routedAccess(op) && running {
 			k.seen.access(op)
 		} else {
@@ -634,7 +645,6 @@ func (c *Columnar) walkThread(t int, k *threadCheck, l *lane) {
 // or the v2 reader's — and the first failure sticks.
 type threadCheck struct {
 	tid, phases int // the thread, and how many phase names a marker may index
-	barriers    int
 	endSeen     bool
 	seen        footprint
 	err         error // the first failure; no op after it is checked
@@ -662,7 +672,9 @@ func (k *threadCheck) op(i int64, op Op) {
 	case OpEnd:
 		k.endSeen = true
 	case OpBarrier:
-		k.barriers++
+		k.seen.barriers++
+	case OpDMAWait:
+		k.seen.waits++
 	case OpAccess, OpAtomic:
 		if err = levelCheck(op.Addr); err == nil {
 			k.seen.access(op)
@@ -701,9 +713,9 @@ func foldChecks(checks []threadCheck) (footprint, error) {
 		if k.err != nil {
 			return footprint{}, k.err
 		}
-		if k.barriers != checks[0].barriers {
+		if k.seen.barriers != checks[0].seen.barriers {
 			return footprint{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d",
-				t, k.barriers, checks[0].barriers)
+				t, k.seen.barriers, checks[0].seen.barriers)
 		}
 		total.add(k.seen)
 	}

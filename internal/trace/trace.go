@@ -416,16 +416,19 @@ func (c *LevelCounts) tally(op Op) {
 func inNear(a uint64) bool { return addr.Addr(a) >= addr.NearBase }
 
 // footprint is what one walk over a trace's ops learns about where they
-// go: the line counts, and the bit the counts cannot give.
+// go — the line counts, and the bit the counts cannot give — and the op
+// tallies nmtrace info prints beside them.
 type footprint struct {
 	counts LevelCounts
 	near   bool // some op reaches the near memory: an access or atomic in its window, or a DMA endpoint there
+
+	barriers, dmas, waits, cycles uint64 // OpBarrier, OpDMA and OpDMAWait ops; every op's gap, summed
 }
 
 // access adds one OpAccess or OpAtomic and dma one OpDMA, for walks that are
 // already inside their own switch on Kind (colBuilder.put, threadCheck.op):
-// ops of every other kind cost nothing. LevelCounts cannot stand in for near
-// — Near() counts neither atomics nor DMA streams.
+// ops of every other kind cost nothing but their tally. LevelCounts cannot
+// stand in for near — Near() counts neither atomics nor DMA streams.
 func (f *footprint) access(op Op) {
 	f.counts.tally(op)
 	if inNear(op.Addr) {
@@ -434,6 +437,7 @@ func (f *footprint) access(op Op) {
 }
 
 func (f *footprint) dma(op Op) {
+	f.dmas++
 	if inNear(op.Addr) || inNear(op.Addr2) {
 		f.near = true
 	}
@@ -442,6 +446,10 @@ func (f *footprint) dma(op Op) {
 func (f *footprint) add(o footprint) {
 	f.counts.add(o.counts)
 	f.near = f.near || o.near
+	f.barriers += o.barriers
+	f.dmas += o.dmas
+	f.waits += o.waits
+	f.cycles += o.cycles
 }
 
 func (c *LevelCounts) add(o LevelCounts) {

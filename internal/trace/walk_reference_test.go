@@ -235,11 +235,15 @@ func (k *refThread) op(op Op) error {
 		return fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
 	}
 	k.n++
+	k.seen.cycles += uint64(op.Gap)
 	switch op.Kind {
 	case OpEnd:
 		k.endSeen = true
 	case OpBarrier:
 		k.barriers++
+		k.seen.barriers++
+	case OpDMAWait:
+		k.seen.waits++
 	case OpAccess, OpAtomic:
 		if err := levelCheck(op.Addr); err != nil {
 			return fmt.Errorf("trace: thread %d op %d: %w", t, n, err)
@@ -289,11 +293,16 @@ func refStreamsValidate(tr *Trace) error {
 func refStreamsFootprint(tr *Trace) (f footprint) {
 	for _, s := range tr.Streams {
 		for _, op := range s {
+			f.cycles += uint64(op.Gap)
 			switch op.Kind {
 			case OpAccess, OpAtomic:
 				f.access(op)
 			case OpDMA:
 				f.dma(op)
+			case OpBarrier:
+				f.barriers++
+			case OpDMAWait:
+				f.waits++
 			}
 		}
 	}
