@@ -8,7 +8,7 @@
 // Usage:
 //
 //	nmsimd [-addr host:port] [-workers n] [-queue n] [-store-mb n]
-//	       [-cache-entries n] [-slice n] [-drain dur]
+//	       [-cache-entries n] [-drain dur]
 //
 // A replay past 3 events per trace op plus one per thread (machine.EventBound)
 // is a runaway: its job fails with a budget error. Nothing sets that bound.
@@ -53,7 +53,6 @@ type options struct {
 	queue        int
 	storeMB      int
 	cacheEntries int
-	slice        uint64
 	drain        time.Duration
 }
 
@@ -66,7 +65,6 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs.IntVar(&o.queue, "queue", 64, "jobs waiting beyond -workers before 429")
 	fs.IntVar(&o.storeMB, "store-mb", 256, "trace store budget in MiB (pinned in-flight traces may exceed it); a trace costs ~3.3 B/op however it arrived (recorded, v2 or v3 upload), and recordings kept for later requests live here too")
 	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "result cache capacity in completed cells")
-	fs.Uint64Var(&o.slice, "slice", 0, "executed events per supervised replay slice; cancellation and streaming happen between slices (0 = default); a replay executes about half the events it did before event elision")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "grace period for in-flight jobs on shutdown (0 = wait forever)")
 	err := fs.Parse(args)
 	return o, fs, err
@@ -106,7 +104,6 @@ func run(ctx context.Context, o options, lis net.Listener, out io.Writer) error 
 		Queue:        o.queue,
 		StoreBytes:   int64(o.storeMB) << 20,
 		CacheEntries: o.cacheEntries,
-		Slice:        o.slice,
 	})
 	hs := &http.Server{Handler: srv.Handler()}
 	fmt.Fprintf(out, "nmsimd: listening on %s\n", lis.Addr())

@@ -65,7 +65,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   nmtrace record  -alg {%s} [-n keys] [-cores n] [-sp MiB] [-seed s] -o file
-  nmtrace convert -i file -o file [-to v2|v3]
+  nmtrace convert -i file -o file
   nmtrace replay  -i file [-cores n] [-near channels] [-sp MiB]
   nmtrace info    -i file
   nmtrace stat    -i file
@@ -109,21 +109,26 @@ func recordFile(alg harness.Algorithm, w harness.Workload, out string) (harness.
 	if err != nil {
 		return res, 0, err
 	}
-	to := "v2"
-	if strings.HasSuffix(out, ".nmt3") {
-		to = "v3"
-	}
-	n, err := writeFile(out, to, res.Trace)
+	n, err := writeFile(out, res.Trace)
 	if err != nil {
 		return res, n, fmt.Errorf("writing trace: %w", err)
 	}
 	return res, n, nil
 }
 
-// writeFile writes src at out as serialization to, "v2" or "v3".
-func writeFile(out, to string, src trace.Source) (int64, error) {
+// format names the serialization a trace is written in at out: v3 for a
+// .nmt3 file, v2 for any other.
+func format(out string) string {
+	if strings.HasSuffix(out, ".nmt3") {
+		return "v3"
+	}
+	return "v2"
+}
+
+// writeFile writes src at out in format(out).
+func writeFile(out string, src trace.Source) (int64, error) {
 	write := func(w io.Writer) (int64, error) { return trace.WriteV2Par(w, src, par.Each) }
-	if to == "v3" {
+	if format(out) == "v3" {
 		col, err := trace.Seal(src) // src's own columns, unless it is an opened v3 file
 		if err != nil {
 			return 0, err
@@ -145,30 +150,19 @@ func convert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file (required)")
 	out := fs.String("o", "", "output trace file (required)")
-	to := fs.String("to", "", "target serialization: v2 or v3 (default: from the -o extension, .nmt3 = v3)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		log.Fatal("nmtrace convert: -i and -o are required")
 	}
-	if err := convertFile(*in, *out, *to); err != nil {
+	if err := convertFile(*in, *out); err != nil {
 		log.Fatalf("nmtrace convert: %v", err)
 	}
 }
 
-// convertFile rewrites the trace at in as serialization to ("v2" or "v3";
-// "" infers v3 from a .nmt3 output extension, v2 otherwise) at out.
+// convertFile rewrites the trace at in at out, in format(out).
 // Conversion is lossless and digest-preserving in both directions:
 // v2 -> v3 -> v2 and v3 -> v2 -> v3 both reproduce the input bytes.
-func convertFile(in, out, to string) error {
-	if to == "" {
-		to = "v2"
-		if strings.HasSuffix(out, ".nmt3") {
-			to = "v3"
-		}
-	}
-	if to != "v2" && to != "v3" {
-		return fmt.Errorf("unknown target serialization %q (want v2 or v3)", to)
-	}
+func convertFile(in, out string) error {
 	src, err := trace.Load(in, par.Each)
 	if err != nil {
 		return err
@@ -177,7 +171,7 @@ func convertFile(in, out, to string) error {
 	// was read, and the walk that encodes a v3 file's ops validates them. That
 	// one finishes after the output exists, so an invalid input takes its
 	// output back.
-	n, err := writeFile(out, to, src)
+	n, err := writeFile(out, src)
 	if err == nil {
 		if err = validate(src); err != nil {
 			err = fmt.Errorf("invalid trace %s: %w", in, err)
@@ -192,7 +186,7 @@ func convertFile(in, out, to string) error {
 		return err
 	}
 	fmt.Printf("converted %s -> %s (%s): %d threads, %d ops, %d bytes, digest %016x\n",
-		in, out, to, src.Threads(), src.Ops(), n, d)
+		in, out, format(out), src.Threads(), src.Ops(), n, d)
 	return nil
 }
 

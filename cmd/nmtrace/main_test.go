@@ -68,10 +68,10 @@ func TestConvertRoundTrip(t *testing.T) {
 	orig := writeV2(t, testTrace(t), v2a)
 
 	// v2 -> v3 -> v2 must reproduce the v2 bytes.
-	if err := convertFile(v2a, v3a, ""); err != nil {
+	if err := convertFile(v2a, v3a); err != nil {
 		t.Fatalf("convert v2->v3: %v", err)
 	}
-	if err := convertFile(v3a, v2b, ""); err != nil {
+	if err := convertFile(v3a, v2b); err != nil {
 		t.Fatalf("convert v3->v2: %v", err)
 	}
 	back, err := os.ReadFile(v2b)
@@ -87,8 +87,8 @@ func TestConvertRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := convertFile(v2b, v3b, "v3"); err != nil {
-		t.Fatalf("convert v2->v3 (explicit): %v", err)
+	if err := convertFile(v2b, v3b); err != nil {
+		t.Fatalf("convert v2->v3: %v", err)
 	}
 	v3back, err := os.ReadFile(v3b)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestRecordWritesEitherSerialization(t *testing.T) {
 		}
 		for _, c := range []struct{ in, want, ext string }{{v2, v3, ".conv.nmt3"}, {v3, v2, ".conv.nmt"}} {
 			out := filepath.Join(dir, string(alg)+c.ext)
-			if err := convertFile(c.in, out, ""); err != nil {
+			if err := convertFile(c.in, out); err != nil {
 				t.Fatalf("convert %s: %v", c.in, err)
 			}
 			got, err := os.ReadFile(out)
@@ -172,7 +172,7 @@ func TestConvertRejectsInvalid(t *testing.T) {
 		L1:      trace.L1Geometry{Capacity: 4 * 1024, Ways: 4, LineSize: 64},
 	}
 	writeV2(t, bad, in)
-	if err := convertFile(in, filepath.Join(dir, "bad.nmt3"), ""); err == nil {
+	if err := convertFile(in, filepath.Join(dir, "bad.nmt3")); err == nil {
 		t.Fatal("convertFile accepted an invalid trace")
 	}
 }
@@ -183,7 +183,7 @@ func TestStatFile(t *testing.T) {
 	v2p := filepath.Join(dir, "a.nmt")
 	v3p := filepath.Join(dir, "a.nmt3")
 	writeV2(t, testTrace(t), v2p)
-	if err := convertFile(v2p, v3p, ""); err != nil {
+	if err := convertFile(v2p, v3p); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,9 +45,9 @@ var NMSim = Command{Name: "nmsim", Exp: "table1", SPMiB: 2, Flags: []string{
 	"dma", "dist", "fault-rate", "telemetry-out", "telemetry-csv", "telemetry-epoch"}}
 
 // Sweep runs any registry row: -exp and the list flags the rows read, and
-// the supervision flags (-manifest, -resume, -slice, -retries, -timeout).
+// the supervision flags (-manifest, -resume, -retries, -timeout).
 var Sweep = Command{Name: "sweep", Exp: "bandwidth", SPMiB: serve.DefaultSPMiB, Flags: []string{
-	"exp", "corelist", "fault-rates", "epoch", "manifest", "resume", "slice", "retries", "retry-seed", "timeout"}}
+	"exp", "corelist", "fault-rates", "epoch", "manifest", "resume", "retries", "retry-seed", "timeout"}}
 
 // Exit codes: 0 success, 1 fatal error, 2 usage, 3 completed with failed
 // cells (the report carries marked rows), 130 interrupted by SIGINT/SIGTERM
@@ -108,7 +108,6 @@ func (c Command) flagSet(o *Options, stderr io.Writer) *flag.FlagSet {
 	bind(c, fs.StringVar, &o.epoch, "epoch", "10us", "telemetry sampling epoch for -exp=timeline (e.g. 500ns, 10us)")
 	bind(c, fs.StringVar, &o.manifest, "manifest", "", "checkpoint completed sweep cells to this JSON file (written atomically after each cell)")
 	bind(c, fs.BoolVar, &o.resume, "resume", false, "load -manifest and skip cells it already holds; the final report is byte-identical to an uninterrupted run")
-	bind(c, fs.Uint64Var, &o.req.Slice, "slice", 0, "executed events per supervised replay slice; cancellation is polled between slices (0 = default); a replay executes about half the events it did before event elision")
 	bind(c, fs.IntVar, &o.req.Retries, "retries", 0, "deterministic re-replays of cells ending in a transient MemFault outcome")
 	bind(c, fs.Uint64Var, &o.req.RetrySeed, "retry-seed", 1, "seed for the deterministic retry reseeding chain")
 	bind(c, fs.DurationVar, &o.timeout, "timeout", 0, "wall-clock bound on the whole sweep (0 = none); on expiry the partial report and manifest are flushed")

@@ -30,7 +30,7 @@ func TestFlags(t *testing.T) {
 			"telemetry-out= timings=false trace-cache="},
 		{Sweep, "corelist=64,128,192,256 cores=256 cpuprofile= epoch=10us exp=bandwidth fault-rates= fault-seed=1 " +
 			"format=text job-timeout=0s manifest= memprofile= n=1048576 par=0 resume=false retries=0 retry-seed=1 " +
-			"seed=2015 server= slice=0 sp=8 timeout=0s timings=false trace-cache="},
+			"seed=2015 server= sp=8 timeout=0s timings=false trace-cache="},
 	} {
 		var got []string
 		tc.c.flagSet(new(Options), io.Discard).VisitAll(func(f *flag.Flag) {

@@ -120,7 +120,10 @@ var Supervision = []Case{
 	{"resume with manifest", "-resume -manifest m.json", "-resume", ""},
 	{"negative retries", "-retries -1", "-retries", "-retries"},
 	{"negative timeout", "-timeout -1s", "-timeout", "-timeout"},
-	{"valid supervision", "-manifest m.json -slice 4096 -retries 2 -retry-seed 9 -timeout 30s", "-manifest", ""},
+	{"valid supervision", "-manifest m.json -retries 2 -retry-seed 9 -timeout 30s", "-manifest", ""},
+	// -slice is gone: a supervised replay polls for cancellation every
+	// harness.DefaultSlice events, which no flag sets.
+	{"slice", "-slice 4096", "-slice", "-slice"},
 }
 
 // Epoch holds sweep's -epoch, read by -exp=timeline only.

@@ -106,13 +106,13 @@ func TestSetSamplerPanics(t *testing.T) {
 func TestSamplerMidRunInstall(t *testing.T) {
 	s := New()
 	s.At(250, func() {})
-	if _, err := s.RunBudget(10); err != nil {
+	if _, err := s.RunBudget(10, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got []units.Time
 	s.SetSampler(100, func(b units.Time) { got = append(got, b) })
 	s.At(460, func() {})
-	if _, err := s.RunBudget(10); err != nil {
+	if _, err := s.RunBudget(10, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint([]units.Time{300, 400})
@@ -126,13 +126,13 @@ func TestSamplerMidRunInstall(t *testing.T) {
 func TestSamplerInstallOnBoundary(t *testing.T) {
 	s := New()
 	s.At(200, func() {})
-	if _, err := s.RunBudget(10); err != nil {
+	if _, err := s.RunBudget(10, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got []units.Time
 	s.SetSampler(100, func(b units.Time) { got = append(got, b) })
 	s.At(210, func() {})
-	if _, err := s.RunBudget(10); err != nil {
+	if _, err := s.RunBudget(10, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint([]units.Time{200}) {

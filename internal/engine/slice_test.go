@@ -58,23 +58,10 @@ func scheduleStorm(s *Sim, seed uint64, n int) *stormLog {
 	return log
 }
 
-// runStorm executes the storm in one uninterrupted RunBudget call.
-func runStorm(t *testing.T, seed uint64) (*stormLog, *Sim) {
-	t.Helper()
-	s := New()
-	log := scheduleStorm(s, seed, 32)
-	s.SetSampler(100, func(b units.Time) { log.samples = append(log.samples, b) })
-	if _, err := s.RunBudget(1 << 20); err != nil {
-		t.Fatalf("RunBudget: %v", err)
-	}
-	return log, s
-}
-
-// runStormSliced drives the same storm as runStorm but through repeated
-// small RunBudget slices — the execution shape the harness supervisor uses
-// to poll for cancellation between slices. Slicing must be invisible: the
-// event log, sampler boundaries, and final clocks must match a single
-// uninterrupted run exactly.
+// runStormSliced drives the same storm through repeated small RunBudget
+// slices, each resuming where the last stopped on its budget. Resuming must
+// be invisible: the event log, sampler boundaries, and final clocks must
+// match a single uninterrupted run exactly.
 func runStormSliced(t *testing.T, seed, slice uint64) (*stormLog, *Sim, int) {
 	t.Helper()
 	s := New()
@@ -83,7 +70,7 @@ func runStormSliced(t *testing.T, seed, slice uint64) (*stormLog, *Sim, int) {
 	slices := 0
 	for {
 		slices++
-		_, err := s.RunBudget(slice)
+		_, err := s.RunBudget(slice, 0, nil)
 		if err == nil {
 			return log, s, slices
 		}
@@ -97,14 +84,33 @@ func runStormSliced(t *testing.T, seed, slice uint64) (*stormLog, *Sim, int) {
 	}
 }
 
+// runStorm executes the storm in one RunBudget call that pauses every
+// `every` executed events (0 = uninterrupted) — the shape a supervised
+// replay runs in — and records the executed-event count at each pause.
+func runStorm(t *testing.T, seed, every uint64) (*stormLog, *Sim, []uint64) {
+	t.Helper()
+	s := New()
+	log := scheduleStorm(s, seed, 32)
+	s.SetSampler(100, func(b units.Time) { log.samples = append(log.samples, b) })
+	var at []uint64
+	if _, err := s.RunBudget(1<<20, every, func() error {
+		at = append(at, s.Executed())
+		return nil
+	}); err != nil {
+		t.Fatalf("RunBudget(every %d): %v", every, err)
+	}
+	return log, s, at
+}
+
 // TestSlicedRunMatchesUninterrupted is the primitive the supervised
 // runtime stands on: executing a run as many small event-budget slices
-// (resuming after each BudgetError) is observationally identical to one
-// uninterrupted run, at slice sizes from one event to more than the whole
-// cascade.
+// (resuming after each BudgetError), or as one run that pauses between
+// them, is observationally identical to one uninterrupted run, at slice
+// sizes from one event to more than the whole cascade. The pauses fall
+// exactly where the slices resume.
 func TestSlicedRunMatchesUninterrupted(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
-		ref, refSim := runStorm(t, seed)
+		ref, refSim, _ := runStorm(t, seed, 0)
 		for _, slice := range []uint64{1, 3, 17, 64, 1000} {
 			got, gotSim, slices := runStormSliced(t, seed, slice)
 			if slice < 64 && slices < 2 {
@@ -121,6 +127,41 @@ func TestSlicedRunMatchesUninterrupted(t *testing.T) {
 				t.Fatalf("seed %d slice %d: final (now=%v, executed=%d), want (%v, %d)",
 					seed, slice, gotSim.Now(), gotSim.Executed(), refSim.Now(), refSim.Executed())
 			}
+			paused, pausedSim, at := runStorm(t, seed, slice)
+			if fmt.Sprint(*paused) != fmt.Sprint(*ref) || pausedSim.Now() != refSim.Now() || pausedSim.Executed() != refSim.Executed() {
+				t.Fatalf("seed %d every %d: a paused run diverged from the uninterrupted one", seed, slice)
+			}
+			if len(at) != slices-1 {
+				t.Fatalf("seed %d every %d: %d pauses, want one per resume (%d)", seed, slice, len(at), slices-1)
+			}
+			for i, n := range at {
+				if n != uint64(i+1)*slice {
+					t.Fatalf("seed %d every %d: pause %d after %d events, want %d", seed, slice, i, n, uint64(i+1)*slice)
+				}
+			}
 		}
+	}
+}
+
+// TestPauseErrorStopsTheRun: a pause error ends RunBudget at the pause,
+// returned as is, with the clock at the last event; a later RunBudget
+// resumes to the uninterrupted run's log and clocks.
+func TestPauseErrorStopsTheRun(t *testing.T) {
+	ref, refSim, _ := runStorm(t, 7, 0)
+	s := New()
+	log := scheduleStorm(s, 7, 32)
+	s.SetSampler(100, func(b units.Time) { log.samples = append(log.samples, b) })
+	stop := errors.New("stop")
+	if _, err := s.RunBudget(1<<20, 10, func() error { return stop }); err != stop {
+		t.Fatalf("RunBudget = %v, want the pause error", err)
+	}
+	if s.Executed() != 10 {
+		t.Fatalf("stopped after %d events, want 10", s.Executed())
+	}
+	if _, err := s.RunBudget(1<<20, 0, nil); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if fmt.Sprint(*log) != fmt.Sprint(*ref) || s.Now() != refSim.Now() || s.Executed() != refSim.Executed() {
+		t.Fatal("a run stopped by its pause and resumed diverged from the uninterrupted one")
 	}
 }

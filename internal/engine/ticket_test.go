@@ -155,7 +155,7 @@ func TestBudgetAbortDoesNotSettle(t *testing.T) {
 	s.SetSampler(10, func(b units.Time) { samples = append(samples, b) })
 	s.At(5, func() { s.Extend(95) })
 	s.At(12, noop)
-	_, err := s.RunBudget(1)
+	_, err := s.RunBudget(1, 0, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("RunBudget(1) = %v, want BudgetError", err)
@@ -163,7 +163,7 @@ func TestBudgetAbortDoesNotSettle(t *testing.T) {
 	if s.Now() != 5 || len(samples) != 1 {
 		t.Fatalf("after the abort: now %v, samples %v; want 5 and only the zero boundary", s.Now(), samples)
 	}
-	end, err := s.RunBudget(1)
+	end, err := s.RunBudget(1, 0, nil)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestStalledSeesSettledClock(t *testing.T) {
 	r := NewResource(s, units.BytesPerSecond(1*units.GiB))
 	s.Watch("far", r.BusyUntil, nil)
 	s.At(0, func() { s.Extend(r.Acquire(1 * units.MiB)) })
-	end, err := s.RunBudget(10)
+	end, err := s.RunBudget(10, 0, nil)
 	if err != nil {
 		t.Fatalf("RunBudget = %v, want a clean drain", err)
 	}

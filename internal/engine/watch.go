@@ -108,16 +108,29 @@ func (e *BudgetError) Error() string {
 // RunBudget is Run with the watchdog armed: it executes events until the
 // queue drains, aborting with a BudgetError once more than maxEvents have
 // been executed by this call, and cross-checking the watched components on
-// drain. The returned time is valid in either case; the error says whether
-// to trust it. Only a drain settles the clock to the drain horizon (before
-// the cross-check, so Stalled compares busy horizons against the settled
-// clock); a budget abort leaves it at the last event, which is what makes a
-// later resume byte-identical to an uninterrupted run.
-func (s *Sim) RunBudget(maxEvents uint64) (units.Time, error) {
+// drain. Every `every` executed events (0 = never) with events still queued
+// and budget left, it calls pause; a non-nil error from pause stops the run
+// there and is returned as is. The returned time is valid in either case;
+// the error says whether to trust it. Only a drain settles the clock to the
+// drain horizon (before the cross-check, so Stalled compares busy horizons
+// against the settled clock); a budget abort or a pause leaves it at the
+// last event, which is what makes a later resume byte-identical to an
+// uninterrupted run.
+func (s *Sim) RunBudget(maxEvents, every uint64, pause func() error) (units.Time, error) {
+	if every == 0 || pause == nil {
+		every = maxEvents
+	}
 	var ran uint64
+	next := min(every, maxEvents) // the next pause or the budget, whichever is first
 	for s.events.len() > 0 {
-		if ran >= maxEvents {
-			return s.now, &BudgetError{MaxEvents: maxEvents, LastEventAt: s.lastAt, Pending: s.events.len()}
+		if ran >= next {
+			if ran >= maxEvents {
+				return s.now, &BudgetError{MaxEvents: maxEvents, LastEventAt: s.lastAt, Pending: s.events.len()}
+			}
+			if err := pause(); err != nil {
+				return s.now, err
+			}
+			next += min(every, maxEvents-next)
 		}
 		s.step()
 		ran++

@@ -12,7 +12,7 @@ func TestStalledQuiescent(t *testing.T) {
 	s := New()
 	s.Watch("dev", func() units.Time { return 0 }, func() int { return 0 })
 	s.At(10, func() {})
-	if _, err := s.RunBudget(100); err != nil {
+	if _, err := s.RunBudget(100, 0, nil); err != nil {
 		t.Fatalf("RunBudget: %v", err)
 	}
 	if st := s.Stalled(); st != nil {
@@ -25,7 +25,7 @@ func TestStalledOutstanding(t *testing.T) {
 	pending := 2
 	s.Watch("core[3]", nil, func() int { return pending })
 	s.At(5, func() {})
-	_, err := s.RunBudget(100)
+	_, err := s.RunBudget(100, 0, nil)
 	var st *StallError
 	if !errors.As(err, &st) {
 		t.Fatalf("RunBudget = %v, want StallError", err)
@@ -52,7 +52,7 @@ func TestStalledBusyHorizon(t *testing.T) {
 	r := NewResource(s, units.BytesPerSecond(1*units.GiB))
 	s.Watch("far", r.BusyUntil, nil)
 	s.At(0, func() { r.Acquire(1 * units.MiB) })
-	_, err := s.RunBudget(10)
+	_, err := s.RunBudget(10, 0, nil)
 	var st *StallError
 	if !errors.As(err, &st) {
 		t.Fatalf("RunBudget = %v, want StallError (busy horizon %v past drain)", err, r.BusyUntil())
@@ -68,7 +68,7 @@ func TestRunBudgetExhaustion(t *testing.T) {
 	var tick func()
 	tick = func() { s.After(1, tick) }
 	s.At(0, tick)
-	_, err := s.RunBudget(1000)
+	_, err := s.RunBudget(1000, 0, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("RunBudget = %v, want BudgetError", err)
@@ -90,13 +90,13 @@ func TestRunBudgetCountsPerCall(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.At(units.Time(i), func() {})
 	}
-	if _, err := s.RunBudget(5); err != nil {
+	if _, err := s.RunBudget(5, 0, nil); err != nil {
 		t.Fatalf("first RunBudget: %v", err)
 	}
 	for i := 10; i < 15; i++ {
 		s.At(units.Time(i), func() {})
 	}
-	if _, err := s.RunBudget(5); err != nil {
+	if _, err := s.RunBudget(5, 0, nil); err != nil {
 		t.Fatalf("second RunBudget must get a fresh budget: %v", err)
 	}
 }

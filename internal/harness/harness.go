@@ -70,7 +70,7 @@ type Workload struct {
 	Par int
 
 	// Sup is the supervised runtime every recording and replay runs under:
-	// sliced event budgets with cancellation polling, panic containment
+	// cancellation polling every DefaultSlice events, panic containment
 	// (failed cells become marked report rows instead of aborting the
 	// sweep), deterministic MemFault retries, and manifest checkpointing.
 	// Nil means the zero Supervisor.

@@ -17,17 +17,18 @@ import (
 )
 
 // The supervised execution runtime: every replay of every sweep runs under
-// a Supervisor, which slices the replay's event budget (via the engine's
-// byte-identical RunBudget resume), polls for cancellation and chaos between
-// slices, contains panics to their cell, retries transient MemFault outcomes
-// deterministically, and checkpoints completed cells in a Manifest so an
-// interrupted sweep resumes to a byte-identical report. A nil Supervisor is
-// the zero one, substituted where a supervisor enters the harness.
+// a Supervisor, which polls for cancellation and chaos every slice of
+// executed events (the engine pauses its one RunBudget call to do so,
+// leaving no trace in the replay), contains panics to their cell, retries
+// transient MemFault outcomes deterministically, and checkpoints completed
+// cells in a Manifest so an interrupted sweep resumes to a byte-identical
+// report. A nil Supervisor is the zero one, substituted where a supervisor
+// enters the harness.
 
-// DefaultSlice is the per-slice event budget when Supervisor.Slice is
-// zero: small enough that cancellation latency stays in the milliseconds
-// on the paper's configurations, large enough that slice bookkeeping is
-// noise next to event execution.
+// DefaultSlice is how many executed events a supervised replay runs
+// between cancellation polls: small enough that cancellation latency stays
+// in the milliseconds on the paper's configurations, large enough that a
+// poll is noise next to event execution. No flag or request field sets it.
 const DefaultSlice uint64 = 1 << 16
 
 // CellKey identifies one sweep cell content-addressably: the digest of
@@ -88,7 +89,8 @@ type Supervisor struct {
 	// CancelledError and skips all cells not yet started.
 	Ctx context.Context
 
-	// Slice is the per-slice event budget; 0 means DefaultSlice.
+	// Slice is the executed events between cancellation polls; 0 means
+	// DefaultSlice. Only tests set it.
 	Slice uint64
 
 	// Retries bounds deterministic re-replays of cells whose replay

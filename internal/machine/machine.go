@@ -11,7 +11,6 @@ package machine
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -321,14 +320,14 @@ func (m *Machine) Replay(src trace.Source) (Result, error) {
 	return m.ReplaySliced(src, 0, nil)
 }
 
-// ReplaySliced is Replay with cooperative preemption: the event budget is
-// spent in slices of at most `slice` events (0 means one undivided slice),
-// and between slices the pause callback runs on the replay goroutine. A
-// non-nil error from pause abandons the replay — the partial result is
-// returned with that error. Slicing is observationally invisible
-// (engine.RunBudget resume is byte-identical, pinned by engine/slice_test
-// and machine's sliced-replay tests), so a supervisor can poll deadlines
-// and cancellation between slices without perturbing simulation state.
+// ReplaySliced is Replay with cooperative preemption: every `slice`
+// executed events (0 means never) the pause callback runs on the replay
+// goroutine, inside the one engine.RunBudget call that spends the replay's
+// event budget. A non-nil error from pause abandons the replay — the
+// partial result is returned with that error. Pausing is observationally
+// invisible (pinned by engine/slice_test and machine's sliced-replay
+// tests), so a supervisor can poll deadlines and cancellation between
+// slices without perturbing simulation state.
 func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() error) (Result, error) {
 	if err := src.Validate(); err != nil {
 		return Result{}, err
@@ -364,45 +363,11 @@ func (m *Machine) ReplaySliced(src trace.Source, slice uint64, pause func() erro
 		m.sim.At(0, c.runEv)
 	}
 	m.watch()
-	budget := cmp.Or(m.cfg.MaxEvents, EventBound(src))
-	sliceSize := min(cmp.Or(slice, budget), budget)
-	var (
-		end    units.Time
-		runErr error
-		ran    uint64
-	)
-	for {
-		step := sliceSize
-		if rem := budget - ran; step > rem {
-			step = rem
-		}
-		end, runErr = m.sim.RunBudget(step)
-		if runErr == nil {
-			break // drained: the replay completed
-		}
-		var be *engine.BudgetError
-		if !errors.As(runErr, &be) {
-			break // stall or other terminal failure
-		}
-		ran += step
-		if ran >= budget {
-			// The whole budget is spent: report the same error an unsliced
-			// RunBudget(budget) would have produced, not the last slice's.
-			runErr = &engine.BudgetError{MaxEvents: budget, LastEventAt: be.LastEventAt, Pending: be.Pending}
-			break
-		}
-		runErr = nil
-		if pause != nil {
-			if err := pause(); err != nil {
-				runErr = err
-				break
-			}
-		}
-	}
+	end, runErr := m.sim.RunBudget(cmp.Or(m.cfg.MaxEvents, EventBound(src)), slice, pause)
 	res := m.collect(end)
 	if runErr != nil {
-		// A stalled or runaway replay: the result is returned for diagnosis
-		// but its SimTime is not a completion time.
+		// A stalled, runaway or abandoned replay: the result is returned
+		// for diagnosis but its SimTime is not a completion time.
 		return res, runErr
 	}
 	if res.Faults.MemFaults > 0 {

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -29,21 +30,11 @@ func denseTestTrace(t *testing.T, seed uint64, ops, threads int) *trace.Trace {
 	return tr
 }
 
-// resultKey flattens every field of a Result that could diverge if event
-// order did.
-func resultKey(res Result) string {
-	return fmt.Sprintf("%v|%d|%d|%+v|%+v|%+v|%.9f|%.9f|%.9f|%d|%d|%d|%+v|%+v|%v",
-		res.SimTime, res.FarAccesses, res.NearAccesses,
-		res.FarStats, res.NearStats, res.L2,
-		res.FarUtilization, res.NearUtilization, res.NoCUtilization,
-		res.DMACopies, res.DMABytes, res.Events,
-		res.Phases, res.Faults, res.BarrierTimes)
-}
-
-// TestReplaySlicedMatchesReplay: running a replay in small event-budget
-// slices with a pause callback between them must produce a Result equal in
-// every field to an undivided Replay. This is the machine-level guarantee
-// the harness supervisor's cancellation polling stands on.
+// TestReplaySlicedMatchesReplay: a replay paused every `slice` executed
+// events must produce a Result equal in every field to an unpaused Replay,
+// and pause once per slice boundary it crosses with events still queued.
+// This is the machine-level guarantee the harness supervisor's
+// cancellation polling stands on.
 func TestReplaySlicedMatchesReplay(t *testing.T) {
 	tr := denseTestTrace(t, 21, 4000, 8)
 	cfg := TinyConfig(8, 2*units.MiB)
@@ -51,7 +42,6 @@ func TestReplaySlicedMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference replay: %v", err)
 	}
-	want := resultKey(ref)
 	for _, slice := range []uint64{1, 97, 4096} {
 		pauses := 0
 		res, err := New(cfg).ReplaySliced(tr, slice, func() error {
@@ -61,11 +51,11 @@ func TestReplaySlicedMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("slice %d: %v", slice, err)
 		}
-		if pauses == 0 {
-			t.Fatalf("slice %d: pause never ran — test not exercising resume", slice)
+		if want := (ref.Events - 1) / slice; uint64(pauses) != want || want == 0 {
+			t.Fatalf("slice %d: %d pauses over %d events, want %d (and at least one)", slice, pauses, ref.Events, want)
 		}
-		if got := resultKey(res); got != want {
-			t.Errorf("slice %d: result diverged\n got %s\nwant %s", slice, got, want)
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("slice %d: result diverged\n got %+v\nwant %+v", slice, res, ref)
 		}
 	}
 }
@@ -110,7 +100,7 @@ func TestReplaySlicedPauseAbandons(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("pause ran %d times after returning an error, want exactly 3", calls)
 	}
-	if res.Events == 0 {
-		t.Fatal("partial result carries no executed events")
+	if res.Events != 3*50 {
+		t.Fatalf("partial result carries %d executed events, want the 150 before the third pause", res.Events)
 	}
 }

@@ -56,7 +56,7 @@ func TestWatchdogCatchesDroppedCompletion(t *testing.T) {
 				c.nfill = 1
 				tc.bug(c)
 			})
-			_, err := m.sim.RunBudget(EventBound(tr))
+			_, err := m.sim.RunBudget(EventBound(tr), 0, nil)
 			var st *engine.StallError
 			if !errors.As(err, &st) {
 				t.Fatalf("RunBudget = %v, want StallError", err)

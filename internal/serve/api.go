@@ -90,7 +90,6 @@ type SweepRequest struct {
 	Par       int    `json:"par,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
 	RetrySeed uint64 `json:"retry_seed,omitempty"`
-	Slice     uint64 `json:"slice,omitempty"`
 
 	DMA bool `json:"dma,omitempty"` // table1: NMsort with the §VII DMA engines
 	// Dist is the key distribution ("" = uniform). Every row that records a

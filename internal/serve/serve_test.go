@@ -706,11 +706,13 @@ func postRaw(t *testing.T, c *serve.Client, path, body string) (int, []byte) {
 }
 
 // TestLegacyShardsFieldIgnored is the wire-compatibility edge of removing
-// the sharded engine and the per-request event budget: job and sweep bodies
-// that still carry "shards" or "max_events" are accepted and answered
+// the sharded engine, the per-request event budget and the per-request
+// slice: job and sweep bodies that still carry "shards" or "max_events",
+// and sweep bodies that carry "slice", are accepted and answered
 // byte-identically (config_key included) to the same request without it.
-// Sharding was byte-neutral, and every replay's budget is now its trace's
-// machine.EventBound, so ignoring either key is the compatible behaviour.
+// Sharding and slicing were byte-neutral, and every replay's budget is now
+// its trace's machine.EventBound, so ignoring these keys is the compatible
+// behaviour.
 func TestLegacyShardsFieldIgnored(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
@@ -721,6 +723,8 @@ func TestLegacyShardsFieldIgnored(t *testing.T) {
 		{"/v1/sweeps", sweep, `"shards":4`},
 		{"/v1/jobs", job, `"max_events":100000000`},
 		{"/v1/sweeps", sweep, `"max_events":100000000`},
+		{"/v1/sweeps", sweep, `"slice":1`},
+		{"/v1/sweeps", sweep, `"slice":4096`},
 	} {
 		status, want := postRaw(t, c, tc.path, tc.body+"}")
 		if status != http.StatusOK {

@@ -33,9 +33,6 @@ type Config struct {
 	StoreBytes int64
 	// CacheEntries bounds the result cache (0 = 4096).
 	CacheEntries int
-	// Slice is the default supervised per-slice event budget (0 =
-	// harness.DefaultSlice) — also the streaming granularity.
-	Slice uint64
 	// MaxUploadBytes bounds POST /v1/traces bodies (0 = 1 GiB).
 	MaxUploadBytes int64
 }
@@ -482,11 +479,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if req.FaultRate > 0 {
 		cfg.Fault = fault.Profile(req.FaultSeed, req.FaultRate)
 	}
-	sup := &harness.Supervisor{
-		Ctx: r.Context(), Slice: s.cfg.Slice,
-		Retries: req.Retries, RetrySeed: req.RetrySeed,
-		Cache: s.cache,
-	}
+	sup := &harness.Supervisor{Ctx: r.Context(), Retries: req.Retries, RetrySeed: req.RetrySeed, Cache: s.cache}
 	if req.Stream {
 		s.streamJob(w, req, sup, cfg, tr, digest)
 		return
@@ -604,7 +597,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	sup := &harness.Supervisor{
-		Ctx: r.Context(), Slice: s.cfg.Slice,
+		Ctx:   r.Context(),
 		Cache: s.cache, Records: s.store,
 		Timings: prof.NewStages(),
 	}

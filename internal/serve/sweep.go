@@ -156,9 +156,9 @@ func (r SweepRequest) Params() harness.ExperimentParams {
 
 // RunSweep runs the request's registry row in process and renders the report
 // to w in the request's format. It returns the count of failed cells, which
-// the report marks. The request's slice, retries and retry_seed set sup's
-// (a zero slice keeps sup's own); a nil sup is the zero Supervisor. An
-// invalid request is refused before any work.
+// the report marks. The request's retries and retry_seed set sup's; a nil
+// sup is the zero Supervisor. An invalid request is refused before any
+// work.
 func RunSweep(w io.Writer, req SweepRequest, sup *harness.Supervisor) (int, error) {
 	if err := req.Validate(); err != nil {
 		return 0, err
@@ -166,7 +166,6 @@ func RunSweep(w io.Writer, req SweepRequest, sup *harness.Supervisor) (int, erro
 	if sup == nil {
 		sup = new(harness.Supervisor)
 	}
-	sup.Slice = cmp.Or(req.Slice, sup.Slice)
 	sup.Retries, sup.RetrySeed = req.Retries, req.RetrySeed
 	// Validate has found the row and parsed the format.
 	e, _ := harness.FindExperiment(req.Exp)
