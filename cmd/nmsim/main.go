@@ -17,7 +17,7 @@
 // Usage:
 //
 //	nmsim [-n keys] [-cores n] [-sp MiB] [-seed s] [-dma]
-//	      [-fault-seed s] [-fault-rate r] [-max-events n] [-par n] [-timings]
+//	      [-fault-seed s] [-fault-rate r] [-par n] [-timings]
 //	      [-telemetry-out f.trace.json] [-telemetry-csv f.csv] [-telemetry-epoch dur]
 //	nmsim -server http://127.0.0.1:8080 [-job-timeout dur]
 package main

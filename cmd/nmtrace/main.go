@@ -13,7 +13,8 @@
 // Trace files come in two serializations sharing one content digest: the
 // row-oriented v2 stream (.nmt) and the columnar v3 layout (.nmt3), which
 // replays straight from the file without decoding into memory. Every
-// subcommand sniffs the format from the file, not the extension.
+// subcommand sniffs the format it reads from the file, not the extension;
+// record and convert write v2 only to a .nmt file, and v3 to any other name.
 package main
 
 import (
@@ -70,6 +71,7 @@ func usage() {
   nmtrace info    -i file
   nmtrace stat    -i file
   nmtrace check   file.trace.json [more.trace.json ...]
+-o writes the v2 stream to a .nmt file and the v3 columns to any other name.
 `, strings.Join(harness.AlgorithmNames(), "|"))
 	os.Exit(2)
 }
@@ -101,9 +103,9 @@ func record(args []string) {
 		c.Far(), c.FarReads, c.FarWrites, c.Near(), c.NearReads, c.NearWrites, c.Atomics)
 }
 
-// recordFile records alg on w and writes the trace at out: a .nmt3 output
-// is the recording's own sealed image, anything else the canonical v2
-// stream, encoded from the columns on every host CPU.
+// recordFile records alg on w and writes the trace at out: a .nmt output
+// is the canonical v2 stream, encoded from the columns on every host CPU,
+// anything else the recording's own sealed image.
 func recordFile(alg harness.Algorithm, w harness.Workload, out string) (harness.RecordResult, int64, error) {
 	res, err := harness.Record(alg, w)
 	if err != nil {
@@ -116,13 +118,14 @@ func recordFile(alg harness.Algorithm, w harness.Workload, out string) (harness.
 	return res, n, nil
 }
 
-// format names the serialization a trace is written in at out: v3 for a
-// .nmt3 file, v2 for any other.
+// format names the serialization a trace is written in at out: v2, the
+// wire form the digest is defined over, only where a .nmt file asks for it,
+// and v3 for any other name.
 func format(out string) string {
-	if strings.HasSuffix(out, ".nmt3") {
-		return "v3"
+	if strings.HasSuffix(out, ".nmt") {
+		return "v2"
 	}
-	return "v2"
+	return "v3"
 }
 
 // writeFile writes src at out in format(out).

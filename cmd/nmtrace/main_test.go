@@ -121,6 +121,41 @@ func TestConvertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFormat: only a .nmt name asks for v2; every other name, the .nmt3
+// extension, none at all or a foreign one, gets v3 — and convert writes it
+// the bytes it writes at a .nmt3 name.
+func TestFormat(t *testing.T) {
+	for _, tc := range []struct{ out, want string }{
+		{"a.nmt", "v2"}, {"dir.nmt3/a.nmt", "v2"}, {"a.nmt3.nmt", "v2"},
+		{"a.nmt3", "v3"}, {"a", "v3"}, {"a.trace", "v3"}, {"a.nmt.bak", "v3"}, {"a.NMT", "v3"}, {"nmt", "v3"},
+	} {
+		if got := format(tc.out); got != tc.want {
+			t.Errorf("format(%q) = %s, want %s", tc.out, got, tc.want)
+		}
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.nmt")
+	writeV2(t, testTrace(t), in)
+	var images [][]byte
+	for _, out := range []string{"a.nmt3", "a.trace"} {
+		out = filepath.Join(dir, out)
+		if err := convertFile(in, out); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !trace.IsColumnar(b) {
+			t.Fatalf("%s: not a v3 file", out)
+		}
+		images = append(images, b)
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatalf("convert -o a.trace wrote %d bytes, -o a.nmt3 %d", len(images[1]), len(images[0]))
+	}
+}
+
 // TestRecordWritesEitherSerialization: record -o x.nmt3 writes the
 // recording's sealed image directly, record -o x.nmt the canonical v2 stream
 // through its cursors, and the two files are each other's conversions byte

@@ -48,6 +48,8 @@ func TestFlags(t *testing.T) {
 // line (`\` continuations joined) parses and validates through that command's
 // flag list (-help included), and no block cites a one-iteration benchmark or a verbose test
 // run as the command behind it — the paper's numbers come from sweep -exp rows.
+// The Usage: lines of cmd/nmsim's and cmd/sweep's doc comments name only
+// flags their command has.
 func TestDocumentedCommandsExist(t *testing.T) {
 	goRun := regexp.MustCompile(`go run (\./[\w./-]+)`)
 	front := regexp.MustCompile("go run \\./cmd/(nmsim|sweep)\\b([^`#]*)")
@@ -85,6 +87,32 @@ func TestDocumentedCommandsExist(t *testing.T) {
 			}
 			if m := side.FindString(line); m != "" {
 				t.Errorf("%s: %q is not a command behind a paper number; cite the sweep -exp row", at, m)
+			}
+		}
+	}
+	// Each command's doc comment: every -flag its Usage: lines name is one
+	// of its flags.
+	usageFlag := regexp.MustCompile(`(?:^|[\s\[])-(\w[\w-]*)`)
+	for _, c := range []Command{NMSim, Sweep} {
+		path := filepath.Join("cmd", c.Name, "main.go")
+		raw, err := os.ReadFile(filepath.Join("..", "..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, usage, ok := strings.Cut(string(raw), "// Usage:\n//\n")
+		if !ok {
+			t.Errorf("%s: no Usage: block in the doc comment", path)
+			continue
+		}
+		fs := c.flagSet(new(Options), io.Discard)
+		for _, line := range strings.Split(usage, "\n") {
+			if !strings.HasPrefix(line, "//\t") {
+				break
+			}
+			for _, m := range usageFlag.FindAllStringSubmatch(line, -1) {
+				if fs.Lookup(m[1]) == nil {
+					t.Errorf("%s: usage line %q names -%s, which %s does not have", path, strings.TrimPrefix(line, "//\t"), m[1], c.Name)
+				}
 			}
 		}
 	}

@@ -183,13 +183,13 @@ func recordNative(alg Algorithm, w Workload) (RecordResult, error) {
 	if err := programs[i].run(core.NewEnv(w.Threads, w.SP, rec, w.Seed), w); err != nil {
 		return RecordResult{}, fmt.Errorf("harness: %s %w", alg, err)
 	}
-	// Seal and validate on every host CPU: both are per-thread walks, and
-	// together they are the only O(ops) work left between the program and the
-	// first replay (the counts were tallied as the ops were emitted; the
-	// digest rides the validation walk, so cell keys, the trace cache and
-	// the daemon's store find it already there).
+	// Seal on every host CPU: the seal and the sealed image's first walk are
+	// per-thread, and together they are the only O(ops) work left between
+	// the program and the first replay. The walk validates, counts and
+	// digests at once, so cell keys, the trace cache and the daemon's store
+	// find the digest already there.
 	tr := rec.FinishPar(par.Each)
-	if err := tr.Columns().ValidatePar(par.Each); err != nil {
+	if err := tr.Validate(); err != nil {
 		return RecordResult{}, fmt.Errorf("harness: invalid trace: %w", err)
 	}
 	return RecordResult{Trace: tr}, nil

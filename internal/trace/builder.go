@@ -195,7 +195,6 @@ type colBuilder struct {
 	shift  uint   // address shift the addrs column is currently written under
 	orAddr uint64 // OR of every access/atomic address put so far
 	prev   uint64 // last address, shifted
-	seen   footprint
 	dict   gapDict
 	tags   chunkBuf // one raw tag byte per op
 	gaps   chunkBuf // uvarint gapDict id per op whose tag sets tagHasGap
@@ -217,8 +216,7 @@ func provisionalShift(l1 L1Geometry) uint {
 	return uint(bits.TrailingZeros64(uint64(l1.LineSize)))
 }
 
-// put appends one op. Noting its footprint costs nothing here — the address
-// is in a register — where a separate Count walk re-decodes every op.
+// put appends one op.
 func (b *colBuilder) put(op Op) {
 	tag := byte(op.Kind) & tagKindMask
 	if op.Write {
@@ -227,20 +225,13 @@ func (b *colBuilder) put(op Op) {
 	if op.Gap != 0 {
 		tag |= tagHasGap
 		b.gaps.putUvarint(uint64(b.dict.id(op.Gap)))
-		b.seen.cycles += uint64(op.Gap)
 	}
 	b.tags.putByte(tag)
 	b.ops++
 	switch op.Kind {
 	case OpAccess, OpAtomic:
-		b.seen.access(op)
 		b.putAddr(op.Addr)
-	case OpBarrier:
-		b.seen.barriers++
-	case OpDMAWait:
-		b.seen.waits++
 	case OpDMA:
-		b.seen.dma(op)
 		b.dmas.putUvarint(op.Addr)
 		b.dmas.putUvarint(op.Addr2)
 		b.dmas.putUvarint(uint64(op.Size))
@@ -420,8 +411,9 @@ func (r *chunkReader) take(dst []byte, n int) []byte {
 // thread's raw columns are garbage once its segment is written, and no
 // buffer the size of the whole image is ever allocated. Everything but the
 // footer is final; the footer carries the content digest, which costs a walk
-// of every op, so the image's first walk — the one that validates it — fills
-// it (see Columnar.settle).
+// of every op, so every caller finishes the image before handing it out:
+// with its first walk (Columnar.firstWalk), or with the checks a canonical
+// v2 read made as it put the ops (see decodeTrace).
 func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder, fj ForkJoin) *Columnar {
 	hdr := appendHeader(columnarMagic, columnarVersion, costs, l1, len(threads), names)
 
@@ -441,7 +433,6 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 		th := &c.threads[t]
 		th.ops, th.shift = b.ops, b.shift
 		c.totalOps += b.ops
-		c.seen.add(b.seen)
 		for col := range th.off {
 			pos = align(pos)
 			th.off[col] = pos
@@ -481,7 +472,7 @@ func sealImage(costs Costs, l1 L1Geometry, names []string, threads []*colBuilder
 
 // Seal returns src as sealed canonical columns: src's own when it already
 // is a builder-sealed recording, otherwise one builder pass over its
-// cursors.
+// cursors and the new image's first walk.
 func Seal(src Source) (*Columnar, error) {
 	// Refuse, before any work, the shapes the reader would refuse: a
 	// hand-built trace seals whatever it was given (see Trace.Columns).
@@ -509,7 +500,7 @@ func Seal(src Source) (*Columnar, error) {
 		}
 		threads[t] = b
 	}
-	return sealImage(src.CostModel(), src.Geometry(), names, threads, nil), nil
+	return sealImage(src.CostModel(), src.Geometry(), names, threads, nil).firstWalk(nil), nil
 }
 
 // columnsOf returns the columns src is made of: this package's two Sources

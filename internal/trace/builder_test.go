@@ -76,7 +76,7 @@ func walkNearBlind(t testing.TB, src trace.Source) bool {
 }
 
 // walkCounts tallies line transfers with nothing but a cursor and the
-// address map: what a recording's emit-time LevelCounts must equal.
+// address map: what a recording's LevelCounts must equal.
 func walkCounts(t testing.TB, src trace.Source) trace.LevelCounts {
 	t.Helper()
 	var c trace.LevelCounts
@@ -107,8 +107,8 @@ func walkCounts(t testing.TB, src trace.Source) trace.LevelCounts {
 // requireSealedRecording checks what a born-columnar recording promises on
 // top of the byte match: the recorder path (TP.emit into the builder) and
 // the cursor path (EncodeColumnar over the decoded ops) seal to the same
-// image; the counts tallied at emit equal a cursor walk's; the lazily
-// computed digest is the decoded trace's; and the finished image verifies.
+// image; the counts its first walk found equal a cursor walk's; the digest
+// that walk wrote is the decoded trace's; and the finished image verifies.
 func requireSealedRecording(t *testing.T, name string, tr *trace.Trace) {
 	t.Helper()
 	if tr.Streams != nil || tr.Columns() == nil {
@@ -123,7 +123,7 @@ func requireSealedRecording(t *testing.T, name string, tr *trace.Trace) {
 		t.Fatalf("%s: the recorder and EncodeColumnar of its decoded ops sealed different images", name)
 	}
 	if got, want := tr.Count(), walkCounts(t, tr); got != want {
-		t.Fatalf("%s: counts tallied at emit %+v, a cursor walk counts %+v", name, got, want)
+		t.Fatalf("%s: counts %+v, a cursor walk counts %+v", name, got, want)
 	}
 	if got, want := dec.Count(), tr.Count(); got != want {
 		t.Fatalf("%s: decoded Count %+v != sealed Count %+v", name, got, want)

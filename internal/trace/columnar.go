@@ -118,9 +118,10 @@ type Columnar struct {
 	mapping []byte // the mmap behind an opened file's segments; nil on the heap
 
 	// sealed marks an image this process's column builder produced: it is
-	// canonical, its footprint was noted as the ops were put, and its footer
-	// — digest included — is filled by its first walk, not at seal (see
-	// settle).
+	// canonical. Its footprint and its footer — digest included — come from
+	// its first walk, which sealing runs before handing the image out (see
+	// finish); an opened file's footprint comes from its validation walk and
+	// its footer from the file.
 	sealed    bool
 	seen      footprint
 	digestErr error
@@ -136,8 +137,7 @@ type Columnar struct {
 
 	// validateOnce memoizes the first walk's findings (see settle): Validate's
 	// verdict — the walk is O(ops) and the daemon validates once per upload,
-	// then replays many times — with an opened file's footprint or a sealed
-	// image's digest.
+	// then replays many times — and the footprint.
 	validateOnce sync.Once
 	validateErr  error
 }
@@ -373,26 +373,31 @@ func (c *Columnar) Geometry() L1Geometry { return c.l1 }
 func (c *Columnar) CostModel() Costs { return c.costs }
 
 // Digest returns the content digest — the canonical digest every encoding
-// of this trace shares. An opened file's is the footer's stored value,
-// trusted, so the call is O(1); Verify recomputes it from the decoded ops.
-// A sealed image learns its own from the lanes of its first walk, which is
-// its validation walk: one that ValidatePar has run under a ForkJoin — as
-// harness.Record does — answers in O(1) here.
-func (c *Columnar) Digest() (uint64, error) {
-	if c.sealed {
-		c.ValidatePar(nil)
-	}
-	return c.digest, c.digestErr
+// of this trace shares — in O(1): the footer's stored value, trusted for an
+// opened file (Verify recomputes it from the decoded ops), written from its
+// first walk's lanes for a sealed image. A sealed image whose ops did not
+// all decode has no footer, and returns that walk's decode error.
+func (c *Columnar) Digest() (uint64, error) { return c.digest, c.digestErr }
+
+// firstWalk walks a freshly sealed image under fj, digest lanes aboard, and
+// finishes it with what the walk found.
+func (c *Columnar) firstWalk(fj ForkJoin) *Columnar {
+	return c.finish(c.walk(fj, make([]lane, len(c.threads))), fj)
 }
 
-// finishFooter writes a sealed image's footer, its payload CRC summed under
-// fj. Only settle calls it, under validateOnce, and nothing reads footer
-// bytes except through Digest, so cursors — which read column bytes only —
-// may run concurrently.
-func (c *Columnar) finishFooter(digest uint64, fj ForkJoin) {
+// finish completes a freshly sealed image before it is handed out, from its
+// first walk or from the checks a canonical v2 read made as it put the ops
+// (see decodeTrace): it settles the verdict and footprint, and writes the
+// footer, its payload CRC summed under fj. An image whose ops did not all
+// decode keeps the decode error for Digest instead of a footer.
+func (c *Columnar) finish(r walkResult, fj ForkJoin) *Columnar {
+	c.validateOnce.Do(func() { c.settle(r) })
+	if c.digestErr = r.decode; r.decode != nil {
+		return c
+	}
 	le := binary.LittleEndian
 	ftr := c.footer()
-	c.digest, c.payloadCRC = digest, checksum(fj, c.payload()...)
+	c.digest, c.payloadCRC = r.digest, checksum(fj, c.payload()...)
 	le.PutUint64(ftr[0:], uint64(c.tableOff))
 	le.PutUint64(ftr[8:], uint64(len(c.threads)*tableEntrySize))
 	le.PutUint64(ftr[16:], uint64(len(c.threads)))
@@ -401,36 +406,28 @@ func (c *Columnar) finishFooter(digest uint64, fj ForkJoin) {
 	le.PutUint64(ftr[40:], c.payloadCRC)
 	le.PutUint64(ftr[48:], crc64.Checksum(ftr[:48], crcTable))
 	copy(ftr[56:], columnarFooterMagic)
+	return c
 }
 
-// Count returns the line transfers per memory level: tallied as the ops
-// were put for a sealed recording, by the validation walk for an opened
-// file (zero if that walk rejects it).
+// Count returns the line transfers per memory level, as the validation walk
+// — a sealed image's first — found them (zero if that walk rejects it).
 func (c *Columnar) Count() LevelCounts {
-	if !c.sealed {
-		c.Validate()
-	}
+	c.Validate()
 	return c.seen.counts
 }
 
 // Tally returns the barrier, DMA-copy and DMA-wait ops and the compute
 // cycles Count's walk sums beside the line transfers (zero if it rejects).
 func (c *Columnar) Tally() (barriers, dmas, waits, cycles uint64) {
-	if !c.sealed {
-		c.Validate()
-	}
+	c.Validate()
 	s := c.seen
 	return s.barriers, s.dmas, s.waits, s.cycles
 }
 
-// NearBlind reports whether no op reaches the near memory: noted as the ops
-// were put for a sealed recording, by the validation walk for an opened file
-// (false if that walk rejects it).
+// NearBlind reports whether no op reaches the near memory, as Count's walk
+// found (false if that walk rejects it).
 func (c *Columnar) NearBlind() bool {
-	if !c.sealed && c.Validate() != nil {
-		return false
-	}
-	return !c.seen.near
+	return c.Validate() == nil && !c.seen.near
 }
 
 // AsTrace wraps the columns as a *Trace that replays them in place. It
@@ -515,18 +512,11 @@ func (c *Columnar) Validate() error { return c.ValidatePar(nil) }
 
 // ValidatePar is Validate with the per-thread walks run under fj. The
 // verdict is the one the sequential walk reaches: errors are reported in
-// thread order. A sealed image's walk carries digest lanes — its digest is
-// the one thing sealing left undone — so a recording validated here answers
-// Digest in O(1) afterwards. An opened file's never does: its footer names
-// its digest, and a warm trace cache pays for validation only.
+// thread order. Only an opened file is ever walked here, and without lanes:
+// its footer names its digest, and a warm trace cache pays for validation
+// only. A sealed image's verdict was settled by its first walk.
 func (c *Columnar) ValidatePar(fj ForkJoin) error {
-	c.validateOnce.Do(func() {
-		var lanes []lane
-		if c.sealed {
-			lanes = make([]lane, len(c.threads))
-		}
-		c.settle(c.walk(fj, lanes), fj)
-	})
+	c.validateOnce.Do(func() { c.settle(c.walk(fj, nil)) })
 	return c.validateErr
 }
 
@@ -538,19 +528,11 @@ type walkResult struct {
 	digest  uint64 // folded from the lanes, when the walk carried them and every op decoded
 }
 
-// settle memoizes a walk's findings, finishing a sealed image's footer under
-// fj. Callers hold validateOnce; a sealed image's walk carried lanes.
-func (c *Columnar) settle(r walkResult, fj ForkJoin) {
-	c.validateErr = r.verdict
-	switch {
-	case !c.sealed:
-		if r.verdict == nil {
-			c.seen = r.seen
-		}
-	case r.decode != nil:
-		c.digestErr = r.decode
-	default:
-		c.finishFooter(r.digest, fj)
+// settle memoizes a walk's verdict and, for a trace that passes it, its
+// footprint. Callers hold validateOnce.
+func (c *Columnar) settle(r walkResult) {
+	if c.validateErr = r.verdict; r.verdict == nil {
+		c.seen = r.seen
 	}
 }
 
@@ -735,7 +717,7 @@ func (c *Columnar) Verify() error {
 		return err
 	}
 	r := c.walk(nil, make([]lane, len(c.threads)))
-	c.validateOnce.Do(func() { c.settle(r, nil) })
+	c.validateOnce.Do(func() { c.settle(r) })
 	if r.decode != nil {
 		return r.decode
 	}
@@ -751,8 +733,8 @@ func (c *Columnar) Verify() error {
 // a caller that trusts the digest but not the medium (the -trace-cache
 // lookup). O(file); Open skips it.
 func (c *Columnar) CheckPayload(fj ForkJoin) error {
-	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
-		return err
+	if c.digestErr != nil { // no footer to check against
+		return c.digestErr
 	}
 	if got := checksum(fj, c.payload()...); got != c.payloadCRC {
 		return decodeErrf("checksum", int(c.Size())-footerSize, "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
@@ -796,8 +778,8 @@ func (c *Columnar) Decode() (*Trace, error) {
 // them, and must keep c reachable while it reads them — a mapped image is
 // unmapped once c is collected.
 func (c *Columnar) Segments() ([][]byte, error) {
-	if _, err := c.Digest(); err != nil { // a sealed image has no footer before this
-		return nil, err
+	if c.digestErr != nil { // no footer to end the image
+		return nil, c.digestErr
 	}
 	return c.segs, nil
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
@@ -338,5 +341,136 @@ func TestColumnarSections(t *testing.T) {
 			t.Fatalf("section %+v overlaps previous end %d", s, prevEnd)
 		}
 		prevEnd = s.Offset + s.Bytes
+	}
+}
+
+// overlong rewrites v2 stream raw so its first thread's first op carries its
+// gap as an overlong varint, or a zero one behind tagHasGap where it had
+// none: the same ops, in bytes WriteV2 never writes. hdr is the header's
+// length. It returns nil when that thread has no op to rewrite.
+func overlong(raw []byte, hdr int) []byte {
+	at := hdr + 8 // the first thread's first tag, after its op count
+	if binary.LittleEndian.Uint64(raw[hdr:]) == 0 {
+		return nil
+	}
+	out := bytes.Clone(raw[:at+1])
+	rest := raw[at+1:]
+	if out[at]&tagHasGap == 0 {
+		out[at] |= tagHasGap
+	} else {
+		n := 1
+		for rest[n-1] >= 0x80 {
+			n++
+		}
+		out = append(out, rest[:n]...)
+		out[len(out)-1] |= 0x80
+		rest = rest[n:]
+	}
+	out = append(append(out, 0x00), rest...)
+	refreshChecksum(out)
+	return out
+}
+
+// TestFoldedPayloadCRC holds every kind of image to one reference: a
+// recording, a canonical and a non-canonical v2 read, an opened file and an
+// in-memory one, a hand-built trace, and an opened file sealed again, for
+// recordings and for the hand-built corpus, valid or not. Asked nothing
+// first, each answers Digest with the sequential writer's checksum, Segments
+// and CheckPayload (under a fork-join) with a footer whose payload CRC —
+// summed per block, folded — is crc64.Checksum of the image before it; and
+// Count, Tally and NearBlind are what the validate-only walk over the
+// decoded ops finds. Only a non-canonical read walks its image as it seals.
+func TestFoldedPayloadCRC(t *testing.T) {
+	dir := t.TempDir()
+	check := func(name string, ops *Trace, src Source) {
+		t.Helper()
+		wantSeen, wantVerdict := refStreamsValidate(ops)
+		_, wantDigest, err := refStreamsWriteV2(ops)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		col := columnsOf(src)
+		if d, err := col.Digest(); err != nil || d != wantDigest {
+			t.Fatalf("%s: Digest %#x (%v), the sequential writer's checksum %#x", name, d, err, wantDigest)
+		}
+		segs, err := col.Segments()
+		if err != nil {
+			t.Fatalf("%s: Segments: %v", name, err)
+		}
+		image := bytes.Join(segs, nil)
+		payload, footer := image[:len(image)-footerSize], image[len(image)-footerSize:]
+		if got, want := binary.LittleEndian.Uint64(footer[40:]), crc64.Checksum(payload, crcTable); got != want {
+			t.Errorf("%s: footer payload CRC %#x, crc64 of the payload %#x", name, got, want)
+		}
+		if err := col.CheckPayload(concurrent); err != nil {
+			t.Errorf("%s: CheckPayload: %v", name, err)
+		}
+		barriers, dmas, waits, cycles := col.Tally()
+		got := footprint{counts: col.Count(), near: wantSeen.near, barriers: barriers, dmas: dmas, waits: waits, cycles: cycles}
+		if got != wantSeen || col.NearBlind() != (wantVerdict == nil && !wantSeen.near) || fmt.Sprint(col.Validate()) != fmt.Sprint(wantVerdict) {
+			t.Errorf("%s: footprint %+v near-blind %v (Validate %v), the reference walk over the ops %+v (%v)",
+				name, got, col.NearBlind(), col.Validate(), wantSeen, wantVerdict)
+		}
+	}
+	kinds := func(name string, build func() *Trace) {
+		t.Helper()
+		ops := build()
+		if ops.Streams == nil {
+			ops = decoded(t, ops)
+		}
+		check(name+"/source", ops, build())
+		var v2 bytes.Buffer
+		if _, err := build().WriteTo(&v2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hdr, err := headerV2(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, read := range []struct {
+			name  string
+			raw   []byte
+			walks int
+		}{{"canonical v2 read", v2.Bytes(), 0}, {"non-canonical v2 read", overlong(v2.Bytes(), len(hdr)), 1}} {
+			if read.raw == nil {
+				continue
+			}
+			var tr *Trace
+			if walks, laned := countWalks(func() { tr, err = decodeTrace(read.raw, concurrent) }); err != nil || walks != read.walks || laned != read.walks {
+				t.Fatalf("%s/%s: %v, %d walks (%d with lanes) as it sealed, want %d", name, read.name, err, walks, laned, read.walks)
+			}
+			check(name+"/"+read.name, ops, tr)
+		}
+		image, err := EncodeColumnar(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "t.nmt3")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opened.Close()
+		check(name+"/opened", ops, opened)
+		inMemory, err := OpenBytes(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/OpenBytes", ops, inMemory)
+		sealed, err := Seal(opened)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/sealed from an opened file", ops, sealed)
+	}
+	kinds("recording", func() *Trace { return sampleTrace(t) })
+	kinds("recording of 4 threads", func() *Trace { return digestTrace(4, 300) })
+	for _, c := range builtCorpus() {
+		if tr := c.build(); len(tr.Streams) > 0 && len(tr.PhaseNames) <= maxPhaseNames { // no file holds the rest
+			kinds("hand-built "+c.name, c.build)
+		}
 	}
 }

@@ -578,7 +578,7 @@ func countWalks(f func()) (walks, laned int) {
 
 // TestRecordDigestIsFree counts walks at each boundary a trace crosses — by
 // the walk hook, not a timer. The calls are the ones the callers make:
-// harness.Record (FinishPar, ValidatePar, Count), Supervisor.cellKeys and
+// harness.Record (FinishPar, Validate, Count), Supervisor.cellKeys and
 // serve.Store.Put (Digest), DiskRecordCache (WriteTo; Open, ValidatePar,
 // Count), handleUpload (Verify, Validate, Digest) and nmtrace convert.
 func TestRecordDigestIsFree(t *testing.T) {
@@ -601,7 +601,7 @@ func TestRecordDigestIsFree(t *testing.T) {
 	}
 
 	var rec *Trace
-	expect("recording: seal, then validate with the digest's lanes aboard", 1, 1, func() {
+	expect("recording: sealed, then walked once with the digest's lanes aboard", 1, 1, func() {
 		rec = digestTrace(4, 300)
 		rec.Columns().ValidatePar(nil)
 	})
@@ -617,7 +617,7 @@ func TestRecordDigestIsFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	expect("recording asked for its digest before anyone validated it", 1, 1, func() { use(digestTrace(2, 50)) })
+	expect("recording: finished and asked everything, no validation first", 1, 1, func() { use(digestTrace(2, 50)) })
 
 	path := filepath.Join(t.TempDir(), "t.nmt3")
 	if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
@@ -664,7 +664,7 @@ func TestRecordDigestIsFree(t *testing.T) {
 			t.Fatalf("v2 -> v3: %v, bytes equal: %v", err, bytes.Equal(again.Bytes(), v3.Bytes()))
 		}
 	})
-	expect("hand-built trace: sealed on first use, then a recording's one walk", 1, 1, func() {
+	expect("hand-built trace: sealed and walked on first use, as a recording is", 1, 1, func() {
 		built, err := rec.Decoded()
 		if err != nil {
 			t.Fatal(err)

@@ -2,16 +2,12 @@ package trace_test
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
 // v2Read is src written as a v2 stream and read back: columns the v2 reader
@@ -147,40 +143,4 @@ func TestSealedImageIsItsSegments(t *testing.T) {
 		requireSegmentLayout(t, tc.name, col, true)
 	}
 	requireSegmentLayout(t, "opened file", opened, false)
-}
-
-// TestFoldedPayloadCRC: the footer's payload CRC — per-segment sums under a
-// fork-join, folded — is crc64.Checksum of the image before its footer, for
-// recordings, v2 reads and hand-built traces of every shape the generator
-// draws, and CheckPayload agrees with it.
-func TestFoldedPayloadCRC(t *testing.T) {
-	table := crc64.MakeTable(crc64.ECMA)
-	check := func(name string, tr *trace.Trace) {
-		t.Helper()
-		col := tr.Columns()
-		col.ValidatePar(goEach) // the first walk finishes the footer, summing under goEach
-		segs, err := col.Segments()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		image := bytes.Join(segs, nil)
-		payload, footer := image[:len(image)-64], image[len(image)-64:]
-		if got, want := binary.LittleEndian.Uint64(footer[40:]), crc64.Checksum(payload, table); got != want {
-			t.Errorf("%s: footer payload CRC %#x, crc64 of the payload %#x", name, got, want)
-		}
-		if err := col.CheckPayload(goEach); err != nil {
-			t.Errorf("%s: CheckPayload: %v", name, err)
-		}
-	}
-	rec := recordSample(goEach)
-	check("recording", rec)
-	check("v2 read", v2Read(t, rec))
-	for seed := range 40 {
-		r := xrand.New(uint64(seed) + 1)
-		s, threads, shape := r.Uint64(), uint8(r.Intn(64)), uint8(seed)
-		name := fmt.Sprintf("seed=%d/threads=%d/shape=%d", s, threads, shape)
-		hand := builderCase(s, threads, shape)
-		check(name+"/v2 read", v2Read(t, hand))
-		check(name+"/hand-built", hand)
-	}
 }

@@ -90,7 +90,7 @@ func WriteV2Par(w io.Writer, src Source, fj ForkJoin) (int64, error) {
 		lanes[t].keep = true
 	}
 	r := c.walk(fj, lanes)
-	c.validateOnce.Do(func() { c.settle(r, fj) })
+	c.validateOnce.Do(func() { c.settle(r) })
 	if r.decode != nil {
 		return 0, r.decode
 	}
@@ -307,7 +307,7 @@ func checksum(fj ForkJoin, segs ...[]byte) uint64 {
 // constant residue.)
 //
 // The digest is memoized with the columns (see Columnar.Digest): a file's
-// footer names it, a sealed image learns it on its first walk. Traces are
+// footer names it, a sealed image's first walk wrote it there. Traces are
 // immutable once finished, so the memo never needs invalidating — but a
 // caller that mutates a hand-built Trace after first use gets the stale
 // fingerprint, which is why nothing in this module mutates a finished trace.
@@ -350,9 +350,11 @@ func decodeErrf(section string, off int, format string, args ...any) error {
 // an interrupted copy) is diagnosable from the error alone.
 //
 // The trace comes back the way a recording does, as sealed columns: one pass
-// decodes each op, notes what Validate checks and puts it into the column
-// builder, so no []Op ever exists. The checksum just verified is the content
-// digest, and Validate's verdict is memoized with it: a trace that fails
+// decodes each op, notes what Validate checks and the footprint, and puts it
+// into the column builder, so no []Op ever exists. The checksum just verified
+// is the content digest, and Validate's verdict and the footprint are
+// memoized with it (a stream whose checksum is not its digest gets its
+// image's first walk instead, see decodeTrace): a trace that fails
 // Validate is still returned, as it always was. ReadTrace runs on the calling
 // goroutine; Load reads a v2 file the same way on every CPU it is handed.
 func ReadTrace(r io.Reader) (*Trace, error) {
@@ -378,10 +380,11 @@ func v2Magic(raw []byte) error {
 
 // decodeTrace reads a v2 stream with its per-thread work under fj: the
 // checksum in blocks, then — once frameThreads has found where each thread's
-// ops start — every thread's decode, checks and puts, then the seal. The
-// threads after a failing one may decode too, but only the first failure in
-// thread order is reported: the one, with the section, offset and text, that
-// a reader going thread by thread stops at.
+// ops start — every thread's decode, checks and puts, then the seal, and for
+// a non-canonical stream the sealed image's first walk. The threads after a
+// failing one may decode too, but only the first failure in thread order is
+// reported: the one, with the section, offset and text, that a reader going
+// thread by thread stops at.
 func decodeTrace(raw []byte, fj ForkJoin) (*Trace, error) {
 	if err := v2Magic(raw); err != nil {
 		return nil, err
@@ -450,11 +453,11 @@ func decodeTrace(raw []byte, fj ForkJoin) (*Trace, error) {
 		return nil, decodeErrf("stream", end, "%d trailing payload bytes", len(payload)-end)
 	}
 	c := sealImage(costs, l1, names, sealing, fj)
-	if canon {
-		_, verdict := foldChecks(checks)
-		c.validateOnce.Do(func() { c.settle(walkResult{verdict: verdict, digest: want}, fj) })
+	if !canon {
+		return c.firstWalk(fj).AsTrace(), nil
 	}
-	return c.AsTrace(), nil
+	seen, verdict := foldChecks(checks)
+	return c.finish(walkResult{seen: seen, verdict: verdict, digest: want}, fj).AsTrace(), nil
 }
 
 // threadSection names thread t's op section for DecodeError reporting.
@@ -688,9 +691,10 @@ func (d *opDecoder) varintErr(section string, at int, i int64, what string) erro
 }
 
 // thread decodes one thread's n ops — the count is bounded by the payload —
-// putting each into b and noting it in k. This is the v2 open path's hot
-// loop, tens of millions of iterations for the Table I traces; it allocates
-// only what the builder's columns need, and on the error exits.
+// putting each into b and noting it in k, as walkThread notes a cursor's
+// ops. This is the v2 open path's hot loop, tens of millions of iterations
+// for the Table I traces; it allocates only what the builder's columns
+// need, and on the error exits.
 func (d *opDecoder) thread(section string, n int64, b *colBuilder, k *threadCheck) error {
 	var prevAddr uint64
 	running := true // no OpEnd yet
@@ -752,7 +756,10 @@ func (d *opDecoder) thread(section string, n int64, b *colBuilder, k *threadChec
 		default:
 			return decodeErrf(section, at, "op %d: unknown op kind %d", i, op.Kind)
 		}
-		if !routedAccess(op) || !running { // else nothing to check: put notes the footprint
+		k.seen.cycles += uint64(op.Gap)
+		if routedAccess(op) && running {
+			k.seen.access(op)
+		} else {
 			k.op(i, op)
 			running = !k.endSeen
 		}

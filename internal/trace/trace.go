@@ -297,12 +297,13 @@ func (r *Recorder) Thread(i int) *TP {
 func (r *Recorder) Threads() int { return len(r.threads) }
 
 // Finish seals the recording: dirty L1 lines become trailing writebacks,
-// every stream gets an end marker, and the per-thread columns are sealed
-// into one canonical v3 image (see builder.go). It returns the completed
+// every stream gets an end marker, the per-thread columns are sealed into
+// one canonical v3 image (see builder.go), and the image's first walk
+// validates it, counts it and writes its footer. It returns the completed
 // trace, which replays those columns in place. Calling Finish twice panics.
 func (r *Recorder) Finish() *Trace { return r.FinishPar(nil) }
 
-// FinishPar is Finish with the per-thread flush and seal run under fj.
+// FinishPar is Finish with the per-thread flush, seal and walk run under fj.
 func (r *Recorder) FinishPar(fj ForkJoin) *Trace {
 	if r.finished {
 		panic("trace: Recorder.Finish called twice")
@@ -313,7 +314,7 @@ func (r *Recorder) FinishPar(fj ForkJoin) *Trace {
 		builders[i] = &t.cols
 	}
 	fj.run(len(r.threads), func(i int) { r.threads[i].flushEnd() })
-	return sealImage(r.costs, r.l1, r.phaseNames, builders, fj).AsTrace()
+	return sealImage(r.costs, r.l1, r.phaseNames, builders, fj).firstWalk(fj).AsTrace()
 }
 
 // Trace is a completed recording. Traces are immutable once finished (or
@@ -339,10 +340,10 @@ type Trace struct {
 }
 
 // Columns returns the sealed columns the trace is made of, sealing a
-// hand-built trace's Streams the first time it is asked. Sealing refuses
-// nothing: a trace no file could hold (no threads, too many phase names)
-// still gets its errors where it always did, from Digest, WriteTo and
-// EncodeColumnar.
+// hand-built trace's Streams, and walking them once as a recording's are,
+// the first time it is asked. Sealing refuses nothing: a trace no file could
+// hold (no threads, too many phase names) still gets its errors where it
+// always did, from Digest, WriteTo and EncodeColumnar.
 func (tr *Trace) Columns() *Columnar {
 	tr.sealOnce.Do(func() {
 		if tr.cols != nil {
@@ -356,7 +357,7 @@ func (tr *Trace) Columns() *Columnar {
 			}
 			builders[t] = b
 		}
-		tr.cols = sealImage(tr.Costs, tr.L1, tr.PhaseNames, builders, nil)
+		tr.cols = sealImage(tr.Costs, tr.L1, tr.PhaseNames, builders, nil).firstWalk(nil)
 	})
 	return tr.cols
 }
@@ -426,9 +427,9 @@ type footprint struct {
 }
 
 // access adds one OpAccess or OpAtomic and dma one OpDMA, for walks that are
-// already inside their own switch on Kind (colBuilder.put, threadCheck.op):
-// ops of every other kind cost nothing but their tally. LevelCounts cannot
-// stand in for near — Near() counts neither atomics nor DMA streams.
+// already inside their own switch on Kind (threadCheck.op): ops of every
+// other kind cost nothing but their tally. LevelCounts cannot stand in for
+// near — Near() counts neither atomics nor DMA streams.
 func (f *footprint) access(op Op) {
 	f.counts.tally(op)
 	if inNear(op.Addr) {

@@ -265,48 +265,30 @@ func (k *refThread) op(op Op) error {
 	return nil
 }
 
-// refStreamsValidate is Validate over a hand-built trace's own streams.
-func refStreamsValidate(tr *Trace) error {
+// refStreamsValidate is Validate over a trace's own streams, and what it
+// learned of the footprint: the validate-only walk over []Op.
+func refStreamsValidate(tr *Trace) (footprint, error) {
+	var total footprint
 	barriers0 := 0
 	for t, ops := range tr.Streams {
 		k := refThread{tid: t, phases: len(tr.PhaseNames), seen: new(footprint)}
 		for _, op := range ops {
 			if err := k.op(op); err != nil {
-				return err
+				return footprint{}, err
 			}
 		}
 		if !k.endSeen {
-			return fmt.Errorf("trace: thread %d stream not terminated", t)
+			return footprint{}, fmt.Errorf("trace: thread %d stream not terminated", t)
 		}
 		if t == 0 {
 			barriers0 = k.barriers
 		}
 		if k.barriers != barriers0 {
-			return fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d", t, k.barriers, barriers0)
+			return footprint{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d", t, k.barriers, barriers0)
 		}
+		total.add(*k.seen)
 	}
-	return nil
-}
-
-// refStreamsFootprint is the walk Count and NearBlind made of a hand-built
-// trace's streams, whatever Validate thought of them.
-func refStreamsFootprint(tr *Trace) (f footprint) {
-	for _, s := range tr.Streams {
-		for _, op := range s {
-			f.cycles += uint64(op.Gap)
-			switch op.Kind {
-			case OpAccess, OpAtomic:
-				f.access(op)
-			case OpDMA:
-				f.dma(op)
-			case OpBarrier:
-				f.barriers++
-			case OpDMAWait:
-				f.waits++
-			}
-		}
-	}
-	return f
+	return total, nil
 }
 
 // refStreamsWriteV2 is the sequential writer over a hand-built trace's own
