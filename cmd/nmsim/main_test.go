@@ -32,11 +32,7 @@ func TestParseFlagsUnknown(t *testing.T) {
 // TestFaultConfigDisabled confirms -fault-rate 0 yields a disabled config
 // regardless of the seed, preserving the fault-free default path.
 func TestFaultConfigDisabled(t *testing.T) {
-	o, err := cli.NMSim.Parse([]string{"-fault-seed", "7"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc := o.Request().Params().Fault; fc.Enabled() {
+	if fc := clitest.Request(t, cli.NMSim, "-fault-seed", "7").Params().Fault; fc.Enabled() {
 		t.Fatalf("Params().Fault = %+v, want disabled at rate 0", fc)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,23 +23,13 @@ func TestValidateSupervision(t *testing.T)   { clitest.Validate(t, cli.Sweep, cl
 func TestValidateTimelineEpoch(t *testing.T) { clitest.Validate(t, cli.Sweep, clitest.Epoch) }
 func TestRunCancelled(t *testing.T)          { clitest.RunCancelled(t, cli.Sweep) }
 
-// request parses args through sweep and builds their request.
-func request(t *testing.T, args ...string) serve.SweepRequest {
-	t.Helper()
-	o, err := cli.Sweep.Parse(args, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o.Request()
-}
-
 // TestFlaglessRequest: a flagless sweep builds the request the wire's minimal
 // {"exp":"bandwidth"} means, plus the two seeds the wire leaves to the row
 // (internal/serve's TestNormalizeSweepIsTheFlaglessSweep holds the other side).
 func TestFlaglessRequest(t *testing.T) {
 	want := serve.SweepRequest{Exp: "bandwidth", N: 1 << 20, Seed: 2015, Cores: 256, SPMiB: 8, Format: "text",
 		FaultSeed: 1, RetrySeed: 1}
-	if got := request(t); !reflect.DeepEqual(got, want) {
+	if got := clitest.Request(t, cli.Sweep); !reflect.DeepEqual(got, want) {
 		t.Errorf("flagless request %+v, want %+v", got, want)
 	}
 }
@@ -48,14 +37,14 @@ func TestFlaglessRequest(t *testing.T) {
 // TestParseCoreList checks the -corelist entries reach the request, spaces
 // trimmed.
 func TestParseCoreList(t *testing.T) {
-	if cc := request(t, "-exp", "cores", "-corelist", " 64, 128 ,256").CoreList; !reflect.DeepEqual(cc, []int{64, 128, 256}) {
+	if cc := clitest.Request(t, cli.Sweep, "-exp", "cores", "-corelist", " 64, 128 ,256").CoreList; !reflect.DeepEqual(cc, []int{64, 128, 256}) {
 		t.Fatalf("core list %v, want [64 128 256]", cc)
 	}
 }
 
 // TestParseRatesEmpty confirms the empty flag selects the default axis.
 func TestParseRatesEmpty(t *testing.T) {
-	if rates := request(t, "-exp", "faults", "-fault-rates", "  ").FaultRates; rates != nil {
+	if rates := clitest.Request(t, cli.Sweep, "-exp", "faults", "-fault-rates", "  ").FaultRates; rates != nil {
 		t.Fatalf("blank -fault-rates = %v, want nil", rates)
 	}
 }

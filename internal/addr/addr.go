@@ -59,44 +59,20 @@ func LevelOf(a Addr) Level {
 	}
 }
 
-// Line returns the cache-line index of an address for the given line size,
-// which must be a power of two.
-func Line(a Addr, lineSize uint64) uint64 {
-	return uint64(a) &^ (lineSize - 1)
-}
-
-// Arena is a bump allocator carving a memory window into named regions.
-// The far memory is modeled as arbitrarily large, so its arena never
-// refuses an allocation; the near arena is bounded by the scratchpad
-// capacity and refusals are real (callers fall back to SPAllocator for
-// dynamic use, or size their chunks to fit).
+// Arena is a bump allocator carving the far memory window into regions.
+// The far memory is modeled as arbitrarily large, so an arena never
+// refuses an allocation; scratchpad space comes from SPAllocator.
 type Arena struct {
-	name  string
-	base  Addr
-	limit Addr // zero means unbounded
-	next  Addr
+	next Addr
 }
 
 // NewFarArena returns the arena for the capacity memory window.
 func NewFarArena() *Arena {
-	return &Arena{name: "far", base: FarBase, next: FarBase}
-}
-
-// NewNearArena returns the arena for a scratchpad of the given byte
-// capacity.
-func NewNearArena(capacity uint64) *Arena {
-	return &Arena{
-		name:  "near",
-		base:  NearBase,
-		next:  NearBase,
-		limit: NearBase + Addr(capacity),
-	}
+	return &Arena{next: FarBase}
 }
 
 // Alloc reserves n bytes aligned to align (a power of two; 0 means 64) and
-// returns the base address. Alloc panics when a bounded arena is exhausted:
-// the algorithms size their scratchpad working sets deliberately, so
-// exhaustion is a programming error, not a runtime condition.
+// returns the base address.
 func (ar *Arena) Alloc(n uint64, align uint64) Addr {
 	if align == 0 {
 		align = 64
@@ -105,26 +81,6 @@ func (ar *Arena) Alloc(n uint64, align uint64) Addr {
 		panic("addr: alignment must be a power of two")
 	}
 	p := (uint64(ar.next) + align - 1) &^ (align - 1)
-	end := p + n
-	if ar.limit != 0 && Addr(end) > ar.limit {
-		panic(fmt.Sprintf("addr: %s arena exhausted: want %d bytes, %d free",
-			ar.name, n, uint64(ar.limit)-uint64(ar.next)))
-	}
-	ar.next = Addr(end)
+	ar.next = Addr(p + n)
 	return Addr(p)
 }
-
-// Used reports the bytes consumed so far.
-func (ar *Arena) Used() uint64 { return uint64(ar.next - ar.base) }
-
-// Free reports the bytes remaining, or ^uint64(0) for an unbounded arena.
-func (ar *Arena) Free() uint64 {
-	if ar.limit == 0 {
-		return ^uint64(0)
-	}
-	return uint64(ar.limit - ar.next)
-}
-
-// Reset returns the arena to empty. Used between independent experiment
-// runs that reuse one machine description.
-func (ar *Arena) Reset() { ar.next = ar.base }

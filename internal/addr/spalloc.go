@@ -97,27 +97,9 @@ func (s *SPAllocator) SPFree(a Addr) {
 	}
 }
 
-// InUse returns the bytes currently allocated.
-func (s *SPAllocator) InUse() uint64 { return s.inUse }
-
 // Peak returns the high-water mark of allocated bytes, used to verify the
 // sub-1% metadata overhead claim of Section IV-D.
 func (s *SPAllocator) Peak() uint64 { return s.peak }
-
-// Capacity returns the managed scratchpad size.
-func (s *SPAllocator) Capacity() uint64 { return s.capacity }
-
-// LargestFree returns the size of the largest free span — what the next
-// SPMalloc could satisfy.
-func (s *SPAllocator) LargestFree() uint64 {
-	var max uint64
-	for _, f := range s.free {
-		if f.size > max {
-			max = f.size
-		}
-	}
-	return max
-}
 
 // CheckInvariants verifies the free list is sorted, non-overlapping,
 // non-adjacent (fully coalesced), inside the window, and that free+live

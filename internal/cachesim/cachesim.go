@@ -136,7 +136,6 @@ type Cache struct {
 	tags     []uint64 // set-major: way w of set s is tags[s*ways+w]
 	sets     []setState
 	stats    Stats
-	capacity units.Bytes
 }
 
 // New builds a cache of the given capacity, line size, and associativity.
@@ -155,7 +154,6 @@ func New(capacity, lineSize units.Bytes, ways int) *Cache {
 		lruShift: 4 * uint(ways-1),
 		tags:     make([]uint64, sets*ways),
 		sets:     make([]setState, sets),
-		capacity: capacity,
 	}
 	c.Reset()
 	return c
@@ -218,19 +216,6 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
-// Contains reports whether the line holding addr is currently cached,
-// without perturbing LRU state. Used by tests.
-func (c *Cache) Contains(addr uint64) bool {
-	line := addr &^ (c.lineSize - 1)
-	si := int((line >> c.setShift) & c.setMask)
-	for w, t := range c.tags[si*c.ways:][:c.ways] {
-		if t == line && c.sets[si].valid>>uint(w)&1 != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // FlushDirty returns the addresses of all dirty lines — in ascending set,
 // then ascending way, the order the recorder emits them as writebacks — and
 // marks them clean. Used at the end of a recorded phase to account for the
@@ -259,12 +244,3 @@ func (c *Cache) Reset() {
 
 // Stats returns a copy of the access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// LineSize returns the cache's line size in bytes.
-func (c *Cache) LineSize() units.Bytes { return units.Bytes(c.lineSize) }
-
-// Capacity returns the cache's total data capacity.
-func (c *Cache) Capacity() units.Bytes { return c.capacity }
-
-// Sets returns the number of sets (for tests).
-func (c *Cache) Sets() int { return len(c.sets) }

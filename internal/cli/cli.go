@@ -201,9 +201,6 @@ func (o *Options) validate() error {
 	return o.req.Validate()
 }
 
-// Request is the run's one description, as Parse built it from the flags.
-func (o *Options) Request() serve.SweepRequest { return o.req }
-
 // parseLists fills the request's list fields from the flag strings. Only
 // the one the experiment reads is parsed, keeping the historical behavior
 // that a junk -corelist is ignored outside -exp=cores.

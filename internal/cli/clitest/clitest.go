@@ -6,11 +6,15 @@ package clitest
 
 import (
 	"context"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/serve"
 )
 
 // Case is one command line and what each command makes of it: the text its
@@ -148,6 +152,24 @@ func Run(t *testing.T, ctx context.Context, c cli.Command, args ...string) (stri
 		t.Fatalf("%s %v: run: %v", c.Name, args, err)
 	}
 	return b.String(), failed
+}
+
+// Request returns the request c builds from args: the one it sends a
+// daemon, caught by running the line with -server against a stub.
+func Request(t *testing.T, c cli.Command, args ...string) serve.SweepRequest {
+	t.Helper()
+	sent := make(chan serve.SweepRequest, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req serve.SweepRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sent <- req
+	}))
+	defer hs.Close()
+	Run(t, context.Background(), c, append(args, "-server", hs.URL)...)
+	return <-sent
 }
 
 // RunCancelled runs a small command line of c's under a context cancelled

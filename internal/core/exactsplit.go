@@ -179,26 +179,3 @@ func boolInt(b bool) int {
 	}
 	return 0
 }
-
-// ExactCuts computes the full (p+1) x k cut table for p exactly balanced
-// output parts — the drop-in alternative to SplitRuns for callers that
-// want GNU's exact splitting: part t receives exactly its fair share of
-// elements (±1), regardless of key skew.
-func ExactCuts(tp *trace.TP, runs []trace.U64, p int) [][]int {
-	k := len(runs)
-	total := 0
-	for _, r := range runs {
-		total += r.Len()
-	}
-	cuts := make([][]int, p+1)
-	cuts[0] = make([]int, k)
-	for t := 1; t < p; t++ {
-		cuts[t] = ExactSelect(tp, runs, t*total/p)
-	}
-	last := make([]int, k)
-	for i, r := range runs {
-		last[i] = r.Len()
-	}
-	cuts[p] = last
-	return cuts
-}

@@ -114,29 +114,6 @@ func TestExactSelectProperty(t *testing.T) {
 	}
 }
 
-func TestExactCutsBalanced(t *testing.T) {
-	// Exact cuts must produce perfectly balanced parts (±1) even on
-	// pathologically skewed keys, where sampled splitting collapses.
-	runs := make([]trace.U64, 8)
-	base := addr.FarBase
-	for i := range runs {
-		d := make([]uint64, 1000)
-		for j := range d {
-			d[j] = 42 // all keys identical: the sampling worst case
-		}
-		runs[i] = trace.U64{Base: base, D: d}
-		base += addr.Addr(8 * 1024)
-	}
-	const p = 16
-	cuts := ExactCuts(nil, runs, p)
-	want := 8 * 1000 / p
-	for t2 := 0; t2 < p; t2++ {
-		if got := PartLen(cuts, t2); got < want-1 || got > want+1 {
-			t.Errorf("part %d has %d elements, want %d±1", t2, got, want)
-		}
-	}
-}
-
 func TestGNUSortExact(t *testing.T) {
 	for _, n := range []int{100, 1 << 13, 1 << 15} {
 		e := pureEnv(8, units.MiB)

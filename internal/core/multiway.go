@@ -80,9 +80,6 @@ func (t *LoserTree) less(a, b int) bool {
 	return a < b
 }
 
-// Len returns how many elements remain.
-func (t *LoserTree) Len() int { return t.left }
-
 // Next pops the smallest remaining element. Calling Next on an empty tree
 // panics.
 func (t *LoserTree) Next(tp *trace.TP) uint64 {
@@ -152,30 +149,9 @@ func sampleRun(tp *trace.TP, run trace.U64, out trace.U64, perRun int) {
 	}
 }
 
-// SplitRuns computes, for each of p output parts, the half-open slice of
-// every run that part merges, using sorted sample splitters. splitters has
-// p-1 values; part t receives run elements in [splitters[t-1], splitters[t])
-// by value (ties broken by position via lowerBound consistency). The
-// returned cuts[t][r] is the starting index of part t in run r, with a
-// final row cuts[p][r] = len(run r).
-func SplitRuns(tp *trace.TP, runs []trace.U64, splitters []uint64) [][]int {
-	p := len(splitters) + 1
-	cuts := make([][]int, p+1)
-	cuts[0] = make([]int, len(runs))
-	for t := 1; t < p; t++ {
-		cuts[t] = make([]int, len(runs))
-		for r, run := range runs {
-			cuts[t][r] = lowerBound(tp, run, splitters[t-1])
-		}
-	}
-	cuts[p] = make([]int, len(runs))
-	for r, run := range runs {
-		cuts[p][r] = run.Len()
-	}
-	return cuts
-}
-
-// PartRuns materializes part t's run slices from SplitRuns output.
+// PartRuns materializes part t's run slices from a cut table: cuts[t][r]
+// is the starting index of part t in run r, and a final row cuts[p][r] is
+// len(run r).
 func PartRuns(runs []trace.U64, cuts [][]int, t int) []trace.U64 {
 	parts := make([]trace.U64, 0, len(runs))
 	for r, run := range runs {

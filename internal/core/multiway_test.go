@@ -69,16 +69,10 @@ func TestMultiwayMergeWithMaxValues(t *testing.T) {
 func TestLoserTreeNext(t *testing.T) {
 	runs, want := sortedRuns(3, []int{7, 13, 2})
 	lt := NewLoserTree(nil, runs)
-	if lt.Len() != len(want) {
-		t.Fatalf("Len = %d", lt.Len())
-	}
 	for i, w := range want {
 		if got := lt.Next(nil); got != w {
 			t.Fatalf("Next %d = %d, want %d", i, got, w)
 		}
-	}
-	if lt.Len() != 0 {
-		t.Error("tree should be drained")
 	}
 }
 
@@ -126,44 +120,6 @@ func TestMultiwayMergeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSplitRunsPartition(t *testing.T) {
-	runs, all := sortedRuns(8, []int{50, 30, 70, 10})
-	// Splitters at the quartiles of the union.
-	splitters := []uint64{all[40], all[80], all[120]}
-	cuts := SplitRuns(nil, runs, splitters)
-	if len(cuts) != 5 {
-		t.Fatalf("cuts rows = %d", len(cuts))
-	}
-	total := 0
-	for p := 0; p < 4; p++ {
-		total += PartLen(cuts, p)
-	}
-	if total != len(all) {
-		t.Fatalf("parts cover %d of %d elements", total, len(all))
-	}
-	// Part boundaries respect values: everything in part p is <= everything
-	// in part p+1 (via splitter semantics).
-	var prevMax uint64
-	for p := 0; p < 4; p++ {
-		parts := PartRuns(runs, cuts, p)
-		for _, pr := range parts {
-			for i := 0; i < pr.Len(); i++ {
-				v := pr.Get(nil, i)
-				if p > 0 && v < prevMax && v < splitters[p-1] {
-					t.Fatalf("part %d holds %d below splitter %d", p, v, splitters[p-1])
-				}
-			}
-		}
-		for _, pr := range parts {
-			if pr.Len() > 0 {
-				if v := pr.Get(nil, pr.Len()-1); v > prevMax {
-					prevMax = v
-				}
-			}
-		}
 	}
 }
 

@@ -34,7 +34,7 @@ func TestNMSortGeometryProperty(t *testing.T) {
 			t.Logf("n=%d p=%d m=%v opt=%+v", n, p, m, opt)
 			return false
 		}
-		return e.SP.InUse() == 0 // no scratchpad leaks either
+		return spEmpty(e) // no scratchpad leaks either
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

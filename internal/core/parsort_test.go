@@ -118,7 +118,7 @@ func TestParScratchpadSortScratchpadReleased(t *testing.T) {
 	a := e.AllocFar(1 << 12)
 	copy(a.D, randKeys(1<<12, 23))
 	ParScratchpadSort(e, a, SeqOptions{SampleSize: 64})
-	if e.SP.InUse() != 0 {
-		t.Errorf("scratchpad leak: %d bytes", e.SP.InUse())
+	if !spEmpty(e) {
+		t.Error("scratchpad leak: an allocation is still live")
 	}
 }

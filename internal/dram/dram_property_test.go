@@ -17,7 +17,7 @@ func TestAccessCompletionMonotone(t *testing.T) {
 	f := func(offsets []uint32) bool {
 		s := engine.New()
 		d := New(s, DDR1066(4), addr.FarBase)
-		cfg := d.Config()
+		cfg := d.cfg
 		minLat := cfg.TCas + cfg.ChannelBW.TransferTime(cfg.LineSize)
 		at := units.Time(0)
 		for i, off := range offsets {

@@ -26,7 +26,7 @@ func TestDDR1066Shape(t *testing.T) {
 
 func TestRowHitFasterThanConflict(t *testing.T) {
 	s, d := dev()
-	cfg := d.Config()
+	cfg := d.cfg
 	// First access opens a row (row miss).
 	t1 := d.Access(0, addr.FarBase, false)
 	// Same row, next line on the same channel: channels interleave by
@@ -58,7 +58,7 @@ func TestRowStateTracking(t *testing.T) {
 	// off = rowBytes*banks*4 -> line = off/64 (line%4 == 0 -> channel 0),
 	// channel-local line = line/4, row = chLine/(rowBytes/64) = banks,
 	// bank = banks%banks = 0. Same bank as row 0, different row: conflict.
-	cfg := d.Config()
+	cfg := d.cfg
 	conflict := addr.FarBase + addr.Addr(uint64(cfg.RowBytes)*uint64(cfg.Banks)*4)
 	d.Access(2000, conflict, false)
 	if st := d.Stats(); st.RowConflicts != 1 {
@@ -104,7 +104,7 @@ func TestSustainedBandwidthNearPeak(t *testing.T) {
 		}
 	}
 	bw := float64(1<<20) / last.Seconds()
-	peak := float64(d.Config().TotalBandwidth())
+	peak := float64(d.cfg.TotalBandwidth())
 	if bw < peak/2 {
 		t.Errorf("sustained %v of peak %v", units.BytesPerSecond(bw), units.BytesPerSecond(peak))
 	}
@@ -121,7 +121,7 @@ func TestRowMappingChannelLocal(t *testing.T) {
 	// old global mapping (row = off/RowBytes) called the second access a
 	// different row on a different bank.
 	_, d := dev()
-	cfg := d.Config()
+	cfg := d.cfg
 	d.Access(0, addr.FarBase, false)
 	d.Access(1000, addr.FarBase+addr.Addr(cfg.RowBytes), false)
 	st := d.Stats()

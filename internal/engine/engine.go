@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/units"
@@ -124,15 +125,6 @@ func (q *queue) pop() item {
 		a[i] = last
 	}
 	return root
-}
-
-// peek returns the minimum item without removing it; ok is false when the
-// queue is empty.
-func (q *queue) peek() (item, bool) {
-	if len(q.a) == 0 {
-		return item{}, false
-	}
-	return q.a[0], true
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; use New.
@@ -344,63 +336,14 @@ func (s *Sim) step() {
 	s.fire(s.events.pop())
 }
 
-// Run executes events until the queue drains, settles the clock to the
-// drain horizon (see Extend), and returns the final time. RunBudget adds a
-// runaway guard and the watchdog cross-check.
+// Run is RunBudget with no budget and no pause: it executes events until
+// the queue drains, settles the clock to the drain horizon (see Extend),
+// and returns the final time. The watchdog's verdict is dropped; a caller
+// that wants it runs RunBudget.
 func (s *Sim) Run() units.Time {
-	for s.events.len() > 0 {
-		s.step()
-	}
-	s.settle()
-	return s.now
+	end, _ := s.RunBudget(math.MaxUint64, 0, nil)
+	return end
 }
-
-// RunUntil executes events with timestamps <= deadline. It returns true if
-// the queue drained, false if events at later times remain.
-//
-// Time semantics on a false return: Now() is the timestamp of the last
-// *executed* event, which can be well short of the deadline — the clock
-// only advances by executing events, and the first event past the deadline
-// stays queued. Callers computing residual or idle time must measure
-// against the deadline they passed, not Now(), or they over-count the gap
-// between the last in-window event and the deadline as simulated activity.
-// On a true return (queue drained) the same holds: Now() is the last
-// event's time, or is unchanged when no event ran at all. Callers that
-// stop at the deadline can consult Stalled() for components caught mid-
-// request.
-//
-// RunUntil never settles to the drain horizon, drained or not: it stops at
-// a deadline, not at the end of the simulation. Finish with Run or
-// RunBudget when the final time matters.
-func (s *Sim) RunUntil(deadline units.Time) bool {
-	for {
-		head, ok := s.events.peek()
-		if !ok {
-			return true
-		}
-		if head.at > deadline {
-			return false
-		}
-		s.step()
-	}
-}
-
-// Step executes exactly one event; it reports false when none remain. Like
-// RunUntil it never settles to the drain horizon.
-func (s *Sim) Step() bool {
-	if s.events.len() == 0 {
-		return false
-	}
-	s.step()
-	return true
-}
-
-// Pending returns the number of scheduled events not yet executed.
-func (s *Sim) Pending() int { return s.events.len() }
-
-// Cap returns the event queue's current capacity: what Reserve asked for,
-// or more if the queue has since had to grow.
-func (s *Sim) Cap() int { return cap(s.events.a) }
 
 // Executed returns the total number of events run, a cheap progress and
 // complexity metric for simulations.

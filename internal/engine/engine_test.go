@@ -79,45 +79,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	New().After(-1, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	ran := 0
-	s.At(10, func() { ran++ })
-	s.At(20, func() { ran++ })
-	s.At(30, func() { ran++ })
-	if s.RunUntil(20) {
-		t.Error("queue should not have drained")
-	}
-	if ran != 2 {
-		t.Errorf("ran = %d, want 2", ran)
-	}
-	if !s.RunUntil(100) {
-		t.Error("queue should drain")
-	}
-	if ran != 3 {
-		t.Errorf("ran = %d, want 3", ran)
-	}
-}
-
-func TestStepAndPending(t *testing.T) {
-	s := New()
-	s.At(1, func() {})
-	s.At(2, func() {})
-	if s.Pending() != 2 {
-		t.Errorf("Pending = %d", s.Pending())
-	}
-	if !s.Step() || s.Pending() != 1 {
-		t.Error("Step bookkeeping wrong")
-	}
-	s.Step()
-	if s.Step() {
-		t.Error("Step on empty queue should report false")
-	}
-	if s.Executed() != 2 {
-		t.Errorf("Executed = %d", s.Executed())
-	}
-}
-
 // TestFIFOTieBreakAcrossHeapChurn grows and shrinks the heap while a
 // population of same-timestamp events is resident: each wave adds a batch
 // of t=1000 events (heap growth, sift-ups) and then drains a batch of
@@ -137,8 +98,12 @@ func TestFIFOTieBreakAcrossHeapChurn(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			s.At(units.Time(wave*100+i%13), func() {})
 		}
-		if s.RunUntil(units.Time(wave*100 + 99)) {
-			t.Fatal("queue drained early: the t=1000 cohort should remain")
+		// The wave's fillers are the 40 earliest events queued.
+		for i := 0; i < 40; i++ {
+			s.step()
+		}
+		if len(order) != 0 {
+			t.Fatal("a t=1000 event ran before the fillers drained")
 		}
 	}
 	s.Run()
@@ -164,63 +129,13 @@ func TestPeek(t *testing.T) {
 	if !ok || head.at != 10 {
 		t.Errorf("peek = (%v, %v), want earliest event at 10", head.at, ok)
 	}
-	if s.Pending() != 3 {
-		t.Errorf("peek must not consume: Pending = %d, want 3", s.Pending())
+	if s.events.len() != 3 {
+		t.Errorf("peek must not consume: %d queued, want 3", s.events.len())
 	}
 	// peek tracks the minimum as the heap drains.
-	s.Step()
+	s.step()
 	if head, ok := s.events.peek(); !ok || head.at != 20 {
 		t.Errorf("after one Step, peek at %v, want 20", head.at)
-	}
-}
-
-func TestRunUntilEmptyAndEarlyDeadline(t *testing.T) {
-	s := New()
-	if !s.RunUntil(100) {
-		t.Error("RunUntil on an empty queue must report drained")
-	}
-	if s.Now() != 0 {
-		t.Errorf("RunUntil with nothing to run must not advance time, now = %v", s.Now())
-	}
-	ran := false
-	s.At(50, func() { ran = true })
-	if s.RunUntil(49) {
-		t.Error("deadline before the first event: queue must not drain")
-	}
-	if ran || s.Now() != 0 {
-		t.Errorf("no event may run before its time: ran=%v now=%v", ran, s.Now())
-	}
-	// A deadline exactly at the event's timestamp is inclusive.
-	if !s.RunUntil(50) || !ran {
-		t.Error("RunUntil deadline is inclusive of events at the deadline")
-	}
-	if s.Executed() != 1 {
-		t.Errorf("Executed = %d, want 1", s.Executed())
-	}
-}
-
-// TestRunUntilNowIsLastEventTime pins the documented time contract: after
-// RunUntil returns, Now() is the last *executed* event's time — never the
-// deadline. Callers computing residual or idle time against the window
-// must measure from the deadline they passed, or they count the gap
-// between the last in-window event and the deadline as simulated activity.
-func TestRunUntilNowIsLastEventTime(t *testing.T) {
-	s := New()
-	s.At(10, func() {})
-	s.At(70, func() {})
-	if s.RunUntil(50) {
-		t.Fatal("an event at 70 remains; the queue must not report drained")
-	}
-	if s.Now() != 10 {
-		t.Errorf("Now() = %v after stopping at deadline 50, want 10 (last executed event)", s.Now())
-	}
-	// The same holds on a drained (true) return: the clock stays at the
-	// final event, not at the later deadline.
-	if !s.RunUntil(1000) {
-		t.Fatal("queue should drain")
-	}
-	if s.Now() != 70 {
-		t.Errorf("Now() = %v after drain, want 70", s.Now())
 	}
 }
 
@@ -293,11 +208,8 @@ func TestResourceSerializes(t *testing.T) {
 			t.Errorf("transfer %d completes at %v, want %v", i, done[i], want[i])
 		}
 	}
-	if r.Served() != 3 || r.Bytes() != 192 {
-		t.Errorf("stats: served=%d bytes=%d", r.Served(), r.Bytes())
-	}
-	if r.TotalWait() != 64000+128000 {
-		t.Errorf("TotalWait = %v", r.TotalWait())
+	if r.Bytes() != 192 {
+		t.Errorf("bytes = %d, want 192", r.Bytes())
 	}
 }
 
@@ -309,10 +221,7 @@ func TestResourceIdleGap(t *testing.T) {
 	s.At(1000000, func() { second = r.Acquire(64) }) // 1ms later: no queueing
 	s.Run()
 	if second != 1000000+64000 {
-		t.Errorf("second completes at %v", second)
-	}
-	if r.TotalWait() != 0 {
-		t.Errorf("no waiting expected, got %v", r.TotalWait())
+		t.Errorf("second completes at %v, want no queueing", second)
 	}
 }
 

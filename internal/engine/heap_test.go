@@ -186,7 +186,7 @@ func TestNegativeTimePanics(t *testing.T) {
 			}()
 			door.schedule(s)
 		}()
-		if s.Pending() != 0 {
+		if s.events.len() != 0 {
 			t.Errorf("%s(-1) left an event queued", door.name)
 		}
 	}
@@ -231,6 +231,15 @@ func TestReserve(t *testing.T) {
 
 func noop() {}
 
+// peek returns the minimum item without removing it; ok is false when the
+// queue is empty.
+func (q *queue) peek() (item, bool) {
+	if len(q.a) == 0 {
+		return item{}, false
+	}
+	return q.a[0], true
+}
+
 // TestSchedulePopZeroAllocs is the tentpole's contract: once the queue is
 // at capacity, a schedule/execute cycle performs zero heap allocations.
 // container/heap could never pass this — Push(x any) boxes every item.
@@ -238,7 +247,7 @@ func TestSchedulePopZeroAllocs(t *testing.T) {
 	s := NewWithCap(1024)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.After(10, noop)
-		s.Step()
+		s.step()
 	})
 	if allocs != 0 {
 		t.Errorf("schedule+step allocates %.1f per event, want 0", allocs)

@@ -16,9 +16,7 @@ type Resource struct {
 
 	// Stats.
 	busyTime units.Time // total occupied time
-	served   uint64     // requests served
 	bytes    uint64     // bytes transferred
-	waited   units.Time // total queueing delay imposed
 }
 
 // NewResource returns a resource of the given bandwidth attached to sim.
@@ -32,14 +30,12 @@ func NewResource(sim *Sim, bw units.BytesPerSecond) *Resource {
 func (r *Resource) Acquire(n units.Bytes) units.Time {
 	start := r.sim.Now()
 	if r.busyUntil > start {
-		r.waited += r.busyUntil - start
 		start = r.busyUntil
 	}
 	//nmlint:ignore escape-check inlined TransferTime panic string; the escape is on the cold bad-bandwidth exit
 	svc := r.bw.TransferTime(n)
 	r.busyUntil = start + svc
 	r.busyTime += svc
-	r.served++
 	r.bytes += uint64(n)
 	return r.busyUntil
 }
@@ -52,8 +48,8 @@ func (r *Resource) AcquireAt(earliest units.Time, n units.Bytes) units.Time {
 
 // AcquireAtFactor is AcquireAt with the service time stretched by factor
 // (>= 1): the request occupies the resource as if it ran at bandwidth/factor.
-// The fault layer uses it to model a degraded channel; bytes and request
-// counts are unaffected, only occupancy grows.
+// The fault layer uses it to model a degraded channel; the byte count is
+// unaffected, only occupancy grows.
 func (r *Resource) AcquireAtFactor(earliest units.Time, n units.Bytes, factor int64) units.Time {
 	if factor < 1 {
 		panic("engine: resource slowdown factor must be >= 1")
@@ -63,14 +59,12 @@ func (r *Resource) AcquireAtFactor(earliest units.Time, n units.Bytes, factor in
 		start = r.sim.Now()
 	}
 	if r.busyUntil > start {
-		r.waited += r.busyUntil - start
 		start = r.busyUntil
 	}
 	//nmlint:ignore escape-check inlined TransferTime panic string; cold bad-bandwidth exit only
 	svc := r.bw.TransferTime(n) * units.Time(factor)
 	r.busyUntil = start + svc
 	r.busyTime += svc
-	r.served++
 	r.bytes += uint64(n)
 	return r.busyUntil
 }
@@ -95,11 +89,5 @@ func (r *Resource) BusyUntil() units.Time { return r.busyUntil }
 // utilization deltas.
 func (r *Resource) BusyTime() units.Time { return r.busyTime }
 
-// Served returns the number of requests this resource has serviced.
-func (r *Resource) Served() uint64 { return r.served }
-
 // Bytes returns the number of bytes transferred through the resource.
 func (r *Resource) Bytes() uint64 { return r.bytes }
-
-// TotalWait returns the cumulative queueing delay imposed on requests.
-func (r *Resource) TotalWait() units.Time { return r.waited }

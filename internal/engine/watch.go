@@ -10,8 +10,8 @@ import (
 // The watchdog closes the simulator's worst failure mode: a mis-scheduled
 // or dropped completion event does not crash the event loop, it silently
 // drains the queue early and yields a plausible-looking but wrong SimTime.
-// Components register themselves with Watch; when a run ends (queue drain,
-// event budget, or RunUntil deadline) the engine cross-checks every
+// Components register themselves with Watch; when a run ends (queue drain
+// or event budget) RunBudget cross-checks every
 // registered busy horizon and outstanding-request count and turns any
 // leftover work into a structured StallError naming the component —
 // a loud, diagnosable failure instead of a wrong table.
@@ -70,7 +70,7 @@ func (e *StallError) Error() string {
 // Stalled cross-checks every watched component against the current time
 // and returns a StallError when any has outstanding requests or a busy
 // period extending past Now — nil when all are quiescent. It is meaningful
-// after the queue drains (Run, RunBudget) or at a RunUntil deadline.
+// after the queue drains.
 func (s *Sim) Stalled() *StallError {
 	var stalls []ComponentStall
 	for _, w := range s.watchers {

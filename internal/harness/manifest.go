@@ -130,13 +130,6 @@ func OpenManifest(path string) (*Manifest, error) {
 	return m, nil
 }
 
-// Len reports the number of checkpointed cells.
-func (m *Manifest) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.cells)
-}
-
 // Lookup returns the checkpoint for key, if one exists.
 func (m *Manifest) Lookup(key CellKey) (CellOutcome, bool) {
 	m.mu.Lock()

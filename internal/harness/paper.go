@@ -128,7 +128,8 @@ func coDesign(_ ExperimentParams, w Workload) (Output, error) {
 // blockTransfers validates Theorem 6 (experiment M1): the sequential
 // scratchpad sort recorded at six doublings of N up to w.N, its far and near
 // line transfers beside the model's leading terms. M = 64 KiB, Z is the
-// record-time L1, ρ = 4, and each size's keys are seeded by the size.
+// record-time L1, ρ = 4, and each size's keys are seeded by the size. The
+// sizes record at once, each on its own recorder and Env.
 func blockTransfers(_ ExperimentParams, w Workload) (Output, error) {
 	const sp, rho = 64 * units.KiB, 4.0
 	sizes, err := sizeAxis("m1", w.N, 2, 6, 1)
@@ -138,23 +139,34 @@ func blockTransfers(_ ExperimentParams, w Workload) (Output, error) {
 	t := report.New(fmt.Sprintf("Theorem 6: sequential scratchpad sort, measured line transfers vs the model (M=%v, Z=%v, B=64B, rho=%.0f)",
 		sp, ScaledL1.Capacity, rho),
 		"N", "far_lines", "near_lines", "scans", "model_far", "model_near")
-	for _, n := range sizes {
+	counts := make([]trace.LevelCounts, len(sizes))
+	scans := make([]int, len(sizes))
+	errs := make([]error, len(sizes))
+	par.Each(len(sizes), func(i int) {
+		n := sizes[i]
 		// Count-only, never replayed: the row reads SeqStats, not a Record.
 		rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
 		env := core.NewEnv(1, sp, rec, 99)
 		a := env.AllocFar(n)
 		xrand.New(uint64(n)).Keys(a.D)
-		st := core.SeqScratchpadSort(env, a, core.SeqOptions{})
+		scans[i] = core.SeqScratchpadSort(env, a, core.SeqOptions{}).Scans
 		if !core.IsSorted(a.D) {
-			return nil, fmt.Errorf("harness: m1: N=%d not sorted", n)
+			errs[i] = fmt.Errorf("harness: m1: N=%d not sorted", n)
+			return
 		}
-		c := rec.Finish().Count()
+		counts[i] = rec.Finish().Count()
+	})
+	for i, n := range sizes {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		c := counts[i]
 		p := model.Params{N: int64(n), Elem: 8, B: 64, Rho: rho, M: sp, Z: ScaledL1.Capacity, P: 1, PPrime: 1}
 		pred := p.ScratchpadSort()
 		// The model counts B-sized far blocks and ρB-sized near blocks; the
 		// counters are 64-byte lines, so near lines = ρ × near blocks.
 		t.AddRow(strconv.Itoa(n), strconv.FormatUint(c.Far(), 10), strconv.FormatUint(c.Near(), 10),
-			strconv.Itoa(st.Scans), fmt.Sprintf("%.0f", pred.DRAMBlocks), fmt.Sprintf("%.0f", pred.SPBlocks*rho))
+			strconv.Itoa(scans[i]), fmt.Sprintf("%.0f", pred.DRAMBlocks), fmt.Sprintf("%.0f", pred.SPBlocks*rho))
 	}
 	return tableOutput{t: t}, nil
 }
@@ -194,7 +206,8 @@ func lemma5(_ ExperimentParams, w Workload) (Output, error) {
 // innerSort isolates Corollaries 3 and 7 (experiment M3): x
 // scratchpad-resident keys sorted by the multiway mergesort (runs of 128,
 // fanout 8) and by quicksort, near lines per key, at x = w.N/64, /16, /4 and
-// w.N. Each size gets a scratchpad of 24 bytes per key.
+// w.N. Each size gets a scratchpad of 24 bytes per key. The eight
+// recordings run at once, each on its own recorder and Env.
 func innerSort(_ ExperimentParams, w Workload) (Output, error) {
 	sizes, err := sizeAxis("m3", w.N, 4, 4, 16)
 	if err != nil {
@@ -202,26 +215,34 @@ func innerSort(_ ExperimentParams, w Workload) (Output, error) {
 	}
 	t := report.New(fmt.Sprintf("Corollaries 3 and 7: sorting x scratchpad-resident keys, near lines (Z=%v record L1)", ScaledL1.Capacity),
 		"x", "merge_near", "quick_near", "merge_per_elem", "quick_per_elem")
-	for _, x := range sizes {
-		var near [2]uint64
-		for i, quick := range []bool{false, true} {
-			// Count-only, never replayed: one thread probe, not a Record.
-			rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
-			env := core.NewEnv(1, units.Bytes(x)*24, rec, 3)
-			a := env.MustAllocSP(x)
-			tmp := env.MustAllocSP(x)
-			xrand.New(9).Keys(a.D)
-			tp := rec.Thread(0)
-			if quick {
-				core.QuickSort(tp, a)
-			} else {
-				a = core.MultiwayMergeSort(tp, a, tmp, 128, 8)
-			}
-			if !core.IsSorted(a.D) {
-				return nil, fmt.Errorf("harness: m3: x=%d not sorted", x)
-			}
-			near[i] = rec.Finish().Count().Near()
+	// Recording 2i is size i's mergesort, 2i+1 its quicksort.
+	near := make([]uint64, 2*len(sizes))
+	errs := make([]error, len(near))
+	par.Each(len(near), func(k int) {
+		x, quick := sizes[k/2], k%2 == 1
+		// Count-only, never replayed: one thread probe, not a Record.
+		rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
+		env := core.NewEnv(1, units.Bytes(x)*24, rec, 3)
+		a := env.MustAllocSP(x)
+		tmp := env.MustAllocSP(x)
+		xrand.New(9).Keys(a.D)
+		tp := rec.Thread(0)
+		if quick {
+			core.QuickSort(tp, a)
+		} else {
+			a = core.MultiwayMergeSort(tp, a, tmp, 128, 8)
 		}
+		if !core.IsSorted(a.D) {
+			errs[k] = fmt.Errorf("harness: m3: x=%d not sorted", x)
+			return
+		}
+		near[k] = rec.Finish().Count().Near()
+	})
+	for i, x := range sizes {
+		if err := cmp.Or(errs[2*i], errs[2*i+1]); err != nil {
+			return nil, err
+		}
+		near := near[2*i : 2*i+2]
 		t.AddRow(strconv.Itoa(x), strconv.FormatUint(near[0], 10), strconv.FormatUint(near[1], 10),
 			fmt.Sprintf("%.2f", float64(near[0])/float64(x)), fmt.Sprintf("%.2f", float64(near[1])/float64(x)))
 	}

@@ -784,3 +784,10 @@ func TestRecordMemoConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// Len reports the number of checkpointed cells.
+func (m *Manifest) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.cells)
+}

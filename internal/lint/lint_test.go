@@ -224,13 +224,7 @@ func TestHotPathBareIgnore(t *testing.T) {
 // TestWholeModuleClean is the self-referential acceptance gate: the suite
 // must load, type-check, and pass every analyzer over this repository.
 func TestWholeModuleClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type check is the slow path; covered by scripts/check.sh")
-	}
-	mod, err := lint.Load(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadWholeModule(t)
 	if len(mod.Units()) < 20 {
 		t.Fatalf("suspiciously few units loaded: %d", len(mod.Units()))
 	}

@@ -88,7 +88,7 @@ func TestReplayPropertyInvariants(t *testing.T) {
 		// DMA copy adds its line count on both the source (reads) and the
 		// destination (writes) device.
 		c := tr.Count()
-		dec, err := tr.Decoded()
+		dec, err := tr.Columns().Decode()
 		if err != nil {
 			t.Logf("decode error: %v", err)
 			return false

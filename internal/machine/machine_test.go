@@ -6,9 +6,33 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/dram"
+	"repro/internal/noc"
+	"repro/internal/spmem"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
+
+// TinyConfig returns a scaled-down node for fast tests: 8 cores in groups
+// of 4 with small caches, one far channel, and a near memory with the given
+// channels.
+func TinyConfig(nearChannels int, nearCapacity units.Bytes) Config {
+	cfg := Config{
+		Cores:          8,
+		CoresPerGroup:  4,
+		CoreHz:         units.Hz(1.7e9),
+		L2Capacity:     16 * units.KiB,
+		L2Ways:         4,
+		L2Latency:      10 * units.Nanosecond,
+		L2BW:           units.GBps(64),
+		LineSize:       64,
+		MaxOutstanding: 4,
+		NoC:            noc.Paper(2),
+		Far:            dram.DDR1066(1),
+		Near:           spmem.Paper(nearChannels, nearCapacity),
+	}
+	return cfg
+}
 
 func tinyL1() trace.L1Geometry {
 	return trace.L1Geometry{Capacity: 256, LineSize: 64, Ways: 2}

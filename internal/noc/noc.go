@@ -114,12 +114,6 @@ func (nw *Network) BusyTime() units.Time {
 	return t
 }
 
-// Messages returns the total messages routed.
-func (nw *Network) Messages() uint64 { return nw.msgs }
-
-// Bytes returns the total payload bytes routed.
-func (nw *Network) Bytes() uint64 { return nw.bytes }
-
 // Utilization returns the mean link utilization across both directions.
 func (nw *Network) Utilization() float64 {
 	var u float64
@@ -143,6 +137,3 @@ func (nw *Network) BusyUntil() units.Time {
 	}
 	return t
 }
-
-// Config returns the network configuration.
-func (nw *Network) Config() Config { return nw.cfg }

@@ -59,8 +59,8 @@ func TestCounters(t *testing.T) {
 	n := New(s, Paper(2))
 	n.Send(0, 0, 0)
 	n.Deliver(0, 1, 64)
-	if n.Messages() != 2 || n.Bytes() != 64 {
-		t.Errorf("msgs=%d bytes=%d", n.Messages(), n.Bytes())
+	if n.msgs != 2 || n.bytes != 64 {
+		t.Errorf("msgs=%d bytes=%d", n.msgs, n.bytes)
 	}
 }
 
@@ -85,8 +85,5 @@ func TestUtilizationAfterTraffic(t *testing.T) {
 	s.Run()
 	if u := n.Utilization(); u <= 0 || u > 1 {
 		t.Errorf("utilization = %v", u)
-	}
-	if n.Config().Groups != 2 {
-		t.Errorf("Config lost: %+v", n.Config())
 	}
 }

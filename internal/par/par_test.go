@@ -38,7 +38,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 func TestRunWithRecorder(t *testing.T) {
 	rec := trace.NewRecorder(4, trace.L1Geometry{Capacity: 256, LineSize: 64, Ways: 2}, trace.DefaultCosts())
 	Run(4, rec, func(tid int, tp *trace.TP) {
-		if tp == nil || tp.Tid() != tid {
+		if tp == nil || tp != rec.Thread(tid) {
 			t.Errorf("thread %d got wrong probe", tid)
 		}
 	})

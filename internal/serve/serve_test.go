@@ -29,12 +29,21 @@ func tinyWorkload() harness.Workload {
 
 // newTestServer starts a serving stack on httptest and returns a client
 // bound to it.
-func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *serve.Client) {
+func newTestServer(t *testing.T, cfg serve.Config) *serve.Client {
 	t.Helper()
-	srv := serve.New(cfg)
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(serve.New(cfg).Handler())
 	t.Cleanup(hs.Close)
-	return srv, &serve.Client{BaseURL: hs.URL, HTTP: hs.Client()}
+	return &serve.Client{BaseURL: hs.URL, HTTP: hs.Client()}
+}
+
+// stats reads the daemon's /v1/stats.
+func stats(t *testing.T, c *serve.Client) serve.Stats {
+	t.Helper()
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // recordAndUpload records the tiny NMsort trace locally and uploads it.
@@ -65,10 +74,10 @@ func tinyJob(digest string) serve.JobRequest {
 // re-digest — same bytes, same digest, and a second upload of the same
 // trace does not grow the store.
 func TestUploadRoundTrip(t *testing.T) {
-	srv, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
-	if srv.Store().Len() != 1 {
-		t.Fatalf("store has %d traces, want 1", srv.Store().Len())
+	if n := stats(t, c).Traces; n != 1 {
+		t.Fatalf("store has %d traces, want 1", n)
 	}
 	got, err := c.FetchTrace(context.Background(), info.Digest)
 	if err != nil {
@@ -82,8 +91,8 @@ func TestUploadRoundTrip(t *testing.T) {
 		t.Fatalf("fetched trace digest %016x, uploaded %s", d, info.Digest)
 	}
 	recordAndUpload(t, c)
-	if srv.Store().Len() != 1 {
-		t.Fatalf("re-upload duplicated the trace: store has %d", srv.Store().Len())
+	if n := stats(t, c).Traces; n != 1 {
+		t.Fatalf("re-upload duplicated the trace: store has %d", n)
 	}
 }
 
@@ -91,7 +100,7 @@ func TestUploadRoundTrip(t *testing.T) {
 // submission is answered from the cache (zero replay work — the hit
 // counter moves, the replay is skipped) with byte-identical bytes.
 func TestJobCacheHit(t *testing.T) {
-	srv, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
 	ctx := context.Background()
 
@@ -112,7 +121,7 @@ func TestJobCacheHit(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("cache hit changed the response bytes:\ncold: %s\nwarm: %s", cold, warm)
 	}
-	if _, hits, _ := srv.Cache().Stats(); hits == 0 {
+	if stats(t, c).CacheHits == 0 {
 		t.Fatal("cache stats recorded no hit")
 	}
 }
@@ -124,7 +133,7 @@ func TestJobCacheHit(t *testing.T) {
 // cells summed by kind. Each travels in a Server-Timing header, and host time
 // stays out of the body, so a repeat's bytes are still the first answer's.
 func TestServerTimingHeader(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +217,7 @@ func TestServerTimingHeader(t *testing.T) {
 // trace.Digest computed directly, and the served result equals a direct
 // supervised replay of the same cell.
 func TestJobMatchesDirectReplay(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	ctx := context.Background()
 	rec, err := harness.Record(harness.AlgNMSort, tinyWorkload())
 	if err != nil {
@@ -247,7 +256,7 @@ func TestJobMatchesDirectReplay(t *testing.T) {
 // response for the same cell is byte-identical, cold or cached, in any
 // completion order.
 func TestConcurrentClientsDeterministic(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{Workers: 4, Queue: 64})
+	c := newTestServer(t, serve.Config{Workers: 4, Queue: 64})
 	info := recordAndUpload(t, c)
 	ctx := context.Background()
 
@@ -292,7 +301,7 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 // cmd/sweep client-parity contract (the CI smoke script checks the
 // process-level half with cmp).
 func TestSweepMatchesDirectHarness(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	ctx := context.Background()
 	req := serve.SweepRequest{
 		Exp: "dma", N: 1 << 13, Seed: 7, Cores: 16, SPMiB: 1,
@@ -328,7 +337,7 @@ func TestSweepMatchesDirectHarness(t *testing.T) {
 // An unknown name is refused with the registry's names, table1 among them,
 // and GET /v1/experiments is the registry and nothing appended.
 func TestSweepTable1IsARegistryRow(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	ctx := context.Background()
 	wl := harness.Workload{N: 1 << 12, Seed: 7, Threads: 8, SP: 1 * units.MiB, Dist: workload.Zipf, Sup: &harness.Supervisor{}}
 	want, err := harness.Table1Faults(wl, true, fault.Profile(41, 2e-2))
@@ -384,7 +393,7 @@ func TestSweepTable1IsARegistryRow(t *testing.T) {
 // recording (the store stays empty), and the daemon serves on — the row's
 // recordings then reach the store.
 func TestSweepRefusesASizeTheRowCannotUse(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	status, msg := postRaw(t, c, "/v1/sweeps", `{"exp":"pem","n":16,"cores":16,"sp_mib":1}`)
 	if status != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "n = 16 must be in [64, 262144]") {
 		t.Fatalf("pem at n=16: status %d: %s", status, msg)
@@ -411,7 +420,7 @@ func TestSweepRefusesASizeTheRowCannotUse(t *testing.T) {
 // SweepRequest.Validate. Each refusal is the same bytes twice, and the daemon
 // serves on.
 func TestSweepRefusesOutOfRangeFields(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	const wl = `"n":4096,"cores":8,"sp_mib":1`
 	for _, tc := range []struct{ body, field string }{
 		{`{"exp":"cores",` + wl + `,"core_list":[6]}`, "core_list (-corelist)"},
@@ -450,7 +459,7 @@ func TestSweepRefusesOutOfRangeFields(t *testing.T) {
 // or without room for its copy — is the program's 422, never a dropped
 // connection. The refusals record nothing, and the daemon serves on.
 func TestRecordRefusalIsStable(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	for _, tc := range []struct {
 		body   string
 		status int
@@ -485,7 +494,7 @@ func TestRecordRefusalIsStable(t *testing.T) {
 // requests return the same digest and the second is served from the trace
 // store (the record count stays 1).
 func TestRecordEndpointMemoized(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	ctx := context.Background()
 	req := serve.RecordRequest{Alg: "nmsort", N: 1 << 13, Seed: 7, Threads: 16, SPMiB: 1}
 	// SPMiB 1 differs from tinyWorkload's 64 KiB — independent cell.
@@ -515,7 +524,7 @@ func TestRecordEndpointMemoized(t *testing.T) {
 // goes the hit headers equal the cache_hits delta.
 func TestConcurrentJobsCacheHeaderMatchesStats(t *testing.T) {
 	const jobs = 8
-	_, c := newTestServer(t, serve.Config{Workers: jobs, Queue: jobs})
+	c := newTestServer(t, serve.Config{Workers: jobs, Queue: jobs})
 	info := recordAndUpload(t, c)
 	ctx := context.Background()
 	before, err := c.Stats(ctx)
@@ -564,15 +573,26 @@ func TestSweepRecordingsLiveInTheStore(t *testing.T) {
 		return harness.Workload{N: 1 << 12, Seed: seed, Threads: 8, SP: 1 * units.MiB}
 	}
 	algs := []harness.Algorithm{harness.AlgGNUSort, harness.AlgNMSort}
+	seeds := []uint64{1, 2, 3, 4}
 	var budget int64 // one sweep's two recordings and a quarter
-	for _, alg := range algs {
-		res, err := harness.Record(alg, wl(1))
-		if err != nil {
-			t.Fatal(err)
+	digests := map[uint64][]string{}
+	for _, seed := range seeds {
+		for _, alg := range algs {
+			res, err := harness.Record(alg, wl(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := res.Trace.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[seed] = append(digests[seed], fmt.Sprintf("%016x", d))
+			if seed == 1 {
+				budget += res.Trace.Columns().Size() * 5 / 4
+			}
 		}
-		budget += res.Trace.Columns().Size() * 5 / 4
 	}
-	srv, c := newTestServer(t, serve.Config{StoreBytes: budget})
+	c := newTestServer(t, serve.Config{StoreBytes: budget})
 	sweep := func(seed uint64) string {
 		body, failed, err := c.Sweep(ctx, serve.SweepRequest{Exp: "bandwidth", N: 1 << 12, Seed: seed, Cores: 8, SPMiB: 1})
 		if err != nil || failed != 0 {
@@ -580,7 +600,6 @@ func TestSweepRecordingsLiveInTheStore(t *testing.T) {
 		}
 		return string(body)
 	}
-	seeds := []uint64{1, 2, 3, 4}
 	first := make(map[uint64]string)
 	for _, seed := range seeds {
 		first[seed] = sweep(seed)
@@ -593,10 +612,11 @@ func TestSweepRecordingsLiveInTheStore(t *testing.T) {
 	if st.TraceBytes <= 0 || st.TraceBytes > budget {
 		t.Errorf("the store holds %d trace bytes, want some and at most the %d-byte budget", st.TraceBytes, budget)
 	}
+	// A recording is resident when the daemon serves its trace.
 	resident := func(seed uint64) int {
 		n := 0
-		for _, alg := range algs {
-			if _, ok := srv.Store().LookupRecord(alg, harness.RecordKey(wl(seed))); ok {
+		for _, d := range digests[seed] {
+			if _, err := c.FetchTrace(ctx, d); err == nil {
 				n++
 			}
 		}
@@ -627,7 +647,7 @@ func TestSweepRecordingsLiveInTheStore(t *testing.T) {
 // TestStreamJob checks the NDJSON path: sample lines, phase rows, and a
 // final result object whose sim time equals the plain job's.
 func TestStreamJob(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
 	ctx := context.Background()
 
@@ -660,7 +680,7 @@ func TestStreamJob(t *testing.T) {
 
 // TestJobValidation checks malformed jobs are refused up front with 400s.
 func TestJobValidation(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
 	ctx := context.Background()
 	bad := []serve.JobRequest{
@@ -714,7 +734,7 @@ func postRaw(t *testing.T, c *serve.Client, path, body string) (int, []byte) {
 // its trace's machine.EventBound, so ignoring these keys is the compatible
 // behaviour.
 func TestLegacyShardsFieldIgnored(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	info := recordAndUpload(t, c)
 	job := fmt.Sprintf(`{"trace_digest":%q,"cores":16,"near_channels":16,"sp_mib":1`, info.Digest)
 	sweep := `{"exp":"dma","n":8192,"seed":7,"cores":16,"sp_mib":1`
@@ -743,7 +763,7 @@ func TestLegacyShardsFieldIgnored(t *testing.T) {
 // TestOversizedJSONBodyRejected: a JSON body past the 1 MiB cap is refused
 // with a 4xx on every JSON endpoint, and the daemon keeps serving.
 func TestOversizedJSONBodyRejected(t *testing.T) {
-	_, c := newTestServer(t, serve.Config{})
+	c := newTestServer(t, serve.Config{})
 	huge := `{"label":"` + strings.Repeat("a", 2<<20) + `"}`
 	for _, path := range []string{"/v1/jobs", "/v1/sweeps", "/v1/traces/record"} {
 		status, body := postRaw(t, c, path, huge)
@@ -769,12 +789,12 @@ func TestOversizedTraceUploadRejected(t *testing.T) {
 	if _, err := rec.Trace.WriteTo(&v2); err != nil {
 		t.Fatal(err)
 	}
-	_, tight := newTestServer(t, serve.Config{MaxUploadBytes: int64(v2.Len()) - 1})
+	tight := newTestServer(t, serve.Config{MaxUploadBytes: int64(v2.Len()) - 1})
 	_, err = tight.UploadTraceBytes(context.Background(), v2.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "413") || !strings.Contains(err.Error(), "serve: reading trace") {
 		t.Errorf("upload one byte over the cap: %v, want a 413 naming the read", err)
 	}
-	_, exact := newTestServer(t, serve.Config{MaxUploadBytes: int64(v2.Len())})
+	exact := newTestServer(t, serve.Config{MaxUploadBytes: int64(v2.Len())})
 	if _, err := exact.UploadTraceBytes(context.Background(), v2.Bytes()); err != nil {
 		t.Errorf("upload exactly at the cap: %v", err)
 	}

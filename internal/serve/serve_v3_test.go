@@ -38,8 +38,8 @@ func TestUploadColumnarSameDigest(t *testing.T) {
 	}
 
 	// Server A sees only the v2 stream; server B only the v3 file.
-	_, ca := newTestServer(t, serve.Config{})
-	srvB, cb := newTestServer(t, serve.Config{})
+	ca := newTestServer(t, serve.Config{})
+	cb := newTestServer(t, serve.Config{})
 	infoA, err := ca.UploadTraceBytes(ctx, v2.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestUploadColumnarSameDigest(t *testing.T) {
 	if _, err := cb.UploadTraceBytes(ctx, v2.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if srvB.Store().Len() != 1 {
-		t.Fatalf("store holds %d traces after cross-serialization re-upload, want 1", srvB.Store().Len())
+	if n := stats(t, cb).Traces; n != 1 {
+		t.Fatalf("store holds %d traces after cross-serialization re-upload, want 1", n)
 	}
 }
 
@@ -93,14 +93,14 @@ func TestUploadKeepsItsSerialization(t *testing.T) {
 	}
 	for i, upload := range [][]byte{v2.Bytes(), v3} {
 		name := []string{"v2", "v3"}[i]
-		srv, c := newTestServer(t, serve.Config{})
+		c := newTestServer(t, serve.Config{})
 		info, err := c.UploadTraceBytes(ctx, upload)
 		if err != nil {
 			t.Fatalf("%s upload: %v", name, err)
 		}
-		if info.Bytes != int64(len(v3)) || srv.Store().Bytes() != int64(len(v3)) {
+		if stored := stats(t, c).TraceBytes; info.Bytes != int64(len(v3)) || stored != int64(len(v3)) {
 			t.Errorf("%s upload of %d ops charged %d bytes (store: %d), want its %d-byte image",
-				name, info.Ops, info.Bytes, srv.Store().Bytes(), len(v3))
+				name, info.Ops, info.Bytes, stored, len(v3))
 		}
 		resp, err := c.HTTP.Get(c.BaseURL + "/v1/traces/" + info.Digest)
 		if err != nil {
@@ -117,9 +117,9 @@ func TestUploadKeepsItsSerialization(t *testing.T) {
 			other = v2.Bytes()
 		}
 		again, err := c.UploadTraceBytes(ctx, other)
-		if err != nil || again.Digest != info.Digest || srv.Store().Len() != 1 {
+		if n := stats(t, c).Traces; err != nil || again.Digest != info.Digest || n != 1 {
 			t.Errorf("%s then the other serialization: digest %s vs %s, %d entries (%v)",
-				name, again.Digest, info.Digest, srv.Store().Len(), err)
+				name, again.Digest, info.Digest, n, err)
 		}
 	}
 }
@@ -177,7 +177,7 @@ func TestUploadTraceSendsTheImage(t *testing.T) {
 	}
 	defer opened.Close()
 
-	_, ref := newTestServer(t, serve.Config{})
+	ref := newTestServer(t, serve.Config{})
 	want, err := ref.UploadTraceBytes(ctx, v2.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestUploadTraceSendsTheImage(t *testing.T) {
 		name string
 		tr   *trace.Trace
 	}{{"recording", rec.Trace}, {"v2 read", read}, {"opened file", opened.AsTrace()}} {
-		_, c := newTestServer(t, serve.Config{})
+		c := newTestServer(t, serve.Config{})
 		tap := &bodyTap{}
 		c.HTTP = &http.Client{Transport: tap}
 		got, err := c.UploadTrace(ctx, tc.tr)
@@ -229,7 +229,7 @@ func TestFetchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rec.Trace.Decoded()
+	want, err := rec.Trace.Columns().Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFetchTrace(t *testing.T) {
 			return c.Record(ctx, serve.RecordRequest{Alg: "nmsort", N: wl.N, Seed: wl.Seed, Threads: wl.Threads, SPMiB: 1})
 		}},
 	} {
-		_, c := newTestServer(t, serve.Config{})
+		c := newTestServer(t, serve.Config{})
 		info, err := arrival.put(c)
 		if err != nil {
 			t.Fatalf("%s: %v", arrival.name, err)
@@ -255,7 +255,7 @@ func TestFetchTrace(t *testing.T) {
 		if d, err := tr.Digest(); err != nil || fmt.Sprintf("%016x", d) != info.Digest {
 			t.Errorf("%s: fetched digest %016x (%v), stored under %s", arrival.name, d, err, info.Digest)
 		}
-		got, err := tr.Decoded()
+		got, err := tr.Columns().Decode()
 		if err != nil {
 			t.Fatalf("%s: %v", arrival.name, err)
 		}
@@ -339,7 +339,7 @@ func TestStorePinnedColumnarSurvivesEviction(t *testing.T) {
 	if _, err := s.Put(storeTrace(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(d); !ok {
+	if s.Len() != 2 {
 		t.Fatal("pinned columnar trace was evicted")
 	}
 	cur := src.CursorAt(0)

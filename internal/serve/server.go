@@ -85,12 +85,6 @@ func New(cfg Config) *Server {
 // http.Server, tests in httptest.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Store exposes the trace store (tests, stats).
-func (s *Server) Store() *Store { return s.store }
-
-// Cache exposes the result cache (tests, stats).
-func (s *Server) Cache() *ResultCache { return s.cache }
-
 // storeFull answers a trace larger than the whole store budget: 507, naming
 // the flag that sets it.
 func storeFull(w http.ResponseWriter, err error) {

@@ -211,18 +211,6 @@ func (s *Store) Pin(digest uint64) (src trace.Source, release func(), err error)
 	return e.src, release, nil
 }
 
-// Get returns the trace for digest without pinning (metadata reads).
-func (s *Store) Get(digest uint64) (trace.Source, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[digest]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(e.elem)
-	return e.src, true
-}
-
 // resident is a trace the store holds, with its v3 image.
 type resident struct {
 	src   trace.Source

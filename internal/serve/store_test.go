@@ -11,7 +11,11 @@ import (
 	"repro/internal/harness"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
+
+// paperL1 is the paper's per-core 16KB 2-way data cache.
+var paperL1 = trace.L1Geometry{Capacity: 16 * units.KiB, LineSize: 64, Ways: 2}
 
 // storeTrace records a distinct small trace: 64 far loads at addresses
 // offset by stamp, so each stamp yields a different digest but (within a
@@ -21,7 +25,7 @@ func storeTrace(t *testing.T, stamp int) *trace.Trace { return farLoads(t, stamp
 // farLoads records n far loads at addresses offset by stamp.
 func farLoads(t *testing.T, stamp, n int) *trace.Trace {
 	t.Helper()
-	rec := trace.NewRecorder(1, trace.DefaultL1(), trace.DefaultCosts())
+	rec := trace.NewRecorder(1, paperL1, trace.DefaultCosts())
 	tp := rec.Thread(0)
 	for i := 0; i < n; i++ {
 		tp.Load(addr.FarBase+addr.Addr(stamp*64+i)*4096, 8)
@@ -60,11 +64,13 @@ func TestStoreLRUEviction(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("store holds %d traces, want 2 after eviction", s.Len())
 	}
-	if _, ok := s.Get(digests[0]); ok {
-		t.Fatal("oldest trace survived eviction")
+	if _, _, err := s.Pin(digests[0]); !errors.Is(err, serve.ErrTraceNotFound) {
+		t.Fatalf("oldest trace survived eviction: Pin err = %v", err)
 	}
-	if _, ok := s.Get(digests[2]); !ok {
-		t.Fatal("newest trace was evicted")
+	if _, release, err := s.Pin(digests[2]); err != nil {
+		t.Fatalf("newest trace was evicted: %v", err)
+	} else {
+		release()
 	}
 }
 
@@ -82,15 +88,13 @@ func TestStorePinBlocksEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := s.Put(storeTrace(t, 1))
-	if err != nil {
+	if _, err := s.Put(storeTrace(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(d0); !ok {
-		t.Fatal("pinned trace was evicted")
-	}
-	if _, ok := s.Get(d1); !ok {
-		t.Fatal("the trace just put was evicted by its own put")
+	// Two traces were put: the pinned one and the one just put hold both
+	// places.
+	if s.Len() != 2 {
+		t.Fatalf("store holds %d traces: the pinned trace or the one just put was evicted", s.Len())
 	}
 	release()
 	// Releasing converges the store back under budget.
@@ -108,22 +112,23 @@ func TestStorePinBlocksEviction(t *testing.T) {
 func TestStoreRefusesATraceOverItsBudget(t *testing.T) {
 	size := traceSize(t)
 	budget := size + size/2 // room for one small trace
-	srv, c := newTestServer(t, serve.Config{StoreBytes: budget})
+	c := newTestServer(t, serve.Config{StoreBytes: budget})
 	ctx := context.Background()
 	small, err := c.UploadTrace(ctx, storeTrace(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := farLoads(t, 1, 256)
-	if _, err := srv.Store().Put(big); !errors.Is(err, serve.ErrTraceTooLarge) {
+	s := serve.NewStore(budget)
+	if _, err := s.Put(big); !errors.Is(err, serve.ErrTraceTooLarge) {
 		t.Errorf("Put of a trace over the budget: err = %v, want ErrTraceTooLarge", err)
 	}
 	if _, err := c.UploadTrace(ctx, big); err == nil || !strings.Contains(err.Error(), "507") || !strings.Contains(err.Error(), "-store-mb") {
 		t.Errorf("upload of a trace over the budget: err = %v, want a 507 naming -store-mb", err)
 	}
 	w := harness.Workload{N: 1, Seed: 1, Threads: 1, SP: 1}
-	srv.Store().CompleteRecord(harness.AlgGNUSort, w, harness.RecordResult{Trace: big})
-	if _, ok := srv.Store().LookupRecord(harness.AlgGNUSort, w); ok {
+	s.CompleteRecord(harness.AlgGNUSort, w, harness.RecordResult{Trace: big})
+	if _, ok := s.LookupRecord(harness.AlgGNUSort, w); ok {
 		t.Error("a recording over the budget was indexed")
 	}
 	// Recorded over HTTP, the same refusal is the answer, not a digest the
@@ -132,8 +137,8 @@ func TestStoreRefusesATraceOverItsBudget(t *testing.T) {
 	if info, err := c.Record(ctx, rec); err == nil || !strings.Contains(err.Error(), "507") || !strings.Contains(err.Error(), "-store-mb") {
 		t.Errorf("recording over the budget: %+v, err = %v; want a 507 naming -store-mb", info, err)
 	}
-	if srv.Store().Len() != 1 || srv.Store().Bytes() > budget {
-		t.Errorf("the store holds %d traces, %d bytes; want the small one alone", srv.Store().Len(), srv.Store().Bytes())
+	if st := stats(t, c); st.Traces != 1 || st.TraceBytes > budget {
+		t.Errorf("the store holds %d traces, %d bytes; want the small one alone", st.Traces, st.TraceBytes)
 	}
 	if _, _, _, err := c.SubmitJob(ctx, serve.JobRequest{TraceDigest: small.Digest, Cores: 4, NearChannels: 8, SPMiB: 1}); err != nil {
 		t.Errorf("the resident trace no longer answers a job: %v", err)

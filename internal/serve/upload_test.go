@@ -163,6 +163,9 @@ func (g uploadRig) answer(t *testing.T, status int, body []byte) uploadAnswer {
 }
 
 // uploadStage reads which check answered an upload from its Server-Timing.
+// paperL1 is the paper's per-core 16KB 2-way data cache.
+var paperL1 = trace.L1Geometry{Capacity: 16 * units.KiB, LineSize: 64, Ways: 2}
+
 var uploadStage = regexp.MustCompile(`^read;dur=[0-9.]+, (verify|resident);dur=[0-9.]+$`)
 
 // image is the v3 bytes of a recording's sealed columns.
@@ -193,7 +196,7 @@ func edit(img []byte, reseal bool, f func(b []byte)) []byte {
 // are equally long and differ only near their ends.
 func farWalk(t *testing.T, n, last int) []byte {
 	t.Helper()
-	rec := trace.NewRecorder(1, trace.DefaultL1(), trace.DefaultCosts())
+	rec := trace.NewRecorder(1, paperL1, trace.DefaultCosts())
 	tp := rec.Thread(0)
 	for i := 0; i < n; i++ {
 		tp.Load(addr.FarBase+addr.Addr(i)*4096, 8)

@@ -180,6 +180,3 @@ func (d *Device) BusyUntil() units.Time {
 	}
 	return t
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }

@@ -28,7 +28,7 @@ func TestPaperConfigs(t *testing.T) {
 func TestConstantLatency(t *testing.T) {
 	s := engine.New()
 	d := New(s, Paper(8, units.MiB), addr.NearBase)
-	cfg := d.Config()
+	cfg := d.cfg
 	burst := cfg.ChannelBW.TransferTime(cfg.LineSize)
 	for i := 0; i < 4; i++ {
 		// Each access goes to a different channel: no queueing, so the
@@ -51,7 +51,7 @@ func TestChannelInterleaving(t *testing.T) {
 			max = done
 		}
 	}
-	cfg := d.Config()
+	cfg := d.cfg
 	if want := cfg.Latency + cfg.ChannelBW.TransferTime(cfg.LineSize); max != want {
 		t.Errorf("8-wide parallel access finished at %v, want %v", max, want)
 	}

@@ -6,31 +6,17 @@ import (
 	"strconv"
 )
 
-// WriteNDJSON streams the sampled time series as newline-delimited JSON —
-// the serving layer's progress format, consumable line by line while a
-// job is still replaying. One object per sample epoch:
+// WriteSampleNDJSON writes sample row i as one line of newline-delimited
+// JSON — the serving layer's progress format, which it streams between
+// replay slices, consumable line by line while a job is still replaying:
 //
 //	{"type":"sample","t_ps":1000,"counters":{"far.ch0.bytes":4096,...}}
 //
-// followed by one object per attributed phase:
-//
-//	{"type":"phase","name":"merge","start_ps":0,"end_ps":1000,...}
-//
-// Counter keys follow probe registration order (Go's encoding/json would
-// sort them — hand-encoding keeps registration order AND guarantees
-// byte-determinism without reflection). Names are generated identifiers
-// ("far.ch0", "bytes"), so no JSON string escaping is needed.
-func (r *Recorder) WriteNDJSON(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for s := 0; s < len(r.times); s++ {
-		r.appendSampleNDJSON(bw, s)
-	}
-	return bw.Flush()
-}
-
-// WriteSampleNDJSON writes the single sample row i — the incremental
-// variant the serving layer calls between replay slices to stream rows as
-// they appear.
+// Phase rows follow from WritePhasesNDJSON. Counter keys follow probe
+// registration order (Go's encoding/json would sort them — hand-encoding
+// keeps registration order AND guarantees byte-determinism without
+// reflection). Names are generated identifiers ("far.ch0", "bytes"), so no
+// JSON string escaping is needed.
 func (r *Recorder) WriteSampleNDJSON(w io.Writer, i int) error {
 	bw := bufio.NewWriterSize(w, 1<<12)
 	r.appendSampleNDJSON(bw, i)

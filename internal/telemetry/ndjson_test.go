@@ -22,17 +22,27 @@ func ndjsonRecorder() *Recorder {
 	return r
 }
 
+// writeNDJSON streams every sample row of r, as the serving layer does
+// between replay slices.
+func writeNDJSON(t *testing.T, r *Recorder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for i := 0; i < r.Samples(); i++ {
+		if err := r.WriteSampleNDJSON(&buf, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // TestWriteNDJSON checks the stream is valid JSON per line, keeps probe
 // registration order in the keys, and is byte-deterministic.
 func TestWriteNDJSON(t *testing.T) {
 	r := ndjsonRecorder()
-	var buf bytes.Buffer
-	if err := r.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	out := writeNDJSON(t, r)
+	lines := strings.Split(strings.TrimRight(string(out), "\n"), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
+		t.Fatalf("got %d lines, want 2:\n%s", len(lines), out)
 	}
 	for i, line := range lines {
 		var obj struct {
@@ -48,36 +58,38 @@ func TestWriteNDJSON(t *testing.T) {
 		}
 	}
 	if !strings.Contains(lines[0], `"far.ch0.bytes":64`) || !strings.Contains(lines[1], `"near.ch0.bytes":256`) {
-		t.Fatalf("counter values wrong:\n%s", buf.String())
+		t.Fatalf("counter values wrong:\n%s", out)
 	}
 	// Registration order, not sorted order: far.ch0 registered first.
 	if far := strings.Index(lines[0], "far.ch0"); far > strings.Index(lines[0], "near.ch0") {
 		t.Fatalf("keys not in registration order: %s", lines[0])
 	}
-	var again bytes.Buffer
-	if err := r.WriteNDJSON(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("WriteNDJSON is not byte-deterministic")
+	if again := writeNDJSON(t, r); !bytes.Equal(out, again) {
+		t.Fatal("the NDJSON stream is not byte-deterministic")
 	}
 }
 
-// TestWriteSampleNDJSON checks the incremental per-row writer matches the
-// bulk writer line for line.
+// TestWriteSampleNDJSON checks a row streamed while the replay runs is the
+// row the finished recorder holds: later samples and Finish never rewrite
+// a row already sent.
 func TestWriteSampleNDJSON(t *testing.T) {
-	r := ndjsonRecorder()
-	var bulk, inc bytes.Buffer
-	if err := r.WriteNDJSON(&bulk); err != nil {
+	r := New(units.Microsecond)
+	var v uint64 = 64
+	r.Counter("far.ch0", "bytes", func() uint64 { return v })
+	r.Sample(units.Microsecond)
+	var early bytes.Buffer
+	if err := r.WriteSampleNDJSON(&early, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < r.Samples(); i++ {
-		if err := r.WriteSampleNDJSON(&inc, i); err != nil {
-			t.Fatal(err)
-		}
+	v = 4096
+	r.Sample(2 * units.Microsecond)
+	r.Finish(3 * units.Microsecond)
+	var late bytes.Buffer
+	if err := r.WriteSampleNDJSON(&late, 0); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(bulk.Bytes(), inc.Bytes()) {
-		t.Fatalf("incremental stream differs from bulk:\n%s\nvs\n%s", inc.String(), bulk.String())
+	if !bytes.Equal(early.Bytes(), late.Bytes()) {
+		t.Fatalf("row 0 streamed as %q, reads %q after Finish", early.String(), late.String())
 	}
 }
 

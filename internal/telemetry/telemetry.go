@@ -106,9 +106,6 @@ func (r *Recorder) Counter(track, name string, fn func() uint64) {
 	r.probes = append(r.probes, probe{track: track, name: name, fn: fn})
 }
 
-// Probes returns the number of registered counters.
-func (r *Recorder) Probes() int { return len(r.probes) }
-
 // Samples returns the number of sample rows recorded so far.
 func (r *Recorder) Samples() int { return len(r.times) }
 
@@ -158,9 +155,6 @@ func (r *Recorder) Finish(end units.Time) {
 		r.Sample(end)
 	}
 }
-
-// End returns the replay end time recorded by Finish (zero before).
-func (r *Recorder) End() units.Time { return r.end }
 
 // row returns sample row i as a slice of len(probes) values.
 func (r *Recorder) row(i int) []uint64 {

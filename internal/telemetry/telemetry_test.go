@@ -12,8 +12,8 @@ func TestSamplingRows(t *testing.T) {
 	var a, b uint64
 	r.Counter("dev", "a", func() uint64 { return a })
 	r.Counter("dev", "b", func() uint64 { return b })
-	if r.Probes() != 2 {
-		t.Fatalf("probes = %d", r.Probes())
+	if len(r.probes) != 2 {
+		t.Fatalf("probes = %d", len(r.probes))
 	}
 
 	a, b = 1, 10
@@ -45,8 +45,8 @@ func TestFinishRecordsFinalSample(t *testing.T) {
 	if got := r.row(1); got[0] != 7 {
 		t.Errorf("final row = %v", got)
 	}
-	if r.End() != end {
-		t.Errorf("End() = %v, want %v", r.End(), end)
+	if r.end != end {
+		t.Errorf("end = %v, want %v", r.end, end)
 	}
 
 	// A sample already sitting exactly at end must not be duplicated.

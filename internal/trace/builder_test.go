@@ -14,6 +14,9 @@ import (
 	"repro/internal/xrand"
 )
 
+// paperL1 is the paper's per-core 16KB 2-way data cache.
+var paperL1 = trace.L1Geometry{Capacity: 16 * units.KiB, LineSize: 64, Ways: 2}
+
 // requireMatchesReference is the differential every test here runs: the
 // column builder's image of src must equal the reference encoder's, byte for
 // byte, and must open, validate and verify.
@@ -115,7 +118,7 @@ func requireSealedRecording(t *testing.T, name string, tr *trace.Trace) {
 		t.Fatalf("%s: a recording must be sealed columns, not decoded streams", name)
 	}
 	image := requireMatchesReference(t, name, tr)
-	dec, err := tr.Decoded()
+	dec, err := tr.Columns().Decode()
 	if err != nil {
 		t.Fatalf("%s: Decoded: %v", name, err)
 	}
@@ -209,7 +212,7 @@ func TestNearBlindSeesWhatLevelCountsMisses(t *testing.T) {
 	}
 
 	// A file the validation walk rejects promises nothing.
-	bad := &trace.Trace{L1: trace.DefaultL1(), Costs: trace.DefaultCosts(), Streams: [][]trace.Op{
+	bad := &trace.Trace{L1: paperL1, Costs: trace.DefaultCosts(), Streams: [][]trace.Op{
 		{{Kind: trace.OpBarrier}, {Kind: trace.OpEnd}}, {{Kind: trace.OpEnd}},
 	}}
 	image, err := trace.EncodeColumnar(bad)
@@ -414,7 +417,7 @@ func TestBuilderEdgeCases(t *testing.T) {
 			{Kind: trace.OpDMAWait}, {Kind: trace.OpPhase, Addr: 2, Gap: 1 << 31}, {Kind: trace.OpDMA, Addr: 1, Addr2: 0, Size: 0}, end}}, nil},
 	}
 	for _, c := range cases {
-		tr := &trace.Trace{Streams: c.streams, L1: trace.DefaultL1(), Costs: trace.DefaultCosts(),
+		tr := &trace.Trace{Streams: c.streams, L1: paperL1, Costs: trace.DefaultCosts(),
 			PhaseNames: []string{"a", "b", "c"}}
 		image := requireMatchesReference(t, c.name, tr)
 		col, err := trace.OpenBytes(image)
@@ -444,7 +447,7 @@ func TestBuilderEdgeCases(t *testing.T) {
 // as OpGap carriers through TP.emit, the one path the decoded-stream cases
 // above cannot take.
 func TestRecorderGapCarriers(t *testing.T) {
-	rec := trace.NewRecorder(2, trace.DefaultL1(), trace.DefaultCosts())
+	rec := trace.NewRecorder(2, paperL1, trace.DefaultCosts())
 	tp := rec.Thread(0)
 	tp.Phase("warm")
 	tp.Compute(3 * (1 << 32))
@@ -454,7 +457,7 @@ func TestRecorderGapCarriers(t *testing.T) {
 	rec.Thread(1).Barrier()
 	tr := rec.Finish()
 	requireSealedRecording(t, "gap carriers", tr)
-	dec, err := tr.Decoded()
+	dec, err := tr.Columns().Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +544,7 @@ func TestParallelSealAndValidate(t *testing.T) {
 			t.Fatalf("validation walk counted %+v, the recorder tallied %+v", got, want)
 		}
 	}
-	bad := &trace.Trace{L1: trace.DefaultL1(), Costs: trace.DefaultCosts(), Streams: [][]trace.Op{
+	bad := &trace.Trace{L1: paperL1, Costs: trace.DefaultCosts(), Streams: [][]trace.Op{
 		{{Kind: trace.OpBarrier}, {Kind: trace.OpEnd}},
 		{{Kind: trace.OpEnd}},
 		{{Kind: trace.OpAccess, Addr: 0x10}, {Kind: trace.OpEnd}},

@@ -11,7 +11,7 @@ import (
 
 // digestTrace builds a modest multi-thread trace for the digest tests.
 func digestTrace(threads, opsPerThread int) *Trace {
-	rec := NewRecorder(threads, DefaultL1(), DefaultCosts())
+	rec := NewRecorder(threads, paperL1, DefaultCosts())
 	for t := 0; t < threads; t++ {
 		tp := rec.Thread(t)
 		for i := 0; i < opsPerThread; i++ {

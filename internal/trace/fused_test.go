@@ -665,7 +665,7 @@ func TestRecordDigestIsFree(t *testing.T) {
 		}
 	})
 	expect("hand-built trace: sealed and walked on first use, as a recording is", 1, 1, func() {
-		built, err := rec.Decoded()
+		built, err := rec.Columns().Decode()
 		if err != nil {
 			t.Fatal(err)
 		}

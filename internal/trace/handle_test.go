@@ -184,7 +184,7 @@ func TestBuiltTraceMatchesItsStreams(t *testing.T) {
 		if tr.Ops() != ops || !reflect.DeepEqual(tr.PhaseTable(), want.PhaseNames) || tr.Geometry() != want.L1 || tr.CostModel() != want.Costs {
 			t.Errorf("%s: Ops %d of %d, or the header fields moved", c.name, tr.Ops(), ops)
 		}
-		if dec, err := tr.Decoded(); err != nil || sameOps(t, dec, want) != nil || dec == tr {
+		if dec, err := tr.Columns().Decode(); err != nil || sameOps(t, dec, want) != nil || dec == tr {
 			t.Errorf("%s: Decoded: %v", c.name, err)
 		}
 

@@ -107,7 +107,7 @@ func TestSealedImageIsItsSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hand := &trace.Trace{L1: trace.DefaultL1(), Costs: trace.DefaultCosts(), PhaseNames: []string{"p"}, Streams: [][]trace.Op{
+	hand := &trace.Trace{L1: paperL1, Costs: trace.DefaultCosts(), PhaseNames: []string{"p"}, Streams: [][]trace.Op{
 		{{Kind: trace.OpPhase}, {Kind: trace.OpAccess, Addr: uint64(addr.FarBase) + 64, Gap: 3}, {Kind: trace.OpBarrier}, {Kind: trace.OpEnd}},
 		{{Kind: trace.OpBarrier}, {Kind: trace.OpEnd}},
 		{{Kind: trace.OpDMA, Addr: uint64(addr.FarBase), Addr2: uint64(addr.NearBase), Size: 4096}, {Kind: trace.OpBarrier}, {Kind: trace.OpEnd}},

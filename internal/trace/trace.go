@@ -81,30 +81,16 @@ func (g L1Geometry) Validate() error {
 	return nil
 }
 
-// DefaultL1 matches the paper's per-core 16KB 2-way data cache.
-func DefaultL1() L1Geometry {
-	return L1Geometry{Capacity: 16 * units.KiB, LineSize: 64, Ways: 2}
-}
-
 // TP is a per-thread probe. All methods are safe on a nil receiver and do
 // nothing, so algorithms run uninstrumented ("pure mode") when handed a nil
 // *TP — the mode used for correctness tests and native benchmarks.
 type TP struct {
-	tid   int
 	l1    *cachesim.Cache
 	line  uint64
 	pend  int64 // compute cycles since last recorded op
 	costs Costs
 	cols  colBuilder // the thread's columns: emit puts every op here
 	rec   *Recorder  // owning recorder, for phase-name interning
-}
-
-// Tid returns the probe's thread id.
-func (t *TP) Tid() int {
-	if t == nil {
-		return 0
-	}
-	return t.tid
 }
 
 // access runs one line-granular access through the L1 filter.
@@ -261,7 +247,6 @@ func NewRecorder(p int, l1 L1Geometry, costs Costs) *Recorder {
 	r := &Recorder{costs: costs, l1: l1, threads: make([]*TP, p), phaseIDs: map[string]int{}}
 	for i := range r.threads {
 		r.threads[i] = &TP{
-			tid:   i,
 			l1:    cachesim.New(l1.Capacity, l1.LineSize, l1.Ways),
 			line:  uint64(l1.LineSize),
 			costs: costs,
@@ -361,10 +346,6 @@ func (tr *Trace) Columns() *Columnar {
 	})
 	return tr.cols
 }
-
-// Decoded returns the trace in decoded form, Streams populated. A test and
-// conversion helper: replay never needs it.
-func (tr *Trace) Decoded() (*Trace, error) { return tr.Columns().Decode() }
 
 // Ops returns the total number of recorded operations.
 func (tr *Trace) Ops() int { return tr.Columns().Ops() }

@@ -13,11 +13,14 @@ func tinyL1() L1Geometry {
 	return L1Geometry{Capacity: 256, LineSize: 64, Ways: 2} // 4 lines
 }
 
+// paperL1 is the paper's per-core 16KB 2-way data cache.
+var paperL1 = L1Geometry{Capacity: 16 * units.KiB, LineSize: 64, Ways: 2}
+
 // decoded returns tr with Streams populated: a recording is sealed columns,
 // and tests that inspect ops by index read them through this.
 func decoded(t testing.TB, tr *Trace) *Trace {
 	t.Helper()
-	dec, err := tr.Decoded()
+	dec, err := tr.Columns().Decode()
 	if err != nil {
 		t.Fatalf("Decoded: %v", err)
 	}
@@ -61,9 +64,6 @@ func TestNilProbeIsNoop(t *testing.T) {
 	tp.Barrier()
 	tp.DMA(addr.FarBase, addr.NearBase, 64)
 	tp.DMAWait()
-	if tp.Tid() != 0 {
-		t.Error("nil Tid should be 0")
-	}
 }
 
 func TestL1FilterHitsProduceNoOps(t *testing.T) {
@@ -262,7 +262,7 @@ func TestViewGetSet(t *testing.T) {
 	if got := sub.Get(tp, 1); got != 42 {
 		t.Errorf("sub.Get(1) = %d, want 42 (aliasing)", got)
 	}
-	if sub.Addr(1) != v.Addr(3) {
+	if sub.Base+8 != v.Base+3*8 {
 		t.Error("sub-view addresses misaligned")
 	}
 }
@@ -326,18 +326,11 @@ func TestGapOverflowSplits(t *testing.T) {
 	}
 }
 
-func TestDefaultL1MatchesPaper(t *testing.T) {
-	g := DefaultL1()
-	if g.Capacity != 16*units.KiB || g.LineSize != 64 || g.Ways != 2 {
-		t.Errorf("DefaultL1 = %+v", g)
-	}
-}
-
 // TestL1GeometryValidate: each way an L1 filter cannot be built is an error
 // that names the type and carries cachesim's reason, and NewRecorder panics
 // with that text instead of dying nameless inside cachesim.New.
 func TestL1GeometryValidate(t *testing.T) {
-	if err := DefaultL1().Validate(); err != nil {
+	if err := paperL1.Validate(); err != nil {
 		t.Errorf("DefaultL1 rejected: %v", err)
 	}
 	for _, tc := range []struct {

@@ -37,9 +37,6 @@ func (v U64) Set(t *TP, i int, x uint64) {
 	v.D[i] = x
 }
 
-// Addr returns the simulated address of element i.
-func (v U64) Addr(i int) addr.Addr { return v.Base + addr.Addr(i*8) }
-
 // Slice returns the sub-view [lo, hi).
 func (v U64) Slice(lo, hi int) U64 {
 	return U64{Base: v.Base + addr.Addr(lo*8), D: v.D[lo:hi]}

@@ -56,9 +56,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {
@@ -114,17 +111,6 @@ func (r *RNG) Keys(dst []uint64) {
 	}
 }
 
-// Sample draws m indices uniformly from [0, n) with replacement, matching
-// the sampling step of the scratchpad sorting algorithm (Section III-A of
-// the paper, which notes sampling with replacement suffices).
-func (r *RNG) Sample(n, m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = r.Intn(n)
-	}
-	return out
-}
-
 // SampleNoReplace draws m distinct indices uniformly from [0, n) using
 // Floyd's algorithm. It panics if m > n.
 func (r *RNG) SampleNoReplace(n, m int) []int {
@@ -142,22 +128,4 @@ func (r *RNG) SampleNoReplace(n, m int) []int {
 		out = append(out, t)
 	}
 	return out
-}
-
-// Shuffle performs a Fisher-Yates shuffle of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

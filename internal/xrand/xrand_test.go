@@ -73,19 +73,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestSample(t *testing.T) {
-	r := New(5)
-	s := r.Sample(100, 30)
-	if len(s) != 30 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, v := range s {
-		if v < 0 || v >= 100 {
-			t.Fatalf("sample %d out of range", v)
-		}
-	}
-}
-
 func TestSampleNoReplace(t *testing.T) {
 	r := New(5)
 	for trial := 0; trial < 50; trial++ {
@@ -128,18 +115,6 @@ func TestSampleNoReplacePanics(t *testing.T) {
 	New(1).SampleNoReplace(3, 4)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	p := r.Perm(64)
-	seen := make([]bool, 64)
-	for _, v := range p {
-		if v < 0 || v >= 64 || seen[v] {
-			t.Fatalf("bad permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestKeysFills(t *testing.T) {
 	r := New(13)
 	ks := make([]uint64, 1000)
@@ -152,15 +127,6 @@ func TestKeysFills(t *testing.T) {
 	}
 	if zero > 1 {
 		t.Errorf("%d zero keys in 1000 uniform draws", zero)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(21)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
 	}
 }
 

@@ -233,13 +233,14 @@ func walkRow(t *testing.T, r *rowWalk, daemon *serve.Client) {
 		}
 		r.got[r.exp+".txt"] = sha(text)
 		r.check(t, r.exp+".txt", text)
-		if man.Len() == 0 {
-			return // a model-side row, or telemetry cells: nothing checkpointed
-		}
-		var err error
-		if manifest, err = os.ReadFile(filepath.Join(dir, "cold.json")); err != nil {
+		raw, err := os.ReadFile(filepath.Join(dir, "cold.json"))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if manifestCells(t, raw) == 0 {
+			return // a model-side row, or telemetry cells: nothing checkpointed
+		}
+		manifest = raw
 		r.got[r.exp+".manifest.json"] = sha(manifest)
 		r.check(t, r.exp+".manifest.json", manifest)
 	})
@@ -344,6 +345,18 @@ func (c *hitCounter) Lookup(key harness.CellKey) (harness.CellOutcome, bool) {
 	return out, ok
 }
 
+// manifestCells counts the cells a manifest file holds.
+func manifestCells(t *testing.T, raw []byte) int {
+	t.Helper()
+	var f struct {
+		Cells []json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	return len(f.Cells)
+}
+
 // TestResumeFromOldKeysReplaysEveryCell: testdata/dma.keyv1.manifest.json is
 // `sweep -exp=dma -n 4096 -cores 16 -sp 1 -manifest` as written while cell
 // keys hashed the %+v rendering of the config, before keyVersion 2. It still
@@ -362,14 +375,18 @@ func TestResumeFromOldKeysReplaysEveryCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := m.Len()
+	old := manifestCells(t, raw)
 	cache := &hitCounter{CellCache: m}
 	var b bytes.Buffer
 	if failed, err := serve.RunSweep(&b, rowRequest("dma", "text", 1), &harness.Supervisor{Cache: cache}); err != nil || failed != 0 {
 		t.Fatalf("failed=%d err=%v", failed, err)
 	}
-	if n := cache.hits.Load(); n != 0 || m.Len() != 2*old {
-		t.Errorf("%d of %d old cells answered, %d cells after the run; want none answered and %d", n, old, m.Len(), 2*old)
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, cells := cache.hits.Load(), manifestCells(t, after); n != 0 || cells != 2*old {
+		t.Errorf("%d of %d old cells answered, %d cells after the run; want none answered and %d", n, old, cells, 2*old)
 	}
 	_, entries := readGolden(t)
 	for _, e := range entries {

@@ -11,7 +11,12 @@
 #   4. go vet ./...                   the stock vet checks
 #   5. go test ./...                  full test suite (includes TestRows:
 #                                     every registry row's bytes against
-#                                     testdata/rows.golden, the 386 run too)
+#                                     testdata/rows.golden, the 386 run too;
+#                                     and internal/lint's whole-module gates,
+#                                     skipped in -short: TestWholeModuleClean
+#                                     and TestNoTestOnlyFunctions, no
+#                                     production function that only tests
+#                                     call, bench/_layers counting as a user)
 #   6. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
 #                                     off): an int narrower than the int64
 #                                     it is read from must not slip past
