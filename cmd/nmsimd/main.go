@@ -62,9 +62,9 @@ func parseFlags(args []string) (options, *flag.FlagSet, error) {
 	fs := flag.NewFlagSet("nmsimd", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrently running jobs (0 = 4)")
-	fs.IntVar(&o.queue, "queue", 64, "jobs waiting beyond -workers before 429")
+	fs.IntVar(&o.queue, "queue", 64, "jobs waiting beyond -workers before 429 (at least 1)")
 	fs.IntVar(&o.storeMB, "store-mb", 256, "trace store budget in MiB (pinned in-flight traces may exceed it); a trace costs ~3.3 B/op however it arrived (recorded, v2 or v3 upload), and recordings kept for later requests live here too")
-	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "result cache capacity in completed cells")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "result cache capacity in completed cells (at least 1)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "grace period for in-flight jobs on shutdown (0 = wait forever)")
 	err := fs.Parse(args)
 	return o, fs, err
@@ -77,12 +77,12 @@ func (o options) validate() error {
 		return fmt.Errorf("-addr must not be empty")
 	case o.workers < 0:
 		return fmt.Errorf("-workers %d is negative (0 means the default)", o.workers)
-	case o.queue < 0:
-		return fmt.Errorf("-queue %d is negative", o.queue)
+	case o.queue <= 0:
+		return fmt.Errorf("-queue %d must be positive", o.queue)
 	case o.storeMB <= 0:
 		return fmt.Errorf("-store-mb %d must be positive", o.storeMB)
-	case o.cacheEntries < 0:
-		return fmt.Errorf("-cache-entries %d is negative", o.cacheEntries)
+	case o.cacheEntries <= 0:
+		return fmt.Errorf("-cache-entries %d must be positive", o.cacheEntries)
 	case o.drain < 0:
 		return fmt.Errorf("-drain %v is negative", o.drain)
 	}

@@ -25,8 +25,10 @@ func TestFlagValidation(t *testing.T) {
 		{"addr without port", []string{"-addr", "localhost"}, "-addr"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers"},
 		{"negative queue", []string{"-queue", "-1"}, "-queue"},
+		{"zero queue", []string{"-queue", "0"}, "-queue"},
 		{"zero store", []string{"-store-mb", "0"}, "-store-mb"},
 		{"negative cache", []string{"-cache-entries", "-1"}, "-cache-entries"},
+		{"zero cache", []string{"-cache-entries", "0"}, "-cache-entries"},
 		{"negative drain", []string{"-drain", "-1s"}, "-drain"},
 	}
 	for _, tc := range cases {

@@ -47,6 +47,7 @@ type Module struct {
 	Fset  *token.FileSet
 	units []*Unit
 	cg    *callgraph.Graph // shared module-wide call graph, built on demand
+	l     *loader          // the loader that checked units, with its import cache
 }
 
 // Units returns every analyzable unit, sorted by import path (external test
@@ -229,7 +230,7 @@ func Load(root string) (*Module, error) {
 	}
 	fset := token.NewFileSet()
 	l := newLoader(root, modPath, fset)
-	mod := &Module{Root: root, Path: modPath, Fset: fset}
+	mod := &Module{Root: root, Path: modPath, Fset: fset, l: l}
 
 	var dirs []string
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -328,8 +329,18 @@ func LoadDirAs(root, dir, importPath string) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	l := newLoader(root, modPath, fset)
+	return newLoader(root, modPath, token.NewFileSet()).loadDirAs(dir, importPath)
+}
+
+// LoadDirAs is the package-level LoadDirAs against the packages m already
+// holds: the directory's imports are the ones m's units import, and neither
+// the standard library nor the module is type-checked again.
+func (m *Module) LoadDirAs(dir, importPath string) (*Unit, error) {
+	return m.l.loadDirAs(dir, importPath)
+}
+
+// loadDirAs type-checks dir as the package importPath through l.
+func (l *loader) loadDirAs(dir, importPath string) (*Unit, error) {
 	regular, inTest, extTest, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
@@ -343,12 +354,12 @@ func LoadDirAs(root, dir, importPath string) (*Unit, error) {
 		return nil, err
 	}
 	return &Unit{
-		ModulePath: modPath,
+		ModulePath: l.modPath,
 		ImportPath: importPath,
 		Dir:        dir,
-		Fset:       fset,
+		Fset:       l.fset,
 		Files:      files,
-		TestFiles:  markTests(fset, files),
+		TestFiles:  markTests(l.fset, files),
 		Pkg:        pkg,
 		Info:       info,
 	}, nil

@@ -3,6 +3,7 @@ package lint_test
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"sort"
@@ -44,9 +45,8 @@ var testOnlyAllowed = []struct {
 	why   string
 }{
 	{[]string{"repro/internal/cli/clitest"}, "a test-support package: the validation tables both commands' tests run"},
-	{[]string{"repro/internal/lint.LoadDirAs", "repro/internal/lint.RunUnit"}, "the fixture loader: analyzer tests load testdata packages under chosen import paths"},
+	{[]string{"repro/internal/lint.LoadDirAs", "repro/internal/lint.Module.LoadDirAs", "repro/internal/lint.RunUnit"}, "the fixture loader: analyzer tests load testdata packages under chosen import paths, and this gate the layer probes"},
 	{[]string{"repro/internal/addr.SPAllocator.CheckInvariants"}, "a reference check of the allocator's free list, run by its property tests"},
-	{[]string{"repro/internal/trace.MappedBytes"}, "the mapping-leak check a long-running daemon's soak test reads"},
 	{[]string{"repro/internal/model"}, "the paper's closed-form bounds, checked by tests until each becomes a claim a row prints"},
 	{[]string{"repro/internal/serve.Client"}, "the daemon's client, for programs outside this module as well as -server"},
 }
@@ -59,16 +59,53 @@ var testOnlyAllowed = []struct {
 // Load skips for its "_" prefix.
 func TestNoTestOnlyFunctions(t *testing.T) {
 	mod := loadWholeModule(t)
-	layers, err := lint.LoadDirAs(mod.Root, filepath.Join(mod.Root, "bench", "_layers"), mod.Path+"/bench/_layers")
+	layers, err := mod.LoadDirAs(filepath.Join(mod.Root, "bench", "_layers"), mod.Path+"/bench/_layers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	units := append([]*lint.Unit{layers}, mod.Units()...)
 
-	// A method is reached through an interface when its name is one an
-	// interface of the module, error or fmt.Stringer declares.
-	viaInterface := map[string]bool{"Error": true, "String": true, "Unwrap": true}
-	declared := map[string]*ast.FuncDecl{}
+	// Load checks a package with its tests for analysis and once more, alone,
+	// for its importers. Interfaces and receivers are compared as the
+	// importers see them, so that a type satisfies an interface of another
+	// package.
+	imported := map[string]*types.Package{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if imported[p.Path()] == nil {
+			imported[p.Path()] = p
+			for _, q := range p.Imports() {
+				walk(q)
+			}
+		}
+	}
+	for _, u := range units {
+		for _, p := range u.Pkg.Imports() {
+			walk(p)
+		}
+	}
+	typeOf := func(u *lint.Unit, name string) types.Type {
+		if p := imported[u.Pkg.Path()]; p != nil {
+			return p.Scope().Lookup(name).Type()
+		}
+		return u.Pkg.Scope().Lookup(name).Type()
+	}
+
+	// A method is reached through an interface when its receiver, or a
+	// pointer to it, implements one that declares it: an interface of the
+	// module, error, fmt.Stringer, or the Unwrap errors.Is and errors.As call.
+	method := func(name string, result types.Type) *types.Interface {
+		sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", result)), false)
+		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+	}
+	errorType := types.Universe.Lookup("error").Type()
+	interfaces := []*types.Interface{errorType.Underlying().(*types.Interface),
+		method("String", types.Typ[types.String]), method("Unwrap", errorType)}
+	type decl struct {
+		d    *ast.FuncDecl
+		recv types.Type // a method's receiver type, nil for a function
+	}
+	declared := map[string]decl{}
 	used := map[string]bool{}
 	for _, u := range units {
 		if strings.HasSuffix(u.ImportPath, "_test") {
@@ -83,18 +120,21 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 				switch d := d.(type) {
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
-						if ts, ok := s.(*ast.TypeSpec); ok {
-							if it, ok := u.Info.Defs[ts.Name].Type().Underlying().(*types.Interface); ok {
-								for i := 0; i < it.NumMethods(); i++ {
-									viaInterface[it.Method(i).Name()] = true
-								}
+						if ts, ok := s.(*ast.TypeSpec); ok && ts.TypeParams == nil {
+							if it, ok := typeOf(u, ts.Name.Name).Underlying().(*types.Interface); ok {
+								interfaces = append(interfaces, it)
 							}
 						}
 					}
 				case *ast.FuncDecl:
-					self = funcKey(u.Info.Defs[d.Name].(*types.Func))
+					fn := u.Info.Defs[d.Name].(*types.Func)
+					self = funcKey(fn)
 					if u.Pkg.Name() != "main" && d.Name.Name != "init" {
-						declared[self] = d
+						var recv types.Type
+						if r := recvName(fn); r != "" {
+							recv = typeOf(u, r)
+						}
+						declared[self] = decl{d, recv}
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
@@ -109,10 +149,22 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 		}
 	}
 
+	implements := func(recv types.Type, name string) bool {
+		for _, it := range interfaces {
+			if m, _, _ := types.LookupFieldOrMethod(it, false, nil, name); m == nil {
+				continue
+			}
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
+	}
 	allowHits := make([]int, len(testOnlyAllowed))
 	var report []string
-	for key, d := range declared {
-		if used[key] || (d.Recv != nil && viaInterface[d.Name.Name]) {
+	for key, dd := range declared {
+		d := dd.d
+		if used[key] || (dd.recv != nil && implements(dd.recv, d.Name.Name)) {
 			continue
 		}
 		if i := allowed(key); i >= 0 {
@@ -153,17 +205,27 @@ func allowed(key string) int {
 func funcKey(fn *types.Func) string {
 	fn = fn.Origin()
 	key := fn.Name()
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		rt := types.Unalias(recv.Type())
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = types.Unalias(p.Elem())
-		}
-		if n, ok := rt.(*types.Named); ok {
-			key = n.Origin().Obj().Name() + "." + key
-		}
+	if r := recvName(fn); r != "" {
+		key = r + "." + key
 	}
 	if fn.Pkg() != nil {
 		key = fn.Pkg().Path() + "." + key
 	}
 	return key
+}
+
+// recvName is the name of a method's receiver type, "" for a function.
+func recvName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	rt := types.Unalias(recv.Type())
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = types.Unalias(p.Elem())
+	}
+	if n, ok := rt.(*types.Named); ok {
+		return n.Origin().Obj().Name()
+	}
+	return ""
 }

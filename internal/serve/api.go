@@ -99,10 +99,10 @@ type SweepRequest struct {
 	FaultRate float64 `json:"fault_rate,omitempty"` // table1: far bit error rate of every node (0 = none)
 }
 
-// Stats is the GET /v1/stats snapshot. TraceBytes counts heap-resident
-// trace images; TraceMappedBytes counts mmapped columnar traces' file
-// bytes (address space and page cache, not Go heap). The store budget
-// spans both.
+// Stats is the GET /v1/stats snapshot. TraceBytes is the size of the trace
+// images the store holds, what its budget counts. TraceMappedBytes is the
+// bytes of trace files the process has mapped (trace.MappedBytes): a daemon
+// maps none, so it reads 0 unless a mapping leaks.
 type Stats struct {
 	Traces           int    `json:"traces"`
 	TraceBytes       int64  `json:"trace_bytes"`

@@ -147,13 +147,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // traceInfo builds the metadata response for a stored trace.
-func traceInfo(digest uint64, src trace.Source) TraceInfo {
-	heap, mapped := sourceBytes(src)
+func traceInfo(digest uint64, col *trace.Columnar) TraceInfo {
 	return TraceInfo{
 		Digest:  digestString(digest),
-		Threads: src.Threads(),
-		Ops:     int64(src.Ops()),
-		Bytes:   heap + mapped,
+		Threads: col.Threads(),
+		Ops:     int64(col.Ops()),
+		Bytes:   col.Size(),
 	}
 }
 
@@ -222,11 +221,11 @@ func (im segments) head(n int64) [][]byte {
 // readUpload reads an upload body, comparing it as it streams, compareChunk
 // bytes at a time, with the images of cands (the resident traces whose image
 // is Content-Length bytes), segment by segment. A body that ends exactly
-// where a still-equal image ends is that trace: its source comes back, and
+// where a still-equal image ends is that trace: its columns come back, and
 // the body was never buffered. Any other body comes back whole from
 // readBody, after the prefix the last candidates matched, copied from the
 // segments of an image it equals.
-func readUpload(r io.Reader, hint, limit int64, cands []resident) (trace.Source, []byte, error) {
+func readUpload(r io.Reader, hint, limit int64, cands []resident) (*trace.Columnar, []byte, error) {
 	defer runtime.KeepAlive(cands) // a mapped image stays mapped while it is read
 	if len(cands) == 0 {
 		body, err := readBody(r, hint, limit)
@@ -251,7 +250,7 @@ func readUpload(r io.Reader, hint, limit int64, cands []resident) (trace.Source,
 				continue
 			}
 			if err == io.EOF && c.size == matched+int64(n) {
-				return c.src, nil, nil
+				return c.col, nil, nil
 			}
 			live++
 		}
@@ -286,7 +285,7 @@ func readUpload(r io.Reader, hint, limit int64, cands []resident) (trace.Source,
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	timing := prof.NewStages()
 	read := timing.Start(0, "request", "read")
-	src, body, err := readUpload(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes),
+	col, body, err := readUpload(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes),
 		r.ContentLength, s.cfg.MaxUploadBytes, s.store.sized(r.ContentLength))
 	read.End()
 	if err != nil {
@@ -300,20 +299,21 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	check := timing.Start(0, "request", "verify")
 	stage := "verify"
 	switch {
-	case src != nil:
+	case col != nil:
 		stage = "resident"
 	case trace.IsColumnar(body):
-		var col *trace.Columnar
 		if col, err = trace.OpenBytes(body); err == nil {
 			err = col.Verify()
 		}
-		src = col
 	default:
-		src, err = trace.ReadTrace(bytes.NewReader(body))
+		var tr *trace.Trace
+		if tr, err = trace.ReadTrace(bytes.NewReader(body)); err == nil {
+			col = tr.Columns()
+		}
 	}
 	var invalid error
 	if err == nil {
-		invalid = src.Validate()
+		invalid = col.Validate()
 	}
 	check.EndAs(stage)
 	w.Header().Set("Server-Timing", timing.ServerTiming())
@@ -325,7 +325,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("serve: invalid trace: %w", invalid), http.StatusBadRequest)
 		return
 	}
-	d, err := s.store.Put(src)
+	d, err := s.store.Put(col)
 	if errors.Is(err, ErrTraceTooLarge) {
 		storeFull(w, err)
 		return
@@ -334,7 +334,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, traceInfo(d, src))
+	writeJSON(w, traceInfo(d, col))
 }
 
 // handleRecord records an algorithm trace server-side and stores it: a bad
@@ -387,17 +387,18 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	}
 	// The store holds the trace — Record found it there or put it there —
 	// unless it is larger than the budget.
-	if err := s.store.fits(res.Trace); err != nil {
+	col := res.Trace.Columns()
+	if err := s.store.fits(col); err != nil {
 		storeFull(w, err)
 		return
 	}
-	d, err := res.Trace.Digest()
+	d, err := col.Digest()
 	if err != nil {
 		fail(w, fmt.Errorf("serve: digesting trace: %w", err), http.StatusInternalServerError)
 		return
 	}
 	s.jobsDone.Add(1)
-	writeJSON(w, traceInfo(d, res.Trace))
+	writeJSON(w, traceInfo(d, col))
 }
 
 // handleFetchTrace streams a stored trace back as its sealed v3 image —
@@ -410,14 +411,14 @@ func (s *Server) handleFetchTrace(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	src, release, err := s.store.Pin(d)
+	col, release, err := s.store.Pin(d)
 	if err != nil {
 		fail(w, err, http.StatusNotFound)
 		return
 	}
 	defer release()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	columnsOf(src).WriteTo(w)
+	col.WriteTo(w)
 }
 
 // Validate rejects malformed job parameters up front, through the rules
@@ -619,7 +620,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, Stats{
 		Traces:           s.store.Len(),
 		TraceBytes:       s.store.Bytes(),
-		TraceMappedBytes: s.store.MappedBytes(),
+		TraceMappedBytes: trace.MappedBytes(),
 		CacheEntries:     entries,
 		CacheHits:        hits,
 		CacheMisses:      misses,

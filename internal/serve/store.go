@@ -13,20 +13,15 @@ import (
 // The content-addressed trace store: every trace lives in memory exactly
 // once, keyed by its digest, shared read-only by every replay that needs
 // it. Eviction is LRU within a byte budget, but a trace pinned by an
-// in-flight job is never evicted — a replay must keep its streams for its
+// in-flight job is never evicted — a replay must keep its columns for its
 // whole run. The budget is therefore soft under load: pinned bytes can
 // exceed it, and the store converges back under it as pins release.
 //
-// Entries are trace.Sources, and a Source is columns: a recording's sealed
-// image, an uploaded v2 body sealed by ReadTrace, or an uploaded v3 body
-// charge their image size as heap bytes; a locally opened file charges
-// mapped bytes, because a mapped trace holds address space and page cache,
-// not Go heap. Both spend the same budget; Stats reports the split. An image
-// costs ~3.3 B/op whichever way it arrived. Eviction only
-// drops the store's reference: a pinned Source stays valid for its
-// borrower, and a mapped Columnar's pages are released by the finalizer
-// trace.Open installs once the last reference (store, pin, or cursor)
-// goes away — the store never unmaps under a reader.
+// Entries are sealed columns, *trace.Columnar: a recording's image, an
+// uploaded v2 body sealed by ReadTrace, or an uploaded v3 body. Each is
+// charged its image size, ~3.3 B/op whichever way it arrived. Eviction only
+// drops the store's reference, so a pinned entry stays valid for its
+// borrower.
 //
 // The store is also the daemon's harness.RecordCache, and its only one: a
 // recording is Put like an upload, and an index maps each (algorithm,
@@ -48,25 +43,6 @@ var ErrTraceNotFound = errors.New("serve: trace not found")
 // budget: holding it would evict every other trace and then itself.
 var ErrTraceTooLarge = errors.New("serve: trace larger than the store budget")
 
-// sourceBytes splits a source's resident footprint into heap and mapped
-// bytes: the size of the image behind it, on whichever side it lives.
-func sourceBytes(src trace.Source) (heap, mapped int64) {
-	col := columnsOf(src)
-	if col.Mapped() {
-		return 0, col.Size()
-	}
-	return col.Size(), 0
-}
-
-// columnsOf is the v3 image behind a source: a recording's or a v2 upload's
-// sealed columns, or the Columnar itself.
-func columnsOf(src trace.Source) *trace.Columnar {
-	if tr, ok := src.(*trace.Trace); ok {
-		return tr.Columns()
-	}
-	return src.(*trace.Columnar)
-}
-
 // recordKey names one recording: the workload is RecordKey-normalized, so
 // comparable and pointer-free.
 type recordKey struct {
@@ -76,9 +52,7 @@ type recordKey struct {
 
 // storeEntry is one resident trace.
 type storeEntry struct {
-	src     trace.Source
-	heap    int64
-	mapped  int64
+	col     *trace.Columnar
 	pins    int
 	records []recordKey   // the recordings indexed to this trace
 	elem    *list.Element // position in the recency list; value is the digest
@@ -86,17 +60,16 @@ type storeEntry struct {
 
 // Store is the content-addressed trace store. Safe for concurrent use.
 type Store struct {
-	mu         sync.Mutex
-	budget     int64
-	usedHeap   int64
-	usedMapped int64
-	entries    map[uint64]*storeEntry
-	records    map[recordKey]uint64 // recording → digest of a resident entry
-	order      *list.List           // front = most recently used; element values are uint64 digests
+	mu      sync.Mutex
+	budget  int64
+	used    int64
+	entries map[uint64]*storeEntry
+	records map[recordKey]uint64 // recording → digest of a resident entry
+	order   *list.List           // front = most recently used; element values are uint64 digests
 }
 
 // NewStore returns a store bounded by budget bytes (<= 0 means a 256 MiB
-// default). The budget covers heap and mapped bytes together.
+// default).
 func NewStore(budget int64) *Store {
 	if budget <= 0 {
 		budget = 256 << 20
@@ -105,21 +78,21 @@ func NewStore(budget int64) *Store {
 		records: make(map[recordKey]uint64), order: list.New()}
 }
 
-// Put inserts src under its digest and returns the digest. A trace already
+// Put inserts col under its digest and returns the digest. A trace already
 // resident is not duplicated — the store keeps the first copy and
 // refreshes its recency — so concurrent uploads of the same logical trace
 // (in either serialization; the digest is encoding-independent) cost one
 // resident copy.
-func (s *Store) Put(src trace.Source) (uint64, error) { return s.put(src, nil) }
+func (s *Store) Put(col *trace.Columnar) (uint64, error) { return s.put(col, nil) }
 
 // put is Put, also indexing the entry under rec when there is one — inside
 // the same critical section, so the index never names an evicted trace.
-func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
-	d, err := src.Digest()
+func (s *Store) put(col *trace.Columnar, rec *recordKey) (uint64, error) {
+	d, err := col.Digest()
 	if err != nil {
 		return 0, fmt.Errorf("serve: digesting trace: %w", err)
 	}
-	if err := s.fits(src); err != nil {
+	if err := s.fits(col); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
@@ -128,12 +101,9 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 	if ok {
 		s.order.MoveToFront(e.elem)
 	} else {
-		e = &storeEntry{src: src}
-		e.heap, e.mapped = sourceBytes(src)
-		e.elem = s.order.PushFront(d)
+		e = &storeEntry{col: col, elem: s.order.PushFront(d)}
 		s.entries[d] = e
-		s.usedHeap += e.heap
-		s.usedMapped += e.mapped
+		s.used += col.Size()
 	}
 	if rec != nil {
 		if _, known := s.records[*rec]; !known {
@@ -148,49 +118,44 @@ func (s *Store) put(src trace.Source, rec *recordKey) (uint64, error) {
 // fits returns ErrTraceTooLarge, with the sizes, for a trace larger than the
 // whole budget: one Put refuses. The budget never changes, so it needs no
 // lock.
-func (s *Store) fits(src trace.Source) error {
-	heap, mapped := sourceBytes(src)
-	if size := heap + mapped; size > s.budget {
+func (s *Store) fits(col *trace.Columnar) error {
+	if size := col.Size(); size > s.budget {
 		return fmt.Errorf("%w: %d bytes, budget %d", ErrTraceTooLarge, size, s.budget)
 	}
 	return nil
 }
 
-// LookupRecord implements harness.RecordCache: the resident trace a
-// recording of alg on w produced, whichever way it arrived — a columnar
-// upload with the same digest answers through a handle over its columns.
+// LookupRecord implements harness.RecordCache: a handle over the resident
+// columns a recording of alg on w produced, whichever way they arrived — an
+// upload with the same digest answers too.
 func (s *Store) LookupRecord(alg harness.Algorithm, w harness.Workload) (harness.RecordResult, bool) {
 	s.mu.Lock()
 	d, ok := s.records[recordKey{alg, w}]
-	var src trace.Source
+	var col *trace.Columnar
 	if ok {
 		e := s.entries[d]
 		s.order.MoveToFront(e.elem)
-		src = e.src
+		col = e.col
 	}
 	s.mu.Unlock()
 	if !ok {
 		return harness.RecordResult{}, false
 	}
-	tr, isTrace := src.(*trace.Trace)
-	if !isTrace {
-		tr = src.(*trace.Columnar).AsTrace()
-	}
-	return harness.RecordResult{Trace: tr}, true
+	return harness.RecordResult{Trace: col.AsTrace()}, true
 }
 
-// CompleteRecord implements harness.RecordCache: it is Put, indexed under
-// the recording. A trace that cannot be digested, or that is larger than the
+// CompleteRecord implements harness.RecordCache: it is Put of the
+// recording's columns, indexed under the recording. A trace that cannot be digested, or that is larger than the
 // budget, is not stored; the caller keeps its recording either way, and
 // POST /v1/traces/record answers the second case with a 507.
 func (s *Store) CompleteRecord(alg harness.Algorithm, w harness.Workload, res harness.RecordResult) {
-	s.put(res.Trace, &recordKey{alg, w})
+	s.put(res.Trace.Columns(), &recordKey{alg, w})
 }
 
 // Pin returns the trace for digest and pins it resident until release is
 // called. Pin/release pairs bracket every replay, so eviction can never
-// pull a stream — or unmap a columnar file — out from under a running job.
-func (s *Store) Pin(digest uint64) (src trace.Source, release func(), err error) {
+// pull a trace out from under a running job.
+func (s *Store) Pin(digest uint64) (col *trace.Columnar, release func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[digest]
@@ -208,12 +173,12 @@ func (s *Store) Pin(digest uint64) (src trace.Source, release func(), err error)
 			s.evictLocked(nil)
 		})
 	}
-	return e.src, release, nil
+	return e.col, release, nil
 }
 
 // resident is a trace the store holds, with its v3 image.
 type resident struct {
-	src   trace.Source
+	col   *trace.Columnar
 	image segments
 	size  int64
 }
@@ -223,19 +188,18 @@ type resident struct {
 // it, and one that is not leaves the store as it found it. A resident entry's
 // digest is known, so its segments are at hand in O(threads). The caller
 // reads the images outside the lock; an entry evicted meanwhile stays
-// readable, since eviction only drops the store's reference and src keeps a
-// mapped image mapped.
+// readable, since eviction only drops the store's reference.
 func (s *Store) sized(size int64) []resident {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []resident
 	for el := s.order.Front(); el != nil; el = el.Next() {
 		e := s.entries[el.Value.(uint64)]
-		if e.heap+e.mapped != size {
+		if e.col.Size() != size {
 			continue
 		}
-		if image, err := columnsOf(e.src).Segments(); err == nil {
-			out = append(out, resident{e.src, image, size})
+		if image, err := e.col.Segments(); err == nil {
+			out = append(out, resident{e.col, image, size})
 		}
 	}
 	return out
@@ -245,7 +209,7 @@ func (s *Store) sized(size int64) []resident {
 // the recordings indexed to them, until the store fits its budget. Walks the
 // recency list back to front — never a map — skipping pinned entries.
 func (s *Store) evictLocked(keep *storeEntry) {
-	for el := s.order.Back(); el != nil && s.usedHeap+s.usedMapped > s.budget; {
+	for el := s.order.Back(); el != nil && s.used > s.budget; {
 		prev := el.Prev()
 		d := el.Value.(uint64)
 		if e := s.entries[d]; e.pins == 0 && e != keep {
@@ -254,8 +218,7 @@ func (s *Store) evictLocked(keep *storeEntry) {
 			for _, k := range e.records {
 				delete(s.records, k)
 			}
-			s.usedHeap -= e.heap
-			s.usedMapped -= e.mapped
+			s.used -= e.col.Size()
 		}
 		el = prev
 	}
@@ -275,16 +238,9 @@ func (s *Store) recordCount() int {
 	return len(s.records)
 }
 
-// Bytes reports the resident heap footprint estimate.
+// Bytes reports the resident images' total size.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.usedHeap
-}
-
-// MappedBytes reports the resident mmap footprint.
-func (s *Store) MappedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.usedMapped
+	return s.used
 }

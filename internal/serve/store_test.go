@@ -39,7 +39,7 @@ func farLoads(t *testing.T, stamp, n int) *trace.Trace {
 func traceSize(t *testing.T) int64 {
 	t.Helper()
 	s := serve.NewStore(1 << 30)
-	if _, err := s.Put(storeTrace(t, 0)); err != nil {
+	if _, err := s.Put(storeTrace(t, 0).Columns()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Bytes() == 0 {
@@ -55,7 +55,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	s := serve.NewStore(2*size + size/2) // room for two
 	var digests []uint64
 	for i := 0; i < 3; i++ {
-		d, err := s.Put(storeTrace(t, i))
+		d, err := s.Put(storeTrace(t, i).Columns())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStorePinBlocksEviction(t *testing.T) {
 	size := traceSize(t)
 	s := serve.NewStore(size + size/2) // room for one trace
-	d0, err := s.Put(storeTrace(t, 0))
+	d0, err := s.Put(storeTrace(t, 0).Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestStorePinBlocksEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(storeTrace(t, 1)); err != nil {
+	if _, err := s.Put(storeTrace(t, 1).Columns()); err != nil {
 		t.Fatal(err)
 	}
 	// Two traces were put: the pinned one and the one just put hold both
@@ -120,7 +120,7 @@ func TestStoreRefusesATraceOverItsBudget(t *testing.T) {
 	}
 	big := farLoads(t, 1, 256)
 	s := serve.NewStore(budget)
-	if _, err := s.Put(big); !errors.Is(err, serve.ErrTraceTooLarge) {
+	if _, err := s.Put(big.Columns()); !errors.Is(err, serve.ErrTraceTooLarge) {
 		t.Errorf("Put of a trace over the budget: err = %v, want ErrTraceTooLarge", err)
 	}
 	if _, err := c.UploadTrace(ctx, big); err == nil || !strings.Contains(err.Error(), "507") || !strings.Contains(err.Error(), "-store-mb") {

@@ -38,19 +38,20 @@ func (s *Server) referenceUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("serve: reading trace: %w", err), status)
 		return
 	}
-	var src trace.Source
+	var col *trace.Columnar
 	if trace.IsColumnar(body) {
-		var col *trace.Columnar
 		if col, err = trace.OpenBytes(body); err == nil {
 			err = col.Verify()
 		}
-		src = col
 	} else {
-		src, err = trace.ReadTrace(bytes.NewReader(body))
+		var tr *trace.Trace
+		if tr, err = trace.ReadTrace(bytes.NewReader(body)); err == nil {
+			col = tr.Columns()
+		}
 	}
 	var invalid error
 	if err == nil {
-		invalid = src.Validate()
+		invalid = col.Validate()
 	}
 	if err != nil {
 		fail(w, fmt.Errorf("serve: reading trace: %w", err), http.StatusBadRequest)
@@ -60,7 +61,7 @@ func (s *Server) referenceUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("serve: invalid trace: %w", invalid), http.StatusBadRequest)
 		return
 	}
-	d, err := s.store.Put(src)
+	d, err := s.store.Put(col)
 	if errors.Is(err, ErrTraceTooLarge) {
 		storeFull(w, err)
 		return
@@ -69,7 +70,7 @@ func (s *Server) referenceUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, traceInfo(d, src))
+	writeJSON(w, traceInfo(d, col))
 }
 
 // uploadRig is one daemon on httptest: the real handlers, or (reference)

@@ -147,7 +147,8 @@ type Columnar struct {
 var mappedBytes atomic.Int64
 
 // MappedBytes returns the bytes of trace files this process currently has
-// mapped — the leak check for code that opens traces and drops them.
+// mapped: the gauge /v1/stats reports, and the leak check for code that
+// opens traces and drops them.
 func MappedBytes() int64 { return mappedBytes.Load() }
 
 // IsColumnar reports whether data begins with the v3 magic — the sniff the
@@ -336,9 +337,6 @@ func (c *Columnar) Size() int64 {
 	}
 	return n
 }
-
-// Mapped reports whether the bytes are an mmap rather than heap memory.
-func (c *Columnar) Mapped() bool { return c.mapping != nil }
 
 // footer returns the image's final footerSize bytes, the tail's end.
 func (c *Columnar) footer() []byte {

@@ -9,8 +9,8 @@
 # bandwidth sweep (whose baseline cells share one replay) through the same
 # three-way identity as text and as CSV rows, then the paper's model-side
 # rows (membound, codesign, m1, m2, m3, pem) the same way, then nmsim's Table
-# I locally and through -server, and checks that SIGTERM drains the daemon to
-# a clean exit 0.
+# I locally and through -server, requires /v1/stats to report no mapped trace
+# bytes, and checks that SIGTERM drains the daemon to a clean exit 0.
 #
 # A second pass smoke-tests the columnar (v3) serving path: record a trace
 # with nmtrace, convert it to .nmt3 (asserting the size win), upload the v2
@@ -143,6 +143,11 @@ echo "== nmsim: local vs remote =="
 "$workdir/nmsim" $t1 > "$workdir/nmsim_local.txt"
 "$workdir/nmsim" $t1 -server "http://$addr" > "$workdir/nmsim_remote.txt"
 cmp "$workdir/nmsim_local.txt" "$workdir/nmsim_remote.txt"
+
+# A daemon maps no trace file: uploads and recordings are held as sealed
+# columns on the heap, and trace_mapped_bytes is the process's mapped total.
+mapped=$(field trace_mapped_bytes)
+[ "$mapped" = 0 ] || { echo "daemon maps $mapped trace bytes after its sweeps, want 0"; exit 1; }
 
 echo "== graceful shutdown =="
 kill -TERM "$daemon_pid"
