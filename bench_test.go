@@ -230,7 +230,7 @@ func BenchmarkBlockTransfersSeqSort(b *testing.B) {
 				a := env.AllocFar(n)
 				xrand.New(uint64(n + i)).Keys(a.D)
 				core.SeqScratchpadSort(env, a, core.SeqOptions{})
-				c := rec.Finish().Count()
+				c := rec.Finish(nil).Count()
 				far, near = c.Far(), c.Near()
 			}
 			p := model.Params{N: int64(n), Elem: 8, B: 64, Rho: 4,
@@ -271,7 +271,7 @@ func BenchmarkInnerSort(b *testing.B) {
 				} else {
 					core.MultiwayMergeSort(tp, a, tmp, 128, 8)
 				}
-				near = rec.Finish().Count().Near()
+				near = rec.Finish(nil).Count().Near()
 			}
 			b.ReportMetric(float64(near), "near-lines")
 			b.ReportMetric(float64(near)/float64(n), "near-lines/elem")
@@ -349,7 +349,7 @@ func BenchmarkKMeans(b *testing.B) {
 				} else {
 					kmeans.Far(env, pts, cfg)
 				}
-				far = rec.Finish().Count().Far()
+				far = rec.Finish(nil).Count().Far()
 			}
 			b.ReportMetric(float64(far), "far-lines")
 		})
@@ -425,7 +425,7 @@ func BenchmarkPEMSortScaling(b *testing.B) {
 				if !core.IsSorted(dst.D) {
 					b.Fatal("not sorted")
 				}
-				tr := rec.Finish()
+				tr := rec.Finish(nil)
 				var err error
 				res, err = machine.Run(harness.NodeFor((p+3)/4*4, 16, 4*units.MiB), tr)
 				if err != nil {

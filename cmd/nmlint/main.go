@@ -12,12 +12,12 @@
 //
 //	//nmlint:ignore <analyzer> <reason>
 //
-// With -escape-check, instead of the AST suite nmlint cross-checks the
-// //nmlint:hotpath regions against the compiler's own escape analysis: it
+// With -escape-check, nmlint additionally cross-checks the //nmlint:hotpath
+// regions against the compiler's own escape analysis, on the same load: it
 // rebuilds the packages containing hot regions with -gcflags=-m=2 and
 // fails on any compiler-reported heap escape inside a region the AST
 // analyzer did not already explain (cold lines and reasoned ignores are
-// excused). This catches allocations the conservative syntax pass cannot
+// excused). The analyzers' findings come first, then the escapes. This catches allocations the conservative syntax pass cannot
 // see — stdlib calls that leak an argument, variables the compiler moves
 // to the heap.
 package main
@@ -39,7 +39,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	list := flag.Bool("analyzers", false, "list the analyzers and exit")
 	escCheck := flag.Bool("escape-check", false,
-		"cross-check hot regions against go build -gcflags=-m=2 escape analysis")
+		"also cross-check hot regions against go build -gcflags=-m=2 escape analysis")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: nmlint [-json] [-analyzers] [-escape-check] [dir | ./...]\n")
 		flag.PrintDefaults()
@@ -76,15 +76,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var diags []lint.Diagnostic
+	diags := lint.Run(mod)
 	if *escCheck {
-		diags, err = escapeCheck(mod)
+		escapes, err := escapeCheck(mod)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nmlint:", err)
 			os.Exit(2)
 		}
-	} else {
-		diags = lint.Run(mod)
+		diags = append(diags, escapes...)
 	}
 
 	// Print paths relative to the working directory when possible, so

@@ -87,6 +87,21 @@ func TestNmlintCLI(t *testing.T) {
 		}
 	})
 
+	t.Run("escape check reports the analyzers' findings too", func(t *testing.T) {
+		root := writeModule(t, map[string]string{
+			"go.mod": "module scratch\n\ngo 1.24\n",
+			"bad.go": badSrc,
+		})
+		cmd := exec.Command(bin, "-escape-check", root)
+		out, err := cmd.CombinedOutput()
+		if code := exitCode(t, err); code != 1 {
+			t.Fatalf("exit code = %d, want 1; output:\n%s", code, out)
+		}
+		if !strings.Contains(string(out), "[noglobalrand]") || !strings.Contains(string(out), "bad.go:5") {
+			t.Errorf("-escape-check dropped the analyzer finding:\n%s", out)
+		}
+	})
+
 	t.Run("json output carries positions and analyzer names", func(t *testing.T) {
 		root := writeModule(t, map[string]string{
 			"go.mod": "module scratch\n\ngo 1.24\n",

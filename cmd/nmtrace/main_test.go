@@ -39,7 +39,7 @@ func testTrace(t *testing.T) *trace.Trace {
 		}
 		tp.Barrier()
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 // writeV2 serializes tr as a v2 stream at path and returns the bytes.

@@ -190,7 +190,7 @@ func TestCorollary3TransferOrdering(t *testing.T) {
 		} else {
 			MultiwayMergeSort(tp, a, tmp, 128, 8)
 		}
-		return float64(rec.Finish().Count().Near()) / float64(n)
+		return float64(rec.Finish(nil).Count().Near()) / float64(n)
 	}
 	const big = 1 << 18
 	qBig, mBig := measure(big, true), measure(big, false)

@@ -14,12 +14,6 @@ type NMOptions struct {
 	// Phase 2 can batch thousands-of-buckets-sized transfers as in the
 	// paper).
 	Buckets int
-	// ChunkElems is the Phase 1 chunk size Θ(M) in elements (0 =
-	// automatic: the largest chunk such that the double-buffered working
-	// set fits the scratchpad).
-	ChunkElems int
-	// Oversample is the pivot oversampling factor (0 = 8).
-	Oversample int
 	// DMA uses background DMA engines for chunk ingest (double-buffered)
 	// and drain instead of core-mediated copies — the paper's §VII
 	// future-work extension.
@@ -369,9 +363,6 @@ func planNM(e *Env, n int, opt NMOptions) nmPlan {
 	reserve := 0
 	for iter := 0; ; iter++ {
 		c := (spElems - reserve) / bufs
-		if opt.ChunkElems > 0 {
-			c = opt.ChunkElems
-		}
 		if c < 64 {
 			panic(fmt.Sprintf("core: scratchpad too small for NMsort: chunk would be %d elements (scratchpad %v, threads %d)", c, e.M, e.P))
 		}
@@ -413,17 +404,13 @@ func planNM(e *Env, n int, opt NMOptions) nmPlan {
 		// pivots + BucketTot + bpos + allocator rounding across the six
 		// scratchpad allocations (samples live in far memory).
 		need := 3*pl.buckets + 64
-		if need <= reserve || opt.ChunkElems > 0 || iter > 16 {
+		if need <= reserve || iter > 16 {
 			break
 		}
 		reserve = need
 	}
 
-	ov := opt.Oversample
-	if ov == 0 {
-		ov = 8
-	}
-	pl.pivotSample = pl.buckets * ov
+	pl.pivotSample = pl.buckets * 8 // the pivot oversampling factor
 	if pl.pivotSample > pl.chunkElems {
 		pl.pivotSample = pl.chunkElems
 	}

@@ -11,19 +11,16 @@ import (
 )
 
 // TestNMSortGeometryProperty drives NMSort across randomized geometry
-// (input size, thread count, scratchpad size, bucket count, oversampling,
-// DMA on/off) and requires a correct sort every time.
+// (input size, thread count, scratchpad size, bucket count, DMA on/off) and
+// requires a correct sort every time.
 func TestNMSortGeometryProperty(t *testing.T) {
-	f := func(nRaw uint16, pRaw, mRaw, bRaw, ovRaw uint8, dma bool) bool {
+	f := func(nRaw uint16, pRaw, mRaw, bRaw uint8, dma bool) bool {
 		n := int(nRaw)%20000 + 2
 		p := int(pRaw)%12 + 1
 		m := units.Bytes(int(mRaw)%96+32) * units.KiB
 		opt := NMOptions{DMA: dma}
 		if bRaw%2 == 0 {
 			opt.Buckets = int(bRaw)%120 + 2
-		}
-		if ovRaw%2 == 0 {
-			opt.Oversample = int(ovRaw)%14 + 1
 		}
 		e := NewEnv(p, m, nil, uint64(nRaw)+1)
 		a := e.AllocFar(n)

@@ -51,7 +51,6 @@ func ParScratchpadSort(e *Env, a trace.U64, opt SeqOptions) SeqStats {
 		farT:  e.AllocFar(SampleLen(e.P)),
 		m:     m,
 		group: group,
-		quick: opt.Quicksort,
 		st:    &st,
 	}
 
@@ -70,18 +69,16 @@ func ParScratchpadSort(e *Env, a trace.U64, opt SeqOptions) SeqStats {
 // threads execute the same lockstep recursion; thread 0 publishes shared
 // per-level decisions (sample, bucket layout) across barriers.
 type parSorter struct {
-	e          *Env
-	bar        *par.Barrier
-	spA, spB   trace.U64 // group ingest / sort buffers
-	spX, spXT  trace.U64 // resident sample + scratch
-	far, farT  trace.U64 // splitter-sample buffers for PMSort
-	m, group   int
-	quick      bool
-	st         *SeqStats
-	rngStream  uint64
-	sortedView trace.U64 // published by thread 0: result view of spSort
-	ps         *PMSort   // current in-scratchpad parallel sort
-	shared     *parLevel // current level's shared bucket state
+	e         *Env
+	bar       *par.Barrier
+	spA, spB  trace.U64 // group ingest / sort buffers
+	spX, spXT trace.U64 // resident sample + scratch
+	far, farT trace.U64 // splitter-sample buffers for PMSort
+	m, group  int
+	st        *SeqStats
+	rngStream uint64
+	ps        *PMSort   // current in-scratchpad parallel sort
+	shared    *parLevel // current level's shared bucket state
 }
 
 // parLevel is the shared state of one bucketizing level.
@@ -92,26 +89,16 @@ type parLevel struct {
 }
 
 // spSortGroup runs the cooperative in-scratchpad sort of the current
-// group: PMSort for the mergesort variant (the PEM sort of Theorem 8) or
-// a partition-parallel quicksort approximation (thread 0 only — the
-// quicksort variant is sequential inside the scratchpad, as Corollary 7's
-// analysis assumes a single stream of block transfers).
-func (s *parSorter) spSortGroup(tid int, tp *trace.TP, g int) {
-	if s.quick {
-		if tid == 0 {
-			QuickSort(tp, s.spA.Slice(0, g))
-			s.sortedView = s.spA.Slice(0, g)
-		}
-		s.bar.Wait(tp)
-		return
-	}
+// group, PMSort (the PEM sort of Theorem 8), and returns the view holding
+// the sorted group.
+func (s *parSorter) spSortGroup(tid int, tp *trace.TP, g int) trace.U64 {
 	if tid == 0 {
 		s.ps = NewPMSort(s.e.P, s.spA.Slice(0, g), s.spB.Slice(0, g),
 			s.spB.Slice(0, g), s.far, s.farT, s.bar)
-		s.sortedView = s.spB.Slice(0, g)
 	}
 	s.bar.Wait(tp)
 	s.ps.Run(tid, tp)
+	return s.spB.Slice(0, g)
 }
 
 // sort recursively sorts the far view a; all p threads call it in
@@ -127,14 +114,10 @@ func (s *parSorter) sort(tid int, tp *trace.TP, a trace.U64, depth int) {
 
 	// Base case: ingest, sort cooperatively in the scratchpad, drain.
 	if n <= s.group {
-		if tid == 0 {
-			s.st.LeafSorts++
-		}
 		lo, hi := par.Span(n, s.e.P, tid)
 		trace.Copy(tp, s.spA.Slice(lo, hi), a.Slice(lo, hi))
 		s.bar.Wait(tp)
-		s.spSortGroup(tid, tp, n)
-		sorted := s.sortedView
+		sorted := s.spSortGroup(tid, tp, n)
 		trace.Copy(tp, a.Slice(lo, hi), sorted.Slice(lo, hi))
 		s.bar.Wait(tp)
 		return
@@ -186,8 +169,7 @@ func (s *parSorter) sort(tid int, tp *trace.TP, a trace.U64, depth int) {
 		glo, ghi := par.Span(g, s.e.P, tid)
 		trace.Copy(tp, s.spA.Slice(glo, ghi), a.Slice(lo+glo, lo+ghi))
 		s.bar.Wait(tp)
-		s.spSortGroup(tid, tp, g)
-		sorted := s.sortedView
+		sorted := s.spSortGroup(tid, tp, g)
 
 		// Boundary extraction: bucket 2i = strictly below pivot i,
 		// 2i+1 = equal to pivot i, 2q = above the last pivot. Thread t
@@ -222,7 +204,6 @@ func (s *parSorter) sort(tid int, tp *trace.TP, a trace.U64, depth int) {
 	if tid == 0 {
 		goodLimit := int(math.Ceil(float64(n) / math.Sqrt(float64(s.m))))
 		for b := range lvl.buckets {
-			s.st.Buckets++
 			if len(lvl.buckets[b].d) <= goodLimit {
 				s.st.GoodSplits++
 			} else {

@@ -30,16 +30,6 @@ func TestParScratchpadSortBasic(t *testing.T) {
 	}
 }
 
-func TestParScratchpadSortQuicksortVariant(t *testing.T) {
-	e := pureEnv(4, 32*units.KiB)
-	n := 1 << 13
-	a := e.AllocFar(n)
-	copy(a.D, randKeys(n, 3))
-	sum := Checksum(a.D)
-	ParScratchpadSort(e, a, SeqOptions{Quicksort: true, SampleSize: 32})
-	checkSorted(t, "ParScratchpadSort quick", a.D, sum)
-}
-
 func TestParScratchpadSortDuplicates(t *testing.T) {
 	e := pureEnv(8, 16*units.KiB)
 	n := 1 << 13
@@ -90,7 +80,7 @@ func TestTheorem10TrafficInvariant(t *testing.T) {
 		if !IsSorted(a.D) {
 			t.Fatal("not sorted")
 		}
-		c := e.Rec.Finish().Count()
+		c := e.Rec.Finish(nil).Count()
 		return c.Far() + c.Near()
 	}
 	t1, t8 := measure(1), measure(8)
@@ -107,7 +97,7 @@ func TestParScratchpadSortTracedBarriersBalanced(t *testing.T) {
 	a := e.AllocFar(1 << 13)
 	copy(a.D, randKeys(1<<13, 21))
 	ParScratchpadSort(e, a, SeqOptions{SampleSize: 64})
-	tr := e.Rec.Finish()
+	tr := e.Rec.Finish(nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}

@@ -18,31 +18,23 @@ import (
 type SeqStats struct {
 	Depth      int // deepest recursion level (1 = no bucketizing needed)
 	Scans      int // bucketizing scans performed (Lemma 5 bounds these)
-	Buckets    int // buckets created across all scans
 	GoodSplits int // child at most parent/sqrt(m) (Lemma 5's good splits)
 	BadSplits  int // child larger than parent/sqrt(m)
-	LeafSorts  int // scratchpad-resident sorts at the recursion leaves
 }
 
 // SeqOptions tunes the sequential sort.
 type SeqOptions struct {
-	// Quicksort uses the in-place quicksort of Corollary 7 for
-	// scratchpad-resident sorting instead of the multiway mergesort of
-	// Corollary 3.
-	Quicksort bool
 	// SampleSize overrides m = Θ(M/B) (0 = M/B exactly, the paper's
 	// choice with B the 64-byte line).
 	SampleSize int
-	// RunElems is the initial (cache-resident) run length of the multiway
-	// mergesort (0 = 128, roughly Z/2 in elements for the scaled
-	// hierarchy).
-	RunElems int
-	// Fanout is the merge branching factor (0 = 8). The theory's Z/B
-	// fanout needs exactly Z of cache for the cursors alone; a practical
-	// merge keeps fanout near Z/4B so cursor lines survive between
-	// touches.
-	Fanout int
 }
+
+// The Corollary 3 multiway mergesort inside the scratchpad starts from
+// cache-resident runs of seqRunElems keys (roughly Z/2 for the scaled
+// hierarchy) and merges seqFanout at a time. The theory's Z/B fanout needs
+// exactly Z of cache for the cursors alone; a practical merge keeps fanout
+// near Z/4B so cursor lines survive between touches.
+const seqRunElems, seqFanout = 128, 8
 
 // SeqScratchpadSort sorts a in place using one processor and the
 // scratchpad. The environment's thread count must be 1: this is the
@@ -77,17 +69,9 @@ func SeqScratchpadSort(e *Env, a trace.U64, opt SeqOptions) SeqStats {
 	spX := e.MustAllocSP(m)
 	spXT := e.MustAllocSP(m)
 
-	runElems, fanout := opt.RunElems, opt.Fanout
-	if runElems == 0 {
-		runElems = 128
-	}
-	if fanout == 0 {
-		fanout = 8
-	}
 	tp := e.Rec.Thread(0)
 	s := &seqSorter{e: e, tp: tp, spA: spA, spB: spB, spX: spX, spXT: spXT,
-		m: m, group: group, quick: opt.Quicksort,
-		runElems: runElems, fanout: fanout, st: &st}
+		m: m, group: group, st: &st}
 	s.sort(a, 1)
 
 	e.FreeSP(spA.Base)
@@ -103,22 +87,14 @@ type seqSorter struct {
 	spA, spB  trace.U64
 	spX, spXT trace.U64
 	m, group  int
-	quick     bool
-	runElems  int
-	fanout    int
 	st        *SeqStats
 	rngStream uint64
 }
 
-// spSort sorts the scratchpad-resident view in (backed by spA) and returns
-// the view holding the sorted data, using the Corollary 3 multiway
-// mergesort or the Corollary 7 quicksort.
+// spSort sorts the scratchpad-resident view in with the Corollary 3
+// multiway mergesort and returns the view holding the sorted data.
 func (s *seqSorter) spSort(in trace.U64, tmp trace.U64) trace.U64 {
-	if s.quick {
-		QuickSort(s.tp, in)
-		return in
-	}
-	return MultiwayMergeSort(s.tp, in, tmp, s.runElems, s.fanout)
+	return MultiwayMergeSort(s.tp, in, tmp, seqRunElems, seqFanout)
 }
 
 // sort recursively sorts the far-memory view a.
@@ -134,7 +110,6 @@ func (s *seqSorter) sort(a trace.U64, depth int) {
 	// Base case: the bucket fits in a scratchpad group buffer — ingest,
 	// sort inside the scratchpad, write back (Corollary 3).
 	if n <= s.group {
-		s.st.LeafSorts++
 		in := s.spA.Slice(0, n)
 		trace.Copy(s.tp, in, a)
 		sorted := s.spSort(in, s.spB.Slice(0, n))
@@ -210,7 +185,6 @@ func (s *seqSorter) sort(a trace.U64, depth int) {
 	// bucket by at least a sqrt(m) factor.
 	goodLimit := int(math.Ceil(float64(n) / math.Sqrt(float64(s.m))))
 	for b := range buckets {
-		s.st.Buckets++
 		if len(buckets[b].d) <= goodLimit {
 			s.st.GoodSplits++
 		} else {

@@ -15,7 +15,7 @@ func TestSeqSortSmallInput(t *testing.T) {
 	sum := Checksum(a.D)
 	st := SeqScratchpadSort(e, a, SeqOptions{})
 	checkSorted(t, "SeqSort small", a.D, sum)
-	if st.Scans != 0 || st.LeafSorts != 1 || st.Depth != 1 {
+	if st.Scans != 0 || st.Depth != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -35,19 +35,9 @@ func TestSeqSortRecursive(t *testing.T) {
 	if st.Depth < 2 {
 		t.Errorf("expected recursion: %+v", st)
 	}
-	if st.Buckets == 0 || st.LeafSorts == 0 {
+	if st.GoodSplits+st.BadSplits == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-}
-
-func TestSeqSortQuicksortVariant(t *testing.T) {
-	e := pureEnv(1, 16*units.KiB)
-	n := 1 << 13
-	a := e.AllocFar(n)
-	copy(a.D, randKeys(n, 3))
-	sum := Checksum(a.D)
-	SeqScratchpadSort(e, a, SeqOptions{Quicksort: true, SampleSize: 64})
-	checkSorted(t, "SeqSort quicksort", a.D, sum)
 }
 
 func TestSeqSortDuplicates(t *testing.T) {
@@ -133,7 +123,7 @@ func TestSeqSortTracedTheorem6Shape(t *testing.T) {
 		if !IsSorted(a.D) {
 			t.Fatal("not sorted")
 		}
-		return e.Rec.Finish().Count().Far()
+		return e.Rec.Finish(nil).Count().Far()
 	}
 	f1, f2 := run(1<<13), run(1<<14)
 	ratio := float64(f2) / float64(f1)

@@ -128,9 +128,9 @@ func TestNMSortExplicitGeometry(t *testing.T) {
 	a := e.AllocFar(n)
 	copy(a.D, randKeys(n, 123))
 	sum := Checksum(a.D)
-	st := NMSort(e, a, NMOptions{Buckets: 64, ChunkElems: 2048, Oversample: 4})
+	st := NMSort(e, a, NMOptions{Buckets: 64})
 	checkSorted(t, "NMSort explicit", a.D, sum)
-	if st.Buckets != 64 || st.ChunkElems != 2048 || st.Chunks != 4 {
+	if st.Buckets != 64 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -182,7 +182,7 @@ func TestNMSortTraced(t *testing.T) {
 	sum := Checksum(a.D)
 	NMSort(e, a, NMOptions{})
 	checkSorted(t, "NMSort traced", a.D, sum)
-	tr := e.Rec.Finish()
+	tr := e.Rec.Finish(nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestGNUSortTracedNeverTouchesNear(t *testing.T) {
 	a := e.AllocFar(n)
 	copy(a.D, randKeys(n, 14))
 	GNUSort(e, a)
-	tr := e.Rec.Finish()
+	tr := e.Rec.Finish(nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
@@ -219,13 +219,13 @@ func TestNMSortHalvesFarTraffic(t *testing.T) {
 	ag := gnu.AllocFar(n)
 	copy(ag.D, randKeys(n, 15))
 	GNUSort(gnu, ag)
-	gc := gnu.Rec.Finish().Count()
+	gc := gnu.Rec.Finish(nil).Count()
 
 	nm := tracedEnv(4, 32*units.KiB)
 	an := nm.AllocFar(n)
 	copy(an.D, randKeys(n, 15))
 	NMSort(nm, an, NMOptions{})
-	nc := nm.Rec.Finish().Count()
+	nc := nm.Rec.Finish(nil).Count()
 
 	if ratio := float64(nc.Far()) / float64(gc.Far()); ratio > 0.7 {
 		t.Errorf("NMsort far traffic ratio %.2f; want well below 1 (gnu=%d nm=%d)",
@@ -239,7 +239,7 @@ func TestDeterministicTraces(t *testing.T) {
 		a := e.AllocFar(1 << 12)
 		copy(a.D, randKeys(1<<12, 200))
 		NMSort(e, a, NMOptions{})
-		return e.Rec.Finish().Count()
+		return e.Rec.Finish(nil).Count()
 	}
 	if a, b := mk(), mk(); a != b {
 		t.Errorf("recorded traffic not deterministic:\n%+v\n%+v", a, b)
@@ -308,7 +308,7 @@ func TestNMSortSmallAppendsCostsMore(t *testing.T) {
 		if !IsSorted(a.D) {
 			t.Fatal("not sorted")
 		}
-		return e.Rec.Finish().Count()
+		return e.Rec.Finish(nil).Count()
 	}
 	batched, scattered := run(false), run(true)
 	if scattered.Atomics == 0 {

@@ -188,7 +188,7 @@ func recordNative(alg Algorithm, w Workload) (RecordResult, error) {
 	// the program and the first replay. The walk validates, counts and
 	// digests at once, so cell keys, the trace cache and the daemon's store
 	// find the digest already there.
-	tr := rec.FinishPar(par.Each)
+	tr := rec.Finish(par.Each)
 	if err := tr.Validate(); err != nil {
 		return RecordResult{}, fmt.Errorf("harness: invalid trace: %w", err)
 	}

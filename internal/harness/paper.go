@@ -145,7 +145,7 @@ func blockTransfers(_ ExperimentParams, w Workload) (Output, error) {
 	par.Each(len(sizes), func(i int) {
 		n := sizes[i]
 		// Count-only, never replayed: the row reads SeqStats, not a Record.
-		rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
+		rec := trace.NewCounter(1, ScaledL1, trace.DefaultCosts())
 		env := core.NewEnv(1, sp, rec, 99)
 		a := env.AllocFar(n)
 		xrand.New(uint64(n)).Keys(a.D)
@@ -154,7 +154,7 @@ func blockTransfers(_ ExperimentParams, w Workload) (Output, error) {
 			errs[i] = fmt.Errorf("harness: m1: N=%d not sorted", n)
 			return
 		}
-		counts[i] = rec.Finish().Count()
+		counts[i] = rec.Count()
 	})
 	for i, n := range sizes {
 		if errs[i] != nil {
@@ -221,7 +221,7 @@ func innerSort(_ ExperimentParams, w Workload) (Output, error) {
 	par.Each(len(near), func(k int) {
 		x, quick := sizes[k/2], k%2 == 1
 		// Count-only, never replayed: one thread probe, not a Record.
-		rec := trace.NewRecorder(1, ScaledL1, trace.DefaultCosts())
+		rec := trace.NewCounter(1, ScaledL1, trace.DefaultCosts())
 		env := core.NewEnv(1, units.Bytes(x)*24, rec, 3)
 		a := env.MustAllocSP(x)
 		tmp := env.MustAllocSP(x)
@@ -236,7 +236,7 @@ func innerSort(_ ExperimentParams, w Workload) (Output, error) {
 			errs[k] = fmt.Errorf("harness: m3: x=%d not sorted", x)
 			return
 		}
-		near[k] = rec.Finish().Count().Near()
+		near[k] = rec.Count().Near()
 	})
 	for i, x := range sizes {
 		if err := cmp.Or(errs[2*i], errs[2*i+1]); err != nil {

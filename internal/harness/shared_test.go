@@ -134,7 +134,7 @@ func farStream(touch func(tp *trace.TP)) *trace.Trace {
 		}
 		tp.Barrier()
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 // TestSharedReplaysMatchRealReplays runs hand-built job batches through the

@@ -45,13 +45,12 @@ type CellKey struct {
 func (k CellKey) String() string { return fmt.Sprintf("t%016x-c%016x", k.Trace, k.Config) }
 
 // ReplayPanicError is a panic contained to its sweep cell: the panic
-// value, the goroutine stack at the panic, and the cell's coordinates.
+// value and the cell's coordinates.
 // The sweep continues; the cell renders as a marked row.
 type ReplayPanicError struct {
 	Cell  CellKey
 	Label string // the cell's report label, when the sweep provided one
 	Value any    // the recovered panic value
-	Stack []byte // debug.Stack() captured inside the recover
 }
 
 // Error implements error.
@@ -341,7 +340,7 @@ func (sup *Supervisor) attempt(j replayJob, key CellKey) (out replayOut) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = replayOut{err: &ReplayPanicError{
-				Cell: key, Label: j.label, Value: r, Stack: debug.Stack(),
+				Cell: key, Label: j.label, Value: r,
 			}}
 		}
 	}()

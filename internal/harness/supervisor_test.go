@@ -377,13 +377,13 @@ func TestPanicContainment(t *testing.T) {
 			t.Errorf("healthy cell %d damaged: fail=%q events=%d", i, s.Points[i].Fail, s.Points[i].Result.Events)
 		}
 	}
-	// The raw error carries the cell coordinates and the panic stack.
+	// The raw error carries the cell coordinates.
 	out := (&Supervisor{}).runCell(replayJob{cfg: bad, tr: rec.Trace, label: "boom"}, CellKey{Trace: 1, Config: 2})
 	var pe *ReplayPanicError
 	if !errors.As(out.err, &pe) {
 		t.Fatalf("err = %v, want ReplayPanicError", out.err)
 	}
-	if pe.Cell != (CellKey{Trace: 1, Config: 2}) || pe.Label != "boom" || len(pe.Stack) == 0 {
+	if pe.Cell != (CellKey{Trace: 1, Config: 2}) || pe.Label != "boom" {
 		t.Errorf("panic error missing coordinates: %+v", pe)
 	}
 }

@@ -116,7 +116,7 @@ func TestTrafficSplit(t *testing.T) {
 		} else {
 			Far(e, pts, cfg)
 		}
-		return rec.Finish().Count()
+		return rec.Finish(nil).Count()
 	}
 	far := mkTraced(false)
 	sp := mkTraced(true)

@@ -7,18 +7,15 @@
 // on its hot path)? This package owns those indexes so the answers cannot
 // drift between analyzers.
 //
-// Identity across parses: objects resolved through the loader's import
-// cache point at a separate parse of the same files, so token.Pos values
-// differ between ASTs while file positions agree. Every index is therefore
-// keyed by the "file:line:col" of the declaring identifier (PosKey), never
-// by token.Pos or object pointer.
+// The lint loader checks each package once, and its importers get that
+// same package, so a declaration has one object wherever it is used: the
+// indexes are keyed by the declared *types.Func and *types.Var.
 package callgraph
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 )
 
 // Source is one type-checked package: the syntax plus the type info that
@@ -52,22 +49,23 @@ type FieldStore struct {
 // for fixture units). Build one per resolution scope and share it between
 // analyzers.
 type Graph struct {
-	fset    *token.FileSet
 	sources []*Source
-	decls   map[string]Decl
-	fields  map[string][]FieldStore // built lazily by FieldStores
+	decls   map[*types.Func]Decl
+	fields  map[*types.Var][]FieldStore // built lazily by FieldStores
 }
 
-// New builds the declaration index over sources. All sources must share
-// fset. The field-store index is deferred until the first FieldStores call:
-// only analyses that chase stored callbacks pay for that walk.
-func New(fset *token.FileSet, sources []*Source) *Graph {
-	g := &Graph{fset: fset, sources: sources, decls: map[string]Decl{}}
+// New builds the declaration index over sources. The field-store index is
+// deferred until the first FieldStores call: only analyses that chase
+// stored callbacks pay for that walk.
+func New(sources []*Source) *Graph {
+	g := &Graph{sources: sources, decls: map[*types.Func]Decl{}}
 	for _, src := range sources {
 		for _, f := range src.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					g.decls[g.PosKey(fd.Name.Pos())] = Decl{Src: src, Fn: fd}
+					if fn, ok := src.Info.Defs[fd.Name].(*types.Func); ok {
+						g.decls[fn] = Decl{Src: src, Fn: fd}
+					}
 				}
 			}
 		}
@@ -75,50 +73,36 @@ func New(fset *token.FileSet, sources []*Source) *Graph {
 	return g
 }
 
-// PosKey renders a position as the parse-independent "file:line:col"
-// identity key used by every index.
-func (g *Graph) PosKey(pos token.Pos) string {
-	p := g.fset.Position(pos)
-	return p.Filename + ":" + strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Column)
-}
-
-// DeclAt returns the declaration whose name sits at the given position key.
-func (g *Graph) DeclAt(key string) (Decl, bool) {
-	d, ok := g.decls[key]
+// DeclOf resolves a function object, or an instance of a generic one, to
+// its declaration in the loaded set. ok is false for functions outside the
+// set (stdlib, module packages a fixture imports) and for interface methods.
+func (g *Graph) DeclOf(fn *types.Func) (Decl, bool) {
+	d, ok := g.decls[fn.Origin()]
 	return d, ok
 }
 
-// DeclOf resolves a function object to its declaration in the loaded set.
-// ok is false for functions outside the set (stdlib, import-cache-only
-// packages in fixture mode) and for bodiless declarations' objects that
-// were never parsed here.
-func (g *Graph) DeclOf(fn *types.Func) (Decl, bool) {
-	return g.DeclAt(g.PosKey(fn.Pos()))
-}
-
-// FieldStores returns every assignment to the struct field declared by v,
-// anywhere in the loaded set: plain and multi-value assignments through a
-// selector, and keyed composite-literal elements. Field identity is
-// bridged across parses by declaration position, like the function index.
+// FieldStores returns every assignment to the struct field declared by v
+// (or by the generic field v instantiates), anywhere in the loaded set:
+// plain and multi-value assignments through a selector, and keyed
+// composite-literal elements.
 func (g *Graph) FieldStores(v *types.Var) []FieldStore {
 	g.buildFields()
-	return g.fields[g.PosKey(v.Pos())]
+	return g.fields[v.Origin()]
 }
 
-// buildFields walks every source once, recording stores by the position
-// key of the field written.
+// buildFields walks every source once, recording stores by the field
+// written.
 func (g *Graph) buildFields() {
 	if g.fields != nil {
 		return
 	}
-	g.fields = map[string][]FieldStore{}
+	g.fields = map[*types.Var][]FieldStore{}
 	record := func(src *Source, id *ast.Ident, st FieldStore) {
 		v, ok := src.Info.Uses[id].(*types.Var)
 		if !ok || !v.IsField() {
 			return
 		}
-		key := g.PosKey(v.Pos())
-		g.fields[key] = append(g.fields[key], st)
+		g.fields[v.Origin()] = append(g.fields[v.Origin()], st)
 	}
 	for _, src := range g.sources {
 		src := src

@@ -67,13 +67,10 @@ type hotpathChecker struct {
 	report ReportFunc
 	g      *callgraph.Graph // shared decl + field-store index (see callgraph)
 
-	visited  map[string]bool        // decls entered (recursion guard)
-	cache    map[string][]hpFinding // memoized per-decl findings
-	seen     map[string]bool        // emitted diagnostics (dedup across roots)
-	callFuns map[ast.Expr]bool      // selector exprs that are a call's Fun
-
-	fieldVisited map[string]bool        // callback fields entered (recursion guard)
-	fieldCache   map[string][]hpFinding // memoized per-field findings
+	cache    map[*ast.FuncDecl][]hpFinding // per-decl findings; an entry marks a decl entered
+	seen     map[hpFinding]bool            // emitted diagnostics (dedup across roots)
+	callFuns map[ast.Expr]bool             // selector exprs that are a call's Fun
+	fields   map[*types.Var][]hpFinding    // per-callback-field findings; an entry marks a field entered
 
 	// regions, when non-nil, collects every hot code span the walk visits
 	// (and the cold lines excluded from it) for the -escape-check
@@ -83,16 +80,14 @@ type hotpathChecker struct {
 
 func newHotpathChecker(u *Unit, report ReportFunc, regions *RegionSet) *hotpathChecker {
 	return &hotpathChecker{
-		u:            u,
-		report:       report,
-		g:            graphFor(u),
-		visited:      map[string]bool{},
-		cache:        map[string][]hpFinding{},
-		seen:         map[string]bool{},
-		callFuns:     map[ast.Expr]bool{},
-		fieldVisited: map[string]bool{},
-		fieldCache:   map[string][]hpFinding{},
-		regions:      regions,
+		u:        u,
+		report:   report,
+		g:        graphFor(u),
+		cache:    map[*ast.FuncDecl][]hpFinding{},
+		seen:     map[hpFinding]bool{},
+		callFuns: map[ast.Expr]bool{},
+		fields:   map[*types.Var][]hpFinding{},
+		regions:  regions,
 	}
 }
 
@@ -133,11 +128,10 @@ func isHotAnnotated(fd *ast.FuncDecl) bool {
 // Run's module-wide pass dedups across units.
 func (c *hotpathChecker) emit(fs []hpFinding) {
 	for _, f := range fs {
-		key := c.g.PosKey(f.pos) + " " + f.msg
-		if c.seen[key] {
+		if c.seen[f] {
 			continue
 		}
-		c.seen[key] = true
+		c.seen[f] = true
 		c.report(f.pos, "%s", f.msg)
 	}
 }
@@ -171,17 +165,16 @@ func (c *hotpathChecker) reportBareIgnores() {
 // terminate because a decl already being checked returns its (so far
 // empty) cache entry.
 func (c *hotpathChecker) checkDecl(d callgraph.Decl) []hpFinding {
-	key := c.g.PosKey(d.Fn.Name.Pos())
-	if c.visited[key] {
-		return c.cache[key]
+	if fs, ok := c.cache[d.Fn]; ok {
+		return fs
 	}
-	c.visited[key] = true
+	c.cache[d.Fn] = nil
 	if d.Fn.Body == nil {
 		return nil
 	}
 	c.noteRegion(d.Src, d.Fn.Name.Name, d.Fn)
 	fs := c.checkBody(d.Src, d.Fn.Body)
-	c.cache[key] = fs
+	c.cache[d.Fn] = fs
 	return fs
 }
 
@@ -459,9 +452,9 @@ func (c *hotpathChecker) checkNamedCall(owner *callgraph.Source, call *ast.CallE
 			add(f.pos, "%s", f.msg)
 		}
 	}
-	// Unresolvable module-internal functions are interface methods or
-	// import-cache shadows (fixture mode); both are trusted, documented
-	// soundness limits that -escape-check narrows.
+	// Unresolvable module-internal functions are interface methods or, for
+	// a fixture, the module packages it imports; both are trusted,
+	// documented soundness limits that -escape-check narrows.
 	return false
 }
 
@@ -616,11 +609,11 @@ func (c *hotpathChecker) checkCaptures(owner *callgraph.Source, lit *ast.FuncLit
 // pre-bound event idiom): the field is hot-clean iff everything ever
 // stored into it, anywhere in the loaded set, is. Memoized per field.
 func (c *hotpathChecker) checkFieldCall(v *types.Var) []hpFinding {
-	key := c.g.PosKey(v.Pos())
-	if c.fieldVisited[key] {
-		return c.fieldCache[key]
+	v = v.Origin()
+	if fs, ok := c.fields[v]; ok {
+		return fs
 	}
-	c.fieldVisited[key] = true
+	c.fields[v] = nil
 	stores := c.g.FieldStores(v)
 	if len(stores) == 0 {
 		return []hpFinding{{v.Pos(), fmt.Sprintf(
@@ -628,14 +621,14 @@ func (c *hotpathChecker) checkFieldCall(v *types.Var) []hpFinding {
 	}
 	var fs []hpFinding
 	for _, st := range stores {
-		fs = append(fs, c.checkFieldStore(st, key)...)
+		fs = append(fs, c.checkFieldStore(st, v)...)
 	}
-	c.fieldCache[key] = fs
+	c.fields[v] = fs
 	return fs
 }
 
 // checkFieldStore verifies one binding of a hot callback field.
-func (c *hotpathChecker) checkFieldStore(st callgraph.FieldStore, selfKey string) []hpFinding {
+func (c *hotpathChecker) checkFieldStore(st callgraph.FieldStore, self *types.Var) []hpFinding {
 	if st.Rhs == nil {
 		return []hpFinding{{st.Pos,
 			"hot-path callback field is bound through a multi-value assignment that cannot be verified for allocation; bind it from a single assignment"}}
@@ -646,16 +639,16 @@ func (c *hotpathChecker) checkFieldStore(st callgraph.FieldStore, selfKey string
 		c.noteRegionLit(st.Src, e)
 		return c.checkBody(st.Src, e.Body)
 	case *ast.Ident:
-		return c.checkStoredFuncIdent(st, e, selfKey)
+		return c.checkStoredFuncIdent(st, e, self)
 	case *ast.SelectorExpr:
-		return c.checkStoredFuncIdent(st, e.Sel, selfKey)
+		return c.checkStoredFuncIdent(st, e.Sel, self)
 	default:
 		return []hpFinding{{st.Rhs.Pos(),
 			"hot-path callback field is bound to a computed expression that cannot be verified for allocation; bind a function literal or named function"}}
 	}
 }
 
-func (c *hotpathChecker) checkStoredFuncIdent(st callgraph.FieldStore, id *ast.Ident, selfKey string) []hpFinding {
+func (c *hotpathChecker) checkStoredFuncIdent(st callgraph.FieldStore, id *ast.Ident, self *types.Var) []hpFinding {
 	switch obj := st.Src.Info.Uses[id].(type) {
 	case *types.Func:
 		return c.checkFunc(obj)
@@ -663,7 +656,7 @@ func (c *hotpathChecker) checkStoredFuncIdent(st callgraph.FieldStore, id *ast.I
 		return nil // unbinding; the call site would crash before allocating
 	case *types.Var:
 		if obj.IsField() {
-			if c.g.PosKey(obj.Pos()) == selfKey {
+			if obj.Origin() == self {
 				return nil // copying the field onto itself
 			}
 			return c.checkFieldCall(obj)

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -52,26 +53,36 @@ func wantMarkers(t *testing.T, dir string) map[string]int {
 	return want
 }
 
-// moduleRoot locates the repository root from the test's working directory.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
+// repo is this repository, opened once per test process: every fixture and
+// both whole-module gates check the packages they need, and the standard
+// library, on its one loader.
+var repo = sync.OnceValues(func() (*lint.Module, error) {
 	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	return lint.Open(root)
+})
+
+// loadFixture checks testdata/<name> as the package importPath.
+func loadFixture(t *testing.T, name, importPath string) (u *lint.Unit, dir string) {
+	t.Helper()
+	mod, err := repo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root
+	dir = filepath.Join(mod.Root, "internal", "lint", "testdata", name)
+	if u, err = mod.LoadDirAs(dir, importPath); err != nil {
+		t.Fatalf("loading fixture %s: %v", name, err)
+	}
+	return u, dir
 }
 
 // checkFixture loads testdata/<name> under importPath, runs the single
 // analyzer, and compares diagnostics against the fixture's want markers.
 func checkFixture(t *testing.T, a *lint.Analyzer, name, importPath string) {
 	t.Helper()
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", name)
-	u, err := lint.LoadDirAs(root, dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
+	u, dir := loadFixture(t, name, importPath)
 	diags := lint.RunUnit(u, []*lint.Analyzer{a})
 
 	got := map[string]int{}
@@ -100,12 +111,7 @@ func TestNoWallClockFixture(t *testing.T) {
 }
 
 func TestNoWallClockScopedToSimulatorPackages(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "wallclock")
-	u, err := lint.LoadDirAs(root, dir, "repro/internal/report")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u, _ := loadFixture(t, "wallclock", "repro/internal/report")
 	if diags := lint.RunUnit(u, []*lint.Analyzer{lint.NoWallClock}); len(diags) != 0 {
 		t.Errorf("non-simulator package should be exempt, got %v", diags)
 	}
@@ -117,12 +123,7 @@ func TestNoGlobalRandFixture(t *testing.T) {
 }
 
 func TestNoGlobalRandExemptsXrand(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "globalrand")
-	u, err := lint.LoadDirAs(root, dir, "repro/internal/xrand")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u, _ := loadFixture(t, "globalrand", "repro/internal/xrand")
 	if diags := lint.RunUnit(u, []*lint.Analyzer{lint.NoGlobalRand}); len(diags) != 0 {
 		t.Errorf("internal/xrand should be exempt, got %v", diags)
 	}
@@ -133,12 +134,7 @@ func TestSortedMapRangeFixture(t *testing.T) {
 }
 
 func TestSortedMapRangeScopedToSimulatorPackages(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "maprange")
-	u, err := lint.LoadDirAs(root, dir, "repro/internal/model")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u, _ := loadFixture(t, "maprange", "repro/internal/model")
 	if diags := lint.RunUnit(u, []*lint.Analyzer{lint.SortedMapRange}); len(diags) != 0 {
 		t.Errorf("non-simulator package should be exempt, got %v", diags)
 	}
@@ -149,12 +145,7 @@ func TestParOnlyGoroutinesFixture(t *testing.T) {
 }
 
 func TestParOnlyGoroutinesExemptsPar(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "goroutine")
-	u, err := lint.LoadDirAs(root, dir, "repro/internal/par")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u, _ := loadFixture(t, "goroutine", "repro/internal/par")
 	if diags := lint.RunUnit(u, []*lint.Analyzer{lint.ParOnlyGoroutines}); len(diags) != 0 {
 		t.Errorf("internal/par should be exempt, got %v", diags)
 	}
@@ -173,12 +164,7 @@ func TestSimPureFixture(t *testing.T) {
 func TestSimPureExemptsEngine(t *testing.T) {
 	// The event kernel is the trusted base: the same violating fixture
 	// loaded under internal/engine must produce nothing.
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "simpure")
-	u, err := lint.LoadDirAs(root, dir, "repro/internal/engine")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u, _ := loadFixture(t, "simpure", "repro/internal/engine")
 	if diags := lint.RunUnit(u, []*lint.Analyzer{lint.SimPure}); len(diags) != 0 {
 		t.Errorf("internal/engine should be exempt, got %v", diags)
 	}
@@ -195,12 +181,7 @@ func TestHotPathBareIgnore(t *testing.T) {
 	// itself reported; a reasoned one suppresses. Asserted on messages
 	// because the bare directive occupies its own line and cannot carry a
 	// want marker.
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "hotpathignore")
-	u, err := lint.LoadDirAs(root, dir, "repro/internal/hotignore")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u, _ := loadFixture(t, "hotpathignore", "repro/internal/hotignore")
 	diags := lint.RunUnit(u, []*lint.Analyzer{lint.HotPath})
 	var bareReports, appendReports int
 	for _, d := range diags {
@@ -224,11 +205,44 @@ func TestHotPathBareIgnore(t *testing.T) {
 // TestWholeModuleClean is the self-referential acceptance gate: the suite
 // must load, type-check, and pass every analyzer over this repository.
 func TestWholeModuleClean(t *testing.T) {
-	mod := loadWholeModule(t)
+	mod, _ := loadWholeModule(t)
 	if len(mod.Units()) < 20 {
 		t.Fatalf("suspiciously few units loaded: %d", len(mod.Units()))
 	}
 	for _, d := range lint.Run(mod) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoadExportTestBridge loads the export_test.go pattern: an external
+// test package using a name that an in-package test file exports. The go
+// tool builds the package with its in-package tests for its external
+// tests, and so does Load.
+func TestLoadExportTestBridge(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":               "module m\n\ngo 1.22\n",
+		"p/p.go":               "package p\n\nfunc hidden() int { return 1 }\n",
+		"p/export_test.go":     "package p\n\nvar Hidden = hidden\n",
+		"p/p_external_test.go": "package p_test\n\nimport \"m/p\"\n\nvar _ = p.Hidden()\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := lint.Load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, u := range mod.Units() {
+		paths = append(paths, u.ImportPath)
+	}
+	if got := strings.Join(paths, " "); got != "m/p m/p_test" {
+		t.Errorf("units = %s, want m/p m/p_test", got)
 	}
 }

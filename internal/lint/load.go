@@ -17,13 +17,14 @@ import (
 )
 
 // Unit is one analyzable package: its syntax plus full type information.
-// Directories with test files yield a unit whose Files include the
-// in-package _test.go files (type-checked together, as the go tool does);
-// external test packages (package foo_test) form their own unit.
+// A package's unit holds its regular and in-package _test.go files,
+// checked together once, as the go tool builds a package for its external
+// tests; that one *types.Package is also what every importer gets, so each
+// declaration has one object. External test packages (package foo_test)
+// form their own unit.
 type Unit struct {
 	ModulePath string
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	TestFiles  map[*ast.File]bool // which Files came from _test.go
@@ -36,22 +37,24 @@ type Unit struct {
 	// built by LoadDirAs stand alone and leave it nil.
 	Mod *Module
 
-	src *callgraph.Source // memoized callgraph view of this unit
-	cg  *callgraph.Graph  // single-unit graph for LoadDirAs fixtures
+	xtest []*ast.File       // the directory's external test files, a unit of their own
+	src   *callgraph.Source // memoized callgraph view of this unit
+	cg    *callgraph.Graph  // single-unit graph for LoadDirAs fixtures
 }
 
-// Module is a loaded module tree.
+// Module is a module tree and the loader that type-checks its packages on
+// demand. Open checks nothing; Load checks every package; LoadDirAs checks
+// a directory and what it imports.
 type Module struct {
 	Root  string // absolute module root directory
 	Path  string // module path from go.mod
-	Fset  *token.FileSet
 	units []*Unit
 	cg    *callgraph.Graph // shared module-wide call graph, built on demand
-	l     *loader          // the loader that checked units, with its import cache
+	l     *loader          // checks each package once, for every unit and importer
 }
 
-// Units returns every analyzable unit, sorted by import path (external test
-// packages sort after their package).
+// Units returns every analyzable unit after Load, sorted by import path
+// (external test packages sort after their package).
 func (m *Module) Units() []*Unit { return m.units }
 
 // Ignores unions the suppression directives of every unit, so transitive
@@ -93,74 +96,78 @@ func graphFor(u *Unit) *callgraph.Graph {
 			for _, uu := range u.Mod.units {
 				srcs = append(srcs, uu.asSource())
 			}
-			u.Mod.cg = callgraph.New(u.Fset, srcs)
+			u.Mod.cg = callgraph.New(srcs)
 		}
 		return u.Mod.cg
 	}
 	if u.cg == nil {
-		u.cg = callgraph.New(u.Fset, []*callgraph.Source{u.asSource()})
+		u.cg = callgraph.New([]*callgraph.Source{u.asSource()})
 	}
 	return u.cg
 }
 
-// loader resolves imports for type checking: module-internal paths load
-// from source under the module root (memoized), everything else delegates
-// to the standard library's source importer rooted at GOROOT.
+// loader resolves imports for type checking: a module-internal path is the
+// Pkg of that package's unit, checked from source under the module root the
+// first time anything asks for it; everything else delegates to the
+// standard library's source importer rooted at GOROOT.
 type loader struct {
 	root    string
 	modPath string
 	fset    *token.FileSet
 	std     types.Importer
-	cache   map[string]*types.Package
+	units   map[string]*Unit // module packages checked so far, by import path
 	loading map[string]bool
-}
-
-func newLoader(root, modPath string, fset *token.FileSet) *loader {
-	return &loader{
-		root:    root,
-		modPath: modPath,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		cache:   map[string]*types.Package{},
-		loading: map[string]bool{},
-	}
 }
 
 // Import implements types.Importer.
 func (l *loader) Import(path string) (*types.Package, error) {
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		if pkg, ok := l.cache[path]; ok {
-			return pkg, nil
-		}
-		if l.loading[path] {
-			return nil, fmt.Errorf("lint: import cycle through %s", path)
-		}
-		l.loading[path] = true
-		defer delete(l.loading, path)
-		dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.modPath)))
-		files, _, _, err := l.parseDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		if len(files) == 0 {
-			return nil, fmt.Errorf("lint: no Go files in %s", dir)
-		}
-		pkg, _, err := l.check(path, files)
-		if err != nil {
-			return nil, err
-		}
-		l.cache[path] = pkg
-		return pkg, nil
+	if path != l.modPath && !strings.HasPrefix(path, l.modPath+"/") {
+		return l.std.Import(path)
 	}
-	return l.std.Import(path)
+	u, err := l.unit(path)
+	if err != nil {
+		return nil, err
+	}
+	if u.Pkg == nil {
+		return nil, fmt.Errorf("lint: no Go files for %s", path)
+	}
+	return u.Pkg, nil
 }
 
-// parseDir parses every .go file in dir, split into regular files,
-// in-package test files, and external (package foo_test) test files.
-func (l *loader) parseDir(dir string) (regular, inTest, extTest []*ast.File, err error) {
+// unit parses and checks the package path once, with its in-package tests.
+// A directory with no file of the package yields a unit with no Pkg, which
+// carries any external test files for Load.
+func (l *loader) unit(path string) (*Unit, error) {
+	if u, ok := l.units[path]; ok {
+		return u, nil
+	}
+	if l.loading[path] {
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
+	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.modPath)))
+	own, xtest, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	u := &Unit{xtest: xtest}
+	if len(own) > 0 {
+		if u, err = l.check(path, own); err != nil {
+			return nil, err
+		}
+		u.xtest = xtest
+	}
+	l.units[path] = u
+	return u, nil
+}
+
+// parseDir parses every .go file in dir, split into the package's own files
+// (regular and in-package test) and external (package foo_test) test files.
+func (l *loader) parseDir(dir string) (own, xtest []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -178,25 +185,21 @@ func (l *loader) parseDir(dir string) (regular, inTest, extTest []*ast.File, err
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		full := filepath.Join(dir, name)
-		f, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		switch {
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			extTest = append(extTest, f)
-		case strings.HasSuffix(name, "_test.go"):
-			inTest = append(inTest, f)
-		default:
-			regular = append(regular, f)
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			xtest = append(xtest, f)
+		} else {
+			own = append(own, f)
 		}
 	}
-	return regular, inTest, extTest, nil
+	return own, xtest, nil
 }
 
-// check type-checks one file set as a package.
-func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+// check type-checks one file set as the package path.
+func (l *loader) check(path string, files []*ast.File) (*Unit, error) {
 	info := &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Uses:  map[*ast.Ident]types.Object{},
@@ -209,17 +212,25 @@ func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.I
 	}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if len(errs) > 0 {
-		return pkg, info, fmt.Errorf("lint: type errors in %s: %v", path, errs[0])
+		return nil, fmt.Errorf("lint: type errors in %s: %v", path, errs[0])
 	}
 	if err != nil {
-		return pkg, info, err
+		return nil, err
 	}
-	return pkg, info, nil
+	return &Unit{
+		ModulePath: l.modPath,
+		ImportPath: path,
+		Fset:       l.fset,
+		Files:      files,
+		TestFiles:  markTests(l.fset, files),
+		Pkg:        pkg,
+		Info:       info,
+	}, nil
 }
 
-// Load parses and type-checks every package under the module root and
-// returns the analyzable units.
-func Load(root string) (*Module, error) {
+// Open reads the module root's go.mod and returns the module with no
+// package checked yet.
+func Open(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -229,11 +240,34 @@ func Load(root string) (*Module, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	l := newLoader(root, modPath, fset)
-	mod := &Module{Root: root, Path: modPath, Fset: fset, l: l}
+	return &Module{Root: root, Path: modPath, l: &loader{
+		root:    root,
+		modPath: modPath,
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		units:   map[string]*Unit{},
+		loading: map[string]bool{},
+	}}, nil
+}
 
+// Load opens the module at root and checks every package under it.
+func Load(root string) (*Module, error) {
+	mod, err := Open(root)
+	if err != nil {
+		return nil, err
+	}
+	return mod, mod.Load()
+}
+
+// Load checks every package under the module root that is not checked yet,
+// and each external test package, and makes them the module's units. A
+// second call does nothing.
+func (m *Module) Load() error {
+	if m.units != nil {
+		return nil
+	}
 	var dirs []string
-	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(m.Root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -241,7 +275,7 @@ func Load(root string) (*Module, error) {
 			return nil
 		}
 		name := d.Name()
-		if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+		if p != m.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
@@ -249,120 +283,56 @@ func Load(root string) (*Module, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sort.Strings(dirs)
 
+	units := []*Unit{}
 	for _, dir := range dirs {
-		regular, inTest, extTest, err := l.parseDir(dir)
+		rel, err := filepath.Rel(m.Root, dir)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(regular)+len(inTest)+len(extTest) == 0 {
-			continue
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
-		}
-		importPath := modPath
+		importPath := m.Path
 		if rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
+			importPath = m.Path + "/" + filepath.ToSlash(rel)
 		}
-
-		if len(regular) > 0 {
-			// Warm the import cache with the regular-files-only package so
-			// external test units (and other packages) import the canonical
-			// API, then analyze regular + in-package test files together.
-			if _, err := l.Import(importPath); err != nil {
-				return nil, err
-			}
-			files := append(append([]*ast.File{}, regular...), inTest...)
-			pkg, info, err := l.check(importPath, files)
-			if err != nil {
-				return nil, err
-			}
-			mod.units = append(mod.units, &Unit{
-				ModulePath: modPath,
-				ImportPath: importPath,
-				Dir:        dir,
-				Fset:       fset,
-				Files:      files,
-				TestFiles:  markTests(fset, files),
-				Pkg:        pkg,
-				Info:       info,
-			})
+		u, err := m.l.unit(importPath)
+		if err != nil {
+			return err
 		}
-		if len(extTest) > 0 {
-			pkg, info, err := l.check(importPath+"_test", extTest)
+		if u.Pkg != nil {
+			units = append(units, u)
+		}
+		if len(u.xtest) > 0 {
+			xu, err := m.l.check(importPath+"_test", u.xtest)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			mod.units = append(mod.units, &Unit{
-				ModulePath: modPath,
-				ImportPath: importPath + "_test",
-				Dir:        dir,
-				Fset:       fset,
-				Files:      extTest,
-				TestFiles:  markTests(fset, extTest),
-				Pkg:        pkg,
-				Info:       info,
-			})
+			units = append(units, xu)
 		}
 	}
-	for _, u := range mod.units {
-		u.Mod = mod
+	for _, u := range units {
+		u.Mod = m
 	}
-	return mod, nil
+	m.units = units
+	return nil
 }
 
 // LoadDirAs parses and type-checks a single directory as a package with the
-// given import path, resolving module-internal imports against root. The
-// analyzer tests use it to load fixture packages under import paths that
-// trigger path-scoped rules.
-func LoadDirAs(root, dir, importPath string) (*Unit, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	return newLoader(root, modPath, token.NewFileSet()).loadDirAs(dir, importPath)
-}
-
-// LoadDirAs is the package-level LoadDirAs against the packages m already
-// holds: the directory's imports are the ones m's units import, and neither
-// the standard library nor the module is type-checked again.
+// given import path, its imports the packages m has checked or checks now.
+// The analyzer tests load fixture packages under import paths that trigger
+// path-scoped rules; the fixture itself is not one of m's packages.
 func (m *Module) LoadDirAs(dir, importPath string) (*Unit, error) {
-	return m.l.loadDirAs(dir, importPath)
-}
-
-// loadDirAs type-checks dir as the package importPath through l.
-func (l *loader) loadDirAs(dir, importPath string) (*Unit, error) {
-	regular, inTest, extTest, err := l.parseDir(dir)
+	own, xtest, err := m.l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	files := append(append(regular, inTest...), extTest...)
+	files := append(own, xtest...)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	pkg, info, err := l.check(importPath, files)
-	if err != nil {
-		return nil, err
-	}
-	return &Unit{
-		ModulePath: l.modPath,
-		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       l.fset,
-		Files:      files,
-		TestFiles:  markTests(l.fset, files),
-		Pkg:        pkg,
-		Info:       info,
-	}, nil
+	return m.l.check(importPath, files)
 }
 
 // markTests records which files in the unit are _test.go files.

@@ -73,13 +73,10 @@ type simpureChecker struct {
 	report ReportFunc
 	g      *callgraph.Graph // shared decl + field-store index (see callgraph)
 
-	files   map[string]bool        // filenames belonging to the scheduling unit
-	visited map[string]bool        // decls entered (recursion guard)
-	cache   map[string][]spFinding // memoized per-decl findings
-	seen    map[string]bool        // emitted diagnostics (dedup across call sites)
-
-	fieldVisited map[string]bool        // fields entered (recursion guard)
-	fieldCache   map[string][]spFinding // memoized per-field findings
+	files  map[string]bool               // filenames belonging to the scheduling unit
+	cache  map[*ast.FuncDecl][]spFinding // per-decl findings; an entry marks a decl entered
+	seen   map[spFinding]bool            // emitted diagnostics (dedup across call sites)
+	fields map[*types.Var][]spFinding    // per-field findings; an entry marks a field entered
 }
 
 func runSimPure(u *Unit, report ReportFunc) {
@@ -89,14 +86,12 @@ func runSimPure(u *Unit, report ReportFunc) {
 		return
 	}
 	c := &simpureChecker{
-		u:            u,
-		report:       report,
-		g:            graphFor(u),
-		visited:      map[string]bool{},
-		cache:        map[string][]spFinding{},
-		seen:         map[string]bool{},
-		fieldVisited: map[string]bool{},
-		fieldCache:   map[string][]spFinding{},
+		u:      u,
+		report: report,
+		g:      graphFor(u),
+		cache:  map[*ast.FuncDecl][]spFinding{},
+		seen:   map[spFinding]bool{},
+		fields: map[*types.Var][]spFinding{},
 	}
 	c.files = map[string]bool{}
 	for _, f := range u.Files {
@@ -154,8 +149,6 @@ func (c *simpureChecker) isSchedule(call *ast.CallExpr) bool {
 		obj.Pkg().Path() == c.u.ModulePath+"/internal/engine"
 }
 
-func (c *simpureChecker) posKey(pos token.Pos) string { return c.g.PosKey(pos) }
-
 // checkCallback dispatches on the shape of the scheduled callback argument.
 func (c *simpureChecker) checkCallback(arg ast.Expr) {
 	switch e := unparenExpr(arg).(type) {
@@ -194,14 +187,13 @@ func (c *simpureChecker) checkNamedCallback(arg ast.Expr, id *ast.Ident) {
 // pre-bound event, the allocation-free idiom internal/machine uses on its
 // hot path): the field is pure iff every assignment to it, anywhere in the
 // loaded set, stores a verifiable callback — a function literal, a named
-// function, or a method value. Field object identity is bridged across
-// units by declaration position, like the function index.
+// function, or a method value.
 func (c *simpureChecker) checkEventField(v *types.Var) []spFinding {
-	key := c.posKey(v.Pos())
-	if c.fieldVisited[key] {
-		return c.fieldCache[key]
+	v = v.Origin()
+	if fs, ok := c.fields[v]; ok {
+		return fs
 	}
-	c.fieldVisited[key] = true
+	c.fields[v] = nil
 	stores := c.g.FieldStores(v)
 	if len(stores) == 0 {
 		return []spFinding{{v.Pos(), fmt.Sprintf(
@@ -209,14 +201,14 @@ func (c *simpureChecker) checkEventField(v *types.Var) []spFinding {
 	}
 	var fs []spFinding
 	for _, st := range stores {
-		fs = append(fs, c.checkStore(st, key)...)
+		fs = append(fs, c.checkStore(st, v)...)
 	}
-	c.fieldCache[key] = fs
+	c.fields[v] = fs
 	return fs
 }
 
 // checkStore verifies one assignment to a scheduled event field.
-func (c *simpureChecker) checkStore(st callgraph.FieldStore, selfKey string) []spFinding {
+func (c *simpureChecker) checkStore(st callgraph.FieldStore, self *types.Var) []spFinding {
 	if st.Rhs == nil {
 		return []spFinding{{st.Pos,
 			"event field is bound through a multi-value assignment that cannot be statically verified; bind it from a single assignment"}}
@@ -225,22 +217,22 @@ func (c *simpureChecker) checkStore(st callgraph.FieldStore, selfKey string) []s
 	case *ast.FuncLit:
 		return c.checkBody(st.Src, e, e.Body)
 	case *ast.Ident:
-		return c.checkStoredNamed(st, e, selfKey)
+		return c.checkStoredNamed(st, e, self)
 	case *ast.SelectorExpr:
-		return c.checkStoredNamed(st, e.Sel, selfKey)
+		return c.checkStoredNamed(st, e.Sel, self)
 	default:
 		return []spFinding{{st.Rhs.Pos(),
 			"event field is bound to a computed expression that cannot be statically verified; bind a function literal or method value"}}
 	}
 }
 
-func (c *simpureChecker) checkStoredNamed(st callgraph.FieldStore, id *ast.Ident, selfKey string) []spFinding {
+func (c *simpureChecker) checkStoredNamed(st callgraph.FieldStore, id *ast.Ident, self *types.Var) []spFinding {
 	switch obj := st.Src.Info.Uses[id].(type) {
 	case *types.Func:
 		return c.checkFunc(obj)
 	case *types.Var:
 		if obj.IsField() {
-			if c.posKey(obj.Pos()) == selfKey {
+			if obj.Origin() == self {
 				return nil // copying the field onto itself
 			}
 			return c.checkEventField(obj)
@@ -277,16 +269,15 @@ func (c *simpureChecker) checkFunc(fn *types.Func) []spFinding {
 // terminate because a decl already being checked returns its (so far
 // empty) cache entry.
 func (c *simpureChecker) checkDecl(d callgraph.Decl) []spFinding {
-	key := c.posKey(d.Fn.Name.Pos())
-	if c.visited[key] {
-		return c.cache[key]
+	if fs, ok := c.cache[d.Fn]; ok {
+		return fs
 	}
-	c.visited[key] = true
+	c.cache[d.Fn] = nil
 	if d.Fn.Body == nil {
 		return nil
 	}
 	fs := c.checkBody(d.Src, d.Fn, d.Fn.Body)
-	c.cache[key] = fs
+	c.cache[d.Fn] = fs
 	return fs
 }
 
@@ -513,13 +504,12 @@ func (c *simpureChecker) emit(at ast.Expr, fs []spFinding) {
 // emitOne reports once per (position, message): the same helper reached
 // from several scheduling sites yields one diagnostic.
 func (c *simpureChecker) emitOne(pos token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := c.posKey(pos) + " " + msg
-	if c.seen[key] {
+	f := spFinding{pos, fmt.Sprintf(format, args...)}
+	if c.seen[f] {
 		return
 	}
-	c.seen[key] = true
-	c.report(pos, "%s", msg)
+	c.seen[f] = true
+	c.report(pos, "%s", f.msg)
 }
 
 // rootIdentOf unwraps an assignment target to its root identifier. direct

@@ -133,7 +133,7 @@ func TestReplayStaysInsideQueueReservation(t *testing.T) {
 		a := env.AllocFar(n)
 		workload.Fill(a.D, workload.Uniform, 2015)
 		sorts[name](env, a)
-		tr := rec.Finish()
+		tr := rec.Finish(nil)
 
 		for _, channels := range []int{8, 32} {
 			cfg := PaperConfig(channels, sp)

@@ -63,7 +63,7 @@ func randomTrace(ops []uint32, threads int, withDMA bool) *trace.Trace {
 		}
 	}
 	_ = barriers
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 // TestReplayPropertyInvariants replays fuzzed traces and checks structural
@@ -282,7 +282,7 @@ func TestL2SharingWithinGroup(t *testing.T) {
 	rec := trace.NewRecorder(5, tinyL1(), trace.DefaultCosts())
 	rec.Thread(0).Load(addr.FarBase, 8)
 	rec.Thread(4).Load(addr.FarBase, 8) // different quad-core group
-	tr := rec.Finish()
+	tr := rec.Finish(nil)
 	res, err = Run(TinyConfig(8, units.MiB), tr)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func record(p int, body func(tid int, tp *trace.TP)) *trace.Trace {
 	for i := 0; i < p; i++ {
 		body(i, rec.Thread(i))
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -389,7 +389,7 @@ func TestMachineSingleUse(t *testing.T) {
 func TestInvalidTraceRejected(t *testing.T) {
 	rec := trace.NewRecorder(2, tinyL1(), trace.DefaultCosts())
 	rec.Thread(0).Barrier() // thread 1 never reaches it
-	tr := rec.Finish()
+	tr := rec.Finish(nil)
 	if _, err := Run(TinyConfig(8, units.MiB), tr); err == nil {
 		t.Error("expected barrier-mismatch rejection")
 	}

@@ -70,7 +70,7 @@ func TestBarrierRecordsMarkers(t *testing.T) {
 		b.Wait(tp)
 		b.Wait(tp)
 	})
-	tr := rec.Finish()
+	tr := rec.Finish(nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}

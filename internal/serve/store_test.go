@@ -31,7 +31,7 @@ func farLoads(t *testing.T, stamp, n int) *trace.Trace {
 		tp.Load(addr.FarBase+addr.Addr(stamp*64+i)*4096, 8)
 	}
 	tp.Barrier()
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 // traceSize is what the store charges one storeTrace: a recording is sealed

@@ -204,7 +204,7 @@ func farWalk(t *testing.T, n, last int) []byte {
 	}
 	tp.Load(addr.FarBase+addr.Addr(n+last)*4096, 8)
 	tp.Barrier()
-	return image(t, rec.Finish())
+	return image(t, rec.Finish(nil))
 }
 
 // TestUploadAnsweredByResidentImage: an upload the store already holds, byte

@@ -201,7 +201,7 @@ func TestNearBlindSeesWhatLevelCountsMisses(t *testing.T) {
 			}
 			tp.Barrier()
 		}
-		tr := rec.Finish()
+		tr := rec.Finish(nil)
 		requireSealedRecording(t, tc.name, tr) // the bit agrees across sealed, opened and decoded forms
 		if tr.NearBlind() != tc.blind {
 			t.Errorf("%s: NearBlind = %v, want %v", tc.name, tr.NearBlind(), tc.blind)
@@ -455,7 +455,7 @@ func TestRecorderGapCarriers(t *testing.T) {
 	tp.Compute(1<<32 + 5)
 	tp.Barrier()
 	rec.Thread(1).Barrier()
-	tr := rec.Finish()
+	tr := rec.Finish(nil)
 	requireSealedRecording(t, "gap carriers", tr)
 	dec, err := tr.Columns().Decode()
 	if err != nil {
@@ -508,7 +508,7 @@ func recordSample(fj trace.ForkJoin) *trace.Trace {
 		tp.DMAWait()
 		tp.Barrier()
 	}
-	return rec.FinishPar(fj)
+	return rec.Finish(fj)
 }
 
 // TestParallelSealAndValidate: sealing and validating under a real fork-join
@@ -527,7 +527,7 @@ func TestParallelSealAndValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, seq) {
-		t.Fatal("FinishPar sealed different bytes than Finish")
+		t.Fatal("Finish under a fork-join sealed different bytes than Finish(nil)")
 	}
 
 	// A file's validation walk under the fork-join yields the same counts

@@ -72,7 +72,7 @@ func sortishTrace(t testing.TB, threads, opsPerThread int) *Trace {
 		}
 		tp.Barrier()
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 // TestColumnarRoundTrip pins the core contract: every op stream read
@@ -261,7 +261,7 @@ func TestColumnarDigestProperty(t *testing.T) {
 				tp.Atomic(a)
 			}
 		}
-		tr := rec.Finish()
+		tr := rec.Finish(nil)
 		data, err := EncodeColumnar(tr)
 		if err != nil {
 			return false

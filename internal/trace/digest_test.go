@@ -20,7 +20,7 @@ func digestTrace(threads, opsPerThread int) *Trace {
 		}
 		tp.Barrier()
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 // TestDigestMatchesStreamChecksum pins the digest's defining property: it

@@ -576,9 +576,41 @@ func countWalks(f func()) (walks, laned int) {
 	return walks, laned
 }
 
+// TestCounterCountsWhatFinishCounts: a recording that is only counted (the
+// m1 and m3 rows) is never walked, and counts what the same recording
+// finished counts, its trailing writebacks included.
+func TestCounterCountsWhatFinishCounts(t *testing.T) {
+	record := func(rec *Recorder) *Recorder {
+		for tid := range rec.Threads() {
+			tp := rec.Thread(tid)
+			tp.Phase("mix")
+			for i := range 2000 {
+				tp.Load(addr.FarBase+addr.Addr(tid<<20+i*24), 8)
+				tp.Store(addr.NearBase+addr.Addr(tid<<16+(i%300)*64), 8)
+				if i%97 == 0 {
+					tp.Atomic(addr.NearBase)
+				}
+				tp.Compare(2)
+			}
+			tp.DMA(addr.FarBase, addr.NearBase+4096, 512)
+			tp.DMAWait()
+			tp.Barrier()
+		}
+		return rec
+	}
+	want := record(NewRecorder(3, paperL1, DefaultCosts())).Finish(nil).Count()
+	var got LevelCounts
+	if walks, _ := countWalks(func() { got = record(NewCounter(3, paperL1, DefaultCosts())).Count() }); walks != 0 {
+		t.Errorf("Recorder.Count: %d walks, want none", walks)
+	}
+	if got != want || got.NearWrites == 0 || got.Atomics == 0 {
+		t.Errorf("Recorder.Count = %+v, want %+v", got, want)
+	}
+}
+
 // TestRecordDigestIsFree counts walks at each boundary a trace crosses — by
 // the walk hook, not a timer. The calls are the ones the callers make:
-// harness.Record (FinishPar, Validate, Count), Supervisor.cellKeys and
+// harness.Record (Finish, Validate, Count), Supervisor.cellKeys and
 // serve.Store.Put (Digest), DiskRecordCache (WriteTo; Open, ValidatePar,
 // Count), handleUpload (Verify, Validate, Digest) and nmtrace convert.
 func TestRecordDigestIsFree(t *testing.T) {

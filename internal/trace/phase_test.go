@@ -28,7 +28,7 @@ func phaseTrace(t *testing.T) *Trace {
 			tp.Phase("sort") // re-entering a phase reuses its interned id
 		}
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 func TestPhaseInterning(t *testing.T) {
@@ -71,7 +71,7 @@ func TestPhaseGapCarried(t *testing.T) {
 			tp.Phase("p")
 		}
 		tp.Load(addr.FarBase, 8)
-		return rec.Finish()
+		return rec.Finish(nil)
 	}
 	gaps := func(tr *Trace) (total uint64, phase uint64) {
 		for _, op := range stream(t, tr, 0) {

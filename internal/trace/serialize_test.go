@@ -44,7 +44,7 @@ func sampleTrace(t *testing.T) *Trace {
 		tp.Compute(7)
 		tp.Load(addr.FarBase+addr.Addr(tid*4096)+128, 8)
 	}
-	return rec.Finish()
+	return rec.Finish(nil)
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -158,7 +158,7 @@ func TestSerializeRejectsOversizedDMA(t *testing.T) {
 
 func TestSerializeEmptyStreams(t *testing.T) {
 	rec := NewRecorder(2, tinyL1(), DefaultCosts())
-	tr := rec.Finish() // streams contain only OpEnd
+	tr := rec.Finish(nil) // streams contain only OpEnd
 	got := roundTrip(t, tr)
 	if got.Ops() != tr.Ops() {
 		t.Errorf("ops: %d vs %d", got.Ops(), tr.Ops())
@@ -188,7 +188,7 @@ func TestSerializePropertyRandomWorkloads(t *testing.T) {
 				tp.Atomic(a)
 			}
 		}
-		tr := rec.Finish()
+		tr := rec.Finish(nil)
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			return false
@@ -214,7 +214,7 @@ func TestSerializeCompact(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		tp.Load(addr.FarBase+addr.Addr(i*64), 8)
 	}
-	tr := rec.Finish()
+	tr := rec.Finish(nil)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestWriteToRejectsZeroThreads(t *testing.T) {
 func TestRoundTripThreadBoundary(t *testing.T) {
 	rec := NewRecorder(1, tinyL1(), DefaultCosts())
 	rec.Thread(0).Load(addr.FarBase, 8)
-	tr := rec.Finish()
+	tr := rec.Finish(nil)
 	got := roundTrip(t, tr)
 	if got.Threads() != 1 {
 		t.Fatalf("round-tripped %d streams, want 1", got.Threads())

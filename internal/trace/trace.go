@@ -89,8 +89,9 @@ type TP struct {
 	line  uint64
 	pend  int64 // compute cycles since last recorded op
 	costs Costs
-	cols  colBuilder // the thread's columns: emit puts every op here
-	rec   *Recorder  // owning recorder, for phase-name interning
+	cols  colBuilder   // the thread's columns: emit puts every op here
+	count *LevelCounts // a counter's probe tallies its ops here instead
+	rec   *Recorder    // owning recorder, for phase-name interning
 }
 
 // access runs one line-granular access through the L1 filter.
@@ -108,6 +109,12 @@ func (t *TP) access(a uint64, write bool) {
 }
 
 func (t *TP) emit(op Op) {
+	if t.count != nil {
+		if op.Kind == OpAccess || op.Kind == OpAtomic {
+			t.count.tally(op)
+		}
+		return
+	}
 	if t.pend > 0 {
 		const max = int64(^uint32(0))
 		for t.pend > max {
@@ -284,22 +291,56 @@ func (r *Recorder) Threads() int { return len(r.threads) }
 // Finish seals the recording: dirty L1 lines become trailing writebacks,
 // every stream gets an end marker, the per-thread columns are sealed into
 // one canonical v3 image (see builder.go), and the image's first walk
-// validates it, counts it and writes its footer. It returns the completed
+// validates it, counts it and writes its footer. The per-thread flush, seal
+// and walk run under fj (nil: one after another). It returns the completed
 // trace, which replays those columns in place. Calling Finish twice panics.
-func (r *Recorder) Finish() *Trace { return r.FinishPar(nil) }
-
-// FinishPar is Finish with the per-thread flush, seal and walk run under fj.
-func (r *Recorder) FinishPar(fj ForkJoin) *Trace {
-	if r.finished {
-		panic("trace: Recorder.Finish called twice")
-	}
-	r.finished = true
+func (r *Recorder) Finish(fj ForkJoin) *Trace {
+	r.markFinished()
 	builders := make([]*colBuilder, len(r.threads))
 	for i, t := range r.threads {
+		if t.count != nil {
+			panic("trace: Finish of a NewCounter recorder")
+		}
 		builders[i] = &t.cols
 	}
 	fj.run(len(r.threads), func(i int) { r.threads[i].flushEnd() })
 	return sealImage(r.costs, r.l1, r.phaseNames, builders, fj).firstWalk(fj).AsTrace()
+}
+
+// NewCounter is NewRecorder for a run that is only counted, never
+// replayed, stored or digested (the m1 and m3 rows): its probes tally each
+// op's line transfers as they emit it, and build no columns. Count returns
+// the tally; Finish panics.
+func NewCounter(p int, l1 L1Geometry, costs Costs) *Recorder {
+	r := NewRecorder(p, l1, costs)
+	for _, t := range r.threads {
+		t.count = new(LevelCounts)
+	}
+	return r
+}
+
+// Count ends a NewCounter recording: dirty L1 lines become trailing
+// writebacks, as Finish makes them, and it returns the line transfers per
+// level that Finish's trace would count. Calling it twice panics.
+func (r *Recorder) Count() LevelCounts {
+	r.markFinished()
+	var c LevelCounts
+	for _, t := range r.threads {
+		if t.count == nil {
+			panic("trace: Count of a recorder NewCounter did not make")
+		}
+		t.flushEnd()
+		c.add(*t.count)
+	}
+	return c
+}
+
+// markFinished ends the recording, once.
+func (r *Recorder) markFinished() {
+	if r.finished {
+		panic("trace: Recorder finished twice")
+	}
+	r.finished = true
 }
 
 // Trace is a completed recording. Traces are immutable once finished (or

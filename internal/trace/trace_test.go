@@ -72,7 +72,7 @@ func TestL1FilterHitsProduceNoOps(t *testing.T) {
 	tp.Load(addr.FarBase, 8)   // miss: one fill op
 	tp.Load(addr.FarBase+8, 8) // same line: hit, no op
 	tp.Load(addr.FarBase+16, 8)
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	var fills int
 	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpAccess && !op.Write {
@@ -90,7 +90,7 @@ func TestGapAccounting(t *testing.T) {
 	tp := r.Thread(0)
 	tp.Compute(100)
 	tp.Load(addr.FarBase, 8) // miss
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	op := stream(t, tr, 0)[0]
 	if op.Kind != OpAccess || op.Write {
 		t.Fatalf("first op = %+v", op)
@@ -107,7 +107,7 @@ func TestHitLatencyFoldsIntoGap(t *testing.T) {
 	tp.Load(addr.FarBase, 8)   // miss (gap flushed into it)
 	tp.Load(addr.FarBase+8, 8) // hit: issue+hit cycles pend
 	tp.Load(addr.FarBase+64, 8)
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	second := stream(t, tr, 0)[1]
 	if want := uint32(c.IssueCycles + c.L1HitCycles + c.IssueCycles); second.Gap != want {
 		t.Errorf("gap = %d, want %d", second.Gap, want)
@@ -121,7 +121,7 @@ func TestDirtyEvictionEmitsWriteback(t *testing.T) {
 	// Evict it: tiny L1 has 2 sets of 2 ways; lines 128B apart share a set.
 	tp.Load(addr.FarBase+128, 8)
 	tp.Load(addr.FarBase+256, 8) // evicts the dirty line
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	var wbs int
 	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpAccess && op.Write && op.Addr == uint64(addr.FarBase) {
@@ -137,7 +137,7 @@ func TestFinishFlushesDirtyLines(t *testing.T) {
 	r := NewRecorder(1, tinyL1(), DefaultCosts())
 	tp := r.Thread(0)
 	tp.Store(addr.NearBase, 8)
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	c := tr.Count()
 	if c.NearWrites != 1 {
 		t.Errorf("NearWrites = %d, want 1 (final flush)", c.NearWrites)
@@ -150,20 +150,20 @@ func TestFinishFlushesDirtyLines(t *testing.T) {
 
 func TestFinishTwicePanics(t *testing.T) {
 	r := NewRecorder(1, tinyL1(), DefaultCosts())
-	r.Finish()
+	r.Finish(nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	r.Finish()
+	r.Finish(nil)
 }
 
 func TestMultiLineAccess(t *testing.T) {
 	r := NewRecorder(1, tinyL1(), DefaultCosts())
 	tp := r.Thread(0)
 	tp.Load(addr.FarBase+60, 16) // straddles two lines
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	var fills int
 	for _, op := range stream(t, tr, 0) {
 		if op.Kind == OpAccess && !op.Write {
@@ -181,7 +181,7 @@ func TestCountByLevel(t *testing.T) {
 	r.Thread(0).Store(addr.NearBase, 8)
 	r.Thread(1).Load(addr.NearBase+4096, 8)
 	r.Thread(1).Atomic(addr.FarBase + 4096)
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	c := tr.Count()
 	// Thread 0's store misses write-allocate (one near fill) and the dirty
 	// line flushes at Finish (one near writeback); thread 1 adds a near
@@ -197,7 +197,7 @@ func TestCountByLevel(t *testing.T) {
 func TestValidateCatchesBarrierMismatch(t *testing.T) {
 	r := NewRecorder(2, tinyL1(), DefaultCosts())
 	r.Thread(0).Barrier()
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	if err := tr.Validate(); err == nil {
 		t.Error("expected barrier-mismatch error")
 	}
@@ -212,7 +212,7 @@ func TestValidateAcceptsBalancedTrace(t *testing.T) {
 		tp.Store(addr.NearBase+addr.Addr(i*4096), 8)
 		tp.Barrier()
 	}
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	if err := tr.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestAtomicEmitsEveryTime(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tp.Atomic(addr.FarBase)
 	}
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	if c := tr.Count(); c.Atomics != 5 {
 		t.Errorf("atomics = %d, want 5 (atomics bypass the L1 filter)", c.Atomics)
 	}
@@ -238,7 +238,7 @@ func TestDMARecorded(t *testing.T) {
 	tp := r.Thread(0)
 	tp.DMA(addr.FarBase, addr.NearBase, 4096)
 	tp.DMAWait()
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestViewCopy(t *testing.T) {
 	if dst.D[2] != 3 {
 		t.Error("Copy did not copy data")
 	}
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	c := tr.Count()
 	if c.FarReads == 0 || c.NearWrites == 0 {
 		t.Errorf("Copy traffic not recorded: %+v", c)
@@ -313,7 +313,7 @@ func TestGapOverflowSplits(t *testing.T) {
 	tp := r.Thread(0)
 	tp.Compute(5_000_000_000) // exceeds uint32
 	tp.Load(addr.FarBase, 8)
-	tr := r.Finish()
+	tr := r.Finish(nil)
 	var total uint64
 	for _, op := range stream(t, tr, 0) {
 		total += uint64(op.Gap)

@@ -3,43 +3,47 @@
 #
 # Runs, in order:
 #   1. go build ./...                 compile everything
-#   2. go run ./cmd/nmlint ./...      determinism & concurrency lint suite
+#   2. nmlint -escape-check ./...     determinism & concurrency lint suite
 #                                     (incl. simpure: event-callback purity,
-#                                     hotpath: allocation-freedom)
-#   3. nmlint -escape-check           compiler escape analysis cross-check
-#                                     over the //nmlint:hotpath regions
-#   4. go vet ./...                   the stock vet checks
-#   5. go test ./...                  full test suite (includes TestRows:
+#                                     hotpath: allocation-freedom) and, on
+#                                     the same load, the compiler escape
+#                                     analysis cross-check over the
+#                                     //nmlint:hotpath regions
+#   3. go vet ./...                   the stock vet checks
+#   4. go test ./...                  full test suite (includes TestRows:
 #                                     every registry row's bytes against
 #                                     testdata/rows.golden, the 386 run too;
 #                                     and internal/lint's whole-module gates,
-#                                     skipped in -short: TestWholeModuleClean
-#                                     and TestNoTestOnlyFunctions, no
-#                                     production function that only tests
-#                                     call, bench/_layers counting as a user)
-#   6. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
+#                                     skipped in -short: TestWholeModuleClean,
+#                                     TestOneObjectPerDeclaration, and
+#                                     TestNoTestOnlyFunctions and
+#                                     TestNoTestOnlyFields: no production
+#                                     function or struct field that only
+#                                     tests use, bench/_layers counting as a
+#                                     user)
+#   5. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
 #                                     off): an int narrower than the int64
 #                                     it is read from must not slip past
 #                                     the trace readers
-#   6b. no fused multiply-add         the commands cross-compiled for arm64,
+#   5b. no fused multiply-add         the commands cross-compiled for arm64,
 #                                     ppc64le, s390x and riscv64 with -S: no
 #                                     F(N)MADD/F(N)MSUB[S|D] in a repro/
 #                                     function, so a trace (k-means' floats)
 #                                     is the same bytes on every GOARCH — the
 #                                     record caches' keys do not name one
-#   7. go test -race -short ./...     race detector over the short suite
+#   6. go test -race -short ./...     race detector over the short suite
 #                                     (incl. the shared-replay differentials,
 #                                     TestShared*: every cell a sweep fills
 #                                     from another's replay against its own
 #                                     replay, pooled)
-#   8. chaos smoke                    the short-mode interrupt/resume chaos
+#   7. chaos smoke                    the short-mode interrupt/resume chaos
 #                                     test: sweeps killed at seeded slice
 #                                     boundaries must resume byte-identically,
 #                                     across the shared-replay seam too (a
 #                                     representative killed mid-replay, a
 #                                     manifest holding it without its aliases
 #                                     and the converse)
-#   9. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
+#   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
 #                                     also held to the []Op-building reader
 #                                     it replaced, error for error, column
 #                                     for column; no stream of another
@@ -61,7 +65,7 @@
 #                                     FuzzAccessMatchesReference (the packed
 #                                     cache sets against the timestamp-LRU
 #                                     reference and a stack-distance oracle)
-#  10. serve smoke                    boot nmsimd, run the golden sweep
+#   9. serve smoke                    boot nmsimd, run the golden sweep
 #                                     locally + remotely cold + remotely
 #                                     cached, cmp all three byte-identical
 #                                     (then the bandwidth sweep the same way,
@@ -69,7 +73,7 @@
 #                                     recordings resident in the trace
 #                                     store; nmsim local vs -server too),
 #                                     SIGTERM-drain to exit 0
-#  11. schedule smoke                 the recorder-lane schedule is invisible:
+#  10. schedule smoke                 the recorder-lane schedule is invisible:
 #                                     nmsim stdout cmp-equal at -par 1,
 #                                     default -par and GOMAXPROCS=1, with and
 #                                     without -timings (stderr only); sweep
@@ -83,7 +87,7 @@
 #                                     telemetry replay, -corelist 8,8,16);
 #                                     a cold 2^20 Table I and its two .nmt3
 #                                     files match rows.golden's large/ lines
-#  12. trace identity                 an nmsort recording at -cores 64 (many
+#  11. trace identity                 an nmsort recording at -cores 64 (many
 #                                     thread boundaries for the v2 reader's
 #                                     framing scan): v2 -> v3 -> v2 gives the
 #                                     recorded bytes back, replay prints one
@@ -91,14 +95,14 @@
 #                                     convert at GOMAXPROCS=1 write the same
 #                                     files and convert lines as at the
 #                                     default
-#  13. benchmark module               go vet -C bench ./_layers && go test -C
+#  12. benchmark module               go vet -C bench ./_layers && go test -C
 #                                     bench ./...: bench/ is its own module
 #                                     and the one importer of repro/internal
 #                                     outside this one, so a renamed or
 #                                     retyped export breaks there and nowhere
 #                                     above
 #
-# The race pass (7) also carries the schedule's structural tests — the
+# The race pass (6) also carries the schedule's structural tests — the
 # sequential-driver oracle, overlap, the -par bound, no per-trace barrier,
 # failure, panic and cancellation (internal/harness/schedule_test.go).
 #
@@ -130,7 +134,7 @@ no_fma() {
 	done
 }
 
-# trace_identity runs check 12 in a scratch directory: the same commands once
+# trace_identity runs check 11 in a scratch directory: the same commands once
 # at the default GOMAXPROCS and once at 1, each in its own directory under the
 # same relative paths, so the convert lines (which name their files) compare
 # too.
@@ -165,7 +169,6 @@ trace_identity() (
 )
 
 step go build ./...
-step go run ./cmd/nmlint ./...
 step go run ./cmd/nmlint -escape-check ./...
 step go vet ./...
 step go test ./...
