@@ -53,7 +53,8 @@ func TestFlagValidation(t *testing.T) {
 
 // TestParseError checks unknown flags surface as parse errors, not panics.
 // -max-events is one: a replay's event budget is its trace's EventBound.
-// So is -slice: a supervised replay polls every harness.DefaultSlice events.
+// So is -slice: a supervised replay polls every 2^16 events, which no flag
+// sets.
 func TestParseError(t *testing.T) {
 	for _, args := range [][]string{{"-bogus"}, {"-max-events", "100000000"}, {"-slice", "4096"}} {
 		if _, _, err := parseFlags(args); err == nil {

@@ -78,7 +78,7 @@ func TestSPMallocBasic(t *testing.T) {
 	if s.InUse() != 0 {
 		t.Errorf("InUse after free = %d", s.InUse())
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if err := s.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -117,7 +117,7 @@ func TestSPFreeCoalesces(t *testing.T) {
 	if got := s.LargestFree(); got != 3*64 {
 		t.Errorf("LargestFree = %d, want %d (full coalescing)", got, 3*64)
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if err := s.checkInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -163,7 +163,7 @@ func TestSPAllocatorRandomWorkload(t *testing.T) {
 				s.SPFree(live[i])
 				live = append(live[:i], live[i+1:]...)
 			}
-			if err := s.CheckInvariants(); err != nil {
+			if err := s.checkInvariants(); err != nil {
 				t.Logf("invariant violated: %v", err)
 				return false
 			}
@@ -178,7 +178,7 @@ func TestSPAllocatorRandomWorkload(t *testing.T) {
 			t.Logf("fragmentation after freeing everything: largest %d of %d", got, s.capacity)
 			return false
 		}
-		return s.CheckInvariants() == nil
+		return s.checkInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

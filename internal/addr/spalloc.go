@@ -101,10 +101,10 @@ func (s *SPAllocator) SPFree(a Addr) {
 // sub-1% metadata overhead claim of Section IV-D.
 func (s *SPAllocator) Peak() uint64 { return s.peak }
 
-// CheckInvariants verifies the free list is sorted, non-overlapping,
+// checkInvariants verifies the free list is sorted, non-overlapping,
 // non-adjacent (fully coalesced), inside the window, and that free+live
 // bytes account for the whole capacity. Used by property tests.
-func (s *SPAllocator) CheckInvariants() error {
+func (s *SPAllocator) checkInvariants() error {
 	var freeBytes uint64
 	prevEnd := Addr(0)
 	for i, f := range s.free {

@@ -155,7 +155,7 @@ func New(capacity, lineSize units.Bytes, ways int) *Cache {
 		tags:     make([]uint64, sets*ways),
 		sets:     make([]setState, sets),
 	}
-	c.Reset()
+	c.reset()
 	return c
 }
 
@@ -234,8 +234,8 @@ func (c *Cache) FlushDirty() []uint64 {
 	return out
 }
 
-// Reset invalidates every line and clears statistics.
-func (c *Cache) Reset() {
+// reset invalidates every line and clears statistics.
+func (c *Cache) reset() {
 	for i := range c.sets {
 		c.sets[i] = setState{order: descending >> (4 * uint(maxWays-c.ways))}
 	}

@@ -188,7 +188,7 @@ func TestFlushDirty(t *testing.T) {
 func TestReset(t *testing.T) {
 	c := small()
 	c.Access(0x0000, true)
-	c.Reset()
+	c.reset()
 	if c.Contains(0x0000) {
 		t.Error("Reset should invalidate")
 	}

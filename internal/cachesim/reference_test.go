@@ -228,7 +228,7 @@ func differential(t *testing.T, ways, sets int, script []byte) {
 		case 1:
 			if b1 < 32 { // an eighth of the selector's hits: a rare full restart
 				check(step, "before Reset")
-				c.Reset()
+				c.reset()
 				ref.Reset()
 				oracle.reset()
 				check(step, "after Reset")

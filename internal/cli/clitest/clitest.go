@@ -126,7 +126,7 @@ var Supervision = []Case{
 	{"negative timeout", "-timeout -1s", "-timeout", "-timeout"},
 	{"valid supervision", "-manifest m.json -retries 2 -retry-seed 9 -timeout 30s", "-manifest", ""},
 	// -slice is gone: a supervised replay polls for cancellation every
-	// harness.DefaultSlice events, which no flag sets.
+	// 2^16 events, a harness constant no flag sets.
 	{"slice", "-slice 4096", "-slice", "-slice"},
 }
 

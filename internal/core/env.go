@@ -63,8 +63,8 @@ func (e *Env) AllocFar(n int) trace.U64 {
 	return trace.U64{Base: base, D: make([]uint64, n)}
 }
 
-// AllocFarI64 allocates an n-element metadata array in far memory.
-func (e *Env) AllocFarI64(n int) trace.I64 {
+// allocFarI64 allocates an n-element metadata array in far memory.
+func (e *Env) allocFarI64(n int) trace.I64 {
 	base := e.Far.Alloc(uint64(n)*8, 64)
 	return trace.I64{Base: base, D: make([]int64, n)}
 }
@@ -90,8 +90,8 @@ func (e *Env) MustAllocSP(n int) trace.U64 {
 	return v
 }
 
-// MustAllocSPI64 allocates an n-element scratchpad metadata array.
-func (e *Env) MustAllocSPI64(n int) trace.I64 {
+// mustAllocSPI64 allocates an n-element scratchpad metadata array.
+func (e *Env) mustAllocSPI64(n int) trace.I64 {
 	base, ok := e.SP.SPMalloc(uint64(n) * 8)
 	if !ok {
 		panic("core: scratchpad exhausted; working set was mis-sized")
@@ -102,11 +102,11 @@ func (e *Env) MustAllocSPI64(n int) trace.I64 {
 // FreeSP releases a scratchpad allocation.
 func (e *Env) FreeSP(base addr.Addr) { e.SP.SPFree(base) }
 
-// RNG returns a deterministic generator derived from the environment seed
+// rng returns a deterministic generator derived from the environment seed
 // and a stream id.
-func (e *Env) RNG(stream uint64) *xrand.RNG {
+func (e *Env) rng(stream uint64) *xrand.RNG {
 	return xrand.New(e.Seed*0x9e3779b97f4a7c15 + stream + 1)
 }
 
-// SPElems returns how many uint64 elements the scratchpad can hold.
-func (e *Env) SPElems() int { return int(e.M / 8) }
+// spElems returns how many uint64 elements the scratchpad can hold.
+func (e *Env) spElems() int { return int(e.M / 8) }

@@ -4,7 +4,7 @@ import "repro/internal/trace"
 
 // Exact multisequence selection — the splitting strategy of GNU parallel
 // mode's exact variant (multiseq_selection.h in the MCSTL the paper cites).
-// Given k sorted runs and a global rank r, ExactSelect finds per-run cut
+// Given k sorted runs and a global rank r, exactSelect finds per-run cut
 // positions pos with Σpos = r such that every element before a cut is <=
 // every element after any cut: the prefix union of the cuts is exactly the
 // r smallest elements (ties broken by run index, making the answer unique
@@ -17,9 +17,9 @@ import "repro/internal/trace"
 // troughly the classic bound, and every probe is a traced access so the
 // splitting cost shows up in the experiments honestly.
 
-// ExactSelect returns cut positions for global rank r over the sorted
+// exactSelect returns cut positions for global rank r over the sorted
 // runs. 0 <= r <= Σlen is required.
-func ExactSelect(tp *trace.TP, runs []trace.U64, r int) []int {
+func exactSelect(tp *trace.TP, runs []trace.U64, r int) []int {
 	k := len(runs)
 	lo := make([]int, k) // per-run search interval [lo, hi]
 	hi := make([]int, k)

@@ -40,7 +40,7 @@ func checkSelection(t *testing.T, runs []trace.U64, pos []int, r int) {
 func TestExactSelectBasic(t *testing.T) {
 	runs, all := sortedRuns(1, []int{10, 20, 5})
 	for _, r := range []int{0, 1, 5, 17, 34, len(all)} {
-		pos := ExactSelect(nil, runs, r)
+		pos := exactSelect(nil, runs, r)
 		checkSelection(t, runs, pos, r)
 	}
 }
@@ -48,7 +48,7 @@ func TestExactSelectBasic(t *testing.T) {
 func TestExactSelectEmptyAndSkewedRuns(t *testing.T) {
 	runs, all := sortedRuns(2, []int{0, 100, 0, 1, 0})
 	for r := 0; r <= len(all); r += 13 {
-		checkSelection(t, runs, ExactSelect(nil, runs, r), r)
+		checkSelection(t, runs, exactSelect(nil, runs, r), r)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestExactSelectAllEqual(t *testing.T) {
 		{Base: addr.FarBase + 2048, D: []uint64{7, 7, 7, 7}},
 	}
 	for r := 0; r <= 9; r++ {
-		checkSelection(t, runs, ExactSelect(nil, runs, r), r)
+		checkSelection(t, runs, exactSelect(nil, runs, r), r)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestExactSelectRankBoundsPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ExactSelect(nil, runs, 5)
+	exactSelect(nil, runs, 5)
 }
 
 func TestExactSelectProperty(t *testing.T) {
@@ -89,7 +89,7 @@ func TestExactSelectProperty(t *testing.T) {
 			return true
 		}
 		r := int(rankRaw) % (total + 1)
-		pos := ExactSelect(nil, runs, r)
+		pos := exactSelect(nil, runs, r)
 		var all, prefix []uint64
 		sum := 0
 		for i, run := range runs {

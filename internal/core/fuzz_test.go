@@ -105,7 +105,7 @@ func FuzzExactSelect(f *testing.F) {
 			total += len(d)
 		}
 		r := int(rank) % (total + 1)
-		pos := ExactSelect(nil, runs, r)
+		pos := exactSelect(nil, runs, r)
 		sum := 0
 		for i := range pos {
 			if pos[i] < 0 || pos[i] > runs[i].Len() {
@@ -165,7 +165,7 @@ func FuzzQuickSortMatchesMergeSort(f *testing.F) {
 		m := append([]uint64(nil), q...)
 		QuickSort(nil, farView(q))
 		tmp := make([]uint64, n)
-		MergeSortInPlace(nil, farView(m), trace.U64{Base: addr.NearBase, D: tmp})
+		mergeSortInPlace(nil, farView(m), trace.U64{Base: addr.NearBase, D: tmp})
 		for i := range q {
 			if q[i] != m[i] {
 				t.Fatalf("sorts disagree at %d", i)

@@ -33,7 +33,7 @@ func MultiwayMergeSort(tp *trace.TP, a, tmp trace.U64, runElems, fanout int) tra
 		if hi > n {
 			hi = n
 		}
-		MergeSortInPlace(tp, a.Slice(lo, hi), tmp.Slice(lo, hi))
+		mergeSortInPlace(tp, a.Slice(lo, hi), tmp.Slice(lo, hi))
 	}
 
 	cur, other := a, tmp
@@ -58,7 +58,7 @@ func MultiwayMergeSort(tp *trace.TP, a, tmp trace.U64, runElems, fanout int) tra
 				trace.Copy(tp, other.Slice(lo, groupHi), runs[0])
 				continue
 			}
-			MultiwayMerge(tp, runs, other.Slice(lo, groupHi))
+			multiwayMerge(tp, runs, other.Slice(lo, groupHi))
 		}
 		cur, other = other, cur
 	}

@@ -8,9 +8,9 @@ import "repro/internal/trace"
 // mergesort (MCSTL) the paper uses both as its baseline and as the
 // in-scratchpad sort.
 
-// LoserTree merges k sorted runs. The tree itself is tiny (2k ints) and
+// loserTree merges k sorted runs. The tree itself is tiny (2k ints) and
 // lives in registers/L1; only the run cursor advances touch traced memory.
-type LoserTree struct {
+type loserTree struct {
 	runs []trace.U64
 	pos  []int
 	tree []int    // internal nodes: loser run indices; tree[0] = winner
@@ -20,14 +20,14 @@ type LoserTree struct {
 	left int // total elements remaining
 }
 
-// NewLoserTree builds a tree over the given runs, loading each run's head
+// newLoserTree builds a tree over the given runs, loading each run's head
 // through tp.
-func NewLoserTree(tp *trace.TP, runs []trace.U64) *LoserTree {
+func newLoserTree(tp *trace.TP, runs []trace.U64) *loserTree {
 	k := len(runs)
 	if k == 0 {
 		panic("core: LoserTree needs at least one run")
 	}
-	t := &LoserTree{
+	t := &loserTree{
 		runs: runs,
 		pos:  make([]int, k),
 		tree: make([]int, k),
@@ -50,7 +50,7 @@ func NewLoserTree(tp *trace.TP, runs []trace.U64) *LoserTree {
 
 // rebuild initializes the loser tree by playing all runs (O(k log k)
 // comparisons, charged to tp).
-func (t *LoserTree) rebuild(tp *trace.TP) {
+func (t *loserTree) rebuild(tp *trace.TP) {
 	winner := make([]int, 2*t.k)
 	for i := 0; i < t.k; i++ {
 		winner[t.k+i] = i
@@ -70,7 +70,7 @@ func (t *LoserTree) rebuild(tp *trace.TP) {
 // less orders runs by (live, key, run index) so ties resolve
 // deterministically and — crucially — an exhausted run (whose key is the
 // ^0 sentinel) never beats a live run holding a real ^0 value.
-func (t *LoserTree) less(a, b int) bool {
+func (t *loserTree) less(a, b int) bool {
 	if t.done[a] != t.done[b] {
 		return !t.done[a]
 	}
@@ -80,9 +80,9 @@ func (t *LoserTree) less(a, b int) bool {
 	return a < b
 }
 
-// Next pops the smallest remaining element. Calling Next on an empty tree
+// next pops the smallest remaining element. Calling next on an empty tree
 // panics.
-func (t *LoserTree) Next(tp *trace.TP) uint64 {
+func (t *loserTree) next(tp *trace.TP) uint64 {
 	if t.left == 0 {
 		panic("core: Next on drained LoserTree")
 	}
@@ -111,21 +111,21 @@ func (t *LoserTree) Next(tp *trace.TP) uint64 {
 	return out
 }
 
-// MergeInto drains the tree into dst, which must have exactly Len()
+// mergeInto drains the tree into dst, which must have exactly Len()
 // capacity remaining from offset 0.
-func (t *LoserTree) MergeInto(tp *trace.TP, dst trace.U64) {
+func (t *loserTree) mergeInto(tp *trace.TP, dst trace.U64) {
 	if dst.Len() != t.left {
 		panic("core: MergeInto destination length mismatch")
 	}
 	for i := 0; t.left > 0; i++ {
-		dst.Set(tp, i, t.Next(tp))
+		dst.Set(tp, i, t.next(tp))
 	}
 }
 
-// MultiwayMerge merges the sorted runs into dst (len = sum of run lens).
-func MultiwayMerge(tp *trace.TP, runs []trace.U64, dst trace.U64) {
-	t := NewLoserTree(tp, runs)
-	t.MergeInto(tp, dst)
+// multiwayMerge merges the sorted runs into dst (len = sum of run lens).
+func multiwayMerge(tp *trace.TP, runs []trace.U64, dst trace.U64) {
+	t := newLoserTree(tp, runs)
+	t.mergeInto(tp, dst)
 }
 
 // sampleRuns has each conceptual position i of out filled with an evenly
@@ -149,10 +149,10 @@ func sampleRun(tp *trace.TP, run trace.U64, out trace.U64, perRun int) {
 	}
 }
 
-// PartRuns materializes part t's run slices from a cut table: cuts[t][r]
+// partRuns materializes part t's run slices from a cut table: cuts[t][r]
 // is the starting index of part t in run r, and a final row cuts[p][r] is
 // len(run r).
-func PartRuns(runs []trace.U64, cuts [][]int, t int) []trace.U64 {
+func partRuns(runs []trace.U64, cuts [][]int, t int) []trace.U64 {
 	parts := make([]trace.U64, 0, len(runs))
 	for r, run := range runs {
 		lo, hi := cuts[t][r], cuts[t+1][r]
@@ -167,8 +167,8 @@ func PartRuns(runs []trace.U64, cuts [][]int, t int) []trace.U64 {
 	return parts
 }
 
-// PartLen returns the total number of elements part t merges.
-func PartLen(cuts [][]int, t int) int {
+// partLen returns the total number of elements part t merges.
+func partLen(cuts [][]int, t int) int {
 	n := 0
 	for r := range cuts[t] {
 		n += cuts[t+1][r] - cuts[t][r]

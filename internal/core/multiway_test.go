@@ -38,7 +38,7 @@ func TestMultiwayMerge(t *testing.T) {
 	} {
 		runs, want := sortedRuns(uint64(len(lens))+1, lens)
 		dst := make([]uint64, len(want))
-		MultiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
+		multiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("lens %v: mismatch at %d", lens, i)
@@ -57,7 +57,7 @@ func TestMultiwayMergeWithMaxValues(t *testing.T) {
 		{Base: addr.FarBase + 2048, D: []uint64{m}},
 	}
 	dst := make([]uint64, 6)
-	MultiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
+	multiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
 	want := []uint64{1, 2, m, m, m, m}
 	for i := range want {
 		if dst[i] != want[i] {
@@ -68,29 +68,29 @@ func TestMultiwayMergeWithMaxValues(t *testing.T) {
 
 func TestLoserTreeNext(t *testing.T) {
 	runs, want := sortedRuns(3, []int{7, 13, 2})
-	lt := NewLoserTree(nil, runs)
+	lt := newLoserTree(nil, runs)
 	for i, w := range want {
-		if got := lt.Next(nil); got != w {
-			t.Fatalf("Next %d = %d, want %d", i, got, w)
+		if got := lt.next(nil); got != w {
+			t.Fatalf("next %d = %d, want %d", i, got, w)
 		}
 	}
 }
 
 func TestLoserTreeDrainedPanics(t *testing.T) {
-	lt := NewLoserTree(nil, []trace.U64{{Base: addr.FarBase, D: []uint64{1}}})
-	lt.Next(nil)
+	lt := newLoserTree(nil, []trace.U64{{Base: addr.FarBase, D: []uint64{1}}})
+	lt.next(nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	lt.Next(nil)
+	lt.next(nil)
 }
 
 func TestLoserTreeSingleRun(t *testing.T) {
 	runs, want := sortedRuns(4, []int{20})
 	dst := make([]uint64, 20)
-	MultiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
+	multiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatal("single-run merge broken")
@@ -115,7 +115,7 @@ func TestMultiwayMergeProperty(t *testing.T) {
 		}
 		sum := Checksum(all)
 		dst := make([]uint64, len(all))
-		MultiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
+		multiwayMerge(nil, runs, trace.U64{Base: addr.NearBase, D: dst})
 		return IsSorted(dst) && Checksum(dst) == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -64,7 +64,7 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 	// Far-memory allocations: the sorted-chunk staging area and the bucket
 	// metadata (BucketPos rows per chunk, Figure 2(c)).
 	work := e.AllocFar(n)
-	bucketPos := e.AllocFarI64(pl.chunks * (pl.buckets + 1))
+	bucketPos := e.allocFarI64(pl.chunks * (pl.buckets + 1))
 
 	// Scratchpad allocations. BucketTot "remains in scratchpad throughout
 	// both phases" (Section IV-D).
@@ -75,8 +75,8 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 	}
 	spOut := e.MustAllocSP(pl.chunkElems)
 	pivots := e.MustAllocSP(pl.buckets - 1)
-	bucketTot := e.MustAllocSPI64(pl.buckets)
-	bpos := e.MustAllocSPI64(pl.buckets + 1)
+	bucketTot := e.mustAllocSPI64(pl.buckets)
+	bpos := e.mustAllocSPI64(pl.buckets + 1)
 	// Splitter samples are tiny and transient; they live in far memory so
 	// the scratchpad budget goes to chunk buffers.
 	sample := e.AllocFar(pl.sampleElems)
@@ -93,7 +93,7 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 
 	bar := par.NewBarrier(e.P)
 	var ps *PMSort  // current chunk sort, built by thread 0
-	var mg *PMMerge // current batch merge, built by thread 0
+	var mg *pmMerge // current batch merge, built by thread 0
 	var batches []nmBatch
 	var segs []nmSeg         // current batch's gather plan
 	var chunkSplits []uint64 // pivot-derived splitters for chunk sorts
@@ -107,7 +107,7 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 		ns := pl.pivotSample
 		if tid == 0 {
 			tp.Phase("pivots")
-			rng := e.RNG(0)
+			rng := e.rng(0)
 			for i := 0; i < ns; i++ {
 				v := a.Get(tp, rng.Intn(n))
 				spIn.Set(tp, i, v)
@@ -161,7 +161,7 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 
 			// Parallel in-scratchpad sort of the chunk.
 			if tid == 0 {
-				ps = NewPMSortPresplit(e.P, spIn.Slice(0, cLen), spOut.Slice(0, cLen),
+				ps = newPMSortPresplit(e.P, spIn.Slice(0, cLen), spOut.Slice(0, cLen),
 					spOut.Slice(0, cLen), chunkSplits, bar)
 			}
 			bar.Wait(tp)
@@ -243,10 +243,10 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 					for _, sg := range segs {
 						runs = append(runs, work.Slice(sg.farLo, sg.farLo+sg.n))
 					}
-					mg = NewPMMerge(e.P, runs, a.Slice(b.off, b.off+batchLen), sample, sampleTmp, bar)
+					mg = newPMMerge(e.P, runs, a.Slice(b.off, b.off+batchLen), sample, sampleTmp, bar)
 				}
 				bar.Wait(tp)
-				mg.Run(tid, tp)
+				mg.run(tid, tp)
 				continue
 			}
 
@@ -285,10 +285,10 @@ func NMSort(e *Env, a trace.U64, opt NMOptions) NMStats {
 				// Splitters: bucket boundaries interior to this batch's
 				// bucket range, at p-quantile granularity.
 				splits := pivotSplitters(tp, pivots, e.P, b.bLo, b.bHi)
-				mg = NewPMMergePresplit(e.P, runs, spOut.Slice(0, batchLen), splits, bar)
+				mg = newPMMergePresplit(e.P, runs, spOut.Slice(0, batchLen), splits, bar)
 			}
 			bar.Wait(tp)
-			mg.Run(tid, tp)
+			mg.run(tid, tp)
 
 			// Emit the merged batch to its final position.
 			final := a.Slice(b.off, b.off+batchLen)
@@ -353,7 +353,7 @@ func (p nmPlan) chunkLen(n, ci int) int {
 // it grows the non-chunk reservation (bucket metadata + sample buffers) to
 // a fixed point, giving the chunk buffers everything that remains.
 func planNM(e *Env, n int, opt NMOptions) nmPlan {
-	spElems := e.SPElems()
+	spElems := e.spElems()
 	bufs := 2
 	if opt.DMA {
 		bufs = 3

@@ -42,7 +42,7 @@ func NMSortSmallAppends(e *Env, a trace.U64, opt NMOptions) NMStats {
 	}
 	// Per-bucket write cursors live in far memory and are bumped with
 	// traced atomics — the synchronization the paper's design implies.
-	cursors := e.AllocFarI64(pl.buckets)
+	cursors := e.allocFarI64(pl.buckets)
 	// fragLen[ci*buckets+b] is chunk ci's contribution to bucket b
 	// (derived bookkeeping; the real system would store it in DRAM too).
 	fragLen := make([]int64, pl.chunks*pl.buckets)
@@ -50,7 +50,7 @@ func NMSortSmallAppends(e *Env, a trace.U64, opt NMOptions) NMStats {
 	spIn := e.MustAllocSP(pl.chunkElems)
 	spOut := e.MustAllocSP(pl.chunkElems)
 	pivots := e.MustAllocSP(pl.buckets - 1)
-	bpos := e.MustAllocSPI64(pl.buckets + 1)
+	bpos := e.mustAllocSPI64(pl.buckets + 1)
 	sample := e.AllocFar(pl.sampleElems)
 	sampleTmp := e.AllocFar(pl.sampleElems)
 
@@ -73,7 +73,7 @@ func NMSortSmallAppends(e *Env, a trace.U64, opt NMOptions) NMStats {
 		// Pivot selection, identical to NMSort's.
 		ns := pl.pivotSample
 		if tid == 0 {
-			rng := e.RNG(0)
+			rng := e.rng(0)
 			for i := 0; i < ns; i++ {
 				spIn.Set(tp, i, a.Get(tp, rng.Intn(n)))
 			}
@@ -103,7 +103,7 @@ func NMSortSmallAppends(e *Env, a trace.U64, opt NMOptions) NMStats {
 			bar.Wait(tp)
 
 			if tid == 0 {
-				ps = NewPMSortPresplit(e.P, spIn.Slice(0, cLen), spOut.Slice(0, cLen),
+				ps = newPMSortPresplit(e.P, spIn.Slice(0, cLen), spOut.Slice(0, cLen),
 					spOut.Slice(0, cLen), chunkSplits, bar)
 			}
 			bar.Wait(tp)
@@ -170,7 +170,7 @@ func NMSortSmallAppends(e *Env, a trace.U64, opt NMOptions) NMStats {
 					off += fl
 				}
 			}
-			MultiwayMerge(tp, runs, a.Slice(int(outOff[b]), int(outOff[b])+total))
+			multiwayMerge(tp, runs, a.Slice(int(outOff[b]), int(outOff[b])+total))
 		}
 		bar.Wait(tp)
 	})

@@ -5,17 +5,17 @@ import (
 	"repro/internal/trace"
 )
 
-// SamplesPerRun is the maximum splitter-sampling rate of the parallel
+// samplesPerRun is the maximum splitter-sampling rate of the parallel
 // multiway merge: each sorted run contributes up to this many evenly
 // spaced samples, and the p-quantiles of the sorted sample become the
 // merge splitters. The GNU parallel sort the paper benchmarks uses the
 // same sampling strategy in its default configuration. The actual rate
 // adapts down for short runs (see samplesFor) so the serial sample sort
 // never dominates.
-const SamplesPerRun = 32
+const samplesPerRun = 32
 
-// SampleLen returns the sample-buffer length PMMerge may need for k runs.
-func SampleLen(k int) int { return k * SamplesPerRun }
+// SampleLen returns the sample-buffer length pmMerge may need for k runs.
+func SampleLen(k int) int { return k * samplesPerRun }
 
 // samplesFor picks the per-run sampling rate for runs averaging avgLen
 // elements: enough samples for balanced splitting, few enough that thread
@@ -25,21 +25,13 @@ func samplesFor(avgLen int) int {
 	if s < 4 {
 		s = 4
 	}
-	if s > SamplesPerRun {
-		s = SamplesPerRun
+	if s > samplesPerRun {
+		s = samplesPerRun
 	}
 	return s
 }
 
-// PMMerge is one cooperative parallel multiway merge: p threads merge k
-// sorted runs into dst along sampled splitters, each thread producing a
-// disjoint contiguous part of the output. It is used by the GNU-style
-// baseline (merging p far-memory runs), by NMsort's in-scratchpad chunk
-// sort, and by NMsort's Phase 2 bucket-batch merges.
-//
-// All p threads must call Run(tid, tp) exactly once; PMMerge synchronizes
-// on the barrier it was given.
-// splitMode selects how PMMerge derives its part boundaries.
+// splitMode selects how pmMerge derives its part boundaries.
 type splitMode uint8
 
 const (
@@ -48,7 +40,15 @@ const (
 	splitExact                    // exact multisequence selection (GNU exact mode)
 )
 
-type PMMerge struct {
+// pmMerge is one cooperative parallel multiway merge: p threads merge k
+// sorted runs into dst along sampled splitters, each thread producing a
+// disjoint contiguous part of the output. It is used by the GNU-style
+// baseline (merging p far-memory runs), by NMsort's in-scratchpad chunk
+// sort, and by NMsort's Phase 2 bucket-batch merges.
+//
+// All p threads must call run(tid, tp) exactly once; pmMerge synchronizes
+// on the barrier it was given.
+type pmMerge struct {
 	p         int
 	spr       int // samples per run (sampled mode)
 	mode      splitMode
@@ -62,11 +62,11 @@ type PMMerge struct {
 	cuts      [][]int
 }
 
-// NewPMMerge prepares a merge of runs into dst (len = total run length).
+// newPMMerge prepares a merge of runs into dst (len = total run length).
 // sample and sampleTmp must each hold SampleLen(len(runs)) elements, placed
 // in whatever memory level the splitter work should be charged to. bar must
 // be a barrier shared by exactly the p participating threads.
-func NewPMMerge(p int, runs []trace.U64, dst, sample, sampleTmp trace.U64, bar *par.Barrier) *PMMerge {
+func newPMMerge(p int, runs []trace.U64, dst, sample, sampleTmp trace.U64, bar *par.Barrier) *pmMerge {
 	total := 0
 	for _, r := range runs {
 		total += r.Len()
@@ -78,7 +78,7 @@ func NewPMMerge(p int, runs []trace.U64, dst, sample, sampleTmp trace.U64, bar *
 	if want := len(runs) * spr; sample.Len() < want || sampleTmp.Len() < want {
 		panic("core: PMMerge sample buffers too small")
 	}
-	return &PMMerge{
+	return &pmMerge{
 		p:         p,
 		spr:       spr,
 		runs:      runs,
@@ -98,13 +98,13 @@ func max(a, b int) int {
 	return b
 }
 
-// NewPMMergePresplit prepares a merge whose p-1 splitter values are already
+// newPMMergePresplit prepares a merge whose p-1 splitter values are already
 // known (non-decreasing). NMsort uses this for every chunk sort and batch
 // merge: its globally sampled bucket pivots double as merge splitters, so
 // the per-merge sampling phases — and in particular thread 0's serial
 // sample sort, which otherwise throttles scaling exactly like the GNU
 // baseline's — disappear entirely.
-func NewPMMergePresplit(p int, runs []trace.U64, dst trace.U64, splitters []uint64, bar *par.Barrier) *PMMerge {
+func newPMMergePresplit(p int, runs []trace.U64, dst trace.U64, splitters []uint64, bar *par.Barrier) *pmMerge {
 	total := 0
 	for _, r := range runs {
 		total += r.Len()
@@ -120,7 +120,7 @@ func NewPMMergePresplit(p int, runs []trace.U64, dst trace.U64, splitters []uint
 			panic("core: PMMergePresplit splitters must be non-decreasing")
 		}
 	}
-	return &PMMerge{
+	return &pmMerge{
 		p:         p,
 		mode:      splitPreset,
 		runs:      runs,
@@ -131,11 +131,11 @@ func NewPMMergePresplit(p int, runs []trace.U64, dst trace.U64, splitters []uint
 	}
 }
 
-// NewPMMergeExact prepares a merge using exact multisequence selection:
+// newPMMergeExact prepares a merge using exact multisequence selection:
 // every part receives exactly its fair share of elements (±1) regardless
 // of key skew, at the price of the selection's O(k·log(maxlen)) probes per
 // part boundary. This is GNU parallel mode's exact splitting.
-func NewPMMergeExact(p int, runs []trace.U64, dst trace.U64, bar *par.Barrier) *PMMerge {
+func newPMMergeExact(p int, runs []trace.U64, dst trace.U64, bar *par.Barrier) *pmMerge {
 	total := 0
 	for _, r := range runs {
 		total += r.Len()
@@ -143,7 +143,7 @@ func NewPMMergeExact(p int, runs []trace.U64, dst trace.U64, bar *par.Barrier) *
 	if dst.Len() != total {
 		panic("core: PMMerge destination length mismatch")
 	}
-	return &PMMerge{
+	return &pmMerge{
 		p:    p,
 		mode: splitExact,
 		runs: runs,
@@ -153,8 +153,8 @@ func NewPMMergeExact(p int, runs []trace.U64, dst trace.U64, bar *par.Barrier) *
 	}
 }
 
-// Run executes thread tid's share of the merge.
-func (m *PMMerge) Run(tid int, tp *trace.TP) {
+// run executes thread tid's share of the merge.
+func (m *pmMerge) run(tid int, tp *trace.TP) {
 	if m.mode == splitSampled {
 		// Phase B: sample the runs; run r is sampled by thread r%p.
 		for r := tid; r < len(m.runs); r += m.p {
@@ -164,7 +164,7 @@ func (m *PMMerge) Run(tid int, tp *trace.TP) {
 
 		// Phase C: thread 0 sorts the sample and publishes splitters.
 		if tid == 0 {
-			MergeSortInPlace(tp, m.sample, m.sampleTmp)
+			mergeSortInPlace(tp, m.sample, m.sampleTmp)
 			total := m.sample.Len()
 			for t := 1; t < m.p; t++ {
 				m.splitters[t-1] = m.sample.Get(tp, t*total/m.p)
@@ -182,7 +182,7 @@ func (m *PMMerge) Run(tid int, tp *trace.TP) {
 			for _, run := range m.runs {
 				total += run.Len()
 			}
-			row = ExactSelect(tp, m.runs, tid*total/m.p)
+			row = exactSelect(tp, m.runs, tid*total/m.p)
 		} else {
 			for r, run := range m.runs {
 				row[r] = lowerBound(tp, run, m.splitters[tid-1])
@@ -206,10 +206,10 @@ func (m *PMMerge) Run(tid int, tp *trace.TP) {
 	for _, c := range m.cuts[tid] {
 		off += c
 	}
-	want := PartLen(m.cuts, tid)
+	want := partLen(m.cuts, tid)
 	if want > 0 {
-		parts := PartRuns(m.runs, m.cuts, tid)
-		MultiwayMerge(tp, parts, m.dst.Slice(off, off+want))
+		parts := partRuns(m.runs, m.cuts, tid)
+		multiwayMerge(tp, parts, m.dst.Slice(off, off+want))
 	}
 	m.bar.Wait(tp)
 }
@@ -236,7 +236,7 @@ type PMSort struct {
 
 	bar  *par.Barrier
 	runs []trace.U64
-	mg   *PMMerge
+	mg   *pmMerge
 }
 
 // NewPMSort prepares a sort of src into dst. tmp must match src's length;
@@ -272,14 +272,14 @@ func (s *PMSort) Run(tid int, tp *trace.TP) {
 		tp.Phase("sort-runs")
 	}
 	if s.p == 1 {
-		MergeSortInto(tp, s.dst, s.src, s.tmp)
+		mergeSortInto(tp, s.dst, s.src, s.tmp)
 		return
 	}
 
 	// Phase A: sort my span in place; it becomes run tid.
 	lo, hi := par.Span(n, s.p, tid)
 	mine := s.src.Slice(lo, hi)
-	MergeSortInPlace(tp, mine, s.tmp.Slice(lo, hi))
+	mergeSortInPlace(tp, mine, s.tmp.Slice(lo, hi))
 	s.runs[tid] = mine
 	s.bar.Wait(tp)
 
@@ -289,20 +289,20 @@ func (s *PMSort) Run(tid int, tp *trace.TP) {
 		}
 		switch {
 		case s.splitters != nil:
-			s.mg = NewPMMergePresplit(s.p, s.runs, s.dst, s.splitters, s.bar)
+			s.mg = newPMMergePresplit(s.p, s.runs, s.dst, s.splitters, s.bar)
 		case s.exact:
-			s.mg = NewPMMergeExact(s.p, s.runs, s.dst, s.bar)
+			s.mg = newPMMergeExact(s.p, s.runs, s.dst, s.bar)
 		default:
-			s.mg = NewPMMerge(s.p, s.runs, s.dst, s.sample, s.sampleTmp, s.bar)
+			s.mg = newPMMerge(s.p, s.runs, s.dst, s.sample, s.sampleTmp, s.bar)
 		}
 	}
 	s.bar.Wait(tp)
-	s.mg.Run(tid, tp)
+	s.mg.run(tid, tp)
 }
 
-// NewPMSortPresplit prepares a sort whose merge splitters are already
+// newPMSortPresplit prepares a sort whose merge splitters are already
 // known; no sample buffers are required.
-func NewPMSortPresplit(p int, src, dst, tmp trace.U64, splitters []uint64, bar *par.Barrier) *PMSort {
+func newPMSortPresplit(p int, src, dst, tmp trace.U64, splitters []uint64, bar *par.Barrier) *PMSort {
 	n := src.Len()
 	if dst.Len() != n || tmp.Len() != n {
 		panic("core: PMSort buffer length mismatch")

@@ -35,7 +35,7 @@ func ParScratchpadSort(e *Env, a trace.U64, opt SeqOptions) SeqStats {
 	if m < 2 {
 		m = 2
 	}
-	group := (e.SPElems() - 2*m) / 2
+	group := (e.spElems() - 2*m) / 2
 	if group < 2*e.P || group < 64 {
 		panic("core: scratchpad too small for the parallel sort")
 	}
@@ -127,7 +127,7 @@ func (s *parSorter) sort(tid int, tp *trace.TP, a trace.U64, depth int) {
 	if tid == 0 {
 		s.st.Scans++
 		s.rngStream++
-		rng := s.e.RNG(s.rngStream)
+		rng := s.e.rng(s.rngStream)
 		for i := 0; i < s.m; i++ {
 			s.spX.Set(tp, i, a.Get(tp, rng.Intn(n)))
 		}

@@ -60,7 +60,7 @@ func SeqScratchpadSort(e *Env, a trace.U64, opt SeqOptions) SeqStats {
 
 	// Scratchpad layout: a resident pivot area (m + scratch) plus two
 	// group buffers for ingest/sort. The group size is what remains.
-	group := (e.SPElems() - 2*m) / 2
+	group := (e.spElems() - 2*m) / 2
 	if group < 2 {
 		panic("core: scratchpad too small for the sequential sort")
 	}
@@ -120,7 +120,7 @@ func (s *seqSorter) sort(a trace.U64, depth int) {
 	// Choose and sort the sample X in the scratchpad (Section III-A).
 	s.st.Scans++
 	s.rngStream++
-	rng := s.e.RNG(s.rngStream)
+	rng := s.e.rng(s.rngStream)
 	for i := 0; i < s.m; i++ {
 		s.spX.Set(s.tp, i, a.Get(s.tp, rng.Intn(n)))
 	}

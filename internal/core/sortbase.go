@@ -8,12 +8,12 @@ import "repro/internal/trace"
 // multiway mergesort inside the scratchpad), a traced in-place quicksort
 // (Corollary 7's alternative), and binary merging.
 
-// MergeSortInto sorts src into dst using recursive ping-pong merging; tmp
+// mergeSortInto sorts src into dst using recursive ping-pong merging; tmp
 // must have the same length as src and dst. src is left in an unspecified
 // (partially permuted) state. The depth-first recursion keeps small
 // subproblems cache-resident, so traced traffic shows the external-memory
 // pass structure of Theorem 2.
-func MergeSortInto(tp *trace.TP, dst, src, tmp trace.U64) {
+func mergeSortInto(tp *trace.TP, dst, src, tmp trace.U64) {
 	n := src.Len()
 	if dst.Len() != n || tmp.Len() != n {
 		panic("core: MergeSortInto length mismatch")
@@ -30,8 +30,8 @@ func MergeSortInto(tp *trace.TP, dst, src, tmp trace.U64) {
 	trace.Copy(tp, dst, tmp)
 }
 
-// MergeSortInPlace sorts a using tmp as scratch.
-func MergeSortInPlace(tp *trace.TP, a, tmp trace.U64) {
+// mergeSortInPlace sorts a using tmp as scratch.
+func mergeSortInPlace(tp *trace.TP, a, tmp trace.U64) {
 	n := a.Len()
 	if tmp.Len() != n {
 		panic("core: MergeSortInPlace length mismatch")

@@ -36,8 +36,8 @@ func TestMergeSortInPlace(t *testing.T) {
 		sum := Checksum(d)
 		a := farView(d)
 		tmp := trace.U64{Base: addr.FarBase + addr.Addr(n*8+64), D: make([]uint64, n)}
-		MergeSortInPlace(nil, a, tmp)
-		checkSorted(t, "MergeSortInPlace", d, sum)
+		mergeSortInPlace(nil, a, tmp)
+		checkSorted(t, "mergeSortInPlace", d, sum)
 	}
 }
 
@@ -46,16 +46,16 @@ func TestMergeSortInto(t *testing.T) {
 	sum := Checksum(d)
 	dst := make([]uint64, 1000)
 	tmp := make([]uint64, 1000)
-	MergeSortInto(nil, farView(dst), farView(d), trace.U64{Base: addr.NearBase, D: tmp})
-	checkSorted(t, "MergeSortInto", dst, sum)
+	mergeSortInto(nil, farView(dst), farView(d), trace.U64{Base: addr.NearBase, D: tmp})
+	checkSorted(t, "mergeSortInto", dst, sum)
 }
 
 func TestMergeSortIntoDstAliasesTmp(t *testing.T) {
 	d := randKeys(512, 9)
 	sum := Checksum(d)
 	buf := trace.U64{Base: addr.NearBase, D: make([]uint64, 512)}
-	MergeSortInto(nil, buf, farView(d), buf)
-	checkSorted(t, "MergeSortInto(alias)", buf.D, sum)
+	mergeSortInto(nil, buf, farView(d), buf)
+	checkSorted(t, "mergeSortInto(alias)", buf.D, sum)
 }
 
 func TestMergeSortStability(t *testing.T) {
@@ -65,7 +65,7 @@ func TestMergeSortStability(t *testing.T) {
 	want := append([]uint64(nil), d...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	tmp := make([]uint64, len(d))
-	MergeSortInPlace(nil, farView(d), trace.U64{Base: addr.NearBase, D: tmp})
+	mergeSortInPlace(nil, farView(d), trace.U64{Base: addr.NearBase, D: tmp})
 	for i := range d {
 		if d[i] != want[i] {
 			t.Fatalf("mismatch at %d: %v vs %v", i, d, want)
@@ -127,7 +127,7 @@ func TestMergeSortProperty(t *testing.T) {
 	f := func(d []uint64) bool {
 		sum := Checksum(d)
 		tmp := make([]uint64, len(d))
-		MergeSortInPlace(nil, farView(d), trace.U64{Base: addr.NearBase, D: tmp})
+		mergeSortInPlace(nil, farView(d), trace.U64{Base: addr.NearBase, D: tmp})
 		return IsSorted(d) && Checksum(d) == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -245,7 +245,7 @@ func (s *Sim) Extend(t units.Time) {
 
 // settle moves the clock to the drain horizon once the queue has drained:
 // sampler boundaries in (last event, horizon] are visited once each, in
-// order, then now/lastAt take the horizon — before Stalled or any
+// order, then now/lastAt take the horizon — before stalled or any
 // Utilization reads the clock.
 func (s *Sim) settle() {
 	if s.horizon <= s.now {

@@ -67,11 +67,11 @@ func (e *StallError) Error() string {
 	return b.String()
 }
 
-// Stalled cross-checks every watched component against the current time
+// stalled cross-checks every watched component against the current time
 // and returns a StallError when any has outstanding requests or a busy
 // period extending past Now — nil when all are quiescent. It is meaningful
 // after the queue drains.
-func (s *Sim) Stalled() *StallError {
+func (s *Sim) stalled() *StallError {
 	var stalls []ComponentStall
 	for _, w := range s.watchers {
 		st := ComponentStall{Component: w.name}
@@ -112,7 +112,7 @@ func (e *BudgetError) Error() string {
 // and budget left, it calls pause; a non-nil error from pause stops the run
 // there and is returned as is. The returned time is valid in either case;
 // the error says whether to trust it. Only a drain settles the clock to the
-// drain horizon (before the cross-check, so Stalled compares busy horizons
+// drain horizon (before the cross-check, so stalled compares busy horizons
 // against the settled clock); a budget abort or a pause leaves it at the
 // last event, which is what makes a later resume byte-identical to an
 // uninterrupted run.
@@ -136,7 +136,7 @@ func (s *Sim) RunBudget(maxEvents, every uint64, pause func() error) (units.Time
 		ran++
 	}
 	s.settle()
-	if st := s.Stalled(); st != nil {
+	if st := s.stalled(); st != nil {
 		return s.now, st
 	}
 	return s.now, nil

@@ -15,8 +15,8 @@ func TestStalledQuiescent(t *testing.T) {
 	if _, err := s.RunBudget(100, 0, nil); err != nil {
 		t.Fatalf("RunBudget: %v", err)
 	}
-	if st := s.Stalled(); st != nil {
-		t.Fatalf("Stalled on quiescent sim: %v", st)
+	if st := s.stalled(); st != nil {
+		t.Fatalf("stalled on quiescent sim: %v", st)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestStalledOutstanding(t *testing.T) {
 		t.Fatalf("Error() = %q, want the component named", st.Error())
 	}
 	pending = 0
-	if err := s.Stalled(); err != nil {
-		t.Fatalf("Stalled after drain-out: %v", err)
+	if err := s.stalled(); err != nil {
+		t.Fatalf("stalled after drain-out: %v", err)
 	}
 }
 

@@ -39,9 +39,9 @@ import (
 // Device keys partition the Mix keyspace so equal indices on different
 // devices draw independent values.
 const (
-	DevFar  uint64 = 1 // far-memory ECC decisions, keyed by read index
-	DevNear uint64 = 2 // near-memory degradation, keyed by (channel, epoch)
-	DevNoC  uint64 = 3 // NoC corruption, keyed by message index
+	devFar  uint64 = 1 // far-memory ECC decisions, keyed by read index
+	devNear uint64 = 2 // near-memory degradation, keyed by (channel, epoch)
+	devNoC  uint64 = 3 // NoC corruption, keyed by message index
 )
 
 // Config describes one fault environment. The zero value (and any config
@@ -221,17 +221,17 @@ func (in *Injector) FarRead(index uint64) FarPlan {
 	if in == nil || !in.enabled || in.cfg.BitErrorRate <= 0 {
 		return FarPlan{}
 	}
-	if xrand.MixFloat64(in.cfg.Seed, DevFar, index, 0) >= in.cfg.BitErrorRate {
+	if xrand.MixFloat64(in.cfg.Seed, devFar, index, 0) >= in.cfg.BitErrorRate {
 		return FarPlan{}
 	}
 	in.stats.FarBitErrors++
-	if xrand.MixFloat64(in.cfg.Seed, DevFar, index, 1) >= in.cfg.UncorrectableFrac {
+	if xrand.MixFloat64(in.cfg.Seed, devFar, index, 1) >= in.cfg.UncorrectableFrac {
 		in.stats.FarCorrected++
 		return FarPlan{Corrected: true}
 	}
 	in.stats.FarUncorrectable++
 	plan := FarPlan{}
-	if xrand.MixFloat64(in.cfg.Seed, DevFar, index, 2) < in.cfg.StuckFrac {
+	if xrand.MixFloat64(in.cfg.Seed, devFar, index, 2) < in.cfg.StuckFrac {
 		// A persistent (stuck-cell) fault: every re-read sees it again.
 		plan.Retries, plan.Fatal = in.cfg.MaxRetries, true
 	} else {
@@ -239,7 +239,7 @@ func (in *Injector) FarRead(index uint64) FarPlan {
 		plan.Fatal = true
 		for a := 1; a <= in.cfg.MaxRetries; a++ {
 			plan.Retries = a
-			if xrand.MixFloat64(in.cfg.Seed, DevFar, index, 2+uint64(a)) >= in.cfg.BitErrorRate {
+			if xrand.MixFloat64(in.cfg.Seed, devFar, index, 2+uint64(a)) >= in.cfg.BitErrorRate {
 				plan.Fatal = false
 				break
 			}
@@ -297,7 +297,7 @@ func (in *Injector) NearFactor(ch int, at units.Time) int64 {
 		return 1
 	}
 	epoch := uint64(at / in.cfg.DegradeEpoch)
-	if xrand.MixFloat64(in.cfg.Seed, DevNear, uint64(ch), epoch) >= in.cfg.DegradeProb {
+	if xrand.MixFloat64(in.cfg.Seed, devNear, uint64(ch), epoch) >= in.cfg.DegradeProb {
 		return 1
 	}
 	in.stats.NearDegraded++
@@ -316,7 +316,7 @@ func (in *Injector) NoCResends(index uint64) int {
 	}
 	n := 0
 	for n < in.cfg.MaxResends &&
-		xrand.MixFloat64(in.cfg.Seed, DevNoC, index, uint64(n)) < in.cfg.CorruptRate {
+		xrand.MixFloat64(in.cfg.Seed, devNoC, index, uint64(n)) < in.cfg.CorruptRate {
 		n++
 	}
 	in.stats.NoCRetransmits += uint64(n)

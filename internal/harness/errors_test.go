@@ -60,8 +60,8 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name: "manifest corrupt",
-			err:  fmt.Errorf("%w: details", ErrManifestCorrupt),
-			as:   func(e error) bool { return errors.Is(e, ErrManifestCorrupt) },
+			err:  fmt.Errorf("%w: details", errManifestCorrupt),
+			as:   func(e error) bool { return errors.Is(e, errManifestCorrupt) },
 			kind: "error",
 		},
 		{

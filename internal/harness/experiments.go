@@ -18,12 +18,12 @@ import (
 // the same defaults cmd/sweep has always had — so an empty params struct
 // renders byte-identically to a flagless sweep run.
 type ExperimentParams struct {
-	// CoreList is the -exp=cores axis; empty means DefaultCoreList.
+	// CoreList is the -exp=cores axis; empty means defaultCoreList.
 	CoreList []int
 	// FaultSeed seeds -exp=faults injection (0 disables injection).
 	FaultSeed uint64
 	// FaultRates is the -exp=faults error-rate axis; empty means the
-	// FaultRates default axis.
+	// faultRates default axis.
 	FaultRates []float64
 	// Epoch is the -exp=timeline sampling epoch; 0 means DefaultEpoch.
 	Epoch units.Time
@@ -34,9 +34,9 @@ type ExperimentParams struct {
 	Fault fault.Config
 }
 
-// DefaultCoreList is the -exp=cores axis when none is given — the
+// defaultCoreList is the -exp=cores axis when none is given — the
 // paper's §V core counts.
-func DefaultCoreList() []int { return []int{64, 128, 192, 256} }
+func defaultCoreList() []int { return []int{64, 128, 192, 256} }
 
 // DefaultEpoch is the -exp=timeline sampling epoch when none is given.
 const DefaultEpoch = 10 * units.Microsecond
@@ -84,24 +84,24 @@ var Experiments = []Experiment{
 		func(p ExperimentParams, w Workload) (Output, error) {
 			cc := p.CoreList
 			if len(cc) == 0 {
-				cc = DefaultCoreList()
+				cc = defaultCoreList()
 			}
 			return CoreSweep(w, cc)
 		}},
 	{"dma", "experiment A2 — the §VII DMA-engine extension", "§VII A2",
 		func(p ExperimentParams, w Workload) (Output, error) {
-			return AblationDMA(w, 16)
+			return ablationDMA(w, 16)
 		}},
 	{"appends", "experiment A1 — bucket-metadata batching ablation", "§IV-D A1",
 		func(p ExperimentParams, w Workload) (Output, error) {
-			return AblationSmallAppends(w, 16)
+			return ablationSmallAppends(w, 16)
 		}},
 	{"kmeans", "the §VII k-means extension", "§VII K1",
 		func(p ExperimentParams, w Workload) (Output, error) {
 			// The row pins its recording: 8MiB of points, more than a 256-core
 			// node's 2MiB of L2 and less than the 12MiB scratchpad. Only the
 			// node and the replay knobs come from w (Dist would split its key).
-			return KMeansSweep(Workload{N: 1 << 18, Seed: 31, Threads: w.Threads, SP: 12 * units.MiB,
+			return kmeansSweep(Workload{N: 1 << 18, Seed: 31, Threads: w.Threads, SP: 12 * units.MiB,
 				Par: w.Par, Sup: w.Sup})
 		}},
 	{"faults", "experiment F1 — slowdown, retry counts, and MemFault outcomes vs. the far memory's error rate", "F1, beyond the paper",
@@ -114,7 +114,7 @@ var Experiments = []Experiment{
 			if epoch <= 0 {
 				epoch = DefaultEpoch
 			}
-			return TimelineSweep(w, 16, epoch)
+			return timelineSweep(w, 16, epoch)
 		}},
 	// The model-side rows (paper.go) take no parameters.
 	{"membound", "claim C4 — Section V-A's y·lgZ < x on the paper's node, and the crossover core count (model only)", "§V-A claim C4", memBound},

@@ -6,9 +6,9 @@ import (
 	"repro/internal/fault"
 )
 
-// FaultRates is the default fault-sweep axis: per-read transient error rates
+// faultRates is the default fault-sweep axis: per-read transient error rates
 // from a healthy part to one on its way out.
-var FaultRates = []float64{1e-5, 1e-4, 1e-3, 1e-2}
+var faultRates = []float64{1e-5, 1e-4, 1e-3, 1e-2}
 
 // RunFaultSweep is the robustness experiment the perfect-memory harness
 // could not ask: how the co-design claims degrade as the far memory's error
@@ -29,7 +29,7 @@ func RunFaultSweep(w Workload, nearChannels int, seed uint64, rates []float64) (
 		w.N, w.Threads, nearChannels/4, seed),
 		FaultAxis: true}
 	if len(rates) == 0 {
-		rates = FaultRates
+		rates = faultRates
 	}
 
 	// Record each algorithm once, beside the (algorithm, rate) replays of the

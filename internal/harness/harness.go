@@ -32,8 +32,8 @@ import (
 var (
 	// ScaledL1 is the record-time private cache.
 	ScaledL1 = trace.L1Geometry{Capacity: 2 * units.KiB, LineSize: 64, Ways: 2}
-	// ScaledL2 is the replay-time shared cache per quad-core group.
-	ScaledL2 units.Bytes = 32 * units.KiB
+	// scaledL2 is the replay-time shared cache per quad-core group.
+	scaledL2 units.Bytes = 32 * units.KiB
 )
 
 // Algorithm names a recordable program: a sort, a k-means variant, or the
@@ -70,7 +70,7 @@ type Workload struct {
 	Par int
 
 	// Sup is the supervised runtime every recording and replay runs under:
-	// cancellation polling every DefaultSlice events, panic containment
+	// cancellation polling every defaultSlice events, panic containment
 	// (failed cells become marked report rows instead of aborting the
 	// sweep), deterministic MemFault retries, and manifest checkpointing.
 	// Nil means the zero Supervisor.
@@ -202,7 +202,7 @@ func recordNative(alg Algorithm, w Workload) (RecordResult, error) {
 func NodeFor(cores, nearChannels int, sp units.Bytes) machine.Config {
 	cfg := machine.PaperConfig(nearChannels, sp)
 	cfg.Cores = cores
-	cfg.L2Capacity = ScaledL2
+	cfg.L2Capacity = scaledL2
 	cfg.NoC = noc.Paper(cores / cfg.CoresPerGroup)
 	return cfg
 }

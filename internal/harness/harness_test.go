@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/kmeans"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -29,7 +31,7 @@ func smallKMeans(w Workload) Workload {
 // runRow runs registry row e on w, the kmeans row on smallKMeans(w).
 func runRow(e Experiment, p ExperimentParams, w Workload) (Output, error) {
 	if e.Name == "kmeans" {
-		return KMeansSweep(smallKMeans(w))
+		return kmeansSweep(smallKMeans(w))
 	}
 	return e.Run(p, w)
 }
@@ -127,8 +129,8 @@ func TestNodeFor(t *testing.T) {
 	if got := cfg.BandwidthExpansion(); got != 4 {
 		t.Errorf("expansion = %v", got)
 	}
-	if cfg.L2Capacity != ScaledL2 {
-		t.Errorf("L2 = %v, want scaled %v", cfg.L2Capacity, ScaledL2)
+	if cfg.L2Capacity != scaledL2 {
+		t.Errorf("L2 = %v, want scaled %v", cfg.L2Capacity, scaledL2)
 	}
 }
 
@@ -172,7 +174,10 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestBandwidthSweep(t *testing.T) {
-	s, err := BandwidthSweep(tinyWorkload())
+	w := tinyWorkload()
+	stages := prof.NewStages()
+	w.Sup = &Supervisor{Timings: stages}
+	s, err := BandwidthSweep(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +192,8 @@ func TestBandwidthSweep(t *testing.T) {
 	}
 	requireRhoInsensitive(t, gnu.Trace, tinyWorkload().Threads, tinyWorkload().SP,
 		[]machine.Result{s.Points[0].Result, s.Points[2].Result, s.Points[4].Result})
-	if s.Replays != 4 {
-		t.Errorf("Replays = %d, want 4: one baseline replay and three of NMsort", s.Replays)
+	if n := ownReplays(stages); n != 4 {
+		t.Errorf("%d cells replayed, want 4: one baseline replay and three of NMsort", n)
 	}
 	if !strings.Contains(s.String(), "nmsort@8X") {
 		t.Error("sweep output missing labels")
@@ -247,7 +252,7 @@ func TestCoreSweep(t *testing.T) {
 }
 
 func TestAblationDMA(t *testing.T) {
-	s, err := AblationDMA(tinyWorkload(), 16)
+	s, err := ablationDMA(tinyWorkload(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +342,7 @@ func TestRecordAllDistributions(t *testing.T) {
 
 func TestKMeansSweepShape(t *testing.T) {
 	w := smallKMeans(Workload{})
-	s, err := KMeansSweep(w)
+	s, err := kmeansSweep(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +364,45 @@ func TestKMeansSweepShape(t *testing.T) {
 	if s.Points[5].Result.SimTime > s.Points[1].Result.SimTime {
 		t.Errorf("more near bandwidth slowed scratchpad k-means: %v -> %v",
 			s.Points[1].Result.SimTime, s.Points[5].Result.SimTime)
+	}
+}
+
+// TestCheckClustering holds a K1 recording's output check to a well-formed
+// clustering and to each way of breaking one.
+func TestCheckClustering(t *testing.T) {
+	const n = 8
+	good := func() kmeans.Result {
+		res := kmeans.Result{Assign: make([]int32, n), Iters: kmeansIters, Inertia: 1.5}
+		for range kmeansK {
+			res.Centroids = append(res.Centroids, make([]float64, kmeansDims))
+		}
+		return res
+	}
+	if err := checkClustering(good(), n); err != nil {
+		t.Fatalf("a well-formed clustering: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(r *kmeans.Result)
+	}{
+		{"one iteration short", func(r *kmeans.Result) { r.Iters-- }},
+		{"converged", func(r *kmeans.Result) { r.Converged = true }},
+		{"a point unassigned", func(r *kmeans.Result) { r.Assign = r.Assign[:n-1] }},
+		{"a negative cluster", func(r *kmeans.Result) { r.Assign[3] = -1 }},
+		{"a cluster past k", func(r *kmeans.Result) { r.Assign[n-1] = kmeansK }},
+		{"a centroid missing", func(r *kmeans.Result) { r.Centroids = r.Centroids[:kmeansK-1] }},
+		{"a coordinate missing", func(r *kmeans.Result) { r.Centroids[1] = r.Centroids[1][:kmeansDims-1] }},
+		{"a NaN coordinate", func(r *kmeans.Result) { r.Centroids[2][0] = math.NaN() }},
+		{"an infinite coordinate", func(r *kmeans.Result) { r.Centroids[0][kmeansDims-1] = math.Inf(-1) }},
+		{"negative inertia", func(r *kmeans.Result) { r.Inertia = -1 }},
+		{"NaN inertia", func(r *kmeans.Result) { r.Inertia = math.NaN() }},
+		{"infinite inertia", func(r *kmeans.Result) { r.Inertia = math.Inf(1) }},
+	} {
+		res := good()
+		tc.spoil(&res)
+		if err := checkClustering(res, n); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 
@@ -439,7 +483,7 @@ func TestReportRenderers(t *testing.T) {
 }
 
 func TestAblationSmallAppendsSweep(t *testing.T) {
-	s, err := AblationSmallAppends(tinyWorkload(), 16)
+	s, err := ablationSmallAppends(tinyWorkload(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

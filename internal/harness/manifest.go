@@ -27,9 +27,9 @@ import (
 // manifestVersion guards the file format.
 const manifestVersion = 1
 
-// ErrManifestCorrupt marks a manifest whose checksum or structure failed
+// errManifestCorrupt marks a manifest whose checksum or structure failed
 // verification. errors.Is-reachable through OpenManifest's wrap chain.
-var ErrManifestCorrupt = errors.New("harness: manifest corrupt")
+var errManifestCorrupt = errors.New("harness: manifest corrupt")
 
 // CellOutcome is one completed cell's checkpoint: everything a sweep
 // needs to rebuild the cell's report row without replaying. machine.Result
@@ -79,7 +79,7 @@ func NewManifest(path string) *Manifest {
 // OpenManifest loads the manifest at path. A missing file yields an empty
 // manifest bound to the path (resuming a sweep that never checkpointed is
 // just a fresh run); a present-but-unverifiable file yields an error
-// wrapping ErrManifestCorrupt — resuming from it would silently produce a
+// wrapping errManifestCorrupt — resuming from it would silently produce a
 // report that matches nothing. The checksum is verified over the cells as
 // they were written, not as this build would marshal them, so a cell that
 // lacks a field machine.Result has gained since, or carries one it has lost,
@@ -98,32 +98,32 @@ func OpenManifest(path string) (*Manifest, error) {
 		CRC     string          `json:"crc64"`
 	}
 	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrManifestCorrupt, path, err)
+		return nil, fmt.Errorf("%w: %s: %v", errManifestCorrupt, path, err)
 	}
 	if f.Version != manifestVersion {
-		return nil, fmt.Errorf("%w: %s: version %d, want %d", ErrManifestCorrupt, path, f.Version, manifestVersion)
+		return nil, fmt.Errorf("%w: %s: version %d, want %d", errManifestCorrupt, path, f.Version, manifestVersion)
 	}
 	var cells bytes.Buffer
 	if err := json.Compact(&cells, f.Cells); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrManifestCorrupt, path, err)
+		return nil, fmt.Errorf("%w: %s: %v", errManifestCorrupt, path, err)
 	}
 	if sum := checksum(cells.Bytes()); sum != f.CRC {
-		return nil, fmt.Errorf("%w: %s: checksum %s, want %s", ErrManifestCorrupt, path, f.CRC, sum)
+		return nil, fmt.Errorf("%w: %s: checksum %s, want %s", errManifestCorrupt, path, f.CRC, sum)
 	}
 	var entries []manifestEntry
 	if err := json.Unmarshal(f.Cells, &entries); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrManifestCorrupt, path, err)
+		return nil, fmt.Errorf("%w: %s: %v", errManifestCorrupt, path, err)
 	}
 	m := NewManifest(path)
 	for _, e := range entries {
 		var k CellKey
 		k.Trace, err = strconv.ParseUint(e.Trace, 16, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s: bad trace key %q", ErrManifestCorrupt, path, e.Trace)
+			return nil, fmt.Errorf("%w: %s: bad trace key %q", errManifestCorrupt, path, e.Trace)
 		}
 		k.Config, err = strconv.ParseUint(e.Config, 16, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s: bad config key %q", ErrManifestCorrupt, path, e.Config)
+			return nil, fmt.Errorf("%w: %s: bad config key %q", errManifestCorrupt, path, e.Config)
 		}
 		m.cells[k] = e.Cell
 	}

@@ -79,7 +79,7 @@ func memBound(ExperimentParams, Workload) (Output, error) {
 	t := report.New(fmt.Sprintf("Section V-A: sorting is memory bound iff y·lgZ < x (N cancels); %.2f GHz, %d cyc/cmp, y = %.3g elem/s, Z = %.3g blocks",
 		paperCoreHz/1e9, paperCycles, paperBW/paperElem, paperZBlocks),
 		"cores", "x_cmp_per_s", "y_lgZ_elem_per_s", "ratio", "verdict")
-	cores := append(DefaultCoreList(), crossover)
+	cores := append(defaultCoreList(), crossover)
 	slices.Sort(cores)
 	for _, c := range cores {
 		x, y := model.NodeRates(c, paperCoreHz, paperCycles, paperBW, paperElem)

@@ -30,7 +30,8 @@ import (
 // replays shared a schedule, kept as the oracle: every declared recording, in
 // declaration order, failing fast; then every representative's cell in slot
 // order on the calling goroutine; then the aliases, filled or replayed, in
-// slot order. Like every driver it gets the supervisor runReplays settled on.
+// slot order. Like every driver it gets the supervisor runReplays settled on,
+// and times its cells on it.
 func recordThenPool(sup *Supervisor, _ int, jobs []replayJob, rep []int) []replayOut {
 	out := make([]replayOut, len(jobs))
 	for i := range jobs {
@@ -56,9 +57,17 @@ func recordThenPool(sup *Supervisor, _ int, jobs []replayJob, rep []int) []repla
 		}
 		return out
 	}
+	cell := func(i int, fill *replayOut) (o replayOut) {
+		sp := sup.Timings.Start(1, "cell", jobs[i].label)
+		defer func() { sp.End(prof.MarkIf(o.cached, "cached"), prof.MarkIf(o.shared, "shared")) }()
+		if fill != nil {
+			return sup.cell(jobs[i], keys[i], func() replayOut { return *fill })
+		}
+		return sup.runCell(jobs[i], keys[i])
+	}
 	for i, r := range rep {
 		if r == i {
-			out[i] = sup.runCell(jobs[i], keys[i])
+			out[i] = cell(i, nil)
 		}
 	}
 	for i, r := range rep {
@@ -66,9 +75,9 @@ func recordThenPool(sup *Supervisor, _ int, jobs []replayJob, rep []int) []repla
 			continue
 		}
 		if o, ok := aliasOf(out[r], jobs[i].cfg); ok {
-			out[i] = sup.cell(jobs[i], keys[i], func() replayOut { return o })
+			out[i] = cell(i, &o)
 		} else {
-			out[i] = sup.runCell(jobs[i], keys[i])
+			out[i] = cell(i, nil)
 		}
 	}
 	return out
@@ -99,7 +108,7 @@ func starved(maxEvents uint64, f func()) {
 type rendered struct {
 	body     string // text, then CSV
 	manifest string // the -manifest file, cell keys included
-	replays  int    // Sweep.Replays; -1 for Table I
+	replays  int    // cells that came back as their own (ownReplays)
 	err      string
 }
 
@@ -113,13 +122,13 @@ func sweepCases(t *testing.T) []sweepCase {
 	cases := []sweepCase{
 		{"table1 dma faults", func(w Workload) (rendered, error) {
 			tb, err := Table1Faults(w, true, fault.Profile(41, 2e-2))
-			return rendered{body: renderSweep(t, tb), replays: -1}, err
+			return rendered{body: renderSweep(t, tb)}, err
 		}},
 		{"bandwidth starved", func(w Workload) (rendered, error) {
 			var s Sweep
 			var err error
 			starved(500, func() { s, err = BandwidthSweep(w) }) // every cell fails: marked rows, no error
-			return rendered{body: renderSweep(t, s), replays: s.Replays}, err
+			return rendered{body: renderSweep(t, s)}, err
 		}},
 	}
 	params := ExperimentParams{CoreList: []int{8, 16}, FaultSeed: 41, FaultRates: []float64{1e-3, 2e-2}, Epoch: 5 * units.Microsecond}
@@ -127,27 +136,25 @@ func sweepCases(t *testing.T) []sweepCase {
 		e := e
 		cases = append(cases, sweepCase{e.Name, func(w Workload) (rendered, error) {
 			out, err := runRow(e, params, w)
-			replays := -1
-			if s, ok := out.(Sweep); ok {
-				replays = s.Replays
-			}
-			return rendered{body: renderSweep(t, out), replays: replays}, err
+			return rendered{body: renderSweep(t, out)}, err
 		}})
 	}
 	return cases
 }
 
-// renderCase runs one case supervised, under a manifest and retries.
-func renderCase(t *testing.T, c sweepCase, par int) rendered {
+// renderCase runs one case supervised, under a manifest and retries, and
+// counts its own replays under stages when it is not nil.
+func renderCase(t *testing.T, c sweepCase, par int, stages *prof.Stages) rendered {
 	t.Helper()
 	w := tinyWorkload()
 	w.Par = par
 	path := filepath.Join(t.TempDir(), "manifest.json")
-	w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(path)}
+	w.Sup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(path), Timings: stages}
 	r, err := c.run(w)
 	if err != nil {
 		r.err = err.Error()
 	}
+	r.replays = ownReplays(stages)
 	if raw, err := os.ReadFile(path); err == nil {
 		r.manifest = string(raw)
 	}
@@ -162,11 +169,11 @@ func renderCase(t *testing.T, c sweepCase, par int) rendered {
 func TestScheduleMatchesSequentialDriver(t *testing.T) {
 	for _, c := range sweepCases(t) {
 		var want rendered
-		withDriver(recordThenPool, func() { want = renderCase(t, c, 1) })
+		withDriver(recordThenPool, func() { want = renderCase(t, c, 1, prof.NewStages()) })
 		if want.body == "" && want.err == "" {
 			t.Fatalf("%s: the oracle rendered nothing", c.name)
 		}
-		if got := renderCase(t, c, 4); got != want {
+		if got := renderCase(t, c, 4, prof.NewStages()); got != want {
 			t.Errorf("%s: differs from the sequential driver\n got %+v\nwant %+v", c.name, got, want)
 		}
 	}
@@ -592,9 +599,9 @@ func (c *tee) Complete(key CellKey, cell CellOutcome) error {
 func TestTimingsChangeNoByte(t *testing.T) {
 	c := sweepCase{"bandwidth", func(w Workload) (rendered, error) {
 		s, err := BandwidthSweep(w)
-		return rendered{body: renderSweep(t, s), replays: s.Replays}, err
+		return rendered{body: renderSweep(t, s)}, err
 	}}
-	want := renderCase(t, c, 2)
+	want := renderCase(t, c, 2, nil)
 
 	w := tinyWorkload()
 	w.Par = 2

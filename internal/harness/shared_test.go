@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/prof"
 	"repro/internal/spmem"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -21,6 +23,19 @@ import (
 // representative must be what the cell's own replay would have produced, on
 // every field of machine.Result, in every rendered byte and in every byte of
 // the manifest. The reference is the pool with every job a cell of its own.
+
+// ownReplays counts the cells timed by stages that came back as their own,
+// replayed or checkpointed: the "cell" stages without the "shared" mark of
+// a cell filled from its representative's replay.
+func ownReplays(stages *prof.Stages) int {
+	n := 0
+	for _, st := range stages.Snapshot() {
+		if st.Kind == "cell" && !slices.Contains(st.Marks, "shared") {
+			n++
+		}
+	}
+	return n
+}
 
 // realReplays replays every job for real: runShared under the identity map,
 // which is what runReplays was before it shared anything. A nil sup is the
@@ -321,9 +336,10 @@ func TestSharedSweepsMatchRealSweeps(t *testing.T) {
 			for _, par := range pars {
 				name := fmt.Sprintf("%s/supervised=%v/par%d", e.Name, supervised, par)
 				dir := t.TempDir()
-				var gotSup, wantSup *Supervisor
+				stages := prof.NewStages()
+				gotSup, wantSup := &Supervisor{Timings: stages}, (*Supervisor)(nil)
 				if supervised {
-					gotSup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(filepath.Join(dir, "shared.json"))}
+					gotSup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(filepath.Join(dir, "shared.json")), Timings: stages}
 					wantSup = &Supervisor{Slice: 1 << 11, Retries: 2, RetrySeed: 5, Cache: NewManifest(filepath.Join(dir, "real.json"))}
 				}
 				pw := w
@@ -349,14 +365,15 @@ func TestSharedSweepsMatchRealSweeps(t *testing.T) {
 				if s.Failed() != 0 {
 					t.Fatalf("%s: %d failed cells", name, s.Failed())
 				}
+				replays := ownReplays(stages)
 				if jobs == nil {
-					if s.Replays != len(s.Points) {
-						t.Errorf("%s: %d of %d cells replayed; the experiment has no two cells on one near-blind trace", name, s.Replays, len(s.Points))
+					if replays != len(s.Points) {
+						t.Errorf("%s: %d of %d cells replayed; the experiment has no two cells on one near-blind trace", name, replays, len(s.Points))
 					}
 					continue
 				}
-				if s.Replays != len(s.Points)-2 {
-					t.Errorf("%s: %d of %d cells replayed, want two control cells filled from the third", name, s.Replays, len(s.Points))
+				if replays != len(s.Points)-2 {
+					t.Errorf("%s: %d of %d cells replayed, want two control cells filled from the third", name, replays, len(s.Points))
 				}
 				// The same sweep with every cell replayed for real: the
 				// points' metadata, the all-real pool's outcomes.

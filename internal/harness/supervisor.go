@@ -25,11 +25,11 @@ import (
 // report. A nil Supervisor is the zero one, substituted where a supervisor
 // enters the harness.
 
-// DefaultSlice is how many executed events a supervised replay runs
+// defaultSlice is how many executed events a supervised replay runs
 // between cancellation polls: small enough that cancellation latency stays
 // in the milliseconds on the paper's configurations, large enough that a
 // poll is noise next to event execution. No flag or request field sets it.
-const DefaultSlice uint64 = 1 << 16
+const defaultSlice uint64 = 1 << 16
 
 // CellKey identifies one sweep cell content-addressably: the digest of
 // the recorded trace and the digest of the machine configuration (plus
@@ -89,7 +89,7 @@ type Supervisor struct {
 	Ctx context.Context
 
 	// Slice is the executed events between cancellation polls; 0 means
-	// DefaultSlice. Only tests set it.
+	// defaultSlice. Only tests set it.
 	Slice uint64
 
 	// Retries bounds deterministic re-replays of cells whose replay
@@ -347,7 +347,7 @@ func (sup *Supervisor) attempt(j replayJob, key CellKey) (out replayOut) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	slice := sup.Slice
 	if slice == 0 {
-		slice = DefaultSlice
+		slice = defaultSlice
 	}
 	pause := func() error {
 		if err := sup.interrupted(); err != nil {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/par"
+	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/xrand"
@@ -321,7 +322,8 @@ func chaosSharedReplays(t *testing.T, w Workload, want string) {
 				}
 				rw := w
 				rw.Par = par
-				rw.Sup = &Supervisor{Slice: 1 << 12, Cache: man}
+				stages := prof.NewStages()
+				rw.Sup = &Supervisor{Slice: 1 << 12, Cache: man, Timings: stages}
 				s, err := BandwidthSweep(rw)
 				if err != nil || s.Failed() != 0 {
 					t.Fatalf("par %d: err=%v failed=%d", par, err, s.Failed())
@@ -329,8 +331,8 @@ func chaosSharedReplays(t *testing.T, w Workload, want string) {
 				if got := renderSweep(t, s); got != want {
 					t.Errorf("par %d: resumed sweep differs from golden:\n%s\nwant:\n%s", par, got, want)
 				}
-				if s.Replays != tc.replays {
-					t.Errorf("par %d: %d cells came back as their own, want %d", par, s.Replays, tc.replays)
+				if n := ownReplays(stages); n != tc.replays {
+					t.Errorf("par %d: %d cells came back as their own, want %d", par, n, tc.replays)
 				}
 				if got, err := os.ReadFile(path); err != nil || string(got) != string(golden) {
 					t.Errorf("par %d: resumed manifest differs from the uninterrupted sweep's (err=%v)", par, err)
@@ -583,7 +585,7 @@ func TestManifestFromBeforeElidedStillOpens(t *testing.T) {
 }
 
 // TestManifestCorruption: every tampered form of the file is rejected with
-// ErrManifestCorrupt; a missing file is an empty manifest, not an error.
+// errManifestCorrupt; a missing file is an empty manifest, not an error.
 func TestManifestCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
@@ -613,8 +615,8 @@ func TestManifestCorruption(t *testing.T) {
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenManifest(p); !errors.Is(err, ErrManifestCorrupt) {
-			t.Errorf("%s: err = %v, want ErrManifestCorrupt", name, err)
+		if _, err := OpenManifest(p); !errors.Is(err, errManifestCorrupt) {
+			t.Errorf("%s: err = %v, want errManifestCorrupt", name, err)
 		}
 	}
 }

@@ -37,12 +37,6 @@ type Sweep struct {
 	Title     string
 	FaultAxis bool // points vary a fault rate: add rate/slowdown/degraded/retrans columns
 	Points    []SweepPoint
-
-	// Replays counts the points that were replayed (or found checkpointed)
-	// as their own cell; the other len(Points)-Replays shared a
-	// representative's replay (see runReplays). Informational and unrendered,
-	// so output stays byte-identical whatever was shared.
-	Replays int
 }
 
 // Failed counts points whose supervised replay did not complete.
@@ -234,9 +228,6 @@ func (s Sweep) collect(sup *Supervisor, workers int, jobs []replayJob, points []
 		p.MemFault = o.memFault
 		p.Fail = FailKind(o.err)
 		s.Points = append(s.Points, p)
-		if !o.shared {
-			s.Replays++
-		}
 	}
 	return s, nil
 }
@@ -261,12 +252,12 @@ func CoreSweep(w Workload, coreCounts []int) (Sweep, error) {
 	return s.collect(w.Sup, replayPar(w.Par, len(jobs)), jobs, points)
 }
 
-// AblationSmallAppends compares NMsort against the scattered
+// ablationSmallAppends compares NMsort against the scattered
 // per-bucket-append variant the paper abandoned (experiment A1). Both
 // variants run with the paper's Θ(M/B) bucket count, where the average
 // (chunk, bucket) segment is a handful of elements — the regime in which
 // "these appends can be inefficient".
-func AblationSmallAppends(w Workload, nearChannels int) (Sweep, error) {
+func ablationSmallAppends(w Workload, nearChannels int) (Sweep, error) {
 	if w.Buckets == 0 {
 		w.Buckets = int(w.SP / 256) // Θ(M/B) with a modest constant
 		if w.Buckets < 16 {
@@ -277,9 +268,9 @@ func AblationSmallAppends(w Workload, nearChannels int) (Sweep, error) {
 	return s.onOneNode(w, nearChannels, nil, AlgNMSort, AlgNMScatter)
 }
 
-// AblationDMA compares NMsort with and without the §VII DMA engines at the
+// ablationDMA compares NMsort with and without the §VII DMA engines at the
 // given bandwidth expansion (experiment A2).
-func AblationDMA(w Workload, nearChannels int) (Sweep, error) {
+func ablationDMA(w Workload, nearChannels int) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("DMA ablation, N=%d keys, %d cores, %dX", w.N, w.Threads, nearChannels/4)}
 	return s.onOneNode(w, nearChannels, nil, AlgNMSort, AlgNMSortDM)
 }

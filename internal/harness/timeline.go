@@ -35,11 +35,11 @@ func RunTimeline(alg Algorithm, w Workload, nearChannels int, epoch units.Time, 
 	return o.res, tel, nil
 }
 
-// TimelineSweep runs the timeline experiment: NMsort and the merge baseline
+// timelineSweep runs the timeline experiment: NMsort and the merge baseline
 // replayed with telemetry attached, reported as an ordinary sweep — whose
 // phase breakdown is the experiment's point. The recorders are discarded;
 // use RunTimeline to keep one for export.
-func TimelineSweep(w Workload, nearChannels int, epoch units.Time) (Sweep, error) {
+func timelineSweep(w Workload, nearChannels int, epoch units.Time) (Sweep, error) {
 	s := Sweep{Title: fmt.Sprintf("Timeline sweep, N=%d keys, %d cores, %dX near bandwidth, epoch %s",
 		w.N, w.Threads, nearChannels/4, epoch)}
 	// Each point owns a private recorder (they are single-use, like

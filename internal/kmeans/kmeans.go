@@ -54,16 +54,16 @@ type Points struct {
 	Dims int
 }
 
-// Len returns the number of points.
-func (p Points) Len() int { return p.V.Len() / p.Dims }
+// len returns the number of points.
+func (p Points) len() int { return p.V.Len() / p.Dims }
 
-// Get reads coordinate j of point i through tp.
-func (p Points) Get(tp *trace.TP, i, j int) float64 {
+// get reads coordinate j of point i through tp.
+func (p Points) get(tp *trace.TP, i, j int) float64 {
 	return math.Float64frombits(p.V.Get(tp, i*p.Dims+j))
 }
 
-// Set writes coordinate j of point i through tp.
-func (p Points) Set(tp *trace.TP, i, j int, v float64) {
+// set writes coordinate j of point i through tp.
+func (p Points) set(tp *trace.TP, i, j int, v float64) {
 	p.V.Set(tp, i*p.Dims+j, math.Float64bits(v))
 }
 
@@ -79,14 +79,14 @@ func GenerateClustered(pts Points, k int, seed uint64) [][]float64 {
 			centers[c][j] = float64(rng.Intn(2000)) - 1000
 		}
 	}
-	n := pts.Len()
+	n := pts.len()
 	for i := 0; i < n; i++ {
 		c := centers[i%k]
 		for j := 0; j < d; j++ {
 			// An explicit float64() rounds the product, which forbids a fused
 			// multiply-add, so a trace is the same bytes on every GOARCH (the
 			// record caches' keys name none); lloyd's sums do the same.
-			pts.Set(nil, i, j, c[j]+float64(gauss(rng)*10))
+			pts.set(nil, i, j, c[j]+float64(gauss(rng)*10))
 		}
 	}
 	return centers
@@ -131,7 +131,7 @@ func Scratchpad(e *core.Env, pts Points, cfg Config) Result {
 // cache-resident working state (plain values, compute charged); the point
 // stream is what moves through the memory system.
 func lloyd(e *core.Env, pts Points, cfg Config) Result {
-	n, d, k := pts.Len(), cfg.Dims, cfg.K
+	n, d, k := pts.len(), cfg.Dims, cfg.K
 	if k <= 0 || d != pts.Dims || n == 0 {
 		panic("kmeans: bad configuration")
 	}
@@ -143,7 +143,7 @@ func lloyd(e *core.Env, pts Points, cfg Config) Result {
 	for c := range cent {
 		cent[c] = make([]float64, d)
 		for j := 0; j < d; j++ {
-			cent[c][j] = pts.Get(nil, init[c%len(init)], j)
+			cent[c][j] = pts.get(nil, init[c%len(init)], j)
 		}
 	}
 
@@ -180,7 +180,7 @@ func lloyd(e *core.Env, pts Points, cfg Config) Result {
 				for c := 0; c < k; c++ {
 					var dist float64
 					for j := 0; j < d; j++ {
-						diff := pts.Get(tp, i, j) - cent[c][j]
+						diff := pts.get(tp, i, j) - cent[c][j]
 						dist += float64(diff * diff)
 					}
 					tp.Compute(int64(d) * cfg.CyclesPerDim)
@@ -192,7 +192,7 @@ func lloyd(e *core.Env, pts Points, cfg Config) Result {
 				assign[i] = int32(best)
 				inertia[tid] += bestD
 				for j := 0; j < d; j++ {
-					sums[tid][best][j] += pts.Get(tp, i, j)
+					sums[tid][best][j] += pts.get(tp, i, j)
 				}
 				counts[tid][best]++
 			}

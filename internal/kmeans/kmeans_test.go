@@ -148,11 +148,11 @@ func TestScratchpadTooSmallPanics(t *testing.T) {
 func TestPointsAccessors(t *testing.T) {
 	e := core.NewEnv(1, units.MiB, nil, 1)
 	pts := Points{V: e.AllocFar(10 * 3), Dims: 3}
-	pts.Set(nil, 2, 1, -7.5)
-	if got := pts.Get(nil, 2, 1); got != -7.5 {
+	pts.set(nil, 2, 1, -7.5)
+	if got := pts.get(nil, 2, 1); got != -7.5 {
 		t.Errorf("Get = %v", got)
 	}
-	if pts.Len() != 10 {
-		t.Errorf("Len = %d", pts.Len())
+	if pts.len() != 10 {
+		t.Errorf("Len = %d", pts.len())
 	}
 }

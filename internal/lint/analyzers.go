@@ -39,7 +39,7 @@ var NoWallClock = &Analyzer{
 	Name: "nowallclock",
 	Doc:  "forbid time.Now/Since/Sleep and timers in simulator packages; all time must be units.Time",
 	Run: func(u *Unit, report ReportFunc) {
-		if !u.IsSimulatorPackage() {
+		if !u.isSimulatorPackage() {
 			return
 		}
 		inspect(u, false, func(f *ast.File, n ast.Node) bool {
@@ -65,7 +65,7 @@ var NoGlobalRand = &Analyzer{
 	Name: "noglobalrand",
 	Doc:  "forbid math/rand top-level functions outside internal/xrand; use a seeded *xrand.RNG",
 	Run: func(u *Unit, report ReportFunc) {
-		if rel := u.RelPath(); rel == "internal/xrand" || rel == "internal/xrand_test" {
+		if rel := u.relPath(); rel == "internal/xrand" || rel == "internal/xrand_test" {
 			return
 		}
 		inspect(u, false, func(f *ast.File, n ast.Node) bool {
@@ -107,7 +107,7 @@ var SortedMapRange = &Analyzer{
 	Name: "sortedmaprange",
 	Doc:  "forbid ranging over maps in simulator packages; iterate sorted keys instead",
 	Run: func(u *Unit, report ReportFunc) {
-		if !u.IsSimulatorPackage() {
+		if !u.isSimulatorPackage() {
 			return
 		}
 		inspect(u, false, func(f *ast.File, n ast.Node) bool {
@@ -180,7 +180,7 @@ var ParOnlyGoroutines = &Analyzer{
 	Name: "paronlygoroutines",
 	Doc:  "forbid raw go statements outside internal/par; use par.Run / par.RunPoison",
 	Run: func(u *Unit, report ReportFunc) {
-		if rel := u.RelPath(); rel == "internal/par" || rel == "internal/par_test" {
+		if rel := u.relPath(); rel == "internal/par" || rel == "internal/par_test" {
 			return
 		}
 		inspect(u, true, func(f *ast.File, n ast.Node) bool {

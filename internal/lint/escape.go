@@ -39,8 +39,8 @@ type RegionSet struct {
 	seen    map[Region]bool
 }
 
-// NewRegionSet returns an empty set.
-func NewRegionSet() *RegionSet {
+// newRegionSet returns an empty set.
+func newRegionSet() *RegionSet {
 	return &RegionSet{cold: map[string][][2]int{}, seen: map[Region]bool{}}
 }
 
@@ -56,9 +56,9 @@ func (rs *RegionSet) addCold(file string, start, end int) {
 	rs.cold[file] = append(rs.cold[file], [2]int{start, end})
 }
 
-// Covers returns the hot region containing file:line, if any; cold lines
+// covers returns the hot region containing file:line, if any; cold lines
 // are not covered.
-func (rs *RegionSet) Covers(file string, line int) (Region, bool) {
+func (rs *RegionSet) covers(file string, line int) (Region, bool) {
 	for _, cr := range rs.cold[file] {
 		if line >= cr[0] && line <= cr[1] {
 			return Region{}, false
@@ -90,7 +90,7 @@ func (rs *RegionSet) Files() []string {
 // HotRegions re-runs the hotpath walk over every unit, discarding findings
 // and keeping only the visited spans.
 func HotRegions(mod *Module) *RegionSet {
-	rs := NewRegionSet()
+	rs := newRegionSet()
 	discard := func(token.Pos, string, ...any) {}
 	for _, u := range mod.Units() {
 		newHotpathChecker(u, discard, rs).run()
@@ -142,7 +142,7 @@ func ParseEscapes(output string) []Escape {
 // a hot region without an excuse: not on a cold line, not suppressed by a
 // reasoned hotpath ignore or an escape-check ignore at that position.
 func CrossCheck(mod *Module, rs *RegionSet, escs []Escape) []Diagnostic {
-	ignores := mod.Ignores()
+	ignores := mod.ignores()
 	var diags []Diagnostic
 	seen := map[string]bool{}
 	for _, e := range escs {
@@ -150,7 +150,7 @@ func CrossCheck(mod *Module, rs *RegionSet, escs []Escape) []Diagnostic {
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(mod.Root, filepath.FromSlash(strings.TrimPrefix(file, "./")))
 		}
-		reg, ok := rs.Covers(file, e.Line)
+		reg, ok := rs.covers(file, e.Line)
 		if !ok {
 			continue
 		}

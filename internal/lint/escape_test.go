@@ -39,30 +39,30 @@ not a diagnostic line
 }
 
 func TestRegionSetCovers(t *testing.T) {
-	rs := NewRegionSet()
+	rs := newRegionSet()
 	rs.add(Region{File: "/m/a.go", Func: "hot", StartLine: 10, EndLine: 30})
 	rs.addCold("/m/a.go", 20, 22)
 
-	if _, ok := rs.Covers("/m/a.go", 15); !ok {
+	if _, ok := rs.covers("/m/a.go", 15); !ok {
 		t.Error("line 15 should be inside the hot region")
 	}
-	if _, ok := rs.Covers("/m/a.go", 21); ok {
+	if _, ok := rs.covers("/m/a.go", 21); ok {
 		t.Error("line 21 is cold (panic/error exit) and must not be covered")
 	}
-	if _, ok := rs.Covers("/m/a.go", 31); ok {
+	if _, ok := rs.covers("/m/a.go", 31); ok {
 		t.Error("line 31 is outside the region")
 	}
-	if _, ok := rs.Covers("/m/b.go", 15); ok {
+	if _, ok := rs.covers("/m/b.go", 15); ok {
 		t.Error("other files are not covered")
 	}
-	if got, ok := rs.Covers("/m/a.go", 10); !ok || got.Func != "hot" {
-		t.Errorf("Covers should name the region, got %+v ok=%v", got, ok)
+	if got, ok := rs.covers("/m/a.go", 10); !ok || got.Func != "hot" {
+		t.Errorf("covers should name the region, got %+v ok=%v", got, ok)
 	}
 }
 
 func TestCrossCheck(t *testing.T) {
 	mod := &Module{Root: "/m"}
-	rs := NewRegionSet()
+	rs := newRegionSet()
 	rs.add(Region{File: filepath.Join("/m", "internal", "engine", "engine.go"), Func: "step", StartLine: 40, EndLine: 60})
 	rs.addCold(filepath.Join("/m", "internal", "engine", "engine.go"), 50, 52)
 

@@ -106,15 +106,15 @@ var simulatorPackages = map[string]bool{
 	"internal/serve": true,
 }
 
-// IsSimulatorPackage reports whether the import path (relative to the
+// isSimulatorPackage reports whether the import path (relative to the
 // module) is one of the simulator packages.
-func (u *Unit) IsSimulatorPackage() bool {
-	return simulatorPackages[u.RelPath()]
+func (u *Unit) isSimulatorPackage() bool {
+	return simulatorPackages[u.relPath()]
 }
 
-// RelPath returns the unit's import path relative to the module path
+// relPath returns the unit's import path relative to the module path
 // ("internal/engine" for "repro/internal/engine").
-func (u *Unit) RelPath() string {
+func (u *Unit) relPath() string {
 	if u.ImportPath == u.ModulePath {
 		return "."
 	}
@@ -130,7 +130,7 @@ func (u *Unit) RelPath() string {
 // is, not where the walk started. Identical findings reached from several
 // units (two root sets walking into one shared helper) collapse to one.
 func Run(mod *Module) []Diagnostic {
-	ignores := mod.Ignores()
+	ignores := mod.ignores()
 	var diags []Diagnostic
 	for _, u := range mod.Units() {
 		diags = append(diags, runUnit(u, Analyzers(), ignores)...)

@@ -57,10 +57,10 @@ type Module struct {
 // (external test packages sort after their package).
 func (m *Module) Units() []*Unit { return m.units }
 
-// Ignores unions the suppression directives of every unit, so transitive
+// ignores unions the suppression directives of every unit, so transitive
 // analyzers that report findings in sibling packages honor the ignore
 // comment sitting next to the flagged construct.
-func (m *Module) Ignores() ignoreSet {
+func (m *Module) ignores() ignoreSet {
 	set := ignoreSet{}
 	for _, u := range m.units {
 		for file, byLine := range collectIgnores(u) {

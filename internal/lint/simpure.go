@@ -82,7 +82,7 @@ type simpureChecker struct {
 func runSimPure(u *Unit, report ReportFunc) {
 	// The event kernel itself manipulates heap and clock state that no other
 	// package may touch; it is the trusted base, not a subject.
-	if rel := u.RelPath(); rel == "internal/engine" || rel == "internal/engine_test" {
+	if rel := u.relPath(); rel == "internal/engine" || rel == "internal/engine_test" {
 		return
 	}
 	c := &simpureChecker{

@@ -171,9 +171,8 @@ func recvNamed(fn *types.Func) *types.Named {
 var testOnlyAllowed = allowlist{
 	{[]string{"repro/internal/cli/clitest"}, "a test-support package: the validation tables both commands' tests run"},
 	{[]string{"repro/internal/lint.Module.LoadDirAs", "repro/internal/lint.RunUnit"}, "the fixture loader: analyzer tests load testdata packages under chosen import paths, and the gates the layer probes"},
-	{[]string{"repro/internal/addr.SPAllocator.CheckInvariants"}, "a reference check of the allocator's free list, run by its property tests"},
+	{[]string{"repro/internal/addr.SPAllocator.checkInvariants"}, "a reference check of the allocator's free list, run by its property tests"},
 	{[]string{"repro/internal/model"}, "the paper's closed-form bounds, checked by tests until each becomes a claim a row prints"},
-	{[]string{"repro/internal/serve.Client"}, "the daemon's client, for programs outside this module as well as -server"},
 }
 
 // TestNoTestOnlyFunctions fails on a function or method declared in
@@ -184,92 +183,116 @@ var testOnlyAllowed = allowlist{
 func TestNoTestOnlyFunctions(t *testing.T) {
 	mod, units := loadWholeModule(t)
 
-	// A method is reached through an interface when its receiver, or a
-	// pointer to it, implements one that declares it: an interface of the
-	// module, error, fmt.Stringer, or the Unwrap errors.Is and errors.As
-	// call. A value handed to any other interface (a types.Importer in a
-	// types.Config, an io.Writer argument) uses the methods that one
-	// declares.
-	method := func(name string, result types.Type) *types.Interface {
-		sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", result)), false)
-		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
-	}
-	errorType := types.Universe.Lookup("error").Type()
-	interfaces := []*types.Interface{errorType.Underlying().(*types.Interface),
-		method("String", types.Typ[types.String]), method("Unwrap", errorType)}
+	reach := newReach()
 	declared := map[*types.Func]*ast.FuncDecl{}
 	used := map[*types.Func]bool{}
 	productionFiles(units, func(u *lint.Unit, f *ast.File) {
-		handed := func(val ast.Expr, to types.Type) {
-			it, ok := to.Underlying().(*types.Interface)
-			from := u.Info.Types[val].Type
-			if !ok || from == nil || types.IsInterface(from) {
-				return
-			}
-			for i := range it.NumMethods() {
-				m := it.Method(i)
-				if fn, ok := methodOf(from, m); ok {
-					used[fn.Origin()] = true
-				}
-			}
-		}
 		for _, d := range f.Decls {
 			var self *types.Func // a function's references to itself do not use it
-			switch d := d.(type) {
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					if ts, ok := s.(*ast.TypeSpec); ok && ts.TypeParams == nil {
-						if it, ok := u.Info.Defs[ts.Name].Type().Underlying().(*types.Interface); ok {
-							interfaces = append(interfaces, it)
-						}
-					}
-				}
-			case *ast.FuncDecl:
+			if d, ok := d.(*ast.FuncDecl); ok {
 				self = u.Info.Defs[d.Name].(*types.Func)
 				if u.Pkg.Name() != "main" && d.Name.Name != "init" {
 					declared[self] = d
 				}
 			}
-			var stack []ast.Node // the enclosing nodes, for a return's signature
-			ast.Inspect(d, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return true
-				}
-				stack = append(stack, n)
-				if id, ok := n.(*ast.Ident); ok {
+			inspect(d, func(stack []ast.Node) {
+				reach.visit(u.Info, stack)
+				if id, ok := stack[len(stack)-1].(*ast.Ident); ok {
 					if fn, ok := u.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
 						used[fn.Origin()] = true
 					}
 				}
-				forEachConversion(u.Info, stack, handed)
-				return true
 			})
 		}
 	})
 
-	implements := func(recv types.Type, name string) bool {
-		for _, it := range interfaces {
-			if m, _, _ := types.LookupFieldOrMethod(it, false, nil, name); m == nil {
-				continue
-			}
-			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
-				return true
-			}
-		}
-		return false
-	}
 	g := newGate(t, mod, testOnlyAllowed)
 	for fn, d := range declared {
-		if used[fn] {
-			continue
-		}
-		if r := recvNamed(fn); r != nil && implements(r, fn.Name()) {
+		if used[fn] || reach.reaches(fn) {
 			continue
 		}
 		g.check(d.Pos(), name(fn), name(fn)+" is used only by tests")
 	}
 	g.done()
+}
+
+// inspect walks n depth-first, calling fn with the path from n to each node.
+func inspect(n ast.Node, fn func(stack []ast.Node)) {
+	var stack []ast.Node
+	ast.Inspect(n, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		fn(stack)
+		return true
+	})
+}
+
+// reach finds the methods an interface reaches: a method whose receiver, or
+// a pointer to it, implements an interface that declares it (an interface
+// of the module, error, fmt.Stringer, or the Unwrap errors.Is and errors.As
+// call), and each method of a value handed to any other interface (a
+// types.Importer in a types.Config, an io.Writer argument).
+type reach struct {
+	interfaces []*types.Interface
+	handed     map[*types.Func]bool
+}
+
+func newReach() *reach {
+	method := func(name string, result types.Type) *types.Interface {
+		sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", result)), false)
+		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+	}
+	errorType := types.Universe.Lookup("error").Type()
+	return &reach{
+		interfaces: []*types.Interface{errorType.Underlying().(*types.Interface),
+			method("String", types.Typ[types.String]), method("Unwrap", errorType)},
+		handed: map[*types.Func]bool{},
+	}
+}
+
+// visit records what the innermost node of stack adds: an interface type it
+// declares, or the methods a value it hands to an interface uses.
+func (r *reach) visit(info *types.Info, stack []ast.Node) {
+	if ts, ok := stack[len(stack)-1].(*ast.TypeSpec); ok && ts.TypeParams == nil {
+		if it, ok := info.Defs[ts.Name].Type().Underlying().(*types.Interface); ok {
+			r.interfaces = append(r.interfaces, it)
+		}
+	}
+	forEachConversion(info, stack, func(val ast.Expr, to types.Type) {
+		it, ok := to.Underlying().(*types.Interface)
+		from := info.Types[val].Type
+		if !ok || from == nil || types.IsInterface(from) {
+			return
+		}
+		for i := range it.NumMethods() {
+			if fn, ok := methodOf(from, it.Method(i)); ok {
+				r.handed[fn.Origin()] = true
+			}
+		}
+	})
+}
+
+// reaches reports whether an interface reaches method fn.
+func (r *reach) reaches(fn *types.Func) bool {
+	recv := recvNamed(fn)
+	if recv == nil {
+		return false
+	}
+	if r.handed[fn] {
+		return true
+	}
+	for _, it := range r.interfaces {
+		if m, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); m == nil {
+			continue
+		}
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // methodOf finds the method of t, or of *t, that implements m.
@@ -374,9 +397,7 @@ func forEachConversion(info *types.Info, stack []ast.Node, handed func(val ast.E
 // covering its fields.
 var testOnlyFieldsAllowed = allowlist{
 	{[]string{"repro/internal/harness.Supervisor.Slice", "repro/internal/harness.DiskRecordCache.loaded"}, "fault seams: tests poll a replay more often, so a seeded interrupt lands mid-replay, and hear which lookups map a cache file"},
-	{[]string{"repro/internal/harness.Sweep.Replays"}, "the cells a sweep replayed itself, unrendered so sharing moves no byte: the shared-replay tests assert it"},
 	{[]string{"repro/internal/trace.Cursor.owner"}, "keeps the columns' mapping alive for the garbage collector while a cursor reads it"},
-	{[]string{"repro/internal/kmeans.Result"}, "the clustering a run computes: the harness keeps its traffic, the tests check the clustering"},
 	{[]string{"repro/internal/model"}, "the paper's closed-form bounds, checked by tests until each becomes a claim a row prints"},
 }
 
@@ -671,4 +692,177 @@ func reflectingParams(units []*lint.Unit) func(fn *types.Func, i int) bool {
 		})
 	}
 	return reflecting
+}
+
+// exportsAllowed names the exported declarations no other package may use.
+var exportsAllowed = allowlist{
+	{[]string{"repro/internal/model"}, "the paper's closed-form bounds, checked by tests until each becomes a claim a row prints"},
+}
+
+// TestNoPackageLocalExports fails on an exported function, method, type,
+// var or const declared in non-test code of a non-main package outside
+// bench/ that no file of another package references: a package's exported
+// names are what it offers the others. Every other unit counts as a user,
+// tests and external test packages included, and so do the benchmark's
+// layer probes.
+//
+// A method an interface reaches keeps its name (the rule of
+// TestNoTestOnlyFunctions, over every file). So does a type that a
+// declaration staying exported names in its signature, its exported fields
+// or its underlying type, to a fixed point, so no exported API hands out an
+// unexported type; and a const declared in the block and with the type of a
+// const that stays exported, so an enumeration stays whole.
+func TestNoPackageLocalExports(t *testing.T) {
+	mod, units := loadWholeModule(t)
+	reach := newReach()
+	used := map[types.Object]bool{}
+	for _, u := range units {
+		for _, f := range u.Files {
+			inspect(f, func(stack []ast.Node) {
+				reach.visit(u.Info, stack)
+				if id, ok := stack[len(stack)-1].(*ast.Ident); ok {
+					if obj := u.Info.Uses[id]; obj != nil && obj.Pkg() != u.Pkg {
+						used[origin(obj)] = true
+					}
+				}
+			})
+		}
+	}
+
+	declared := map[types.Object]ast.Node{}
+	block := map[*types.Const][]*types.Const{} // the consts of its declaration
+	productionFiles(units, func(u *lint.Unit, f *ast.File) {
+		if u.Pkg.Name() == "main" || strings.HasPrefix(u.ImportPath, mod.Path+"/bench/") {
+			return
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() {
+					declared[u.Info.Defs[d.Name]] = d
+				}
+			case *ast.GenDecl:
+				var consts []*types.Const
+				for _, s := range d.Specs {
+					var ids []*ast.Ident
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						ids = []*ast.Ident{s.Name}
+					case *ast.ValueSpec:
+						ids = s.Names
+					}
+					for _, id := range ids {
+						if id.IsExported() {
+							declared[u.Info.Defs[id]] = id
+						}
+						if c, ok := u.Info.Defs[id].(*types.Const); ok {
+							consts = append(consts, c)
+						}
+					}
+				}
+				for _, c := range consts {
+					block[c] = consts
+				}
+			}
+		}
+	})
+
+	stays := map[types.Object]bool{}
+	var queue []types.Object
+	keep := func(obj types.Object) {
+		if _, ok := declared[obj]; ok && !stays[obj] {
+			stays[obj] = true
+			queue = append(queue, obj)
+		}
+	}
+	for obj := range declared {
+		if fn, ok := obj.(*types.Func); used[obj] || ok && reach.reaches(fn) {
+			keep(obj)
+		}
+	}
+	for obj := range declared {
+		if c, ok := obj.(*types.Const); ok && used[c] {
+			for _, other := range block[c] {
+				if types.Identical(other.Type(), c.Type()) {
+					keep(other)
+				}
+			}
+		}
+	}
+	var expose func(t types.Type)
+	expose = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Alias:
+			keep(t.Obj())
+			expose(types.Unalias(t))
+		case *types.Named:
+			keep(t.Obj())
+			for i := range t.TypeArgs().Len() {
+				expose(t.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			expose(t.Elem())
+		case *types.Slice:
+			expose(t.Elem())
+		case *types.Array:
+			expose(t.Elem())
+		case *types.Chan:
+			expose(t.Elem())
+		case *types.Map:
+			expose(t.Key())
+			expose(t.Elem())
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := range tup.Len() {
+					expose(tup.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := range t.NumFields() {
+				if f := t.Field(i); f.Exported() || f.Embedded() {
+					expose(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := range t.NumExplicitMethods() {
+				expose(t.ExplicitMethod(i).Type())
+			}
+			for i := range t.NumEmbeddeds() {
+				expose(t.EmbeddedType(i))
+			}
+		}
+	}
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			expose(tn.Type().Underlying())
+		} else {
+			expose(obj.Type())
+		}
+	}
+
+	g := newGate(t, mod, exportsAllowed)
+	for obj, n := range declared {
+		if stays[obj] {
+			continue
+		}
+		key := obj.Pkg().Path() + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			key = name(fn)
+		}
+		g.check(n.Pos(), key, key+" is used only inside its package")
+	}
+	g.done()
+}
+
+// origin is the generic declaration behind an instantiated func or var.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }

@@ -102,11 +102,11 @@ func (nw *Network) SetFaults(in *fault.Injector) { nw.inj = in }
 func (nw *Network) RegisterProbes(tel *telemetry.Recorder) {
 	tel.Counter("noc", "msgs", func() uint64 { return nw.msgs })
 	tel.Counter("noc", "bytes", func() uint64 { return nw.bytes })
-	tel.Counter("noc", "busy_ps", func() uint64 { return uint64(nw.BusyTime()) })
+	tel.Counter("noc", "busy_ps", func() uint64 { return uint64(nw.busyTime()) })
 }
 
-// BusyTime returns the summed busy time across all links, both directions.
-func (nw *Network) BusyTime() units.Time {
+// busyTime returns the summed busy time across all links, both directions.
+func (nw *Network) busyTime() units.Time {
 	var t units.Time
 	for i := range nw.tx {
 		t += nw.tx[i].BusyTime() + nw.rx[i].BusyTime()

@@ -61,7 +61,7 @@ func TestSpanRemaindersSumToN(t *testing.T) {
 	}
 }
 
-// TestBarrierPoisonRacesWait drives Poison concurrently with waiters mid
+// TestBarrierPoisonRacesWait drives poison concurrently with waiters mid
 // Wait, repeatedly, so the race detector sees every interleaving class:
 // poison before Wait, poison while blocked, poison after release. Every
 // waiter must return (by panicking with the sentinel) — no deadlocks.
@@ -86,7 +86,7 @@ func TestBarrierPoisonRacesWait(t *testing.T) {
 		}
 		go func() {
 			defer wg.Done()
-			b.Poison()
+			b.poison()
 		}()
 		wg.Wait() // deadlock here means a waiter was never released
 	}

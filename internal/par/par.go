@@ -20,7 +20,7 @@ import (
 // then blocks until all p threads arrive. Replay re-synchronizes the
 // simulated cores at exactly these points.
 //
-// A panicking participant must Poison the barrier (Run's body wrapper in
+// A panicking participant must poison the barrier (Run's body wrapper in
 // the algorithms does this) so the surviving threads fail fast instead of
 // deadlocking.
 type Barrier struct {
@@ -32,7 +32,7 @@ type Barrier struct {
 	poisoned bool
 }
 
-// poisonPanic is the value re-raised in threads released by Poison. Run
+// poisonPanic is the value re-raised in threads released by poison. Run
 // prefers reporting any other panic over this sentinel.
 type poisonPanic struct{}
 
@@ -76,9 +76,9 @@ func (b *Barrier) Wait(tp *trace.TP) {
 	}
 }
 
-// Poison permanently releases all current and future waiters with a panic.
+// poison permanently releases all current and future waiters with a panic.
 // Called from a deferred recover when a participant fails.
-func (b *Barrier) Poison() {
+func (b *Barrier) poison() {
 	b.mu.Lock()
 	b.poisoned = true
 	b.cond.Broadcast()
@@ -118,7 +118,7 @@ func RunPoison(p int, rec *trace.Recorder, bar *Barrier, body func(tid int, tp *
 				if r := recover(); r != nil {
 					panics[tid] = r
 					if bar != nil {
-						bar.Poison()
+						bar.poison()
 					}
 				}
 			}()

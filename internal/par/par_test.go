@@ -169,7 +169,7 @@ func TestBarrierPoisonReleasesWaiters(t *testing.T) {
 
 func TestBarrierPoisonedStaysPoisoned(t *testing.T) {
 	b := NewBarrier(2)
-	b.Poison()
+	b.poison()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Wait on poisoned barrier must panic")

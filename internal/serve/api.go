@@ -82,9 +82,9 @@ type SweepRequest struct {
 	SPMiB  int    `json:"sp_mib,omitempty"`
 	Format string `json:"format,omitempty"`
 
-	CoreList   []int     `json:"core_list,omitempty"`   // cores: the core axis (empty = harness.DefaultCoreList)
+	CoreList   []int     `json:"core_list,omitempty"`   // cores: the core axis (empty = the harness's default)
 	FaultSeed  uint64    `json:"fault_seed,omitempty"`  // faults: injection seed; table1: seeds fault_rate's profile
-	FaultRates []float64 `json:"fault_rates,omitempty"` // faults: the error-rate axis (empty = harness.FaultRates)
+	FaultRates []float64 `json:"fault_rates,omitempty"` // faults: the error-rate axis (empty = the harness's default)
 	EpochPS    int64     `json:"epoch_ps,omitempty"`    // timeline: sampling epoch in ps (0 = harness.DefaultEpoch)
 
 	Par       int    `json:"par,omitempty"`

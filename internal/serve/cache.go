@@ -7,7 +7,7 @@ import (
 	"repro/internal/harness"
 )
 
-// ResultCache is the in-memory harness.CellCache: completed cell outcomes
+// resultCache is the in-memory harness.CellCache: completed cell outcomes
 // keyed content-addressably by CellKey, bounded LRU. Because cell keys
 // fingerprint both the trace bytes and the full replay configuration
 // (including the retry policy), a hit is byte-equivalent to re-running
@@ -17,7 +17,7 @@ import (
 // It stays a type of its own beside harness.Manifest, the other CellCache:
 // the manifest persists every cell and never evicts, this one bounds itself
 // and counts hits, and one type doing both would branch on its caller.
-type ResultCache struct {
+type resultCache struct {
 	mu      sync.Mutex
 	limit   int
 	entries map[harness.CellKey]*list.Element
@@ -34,21 +34,21 @@ type cacheEntry struct {
 	out harness.CellOutcome
 }
 
-// ResultCache implements the supervisor's checkpoint-store interface.
-var _ harness.CellCache = (*ResultCache)(nil)
+// resultCache implements the supervisor's checkpoint-store interface.
+var _ harness.CellCache = (*resultCache)(nil)
 
-// NewResultCache returns a cache holding at most limit outcomes (<= 0
+// newResultCache returns a cache holding at most limit outcomes (<= 0
 // means a 4096-entry default).
-func NewResultCache(limit int) *ResultCache {
+func newResultCache(limit int) *resultCache {
 	if limit <= 0 {
 		limit = 4096
 	}
-	return &ResultCache{limit: limit, entries: make(map[harness.CellKey]*list.Element), order: list.New()}
+	return &resultCache{limit: limit, entries: make(map[harness.CellKey]*list.Element), order: list.New()}
 }
 
 // Lookup returns the cached outcome for key, if any, marking it most
 // recently used.
-func (c *ResultCache) Lookup(key harness.CellKey) (harness.CellOutcome, bool) {
+func (c *resultCache) Lookup(key harness.CellKey) (harness.CellOutcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -64,7 +64,7 @@ func (c *ResultCache) Lookup(key harness.CellKey) (harness.CellOutcome, bool) {
 // Complete stores a finished cell, evicting the least recently used cells
 // beyond the limit. In-memory completion cannot fail, so the error is always
 // nil (the CellCache contract reserves it for stores that persist).
-func (c *ResultCache) Complete(key harness.CellKey, cell harness.CellOutcome) error {
+func (c *resultCache) Complete(key harness.CellKey, cell harness.CellOutcome) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -81,9 +81,9 @@ func (c *ResultCache) Complete(key harness.CellKey, cell harness.CellOutcome) er
 	return nil
 }
 
-// Stats returns (entries, hits, misses) — the cache-hit observability the
+// stats returns (entries, hits, misses) — the cache-hit observability the
 // smoke test asserts on.
-func (c *ResultCache) Stats() (entries int, hits, misses uint64) {
+func (c *resultCache) stats() (entries int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len(), c.hits, c.miss

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 
 	"repro/internal/trace"
@@ -81,24 +80,6 @@ func (c *Client) postJSON(ctx context.Context, path string, v any) (*http.Respon
 		return nil, apiError(resp)
 	}
 	return resp, nil
-}
-
-// UploadTrace ships a trace's v3 image to the store — its sealed segments,
-// streamed where they lie, never copied into one buffer — and returns its
-// metadata (digest included). The daemon opens and verifies the image; a
-// re-upload of one it holds is answered by its streaming compare.
-func (c *Client) UploadTrace(ctx context.Context, tr *trace.Trace) (TraceInfo, error) {
-	col := tr.Columns()
-	segs, err := col.Segments()
-	if err != nil {
-		return TraceInfo{}, err
-	}
-	defer runtime.KeepAlive(col) // a mapped image stays mapped while it is sent
-	body := make([]io.Reader, len(segs))
-	for i, s := range segs {
-		body[i] = bytes.NewReader(s)
-	}
-	return c.upload(ctx, io.MultiReader(body...), col.Size())
 }
 
 // UploadTraceBytes ships an already-serialized trace file — either the v2
@@ -188,20 +169,6 @@ func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (raw []byte, jr 
 	cacheHit = resp.Header.Get("X-Nmsimd-Cache") == "hit"
 	err = json.Unmarshal(raw, &jr)
 	return raw, jr, cacheHit, err
-}
-
-// StreamJob runs one replay cell with NDJSON streaming, forwarding every
-// line to out verbatim. The caller parses the final result line if it
-// needs the numbers; the common consumer is a terminal.
-func (c *Client) StreamJob(ctx context.Context, req JobRequest, out io.Writer) error {
-	req.Stream = true
-	resp, err := c.postJSON(ctx, "/v1/jobs", req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, err = io.Copy(out, resp.Body)
-	return err
 }
 
 // Sweep runs a whole experiment server-side, returning the rendered

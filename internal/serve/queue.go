@@ -58,8 +58,8 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// Running reports the jobs currently holding run slots.
-func (g *Gate) Running() int { return len(g.slots) }
+// running reports the jobs currently holding run slots.
+func (g *Gate) running() int { return len(g.slots) }
 
 // Admitted reports admitted jobs (running plus waiting).
 func (g *Gate) Admitted() int { return len(g.admit) }

@@ -44,7 +44,7 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	store *Store // also the RecordCache of every request that records
-	cache *ResultCache
+	cache *resultCache
 	gate  *Gate
 	mux   *http.ServeMux
 
@@ -67,7 +67,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		store: NewStore(cfg.StoreBytes),
-		cache: NewResultCache(cfg.CacheEntries),
+		cache: newResultCache(cfg.CacheEntries),
 		gate:  NewGate(cfg.Workers, cfg.Queue),
 		mux:   http.NewServeMux(),
 	}
@@ -616,7 +616,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleStats snapshots the serving counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	entries, hits, misses := s.cache.Stats()
+	entries, hits, misses := s.cache.stats()
 	writeJSON(w, Stats{
 		Traces:           s.store.Len(),
 		TraceBytes:       s.store.Bytes(),
@@ -625,7 +625,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits:        hits,
 		CacheMisses:      misses,
 		Records:          s.store.recordCount(),
-		JobsRunning:      s.gate.Running(),
+		JobsRunning:      s.gate.running(),
 		JobsAdmitted:     s.gate.Admitted(),
 		JobsDone:         s.jobsDone.Load(),
 		JobsRejected:     s.jobsRejected.Load(),

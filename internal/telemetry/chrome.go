@@ -56,7 +56,7 @@ func (r *Recorder) ExportChrome(w io.Writer) error {
 			end = r.phases[i+1].at
 		}
 		emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":%s}`,
-			chromePid, tid[PhaseTrack], chromeTs(ph.at), chromeTs(end-ph.at), jsonString(ph.name)))
+			chromePid, tid[phaseTrack], chromeTs(ph.at), chromeTs(end-ph.at), jsonString(ph.name)))
 	}
 
 	// Spans and instants, in recorded (event-loop) order.

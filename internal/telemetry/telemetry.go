@@ -176,7 +176,7 @@ func (r *Recorder) sliceTracks() []string {
 		}
 	}
 	if len(r.phases) > 0 {
-		add(PhaseTrack)
+		add(phaseTrack)
 	}
 	for i := range r.spans {
 		add(r.spans[i].track)
@@ -187,8 +187,8 @@ func (r *Recorder) sliceTracks() []string {
 	return tracks
 }
 
-// PhaseTrack is the track name carrying algorithm phase slices.
-const PhaseTrack = "phases"
+// phaseTrack is the track name carrying algorithm phase slices.
+const phaseTrack = "phases"
 
 // PhaseUsage is one algorithm phase's share of the memory traffic: the
 // device-byte and busy-time deltas between consecutive phase snapshots.

@@ -97,7 +97,7 @@ func TestSliceTrackOrder(t *testing.T) {
 	r.Span("dma", "copy", units.Microsecond, 2*units.Microsecond)
 
 	got := r.sliceTracks()
-	want := []string{PhaseTrack, "dma", "core0", "faults"}
+	want := []string{phaseTrack, "dma", "core0", "faults"}
 	if len(got) != len(want) {
 		t.Fatalf("tracks = %v, want %v", got, want)
 	}

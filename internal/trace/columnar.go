@@ -522,7 +522,7 @@ func (c *Columnar) ValidatePar(fj ForkJoin) error {
 type walkResult struct {
 	seen    footprint
 	verdict error  // Validate's: the first structural or decode failure, in thread order
-	decode  error  // the first decode failure alone: all that stops Verify, Digest and WriteV2
+	decode  error  // the first decode failure alone: all that stops Verify, Digest and WriteV2Par
 	digest  uint64 // folded from the lanes, when the walk carried them and every op decoded
 }
 
@@ -542,7 +542,7 @@ var walkHook func(lanes bool)
 // share run under fj. It always checks what Validate checks and notes the
 // footprint, so a loaded file is never walked a second time for Count or
 // NearBlind. Given lanes (one per thread) it also encodes every op into its
-// thread's: the digest, Verify and WriteV2 ride the validation walk instead
+// thread's: the digest, Verify and WriteV2Par ride the validation walk instead
 // of repeating it. The two verdicts stay apart — a structurally odd trace
 // still has a digest and a v2 form — so with lanes a thread is walked to its
 // end whatever Validate thinks of it, and only a decode failure stops it.

@@ -346,7 +346,7 @@ func TestColumnarSections(t *testing.T) {
 
 // overlong rewrites v2 stream raw so its first thread's first op carries its
 // gap as an overlong varint, or a zero one behind tagHasGap where it had
-// none: the same ops, in bytes WriteV2 never writes. hdr is the header's
+// none: the same ops, in bytes WriteV2Par never writes. hdr is the header's
 // length. It returns nil when that thread has no op to rewrite.
 func overlong(raw []byte, hdr int) []byte {
 	at := hdr + 8 // the first thread's first tag, after its op count

@@ -236,17 +236,17 @@ func TestFusedWalkKeepsBothVerdicts(t *testing.T) {
 			}
 		}
 
-		// WriteV2 rides the same walk and stops only where the sequential
+		// WriteV2Par rides the same walk and stops only where the sequential
 		// writer stopped: on a decode failure.
 		var want, got bytes.Buffer
 		_, wantErr := refWriteV2(&want, open())
 		col := open()
 		_, gotErr := WriteV2Par(&got, col, nil)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (wantErr == nil && !bytes.Equal(got.Bytes(), want.Bytes())) {
-			t.Fatalf("%s: WriteV2 fails with %v and %d bytes, the sequential writer with %v and %d", tc.name, gotErr, got.Len(), wantErr, want.Len())
+			t.Fatalf("%s: WriteV2Par fails with %v and %d bytes, the sequential writer with %v and %d", tc.name, gotErr, got.Len(), wantErr, want.Len())
 		}
 		if gotValidate := col.Validate(); fmt.Sprint(gotValidate) != fmt.Sprint(wantValidate) {
-			t.Fatalf("%s: Validate after WriteV2 says %v, the validate-only walk said %v", tc.name, gotValidate, wantValidate)
+			t.Fatalf("%s: Validate after WriteV2Par says %v, the validate-only walk said %v", tc.name, gotValidate, wantValidate)
 		}
 	}
 	t.Logf("%d images opened, rejections %v", opened, rejected)

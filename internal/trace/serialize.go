@@ -65,15 +65,12 @@ const (
 // serializing one would only manufacture an unreadable file whose failure
 // surfaces at the far end of the pipeline instead of at the writer.
 func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
-	return WriteV2(w, tr)
+	return WriteV2Par(w, tr, nil)
 }
 
-// WriteV2 serializes any Source in the canonical v2 format — the encoding
-// Digest is defined over — without materializing a *Trace first.
-func WriteV2(w io.Writer, src Source) (int64, error) { return WriteV2Par(w, src, nil) }
-
-// WriteV2Par is WriteV2 with the per-thread walks run under fj: every thread
-// encodes its ops into its own lane, and the lanes are written in thread
+// WriteV2Par serializes any Source in the canonical v2 format — the encoding
+// Digest is defined over — without materializing a *Trace first, the
+// per-thread walks run under fj: every thread encodes its ops into its own lane, and the lanes are written in thread
 // order once all are full, so the bytes do not depend on fj — and the whole
 // stream is in memory until they are. The trailing checksum is taken over the
 // bytes written. The walk is the validation walk too (see Columnar.walk): it
@@ -185,7 +182,7 @@ const (
 // summarised as it is encoded: the CRC-64 and length of the bytes, and under
 // keep the bytes themselves. Threads fill their lanes independently;
 // foldLanes merges the summaries into the checksum of the whole stream, so
-// neither the digest nor WriteV2 has a sequential O(ops) step.
+// neither the digest nor WriteV2Par has a sequential O(ops) step.
 type lane struct {
 	buf  []byte // bytes not yet summed; under keep, every byte
 	keep bool
@@ -416,7 +413,7 @@ func decodeTrace(raw []byte, fj ForkJoin) (*Trace, error) {
 	}
 	costs, l1, exact := headerModel(hdr)
 
-	// canon stays true while the bytes are the ones WriteV2 would write for
+	// canon stays true while the bytes are the ones WriteV2Par would write for
 	// the ops they decode to, which is what makes their checksum the digest:
 	// an overlong varint or a zero gap behind tagHasGap decode fine but
 	// re-encode shorter, and a header field an int cannot hold re-encodes

@@ -71,10 +71,10 @@ type L1Geometry struct {
 	Ways     int
 }
 
-// Validate reports why no L1 filter of this geometry can be built, in
+// validate reports why no L1 filter of this geometry can be built, in
 // cachesim's words with the type named; NewRecorder panics with the same
 // text.
-func (g L1Geometry) Validate() error {
+func (g L1Geometry) validate() error {
 	if err := cachesim.CheckGeometry(g.Capacity, g.LineSize, g.Ways); err != nil {
 		return fmt.Errorf("trace: L1Geometry %+v: %w", g, err)
 	}
@@ -248,7 +248,7 @@ func NewRecorder(p int, l1 L1Geometry, costs Costs) *Recorder {
 	if p <= 0 {
 		panic("trace: need at least one thread")
 	}
-	if err := l1.Validate(); err != nil {
+	if err := l1.validate(); err != nil {
 		panic(err.Error())
 	}
 	r := &Recorder{costs: costs, l1: l1, threads: make([]*TP, p), phaseIDs: map[string]int{}}

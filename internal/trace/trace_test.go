@@ -330,7 +330,7 @@ func TestGapOverflowSplits(t *testing.T) {
 // that names the type and carries cachesim's reason, and NewRecorder panics
 // with that text instead of dying nameless inside cachesim.New.
 func TestL1GeometryValidate(t *testing.T) {
-	if err := paperL1.Validate(); err != nil {
+	if err := paperL1.validate(); err != nil {
 		t.Errorf("DefaultL1 rejected: %v", err)
 	}
 	for _, tc := range []struct {
@@ -343,7 +343,7 @@ func TestL1GeometryValidate(t *testing.T) {
 		{L1Geometry{Capacity: 2 * units.KiB, LineSize: 64, Ways: 3}, "not divisible"},
 		{L1Geometry{Capacity: 3 * units.KiB, LineSize: 64, Ways: 2}, "power of two"},
 	} {
-		err := tc.g.Validate()
+		err := tc.g.validate()
 		if err == nil {
 			t.Errorf("%+v: accepted", tc.g)
 			continue

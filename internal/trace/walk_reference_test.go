@@ -158,7 +158,7 @@ func (c *refCountingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// refWriteV2 is the sequential WriteV2.
+// refWriteV2 is the sequential WriteV2Par.
 func refWriteV2(w io.Writer, src Source) (int64, error) {
 	n, sum, err := refWritePayload(w, src)
 	if err != nil {

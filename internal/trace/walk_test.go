@@ -16,7 +16,7 @@ import (
 // replaced, each made on its own: the digest and the v2 bytes to the
 // sequential writer's, Validate's verdict to the validate-only walk's, the
 // footprint to a plain cursor walk's — for an opened image of src under each
-// fork-join, whichever of Verify, Validate and WriteV2 walks first, and for
+// fork-join, whichever of Verify, Validate and WriteV2Par walks first, and for
 // src itself.
 func requireFusedWalk(t *testing.T, name string, src trace.Source) {
 	t.Helper()
@@ -69,7 +69,7 @@ func requireFusedWalk(t *testing.T, name string, src trace.Source) {
 	}
 	for i, fj := range []trace.ForkJoin{nil, par.Each} {
 		fjName := []string{"sequential", "par.Each"}[i]
-		for _, first := range []string{"Verify", "Validate", "WriteV2"} {
+		for _, first := range []string{"Verify", "Validate", "WriteV2Par"} {
 			col, err := trace.OpenBytes(image)
 			if err != nil {
 				t.Fatalf("%s: OpenBytes: %v", name, err)
@@ -82,7 +82,7 @@ func requireFusedWalk(t *testing.T, name string, src trace.Source) {
 				}
 			case "Validate":
 				col.ValidatePar(fj)
-			case "WriteV2":
+			case "WriteV2Par":
 				writeV2(what, col, fj)
 			}
 			check(what, col)
@@ -109,14 +109,14 @@ func TestFusedWalkMatchesSeparateWalks(t *testing.T) {
 		requireFusedWalk(t, name, res.Trace)
 	}
 	// A fresh recording, walked for the first time by each entry point.
-	for _, first := range []string{"Validate", "Digest", "WriteV2", "Verify"} {
+	for _, first := range []string{"Validate", "Digest", "WriteV2Par", "Verify"} {
 		tr := recordSample(nil)
 		switch first {
 		case "Validate":
 			tr.Columns().ValidatePar(par.Each)
 		case "Digest":
 			tr.Digest()
-		case "WriteV2":
+		case "WriteV2Par":
 			trace.WriteV2Par(new(bytes.Buffer), tr, par.Each)
 		case "Verify":
 			tr.Columns().Verify()

@@ -52,9 +52,6 @@ const (
 // Seconds converts a simulated duration to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Nanoseconds converts a simulated duration to floating-point nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // String renders a duration with an adaptive unit.
 func (t Time) String() string {
 	switch {
@@ -65,7 +62,7 @@ func (t Time) String() string {
 	case t >= Microsecond:
 		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
 	case t >= Nanosecond:
-		return fmt.Sprintf("%.3fns", t.Nanoseconds())
+		return fmt.Sprintf("%.3fns", float64(t)/float64(Nanosecond))
 	default:
 		return fmt.Sprintf("%dps", int64(t))
 	}
@@ -110,9 +107,9 @@ type Hz int64
 
 // Common frequencies.
 const (
-	KHz Hz = 1e3
-	MHz Hz = 1e6
-	GHz Hz = 1e9
+	khz Hz = 1e3
+	mhz Hz = 1e6
+	ghz Hz = 1e9
 )
 
 // Period returns the duration of one clock cycle, rounded to the nearest
@@ -127,12 +124,12 @@ func (f Hz) Period() Time {
 // String renders a frequency with an adaptive unit.
 func (f Hz) String() string {
 	switch {
-	case f >= GHz:
-		return fmt.Sprintf("%.2fGHz", float64(f)/float64(GHz))
-	case f >= MHz:
-		return fmt.Sprintf("%.1fMHz", float64(f)/float64(MHz))
-	case f >= KHz:
-		return fmt.Sprintf("%.1fkHz", float64(f)/float64(KHz))
+	case f >= ghz:
+		return fmt.Sprintf("%.2fGHz", float64(f)/float64(ghz))
+	case f >= mhz:
+		return fmt.Sprintf("%.1fMHz", float64(f)/float64(mhz))
+	case f >= khz:
+		return fmt.Sprintf("%.1fkHz", float64(f)/float64(khz))
 	default:
 		return fmt.Sprintf("%dHz", int64(f))
 	}

@@ -30,8 +30,8 @@ func TestTimeConversions(t *testing.T) {
 	if got := Second.Seconds(); got != 1.0 {
 		t.Errorf("Second.Seconds() = %v, want 1", got)
 	}
-	if got := (50 * Nanosecond).Nanoseconds(); got != 50.0 {
-		t.Errorf("50ns = %v ns", got)
+	if got := (50 * Nanosecond).String(); got != "50.000ns" {
+		t.Errorf("String = %q", got)
 	}
 	if got := (1500 * Nanosecond).String(); got != "1.500us" {
 		t.Errorf("String = %q", got)
@@ -46,9 +46,9 @@ func TestHzPeriod(t *testing.T) {
 		f    Hz
 		want Time
 	}{
-		{GHz, 1000 * Picosecond},
-		{2 * GHz, 500 * Picosecond},
-		{500 * MHz, 2 * Nanosecond},
+		{ghz, 1000 * Picosecond},
+		{2 * ghz, 500 * Picosecond},
+		{500 * mhz, 2 * Nanosecond},
 		{Hz(1.7e9), 588 * Picosecond}, // the paper's 1.7GHz cores
 	}
 	for _, c := range cases {
@@ -152,8 +152,8 @@ func TestHzStringAllRanges(t *testing.T) {
 		want string
 	}{
 		{Hz(1.7e9), "1.70GHz"},
-		{533 * MHz, "533.0MHz"},
-		{32 * KHz, "32.0kHz"},
+		{533 * mhz, "533.0MHz"},
+		{32 * khz, "32.0kHz"},
 		{Hz(500), "500Hz"},
 	}
 	for _, c := range cases {

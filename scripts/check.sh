@@ -15,11 +15,13 @@
 #                                     testdata/rows.golden, the 386 run too;
 #                                     and internal/lint's whole-module gates,
 #                                     skipped in -short: TestWholeModuleClean,
-#                                     TestOneObjectPerDeclaration, and
+#                                     TestOneObjectPerDeclaration,
 #                                     TestNoTestOnlyFunctions and
 #                                     TestNoTestOnlyFields: no production
 #                                     function or struct field that only
-#                                     tests use, bench/_layers counting as a
+#                                     tests use, and TestNoPackageLocalExports:
+#                                     no exported name that only its own
+#                                     package uses; bench/_layers counts as a
 #                                     user)
 #   5. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
 #                                     off): an int narrower than the int64
