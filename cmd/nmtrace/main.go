@@ -15,6 +15,9 @@
 // replays straight from the file without decoding into memory. Every
 // subcommand sniffs the format it reads from the file, not the extension;
 // record and convert write v2 only to a .nmt file, and v3 to any other name.
+// Their -o replaces the file there only once the new one is written and
+// checked: a failed write leaves the old file as it was, and converting a
+// file onto itself reads the old bytes to the end.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/par"
@@ -71,7 +75,8 @@ func usage() {
   nmtrace info    -i file
   nmtrace stat    -i file
   nmtrace check   file.trace.json [more.trace.json ...]
--o writes the v2 stream to a .nmt file and the v3 columns to any other name.
+-o writes the v2 stream to a .nmt file and the v3 columns to any other name;
+it replaces the file once the new one is written, and a failed write leaves it.
 `, strings.Join(harness.AlgorithmNames(), "|"))
 	os.Exit(2)
 }
@@ -111,7 +116,7 @@ func recordFile(alg harness.Algorithm, w harness.Workload, out string) (harness.
 	if err != nil {
 		return res, 0, err
 	}
-	n, err := writeFile(out, res.Trace)
+	n, err := writeFile(out, res.Trace, nil)
 	if err != nil {
 		return res, n, fmt.Errorf("writing trace: %w", err)
 	}
@@ -128,24 +133,26 @@ func format(out string) string {
 	return "v3"
 }
 
-// writeFile writes src at out in format(out).
-func writeFile(out string, src trace.Source) (int64, error) {
-	write := func(w io.Writer) (int64, error) { return trace.WriteV2Par(w, src, par.Each) }
-	if format(out) == "v3" {
-		col, err := trace.Seal(src) // src's own columns, unless it is an opened v3 file
-		if err != nil {
-			return 0, err
+// writeFile writes src at out in format(out) and returns the bytes written.
+// check, when not nil, runs once the bytes are written; its error, like a
+// failed write, leaves the file at out as it was (cli.WriteFile).
+func writeFile(out string, src trace.Source, check func() error) (int64, error) {
+	var n int64
+	err := cli.WriteFile(out, func(w io.Writer) (err error) {
+		if format(out) == "v2" {
+			n, err = trace.WriteV2Par(w, src, par.Each)
+		} else {
+			var col *trace.Columnar
+			if col, err = trace.Seal(src); err != nil { // src's own columns, unless it is an opened v3 file
+				return err
+			}
+			n, err = col.WriteTo(w)
 		}
-		write = col.WriteTo
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return 0, err
-	}
-	n, err := write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+		if err == nil && check != nil {
+			err = check()
+		}
+		return err
+	})
 	return n, err
 }
 
@@ -171,17 +178,16 @@ func convertFile(in, out string) error {
 		return err
 	}
 	// One walk of the input serves both ends: a v2 file was validated as it
-	// was read, and the walk that encodes a v3 file's ops validates them. That
-	// one finishes after the output exists, so an invalid input takes its
-	// output back.
-	n, err := writeFile(out, src)
-	if err == nil {
-		if err = validate(src); err != nil {
-			err = fmt.Errorf("invalid trace %s: %w", in, err)
+	// was read, and the walk that encodes a v3 file's ops validates them. Its
+	// verdict is in before the new file replaces out, so an invalid input
+	// leaves out as it was.
+	n, err := writeFile(out, src, func() error {
+		if err := validate(src); err != nil {
+			return fmt.Errorf("invalid trace %s: %w", in, err)
 		}
-	}
+		return nil
+	})
 	if err != nil {
-		os.Remove(out)
 		return err
 	}
 	d, err := src.Digest()

@@ -196,19 +196,107 @@ func TestRecordWritesEitherSerialization(t *testing.T) {
 }
 
 // TestConvertRejectsInvalid: conversion must refuse a trace that fails
-// validation rather than propagate it into the other serialization.
+// validation rather than propagate it into the other serialization, and
+// leave a file already at the output as it was.
 func TestConvertRejectsInvalid(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "bad.nmt")
-	// An unterminated stream (no OpEnd) fails Validate.
+	// An unterminated stream (no OpEnd) fails Validate. Both serializations
+	// of it load, so the refusal comes once the output's bytes are written.
 	bad := &trace.Trace{
 		Streams: [][]trace.Op{{{Kind: trace.OpAccess, Addr: uint64(addr.FarBase)}}},
 		Costs:   trace.DefaultCosts(),
 		L1:      trace.L1Geometry{Capacity: 4 * 1024, Ways: 4, LineSize: 64},
 	}
-	writeV2(t, bad, in)
-	if err := convertFile(in, filepath.Join(dir, "bad.nmt3")); err == nil {
-		t.Fatal("convertFile accepted an invalid trace")
+	badV2 := filepath.Join(dir, "bad.nmt")
+	writeV2(t, bad, badV2)
+	badV3 := filepath.Join(dir, "bad.nmt3")
+	var image bytes.Buffer
+	if _, err := bad.Columns().WriteTo(&image); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(badV3, image.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev := writeV2(t, testTrace(t), filepath.Join(dir, "prev.nmt"))
+	for _, in := range []string{badV2, badV3} {
+		for _, ext := range []string{".nmt", ".nmt3"} {
+			out := filepath.Join(dir, "prev"+ext)
+			if err := os.WriteFile(out, prev, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := convertFile(in, out); err == nil {
+				t.Fatalf("convertFile(%s, %s) accepted an invalid trace", filepath.Base(in), filepath.Base(out))
+			}
+			if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, prev) {
+				t.Errorf("a refused convert of %s changed %s: %d bytes, %v", filepath.Base(in), filepath.Base(out), len(got), err)
+			}
+		}
+	}
+	onlyFiles(t, dir, "bad.nmt", "bad.nmt3", "prev.nmt", "prev.nmt3")
+}
+
+// TestConvertOntoItself: convert -i x -o x writes the conversion of x's old
+// bytes, which it reads to the end from the file it replaces: a v3 image at
+// a .nmt name becomes the v2 stream, and a v3 or v2 file onto itself stays
+// what it was. A trace opened from the old file keeps reading its bytes.
+func TestConvertOntoItself(t *testing.T) {
+	dir := t.TempDir()
+	v2 := writeV2(t, testTrace(t), filepath.Join(dir, "src.nmt"))
+	if err := convertFile(filepath.Join(dir, "src.nmt"), filepath.Join(dir, "src.nmt3")); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join(dir, "src.nmt3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new []byte
+	}{
+		{"v3.nmt", v3, v2},
+		{"x.nmt3", v3, v3},
+		{"x.nmt", v2, v2},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, tc.old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var opened *trace.Columnar
+		if trace.IsColumnar(tc.old) {
+			if opened, err = trace.Open(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := convertFile(path, path); err != nil {
+			t.Fatalf("convert %s onto itself: %v", tc.name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.new) {
+			t.Errorf("convert %s onto itself: %d bytes (%v), want the %d of its conversion", tc.name, len(got), err, len(tc.new))
+		}
+		if opened != nil {
+			if err := opened.CheckPayload(par.Each); err != nil {
+				t.Errorf("%s opened before the convert: %v", tc.name, err)
+			}
+			opened.Close()
+		}
+	}
+	onlyFiles(t, dir, "src.nmt", "src.nmt3", "v3.nmt", "x.nmt", "x.nmt3")
+}
+
+// onlyFiles fails t unless dir holds exactly names, in order: no temporary
+// file of a write is left behind.
+func onlyFiles(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if strings.Join(got, " ") != strings.Join(names, " ") {
+		t.Errorf("%s holds %q, want %q", dir, got, names)
 	}
 }
 

@@ -7,6 +7,8 @@
 // daemon decodes from /v1/sweeps — and run it through serve.RunSweep, or
 // with -server through Client.SweepTo. A flag a command lacks keeps its
 // zero value, so the rules and the run branches that read it never fire.
+// WriteFile, the one writer of the commands' output files, serves nmtrace
+// too.
 package cli
 
 import (
@@ -15,9 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -348,12 +352,12 @@ func (o *Options) runTelemetry(sup *harness.Supervisor, w io.Writer) error {
 		return err
 	}
 	if o.telemetryOut != "" {
-		if err := writeFile(o.telemetryOut, tel.ExportChrome); err != nil {
+		if err := WriteFile(o.telemetryOut, tel.ExportChrome); err != nil {
 			return err
 		}
 	}
 	if o.telemetryCSV != "" {
-		if err := writeFile(o.telemetryCSV, tel.WriteCSV); err != nil {
+		if err := WriteFile(o.telemetryCSV, tel.WriteCSV); err != nil {
 			return err
 		}
 	}
@@ -366,19 +370,64 @@ func (o *Options) runTelemetry(sup *harness.Supervisor, w io.Writer) error {
 	return pt.Render(w, f)
 }
 
-// writeFile writes one telemetry export, surfacing both write and close
-// errors (a full disk shows up at close).
-func writeFile(path string, write func(io.Writer) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
+// WriteFile writes path's file with write: the one writer of the commands'
+// output files. A regular file or a missing path is written as a new hidden
+// file beside it, with os.Create's mode or the replaced file's permission
+// bits, and only once write and close succeed is the old file unlinked and
+// the new one renamed onto path. A failed write leaves path as it was, and a
+// reader holding the old file keeps its bytes. A symlink, device or FIFO is
+// written through with os.Create. Neither truncating in place nor renaming
+// over path: on ext4 both flush on close, and the next overwrite waits for
+// the flush (DESIGN §13); nor an fsync, since no output promises durability.
+// internal/prof keeps os.Create: a CPU profile streams while the run goes on.
+func WriteFile(path string, write func(io.Writer) error) error {
+	st, err := os.Lstat(path) // nil when path is missing
+	var f *os.File
+	switch {
+	case err == nil && !st.Mode().IsRegular():
+		f, err = os.Create(path)
+	case err == nil || errors.Is(err, fs.ErrNotExist):
+		if f, err = createSibling(path); err == nil && st != nil {
+			err = f.Chmod(st.Mode().Perm())
+		}
+	}
+	if f == nil {
 		return err
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
+	if err == nil {
+		err = write(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr // a full disk shows up at close
+	}
+	if f.Name() == path { // written through
+		return err
+	}
+	if err == nil {
+		if err = os.Remove(path); errors.Is(err, fs.ErrNotExist) {
+			err = nil
 		}
-	}()
-	return write(f)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// createSibling creates a new file in path's directory under a hidden name
+// no other file has, with os.Create's mode.
+func createSibling(path string) (*os.File, error) {
+	dir, base := filepath.Split(path)
+	prefix := filepath.Join(dir, "."+base+"."+strconv.Itoa(os.Getpid())+".")
+	for i := 0; ; i++ {
+		f, err := os.OpenFile(prefix+strconv.Itoa(i)+".tmp", os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || i == 1000 {
+			return f, err
+		}
+	}
 }
 
 // Main runs c on the process's arguments and exits with one of the codes

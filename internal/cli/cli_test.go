@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -235,5 +236,101 @@ func TestTelemetryRecordsEachTraceOnce(t *testing.T) {
 		if !bytes.Equal(g, w) {
 			t.Errorf("%s differs from the memo-less run's", filepath.Base(paths[i]))
 		}
+	}
+}
+
+// TestWriteFile: a missing path gets os.Create's mode, a replaced regular
+// file keeps its permission bits and a reader of the old file its bytes, a
+// failed write leaves the old file, a symlink is written through, and no
+// hidden file stays behind.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		st, err := os.Lstat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Mode()
+	}
+
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	out := filepath.Join(dir, "out")
+	if err := WriteFile(out, writeString("one")); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(out); got != "one" {
+		t.Fatalf("new file holds %q", got)
+	}
+	if mode(out) != mode(ref.Name()) {
+		t.Errorf("new file mode %v, os.Create gives %v", mode(out), mode(ref.Name()))
+	}
+
+	if err := os.Chmod(out, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := WriteFile(out, writeString("two")); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(out); got != "two" {
+		t.Fatalf("replaced file holds %q", got)
+	}
+	if m := mode(out); m != 0o640 {
+		t.Errorf("replaced file mode %v, want -rw-r-----", m)
+	}
+	if b, err := io.ReadAll(old); err != nil || string(b) != "one" {
+		t.Errorf("a reader of the old file read %q, %v", b, err)
+	}
+
+	failed := errors.New("disk full")
+	err = WriteFile(out, func(w io.Writer) error {
+		io.WriteString(w, "three")
+		return failed
+	})
+	if !errors.Is(err, failed) || read(out) != "two" {
+		t.Errorf("failed write: %v, file holds %q", err, read(out))
+	}
+
+	link := filepath.Join(dir, "link")
+	if err := os.Symlink("out", link); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(link, writeString("four")); err != nil {
+		t.Fatal(err)
+	}
+	if mode(link)&os.ModeSymlink == 0 || read(out) != "four" {
+		t.Errorf("symlink not written through: mode %v, target holds %q", mode(link), read(out))
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "link out ref" {
+		t.Errorf("directory holds %s, want link out ref", got)
 	}
 }

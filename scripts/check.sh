@@ -96,7 +96,11 @@
 #                                     report from either file, and record and
 #                                     convert at GOMAXPROCS=1 write the same
 #                                     files and convert lines as at the
-#                                     default
+#                                     default; converting again onto the
+#                                     files that now exist, and each file
+#                                     onto itself (a v3 image at a .nmt name
+#                                     too), writes the same bytes and leaves
+#                                     no hidden temporary file
 #  12. benchmark module               go vet -C bench ./_layers && go test -C
 #                                     bench ./...: bench/ is its own module
 #                                     and the one importer of repro/internal
@@ -157,6 +161,22 @@ trace_identity() (
 			../nmtrace $rec -o rec.nmt3 >/dev/null
 			../nmtrace convert -i rec.nmt -o conv.nmt3 >convert.txt
 			../nmtrace convert -i conv.nmt3 -o back.nmt >>convert.txt
+			cp conv.nmt3 first.nmt3
+			cp back.nmt first.nmt
+			cp conv.nmt3 image.nmt
+			# Again onto the outputs that now exist, then each onto itself
+			# (image.nmt: a v3 image a .nmt name turns into the v2 stream):
+			# every pass writes the first pass's bytes.
+			for io in "rec.nmt conv.nmt3" "conv.nmt3 back.nmt" "conv.nmt3 conv.nmt3" \
+				"back.nmt back.nmt" "image.nmt image.nmt"; do
+				set -- $io
+				../nmtrace convert -i "$1" -o "$2" >/dev/null
+				cmp "first.${2##*.}" "$2"
+			done
+			if ls -A | grep '^\.'; then
+				echo "nmtrace convert left a hidden temporary file behind" >&2
+				exit 1
+			fi
 			../nmtrace replay -i rec.nmt -near 16 >replay_v2.txt
 			../nmtrace replay -i conv.nmt3 -near 16 >replay_v3.txt
 		)
