@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nmlint [-json] [-escape-check] [dir | ./...]
+//	nmlint [-json] [-analyzers] [dir | ./...]
 //
 // With no argument (or "./...") it analyzes the module containing the
 // current directory. Diagnostics print as "file:line:col: [analyzer]
@@ -11,15 +11,6 @@
 // failure. Suppress a finding with a trailing or preceding comment:
 //
 //	//nmlint:ignore <analyzer> <reason>
-//
-// With -escape-check, nmlint additionally cross-checks the //nmlint:hotpath
-// regions against the compiler's own escape analysis, on the same load: it
-// rebuilds the packages containing hot regions with -gcflags=-m=2 and
-// fails on any compiler-reported heap escape inside a region the AST
-// analyzer did not already explain (cold lines and reasoned ignores are
-// excused). The analyzers' findings come first, then the escapes. This catches allocations the conservative syntax pass cannot
-// see — stdlib calls that leak an argument, variables the compiler moves
-// to the heap.
 package main
 
 import (
@@ -27,10 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -38,10 +26,8 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	list := flag.Bool("analyzers", false, "list the analyzers and exit")
-	escCheck := flag.Bool("escape-check", false,
-		"also cross-check hot regions against go build -gcflags=-m=2 escape analysis")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nmlint [-json] [-analyzers] [-escape-check] [dir | ./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: nmlint [-json] [-analyzers] [dir | ./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -77,14 +63,6 @@ func main() {
 	}
 
 	diags := lint.Run(mod)
-	if *escCheck {
-		escapes, err := escapeCheck(mod)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nmlint:", err)
-			os.Exit(2)
-		}
-		diags = append(diags, escapes...)
-	}
 
 	// Print paths relative to the working directory when possible, so
 	// diagnostics are clickable from the invocation site.
@@ -116,65 +94,4 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// escapeCheck rebuilds the packages containing hot regions with the
-// compiler's escape diagnostics enabled and cross-checks the output
-// against the regions.
-func escapeCheck(mod *lint.Module) ([]lint.Diagnostic, error) {
-	rs := lint.HotRegions(mod)
-	pkgs := regionPackages(mod, rs)
-	if len(pkgs) == 0 {
-		return nil, nil // nothing annotated yet
-	}
-	out, err := buildWithEscapes(mod.Root, pkgs, false)
-	if err != nil {
-		return nil, err
-	}
-	if strings.TrimSpace(out) == "" {
-		// The build cache satisfied every compile, so the compiler never
-		// ran and printed nothing; force a rebuild to get the diagnostics.
-		if out, err = buildWithEscapes(mod.Root, pkgs, true); err != nil {
-			return nil, err
-		}
-	}
-	return lint.CrossCheck(mod, rs, lint.ParseEscapes(out)), nil
-}
-
-// regionPackages maps the region files back to ./-relative package
-// directories for the go build invocation.
-func regionPackages(mod *lint.Module, rs *lint.RegionSet) []string {
-	set := map[string]bool{}
-	for _, f := range rs.Files() {
-		rel, err := filepath.Rel(mod.Root, filepath.Dir(f))
-		if err != nil || strings.HasPrefix(rel, "..") {
-			continue
-		}
-		set["./"+filepath.ToSlash(rel)] = true
-	}
-	pkgs := make([]string, 0, len(set))
-	for p := range set {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	return pkgs
-}
-
-// buildWithEscapes runs go build -gcflags=-m=2 over pkgs from the module
-// root and returns the compiler's stderr. force adds -a to defeat the
-// build cache (a cached compile prints no diagnostics).
-func buildWithEscapes(root string, pkgs []string, force bool) (string, error) {
-	args := []string{"build", "-gcflags=-m=2"}
-	if force {
-		args = append(args, "-a")
-	}
-	args = append(args, pkgs...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	var sb strings.Builder
-	cmd.Stderr = &sb
-	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("go build -gcflags=-m=2 failed: %v\n%s", err, sb.String())
-	}
-	return sb.String(), nil
 }

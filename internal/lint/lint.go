@@ -6,7 +6,7 @@
 // only the standard library (go/ast, go/parser, go/token, go/types) — the
 // module is dependency-free and must stay so.
 //
-// The seven analyzers:
+// The six analyzers:
 //
 //   - nowallclock: no time.Now/Since/Sleep (or timers) in simulator
 //     packages, where all time must be units.Time.
@@ -22,23 +22,16 @@
 //     module-internal helper it calls, transitively — touches only
 //     simulator-owned state: no host I/O, wall clock, channel/sync
 //     operations, or writes to captured variables outside the component
-//     graph.
-//   - hotpath: every function annotated //nmlint:hotpath — and everything
-//     it reaches, transitively — is free of allocation-inducing
-//     constructs: escaping composite literals, unsized append growth,
-//     maps, capturing closures, interface boxing, defer-in-loop, string
-//     building, and channel operations.
+//     graph. It resolves callees, struct-field callbacks, and method values
+//     through one call graph of the module (callgraph.go).
 //
-// simpure and hotpath resolve callees, struct-field callbacks, and method
-// values through one shared index (internal/lint/callgraph), so the two
-// closures can never disagree about what a scheduling or annotation site
-// reaches.
+// The replay kernel's allocation discipline is not a lint rule: the exact
+// per-replay malloc pins of the root package's TestReplayAllocs hold it,
+// and the allocation mutants under testdata/mutants/alloc show what they
+// catch (DESIGN §9).
 //
 // A finding can be suppressed with a comment on the same line or the line
-// above: //nmlint:ignore <analyzer> [reason]. The hotpath analyzer demands
-// the reason: a bare "//nmlint:ignore hotpath" suppresses nothing and is
-// itself reported, so every allocation left on an annotated path carries
-// its justification in the source.
+// above: //nmlint:ignore <analyzer> [reason].
 package lint
 
 import (
@@ -84,7 +77,6 @@ func Analyzers() []*Analyzer {
 		ParOnlyGoroutines,
 		UnitsLit,
 		SimPure,
-		HotPath,
 	}
 }
 
@@ -124,11 +116,11 @@ func (u *Unit) relPath() string {
 // Run executes every analyzer over every unit of the module and returns the
 // surviving (non-suppressed) diagnostics sorted by position. Suppression
 // directives are collected module-wide before any analyzer runs: the
-// transitive analyzers (simpure, hotpath) report findings at the offending
-// expression even when it lives in a different package than the scheduling
-// or annotation site, and the ignore comment must work where the construct
-// is, not where the walk started. Identical findings reached from several
-// units (two root sets walking into one shared helper) collapse to one.
+// transitive simpure walk reports findings at the offending expression even
+// when it lives in a different package than the scheduling site, and the
+// ignore comment must work where the construct is, not where the walk
+// started. Identical findings reached from several units (two scheduling
+// sites walking into one shared helper) collapse to one.
 func Run(mod *Module) []Diagnostic {
 	ignores := mod.ignores()
 	var diags []Diagnostic
@@ -217,15 +209,7 @@ func collectIgnores(u *Unit) ignoreSet {
 					byLine = map[int][]string{}
 					set[p.Filename] = byLine
 				}
-				for _, name := range strings.Split(fields[0], ",") {
-					if name == HotPath.Name && len(fields) < 2 {
-						// hotpath demands a justification: a bare ignore
-						// suppresses nothing, and the analyzer reports the
-						// comment itself.
-						continue
-					}
-					byLine[p.Line] = append(byLine[p.Line], name)
-				}
+				byLine[p.Line] = append(byLine[p.Line], strings.Split(fields[0], ",")...)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -170,40 +171,6 @@ func TestSimPureExemptsEngine(t *testing.T) {
 	}
 }
 
-func TestHotPathFixture(t *testing.T) {
-	// One want marker (or count) per allocation construct class; good.go
-	// must stay silent.
-	checkFixture(t, lint.HotPath, "hotpath", "repro/internal/hotfixture")
-}
-
-func TestHotPathBareIgnore(t *testing.T) {
-	// A bare //nmlint:ignore hotpath must not suppress the finding and is
-	// itself reported; a reasoned one suppresses. Asserted on messages
-	// because the bare directive occupies its own line and cannot carry a
-	// want marker.
-	u, _ := loadFixture(t, "hotpathignore", "repro/internal/hotignore")
-	diags := lint.RunUnit(u, []*lint.Analyzer{lint.HotPath})
-	var bareReports, appendReports int
-	for _, d := range diags {
-		switch {
-		case strings.Contains(d.Message, "suppressing hotpath requires a reason"):
-			bareReports++
-		case strings.Contains(d.Message, "append may grow"):
-			appendReports++
-		default:
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	if bareReports != 1 {
-		t.Errorf("bare ignore reports = %d, want 1 (diags: %v)", bareReports, diags)
-	}
-	if appendReports != 1 {
-		t.Errorf("append reports = %d, want 1: the bare ignore must not suppress and the reasoned one must (diags: %v)", appendReports, diags)
-	}
-}
-
-// TestWholeModuleClean is the self-referential acceptance gate: the suite
-// must load, type-check, and pass every analyzer over this repository.
 func TestWholeModuleClean(t *testing.T) {
 	mod, _ := loadWholeModule(t)
 	if len(mod.Units()) < 20 {
@@ -219,21 +186,11 @@ func TestWholeModuleClean(t *testing.T) {
 // tool builds the package with its in-package tests for its external
 // tests, and so does Load.
 func TestLoadExportTestBridge(t *testing.T) {
-	root := t.TempDir()
-	for name, src := range map[string]string{
-		"go.mod":               "module m\n\ngo 1.22\n",
+	root := writeModule(t, map[string]string{
 		"p/p.go":               "package p\n\nfunc hidden() int { return 1 }\n",
 		"p/export_test.go":     "package p\n\nvar Hidden = hidden\n",
 		"p/p_external_test.go": "package p_test\n\nimport \"m/p\"\n\nvar _ = p.Hidden()\n",
-	} {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	mod, err := lint.Load(root)
 	if err != nil {
 		t.Fatal(err)
@@ -244,5 +201,88 @@ func TestLoadExportTestBridge(t *testing.T) {
 	}
 	if got := strings.Join(paths, " "); got != "m/p m/p_test" {
 		t.Errorf("units = %s, want m/p m/p_test", got)
+	}
+}
+
+// writeModule writes module m (go.mod plus files) under a fresh temporary
+// directory and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module m\n\ngo 1.22\n"
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// TestLoadMatchesGoVet holds the loader to the go tool: on each generated
+// module, lint.Load succeeds exactly when go vet ./... does. A test-only
+// import is an edge only between a test and what it imports, so two
+// packages whose in-package tests import each other load; an in-package
+// test importing a package that imports its own package back does not.
+func TestLoadMatchesGoVet(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	cases := []struct {
+		name  string
+		files map[string]string
+		ok    bool
+	}{
+		{"cycle through in-package tests", map[string]string{
+			"a/a.go":      "package a\n\nconst A = 1\n",
+			"a/a_test.go": "package a\n\nimport \"m/b\"\n\nvar _ = b.B\n",
+			"b/b.go":      "package b\n\nconst B = 2\n",
+			"b/b_test.go": "package b\n\nimport \"m/a\"\n\nvar _ = a.A\n",
+		}, true},
+		{"export_test bridge", map[string]string{
+			"p/p.go":           "package p\n\nfunc hidden() int { return 1 }\n",
+			"p/export_test.go": "package p\n\nvar Hidden = hidden\n",
+			"p/x_test.go":      "package p_test\n\nimport \"m/p\"\n\nvar _ = p.Hidden()\n",
+		}, true},
+		{"external test imports a package that imports its own", map[string]string{
+			"p/p.go":      "package p\n\nconst P = 1\n",
+			"q/q.go":      "package q\n\nimport \"m/p\"\n\nconst Q = p.P + 1\n",
+			"p/x_test.go": "package p_test\n\nimport \"m/q\"\n\nvar _ = q.Q\n",
+		}, true},
+		{"test-only import", map[string]string{
+			"a/a.go":      "package a\n\nconst A = 1\n",
+			"a/a_test.go": "package a\n\nimport \"m/c\"\n\nvar _ = c.C + A\n",
+			"c/c.go":      "package c\n\nconst C = 3\n",
+		}, true},
+		{"in-package test imports a package that imports its own", map[string]string{
+			"a/a.go":      "package a\n\nconst A = 1\n",
+			"a/a_test.go": "package a\n\nimport \"m/b\"\n\nvar _ = b.B\n",
+			"b/b.go":      "package b\n\nimport \"m/a\"\n\nconst B = a.A + 1\n",
+		}, false},
+		{"import cycle", map[string]string{
+			"a/a.go": "package a\n\nimport \"m/b\"\n\nconst A = b.B\n",
+			"b/b.go": "package b\n\nimport \"m/a\"\n\nconst B = a.A\n",
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			root := writeModule(t, tc.files)
+			vet := exec.Command(goTool, "vet", "./...")
+			vet.Dir = root
+			vet.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOFLAGS=", "GOWORK=off")
+			out, vetErr := vet.CombinedOutput()
+			_, loadErr := lint.Load(root)
+			if (vetErr == nil) != tc.ok {
+				t.Fatalf("go vet: err = %v, want ok = %v\n%s", vetErr, tc.ok, out)
+			}
+			if (loadErr == nil) != tc.ok {
+				t.Errorf("lint.Load: err = %v, want ok = %v (go vet agrees with want)", loadErr, tc.ok)
+			}
+		})
 	}
 }

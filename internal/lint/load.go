@@ -12,16 +12,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/callgraph"
 )
 
 // Unit is one analyzable package: its syntax plus full type information.
-// A package's unit holds its regular and in-package _test.go files,
-// checked together once, as the go tool builds a package for its external
-// tests; that one *types.Package is also what every importer gets, so each
-// declaration has one object. External test packages (package foo_test)
-// form their own unit.
+// A package's unit holds its regular and in-package _test.go files, as the
+// go tool builds a package for its external tests. They are checked in two
+// phases on one types.Checker: the regular files first, when the loader or
+// an importer first asks for the package, then the in-package tests (see
+// Module.Load). So every importer gets the one *types.Package and each
+// declaration has one object, while a test-only import never orders the
+// regular checks. External test packages (package foo_test) form their own
+// unit.
 type Unit struct {
 	ModulePath string
 	ImportPath string
@@ -32,14 +33,17 @@ type Unit struct {
 	Info       *types.Info
 
 	// Mod links back to the whole loaded module when the unit came from
-	// Load; module-wide analyses (the simpure and hotpath transitive call
-	// walks) use it to resolve callees declared in sibling packages. Units
-	// built by LoadDirAs stand alone and leave it nil.
+	// Load; module-wide analyses (the simpure transitive call walk) use it
+	// to resolve callees declared in sibling packages. Units built by
+	// LoadDirAs stand alone and leave it nil.
 	Mod *Module
 
-	xtest []*ast.File       // the directory's external test files, a unit of their own
-	src   *callgraph.Source // memoized callgraph view of this unit
-	cg    *callgraph.Graph  // single-unit graph for LoadDirAs fixtures
+	tests   []*ast.File    // in-package _test.go files, not checked yet
+	xtest   []*ast.File    // the directory's external test files, a unit of their own
+	deps    []string       // module packages the regular files import
+	checker *types.Checker // the package's checker; tests are added to it
+	errs    []error        // the checker's type errors
+	cg      *callGraph     // single-unit graph for LoadDirAs fixtures
 }
 
 // Module is a module tree and the loader that type-checks its packages on
@@ -49,8 +53,8 @@ type Module struct {
 	Root  string // absolute module root directory
 	Path  string // module path from go.mod
 	units []*Unit
-	cg    *callgraph.Graph // shared module-wide call graph, built on demand
-	l     *loader          // checks each package once, for every unit and importer
+	cg    *callGraph // shared module-wide call graph, built on demand
+	l     *loader    // checks each package once, for every unit and importer
 }
 
 // Units returns every analyzable unit after Load, sorted by import path
@@ -77,39 +81,27 @@ func (m *Module) ignores() ignoreSet {
 	return set
 }
 
-// asSource converts the unit to its callgraph view, memoized so object
-// identity of the Source is stable across analyzers.
-func (u *Unit) asSource() *callgraph.Source {
-	if u.src == nil {
-		u.src = &callgraph.Source{Fset: u.Fset, Files: u.Files, Info: u.Info, Pkg: u.Pkg}
-	}
-	return u.src
-}
-
 // graphFor returns the call graph covering the unit's resolution scope: the
 // whole module for Load-built units (built once, cached on the Module, and
 // shared by every analyzer), or the unit alone for LoadDirAs fixtures.
-func graphFor(u *Unit) *callgraph.Graph {
+func graphFor(u *Unit) *callGraph {
 	if u.Mod != nil {
 		if u.Mod.cg == nil {
-			srcs := make([]*callgraph.Source, 0, len(u.Mod.units))
-			for _, uu := range u.Mod.units {
-				srcs = append(srcs, uu.asSource())
-			}
-			u.Mod.cg = callgraph.New(srcs)
+			u.Mod.cg = newCallGraph(u.Mod.units)
 		}
 		return u.Mod.cg
 	}
 	if u.cg == nil {
-		u.cg = callgraph.New([]*callgraph.Source{u.asSource()})
+		u.cg = newCallGraph([]*Unit{u})
 	}
 	return u.cg
 }
 
 // loader resolves imports for type checking: a module-internal path is the
-// Pkg of that package's unit, checked from source under the module root the
-// first time anything asks for it; everything else delegates to the
-// standard library's source importer rooted at GOROOT.
+// Pkg of that package's unit, whose regular files are checked from source
+// under the module root the first time anything asks for it; everything
+// else delegates to the standard library's source importer rooted at
+// GOROOT.
 type loader struct {
 	root    string
 	modPath string
@@ -117,6 +109,7 @@ type loader struct {
 	std     types.Importer
 	units   map[string]*Unit // module packages checked so far, by import path
 	loading map[string]bool
+	testing string // the package whose in-package tests are being checked
 }
 
 // Import implements types.Importer.
@@ -128,15 +121,41 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	if u.Pkg == nil {
-		return nil, fmt.Errorf("lint: no Go files for %s", path)
+	if u.Pkg == nil || u.TestFiles[u.Files[0]] {
+		return nil, fmt.Errorf("lint: no non-test Go files in %s", path)
+	}
+	if l.testing != "" && l.reaches(path, l.testing) {
+		return nil, fmt.Errorf("lint: import cycle not allowed in test: %s imports %s", l.testing, path)
 	}
 	return u.Pkg, nil
 }
 
-// unit parses and checks the package path once, with its in-package tests.
-// A directory with no file of the package yields a unit with no Pkg, which
-// carries any external test files for Load.
+// reaches reports whether package from is to, or imports it through the
+// regular files of module packages.
+func (l *loader) reaches(from, to string) bool {
+	seen := map[string]bool{}
+	var walk func(p string) bool
+	walk = func(p string) bool {
+		if p == to {
+			return true
+		}
+		if seen[p] || l.units[p] == nil {
+			return false
+		}
+		seen[p] = true
+		for _, d := range l.units[p].deps {
+			if walk(d) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(from)
+}
+
+// unit parses the package path once and checks its regular files. A
+// directory with no regular file of the package yields a unit with no Pkg,
+// which carries any test files for Load.
 func (l *loader) unit(path string) (*Unit, error) {
 	if u, ok := l.units[path]; ok {
 		return u, nil
@@ -147,27 +166,46 @@ func (l *loader) unit(path string) (*Unit, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.modPath)))
-	own, xtest, err := l.parseDir(dir)
+	own, tests, xtest, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{xtest: xtest}
+	u := &Unit{ModulePath: l.modPath, ImportPath: path, Fset: l.fset, tests: tests, xtest: xtest}
 	if len(own) > 0 {
-		if u, err = l.check(path, own); err != nil {
+		if err := l.check(u, own); err != nil {
 			return nil, err
 		}
-		u.xtest = xtest
+		for _, imp := range u.Pkg.Imports() {
+			if p := imp.Path(); p == l.modPath || strings.HasPrefix(p, l.modPath+"/") {
+				u.deps = append(u.deps, p)
+			}
+		}
 	}
 	l.units[path] = u
 	return u, nil
 }
 
-// parseDir parses every .go file in dir, split into the package's own files
-// (regular and in-package test) and external (package foo_test) test files.
-func (l *loader) parseDir(dir string) (own, xtest []*ast.File, err error) {
+// addTests checks the unit's in-package test files into its package, on
+// the checker that checked its regular files. Their imports may reach any
+// module package but one that imports this one back.
+func (l *loader) addTests(u *Unit) error {
+	if len(u.tests) == 0 {
+		return nil
+	}
+	tests := u.tests
+	u.tests = nil
+	l.testing = u.ImportPath
+	defer func() { l.testing = "" }()
+	return l.check(u, tests)
+}
+
+// parseDir parses every .go file in dir, split into the package's regular
+// files, its in-package _test.go files, and external (package foo_test)
+// test files.
+func (l *loader) parseDir(dir string) (own, tests, xtest []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -187,45 +225,46 @@ func (l *loader) parseDir(dir string) (own, xtest []*ast.File, err error) {
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if strings.HasSuffix(f.Name.Name, "_test") {
+		switch {
+		case strings.HasSuffix(f.Name.Name, "_test"):
 			xtest = append(xtest, f)
-		} else {
+		case strings.HasSuffix(name, "_test.go"):
+			tests = append(tests, f)
+		default:
 			own = append(own, f)
 		}
 	}
-	return own, xtest, nil
+	return own, tests, xtest, nil
 }
 
-// check type-checks one file set as the package path.
-func (l *loader) check(path string, files []*ast.File) (*Unit, error) {
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Defs:  map[*ast.Ident]types.Object{},
+// check type-checks files into u's package, making the package and its
+// checker on the first call.
+func (l *loader) check(u *Unit, files []*ast.File) error {
+	if u.checker == nil {
+		u.Info = &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+		}
+		conf := &types.Config{
+			Importer: l,
+			Error:    func(err error) { u.errs = append(u.errs, err) },
+		}
+		u.Pkg = types.NewPackage(u.ImportPath, "")
+		u.checker = types.NewChecker(conf, l.fset, u.Pkg, u.Info)
 	}
-	var errs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("lint: type errors in %s: %v", path, errs[0])
+	err := u.checker.Files(files)
+	if len(u.errs) > 0 {
+		return fmt.Errorf("lint: type errors in %s: %v", u.ImportPath, u.errs[0])
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Unit{
-		ModulePath: l.modPath,
-		ImportPath: path,
-		Fset:       l.fset,
-		Files:      files,
-		TestFiles:  markTests(l.fset, files),
-		Pkg:        pkg,
-		Info:       info,
-	}, nil
+	u.Files = append(u.Files, files...)
+	u.TestFiles = markTests(l.fset, u.Files)
+	return nil
 }
 
 // Open reads the module root's go.mod and returns the module with no
@@ -259,9 +298,11 @@ func Load(root string) (*Module, error) {
 	return mod, mod.Load()
 }
 
-// Load checks every package under the module root that is not checked yet,
-// and each external test package, and makes them the module's units. A
-// second call does nothing.
+// Load checks every package under the module root that is not checked yet
+// and makes them the module's units, in the go tool's order: every
+// package's regular files (each after the module packages it imports),
+// then each package's in-package tests, added to the same checker, then the
+// external test packages. A second call does nothing.
 func (m *Module) Load() error {
 	if m.units != nil {
 		return nil
@@ -287,7 +328,7 @@ func (m *Module) Load() error {
 	}
 	sort.Strings(dirs)
 
-	units := []*Unit{}
+	var pkgs []*Unit
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(m.Root, dir)
 		if err != nil {
@@ -301,12 +342,21 @@ func (m *Module) Load() error {
 		if err != nil {
 			return err
 		}
+		pkgs = append(pkgs, u)
+	}
+	for _, u := range pkgs {
+		if err := m.l.addTests(u); err != nil {
+			return err
+		}
+	}
+	units := []*Unit{}
+	for _, u := range pkgs {
 		if u.Pkg != nil {
 			units = append(units, u)
 		}
 		if len(u.xtest) > 0 {
-			xu, err := m.l.check(importPath+"_test", u.xtest)
-			if err != nil {
+			xu := &Unit{ModulePath: m.Path, ImportPath: u.ImportPath + "_test", Fset: m.l.fset}
+			if err := m.l.check(xu, u.xtest); err != nil {
 				return err
 			}
 			units = append(units, xu)
@@ -324,15 +374,16 @@ func (m *Module) Load() error {
 // The analyzer tests load fixture packages under import paths that trigger
 // path-scoped rules; the fixture itself is not one of m's packages.
 func (m *Module) LoadDirAs(dir, importPath string) (*Unit, error) {
-	own, xtest, err := m.l.parseDir(dir)
+	own, tests, xtest, err := m.l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	files := append(own, xtest...)
+	files := append(append(own, tests...), xtest...)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	return m.l.check(importPath, files)
+	u := &Unit{ModulePath: m.Path, ImportPath: importPath, Fset: m.l.fset}
+	return u, m.l.check(u, files)
 }
 
 // markTests records which files in the unit are _test.go files.

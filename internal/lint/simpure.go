@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"strings"
-
-	"repro/internal/lint/callgraph"
 )
 
 // SimPure verifies that every callback scheduled on engine.Sim.At/After/AtTicket —
@@ -71,7 +69,7 @@ type spFinding struct {
 type simpureChecker struct {
 	u      *Unit
 	report ReportFunc
-	g      *callgraph.Graph // shared decl + field-store index (see callgraph)
+	g      *callGraph // shared decl + field-store index
 
 	files  map[string]bool               // filenames belonging to the scheduling unit
 	cache  map[*ast.FuncDecl][]spFinding // per-decl findings; an entry marks a decl entered
@@ -151,9 +149,9 @@ func (c *simpureChecker) isSchedule(call *ast.CallExpr) bool {
 
 // checkCallback dispatches on the shape of the scheduled callback argument.
 func (c *simpureChecker) checkCallback(arg ast.Expr) {
-	switch e := unparenExpr(arg).(type) {
+	switch e := unparen(arg).(type) {
 	case *ast.FuncLit:
-		c.emit(arg, c.checkBody(c.u.asSource(), e, e.Body))
+		c.emit(arg, c.checkBody(c.u, e, e.Body))
 	case *ast.Ident:
 		c.checkNamedCallback(arg, e)
 	case *ast.SelectorExpr:
@@ -194,7 +192,7 @@ func (c *simpureChecker) checkEventField(v *types.Var) []spFinding {
 		return fs
 	}
 	c.fields[v] = nil
-	stores := c.g.FieldStores(v)
+	stores := c.g.fieldStores(v)
 	if len(stores) == 0 {
 		return []spFinding{{v.Pos(), fmt.Sprintf(
 			"event field %s is scheduled but never assigned a callback the analyzer can see; bind it to a function literal or method value", v.Name())}}
@@ -208,26 +206,26 @@ func (c *simpureChecker) checkEventField(v *types.Var) []spFinding {
 }
 
 // checkStore verifies one assignment to a scheduled event field.
-func (c *simpureChecker) checkStore(st callgraph.FieldStore, self *types.Var) []spFinding {
-	if st.Rhs == nil {
-		return []spFinding{{st.Pos,
+func (c *simpureChecker) checkStore(st fieldStore, self *types.Var) []spFinding {
+	if st.rhs == nil {
+		return []spFinding{{st.pos,
 			"event field is bound through a multi-value assignment that cannot be statically verified; bind it from a single assignment"}}
 	}
-	switch e := unparenExpr(st.Rhs).(type) {
+	switch e := unparen(st.rhs).(type) {
 	case *ast.FuncLit:
-		return c.checkBody(st.Src, e, e.Body)
+		return c.checkBody(st.src, e, e.Body)
 	case *ast.Ident:
 		return c.checkStoredNamed(st, e, self)
 	case *ast.SelectorExpr:
 		return c.checkStoredNamed(st, e.Sel, self)
 	default:
-		return []spFinding{{st.Rhs.Pos(),
+		return []spFinding{{st.rhs.Pos(),
 			"event field is bound to a computed expression that cannot be statically verified; bind a function literal or method value"}}
 	}
 }
 
-func (c *simpureChecker) checkStoredNamed(st callgraph.FieldStore, id *ast.Ident, self *types.Var) []spFinding {
-	switch obj := st.Src.Info.Uses[id].(type) {
+func (c *simpureChecker) checkStoredNamed(st fieldStore, id *ast.Ident, self *types.Var) []spFinding {
+	switch obj := st.src.Info.Uses[id].(type) {
 	case *types.Func:
 		return c.checkFunc(obj)
 	case *types.Var:
@@ -238,7 +236,7 @@ func (c *simpureChecker) checkStoredNamed(st callgraph.FieldStore, id *ast.Ident
 			return c.checkEventField(obj)
 		}
 	}
-	return []spFinding{{st.Rhs.Pos(), fmt.Sprintf(
+	return []spFinding{{st.rhs.Pos(), fmt.Sprintf(
 		"event field is bound to function value %s, which cannot be statically verified; bind a function literal or method value", id.Name)}}
 }
 
@@ -258,7 +256,7 @@ func (c *simpureChecker) checkFunc(fn *types.Func) []spFinding {
 	if path == c.u.ModulePath+"/internal/engine" {
 		return nil
 	}
-	d, ok := c.g.DeclOf(fn)
+	d, ok := c.g.declOf(fn)
 	if !ok {
 		return nil // outside the loaded set (fixture mode); trusted
 	}
@@ -268,16 +266,16 @@ func (c *simpureChecker) checkFunc(fn *types.Func) []spFinding {
 // checkDecl verifies one declaration, memoized. Recursive call chains
 // terminate because a decl already being checked returns its (so far
 // empty) cache entry.
-func (c *simpureChecker) checkDecl(d callgraph.Decl) []spFinding {
-	if fs, ok := c.cache[d.Fn]; ok {
+func (c *simpureChecker) checkDecl(d decl) []spFinding {
+	if fs, ok := c.cache[d.fn]; ok {
 		return fs
 	}
-	c.cache[d.Fn] = nil
-	if d.Fn.Body == nil {
+	c.cache[d.fn] = nil
+	if d.fn.Body == nil {
 		return nil
 	}
-	fs := c.checkBody(d.Src, d.Fn, d.Fn.Body)
-	c.cache[d.Fn] = fs
+	fs := c.checkBody(d.src, d.fn, d.fn.Body)
+	c.cache[d.fn] = fs
 	return fs
 }
 
@@ -286,7 +284,7 @@ func (c *simpureChecker) checkDecl(d callgraph.Decl) []spFinding {
 // "inside the callback" for the capture analysis (the FuncLit or FuncDecl
 // whose body this is — anything declared within it is local, anything
 // outside is captured).
-func (c *simpureChecker) checkBody(owner *callgraph.Source, root ast.Node, body *ast.BlockStmt) []spFinding {
+func (c *simpureChecker) checkBody(owner *Unit, root ast.Node, body *ast.BlockStmt) []spFinding {
 	var fs []spFinding
 	add := func(pos token.Pos, format string, args ...any) {
 		fs = append(fs, spFinding{pos, fmt.Sprintf(format, args...)})
@@ -339,7 +337,7 @@ func (c *simpureChecker) checkBody(owner *callgraph.Source, root ast.Node, body 
 
 // checkSelector rejects package-qualified uses of host-facing packages,
 // wall-clock reads, stdout printers, and sync/atomic primitives.
-func (c *simpureChecker) checkSelector(owner *callgraph.Source, sel *ast.SelectorExpr, add func(token.Pos, string, ...any)) {
+func (c *simpureChecker) checkSelector(owner *Unit, sel *ast.SelectorExpr, add func(token.Pos, string, ...any)) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return
@@ -373,12 +371,12 @@ func (c *simpureChecker) checkSelector(owner *callgraph.Source, sel *ast.Selecto
 // reached through values, opaque function values, and — the transitive
 // step — module-internal helpers, whose findings are folded into the
 // caller's.
-func (c *simpureChecker) checkCall(owner *callgraph.Source, call *ast.CallExpr, add func(token.Pos, string, ...any)) {
+func (c *simpureChecker) checkCall(owner *Unit, call *ast.CallExpr, add func(token.Pos, string, ...any)) {
 	if tv, ok := owner.Info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion, not a call
 	}
 	var id *ast.Ident
-	switch f := unparenExpr(call.Fun).(type) {
+	switch f := unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = f
 	case *ast.SelectorExpr:
@@ -417,7 +415,7 @@ func (c *simpureChecker) checkCall(owner *callgraph.Source, call *ast.CallExpr, 
 		if path == c.u.ModulePath+"/internal/engine" {
 			return // the kernel's own API (At/After/Now/…) is the trusted base
 		}
-		if d, ok := c.g.DeclOf(obj); ok {
+		if d, ok := c.g.declOf(obj); ok {
 			// Fold the callee's findings into ours; the emitter re-anchors
 			// positions that fall outside the scheduling unit.
 			for _, f := range c.checkDecl(d) {
@@ -428,8 +426,8 @@ func (c *simpureChecker) checkCall(owner *callgraph.Source, call *ast.CallExpr, 
 }
 
 // checkWrite vets one assignment target inside a callback.
-func (c *simpureChecker) checkWrite(owner *callgraph.Source, root ast.Node, lhs ast.Expr, add func(token.Pos, string, ...any)) {
-	id, direct := rootIdentOf(lhs)
+func (c *simpureChecker) checkWrite(owner *Unit, root ast.Node, lhs ast.Expr, add func(token.Pos, string, ...any)) {
+	id, direct := rootIdent(lhs)
 	if id == nil || id.Name == "_" {
 		return
 	}
@@ -465,7 +463,7 @@ func (c *simpureChecker) checkWrite(owner *callgraph.Source, root ast.Node, lhs 
 // simOwned reports whether t is (a pointer to) a named type declared in a
 // simulator package or in the scheduling unit's own package — the static
 // approximation of "reachable from the component graph".
-func (c *simpureChecker) simOwned(owner *callgraph.Source, t types.Type) bool {
+func (c *simpureChecker) simOwned(owner *Unit, t types.Type) bool {
 	for {
 		switch tt := t.(type) {
 		case *types.Pointer:
@@ -511,14 +509,6 @@ func (c *simpureChecker) emitOne(pos token.Pos, format string, args ...any) {
 	c.seen[f] = true
 	c.report(pos, "%s", f.msg)
 }
-
-// rootIdentOf unwraps an assignment target to its root identifier. direct
-// is true when the target IS the identifier (a bare captured write) rather
-// than a selector/index/dereference path through it.
-func rootIdentOf(e ast.Expr) (id *ast.Ident, direct bool) { return callgraph.RootIdent(e) }
-
-// unparenExpr strips any number of enclosing parentheses.
-func unparenExpr(e ast.Expr) ast.Expr { return callgraph.Unparen(e) }
 
 // pkgBase returns the final element of an import path.
 func pkgBase(path string) string {

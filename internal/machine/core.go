@@ -73,8 +73,6 @@ func (a fillSlot) before(b fillSlot) bool {
 // run advances the core from the current simulated time. It either
 // processes ops until it must wait or finishes the stream. This is the
 // per-core replay callback — the dominant event body of every experiment.
-//
-//nmlint:hotpath
 func (c *core) run() {
 	if c.nfill > 0 {
 		c.retire()
@@ -204,8 +202,6 @@ func (c *core) outstanding() int {
 // position — exactly the fills whose completion events would have run by
 // now. The one fill that sits *at* that position is the wake executing
 // right now (tickets are unique), which is scheduled, not elided.
-//
-//nmlint:hotpath
 func (c *core) retire() {
 	pos := fillSlot{done: c.m.sim.Now(), ticket: c.m.sim.Seq()}
 	n := 0
@@ -223,8 +219,6 @@ func (c *core) retire() {
 
 // earliest returns the outstanding fill first in (done, ticket) order: the
 // one whose completion frees an MSHR slot. The core must have one.
-//
-//nmlint:hotpath
 func (c *core) earliest() fillSlot {
 	min := c.fills[0]
 	for _, f := range c.fills[1:c.nfill] {
@@ -237,8 +231,6 @@ func (c *core) earliest() fillSlot {
 
 // latest returns the outstanding fill last in (done, ticket) order: the one
 // whose completion finishes a drain. The core must have one.
-//
-//nmlint:hotpath
 func (c *core) latest() fillSlot {
 	max := c.fills[0]
 	for _, f := range c.fills[1:c.nfill] {
@@ -251,8 +243,6 @@ func (c *core) latest() fillSlot {
 
 // park blocks the core until f lands: one wake at f's own (done, ticket),
 // the exact position in the global event order its completion event held.
-//
-//nmlint:hotpath
 func (c *core) park(f fillSlot) {
 	c.m.sim.AtTicket(f.done, f.ticket, c.runEv)
 }
@@ -265,8 +255,6 @@ func (c *core) park(f fillSlot) {
 // issued before the gap began), so its completion precedes the gap's end
 // and the op would not block. Ops that reach the L2 port are never fused —
 // the shared L2 and its bus must be touched in timestamp order.
-//
-//nmlint:hotpath
 func (c *core) blockedPast(op trace.Op, gap units.Time) (fillSlot, bool) {
 	if c.nfill == 0 {
 		return fillSlot{}, false
@@ -290,8 +278,6 @@ func (c *core) blockedPast(op trace.Op, gap units.Time) (fillSlot, bool) {
 // drained reports whether all outstanding fills have landed, parking the
 // core until the last one does if not. Ordering points (atomics, barriers,
 // stream end) call this before proceeding.
-//
-//nmlint:hotpath
 func (c *core) drained() bool {
 	if c.nfill == 0 {
 		return true
@@ -302,8 +288,6 @@ func (c *core) drained() bool {
 
 // dmaDone retires one background copy issued by this core and wakes it if
 // it was parked on an OpDMAWait.
-//
-//nmlint:hotpath
 func (c *core) dmaDone() {
 	c.dmaOut--
 	if c.dmaWait && c.dmaOut == 0 {
@@ -327,9 +311,7 @@ type barrierCtl struct {
 }
 
 func (b *barrierCtl) arrive(c *core) {
-	//nmlint:ignore hotpath amortized: the release below recycles the backing array, so growth stops after the first cycle
 	b.waiting = append(b.waiting, c)
-	//nmlint:ignore hotpath amortized: recycled with waiting at release
 	b.arrivals = append(b.arrivals, c.m.sim.Now())
 	if len(b.waiting) < b.need {
 		return
@@ -337,7 +319,6 @@ func (b *barrierCtl) arrive(c *core) {
 	released := b.waiting
 	arrivals := b.arrivals
 	now := c.m.sim.Now()
-	//nmlint:ignore hotpath one append per global barrier; bounded by the trace's barrier count
 	b.releases = append(b.releases, now)
 	if tel := c.m.tel; tel != nil {
 		// One wait slice per core, arrival to release, on its own track —
@@ -375,13 +356,11 @@ func (d *dmaEngine) enqueue(c *core, src, dst addr.Addr, n units.Bytes) {
 	// The source device streams the copy out (reads), the destination
 	// absorbs it (writes); each side accounts its own direction.
 	var read, write units.Time
-	//nmlint:ignore escape-check inlined LevelOf panic formatting; only the cold out-of-window exit allocates
 	if addr.LevelOf(src) == addr.Near {
 		read = d.m.near.BulkAcquire(now, n, false)
 	} else {
 		read = d.m.far.BulkAcquire(now, n, false)
 	}
-	//nmlint:ignore escape-check inlined LevelOf panic formatting; cold exit only
 	if addr.LevelOf(dst) == addr.Near {
 		write = d.m.near.BulkAcquire(now, n, true)
 	} else {

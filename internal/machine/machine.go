@@ -430,7 +430,6 @@ func Run(cfg Config, src trace.Source) (Result, error) {
 
 // device routes an address to its backing memory.
 func (m *Machine) deviceAccess(at units.Time, a addr.Addr, write bool) units.Time {
-	//nmlint:ignore escape-check inlined LevelOf panic formatting; only the cold out-of-window exit allocates
 	if addr.LevelOf(a) == addr.Near {
 		return m.near.Access(at, a, write)
 	}
@@ -440,7 +439,6 @@ func (m *Machine) deviceAccess(at units.Time, a addr.Addr, write bool) units.Tim
 // fill performs a blocking line read for group g and returns the time the
 // line reaches the core.
 func (m *Machine) fill(g int, a addr.Addr) units.Time {
-	//nmlint:ignore escape-check inlined Acquire's TransferTime panic string; the escape is on the cold bad-bandwidth exit
 	t := m.l2bus[g].Acquire(m.cfg.LineSize) + m.cfg.L2Latency
 	r := m.l2[g].Access(uint64(a), false)
 	if r.Hit {
@@ -459,7 +457,6 @@ func (m *Machine) fill(g int, a addr.Addr) units.Time {
 // no fetch); a dirty L2 victim is posted toward memory. Never blocks the
 // core beyond the L2 port.
 func (m *Machine) writeback(g int, a addr.Addr) units.Time {
-	//nmlint:ignore escape-check inlined Acquire's TransferTime panic string; cold bad-bandwidth exit only
 	t := m.l2bus[g].Acquire(m.cfg.LineSize) + m.cfg.L2Latency
 	r := m.l2[g].Access(uint64(a), true)
 	if r.HasWB {
@@ -496,13 +493,10 @@ const postFreeCap = 256
 
 // run drains the posted write: route it over the NoC to its device, then
 // hold the drain horizon out until the write finishes (see postToMemory).
-//
-//nmlint:hotpath
 func (p *postOp) run() {
 	m := p.m
 	g, a := p.g, p.a
 	if len(m.postFree) < postFreeCap {
-		//nmlint:ignore hotpath recycle push bounded by postFreeCap; the backing array stops growing once warm
 		m.postFree = append(m.postFree, p)
 	}
 	arr := m.nw.Send(m.sim.Now(), g, m.cfg.LineSize)
@@ -522,9 +516,7 @@ func (m *Machine) postToMemory(at units.Time, g int, a addr.Addr) {
 		p = m.postFree[n-1]
 		m.postFree = m.postFree[:n-1]
 	} else {
-		//nmlint:ignore hotpath pool miss: one carrier per concurrently posted write, recycled thereafter
 		p = &postOp{m: m}
-		//nmlint:ignore hotpath bound once per carrier lifetime, at allocation
 		p.ev = p.run
 	}
 	p.g, p.a = g, a
@@ -564,7 +556,6 @@ func (m *Machine) snap(id int, at units.Time) phaseSnap {
 // and, with telemetry attached, mark the phase on the recorder's phase track.
 func (m *Machine) notePhase(id int) {
 	now := m.sim.Now()
-	//nmlint:ignore hotpath one append per OpPhase marker; bounded by the trace's marker count
 	m.phaseSnaps = append(m.phaseSnaps, m.snap(id, now))
 	if m.tel != nil {
 		m.tel.MarkPhase(m.phaseNames[id], now)

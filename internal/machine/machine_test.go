@@ -116,15 +116,21 @@ func TestSingleFillTiming(t *testing.T) {
 	tr := record(1, func(tid int, tp *trace.TP) {
 		tp.Load(addr.FarBase, 8)
 	})
-	res, err := Run(TinyConfig(8, units.MiB), tr)
+	cfg := TinyConfig(8, units.MiB)
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One fill: L2 port+latency, NoC hop, DRAM closed-row access
-	// (tRCD+tCAS = 26ns) + 64B bus, NoC hop back. Must land in a
-	// plausible 40–200ns window.
-	if res.SimTime < 40*units.Nanosecond || res.SimTime > 200*units.Nanosecond {
-		t.Errorf("single fill took %v", res.SimTime)
+	// The closed form of one far fill on an idle node, a term per field.
+	line := cfg.LineSize
+	want := units.Time(trace.DefaultCosts().IssueCycles)*cfg.CoreHz.Period() + // the load's issue gap
+		cfg.L2BW.TransferTime(line) + cfg.L2Latency + // L2 port, then the miss
+		cfg.NoC.HopLat + // read command to memory, no payload
+		cfg.Far.TRcd + cfg.Far.TCas + cfg.Far.ChannelBW.TransferTime(line) + // closed-row read
+		cfg.NoC.HopLat + cfg.NoC.LinkBW.TransferTime(line) + // the line back over the group link
+		cfg.L2Latency // L2 fill to the core
+	if res.SimTime != want {
+		t.Errorf("single fill took %v (%d ps), want %v (%d ps)", res.SimTime, int64(res.SimTime), want, int64(want))
 	}
 	if res.FarAccesses != 1 {
 		t.Errorf("FarAccesses = %d, want 1", res.FarAccesses)

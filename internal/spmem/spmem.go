@@ -104,7 +104,6 @@ func (d *Device) SetFaults(in *fault.Injector) { d.inj = in }
 // streams bypass the channel-degradation fault model (see DESIGN.md's
 // fault-model section).
 func (d *Device) BulkAcquire(at units.Time, n units.Bytes, write bool) units.Time {
-	//nmlint:ignore escape-check inlined CeilDiv panic string; the escape is on the cold divide-by-zero exit
 	per := units.Bytes(units.CeilDiv(int64(n), int64(len(d.channels))))
 	var done units.Time
 	for _, bus := range d.channels {
@@ -112,7 +111,6 @@ func (d *Device) BulkAcquire(at units.Time, n units.Bytes, write bool) units.Tim
 			done = t
 		}
 	}
-	//nmlint:ignore escape-check inlined CeilDiv panic string; cold exit only
 	lines := uint64(units.CeilDiv(int64(n), int64(d.cfg.LineSize)))
 	if write {
 		d.stats.Writes += lines

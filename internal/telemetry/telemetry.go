@@ -102,7 +102,6 @@ func (r *Recorder) Counter(track, name string, fn func() uint64) {
 	if len(r.times) > 0 {
 		panic("telemetry: Counter registered after sampling started")
 	}
-	//nmlint:ignore hotpath probes are registered at machine construction, before sampling; Sample only reads them
 	r.probes = append(r.probes, probe{track: track, name: name, fn: fn})
 }
 
@@ -112,13 +111,9 @@ func (r *Recorder) Samples() int { return len(r.times) }
 // Sample records one row: the value of every probe at simulated time t.
 // The engine's sampler hook calls it at each epoch boundary — the telemetry
 // fast path that the idle-overhead bench gate (<5%) protects.
-//
-//nmlint:hotpath
 func (r *Recorder) Sample(t units.Time) {
-	//nmlint:ignore hotpath amortized time-series growth; the telemetry-active cost is accepted and bench-gated
 	r.times = append(r.times, t)
 	for i := range r.probes {
-		//nmlint:ignore hotpath amortized row growth; same telemetry-active trade as times
 		r.values = append(r.values, r.probes[i].fn())
 	}
 }
@@ -126,14 +121,12 @@ func (r *Recorder) Sample(t units.Time) {
 // MarkPhase records an algorithm phase starting at time at. Phases are
 // half-open: each runs until the next mark or the end of the replay.
 func (r *Recorder) MarkPhase(name string, at units.Time) {
-	//nmlint:ignore hotpath one append per phase marker; bounded by the trace's marker count
 	r.phases = append(r.phases, phaseMark{name: name, at: at})
 }
 
 // Span records one closed interval on a track (e.g. a core's barrier wait,
 // a DMA copy in flight).
 func (r *Recorder) Span(track, name string, start, end units.Time) {
-	//nmlint:ignore hotpath one span per barrier wait or DMA copy; telemetry-active trade, bench-gated
 	r.spans = append(r.spans, span{track: track, name: name, start: start, end: end})
 }
 

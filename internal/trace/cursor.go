@@ -67,8 +67,6 @@ type Cursor struct {
 // decode failure (distinguish with Err). This is the replay kernel's
 // per-event decode step, so the failure paths only latch state: building
 // the error is deferred to Err.
-//
-//nmlint:hotpath
 func (c *Cursor) Next() bool {
 	if c.failed || c.n <= 0 {
 		return false

@@ -3,12 +3,8 @@
 #
 # Runs, in order:
 #   1. go build ./...                 compile everything
-#   2. nmlint -escape-check ./...     determinism & concurrency lint suite
-#                                     (incl. simpure: event-callback purity,
-#                                     hotpath: allocation-freedom) and, on
-#                                     the same load, the compiler escape
-#                                     analysis cross-check over the
-#                                     //nmlint:hotpath regions
+#   2. nmlint ./...                   determinism & concurrency lint suite
+#                                     (incl. simpure: event-callback purity)
 #   3. go vet ./...                   the stock vet checks
 #   4. go test ./...                  full test suite (includes TestRows:
 #                                     every registry row's bytes against
@@ -22,7 +18,15 @@
 #                                     tests use, and TestNoPackageLocalExports:
 #                                     no exported name that only its own
 #                                     package uses; bench/_layers counts as a
-#                                     user)
+#                                     user; and TestReplayAllocs: the exact
+#                                     malloc count of one replay per mode,
+#                                     testdata/replay_allocs.golden)
+#   4b. allocation mutants            scripts/mutants.sh: every patch in
+#                                     testdata/mutants/alloc applied in turn
+#                                     to a copy; each must be killed by
+#                                     nmlint or the allocation pins, as
+#                                     testdata/mutants/alloc/LEDGER records
+#                                     (~3 min)
 #   5. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
 #                                     off): an int narrower than the int64
 #                                     it is read from must not slip past
@@ -191,9 +195,10 @@ trace_identity() (
 )
 
 step go build ./...
-step go run ./cmd/nmlint -escape-check ./...
+step go run ./cmd/nmlint ./...
 step go vet ./...
 step go test ./...
+step ./scripts/mutants.sh
 step env GOARCH=386 CGO_ENABLED=0 go test ./...
 step no_fma
 step go test -race -short ./...
