@@ -6,6 +6,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -50,7 +53,9 @@ func TestFlags(t *testing.T) {
 // flag list (-help included), and no block cites a one-iteration benchmark or a verbose test
 // run as the command behind it — the paper's numbers come from sweep -exp rows.
 // The Usage: lines of cmd/nmsim's and cmd/sweep's doc comments name only
-// flags their command has.
+// flags their command has. Every go test command in those documents, the
+// verify skill, the scripts and CI (see requireTestPatternsMatch) names
+// packages that exist and tests they declare.
 func TestDocumentedCommandsExist(t *testing.T) {
 	goRun := regexp.MustCompile(`go run (\./[\w./-]+)`)
 	front := regexp.MustCompile("go run \\./cmd/(nmsim|sweep)\\b([^`#]*)")
@@ -91,6 +96,16 @@ func TestDocumentedCommandsExist(t *testing.T) {
 			}
 		}
 	}
+	docs := []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
+	scripts, err := filepath.Glob(filepath.Join("..", "..", "scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range scripts {
+		docs = append(docs, filepath.Join("scripts", filepath.Base(s)))
+	}
+	requireTestPatternsMatch(t, docs)
+
 	// Each command's doc comment: every -flag its Usage: lines name is one
 	// of its flags.
 	usageFlag := regexp.MustCompile(`(?:^|[\s\[])-(\w[\w-]*)`)
@@ -117,6 +132,194 @@ func TestDocumentedCommandsExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// requireTestPatternsMatch checks every go test command in docs (paths from
+// the repository root) that selects tests: its packages exist, and each
+// top-level | alternative of its -run, -bench or -fuzz pattern, up to the
+// pattern's first /, matches a Test, Fuzz or Benchmark function one of them
+// declares — go test reports a pattern that matches nothing as ok. '^$' (run
+// nothing) is exempt. A markdown command is an inline code span (it may wrap
+// across lines) or a fenced block's line; a script's is a line, with its \
+// continuations.
+func requireTestPatternsMatch(t *testing.T, docs []string) {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	span := regexp.MustCompile("`([^`]*)`")
+	valued := map[string]bool{"run": true, "bench": true, "fuzz": true, "skip": true, "C": true, "count": true,
+		"benchtime": true, "fuzztime": true, "timeout": true, "cpu": true, "tags": true, "o": true, "p": true,
+		"parallel": true, "gcflags": true, "ldflags": true, "exec": true, "list": true, "shuffle": true}
+	declared := map[string][]string{} // directory -> its test, fuzz and benchmark functions
+	funcs := func(dir string) []string {
+		if names, ok := declared[dir]; ok {
+			return names
+		}
+		var names []string
+		files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		for _, f := range files {
+			file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range file.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && regexp.MustCompile(`^(Test|Fuzz|Benchmark)`).MatchString(fn.Name.Name) {
+					names = append(names, fn.Name.Name)
+				}
+			}
+		}
+		declared[dir] = names
+		return names
+	}
+	check := func(at, cmd string) {
+		var tokens []string // shell words up to the command's end, quotes removed
+		var word strings.Builder
+		inWord, quote := false, rune(0)
+	scan:
+		for _, r := range cmd {
+			switch {
+			case quote != 0 && r == quote:
+				quote = 0
+			case quote != 0:
+				word.WriteRune(r)
+			case r == '\'' || r == '"':
+				quote, inWord = r, true
+			case strings.ContainsRune("`#;&|)>", r):
+				break scan
+			case r == ' ' || r == '\t':
+				if inWord {
+					tokens, inWord = append(tokens, word.String()), false
+					word.Reset()
+				}
+			default:
+				word.WriteRune(r)
+				inWord = true
+			}
+		}
+		if inWord {
+			tokens = append(tokens, word.String())
+		}
+		dir, patterns, pkgs := root, map[string]string{}, []string(nil)
+		for i := 0; i < len(tokens); i++ {
+			name, value, hasValue := strings.Cut(strings.TrimLeft(tokens[i], "-"), "=")
+			switch {
+			case !strings.HasPrefix(tokens[i], "-"):
+				if p := tokens[i]; p == "." || strings.HasPrefix(p, "./") || strings.HasPrefix(p, "../") {
+					pkgs = append(pkgs, p)
+				}
+				continue
+			case !valued[name]:
+				continue
+			case !hasValue && i+1 < len(tokens):
+				i++
+				value = tokens[i]
+			}
+			switch name {
+			case "C":
+				dir = filepath.Join(root, value)
+			case "run", "bench", "fuzz":
+				patterns[name] = value
+			}
+		}
+		if len(patterns) == 0 {
+			return
+		}
+		if len(pkgs) == 0 {
+			pkgs = []string{"."}
+		}
+		var names []string
+		for _, p := range pkgs {
+			base, all := strings.CutSuffix(p, "/...")
+			if fi, err := os.Stat(filepath.Join(dir, base)); err != nil || !fi.IsDir() {
+				t.Errorf("%s: go test %s names no package", at, p)
+				continue
+			}
+			if !all {
+				names = append(names, funcs(filepath.Join(dir, base))...)
+				continue
+			}
+			filepath.WalkDir(filepath.Join(dir, base), func(path string, d os.DirEntry, err error) error {
+				if err == nil && d.IsDir() {
+					names = append(names, funcs(path)...)
+				}
+				return err
+			})
+		}
+		for flagName, pattern := range patterns {
+			if pattern == "^$" {
+				continue
+			}
+			for _, alt := range topLevel(topLevel(pattern, '/')[0], '|') {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -%s %q: %v", at, flagName, pattern, err)
+					continue
+				}
+				matched := false
+				for _, n := range names {
+					matched = matched || re.MatchString(n)
+				}
+				if !matched {
+					t.Errorf("%s: -%s %q: %q matches no test, fuzz target or benchmark in %s", at, flagName, pattern, alt, strings.Join(pkgs, " "))
+				}
+			}
+		}
+	}
+	for _, doc := range docs {
+		raw, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		var prose []string // a markdown document's lines outside fenced blocks, blank where a block was
+		fenced := !strings.HasSuffix(doc, ".md")
+		for i := 0; i < len(lines); i++ {
+			line := lines[i]
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				prose = append(prose, "")
+				continue
+			}
+			if !fenced {
+				prose = append(prose, line)
+				continue
+			}
+			prose = append(prose, "")
+			at := fmt.Sprintf("%s:%d", doc, i+1)
+			for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+				i++
+				line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+				prose = append(prose, "")
+			}
+			for _, cmd := range strings.SplitAfter(line, "go test")[1:] {
+				check(at, cmd)
+			}
+		}
+		text := strings.Join(prose, "\n")
+		for _, m := range span.FindAllStringSubmatchIndex(text, -1) {
+			code := strings.ReplaceAll(text[m[2]:m[3]], "\n", " ")
+			at := fmt.Sprintf("%s:%d", doc, 1+strings.Count(text[:m[0]], "\n"))
+			for _, cmd := range strings.SplitAfter(code, "go test")[1:] {
+				check(at, cmd)
+			}
+		}
+	}
+}
+
+// topLevel splits pattern at each sep outside parentheses and brackets.
+func topLevel(pattern string, sep rune) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i, r := range pattern {
+		switch {
+		case r == '(' || r == '[':
+			depth++
+		case r == ')' || r == ']':
+			depth--
+		case r == sep && depth == 0:
+			parts, start = append(parts, pattern[start:i]), i+1
+		}
+	}
+	return append(parts, pattern[start:])
 }
 
 // TestRunRemoteMatchesLocal is the client-parity check for both commands: the

@@ -16,7 +16,7 @@ import (
 
 func benchOpenTrace(b *testing.B) *Trace {
 	b.Helper()
-	return sortishTrace(b, 8, 8192)
+	return sortishTrace(8, 8192, nil)
 }
 
 func BenchmarkTraceOpenV2(b *testing.B) {

@@ -168,7 +168,7 @@ func TestOpenColumnarSeeds(t *testing.T) {
 // narrowed under a digest of other bytes. Where an int holds it, the file
 // opens as written.
 func TestOpenRefusesANarrowedHeader(t *testing.T) {
-	data, err := EncodeColumnar(sampleTrace(t))
+	data, err := EncodeColumnar(sampleTrace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,44 +1,25 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
-	"io"
+	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/addr"
 )
-
-// digestTrace builds a modest multi-thread trace for the digest tests.
-func digestTrace(threads, opsPerThread int) *Trace {
-	rec := NewRecorder(threads, paperL1, DefaultCosts())
-	for t := 0; t < threads; t++ {
-		tp := rec.Thread(t)
-		for i := 0; i < opsPerThread; i++ {
-			tp.Load(addr.FarBase+addr.Addr(t*opsPerThread+i)*64, 8)
-			tp.Compare(3)
-		}
-		tp.Barrier()
-	}
-	return rec.Finish(nil)
-}
 
 // TestDigestMatchesStreamChecksum pins the digest's defining property: it
 // is the trailing checksum WriteTo appends, so an in-memory digest can be
-// compared against a file on disk without re-reading the stream.
+// compared against a file on disk without re-reading the stream. A trace
+// no stream holds is refused by both alike.
 func TestDigestMatchesStreamChecksum(t *testing.T) {
-	tr := digestTrace(4, 200)
-	d, err := tr.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf writerBuf
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tail := buf.b[len(buf.b)-8:]
-	if got := binary.LittleEndian.Uint64(tail); got != d {
-		t.Fatalf("Digest() = %#x, stream checksum = %#x", d, got)
+	for _, c := range corpusRefs(t) {
+		d, derr := c.fresh().Digest()
+		var v2 bytes.Buffer
+		_, werr := c.fresh().WriteTo(&v2)
+		if fmt.Sprint(derr) != fmt.Sprint(werr) || werr == nil && binary.LittleEndian.Uint64(v2.Bytes()[v2.Len()-8:]) != d {
+			t.Fatalf("%s: Digest = %#x, %v; WriteTo wrote %d bytes, %v", c.name, d, derr, v2.Len(), werr)
+		}
 	}
 }
 
@@ -46,7 +27,7 @@ func TestDigestMatchesStreamChecksum(t *testing.T) {
 // value: the memo is computed once and is safe under the concurrent keying
 // the serving layer does against one shared trace.
 func TestDigestMemoized(t *testing.T) {
-	tr := digestTrace(2, 100)
+	tr := sortishTrace(2, 128, nil)
 	first, err := tr.Digest()
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +70,7 @@ func TestDigestErrorMemoized(t *testing.T) {
 // of the stream. Each iteration uses a fresh Trace header sharing the same
 // recorded streams, so only the memo is cold.
 func BenchmarkTraceDigestFirst(b *testing.B) {
-	tr := decoded(b, digestTrace(8, 4096))
+	tr := decoded(b, sortishTrace(8, 4096, nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fresh := &Trace{Streams: tr.Streams, L1: tr.L1, Costs: tr.Costs, PhaseNames: tr.PhaseNames}
@@ -103,7 +84,7 @@ func BenchmarkTraceDigestFirst(b *testing.B) {
 // must be O(1) — a Once check and two field reads — independent of trace
 // size.
 func BenchmarkTraceDigestMemoized(b *testing.B) {
-	tr := digestTrace(8, 4096)
+	tr := sortishTrace(8, 4096, nil)
 	if _, err := tr.Digest(); err != nil {
 		b.Fatal(err)
 	}
@@ -115,10 +96,3 @@ func BenchmarkTraceDigestMemoized(b *testing.B) {
 		}
 	}
 }
-
-// writerBuf is a minimal in-memory io.Writer capturing the stream.
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
-
-var _ io.Writer = (*writerBuf)(nil)

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/addr"
@@ -127,10 +126,10 @@ func resealColumnar(image []byte) {
 // corruptedImages derives, from one small valid image, the inputs the fused
 // walk must judge as the separate walks did: every truncation, every byte
 // flipped (checksums left stale, and recomputed), a footer claiming another
-// trace's digest, and the structurally broken traces Validate exists for.
+// trace's digest, and the corpus's hand-built traces that fail Validate.
 func corruptedImages(t *testing.T) []verdictCase {
 	t.Helper()
-	_, image := encodeColumnar(t, sampleTrace(t))
+	_, image := encodeColumnar(t, sampleTrace())
 	cases := []verdictCase{{"intact", image}}
 	for n := 0; n < len(image); n++ {
 		cases = append(cases, verdictCase{fmt.Sprintf("truncated to %d", n), image[:n]})
@@ -155,33 +154,11 @@ func corruptedImages(t *testing.T) []verdictCase {
 	binary.LittleEndian.PutUint64(forged[len(forged)-footerSize+32:], 0xfeedface)
 	resealColumnar(forged)
 	cases = append(cases, verdictCase{"forged footer digest", forged})
-
-	far := uint64(addr.FarBase)
-	end := Op{Kind: OpEnd}
-	for _, tc := range []struct {
-		name    string
-		streams [][]Op
-	}{
-		{"barrier disagreement", [][]Op{{{Kind: OpBarrier}, end}, {end}}},
-		{"interior OpEnd", [][]Op{{end, {Kind: OpAccess, Addr: far}, end}}},
-		{"interior OpEnd, last", [][]Op{{{Kind: OpAccess, Addr: far}, end, end}}},
-		{"unterminated", [][]Op{{{Kind: OpAccess, Addr: far}}}},
-		{"empty thread", [][]Op{{end}, {}}},
-		{"stray access", [][]Op{{{Kind: OpAccess, Addr: 0x40}, end}}},
-		{"stray atomic", [][]Op{{{Kind: OpAtomic, Addr: far - 64}, end}}},
-		{"stray dma source", [][]Op{{{Kind: OpDMA, Addr: 1, Addr2: far, Size: 8}, end}}},
-		{"stray dma target", [][]Op{{{Kind: OpDMA, Addr: far, Addr2: 1, Size: 8}, end}}},
-		{"phase out of range", [][]Op{{{Kind: OpPhase, Addr: 1}, end}}},
-		{"two failures, thread order", [][]Op{
-			{{Kind: OpBarrier}, end},
-			{{Kind: OpAccess, Addr: 0x40}, {Kind: OpPhase, Addr: 9}, end},
-			{end, end},
-		}},
-		{"failure then more ops", [][]Op{{{Kind: OpAccess, Addr: 0x40, Gap: 7}, {Kind: OpAccess, Addr: far, Write: true}, {Kind: OpBarrier}, end}}},
-	} {
-		tr := &Trace{Streams: tc.streams, L1: tinyL1(), Costs: DefaultCosts(), PhaseNames: []string{"only"}}
-		_, broken := encodeColumnar(t, tr)
-		cases = append(cases, verdictCase{tc.name, broken})
+	for _, c := range handBuilt() {
+		if _, err := refValidate(c.tr, nil); err != nil && len(c.tr.Streams) > 0 {
+			_, broken := encodeColumnar(t, c.fresh())
+			cases = append(cases, verdictCase{c.name, broken})
+		}
 	}
 	return cases
 }
@@ -204,7 +181,8 @@ func TestFusedWalkKeepsBothVerdicts(t *testing.T) {
 			continue // Open is unchanged: nothing walks
 		}
 		opened++
-		wantSeen, wantValidate := refValidate(open())
+		ops, decode, framing := refColumns(open())
+		wantSeen, wantValidate := refValidate(ops, framing)
 		wantVerify := refVerify(open())
 		if wantValidate != nil {
 			rejected["validate"]++
@@ -238,12 +216,18 @@ func TestFusedWalkKeepsBothVerdicts(t *testing.T) {
 
 		// WriteV2Par rides the same walk and stops only where the sequential
 		// writer stopped: on a decode failure.
-		var want, got bytes.Buffer
-		_, wantErr := refWriteV2(&want, open())
+		want, _, wantErr := refWriteV2(ops)
+		for _, err := range decode {
+			if err != nil {
+				want, wantErr = nil, err
+				break
+			}
+		}
+		var got bytes.Buffer
 		col := open()
 		_, gotErr := WriteV2Par(&got, col, nil)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (wantErr == nil && !bytes.Equal(got.Bytes(), want.Bytes())) {
-			t.Fatalf("%s: WriteV2Par fails with %v and %d bytes, the sequential writer with %v and %d", tc.name, gotErr, got.Len(), wantErr, want.Len())
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (wantErr == nil && !bytes.Equal(got.Bytes(), want)) {
+			t.Fatalf("%s: WriteV2Par fails with %v and %d bytes, the sequential writer with %v and %d", tc.name, gotErr, got.Len(), wantErr, len(want))
 		}
 		if gotValidate := col.Validate(); fmt.Sprint(gotValidate) != fmt.Sprint(wantValidate) {
 			t.Fatalf("%s: Validate after WriteV2Par says %v, the validate-only walk said %v", tc.name, gotValidate, wantValidate)
@@ -308,33 +292,13 @@ func readTraceCorpus(t testing.TB) [][]byte {
 	return append(corpus, threadFaults(t)...)
 }
 
-// concurrent is a fork-join that runs every body on a goroutine of its own.
-func concurrent(n int, body func(int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			body(i)
-		}()
-	}
-	wg.Wait()
-}
-
-// reversed is a fork-join that runs the bodies last to first.
-func reversed(n int, body func(int)) {
-	for i := n - 1; i >= 0; i-- {
-		body(i)
-	}
-}
-
 // requireReadsAsBefore holds ReadTrace to the reader that decoded into []Op:
 // the same streams accepted, the same DecodeError — section, offset and
 // cause — for the rest; and for an accepted one, sealed columns and no
-// streams, byte-equal to the columns the old reader's ops seal to (footer
-// digest included: the adopted checksum is the canonical digest, even for a
-// stream with overlong varints), and Validate's memoized verdict
-// the validate-only walk's over those columns. The v2 read Load runs under a
+// streams, byte-equal to the two-pass encoder's image of the old reader's ops
+// (footer digest included: the adopted checksum is the canonical digest, even
+// for a stream with overlong varints), and Validate's memoized verdict the
+// validate-only walk's over those ops. The v2 read Load runs under a
 // fork-join is held to the same, under a concurrent one and a reversed one.
 func requireReadsAsBefore(t testing.TB, name string, raw []byte) {
 	t.Helper()
@@ -344,18 +308,9 @@ func requireReadsAsBefore(t testing.TB, name string, raw []byte) {
 	var wantSeen footprint
 	var wantVerdict error
 	if wantErr == nil {
-		var err error
-		if _, wantDigest, err = refWritePayload(new(bytes.Buffer), want); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if wantImage, err = EncodeColumnar(want); err != nil {
-			t.Fatalf("%s: sealing the []Op reader's trace: %v", name, err)
-		}
-		reopened, err := OpenBytes(wantImage)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wantSeen, wantVerdict = refValidate(reopened)
+		_, wantDigest, _ = refWriteV2(want)
+		wantImage, _ = refEncodeColumnar(want)
+		wantSeen, wantVerdict = refValidate(want, nil)
 	}
 	for _, reader := range []struct {
 		name string
@@ -492,7 +447,7 @@ func TestFramingScanMatchesDecoder(t *testing.T) {
 // each with a refreshed checksum so the damage is found by the decoder.
 func TestReadTraceBornColumnar(t *testing.T) {
 	var sample bytes.Buffer
-	if _, err := sampleTrace(t).WriteTo(&sample); err != nil {
+	if _, err := sampleTrace().WriteTo(&sample); err != nil {
 		t.Fatal(err)
 	}
 	corpus := append(readTraceCorpus(t), sample.Bytes(), v1Stream(t, sample.Bytes()))
@@ -634,7 +589,7 @@ func TestRecordDigestIsFree(t *testing.T) {
 
 	var rec *Trace
 	expect("recording: sealed, then walked once with the digest's lanes aboard", 1, 1, func() {
-		rec = digestTrace(4, 300)
+		rec = sortishTrace(4, 300, nil)
 		rec.Columns().ValidatePar(nil)
 	})
 	var v2, v3 bytes.Buffer
@@ -649,7 +604,7 @@ func TestRecordDigestIsFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	expect("recording: finished and asked everything, no validation first", 1, 1, func() { use(digestTrace(2, 50)) })
+	expect("recording: finished and asked everything, no validation first", 1, 1, func() { use(sortishTrace(2, 64, nil)) })
 
 	path := filepath.Join(t.TempDir(), "t.nmt3")
 	if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {

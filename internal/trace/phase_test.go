@@ -2,37 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
 )
 
-// phaseTrace records a two-thread stream where thread 0 marks phases —
-// the single-thread marking convention the algorithms follow.
-func phaseTrace(t *testing.T) *Trace {
-	t.Helper()
-	rec := NewRecorder(2, tinyL1(), DefaultCosts())
-	for tid := 0; tid < 2; tid++ {
-		tp := rec.Thread(tid)
-		if tid == 0 {
-			tp.Phase("sort")
-		}
-		tp.Compute(50)
-		tp.Load(addr.FarBase+addr.Addr(tid*4096), 8)
-		tp.Barrier()
-		if tid == 0 {
-			tp.Phase("merge")
-		}
-		tp.Store(addr.FarBase+addr.Addr(tid*4096), 8)
-		if tid == 0 {
-			tp.Phase("sort") // re-entering a phase reuses its interned id
-		}
-	}
-	return rec.Finish(nil)
-}
-
 func TestPhaseInterning(t *testing.T) {
-	tr := phaseTrace(t)
+	tr := sortishTrace(2, 64, nil)
 	if len(tr.PhaseNames) != 2 || tr.PhaseNames[0] != "sort" || tr.PhaseNames[1] != "merge" {
 		t.Fatalf("PhaseNames = %v", tr.PhaseNames)
 	}
@@ -92,16 +69,13 @@ func TestPhaseGapCarried(t *testing.T) {
 	}
 }
 
+// TestPhaseRoundTrip: a recording's phase table and markers survive a v2
+// round trip, and the trace read back still validates.
 func TestPhaseRoundTrip(t *testing.T) {
-	tr := phaseTrace(t)
+	tr := sortishTrace(2, 64, nil)
 	got := roundTrip(t, tr)
-	if len(got.PhaseNames) != len(tr.PhaseNames) {
+	if len(tr.PhaseNames) != 2 || !slices.Equal(got.PhaseNames, tr.PhaseNames) {
 		t.Fatalf("PhaseNames: %v vs %v", got.PhaseNames, tr.PhaseNames)
-	}
-	for i := range tr.PhaseNames {
-		if got.PhaseNames[i] != tr.PhaseNames[i] {
-			t.Fatalf("PhaseNames: %v vs %v", got.PhaseNames, tr.PhaseNames)
-		}
 	}
 	if err := sameOps(t, got, tr); err != nil {
 		t.Fatal(err)
@@ -112,7 +86,7 @@ func TestPhaseRoundTrip(t *testing.T) {
 }
 
 func TestValidateRejectsBadPhaseID(t *testing.T) {
-	tr := phaseTrace(t)
+	tr := sortishTrace(2, 64, nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +110,7 @@ func TestPhaseNilTP(t *testing.T) {
 }
 
 func TestReadTraceRejectsOversizedPhaseTable(t *testing.T) {
-	tr := phaseTrace(t)
+	tr := sortishTrace(2, 64, nil)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)

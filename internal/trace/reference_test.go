@@ -1,202 +1,309 @@
-package trace_test
+package trace
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
-	"repro/internal/trace"
+	"repro/internal/units"
 )
 
-// The reference v3 encoder: the two-pass EncodeColumnar every release before
-// the column builder shipped, kept here — and only here — as the oracle the
-// builder is held to, byte for byte. It restates the format's constants
-// instead of importing them, reads ops through cursors and nothing else, and
-// is deliberately naive: one pass to find each thread's address shift, one to
+// The references every image of a trace is held to, kept here and only
+// here: the old code, restated over a trace's decoded ops. One sequential v2
+// writer (the digest is its trailing checksum), one validate-only walk, the
+// Verify that walked twice, the two-pass v3 encoder the column builder
+// replaced, and the reader that decoded a v2 stream into []Op. Each reads
+// [][]Op — a hand-built trace's own Streams, or what refColumns reads back
+// from an image — so none of them runs the fused walk, the lanes or the
+// builder they check.
+
+// refWriteV2 is the sequential v2 writer the digest was defined by: one
+// thread after another, one checksum over the bytes as they go by. It
+// returns the stream and its trailing checksum, which is the content digest.
+func refWriteV2(tr *Trace) ([]byte, uint64, error) {
+	threads := len(tr.Streams)
+	if threads == 0 {
+		return nil, 0, fmt.Errorf("trace: refusing to serialize a trace with no threads")
+	}
+	if threads > maxThreads {
+		return nil, 0, fmt.Errorf("trace: refusing to serialize %d threads (max %d)", threads, maxThreads)
+	}
+	out := bytes.NewBufferString("NMTR")
+	costs, l1 := tr.Costs, tr.L1
+	hdr := []int64{
+		2,
+		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
+		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
+		int64(threads), int64(len(tr.PhaseNames)),
+	}
+	binary.Write(out, binary.LittleEndian, hdr)
+	for _, name := range tr.PhaseNames {
+		out.Write(binary.AppendUvarint(nil, uint64(len(name))))
+		out.WriteString(name)
+	}
+	for _, ops := range tr.Streams {
+		binary.Write(out, binary.LittleEndian, int64(len(ops)))
+		var prevAddr uint64
+		for _, op := range ops {
+			tag := byte(op.Kind) & 0x0f
+			if op.Write {
+				tag |= 0x10
+			}
+			if op.Gap != 0 {
+				tag |= 0x20
+			}
+			b := []byte{tag}
+			if op.Gap != 0 {
+				b = binary.AppendUvarint(b, uint64(op.Gap))
+			}
+			switch op.Kind {
+			case OpAccess, OpAtomic:
+				b = binary.AppendVarint(b, int64(op.Addr-prevAddr))
+				prevAddr = op.Addr
+			case OpDMA:
+				b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, op.Addr), op.Addr2), uint64(op.Size))
+			case OpPhase:
+				b = binary.AppendUvarint(b, op.Addr)
+			}
+			out.Write(b)
+		}
+	}
+	sum := crc64.Checksum(out.Bytes(), crcTable)
+	return binary.LittleEndian.AppendUint64(out.Bytes(), sum), sum, nil
+}
+
+// refValidate is the validate-only walk, thread by thread in stream order,
+// and what it learned of the footprint, tallied here from the address map.
+// framing, when not nil, is what each thread's columns said once a cursor had
+// read them (see refColumns): a thread is judged on its ops first, then on
+// its framing, then on its end.
+func refValidate(tr *Trace, framing []error) (footprint, error) {
+	var total footprint
+	var barriers0 uint64
+	for t, ops := range tr.Streams {
+		var barriers uint64
+		endSeen := false
+		for i, op := range ops {
+			if endSeen {
+				return footprint{}, fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, i-1)
+			}
+			total.cycles += uint64(op.Gap)
+			var stray uint64
+			switch op.Kind {
+			case OpEnd:
+				endSeen = true
+			case OpBarrier:
+				barriers++
+			case OpDMAWait:
+				total.waits++
+			case OpAccess, OpAtomic:
+				stray = refStray(op.Addr)
+				c, near := &total.counts, addr.Addr(op.Addr) >= addr.NearBase
+				total.near = total.near || near
+				switch {
+				case op.Kind == OpAtomic:
+					c.Atomics++
+				case near && op.Write:
+					c.NearWrites++
+				case near:
+					c.NearReads++
+				case op.Write:
+					c.FarWrites++
+				default:
+					c.FarReads++
+				}
+			case OpDMA:
+				if stray = refStray(op.Addr); stray == 0 {
+					stray = refStray(op.Addr2)
+				}
+				total.dmas++
+				total.near = total.near || addr.Addr(op.Addr) >= addr.NearBase || addr.Addr(op.Addr2) >= addr.NearBase
+			case OpPhase:
+				if op.Addr >= uint64(len(tr.PhaseNames)) {
+					return footprint{}, fmt.Errorf("trace: thread %d op %d names phase %d of %d", t, i, op.Addr, len(tr.PhaseNames))
+				}
+			}
+			if stray != 0 {
+				return footprint{}, fmt.Errorf("trace: thread %d op %d: address %#x outside both memory windows", t, i, stray-1)
+			}
+		}
+		if framing != nil && framing[t] != nil {
+			return footprint{}, framing[t]
+		}
+		if !endSeen {
+			return footprint{}, fmt.Errorf("trace: thread %d stream not terminated", t)
+		}
+		if t == 0 {
+			barriers0 = barriers
+		}
+		if barriers != barriers0 {
+			return footprint{}, fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d", t, barriers, barriers0)
+		}
+		total.barriers += barriers
+	}
+	return total, nil
+}
+
+// refStray is a+1 for an address below the far window, which no memory level
+// serves, and 0 for every other.
+func refStray(a uint64) uint64 {
+	if addr.Addr(a) < addr.FarBase {
+		return a + 1
+	}
+	return 0
+}
+
+// refColumns reads every thread of c back through a cursor, as the walks
+// before the fused one did: the ops up to where the cursor stopped, why it
+// stopped (decode), and each thread's framing verdict in Validate's order —
+// the cursor's failure, or for a thread that ended on its OpEnd, column bytes
+// left past the claimed ops.
+func refColumns(c *Columnar) (tr *Trace, decode, framing []error) {
+	tr = &Trace{L1: c.l1, Costs: c.costs, PhaseNames: c.phaseNames, Streams: make([][]Op, len(c.threads))}
+	decode, framing = make([]error, len(c.threads)), make([]error, len(c.threads))
+	for t := range c.threads {
+		cur := c.CursorAt(t)
+		for cur.Next() {
+			tr.Streams[t] = append(tr.Streams[t], cur.Cur)
+		}
+		ops := tr.Streams[t]
+		switch col := cur.remaining(); {
+		case cur.Err() != nil:
+			decode[t], framing[t] = cur.Err(), cur.Err()
+		case col >= 0 && len(ops) > 0 && ops[len(ops)-1].Kind == OpEnd:
+			framing[t] = decodeErrf(cur.colSection(col), int(cur.colOffset(col)),
+				"%d trailing bytes past the claimed %d ops", cur.ends[col]-cur.colOffset(col), c.threads[t].ops)
+		}
+	}
+	return tr, decode, framing
+}
+
+// refVerify is the two-checksum Verify of an opened file: the payload CRC,
+// then a walk of its own for the digest.
+func refVerify(c *Columnar) error {
+	img := bytes.Join(c.segs, nil)
+	payload := img[:len(img)-footerSize]
+	if got := crc64.Checksum(payload, crcTable); got != c.payloadCRC {
+		return decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, c.payloadCRC)
+	}
+	tr, decode, _ := refColumns(c)
+	for _, err := range decode {
+		if err != nil {
+			return err
+		}
+	}
+	if _, got, _ := refWriteV2(tr); got != c.digest {
+		return decodeErrf("footer", len(img)-footerSize+32, "content digest %#x does not match decoded ops (%#x)", c.digest, got)
+	}
+	return nil
+}
+
+// refEncodeColumnar is the two-pass EncodeColumnar every release before the
+// column builder shipped, the oracle the builder is held to byte for byte. It
+// restates the format's constants instead of importing them and is
+// deliberately naive: one pass to find each thread's address shift, one to
 // fill the columns, whole-thread tag and gap buffers, and a sort of every gap
 // to build the dictionary.
-
-const (
-	refAlign      = 64
-	refFooterSize = 64
-	refNumCols    = 5
-	refMinTagRun  = 3
-
-	refTagKindMask = 0x0f
-	refTagWrite    = 0x10
-	refTagHasGap   = 0x20
-)
-
-const (
-	refColTags = iota
-	refColGaps
-	refColAddrs
-	refColDMAs
-	refColPhases
-)
-
-var refCRC = crc64.MakeTable(crc64.ECMA)
-
-func referenceEncodeColumnar(src trace.Source) ([]byte, error) {
-	threads := src.Threads()
-	names := src.PhaseTable()
-	_, digest, err := referenceWriteV2(src)
+func refEncodeColumnar(tr *Trace) ([]byte, error) {
+	_, digest, err := refWriteV2(tr)
 	if err != nil {
 		return nil, err
 	}
-
-	var out bytes.Buffer
-	out.WriteString("NMT3")
-	costs, l1 := src.CostModel(), src.Geometry()
+	out := bytes.NewBufferString("NMT3")
+	costs, l1 := tr.Costs, tr.L1
 	hdr := []int64{
 		3,
 		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
 		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
-		int64(threads),
+		int64(len(tr.Streams)), int64(len(tr.PhaseNames)),
 	}
-	if err := binary.Write(&out, binary.LittleEndian, hdr); err != nil {
-		return nil, err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	if err := binary.Write(&out, binary.LittleEndian, int64(len(names))); err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		out.Write(vbuf[:binary.PutUvarint(vbuf[:], uint64(len(name)))])
+	binary.Write(out, binary.LittleEndian, hdr)
+	for _, name := range tr.PhaseNames {
+		out.Write(binary.AppendUvarint(nil, uint64(len(name))))
 		out.WriteString(name)
 	}
-
 	align := func() {
-		for out.Len()%refAlign != 0 {
+		for out.Len()%64 != 0 {
 			out.WriteByte(0)
 		}
 	}
-
-	type section struct {
-		ops      int64
-		shift    uint
-		off, end [refNumCols]int64
-	}
-	table := make([]section, threads)
-	totalOps := int64(0)
-	for t := 0; t < threads; t++ {
-		// Pass 1: the thread's address shift is the trailing-zero count
-		// shared by every access/atomic address.
+	var table []int64 // per thread: ops, shift, then per column offset and length
+	var totalOps int64
+	for _, ops := range tr.Streams {
+		// Pass 1: the address shift is the trailing-zero count every
+		// access/atomic address shares.
 		var orAddr uint64
-		cur := src.CursorAt(t)
-		n := int64(0)
-		for cur.Next() {
-			if k := cur.Cur.Kind; k == trace.OpAccess || k == trace.OpAtomic {
-				orAddr |= cur.Cur.Addr
+		for _, op := range ops {
+			if op.Kind == OpAccess || op.Kind == OpAtomic {
+				orAddr |= op.Addr
 			}
-			n++
-		}
-		if err := cur.Err(); err != nil {
-			return nil, err
 		}
 		shift := uint(0)
 		if orAddr != 0 {
 			shift = uint(bits.TrailingZeros64(orAddr))
 		}
-		table[t].ops = n
-		table[t].shift = shift
-		totalOps += n
-
-		// Pass 2: encode the five columns. Tags and gaps buffer their raw
-		// streams first — block and dictionary encoding both need to see
-		// the whole thread.
-		var cols [refNumCols][]byte
-		putU := func(col int, v uint64) {
-			cols[col] = append(cols[col], vbuf[:binary.PutUvarint(vbuf[:], v)]...)
-		}
-		putV := func(col int, v int64) {
-			cols[col] = append(cols[col], vbuf[:binary.PutVarint(vbuf[:], v)]...)
-		}
-		tags := make([]byte, 0, n)
-		gaps := make([]uint32, 0, n)
+		// Pass 2: the five columns; tags and gaps buffer their raw streams
+		// first, since block and dictionary encoding both see the whole thread.
+		var tags, addrs, dmas, phases []byte
+		var gaps []uint32
 		var prev uint64
-		cur = src.CursorAt(t)
-		for cur.Next() {
-			op := cur.Cur
-			tag := byte(op.Kind) & refTagKindMask
+		for _, op := range ops {
+			tag := byte(op.Kind) & 0x0f
 			if op.Write {
-				tag |= refTagWrite
+				tag |= 0x10
 			}
 			if op.Gap != 0 {
-				tag |= refTagHasGap
+				tag |= 0x20
 				gaps = append(gaps, op.Gap)
 			}
 			tags = append(tags, tag)
 			switch op.Kind {
-			case trace.OpAccess, trace.OpAtomic:
-				sa := op.Addr >> shift
-				putV(refColAddrs, int64(sa-prev))
-				prev = sa
-			case trace.OpDMA:
-				putU(refColDMAs, op.Addr)
-				putU(refColDMAs, op.Addr2)
-				putU(refColDMAs, uint64(op.Size))
-			case trace.OpPhase:
-				putU(refColPhases, op.Addr)
+			case OpAccess, OpAtomic:
+				addrs = binary.AppendVarint(addrs, int64(op.Addr>>shift-prev))
+				prev = op.Addr >> shift
+			case OpDMA:
+				dmas = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(dmas, op.Addr), op.Addr2), uint64(op.Size))
+			case OpPhase:
+				phases = binary.AppendUvarint(phases, op.Addr)
 			}
 		}
-		if err := cur.Err(); err != nil {
-			return nil, err
-		}
-		cols[refColTags] = referenceTagBlocks(tags)
-		cols[refColGaps] = referenceGapDict(gaps)
-		for col := range cols {
+		table = append(table, int64(len(ops)), int64(shift))
+		for _, col := range [][]byte{refTagBlocks(tags), refGapDict(gaps), addrs, dmas, phases} {
 			align()
-			table[t].off[col] = int64(out.Len())
-			out.Write(cols[col])
-			table[t].end[col] = int64(out.Len())
+			table = append(table, int64(out.Len()), int64(len(col)))
+			out.Write(col)
 		}
+		totalOps += int64(len(ops))
 	}
-
 	align()
 	tableOff := out.Len()
-	for t := range table {
-		ent := []int64{table[t].ops, int64(table[t].shift)}
-		for col := 0; col < refNumCols; col++ {
-			ent = append(ent, table[t].off[col], table[t].end[col]-table[t].off[col])
-		}
-		if err := binary.Write(&out, binary.LittleEndian, ent); err != nil {
-			return nil, err
-		}
+	binary.Write(out, binary.LittleEndian, table)
+	ftr := binary.LittleEndian.AppendUint64(nil, uint64(tableOff))
+	for _, v := range []uint64{uint64(len(table) * 8), uint64(len(tr.Streams)), uint64(totalOps), digest, crc64.Checksum(out.Bytes(), crcTable)} {
+		ftr = binary.LittleEndian.AppendUint64(ftr, v)
 	}
-
-	var ftr [refFooterSize]byte
-	le := binary.LittleEndian
-	le.PutUint64(ftr[0:], uint64(tableOff))
-	le.PutUint64(ftr[8:], uint64(threads*(2+2*refNumCols)*8))
-	le.PutUint64(ftr[16:], uint64(threads))
-	le.PutUint64(ftr[24:], uint64(totalOps))
-	le.PutUint64(ftr[32:], digest)
-	le.PutUint64(ftr[40:], crc64.Checksum(out.Bytes(), refCRC))
-	le.PutUint64(ftr[48:], crc64.Checksum(ftr[:48], refCRC))
-	copy(ftr[56:], "NMT3FOOT")
-	out.Write(ftr[:])
+	ftr = binary.LittleEndian.AppendUint64(ftr, crc64.Checksum(ftr, crcTable))
+	out.Write(append(ftr, "NMT3FOOT"...))
 	return out.Bytes(), nil
 }
 
-// referenceTagBlocks block-encodes a thread's raw tag stream: greedy runs of
-// refMinTagRun or more become run blocks, everything between them one
-// literal block.
-func referenceTagBlocks(tags []byte) []byte {
-	var vbuf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, len(tags)+len(tags)/64+1)
+// refTagBlocks block-encodes a thread's raw tag stream: greedy runs of three
+// or more become run blocks, everything between them one literal block.
+func refTagBlocks(tags []byte) []byte {
+	var out []byte
 	for i := 0; i < len(tags); {
 		j := i
 		for j < len(tags) && tags[j] == tags[i] {
 			j++
 		}
-		if j-i >= refMinTagRun {
-			out = append(out, vbuf[:binary.PutUvarint(vbuf[:], uint64(j-i-refMinTagRun)<<1|1)]...)
-			out = append(out, tags[i])
+		if j-i >= 3 {
+			out = append(binary.AppendUvarint(out, uint64(j-i-3)<<1|1), tags[i])
 			i = j
 			continue
 		}
@@ -207,24 +314,23 @@ func referenceTagBlocks(tags []byte) []byte {
 			for j < len(tags) && tags[j] == tags[k] {
 				j++
 			}
-			if j-k >= refMinTagRun {
+			if j-k >= 3 {
 				break
 			}
 			k = j
 		}
-		out = append(out, vbuf[:binary.PutUvarint(vbuf[:], uint64(k-i-1)<<1)]...)
-		out = append(out, tags[i:k]...)
+		out = append(binary.AppendUvarint(out, uint64(k-i-1)<<1), tags[i:k]...)
 		i = k
 	}
 	return out
 }
 
-// referenceGapDict dictionary-encodes a thread's gap values: the distinct
-// values sorted by frequency (ties by value, for determinism) as fixed-width
-// u32 entries, then each gap as a uvarint index.
-func referenceGapDict(gaps []uint32) []byte {
-	sorted := append([]uint32(nil), gaps...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+// refGapDict dictionary-encodes a thread's gap values: the distinct values
+// sorted by frequency (ties by value) as fixed-width u32 entries, then each
+// gap as a uvarint index.
+func refGapDict(gaps []uint32) []byte {
+	sorted := slices.Clone(gaps)
+	slices.Sort(sorted)
 	type valCount struct {
 		v uint32
 		c int
@@ -244,153 +350,168 @@ func referenceGapDict(gaps []uint32) []byte {
 		}
 		return vals[a].v < vals[b].v
 	})
-	// rank, sorted by value for binary-search lookup during the index pass.
-	type valRank struct {
-		v uint32
-		r uint64
-	}
-	lookup := make([]valRank, len(vals))
+	rank := map[uint32]uint64{}
+	out := binary.AppendUvarint(nil, uint64(len(vals)))
 	for r, e := range vals {
-		lookup[r] = valRank{e.v, uint64(r)}
-	}
-	sort.Slice(lookup, func(a, b int) bool { return lookup[a].v < lookup[b].v })
-
-	var vbuf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 1+4*len(vals)+len(gaps))
-	out = append(out, vbuf[:binary.PutUvarint(vbuf[:], uint64(len(vals)))]...)
-	for _, e := range vals {
-		var b4 [4]byte
-		binary.LittleEndian.PutUint32(b4[:], e.v)
-		out = append(out, b4[:]...)
+		rank[e.v] = uint64(r)
+		out = binary.LittleEndian.AppendUint32(out, e.v)
 	}
 	for _, g := range gaps {
-		i := sort.Search(len(lookup), func(k int) bool { return lookup[k].v >= g })
-		out = append(out, vbuf[:binary.PutUvarint(vbuf[:], lookup[i].r)]...)
+		out = binary.AppendUvarint(out, rank[g])
 	}
 	return out
 }
 
-// referenceWriteV2 is the sequential v2 writer the digest was defined by —
-// one thread after another through a cursor, one checksum over the bytes as
-// they go by — restated over the exported API. It returns the stream and its
-// trailing checksum, which is the content digest.
-func referenceWriteV2(src trace.Source) ([]byte, uint64, error) {
-	var out bytes.Buffer
-	out.WriteString("NMTR")
-	costs, l1, names := src.CostModel(), src.Geometry(), src.PhaseTable()
-	hdr := []int64{
-		2,
-		costs.IssueCycles, costs.L1HitCycles, costs.CompareCycles, costs.AtomicCycles,
-		int64(l1.Capacity), int64(l1.LineSize), int64(l1.Ways),
-		int64(src.Threads()), int64(len(names)),
+// refReadTrace is the reader that decoded a v2 stream into []Op.
+func refReadTrace(r io.Reader) (*Trace, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, decodeErr("stream", len(raw), fmt.Errorf("reading: %w", err))
 	}
-	if err := binary.Write(&out, binary.LittleEndian, hdr); err != nil {
-		return nil, 0, err
+	if err := v2Magic(raw); err != nil { // the magic is read first, as ReadTrace reads it
+		return nil, err
 	}
-	var buf [3 * binary.MaxVarintLen64]byte
-	for _, name := range names {
-		out.Write(buf[:binary.PutUvarint(buf[:], uint64(len(name)))])
-		out.WriteString(name)
+	if len(raw) < 8 {
+		return nil, decodeErrf("stream", len(raw), "truncated stream (%d bytes, need at least the 8-byte checksum)", len(raw))
 	}
-	for t := 0; t < src.Threads(); t++ {
-		if err := binary.Write(&out, binary.LittleEndian, int64(src.ThreadOps(t))); err != nil {
-			return nil, 0, err
+	payload, tail := raw[:len(raw)-8], raw[len(raw)-8:]
+	want := binary.LittleEndian.Uint64(tail)
+	if got := crc64.Checksum(payload, crcTable); got != want {
+		return nil, decodeErrf("checksum", len(payload), "mismatch (%#x != %#x): torn or corrupted stream", got, want)
+	}
+
+	br := bytes.NewReader(payload)
+	off := func() int { return len(payload) - br.Len() }
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, decodeErr("header", off(), fmt.Errorf("reading magic: %w", err))
+	}
+	if string(magic) != traceMagic {
+		return nil, decodeErrf("header", 0, "bad magic %q", magic)
+	}
+	hdr := make([]int64, 9)
+	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
+		return nil, decodeErr("header", off(), fmt.Errorf("reading fields: %w", err))
+	}
+	if hdr[0] != traceVersion {
+		return nil, decodeErrf("header", 4, "unsupported version %d", hdr[0])
+	}
+	threads := hdr[8]
+	if threads <= 0 || threads > maxThreads || threads > int64(br.Len())/8 {
+		return nil, decodeErrf("header", off()-8, "implausible thread count %d", threads)
+	}
+	tr := &Trace{
+		Streams: make([][]Op, threads),
+		Costs: Costs{
+			IssueCycles: hdr[1], L1HitCycles: hdr[2],
+			CompareCycles: hdr[3], AtomicCycles: hdr[4],
+		},
+		L1: L1Geometry{
+			Capacity: units.Bytes(hdr[5]),
+			LineSize: units.Bytes(hdr[6]),
+			Ways:     int(hdr[7]),
+		},
+	}
+
+	var nNames int64
+	if err := binary.Read(br, binary.LittleEndian, &nNames); err != nil {
+		return nil, decodeErr("phase table", off(), fmt.Errorf("phase-name count: %w", err))
+	}
+	if nNames < 0 || nNames > maxPhaseNames {
+		return nil, decodeErrf("phase table", off()-8, "implausible phase-name count %d", nNames)
+	}
+	for i := int64(0); i < nNames; i++ {
+		at := off()
+		l, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d length: %w", i, err))
 		}
-		var prevAddr uint64
-		cur := src.CursorAt(t)
-		for cur.Next() {
-			op := cur.Cur
-			tag := byte(op.Kind) & refTagKindMask
-			if op.Write {
-				tag |= refTagWrite
-			}
-			if op.Gap != 0 {
-				tag |= refTagHasGap
-			}
-			out.WriteByte(tag)
-			n := 0
-			if op.Gap != 0 {
-				n += binary.PutUvarint(buf[n:], uint64(op.Gap))
-			}
-			switch op.Kind {
-			case trace.OpAccess, trace.OpAtomic:
-				n += binary.PutVarint(buf[n:], int64(op.Addr-prevAddr))
-				prevAddr = op.Addr
-			case trace.OpDMA:
-				n += binary.PutUvarint(buf[n:], op.Addr)
-				n += binary.PutUvarint(buf[n:], op.Addr2)
-				n += binary.PutUvarint(buf[n:], uint64(op.Size))
-			case trace.OpPhase:
-				n += binary.PutUvarint(buf[n:], op.Addr)
-			}
-			out.Write(buf[:n])
+		if l > uint64(br.Len()) {
+			return nil, decodeErrf("phase table", at, "phase name %d length %d exceeds payload", i, l)
 		}
-		if err := cur.Err(); err != nil {
-			return nil, 0, err
+		name := make([]byte, l)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, decodeErr("phase table", at, fmt.Errorf("phase name %d: %w", i, err))
 		}
+		tr.PhaseNames = append(tr.PhaseNames, string(name))
 	}
-	sum := crc64.Checksum(out.Bytes(), refCRC)
-	if err := binary.Write(&out, binary.LittleEndian, sum); err != nil {
-		return nil, 0, err
+
+	for t := int64(0); t < threads; t++ {
+		at := off()
+		var nOps int64
+		if err := binary.Read(br, binary.LittleEndian, &nOps); err != nil {
+			return nil, decodeErr(threadSection(t), at, fmt.Errorf("op count: %w", err))
+		}
+		if nOps < 0 || nOps > int64(br.Len()) {
+			return nil, decodeErrf(threadSection(t), at, "implausible op count %d", nOps)
+		}
+		ops := make([]Op, nOps)
+		if err := refDecodeOps(br, ops, t, len(payload)); err != nil {
+			return nil, err
+		}
+		tr.Streams[t] = ops
 	}
-	return out.Bytes(), sum, nil
+	if br.Len() != 0 {
+		return nil, decodeErrf("stream", off(), "%d trailing payload bytes", br.Len())
+	}
+	return tr, nil
 }
 
-// referenceValidate is the structural half of the validate-only walk — the
-// half a cursor and the address map can restate: termination, barrier
-// agreement, address routing, phase ids, in the walk's words and order. (Its
-// framing half needs the cursor's insides; walk_reference_test.go keeps it.)
-func referenceValidate(src trace.Source) error {
-	barriers0 := 0
-	for t := 0; t < src.Threads(); t++ {
-		cur := src.CursorAt(t)
-		n, barriers, endSeen := 0, 0, false
-		for cur.Next() {
-			if endSeen {
-				return fmt.Errorf("trace: thread %d has interior OpEnd at %d", t, n-1)
+func refDecodeOps(br *bytes.Reader, ops []Op, t int64, plen int) error {
+	var prevAddr uint64
+	for i := range ops {
+		at := plen - br.Len()
+		tag, err := br.ReadByte()
+		if err != nil {
+			return decodeErr(threadSection(t), at, fmt.Errorf("op %d tag: %w", i, err))
+		}
+		if tag&tagReserved != 0 {
+			return decodeErrf(threadSection(t), at, "op %d: reserved tag bits %#x set", i, tag&tagReserved)
+		}
+		op := Op{Kind: Kind(tag & tagKindMask), Write: tag&tagWrite != 0}
+		if tag&tagHasGap != 0 {
+			g, err := binary.ReadUvarint(br)
+			if err != nil {
+				return decodeErr(threadSection(t), at, fmt.Errorf("op %d gap: %w", i, err))
 			}
-			n++
-			op := cur.Cur
-			stray := func(a uint64) error {
-				if addr.Addr(a) >= addr.FarBase {
-					return nil
-				}
-				return fmt.Errorf("trace: thread %d op %d: address %#x outside both memory windows", t, n-1, a)
+			if g > uint64(^uint32(0)) {
+				return decodeErrf(threadSection(t), at, "op %d gap %d overflows", i, g)
 			}
-			switch op.Kind {
-			case trace.OpEnd:
-				endSeen = true
-			case trace.OpBarrier:
-				barriers++
-			case trace.OpAccess, trace.OpAtomic:
-				if err := stray(op.Addr); err != nil {
-					return err
-				}
-			case trace.OpDMA:
-				if err := stray(op.Addr); err != nil {
-					return err
-				}
-				if err := stray(op.Addr2); err != nil {
-					return err
-				}
-			case trace.OpPhase:
-				if op.Addr >= uint64(len(src.PhaseTable())) {
-					return fmt.Errorf("trace: thread %d op %d names phase %d of %d", t, n-1, op.Addr, len(src.PhaseTable()))
-				}
+			op.Gap = uint32(g)
+		}
+		switch op.Kind {
+		case OpAccess, OpAtomic:
+			d, err := binary.ReadVarint(br)
+			if err != nil {
+				return decodeErr(threadSection(t), at, fmt.Errorf("op %d addr delta: %w", i, err))
 			}
+			op.Addr = prevAddr + uint64(d)
+			prevAddr = op.Addr
+		case OpDMA:
+			if op.Addr, err = binary.ReadUvarint(br); err != nil {
+				return decodeErr(threadSection(t), at, fmt.Errorf("op %d dma src: %w", i, err))
+			}
+			if op.Addr2, err = binary.ReadUvarint(br); err != nil {
+				return decodeErr(threadSection(t), at, fmt.Errorf("op %d dma dst: %w", i, err))
+			}
+			sz, err := binary.ReadUvarint(br)
+			if err != nil {
+				return decodeErr(threadSection(t), at, fmt.Errorf("op %d dma size: %w", i, err))
+			}
+			if sz > uint64(^uint32(0)) {
+				return decodeErrf(threadSection(t), at, "op %d dma size %d overflows", i, sz)
+			}
+			op.Size = uint32(sz)
+		case OpPhase:
+			if op.Addr, err = binary.ReadUvarint(br); err != nil {
+				return decodeErr(threadSection(t), at, fmt.Errorf("op %d phase id: %w", i, err))
+			}
+		case OpBarrier, OpDMAWait, OpGap, OpEnd:
+			// tag only
+		default:
+			return decodeErrf(threadSection(t), at, "op %d: unknown op kind %d", i, op.Kind)
 		}
-		if err := cur.Err(); err != nil {
-			return err
-		}
-		if !endSeen {
-			return fmt.Errorf("trace: thread %d stream not terminated", t)
-		}
-		if t == 0 {
-			barriers0 = barriers
-		}
-		if barriers != barriers0 {
-			return fmt.Errorf("trace: thread %d reached %d barriers, thread 0 reached %d", t, barriers, barriers0)
-		}
+		ops[i] = op
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc64"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/addr"
 )
@@ -29,44 +28,8 @@ func roundTrip(t *testing.T, tr *Trace) *Trace {
 	return got
 }
 
-func sampleTrace(t *testing.T) *Trace {
-	t.Helper()
-	rec := NewRecorder(3, tinyL1(), DefaultCosts())
-	for tid := 0; tid < 3; tid++ {
-		tp := rec.Thread(tid)
-		tp.Compute(int64(100 * (tid + 1)))
-		tp.Load(addr.FarBase+addr.Addr(tid*4096), 8)
-		tp.Store(addr.NearBase+addr.Addr(tid*4096), 16)
-		tp.Barrier()
-		tp.Atomic(addr.NearBase)
-		tp.DMA(addr.FarBase, addr.NearBase+65536, 4096)
-		tp.DMAWait()
-		tp.Compute(7)
-		tp.Load(addr.FarBase+addr.Addr(tid*4096)+128, 8)
-	}
-	return rec.Finish(nil)
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	tr := sampleTrace(t)
-	got := roundTrip(t, tr)
-
-	if err := sameOps(t, got, tr); err != nil {
-		t.Fatal(err)
-	}
-	if got.Costs != tr.Costs || got.L1 != tr.L1 {
-		t.Errorf("metadata mismatch: %+v/%+v vs %+v/%+v", got.Costs, got.L1, tr.Costs, tr.L1)
-	}
-	if err := got.Validate(); err != nil {
-		t.Errorf("round-tripped trace invalid: %v", err)
-	}
-	if got.Count() != tr.Count() {
-		t.Errorf("counts differ after round trip")
-	}
-}
-
 func TestSerializeDetectsCorruption(t *testing.T) {
-	tr := sampleTrace(t)
+	tr := sampleTrace()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -94,7 +57,7 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 }
 
 func TestSerializeTruncation(t *testing.T) {
-	tr := sampleTrace(t)
+	tr := sampleTrace()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -162,48 +125,6 @@ func TestSerializeEmptyStreams(t *testing.T) {
 	got := roundTrip(t, tr)
 	if got.Ops() != tr.Ops() {
 		t.Errorf("ops: %d vs %d", got.Ops(), tr.Ops())
-	}
-}
-
-// TestSerializePropertyRandomWorkloads fuzzes the encoder with randomized
-// access patterns and checks exact round-tripping.
-func TestSerializePropertyRandomWorkloads(t *testing.T) {
-	f := func(ops []uint32, threadsRaw uint8) bool {
-		p := int(threadsRaw%4) + 1
-		rec := NewRecorder(p, tinyL1(), DefaultCosts())
-		for i, o := range ops {
-			tp := rec.Thread(i % p)
-			a := addr.FarBase + addr.Addr(o%1<<20)*8
-			if o%5 == 0 {
-				a = addr.NearBase + addr.Addr(o%1<<20)*8
-			}
-			switch o % 4 {
-			case 0:
-				tp.Load(a, 8)
-			case 1:
-				tp.Store(a, 8)
-			case 2:
-				tp.Compute(int64(o % 1000))
-			case 3:
-				tp.Atomic(a)
-			}
-		}
-		tr := rec.Finish(nil)
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadTrace(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Ops() != tr.Ops() || got.Count() != tr.Count() {
-			return false
-		}
-		return sameOps(t, got, tr) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -303,7 +224,7 @@ func TestSerializeRejectsReservedTagBits(t *testing.T) {
 // the broken section and a byte offset inside the stream, so a torn or
 // corrupted file is diagnosable from the error text alone.
 func TestDecodeErrorSections(t *testing.T) {
-	tr := sampleTrace(t)
+	tr := sampleTrace()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -383,7 +304,7 @@ func TestDecodeErrorSections(t *testing.T) {
 // it — and not as a torn v2 stream; a v2 stream that really is torn or
 // corrupted still reads as one.
 func TestReadTraceNamesItsInput(t *testing.T) {
-	tr := sampleTrace(t)
+	tr := sampleTrace()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -426,7 +347,7 @@ func TestReadTraceNamesItsInput(t *testing.T) {
 // through a fresh Trace header over the mutated decoded streams; the
 // original keeps returning its memoized fingerprint.
 func TestDigestStability(t *testing.T) {
-	tr := sampleTrace(t)
+	tr := sampleTrace()
 	d1, err := tr.Digest()
 	if err != nil {
 		t.Fatal(err)

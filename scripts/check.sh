@@ -21,12 +21,16 @@
 #                                     user; and TestReplayAllocs: the exact
 #                                     malloc count of one replay per mode,
 #                                     testdata/replay_allocs.golden)
-#   4b. allocation mutants            scripts/mutants.sh: every patch in
-#                                     testdata/mutants/alloc applied in turn
-#                                     to a copy; each must be killed by
-#                                     nmlint or the allocation pins, as
+#   4b. mutant matrix                 scripts/mutants.sh, both sets of
+#                                     testdata/mutants: every alloc patch
+#                                     applied in turn to a copy, each killed
+#                                     by nmlint or the allocation pins as
 #                                     testdata/mutants/alloc/LEDGER records
-#                                     (~3 min)
+#                                     (~3 min); the trace set (every mutant
+#                                     killed by internal/trace's tests, ~5
+#                                     min in full: scripts/mutants.sh trace)
+#                                     only checked to apply, its ledger to
+#                                     list exactly its patches
 #   5. GOARCH=386 go test ./...       the full suite as a 32-bit build (cgo
 #                                     off): an int narrower than the int64
 #                                     it is read from must not slip past
@@ -50,8 +54,8 @@
 #                                     manifest holding it without its aliases
 #                                     and the converse)
 #   8. fuzz smoke                     10s each of FuzzReadTrace (v2 decoder:
-#                                     also held to the []Op-building reader
-#                                     it replaced, error for error, column
+#                                     also held to refReadTrace, the reader
+#                                     into []Op, error for error, column
 #                                     for column; no stream of another
 #                                     version accepted) and FuzzOpenColumnar (v3
 #                                     open/cursor path): no panics on hostile
@@ -59,8 +63,8 @@
 #                                     10s of
 #                                     FuzzBuilderMatchesReference (generated
 #                                     op mixes: the v3 column builder against
-#                                     the old two-pass encoder, byte for
-#                                     byte); 10s of
+#                                     refEncodeColumnar, the two-pass encoder,
+#                                     byte for byte); 10s of
 #                                     FuzzCRC64Combine (per-part CRCs folded
 #                                     by crc64Combine against one streamed
 #                                     CRC: the identity the digest lanes
@@ -198,7 +202,8 @@ step go build ./...
 step go run ./cmd/nmlint ./...
 step go vet ./...
 step go test ./...
-step ./scripts/mutants.sh
+step ./scripts/mutants.sh alloc
+step ./scripts/mutants.sh -apply-only trace
 step env GOARCH=386 CGO_ENABLED=0 go test ./...
 step no_fma
 step go test -race -short ./...
